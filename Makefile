@@ -1,13 +1,14 @@
 # CI entry points for the CORUSCANT reproduction. `make ci` is the gate:
 # lint (go vet + coruscantvet + gofmt) + build + race-enabled tests +
-# short fuzz smoke + the DBC-engine benchmarks.
+# short fuzz smoke + the DBC-engine benchmarks + a compile-and-test
+# pass over the end-to-end benchmark module (bench/).
 
 GO ?= go
 BIN := bin
 
-.PHONY: ci vet lint audit build test race race-obs fuzz alloc-budget bench bench-obs bench-profile bench-parallel bench-resilient bench-compile bench-pipeline bench-serve
+.PHONY: ci vet lint audit build test race race-obs fuzz alloc-budget bench bench-obs bench-profile bench-parallel bench-resilient bench-compile bench-pipeline bench-serve bench-smoke
 
-ci: lint build race race-obs fuzz alloc-budget bench bench-obs bench-profile bench-parallel bench-resilient bench-compile bench-pipeline bench-serve
+ci: lint build race race-obs fuzz alloc-budget bench bench-obs bench-profile bench-parallel bench-resilient bench-compile bench-pipeline bench-serve bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -58,14 +59,14 @@ race:
 
 # race-obs re-runs the concurrency-bearing packages under the race
 # detector with -count=2: the recorder is shared mutable state threaded
-# through memory, pim and dbc; memory's striped locks, the isa lane
-# pool and the parallel CNN/bitmapidx drivers all hammer it from worker
-# goroutines. A second pass catches ordering flakes the single ./...
-# sweep can miss.
+# through memory, pim and dbc; memory's striped locks are hammered by
+# concurrent callers next to running batches (the memory stress
+# tests), and coruscantd runs one goroutine per share-nothing shard
+# behind concurrent HTTP handlers. A second pass catches ordering
+# flakes the single ./... sweep can miss.
 race-obs:
 	$(GO) test -race -count=2 ./internal/memory ./internal/telemetry \
-		./internal/telemetry/profile ./internal/service ./cmd/coruscantd \
-		./internal/isa ./internal/workloads/cnn ./internal/workloads/bitmapidx
+		./internal/telemetry/profile ./internal/service ./cmd/coruscantd
 
 # fuzz gives each native fuzz target a short deterministic smoke run;
 # longer sessions are manual (`go test -fuzz <name> -fuzztime 5m`).
@@ -90,9 +91,10 @@ alloc-budget:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v .
 
 # bench-parallel measures the bank-parallel batch path: one ExecuteBatch
-# of independent adds across banks/subarrays at worker counts 1/2/4/8
-# against the request-at-a-time serial loop. Reference numbers (and the
-# single-core-host caveat) are recorded in BENCH_parallel.json.
+# of independent adds across banks/subarrays against the
+# request-at-a-time serial loop. Reference numbers, and the retired
+# worker-pool rows that motivated running batches serially on the host,
+# are recorded in BENCH_parallel.json.
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'BenchmarkBatch' -benchmem .
 
@@ -129,10 +131,9 @@ bench-pipeline:
 
 # bench-serve measures the coruscantd serving path end-to-end: the
 # mixed RunLoad workload over real HTTP against an in-process 2-shard
-# server at batch worker counts 1 vs 4, every read bit-checked against
-# serial mirrors. req/s and client-observed p50/p95 come out as custom
-# metrics. Reference numbers (and the single-core-host caveat) are
-# recorded in BENCH_serve.json.
+# server, every read bit-checked against serial mirrors. req/s and
+# client-observed p50/p95 come out as custom metrics. Reference numbers
+# (and the retired worker-count rows) are recorded in BENCH_serve.json.
 bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServe' -benchmem .
 
@@ -144,3 +145,10 @@ bench-serve:
 # acceptance deltas) are recorded in BENCH_compile.json.
 bench-compile:
 	$(GO) test -run '^$$' -bench 'BenchmarkCompile' -benchmem .
+
+# bench-smoke compiles and tests the end-to-end benchmark program
+# (bench/, run by bench/run.sh). It is a separate module, so the root
+# `go test ./...` never builds it; this catches API changes that would
+# break it.
+bench-smoke:
+	cd bench && $(GO) test ./...

@@ -99,8 +99,7 @@ func TestAllocBudget(t *testing.T) {
 			}
 		}
 	})
-	m.SetWorkers(1)
-	allocBudget(t, "ExecuteBatch/workers=1", 289, func() {
+	allocBudget(t, "ExecuteBatch", 289, func() {
 		for _, res := range m.ExecuteBatch(reqs) {
 			if res.Err != nil {
 				t.Fatal(res.Err)

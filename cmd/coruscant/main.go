@@ -87,7 +87,6 @@ func run(args []string) error {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile")
 	memProfile := fs.String("memprofile", "", "write a heap profile on exit")
 	debugAddr := fs.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the batch and campaign subcommands")
 	faultP := fs.Float64("p", 1e-3, "campaign: per-sense TR fault probability (§V-F)")
 	shiftP := fs.Float64("shift-p", 0, "campaign: per-step shift fault probability")
 	campaignOps := fs.Int("ops", 10000, "campaign: number of cpim operations")
@@ -178,14 +177,14 @@ func run(args []string) error {
 	camp := campaignFlags{
 		faultP: *faultP, shiftP: *shiftP, ops: *campaignOps,
 		policy: *policySpec, retries: *retries,
-		quarantineAfter: *quarantineAfter, seed: *seed, workers: *workers,
+		quarantineAfter: *quarantineAfter, seed: *seed,
 	}
 	top := topFlags{interval: *topInterval, n: *topN, count: *topCount}
 	load := loadFlags{
 		clients: *loadClients, requests: *loadRequests,
 		blocksize: *loadBlocksize, compileEvery: *loadCompileEvery, seed: *seed,
 	}
-	runErr := dispatch(args, rec, *workers, camp, top, load)
+	runErr := dispatch(args, rec, camp, top, load)
 
 	if err := rec.Close(); err != nil && runErr == nil {
 		runErr = err
@@ -244,7 +243,7 @@ func mountMetrics(p *profile.Profiler) {
 // dispatch runs the positional subcommands with the (possibly nil)
 // telemetry recorder. The loop is indexed because `top` consumes the
 // following argument as its scrape target.
-func dispatch(args []string, rec *telemetry.Recorder, workers int, camp campaignFlags, top topFlags, load loadFlags) error {
+func dispatch(args []string, rec *telemetry.Recorder, camp campaignFlags, top topFlags, load loadFlags) error {
 	for i := 0; i < len(args); i++ {
 		arg := args[i]
 		switch arg {
@@ -283,7 +282,7 @@ func dispatch(args []string, rec *telemetry.Recorder, workers int, camp campaign
 				return err
 			}
 		case "batch":
-			if err := batchDemo(rec, workers); err != nil {
+			if err := batchDemo(rec); err != nil {
 				return err
 			}
 		case "campaign":
@@ -406,7 +405,6 @@ type campaignFlags struct {
 	retries         int
 	quarantineAfter int
 	seed            int64
-	workers         int
 }
 
 // runCampaign drives a fault-injection Monte Carlo sweep through the
@@ -427,7 +425,6 @@ func runCampaign(f campaignFlags) error {
 		Policy:    pol,
 		Ops:       f.ops,
 		Seed:      f.seed,
-		Workers:   f.workers,
 	}
 	fmt.Printf("campaign: %d ops at p=%g, policy %s (retries=%d, backoff=%d cycles, quarantine-after=%d)\n",
 		f.ops, f.faultP, pol, pol.MaxRetries, pol.BackoffCycles, pol.QuarantineAfter)
@@ -450,10 +447,9 @@ func runCampaign(f campaignFlags) error {
 }
 
 // batchDemo exercises the whole-memory model's bank-parallel batch
-// path: one cpim add per bank, all submitted as a single ExecuteBatch
-// over the requested worker count. Results and telemetry totals are
-// identical for any -workers value.
-func batchDemo(rec *telemetry.Recorder, workers int) error {
+// path: one cpim add per bank, all submitted as a single ExecuteBatch,
+// so each bank is one lane of the batch's parallelism window.
+func batchDemo(rec *telemetry.Recorder) error {
 	cfg := params.DefaultConfig()
 	cfg.Geometry.TrackWidth = 64
 	m, err := memory.New(cfg)
@@ -461,7 +457,6 @@ func batchDemo(rec *telemetry.Recorder, workers int) error {
 		return err
 	}
 	m.SetTelemetry(rec)
-	m.SetWorkers(workers)
 
 	banks := 8
 	if banks > cfg.Geometry.Banks {
@@ -500,7 +495,7 @@ func batchDemo(rec *telemetry.Recorder, workers int) error {
 			Dst:      dst,
 		}
 	}
-	fmt.Printf("batch: %d three-operand adds across %d banks, %d workers\n", banks, banks, m.Workers())
+	fmt.Printf("batch: %d three-operand adds across %d banks\n", banks, banks)
 	for bank, res := range m.ExecuteBatch(reqs) {
 		if res.Err != nil {
 			return fmt.Errorf("bank %d: %w", bank, res.Err)

@@ -107,7 +107,7 @@ func TestRunTopAgainstScrapeEndpoint(t *testing.T) {
 	// A profiled workload behind the same handler the -debug-addr mux
 	// mounts.
 	prof, rec := newTestProfiler(t)
-	if err := batchDemo(rec, 2); err != nil {
+	if err := batchDemo(rec); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(prof.Handler())

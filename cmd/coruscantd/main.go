@@ -83,7 +83,6 @@ func newDaemon(args []string) (*daemon, error) {
 	fs := flag.NewFlagSet("coruscantd", flag.ContinueOnError)
 	addr := fs.String("addr", ":7917", "listen address")
 	shards := fs.Int("shards", 1, "independent memory shards")
-	workers := fs.Int("workers", 0, "batch workers per shard (0 = GOMAXPROCS)")
 	queueDepth := fs.Int("queue-depth", 64, "admission queue depth per shard")
 	coalesceMax := fs.Int("coalesce-max", 8, "max requests merged into one execution window")
 	coalesceWindow := fs.Duration("coalesce-window", 0, "how long a window waits for more requests (0 = only merge what is queued)")
@@ -107,7 +106,6 @@ func newDaemon(args []string) (*daemon, error) {
 	cfg := service.Config{
 		Device:         device,
 		Shards:         *shards,
-		Workers:        *workers,
 		QueueDepth:     *queueDepth,
 		CoalesceMax:    *coalesceMax,
 		CoalesceWindow: *coalesceWindow,

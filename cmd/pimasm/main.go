@@ -12,11 +12,9 @@
 //	pimasm compile prog.pim        # compile a pimasm program (pimc)
 //	pimasm exec prog.pim           # compile and run it on a memory
 //
-// exec with instruction strings drives each one on a cpim controller
-// lane with deterministic operand lanes and reports the result values
-// plus the cycle/energy accounting. Independent instructions spread
-// across -workers parallel lanes (§IV-B high-throughput mode); output
-// order, costs and telemetry are identical for any worker count.
+// exec with instruction strings drives each one, in order, on a cpim
+// controller with deterministic operand lanes and reports the result
+// values plus the cycle/energy accounting of exactly that instruction.
 //
 // vet runs only the pimc front end and dataflow verifier over each
 // file, printing every line-numbered diagnostic (use-before-def and
@@ -43,12 +41,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/dbc"
+	"repro/internal/device"
 	"repro/internal/isa"
 	"repro/internal/isa/compile"
 	"repro/internal/memory"
@@ -70,7 +68,6 @@ func run(args []string) error {
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON file for exec (open in Perfetto)")
 	jsonlPath := fs.String("jsonl", "", "write exec telemetry events as JSON lines")
 	metrics := fs.Bool("metrics", false, "print the telemetry metrics report after exec")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel controller lanes for exec")
 	level := fs.Int("O", 1, "pimc placement level: 0 naive, 1 placement-aware, 2 pipelined windows")
 	dump := fs.Bool("dump", false, "print each pimc compiler pass's output")
 	prof := fs.Bool("profile", false, "print the placement model's predicted vs profiled measured shift steps per DBC (program files only)")
@@ -145,7 +142,7 @@ func run(args []string) error {
 		if *prof {
 			return fmt.Errorf("-profile compares the placement model against a profiled run, so it needs a program file")
 		}
-		return exec(cfg, args[1:], *tracePath, *jsonlPath, *metrics, *workers)
+		return exec(cfg, args[1:], *tracePath, *jsonlPath, *metrics)
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
@@ -314,43 +311,51 @@ func compileProg(cfg params.Config, path string, level int, dump bool, tracePath
 	return runErr
 }
 
-// exec parses each instruction string and runs the stream across a pool
-// of cpim controller lanes, synthesizing deterministic operand rows, so
-// the encoded stream's cost and behaviour can be inspected without
-// writing a program. Results print in program order and telemetry is
-// replayed in program order, so any -workers value produces identical
-// output.
-func exec(cfg params.Config, instrs []string, tracePath, jsonlPath string, metrics bool, workers int) error {
+// exec parses each instruction string and runs the stream in order on
+// one cpim controller, synthesizing deterministic operand rows, so the
+// encoded stream's cost and behaviour can be inspected without writing
+// a program. Instruction i records under telemetry source cpim.<i>.
+func exec(cfg params.Config, instrs []string, tracePath, jsonlPath string, metrics bool) error {
 	rec, files, err := newRecorder(cfg, tracePath, jsonlPath, metrics)
 	if err != nil {
 		return err
 	}
 
 	runErr := func() error {
-		jobs := make([]isa.LaneJob, len(instrs))
+		ins := make([]isa.Instruction, len(instrs))
 		for i, text := range instrs {
 			in, err := isa.ParseInstruction(text)
 			if err != nil {
 				return err
 			}
-			jobs[i] = isa.LaneJob{In: in, Operands: operandRows(cfg.Geometry.TrackWidth, in)}
+			ins[i] = in
 		}
-		pool, err := isa.NewLanePool(cfg, workers)
+		c, err := isa.NewController(cfg)
 		if err != nil {
 			return err
 		}
-		results := pool.Run(jobs, rec)
-		for i, res := range results {
-			if res.Err != nil {
-				return res.Err
+		for i, in := range ins {
+			// Realign the access port to row 0 with telemetry detached, so
+			// an instruction's shift cost never depends on the ones before
+			// it (the realignment models operand staging, which is not part
+			// of the measured instruction).
+			c.Unit.SetTelemetry(nil, "")
+			if _, err := c.Unit.D.Align(0, device.Left); err != nil {
+				return err
 			}
-			in := jobs[i].In
+			c.Unit.SetTelemetry(rec, telemetry.Source(fmt.Sprintf("cpim.%d", i)))
+			c.Unit.ResetStats()
+			row, err := c.Execute(in, operandRows(cfg.Geometry.TrackWidth, in))
+			if err != nil {
+				return err
+			}
+			stats := c.Unit.Stats()
 			fmt.Printf("%s\n", isa.FormatInstruction(in))
-			if bs := laneWidth(in); bs > 0 && res.Row.N > 0 {
-				vals := pim.UnpackLanes(res.Row, bs)
+			if bs := laneWidth(in); bs > 0 && row.N > 0 {
+				vals := pim.UnpackLanes(row, bs)
 				fmt.Printf("  result lanes (bs=%d): %v\n", bs, preview(vals, 8))
 			}
-			fmt.Printf("  cost: %d cycles, %.1f pJ\n", res.Stats.Cycles(), res.Stats.EnergyPJ(cfg.Energy, cfg.TRD))
+			fmt.Printf("  cost: %d cycles, %.1f pJ\n", stats.Cycles(), stats.EnergyPJ(cfg.Energy, cfg.TRD))
 		}
 		return nil
 	}()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -135,6 +136,41 @@ func TestRunExecProgram(t *testing.T) {
 	}
 	if err := run([]string{"exec", bad}); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("bad program: err = %v, want line 2", err)
+	}
+}
+
+// TestRunExecGolden pins exec's stdout and its JSONL telemetry stream
+// byte for byte against testdata: per-instruction results and costs,
+// the cpim.<i> sources, the cycle stamps and the metrics report.
+func TestRunExecGolden(t *testing.T) {
+	jsonlPath := filepath.Join(t.TempDir(), "exec.jsonl")
+	out := captureStdout(t, func() {
+		if err := run([]string{"-metrics", "-jsonl", jsonlPath, "exec",
+			"add b2.s10.t0.d15.r0 bs=8 k=3",
+			"mult b2.s10.t0.d15.r0 bs=16 k=2",
+			"xor b2.s10.t0.d15.r0 k=4",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	jsonl, err := os.ReadFile(jsonlPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		golden string
+		got    []byte
+	}{
+		{"testdata/exec.golden", []byte(out)},
+		{"testdata/exec.jsonl.golden", jsonl},
+	} {
+		want, err := os.ReadFile(c.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(c.got, want) {
+			t.Errorf("%s mismatch:\ngot:\n%s\nwant:\n%s", c.golden, c.got, want)
+		}
 	}
 }
 

@@ -18,9 +18,9 @@
 //     of the paper's evaluation.
 //
 // Constructors take functional options for attachments that used to
-// need post-construction setters: WithTelemetry, WithFaults,
-// WithRecovery, WithWorkers (options.go). The setters remain for
-// call sites that attach later.
+// need post-construction setters: WithTelemetry, WithFaults and
+// WithRecovery (options.go). The setters remain for call sites that
+// attach later.
 //
 // Quickstart:
 //
@@ -252,8 +252,8 @@ func NewSystem(cfg Config) *System { return mem.NewSystem(cfg) }
 // Memory is the functional whole-memory model: the Fig. 2 hierarchy
 // behind one address space, with row-buffer data movement and in-place
 // cpim execution in the PIM-enabled DBCs. Locking is striped per DBC,
-// so independent requests proceed in parallel; ExecuteBatch exploits
-// that bank-level parallelism explicitly.
+// so independent requests proceed in parallel; ExecuteBatch models
+// that bank-level parallelism as window lanes in simulated time.
 type Memory = memory.Memory
 
 // MoveStats counts row-granularity data movement inside a Memory.
@@ -272,17 +272,6 @@ type (
 // bank-shared row buffer, so cross-bank operands must be staged with
 // CopyRow first. Test with errors.Is.
 var ErrCrossDBC = memory.ErrCrossDBC
-
-// LanePool runs independent cpim instructions across parallel
-// controller lanes with deterministic, program-ordered telemetry.
-type (
-	LanePool   = isa.LanePool
-	LaneJob    = isa.LaneJob
-	LaneResult = isa.LaneResult
-)
-
-// NewLanePool returns a pool of n controller lanes.
-func NewLanePool(cfg Config, n int) (*LanePool, error) { return isa.NewLanePool(cfg, n) }
 
 // Telemetry: the engine-wide observability layer (cycle-accurate op
 // tracing, pluggable sinks, runtime metrics).
@@ -331,7 +320,7 @@ func NewChromeSink(w io.Writer) *ChromeSink { return telemetry.NewChromeSink(w) 
 // graceful drain. internal/service documents the wire schema and its
 // grow-only versioning policy.
 type (
-	// ServiceConfig sizes a service server: device, shards, workers,
+	// ServiceConfig sizes a service server: device, shards,
 	// queue depth, coalescing window, per-tenant quotas, telemetry.
 	ServiceConfig = service.Config
 	// ServiceServer owns the shard pool and serves the /v1 API.

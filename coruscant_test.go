@@ -164,7 +164,6 @@ func TestFacadeExecuteBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetWorkers(4)
 	pim := func(bank int) coruscant.Addr {
 		return coruscant.Addr{Bank: bank, Tile: 0, DBC: cfg.Geometry.DBCsPerTile - 1}
 	}
@@ -214,37 +213,10 @@ func TestFacadeErrCrossDBC(t *testing.T) {
 	}
 }
 
-func TestFacadeLanePool(t *testing.T) {
-	cfg := coruscant.DefaultConfig()
-	cfg.Geometry.TrackWidth = 64
-	pool, err := coruscant.NewLanePool(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := coruscant.PackLanes([]uint64{3, 5}, 16, 64)
-	b, _ := coruscant.PackLanes([]uint64{4, 6}, 16, 64)
-	in := coruscant.Instruction{Op: coruscant.OpcodeAdd, Blocksize: 16, Operands: 2}
-	jobs := []coruscant.LaneJob{
-		{In: in, Operands: []coruscant.Row{a, b}},
-		{In: in, Operands: []coruscant.Row{b, b}},
-	}
-	results := pool.Run(jobs, nil)
-	if results[0].Err != nil || results[1].Err != nil {
-		t.Fatalf("errs: %v %v", results[0].Err, results[1].Err)
-	}
-	if got := coruscant.UnpackLanes(results[0].Row, 16); got[0] != 7 || got[1] != 11 {
-		t.Errorf("job 0 = %v", got)
-	}
-	if got := coruscant.UnpackLanes(results[1].Row, 16); got[0] != 8 || got[1] != 12 {
-		t.Errorf("job 1 = %v", got)
-	}
-}
-
 func TestFacadeShardPool(t *testing.T) {
 	cfg := coruscant.DefaultConfig()
 	cfg.Geometry.TrackWidth = 64
 	pool, err := coruscant.NewShardPool(cfg, 3,
-		coruscant.WithWorkers(2),
 		coruscant.WithRecovery(coruscant.DefaultRecoveryPolicy()))
 	if err != nil {
 		t.Fatal(err)

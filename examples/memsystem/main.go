@@ -83,9 +83,9 @@ func main() {
 	fmt.Println("read back  =", coruscant.UnpackLanes(back, 8))
 
 	// Bank-level parallelism: one batch of independent adds, one per
-	// bank, executed by a worker pool over the striped per-DBC locks.
-	// Results and telemetry are bit-identical for any worker count.
-	m.SetWorkers(4)
+	// bank. Each bank is one lane of the batch's parallelism window, so
+	// the batch costs its longest lane in simulated time; results and
+	// telemetry totals are bit-identical to issuing the adds one by one.
 	reqs := make([]coruscant.BatchRequest, 4)
 	for bank := range reqs {
 		p := isa.Addr{Bank: bank, Tile: 0, DBC: g.DBCsPerTile - 1}
@@ -101,7 +101,7 @@ func main() {
 			Dst:      d,
 		}
 	}
-	fmt.Printf("\nbatch of %d adds across banks (%d workers):\n", len(reqs), m.Workers())
+	fmt.Printf("\nbatch of %d adds across banks:\n", len(reqs))
 	for bank, res := range m.ExecuteBatch(reqs) {
 		if res.Err != nil {
 			log.Fatalf("bank %d: %v", bank, res.Err)

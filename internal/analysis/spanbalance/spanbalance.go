@@ -4,8 +4,7 @@
 // early returns and panic exits.
 //
 // The recorder keeps a per-source span stack; an unclosed span skews
-// every enclosing duration and, under the capture-replay batching
-// engine, corrupts the replayed event stream for the whole bank. The
+// every enclosing duration and every later span on that source. The
 // safe idiom is `defer rec.Span(src, name)()`; this analyzer exists for
 // the places that cannot use it and thread the closer by hand.
 //

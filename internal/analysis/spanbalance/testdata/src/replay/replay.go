@@ -1,13 +1,12 @@
-// Package replay models the capture-replay merge path of the batch
-// engine (telemetry.Recorder.Replay): a loop that mirrors recorded
-// Begin/End pairs into a recorder verbatim. Span balance was already
-// enforced when the events were captured, so the replaying Begin cannot
-// be matched path-locally — the production code vouches for it with a
-// line-targeted //coruscantvet:ignore directive. These fixtures pin the
-// contract around that: the targeted directive (with a reason) silences
-// exactly its line, the same loop without a directive still fires, a
-// reasonless directive is void, and the batch serial fast path's
-// `defer rec.Span(...)()` bracketing needs no directive at all.
+// Package replay models a loop that mirrors recorded Begin/End pairs
+// into a recorder verbatim. Span balance was already enforced when the
+// events were recorded, so the replaying Begin cannot be matched
+// path-locally — such code vouches for it with a line-targeted
+// //coruscantvet:ignore directive. These fixtures pin the contract
+// around that: the targeted directive (with a reason) silences exactly
+// its line, the same loop without a directive still fires, a
+// reasonless directive is void, and `defer rec.Span(...)()` bracketing
+// needs no directive at all.
 package replay
 
 import "telemetry"

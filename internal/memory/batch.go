@@ -1,12 +1,10 @@
 package memory
 
 import (
-	"runtime"
 	"sync"
 
 	"repro/internal/dbc"
 	"repro/internal/isa"
-	"repro/internal/telemetry"
 )
 
 // RequestKind selects what a batch Request does. The zero value is
@@ -53,8 +51,8 @@ type Result struct {
 
 // batchGroup is a connected component of requests whose DBC footprints
 // overlap: its requests must run in program order relative to each
-// other, while distinct groups touch disjoint shards and run
-// concurrently.
+// other, while distinct groups touch disjoint shards and are concurrent
+// lanes of the batch's window.
 type batchGroup struct {
 	reqs  []int      // request indices, ascending (program order)
 	bases []isa.Addr // union of the requests' lock sets, sorted
@@ -75,7 +73,7 @@ type batchScratch struct {
 	baseReq   []int      // first request that claimed baseAddr[i]
 	groupIdx  []int      // union-find root -> index into groups
 
-	shards []*shard // serial fast path: per-group lock buffer
+	shards []*shard // per-group lock buffer
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(batchScratch) }}
@@ -193,39 +191,37 @@ func (m *Memory) planBatch(reqs []Request, s *batchScratch) {
 }
 
 // ExecuteBatch runs a batch of requests, exploiting DBC-level
-// parallelism: requests are grouped by the DBCs they touch (requests
-// with overlapping footprints form one group and keep their program
-// order; disjoint groups run concurrently on a worker pool of
-// SetWorkers goroutines, default GOMAXPROCS). Results are positional.
+// parallelism in simulated time: requests are grouped by the DBCs they
+// touch (requests with overlapping footprints form one group and keep
+// their program order; disjoint groups are independent lanes of one
+// parallelism window). Results are positional.
 //
 // Every request is validated upfront exactly as the serial primitives
 // validate — invalid requests (including ErrCrossDBC) fail in their
 // Result without blocking the rest of the batch, and a request that
 // fails at runtime does not stop later requests of its group.
 //
-// Determinism: the memory state after ExecuteBatch is bit-identical to
-// running the requests serially in order — only requests with disjoint
-// footprints are reordered, and those commute. Telemetry is merged
-// deterministically: each group records into a private capture
-// recorder, and after the barrier the captured streams are replayed
-// into the memory's recorder in first-request order, so cycle totals,
-// energy and metrics equal the serial run's exactly. With workers == 1
-// the capture detour is skipped entirely — groups run in first-request
-// order directly on the memory's recorder, which is the same order the
-// merge would have produced, so the event stream is identical and the
-// serial configuration pays no parallel-infrastructure tax.
+// On the host the groups run one after another, in first-request order,
+// on the calling goroutine and directly on the memory's recorder; each
+// group holds only its own DBCs' striped locks, so concurrent callers on
+// disjoint DBCs still proceed in parallel. The memory state and the
+// telemetry stream after ExecuteBatch are bit-identical to running the
+// requests serially in order — only requests with disjoint footprints
+// are reordered, and those commute.
 //
-// Both paths bracket the batch in window markers (Recorder.WindowBegin
-// / WindowLane / WindowEnd), one lane per group, so Recorder.Makespan
+// The batch is bracketed in window markers (Recorder.WindowBegin /
+// WindowLane / WindowEnd), one lane per group, so Recorder.Makespan
 // reports the critical path — the longest group — as the batch's cost,
-// while the cycle clock keeps the serial sum.
+// while the cycle clock keeps the serial sum. That is the §IV-B
+// high-throughput mode (one PIM unit per subarray), modelled in
+// simulated time rather than in host goroutines.
 //
 // With a global fault injector attached (SetFaultInjector) the batch
-// runs serially in program order with no window markers — that
-// injector's random stream is order-dependent, and the schedule really
-// is serial — while a per-DBC fault profile (SetFaultProfile) keeps
-// full parallelism. Recovery (SetRecovery) runs inside the groups;
-// quarantines triggered by the batch are processed after the barrier.
+// runs in program order with no window markers — that injector's random
+// stream is order-dependent, and the schedule really is serial — while
+// a per-DBC fault profile (SetFaultProfile) keeps the windowed group
+// schedule. Recovery (SetRecovery) runs inside the groups; quarantines
+// triggered by the batch are processed after the last group.
 func (m *Memory) ExecuteBatch(reqs []Request) []Result {
 	results := make([]Result, len(reqs))
 	s := scratchPool.Get().(*batchScratch)
@@ -268,10 +264,9 @@ func (bp *BatchPlan) Run() []Result {
 }
 
 // runBatch executes a planned batch. Planning errors land in results
-// first; the runnable groups then run on one of three paths: serial
-// program order (global fault injector), serial group order (one
-// worker or one group — the fast path), or the parallel capture/merge
-// pool.
+// first; the runnable requests then run either in program order (global
+// fault injector) or group by group in first-request order inside one
+// window.
 func (m *Memory) runBatch(s *batchScratch, results []Result) {
 	for i, err := range s.errs {
 		if err != nil {
@@ -280,11 +275,8 @@ func (m *Memory) runBatch(s *batchScratch, results []Result) {
 	}
 
 	m.cfgMu.Lock()
-	workers, inj := m.workers, m.inj
+	inj := m.inj
 	m.cfgMu.Unlock()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if inj != nil {
 		// Serialize in program order: the global injector's random stream
 		// is order-dependent, and since nothing overlaps in time the
@@ -306,113 +298,26 @@ func (m *Memory) runBatch(s *batchScratch, results []Result) {
 		return
 	}
 
-	groups := s.groups
-	if workers == 1 || len(groups) == 1 {
-		// Serial fast path: groups in first-request order directly on the
-		// memory's recorder — the exact order the parallel merge produces,
-		// with no capture detour. One window, one lane per group.
-		rec := m.Recorder()
-		rec.WindowBegin()
-		for gi := range groups {
-			g := &groups[gi]
-			rec.WindowLane()
-			shards, err := m.lockInto(s.shards[:0], g.bases)
-			s.shards = shards[:0]
-			if err != nil {
-				for _, ri := range g.reqs {
-					results[ri].Err = err
-				}
-				continue
-			}
-			for _, ri := range g.reqs {
-				results[ri].Row, results[ri].Err = m.runRequest(s.plans[ri], shards)
-			}
-			unlockShards(shards)
-		}
-		rec.WindowEnd()
-		m.processQuarantines()
-		return
-	}
-
+	// Groups in first-request order directly on the memory's recorder:
+	// one window, one lane per group.
 	rec := m.Recorder()
 	rec.WindowBegin()
-	captures := make([]*telemetry.CaptureSink, len(groups))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	worker := func() {
-		defer wg.Done()
-		for gi := range next {
-			captures[gi] = m.runGroup(groups[gi], s.plans, results)
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		rec.WindowLane()
+		shards, err := m.lockInto(s.shards[:0], g.bases)
+		s.shards = shards[:0]
+		if err != nil {
+			for _, ri := range g.reqs {
+				results[ri].Err = err
+			}
+			continue
 		}
-	}
-	n := workers
-	if n > len(groups) {
-		n = len(groups)
-	}
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go worker()
-	}
-	for gi := range groups {
-		next <- gi
-	}
-	close(next)
-	wg.Wait()
-
-	// Merge: replay each group's capture into the main recorder in
-	// first-request order (groups are already ordered by construction),
-	// re-stamping cycles and re-pricing energy so totals match a serial
-	// run exactly. Each capture opens with its lane marker, so the
-	// merged stream is byte-for-byte the serial fast path's. Drained
-	// sinks go back to the pool.
-	for _, c := range captures {
-		if c != nil {
-			c.ReplayAll(rec)
-			c.Reset()
-			capturePool.Put(c)
+		for _, ri := range g.reqs {
+			results[ri].Row, results[ri].Err = m.runRequest(s.plans[ri], shards)
 		}
+		unlockShards(shards)
 	}
 	rec.WindowEnd()
 	m.processQuarantines()
-}
-
-// capturePool recycles the per-group capture buffers across batches;
-// the event slices inside are the batch path's dominant allocation.
-var capturePool = sync.Pool{New: func() interface{} { return telemetry.NewCaptureSink() }}
-
-// runGroup executes one group's requests in program order with the
-// group's shards locked throughout and their telemetry diverted into a
-// fresh capture recorder. The capture's first event is the group's
-// lane marker, so ordered replay rebuilds the window structure on the
-// main recorder. Returns the capture for ordered merging.
-func (m *Memory) runGroup(g batchGroup, plans []execPlan, results []Result) *telemetry.CaptureSink {
-	capture := capturePool.Get().(*telemetry.CaptureSink)
-	groupRec := telemetry.NewCaptureRecorder(m.cfg, capture)
-	groupRec.WindowLane()
-	// Take the cfg-class mutex (inside Recorder) before the shard locks:
-	// cfg-class mutexes order strictly before shard mutexes.
-	restore := m.Recorder()
-	shards, unlock, err := m.lockOrdered(g.bases)
-	if err != nil {
-		for _, ri := range g.reqs {
-			results[ri].Err = err
-		}
-		// Return the capture anyway: it already holds the lane marker,
-		// and replaying it keeps the merged stream identical to the
-		// serial fast path, which emits the lane before failing the lock.
-		return capture
-	}
-	defer unlock()
-	for _, sh := range shards {
-		sh.setRecorder(groupRec)
-	}
-	defer func() {
-		for _, sh := range shards {
-			sh.setRecorder(restore)
-		}
-	}()
-	for _, ri := range g.reqs {
-		results[ri].Row, results[ri].Err = m.runRequest(plans[ri], shards)
-	}
-	return capture
 }

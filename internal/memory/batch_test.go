@@ -2,7 +2,6 @@ package memory
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -83,55 +82,49 @@ func TestExecuteBatchMatchesSerial(t *testing.T) {
 	}
 	serialStats := serialM.Stats()
 
-	for _, workers := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			m, reqs := build()
-			m.SetWorkers(workers)
-			res := m.ExecuteBatch(reqs)
-			if len(res) != len(serialRes) {
-				t.Fatalf("got %d results, want %d", len(res), len(serialRes))
-			}
-			for i := range res {
-				if (res[i].Err == nil) != (serialRes[i].Err == nil) {
-					t.Fatalf("request %d: err=%v, serial err=%v", i, res[i].Err, serialRes[i].Err)
-				}
-				if !res[i].Row.Equal(serialRes[i].Row) {
-					t.Errorf("request %d: parallel result differs from serial", i)
-				}
-			}
-			// Device accounting parity, snapshotted before the state
-			// comparison below adds read traffic of its own.
-			if gs := m.Stats(); gs != serialStats {
-				t.Errorf("stats differ:\nparallel %+v\nserial   %+v", gs, serialStats)
-			}
-			// Memory state parity: every destination row matches.
-			for i, r := range reqs {
-				got, err := m.ReadRow(r.Dst)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := serialM.ReadRow(r.Dst)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Equal(want) {
-					t.Errorf("request %d: dst row differs from serial", i)
-				}
-			}
-		})
+	m, reqs := build()
+	res := m.ExecuteBatch(reqs)
+	if len(res) != len(serialRes) {
+		t.Fatalf("got %d results, want %d", len(res), len(serialRes))
+	}
+	for i := range res {
+		if (res[i].Err == nil) != (serialRes[i].Err == nil) {
+			t.Fatalf("request %d: err=%v, serial err=%v", i, res[i].Err, serialRes[i].Err)
+		}
+		if !res[i].Row.Equal(serialRes[i].Row) {
+			t.Errorf("request %d: batch result differs from serial", i)
+		}
+	}
+	// Device accounting parity, snapshotted before the state comparison
+	// below adds read traffic of its own.
+	if gs := m.Stats(); gs != serialStats {
+		t.Errorf("stats differ:\nbatch  %+v\nserial %+v", gs, serialStats)
+	}
+	// Memory state parity: every destination row matches.
+	for i, r := range reqs {
+		got, err := m.ReadRow(r.Dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := serialM.ReadRow(r.Dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("request %d: dst row differs from serial", i)
+		}
 	}
 }
 
-// TestBatchTelemetryTotalsEqualSerial asserts the satellite-6 contract:
-// after a parallel batch, the memory recorder's cycle clock, energy
-// total and per-op metrics equal a serial run's exactly (group captures
-// replayed in stable order).
+// TestBatchTelemetryTotalsEqualSerial: after a batch, the memory
+// recorder's cycle clock, energy total and per-op metrics equal a
+// serial run's exactly — the window markers are metrics-free.
 func TestBatchTelemetryTotalsEqualSerial(t *testing.T) {
 	cfg := params.DefaultConfig()
 	g := cfg.Geometry
 	const nDBC = 8
 
-	run := func(parallel bool) *Memory {
+	run := func(batch bool) *Memory {
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -140,8 +133,7 @@ func TestBatchTelemetryTotalsEqualSerial(t *testing.T) {
 		for s := 0; s < nDBC; s++ {
 			reqs = append(reqs, addRequest(t, m, g, 0, s, s))
 		}
-		if parallel {
-			m.SetWorkers(8)
+		if batch {
 			for i, r := range m.ExecuteBatch(reqs) {
 				if r.Err != nil {
 					t.Fatalf("request %d: %v", i, r.Err)
@@ -158,30 +150,30 @@ func TestBatchTelemetryTotalsEqualSerial(t *testing.T) {
 	}
 
 	serial := run(false)
-	par := run(true)
+	bat := run(true)
 
-	if gc, wc := par.Recorder().Cycle(), serial.Recorder().Cycle(); gc != wc {
-		t.Errorf("cycle clock: parallel %d, serial %d", gc, wc)
+	if gc, wc := bat.Recorder().Cycle(), serial.Recorder().Cycle(); gc != wc {
+		t.Errorf("cycle clock: batch %d, serial %d", gc, wc)
 	}
-	if ge, we := par.Recorder().EnergyPJ(), serial.Recorder().EnergyPJ(); math.Abs(ge-we) > 1e-6 {
-		t.Errorf("energy: parallel %v, serial %v", ge, we)
+	if ge, we := bat.Recorder().EnergyPJ(), serial.Recorder().EnergyPJ(); math.Abs(ge-we) > 1e-6 {
+		t.Errorf("energy: batch %v, serial %v", ge, we)
 	}
 	for op := telemetry.Op(0); op < telemetry.OpSpan; op++ {
-		if gm, wm := par.Recorder().Metrics().Op(op), serial.Recorder().Metrics().Op(op); gm != wm {
-			t.Errorf("%v metrics: parallel %+v, serial %+v", op, gm, wm)
+		if gm, wm := bat.Recorder().Metrics().Op(op), serial.Recorder().Metrics().Op(op); gm != wm {
+			t.Errorf("%v metrics: batch %+v, serial %+v", op, gm, wm)
 		}
 	}
-	if gm, wm := par.Moves(), serial.Moves(); gm != wm {
-		t.Errorf("moves: parallel %+v, serial %+v", gm, wm)
+	if gm, wm := bat.Moves(), serial.Moves(); gm != wm {
+		t.Errorf("moves: batch %+v, serial %+v", gm, wm)
 	}
 	for _, name := range serial.Recorder().Metrics().SpanNames() {
-		gs, ws := par.Recorder().Metrics().Span(name), serial.Recorder().Metrics().Span(name)
+		gs, ws := bat.Recorder().Metrics().Span(name), serial.Recorder().Metrics().Span(name)
 		if gs != ws {
-			t.Errorf("span %q: parallel %+v, serial %+v", name, gs, ws)
+			t.Errorf("span %q: batch %+v, serial %+v", name, gs, ws)
 		}
 	}
-	// The cycle-clock == trace.Stats contract survives the merge.
-	if got, want := par.Recorder().Cycle(), par.Stats().Cycles(); got != uint64(want) {
+	// The cycle-clock == trace.Stats contract survives the window markers.
+	if got, want := bat.Recorder().Cycle(), bat.Stats().Cycles(); got != uint64(want) {
 		t.Errorf("recorder cycle %d != stats cycles %d", got, want)
 	}
 }
@@ -303,7 +295,7 @@ func TestBatchStressDifferential(t *testing.T) {
 		return reqs
 	}
 
-	run := func(parallel bool) *Memory {
+	run := func(batch bool) *Memory {
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -311,8 +303,7 @@ func TestBatchStressDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for w := 0; w < waves; w++ {
 			reqs := genReqs(rng, m)
-			if parallel {
-				m.SetWorkers(8)
+			if batch {
 				// Concurrent mutators on unrelated DBCs while the batch
 				// runs: plain traffic in other banks must not interfere.
 				var wg sync.WaitGroup
@@ -359,19 +350,19 @@ func TestBatchStressDifferential(t *testing.T) {
 	}
 
 	serial := run(false)
-	par := run(true)
+	bat := run(true)
 	for s := 0; s < nDBC; s++ {
 		dst := pimAddr(g, 0, s, 12)
 		want, err := serial.ReadRow(dst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := par.ReadRow(dst)
+		got, err := bat.ReadRow(dst)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Errorf("DBC %d: concurrent result differs from serial engine", s)
+			t.Errorf("DBC %d: batch result differs from serial engine", s)
 		}
 	}
 }
@@ -389,7 +380,6 @@ func TestStatsSafeDuringBatch(t *testing.T) {
 	for s := 0; s < 8; s++ {
 		reqs = append(reqs, addRequest(t, m, g, 0, s, s))
 	}
-	m.SetWorkers(4)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -419,13 +409,13 @@ func TestStatsSafeDuringBatch(t *testing.T) {
 	}
 }
 
-// TestRecorderSafeDuringBatch pins the lock-ordering fix in runGroup:
-// the cfg-class mutex (taken by Recorder) must be acquired before the
-// group's shard locks, never under them. Hammering Recorder from
-// another goroutine while parallel groups run keeps cfgMu contended
-// through the exact window runGroup uses it; a reintroduced inversion
-// shows up here as a -race report or a watchdog timeout instead of a
-// silent latent deadlock.
+// TestRecorderSafeDuringBatch pins the lock order of runBatch: the
+// cfg-class mutex (taken by Recorder) must be acquired before a group's
+// shard locks, never under them. Hammering Recorder and SetTelemetry
+// from another goroutine while batches run keeps cfgMu contended
+// through the whole batch; a reintroduced inversion shows up here as a
+// -race report or a watchdog timeout instead of a silent latent
+// deadlock.
 func TestRecorderSafeDuringBatch(t *testing.T) {
 	cfg := params.DefaultConfig()
 	g := cfg.Geometry
@@ -437,7 +427,6 @@ func TestRecorderSafeDuringBatch(t *testing.T) {
 	for s := 0; s < 8; s++ {
 		reqs = append(reqs, addRequest(t, m, g, 0, s, 100+s))
 	}
-	m.SetWorkers(4)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -467,7 +456,7 @@ func TestRecorderSafeDuringBatch(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatal("batch execution wedged while cfg-class mutex was contended; check runGroup's lock order (cfg before shard)")
+		t.Fatal("batch execution wedged while cfg-class mutex was contended; check runBatch's lock order (cfg before shard)")
 	}
 	close(stop)
 	wg.Wait()
@@ -479,7 +468,7 @@ func TestBatchWithFaultInjectorSerializes(t *testing.T) {
 	cfg := params.DefaultConfig()
 	g := cfg.Geometry
 
-	run := func(parallel bool) *Memory {
+	run := func(batch bool) *Memory {
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -489,8 +478,7 @@ func TestBatchWithFaultInjectorSerializes(t *testing.T) {
 		for s := 0; s < 4; s++ {
 			reqs = append(reqs, addRequest(t, m, g, 0, s, s))
 		}
-		if parallel {
-			m.SetWorkers(8)
+		if batch {
 			for i, r := range m.ExecuteBatch(reqs) {
 				if r.Err != nil {
 					t.Fatalf("request %d: %v", i, r.Err)
@@ -507,14 +495,14 @@ func TestBatchWithFaultInjectorSerializes(t *testing.T) {
 	}
 
 	serial := run(false)
-	par := run(true)
+	bat := run(true)
 	for s := 0; s < 4; s++ {
 		dst := pimAddr(g, 0, s, 10)
 		want, err := serial.ReadRow(dst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := par.ReadRow(dst)
+		got, err := bat.ReadRow(dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -525,17 +513,16 @@ func TestBatchWithFaultInjectorSerializes(t *testing.T) {
 }
 
 // TestBatchProfilerSnapshotEqualsSerial is the hardware profiler's
-// capture-replay acceptance test: with the spatial profiler attached
-// as a sink, a parallel ExecuteBatch must produce a per-DBC snapshot —
-// wear maps, head occupancy, per-port shift-distance histograms,
-// energy — bit-identical to a serial run, because group captures
-// replay the spatially-attributed events verbatim in program order.
+// batch acceptance test: with the spatial profiler attached as a sink,
+// ExecuteBatch must produce a per-DBC snapshot — wear maps, head
+// occupancy, per-port shift-distance histograms, energy — bit-identical
+// to a serial run, because reordering disjoint groups commutes.
 func TestBatchProfilerSnapshotEqualsSerial(t *testing.T) {
 	cfg := params.DefaultConfig()
 	g := cfg.Geometry
 	const nDBC = 8
 
-	run := func(parallel bool) *profile.Profiler {
+	run := func(batch bool) *profile.Profiler {
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -546,8 +533,7 @@ func TestBatchProfilerSnapshotEqualsSerial(t *testing.T) {
 		for s := 0; s < nDBC; s++ {
 			reqs = append(reqs, addRequest(t, m, g, 0, s, s))
 		}
-		if parallel {
-			m.SetWorkers(8)
+		if batch {
 			for i, r := range m.ExecuteBatch(reqs) {
 				if r.Err != nil {
 					t.Fatalf("request %d: %v", i, r.Err)
@@ -564,16 +550,16 @@ func TestBatchProfilerSnapshotEqualsSerial(t *testing.T) {
 	}
 
 	serial := run(false).Snapshot()
-	par := run(true).Snapshot()
+	bat := run(true).Snapshot()
 	if len(serial) == 0 {
 		t.Fatal("serial run profiled no sources")
 	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("profiler snapshots differ between serial and parallel runs")
+	if !reflect.DeepEqual(serial, bat) {
+		t.Errorf("profiler snapshots differ between serial and batch runs")
 		for i := range serial {
-			if i < len(par) && !reflect.DeepEqual(serial[i], par[i]) {
-				t.Errorf("first divergence at %s:\nserial   %+v\nparallel %+v",
-					serial[i].Src, serial[i], par[i])
+			if i < len(bat) && !reflect.DeepEqual(serial[i], bat[i]) {
+				t.Errorf("first divergence at %s:\nserial %+v\nbatch  %+v",
+					serial[i].Src, serial[i], bat[i])
 				break
 			}
 		}

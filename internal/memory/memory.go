@@ -14,10 +14,10 @@
 // parallelism the DBC organization exists to provide). Multi-DBC
 // operations (CopyRow, Execute's operand staging) take the involved
 // shard locks in global address order, which makes deadlock impossible.
-// ExecuteBatch (batch.go) runs whole request groups on a worker pool on
-// top of the same striping. All accesses are traced; Stats() merges the
-// per-shard tracers under their locks, so it is safe — and consistent —
-// while operations are in flight. Every access is also recorded by the
+// ExecuteBatch (batch.go) runs whole request groups under the same
+// striping, one group at a time on the calling goroutine. All accesses
+// are traced; Stats() merges the per-shard tracers under their locks,
+// so it is safe — and consistent — while operations are in flight. Every access is also recorded by the
 // memory's telemetry recorder, row movement included, so MoveStats is a
 // view over the unified telemetry counters rather than a bespoke tally.
 //
@@ -70,8 +70,7 @@ type shard struct {
 }
 
 // setRecorder points the shard's DBC (and unit) at rec. Callers hold
-// sh.mu; ExecuteBatch uses this to divert a group's events into a
-// capture recorder for deterministic merging.
+// sh.mu.
 func (sh *shard) setRecorder(rec *telemetry.Recorder) {
 	if sh.u != nil {
 		sh.u.SetTelemetry(rec, srcFor(sh.base))
@@ -94,12 +93,11 @@ type Memory struct {
 	shards  map[isa.Addr]*shard
 
 	// cfgMu guards the attachment state below.
-	cfgMu   sync.Mutex
-	rec     *telemetry.Recorder // always non-nil: metrics-only by default
-	inj     *device.FaultInjector
-	prof    *FaultProfile // per-shard deterministic injectors; excludes inj
-	pol     resilient.Policy
-	workers int // ExecuteBatch pool size; 0 = GOMAXPROCS
+	cfgMu sync.Mutex
+	rec   *telemetry.Recorder // always non-nil: metrics-only by default
+	inj   *device.FaultInjector
+	prof  *FaultProfile // per-shard deterministic injectors; excludes inj
+	pol   resilient.Policy
 
 	// health is the fault ledger behind quarantine and remapping
 	// (health.go); it has its own lock.
@@ -163,8 +161,8 @@ func (m *Memory) Stats() trace.Stats {
 }
 
 // Moves returns the row-movement counters, derived from the unified
-// telemetry metrics. Events of an in-flight batch group appear once the
-// group's capture is merged.
+// telemetry metrics. Events of an in-flight batch appear as its
+// requests run.
 func (m *Memory) Moves() MoveStats {
 	met := m.Recorder().Metrics()
 	return MoveStats{
@@ -203,23 +201,14 @@ func (m *Memory) SetTelemetry(rec *telemetry.Recorder) {
 	}
 }
 
-// SetWorkers sets the ExecuteBatch worker-pool size; n ≤ 0 restores the
-// default (GOMAXPROCS).
-func (m *Memory) SetWorkers(n int) {
-	m.cfgMu.Lock()
-	defer m.cfgMu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	m.workers = n
-}
-
-// Workers returns the configured ExecuteBatch pool size (0 = default).
-func (m *Memory) Workers() int {
-	m.cfgMu.Lock()
-	defer m.cfgMu.Unlock()
-	return m.workers
-}
+// SetWorkers does nothing: ExecuteBatch always runs its groups on the
+// calling goroutine, and batch parallelism lives in simulated time (the
+// window lanes behind Recorder.Makespan).
+//
+// Deprecated: there is no worker pool to size. Callers that want host
+// parallelism run share-nothing memories (a Pool's shards) on their own
+// goroutines.
+func (m *Memory) SetWorkers(int) {}
 
 // srcFor names a DBC's telemetry source after its coordinates, e.g.
 // "b0.s1.t2.d3" — one Chrome-trace lane per touched DBC.
@@ -458,13 +447,14 @@ func shardByBase(shards []*shard, b isa.Addr) *shard {
 
 // SetFaultInjector attaches fault injection to every future cluster
 // materialization and all already-materialized clusters. With an
-// injector attached, ExecuteBatch runs serially: the injector's random
-// stream is consumed in operation order, so parallel interleaving would
-// destroy the reproducibility fixed-seed experiments rely on.
+// injector attached, ExecuteBatch runs in program order with no window
+// lanes: the injector's random stream is consumed in operation order,
+// so reordering groups would destroy the reproducibility fixed-seed
+// experiments rely on.
 //
 // Deprecated: new code should attach the injector at construction with
 // the façade's WithFaults option (or use SetFaultProfile for per-DBC
-// injection that keeps batches parallel); the setter remains for call
+// injection that keeps the windowed group schedule); the setter remains for call
 // sites that attach faults after construction.
 func (m *Memory) SetFaultInjector(f *device.FaultInjector) {
 	m.cfgMu.Lock()
@@ -483,9 +473,9 @@ func (m *Memory) SetFaultInjector(f *device.FaultInjector) {
 // the cluster's linear address, so its fault stream depends only on the
 // sequence of operations on that cluster — not on how operations on
 // other clusters interleave. This is what lets ExecuteBatch keep its
-// full bank parallelism under fault injection (unlike the single
-// order-dependent stream of SetFaultInjector, which forces the serial
-// path) while staying exactly reproducible for a fixed seed.
+// group schedule and window lanes under fault injection (unlike the
+// single order-dependent stream of SetFaultInjector, which forces
+// program order) while staying exactly reproducible for a fixed seed.
 type FaultProfile struct {
 	TRProb    float64 // per-sense probability of a ±1-level TR fault (§V-F)
 	ShiftProb float64 // per-step probability of an over-/under-shift

@@ -194,12 +194,12 @@ func TestQuarantineSpareExhaustion(t *testing.T) {
 	}
 }
 
-// TestFaultProfileBatchMatchesSerial is the -race stress point of the
-// PR: under per-DBC fault injection with NMR recovery, a parallel
-// ExecuteBatch must be bit-identical to the serial execution of the
-// same requests — outcomes, stats and health ledger alike.
+// TestFaultProfileBatchMatchesSerial: under per-DBC fault injection
+// with NMR recovery, ExecuteBatch — which reorders disjoint groups —
+// must be bit-identical to executing the same requests one at a time in
+// program order: outcomes, stats and health ledger alike.
 func TestFaultProfileBatchMatchesSerial(t *testing.T) {
-	build := func(workers int) *Memory {
+	build := func() *Memory {
 		cfg := params.DefaultConfig()
 		cfg.Geometry.TrackWidth = 32
 		m, err := New(cfg)
@@ -210,7 +210,6 @@ func TestFaultProfileBatchMatchesSerial(t *testing.T) {
 		if err := m.SetRecovery(resilient.DefaultPolicy()); err != nil {
 			t.Fatal(err)
 		}
-		m.SetWorkers(workers)
 		return m
 	}
 	const banks = 8
@@ -243,27 +242,30 @@ func TestFaultProfileBatchMatchesSerial(t *testing.T) {
 		return reqs
 	}
 
-	serial := build(1)
-	wide := build(8)
-	serialRes := serial.ExecuteBatch(makeReqs(serial))
-	wideRes := wide.ExecuteBatch(makeReqs(wide))
+	serial, batch := build(), build()
+	serialReqs := makeReqs(serial)
+	serialRes := make([]Result, len(serialReqs))
+	for i, r := range serialReqs {
+		serialRes[i].Row, serialRes[i].Err = serial.Execute(r.In, r.Operands, r.Dst)
+	}
+	batchRes := batch.ExecuteBatch(makeReqs(batch))
 
 	for i := range serialRes {
-		a, b := serialRes[i], wideRes[i]
+		a, b := serialRes[i], batchRes[i]
 		if (a.Err == nil) != (b.Err == nil) {
 			t.Fatalf("req %d: err mismatch: %v vs %v", i, a.Err, b.Err)
 		}
 		if !rowsEqual(a.Row, b.Row) {
-			t.Fatalf("req %d: parallel result differs from serial", i)
+			t.Fatalf("req %d: batch result differs from serial", i)
 		}
 	}
-	if serial.Stats() != wide.Stats() {
-		t.Errorf("stats diverge:\n  serial: %+v\n  wide:   %+v", serial.Stats(), wide.Stats())
+	if serial.Stats() != batch.Stats() {
+		t.Errorf("stats diverge:\n  serial: %+v\n  batch:  %+v", serial.Stats(), batch.Stats())
 	}
-	hs, hw := serial.Health(), wide.Health()
-	if hs.TotalDetected != hw.TotalDetected || len(hs.Quarantined) != len(hw.Quarantined) {
-		t.Errorf("health diverges: serial detected=%d q=%d, wide detected=%d q=%d",
-			hs.TotalDetected, len(hs.Quarantined), hw.TotalDetected, len(hw.Quarantined))
+	hs, hb := serial.Health(), batch.Health()
+	if hs.TotalDetected != hb.TotalDetected || len(hs.Quarantined) != len(hb.Quarantined) {
+		t.Errorf("health diverges: serial detected=%d q=%d, batch detected=%d q=%d",
+			hs.TotalDetected, len(hs.Quarantined), hb.TotalDetected, len(hb.Quarantined))
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 // the substrate of the coruscantd service front end. Each shard is a
 // complete Memory (its own address space, striped per-DBC locks, its
 // own telemetry recorder), so the shards share nothing and requests
-// routed to distinct shards never contend on anything: pool-level
-// parallelism stacks on top of each Memory's bank-level parallelism.
+// routed to distinct shards never contend on anything. The shards are
+// where host parallelism lives: each runs on its own goroutine, while a
+// Memory's bank-level parallelism is modelled in simulated time.
 //
 // Routing is the caller's concern: a Pool has no cross-shard address
 // space and never moves rows between shards (that is ROADMAP's elastic
@@ -51,13 +52,6 @@ func (p *Pool) Shard(i int) *Memory {
 
 // Config returns the shards' (shared) configuration.
 func (p *Pool) Config() params.Config { return p.shards[0].Config() }
-
-// SetWorkers sets every shard's ExecuteBatch worker-pool size.
-func (p *Pool) SetWorkers(n int) {
-	for _, m := range p.shards {
-		m.SetWorkers(n)
-	}
-}
 
 // SetRecovery installs a recovery policy on every shard.
 func (p *Pool) SetRecovery(pol resilient.Policy) error {

@@ -25,7 +25,8 @@ type Campaign struct {
 	// params.DefaultConfig.
 	Base params.Config
 	// TRProb and ShiftProb parameterize the §V-F fault model, injected
-	// per DBC (memory.FaultProfile) so batches keep their parallelism.
+	// per DBC (memory.FaultProfile) so batches keep their windowed
+	// group schedule.
 	TRProb    float64
 	ShiftProb float64
 	// Policy is the recovery protocol of the protected run.
@@ -34,8 +35,6 @@ type Campaign struct {
 	Ops int
 	// Seed fixes the workload and both fault streams.
 	Seed int64
-	// Workers is the ExecuteBatch pool size (0 = GOMAXPROCS).
-	Workers int
 	// Banks bounds how many banks the workload spreads over; 0 uses up
 	// to 8 (capped by the geometry). More banks = more parallel groups.
 	Banks int
@@ -218,7 +217,6 @@ func (c Campaign) runPass(cfg params.Config, ops []campaignOp, pol resilient.Pol
 	if err != nil {
 		return fail(err)
 	}
-	m.SetWorkers(c.Workers)
 	if pol.Enabled() {
 		if err := m.SetRecovery(pol); err != nil {
 			return fail(err)

@@ -27,9 +27,6 @@ type Config struct {
 	Device params.Config
 	// Shards is the number of independent memory shards (default 1).
 	Shards int
-	// Workers sets each shard's internal batch worker count
-	// (memory.SetWorkers); 0 keeps the memory default (GOMAXPROCS).
-	Workers int
 	// QueueDepth bounds each shard's admission queue (default 64).
 	// A full queue rejects with ErrOverloaded / HTTP 429.
 	QueueDepth int
@@ -127,9 +124,6 @@ func newServer(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, pool: pool}
 	if cfg.QuotaRate > 0 {
 		s.quotas = newQuotas(cfg.QuotaRate, cfg.QuotaBurst)
-	}
-	if cfg.Workers > 0 {
-		pool.SetWorkers(cfg.Workers)
 	}
 	if cfg.Telemetry {
 		s.recs = make([]*telemetry.Recorder, cfg.Shards)

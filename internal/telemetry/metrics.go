@@ -190,9 +190,6 @@ func NewMetrics() *Metrics {
 // record folds one event in. Span begin/end events are handled by
 // recordSpan instead.
 func (m *Metrics) record(e Event) {
-	if m == nil {
-		return // capture recorders carry no aggregate; replay re-derives it
-	}
 	m.mu.Lock()
 	om := &m.perOp[e.Op]
 	om.Steps++
@@ -221,9 +218,6 @@ func (m *Metrics) record(e Event) {
 
 // recordSpan folds one completed span in.
 func (m *Metrics) recordSpan(name string, cycles uint64, pj float64) {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	sp := m.spans[name]
 	if sp == nil {

@@ -20,10 +20,10 @@
 //
 // Overhead contract: the profiler attaches as an ordinary sink, so the
 // nil-recorder engine path is untouched (one branch per hook), and a
-// recorder without a profiler pays nothing new. ExecuteBatch capture
-// recorders replay their streams — including the spatial fields —
-// into the main recorder, so profiled counters from a parallel batch
-// are bit-identical to a serial run.
+// recorder without a profiler pays nothing new. ExecuteBatch records
+// straight into the memory's recorder and only reorders groups with
+// disjoint footprints, so profiled counters from a batch are
+// bit-identical to a serial run.
 //
 // The aggregate is exposed three ways: Prometheus text exposition
 // (WritePrometheus / Handler, mounted on -debug-addr next to expvar
@@ -95,8 +95,8 @@ type Option func(*Profiler)
 // every <= 0), the source's cumulative shift steps, row writes and
 // energy are sampled at the current cycle, so Perfetto renders them as
 // per-DBC heatlines alongside the event tracks. Sampling is a pure
-// function of the event stream, so capture-replayed batches produce
-// the same counters as serial runs.
+// function of each source's event stream, so batches produce the same
+// counters as serial runs.
 func WithChromeCounters(sink *telemetry.ChromeSink, every int) Option {
 	if every <= 0 {
 		every = 64

@@ -195,20 +195,6 @@ func NewRecorder(cfg params.Config, sinks ...Sink) *Recorder {
 	}
 }
 
-// NewCaptureRecorder returns a recorder that timestamps, prices and
-// emits to sink but keeps no Metrics aggregate (Metrics() returns nil).
-// It backs the private per-group recorders of batch execution: their
-// events are replayed into the main recorder after the barrier, which
-// re-aggregates everything, so aggregating here would be pure waste.
-func NewCaptureRecorder(cfg params.Config, sink Sink) *Recorder {
-	return &Recorder{
-		energy: cfg.Energy,
-		trd:    cfg.TRD,
-		sinks:  []Sink{sink},
-		spans:  make(map[Source][]spanFrame),
-	}
-}
-
 // Step records one primitive control step of kind op at src touching
 // wires nanowires (or bits), advancing the cycle clock by one — the
 // same one-cycle-per-control-step rule as trace.Stats.Cycles(). The
@@ -396,8 +382,8 @@ func (r *Recorder) Span(src Source, name string) func() {
 }
 
 // WindowBegin opens a parallelism window on the makespan timeline and
-// emits the marker to the sinks (so capture-replayed streams reproduce
-// the timeline exactly). The cycle clock is untouched: window markers
+// emits the marker to the sinks (so a trace consumer can rebuild the
+// timeline exactly). The cycle clock is untouched: window markers
 // are scheduling annotations, not device activity. ExecuteBatch is the
 // canonical emitter — one window per batch, one lane per independent
 // request group.
@@ -483,7 +469,7 @@ func (r *Recorder) EnergyPJ() float64 {
 }
 
 // Metrics returns the recorder's aggregate metrics: never nil for a
-// NewRecorder recorder, nil for a nil or NewCaptureRecorder one.
+// NewRecorder recorder, nil for a nil one.
 func (r *Recorder) Metrics() *Metrics {
 	if r == nil {
 		return nil

@@ -22,9 +22,10 @@ import (
 // region of the same subarray; the memory's MoveStats then reflect the
 // real staging traffic. Each pass over the chunks is submitted as one
 // ExecuteBatch: chunk c executes on subarray c mod S's PIM DBC, so the
-// per-chunk instructions have disjoint DBC footprints and spread across
-// the memory's worker pool — the §IV-B subarray-level parallelism —
-// while the result stays bit-identical to serial execution.
+// per-chunk instructions have disjoint DBC footprints and become
+// separate lanes of the batch's window — the §IV-B subarray-level
+// parallelism — while the result stays bit-identical to serial
+// execution.
 func ExecuteOnMemory(m *memory.Memory, s *Store, e Expr) (int, error) {
 	defer m.Recorder().Span(telemetry.Source("bitmapidx"), "query")()
 	cfg := m.Config()

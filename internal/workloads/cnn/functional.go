@@ -108,8 +108,7 @@ func (t *TinyCNN) InferPIM(u *pim.Unit, img [][]int) ([][]int, error) {
 }
 
 // convBatch computes convolution + ReLU for one batch of output pixels
-// on one unit, writing the results into conv. Distinct batches touch
-// distinct pixels, so batches may run concurrently on distinct units.
+// on one unit, writing the results into conv.
 func (t *TinyCNN) convBatch(u *pim.Unit, img [][]int, batch [][2]int, conv [][]int) error {
 	var posRows, negRows []dbc.Row
 	for ky := 0; ky < 3; ky++ {
@@ -182,9 +181,7 @@ func (t *TinyCNN) convBatch(u *pim.Unit, img [][]int, batch [][2]int, conv [][]i
 }
 
 // poolBatch runs the 2×2 TR max-pool tournament for one batch of pool
-// windows on one unit, writing the results into out. Distinct batches
-// touch distinct windows, so batches may run concurrently on distinct
-// units.
+// windows on one unit, writing the results into out.
 func poolBatch(u *pim.Unit, conv [][]int, batch [][2]int, out [][]int) error {
 	cand := make([]dbc.Row, 4)
 	for c := 0; c < 4; c++ {

@@ -28,7 +28,8 @@ type (
 	// QuarantineRecord describes one quarantined (remapped) DBC.
 	QuarantineRecord = memory.QuarantineRecord
 	// FaultProfile is per-DBC deterministic fault injection; unlike a
-	// global FaultInjector it keeps ExecuteBatch parallel.
+	// global FaultInjector it keeps ExecuteBatch's windowed group
+	// schedule.
 	FaultProfile = memory.FaultProfile
 	// Campaign is a Monte Carlo fault sweep through the recovered path.
 	Campaign = reliability.Campaign
@@ -76,14 +77,12 @@ var (
 // options collects the construction-time attachments shared by the
 // NewUnit/NewMemory/NewController option lists.
 type options struct {
-	rec        *telemetry.Recorder
-	recSet     bool
-	inj        *FaultInjector
-	injSet     bool
-	pol        RecoveryPolicy
-	polSet     bool
-	workers    int
-	workersSet bool
+	rec    *telemetry.Recorder
+	recSet bool
+	inj    *FaultInjector
+	injSet bool
+	pol    RecoveryPolicy
+	polSet bool
 }
 
 // Option configures a Unit, Memory or Controller at construction.
@@ -99,9 +98,9 @@ func WithTelemetry(rec *Recorder) Option {
 }
 
 // WithFaults attaches a fault injector at construction. Applies to
-// NewUnit, NewMemory (as the global, batch-serializing injector; see
-// Memory.SetFaultProfile for the parallel per-DBC form) and
-// NewController.
+// NewUnit, NewMemory (as the global injector, which runs batches in
+// program order; see Memory.SetFaultProfile for the per-DBC form that
+// keeps the windowed group schedule) and NewController.
 func WithFaults(inj *FaultInjector) Option {
 	return func(o *options) { o.inj, o.injSet = inj, true }
 }
@@ -110,12 +109,6 @@ func WithFaults(inj *FaultInjector) Option {
 // NewMemory and NewController.
 func WithRecovery(p RecoveryPolicy) Option {
 	return func(o *options) { o.pol, o.polSet = p, true }
-}
-
-// WithWorkers sets the ExecuteBatch worker-pool size. Applies to
-// NewMemory.
-func WithWorkers(n int) Option {
-	return func(o *options) { o.workers, o.workersSet = n, true }
 }
 
 // gather folds an option list.
@@ -138,9 +131,6 @@ func NewUnit(cfg Config, opts ...Option) (*Unit, error) {
 	if o.polSet {
 		return nil, fmt.Errorf("coruscant: WithRecovery does not apply to NewUnit (wrap the unit with NewRecoveryExecutor)")
 	}
-	if o.workersSet {
-		return nil, fmt.Errorf("coruscant: WithWorkers does not apply to NewUnit")
-	}
 	u, err := pim.NewUnit(cfg)
 	if err != nil {
 		return nil, err
@@ -156,7 +146,7 @@ func NewUnit(cfg Config, opts ...Option) (*Unit, error) {
 
 // NewMemory returns an empty functional memory (clusters materialize
 // lazily, so the full 1 GB geometry is addressable). Accepts
-// WithTelemetry, WithFaults, WithRecovery and WithWorkers.
+// WithTelemetry, WithFaults and WithRecovery.
 func NewMemory(cfg Config, opts ...Option) (*Memory, error) {
 	o := gather(opts)
 	m, err := memory.New(cfg)
@@ -169,9 +159,6 @@ func NewMemory(cfg Config, opts ...Option) (*Memory, error) {
 	if o.injSet {
 		m.SetFaultInjector(o.inj)
 	}
-	if o.workersSet {
-		m.SetWorkers(o.workers)
-	}
 	if o.polSet {
 		if err := m.SetRecovery(o.pol); err != nil {
 			return nil, err
@@ -182,14 +169,13 @@ func NewMemory(cfg Config, opts ...Option) (*Memory, error) {
 
 // ShardPool is a fixed set of independent Memory shards behind one
 // owner — the substrate of the coruscantd service front end. Shards
-// share nothing, so pool-level parallelism stacks on each shard's
-// bank-level parallelism. Routing is the caller's concern (the service
+// share nothing, so each can run on its own goroutine; bank-level
+// parallelism inside a shard is modelled in simulated time. Routing is the caller's concern (the service
 // routes by explicit shard id or tenant hash).
 type ShardPool = memory.Pool
 
 // NewShardPool builds n independent memory shards of one
-// configuration. Accepts WithWorkers and WithRecovery, applied to
-// every shard. WithTelemetry and WithFaults are errors here: one
+// configuration. Accepts WithRecovery, applied to every shard. WithTelemetry and WithFaults are errors here: one
 // shared recorder or injector would serialize the shards — attach
 // per-shard observability through the service layer (service.Config
 // Telemetry/Sinks) or per shard via Shard(i).SetTelemetry.
@@ -205,9 +191,6 @@ func NewShardPool(cfg Config, n int, opts ...Option) (*ShardPool, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.workersSet {
-		p.SetWorkers(o.workers)
-	}
 	if o.polSet {
 		if err := p.SetRecovery(o.pol); err != nil {
 			return nil, err
@@ -220,9 +203,6 @@ func NewShardPool(cfg Config, n int, opts ...Option) (*ShardPool, error) {
 // WithTelemetry, WithFaults and WithRecovery.
 func NewController(cfg Config, opts ...Option) (*Controller, error) {
 	o := gather(opts)
-	if o.workersSet {
-		return nil, fmt.Errorf("coruscant: WithWorkers does not apply to NewController")
-	}
 	c, err := isa.NewController(cfg)
 	if err != nil {
 		return nil, err

@@ -137,22 +137,15 @@ func TestConstructionOptions(t *testing.T) {
 	if _, err := coruscant.NewUnit(cfg, coruscant.WithRecovery(coruscant.DefaultRecoveryPolicy())); err == nil {
 		t.Error("WithRecovery on NewUnit should fail loudly")
 	}
-	if _, err := coruscant.NewUnit(cfg, coruscant.WithWorkers(4)); err == nil {
-		t.Error("WithWorkers on NewUnit should fail loudly")
-	}
 
 	m, err := coruscant.NewMemory(cfg,
 		coruscant.WithTelemetry(rec),
-		coruscant.WithRecovery(coruscant.DefaultRecoveryPolicy()),
-		coruscant.WithWorkers(2))
+		coruscant.WithRecovery(coruscant.DefaultRecoveryPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !m.Recovery().Enabled() {
 		t.Error("WithRecovery not applied to memory")
-	}
-	if m.Workers() != 2 {
-		t.Errorf("WithWorkers not applied: %d", m.Workers())
 	}
 	if m.Recorder() != rec {
 		t.Error("WithTelemetry not applied to memory")
@@ -168,9 +161,6 @@ func TestConstructionOptions(t *testing.T) {
 	}
 	if !c.Recovery().Enabled() {
 		t.Error("WithRecovery not applied to controller")
-	}
-	if _, err := coruscant.NewController(cfg, coruscant.WithWorkers(2)); err == nil {
-		t.Error("WithWorkers on NewController should fail loudly")
 	}
 }
 
