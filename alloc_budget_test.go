@@ -8,11 +8,16 @@
 package coruscant
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/dbc"
 	"repro/internal/params"
 	"repro/internal/pim"
+	"repro/internal/service"
 )
 
 // allocBudget runs f through testing.AllocsPerRun and fails if the
@@ -103,6 +108,51 @@ func TestAllocBudget(t *testing.T) {
 		for _, res := range m.ExecuteBatch(reqs) {
 			if res.Err != nil {
 				t.Fatal(res.Err)
+			}
+		}
+	})
+
+	// Service wire codec: one 8-word row encoded and decoded back (the
+	// canonical spelling takes the decoder's fast path), then one
+	// 512-wire blocksize-8 write plus one add through the /v1 handler
+	// with no socket. Budgets are per round trip and per request pair.
+	wireRow := pim.MustPackLanes(vals, 8, 512)
+	wireJSON, err := json.Marshal(service.NewRowData(wireRow))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded service.RowData
+	allocBudget(t, "RowDataRoundTrip", 4, func() {
+		rd := service.NewRowData(wireRow)
+		if err := decoded.UnmarshalJSON(wireJSON); err != nil || len(decoded.Words) != len(rd.Words) {
+			t.Fatal(err)
+		}
+	})
+
+	srv, err := service.NewServer(service.Config{Device: params.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	h := srv.Handler()
+	var bodies [][]byte
+	for _, req := range []service.Request{
+		{Op: "write", Dst: &service.Addr{Tile: 1}, Blocksize: 8, Values: vals},
+		{Op: "add", Src: &service.Addr{DBC: 15}, Blocksize: 8,
+			Operands: []service.Addr{{Tile: 1}, {Tile: 1, Row: 1}}, Dst: &service.Addr{Tile: 2}},
+	} {
+		body, err := json.Marshal(service.ExecuteRequest{Request: req})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	allocBudget(t, "ServiceExecute", 106, func() {
+		for _, body := range bodies {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, service.PathExecute, bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: %d %s", body, rec.Code, rec.Body)
 			}
 		}
 	})

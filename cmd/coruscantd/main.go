@@ -70,6 +70,20 @@ func run(args []string, out *os.File) error {
 	}
 }
 
+// HTTP server timeouts. A client gets readHeaderTimeout to send its
+// headers and readTimeout for the whole request; request bodies are
+// bounded (a few KiB for execute, 1 MiB for compile), so only a stalled
+// or hostile client comes near either. writeTimeout runs from the end
+// of the headers to the end of the reply, so it also covers the queue
+// wait and the execution of the request, compile jobs included.
+// idleTimeout closes keep-alive connections nobody uses.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 // daemon ties the service server to its HTTP front end; split from
 // run so tests can drive the full lifecycle in-process.
 type daemon struct {
@@ -127,10 +141,16 @@ func newDaemon(args []string) (*daemon, error) {
 	// Alias for `coruscant top <addr>`, which scrapes /metrics.
 	mux.Handle("/metrics", http.RedirectHandler(service.PathMetrics, http.StatusTemporaryRedirect))
 	return &daemon{
-		cfg:  cfg,
-		srv:  srv,
-		http: &http.Server{Handler: mux},
-		lis:  lis,
+		cfg: cfg,
+		srv: srv,
+		http: &http.Server{
+			Handler:           mux,
+			ReadHeaderTimeout: readHeaderTimeout,
+			ReadTimeout:       readTimeout,
+			WriteTimeout:      writeTimeout,
+			IdleTimeout:       idleTimeout,
+		},
+		lis: lis,
 	}, nil
 }
 

@@ -19,6 +19,18 @@ func TestDaemonLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A slow or stalled client cannot hold a connection forever.
+	if hs := d.http; hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadTimeout != readTimeout ||
+		hs.WriteTimeout != writeTimeout || hs.IdleTimeout != idleTimeout {
+		t.Fatalf("server timeouts = %v/%v/%v/%v, want %v/%v/%v/%v",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout,
+			readHeaderTimeout, readTimeout, writeTimeout, idleTimeout)
+	}
+	for _, to := range []time.Duration{readHeaderTimeout, readTimeout, writeTimeout, idleTimeout} {
+		if to <= 0 {
+			t.Fatalf("timeout %v is not set", to)
+		}
+	}
 	served := make(chan error, 1)
 	go func() { served <- d.serve() }()
 	base := "http://" + d.lis.Addr().String()

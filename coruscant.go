@@ -367,6 +367,9 @@ var (
 	// ErrServiceDraining reports a server in graceful shutdown
 	// (draining, 503).
 	ErrServiceDraining = service.ErrDraining
+	// ErrServiceTooLarge reports a request body over its endpoint's
+	// size limit (too_large, 413).
+	ErrServiceTooLarge = service.ErrTooLarge
 )
 
 // Experiments.

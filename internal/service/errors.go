@@ -28,6 +28,9 @@ var (
 	// ErrDraining marks a request arriving after graceful drain began;
 	// the server finishes accepted work but admits nothing new.
 	ErrDraining = errors.New("service: server draining")
+	// ErrTooLarge marks a request whose body exceeds its endpoint's
+	// size limit; the server stops reading it at the limit.
+	ErrTooLarge = errors.New("service: request body too large")
 )
 
 // WireError is the stable error envelope every non-2xx response (and
@@ -63,6 +66,7 @@ var codings = []struct {
 	{"quota_exhausted", ErrQuota, http.StatusTooManyRequests},
 	{"overloaded", ErrOverloaded, http.StatusTooManyRequests},
 	{"draining", ErrDraining, http.StatusServiceUnavailable},
+	{"too_large", ErrTooLarge, http.StatusRequestEntityTooLarge},
 }
 
 // encodeError maps an error onto (status, envelope). Errors outside

@@ -35,6 +35,7 @@ func TestErrorContractRoundTrip(t *testing.T) {
 		{ErrQuota, "quota_exhausted", http.StatusTooManyRequests},
 		{ErrOverloaded, "overloaded", http.StatusTooManyRequests},
 		{ErrDraining, "draining", http.StatusServiceUnavailable},
+		{ErrTooLarge, "too_large", http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
 		t.Run(c.code, func(t *testing.T) {
@@ -110,6 +111,17 @@ func TestErrorContractOverWire(t *testing.T) {
 		t.Fatalf("unknown-field status = %d, want 400", resp.StatusCode)
 	}
 
+	// too_large: a body past the /v1/execute limit is cut off at the
+	// limit and answered 413, through the typed client too.
+	executeLimit, _ := bodyLimits(srv.cfg.Device.Geometry.TrackWidth)
+	_, err = api.Execute(ctx, ExecuteRequest{Tenant: "t-large", Shard: &shard, Request: Request{
+		Op: "write", Dst: &Addr{Tile: 1}, Blocksize: 8, Values: make(Lanes, executeLimit),
+	}})
+	var tooLarge *APIError
+	if !errors.Is(err, ErrTooLarge) || !errors.As(err, &tooLarge) || tooLarge.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body err = %v, want ErrTooLarge with status 413", err)
+	}
+
 	// quota_exhausted: burst 1 at ~0 refill — the second call rejects
 	// with Retry-After populated.
 	for i := 0; i < 2; i++ {
@@ -155,6 +167,40 @@ func TestUnknownErrorsDoNotLeak(t *testing.T) {
 	for _, s := range []error{ErrBadRequest, ErrQuota, ErrOverloaded, ErrDraining, memory.ErrCrossDBC} {
 		if errors.Is(decoded, s) {
 			t.Fatalf("unknown code spuriously matches %v", s)
+		}
+	}
+}
+
+// TestStrictSchemaNested: the codec fast paths keep the strict schema
+// of nested values. An unknown key inside a write's "row" object is
+// still a 400, and an empty "values" array is still told apart from an
+// absent one.
+func TestStrictSchemaNested(t *testing.T) {
+	_, api := startServer(t, Config{Shards: 1})
+	post := func(body string) (int, WireError) {
+		t.Helper()
+		resp, err := http.Post(api.base+PathExecute, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env errorEnvelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, env.Error
+	}
+	status, we := post(`{"op":"write","dst":{"tile":1},"row":{"n":64,"words":["0x1"],"surprise":1}}`)
+	if status != http.StatusBadRequest || !strings.Contains(we.Message, "surprise") {
+		t.Fatalf("unknown nested row key: %d %+v, want 400 naming the key", status, we)
+	}
+	for _, c := range []struct{ body, msg string }{
+		{`{"op":"write","dst":{"tile":1},"values":[]}`, "write values need a blocksize"},
+		{`{"op":"write","dst":{"tile":1}}`, "write needs row or values"},
+	} {
+		status, we := post(c.body)
+		if status != http.StatusBadRequest || !strings.Contains(we.Message, c.msg) {
+			t.Fatalf("%s: %d %+v, want 400 %q", c.body, status, we, c.msg)
 		}
 	}
 }

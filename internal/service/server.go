@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -71,8 +72,8 @@ func (c *Config) fill() {
 // wire requests or a compile request. The worker publishes the outcome
 // fields and then closes done; the handler reads them only after done.
 type job struct {
-	wire    []Request        // originals, for blocksize echo
-	reqs    []memory.Request // lowered batchable ops (compile == nil)
+	reqs    []memory.Request  // lowered batchable ops (compile == nil)
+	one     [1]memory.Request // backs reqs for a single /v1/execute op
 	compile *CompileRequest
 
 	res  []memory.Result
@@ -94,6 +95,8 @@ type Server struct {
 	profs []*profile.Profiler
 
 	queues []chan *job
+
+	executeLimit, batchLimit int64 // request body limits (bodyLimits)
 
 	// admitMu orders admission against drain: handlers enqueue under
 	// RLock after checking draining; Drain flips the flag under Lock,
@@ -122,6 +125,7 @@ func newServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{cfg: cfg, pool: pool}
+	s.executeLimit, s.batchLimit = bodyLimits(cfg.Device.Geometry.TrackWidth)
 	if cfg.QuotaRate > 0 {
 		s.quotas = newQuotas(cfg.QuotaRate, cfg.QuotaBurst)
 	}
@@ -379,7 +383,7 @@ func (s *Server) runCompile(shard int, mem *memory.Memory, j *job) {
 			j.cerr = err
 			return
 		}
-		co := CompileOutput{Name: o.Name, Addr: wireAddr(o.Addr), Blocksize: o.Blocksize, Row: rowData(row)}
+		co := CompileOutput{Name: o.Name, Addr: wireAddr(o.Addr), Blocksize: o.Blocksize, Row: NewRowData(row)}
 		if o.Blocksize > 0 {
 			co.Values = pim.UnpackLanes(row, o.Blocksize)
 		}
@@ -399,14 +403,47 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// decodeBody strictly decodes a JSON request body into dst.
-func decodeBody(r *http.Request, dst any) error {
+// Request body limits, one per endpoint. The largest legal request is a
+// full-track write given as lane values at blocksize 1 — one lane per
+// wire, each "0," or "1,", so 2 bytes per wire — on top of its fixed
+// part: keys, tenant, shard, src/dst and at most TRD operand addresses,
+// which requestOverhead bounds with room to spare (a five-field address
+// of 19-digit ints is under 150 bytes). A row payload is smaller than
+// the lanes at blocksize 1 (21 bytes per 64 wires), so at the default
+// 512-wire track the largest /v1/execute body is 2×512 + overhead ≈
+// 5 KiB. The limits scale with the configured track width, so a wider
+// track's full-width writes stay legal. A batch may carry batchRequests
+// of those, twice the 32-request batches of BENCH_parallel.json.
+// Compile bodies carry program text, not rows, so their limit is fixed:
+// 1 MiB is some 40k pimasm lines, 2000 times the largest example
+// program.
+const (
+	laneBytesPerWire = 2
+	requestOverhead  = 4 << 10
+	batchRequests    = 64
+	compileBodyLimit = 1 << 20
+)
+
+// bodyLimits returns the /v1/execute and /v1/batch body limits for a
+// track of width wires.
+func bodyLimits(width int) (execute, batch int64) {
+	execute = int64(laneBytesPerWire*width + requestOverhead)
+	return execute, batchRequests * execute
+}
+
+// decodeBody strictly decodes a JSON request body of at most limit
+// bytes into dst; a longer body is ErrTooLarge.
+func decodeBody(w http.ResponseWriter, r *http.Request, dst any, limit int64) error {
 	if r.Method != http.MethodPost {
 		return fmt.Errorf("%w: %s requires POST", ErrBadRequest, r.URL.Path)
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fmt.Errorf("%w: %s body exceeds %d bytes", ErrTooLarge, r.URL.Path, tooLarge.Limit)
+		}
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	return nil
@@ -464,7 +501,7 @@ func (s *Server) submit(w http.ResponseWriter, shard int, j *job) (ok bool, rele
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	var req ExecuteRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req, s.executeLimit); err != nil {
 		writeError(w, err, 0)
 		return
 	}
@@ -477,7 +514,8 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err, 0)
 		return
 	}
-	j := &job{wire: []Request{req.Request}, reqs: []memory.Request{mreq}, done: make(chan struct{})}
+	j := &job{one: [1]memory.Request{mreq}, done: make(chan struct{})}
+	j.reqs = j.one[:]
 	ok, release := s.submit(w, shard, j)
 	if !ok {
 		return
@@ -488,7 +526,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err, 0)
 		return
 	}
-	resp := ExecuteResponse{Shard: shard, Row: rowData(j.res[0].Row)}
+	resp := ExecuteResponse{Shard: shard, Row: NewRowData(j.res[0].Row)}
 	if req.Blocksize > 0 {
 		resp.Values = pim.UnpackLanes(j.res[0].Row, req.Blocksize)
 	}
@@ -497,7 +535,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req, s.batchLimit); err != nil {
 		writeError(w, err, 0)
 		return
 	}
@@ -518,7 +556,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		mreqs[i] = mr
 	}
-	j := &job{wire: req.Requests, reqs: mreqs, done: make(chan struct{})}
+	j := &job{reqs: mreqs, done: make(chan struct{})}
 	ok, release := s.submit(w, shard, j)
 	if !ok {
 		return
@@ -532,7 +570,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i].Error = &we
 			continue
 		}
-		rd := rowData(res.Row)
+		rd := NewRowData(res.Row)
 		resp.Results[i].Row = &rd
 		if bs := req.Requests[i].Blocksize; bs > 0 {
 			resp.Results[i].Values = pim.UnpackLanes(res.Row, bs)
@@ -543,7 +581,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req CompileRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req, compileBodyLimit); err != nil {
 		writeError(w, err, 0)
 		return
 	}

@@ -12,3 +12,7 @@ const (
 	soakQuotaRate  = 700
 	soakQuotaBurst = 3
 )
+
+// raceEnabled reports whether this binary was built with the race
+// detector, whose instrumentation inflates allocation counts.
+const raceEnabled = false

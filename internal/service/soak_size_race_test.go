@@ -12,3 +12,7 @@ const (
 	soakQuotaRate  = 90
 	soakQuotaBurst = 2
 )
+
+// raceEnabled reports that this binary was built with the race
+// detector, whose instrumentation inflates allocation counts.
+const raceEnabled = true

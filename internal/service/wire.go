@@ -17,6 +17,13 @@
 // client built against a newer minor schema fails loudly against an
 // older server instead of being silently misread.
 //
+// RowData ({"n", "words"}) and lane arrays (Lanes, the "values" fields)
+// are closed value types within v1: they never grow fields, and the
+// strict-schema rule reaches into them (an unknown key inside a nested
+// "row" is a 400). Their decoders take a fast path on the canonical
+// spelling the server writes and fall back to strict encoding/json on
+// any other, so both paths accept exactly the same documents.
+//
 // Failures are reported through a stable error envelope:
 //
 //	{"error": {"code": "cross_dbc", "message": "...", "retry_after_ms": 0}}
@@ -77,14 +84,6 @@ type RowData struct {
 	Words []string `json:"words"`
 }
 
-func rowData(r dbc.Row) RowData {
-	rd := RowData{N: r.N, Words: make([]string, len(r.Words))}
-	for i, w := range r.Words {
-		rd.Words[i] = "0x" + strconv.FormatUint(w, 16)
-	}
-	return rd
-}
-
 func (rd RowData) row() (dbc.Row, error) {
 	if rd.N < 0 || len(rd.Words) != (rd.N+63)/64 {
 		return dbc.Row{}, fmt.Errorf("row of %d wires wants %d words, got %d",
@@ -125,7 +124,7 @@ type Request struct {
 	// Values is the write payload as lane values: packed into
 	// Blocksize-bit lanes across the track (pim.PackLanes). Ignored
 	// when Row is set.
-	Values []uint64 `json:"values,omitempty"`
+	Values Lanes `json:"values,omitempty"`
 }
 
 // toMemory lowers a wire request onto the memory batch request it
@@ -207,7 +206,7 @@ type ExecuteResponse struct {
 	Row   RowData `json:"row"`
 	// Values is Row unpacked into Blocksize-bit lanes, echoed when the
 	// request carried a blocksize.
-	Values []uint64 `json:"values,omitempty"`
+	Values Lanes `json:"values,omitempty"`
 }
 
 // BatchRequest is the /v1/batch body: the requests execute on one
@@ -224,7 +223,7 @@ type BatchRequest struct {
 // BatchItem is one positional outcome of a batch.
 type BatchItem struct {
 	Row    *RowData   `json:"row,omitempty"`
-	Values []uint64   `json:"values,omitempty"`
+	Values Lanes      `json:"values,omitempty"`
 	Error  *WireError `json:"error,omitempty"`
 }
 
@@ -255,11 +254,11 @@ type CompileRequest struct {
 
 // CompileOutput is one stored result of a compiled program.
 type CompileOutput struct {
-	Name      string   `json:"name"`
-	Addr      Addr     `json:"addr"`
-	Blocksize int      `json:"blocksize,omitempty"`
-	Row       RowData  `json:"row"`
-	Values    []uint64 `json:"values,omitempty"`
+	Name      string  `json:"name"`
+	Addr      Addr    `json:"addr"`
+	Blocksize int     `json:"blocksize,omitempty"`
+	Row       RowData `json:"row"`
+	Values    Lanes   `json:"values,omitempty"`
 }
 
 // CompileResponse is the /v1/compile reply.
