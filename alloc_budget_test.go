@@ -157,3 +157,57 @@ func TestAllocBudget(t *testing.T) {
 		}
 	})
 }
+
+// TestExecuteNoFaultAllocsUnchanged pins the allocation count of the
+// no-fault, no-recovery Execute path: installing then disabling
+// recovery must leave the hot path allocation-identical to a memory
+// that never saw the recovery layer.
+func TestExecuteNoFaultAllocsUnchanged(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation counts; the non-race test run keeps this gate")
+	}
+	cfg := DefaultConfig()
+	cfg.Geometry.TrackWidth = 32
+	g := cfg.Geometry
+
+	measure := func(m *Memory) float64 {
+		pimAddr := Addr{Bank: 0, Tile: 0, DBC: g.DBCsPerTile - g.PIMDBCsPerTile}
+		ops := []Addr{{Bank: 0, Tile: 1}, {Bank: 0, Tile: 1, Row: 1}}
+		dst := Addr{Bank: 0, Tile: 2}
+		row, err := PackLanes([]uint64{5}, 8, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range ops {
+			if err := m.WriteRow(a, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		in := Instruction{Op: OpcodeAdd, Src: pimAddr, Blocksize: 8, Operands: 2}
+		run := func() {
+			if _, err := m.Execute(in, ops, dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // materialize shards outside the measurement
+		return testing.AllocsPerRun(50, run)
+	}
+
+	plain, err := NewMemory(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toggled, err := NewMemory(cfg, WithRecovery(DefaultRecoveryPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := toggled.SetRecovery(RecoveryPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+
+	base := measure(plain)
+	after := measure(toggled)
+	if after > base {
+		t.Errorf("disabled-recovery Execute allocates %.1f/op, plain memory %.1f/op", after, base)
+	}
+}

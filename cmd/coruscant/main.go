@@ -23,8 +23,8 @@
 //	                                 # https://ui.perfetto.dev
 //	coruscant -jsonl out.jsonl demo  # one JSON event per line
 //	coruscant -metrics demo          # text metrics report on exit
-//	coruscant -debug-addr :8080 all  # /debug/vars + /debug/pprof +
-//	                                 # /metrics (Prometheus) server
+//	coruscant -debug-addr :8080 all  # /metrics (Prometheus) +
+//	                                 # /debug/pprof server
 //	coruscant -cpuprofile cpu.pb all # runtime profiles
 //
 // Any recorder-backed run also feeds the racetrack hardware profiler
@@ -48,7 +48,6 @@
 package main
 
 import (
-	_ "expvar" // registers /debug/vars on the default mux
 	"flag"
 	"fmt"
 	"net/http"
@@ -86,7 +85,7 @@ func run(args []string) error {
 	metrics := fs.Bool("metrics", false, "print the telemetry metrics report on exit")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile")
 	memProfile := fs.String("memprofile", "", "write a heap profile on exit")
-	debugAddr := fs.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics and /debug/pprof on this address")
 	faultP := fs.Float64("p", 1e-3, "campaign: per-sense TR fault probability (§V-F)")
 	shiftP := fs.Float64("shift-p", 0, "campaign: per-step shift fault probability")
 	campaignOps := fs.Int("ops", 10000, "campaign: number of cpim operations")
@@ -161,12 +160,10 @@ func run(args []string) error {
 		mountMetrics(prof)
 		sinks = append(sinks, prof)
 		rec = telemetry.NewRecorder(params.DefaultConfig(), sinks...)
-		rec.Metrics().PublishExpvar("coruscant.telemetry")
 	}
 	if *debugAddr != "" {
-		// Expose expvar (/debug/vars), pprof (/debug/pprof) and the
-		// profiler's Prometheus exposition (/metrics) for the duration
-		// of the run; telemetry metrics publish there too.
+		// Expose the profiler's Prometheus exposition (/metrics) and pprof
+		// (/debug/pprof) for the duration of the run.
 		go func() {
 			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "coruscant: debug server:", err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/telemetry/profile"
 )
 
 // TestDaemonLifecycle boots the daemon on an ephemeral port, serves a
@@ -54,8 +56,23 @@ func TestDaemonLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(page), "coruscantd_requests_accepted_total") {
-		t.Fatalf("metrics page lacks service counters:\n%.300s", page)
+	// The service counters and the per-shard profilers (telemetry is on
+	// by default) share one page that must parse as exposition text.
+	samples, err := profile.ParsePrometheus(bytes.NewReader(page))
+	if err != nil {
+		t.Fatalf("metrics page does not parse: %v\n%.300s", err, page)
+	}
+	found := map[string]float64{}
+	for _, s := range samples {
+		if strings.HasPrefix(s.Name, "coruscantd_") {
+			found[s.Name] = s.Value
+		}
+	}
+	if v, ok := found["coruscantd_requests_accepted_total"]; !ok || v < 1 {
+		t.Errorf("coruscantd_requests_accepted_total = %v (present %v), want >= 1", v, ok)
+	}
+	if _, ok := found["coruscantd_inflight"]; !ok {
+		t.Errorf("metrics page lacks the coruscantd_inflight gauge; parsed service samples: %v", found)
 	}
 
 	if err := d.shutdown(ctx); err != nil {

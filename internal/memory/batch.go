@@ -216,12 +216,11 @@ func (m *Memory) planBatch(reqs []Request, s *batchScratch) {
 // high-throughput mode (one PIM unit per subarray), modelled in
 // simulated time rather than in host goroutines.
 //
-// With a global fault injector attached (SetFaultInjector) the batch
-// runs in program order with no window markers — that injector's random
-// stream is order-dependent, and the schedule really is serial — while
-// a per-DBC fault profile (SetFaultProfile) keeps the windowed group
-// schedule. Recovery (SetRecovery) runs inside the groups; quarantines
-// triggered by the batch are processed after the last group.
+// Fault injection (SetFaultProfile) keeps this schedule: every DBC draws
+// from its own fault stream, so reordering disjoint groups leaves the
+// faults each request sees unchanged. Recovery (SetRecovery) runs inside
+// the groups; quarantines triggered by the batch are processed after the
+// last group.
 func (m *Memory) ExecuteBatch(reqs []Request) []Result {
 	results := make([]Result, len(reqs))
 	s := scratchPool.Get().(*batchScratch)
@@ -264,9 +263,9 @@ func (bp *BatchPlan) Run() []Result {
 }
 
 // runBatch executes a planned batch. Planning errors land in results
-// first; the runnable requests then run either in program order (global
-// fault injector) or group by group in first-request order inside one
-// window.
+// first; the runnable requests then run group by group in first-request
+// order directly on the memory's recorder: one window, one lane per
+// group.
 func (m *Memory) runBatch(s *batchScratch, results []Result) {
 	for i, err := range s.errs {
 		if err != nil {
@@ -274,32 +273,6 @@ func (m *Memory) runBatch(s *batchScratch, results []Result) {
 		}
 	}
 
-	m.cfgMu.Lock()
-	inj := m.inj
-	m.cfgMu.Unlock()
-	if inj != nil {
-		// Serialize in program order: the global injector's random stream
-		// is order-dependent, and since nothing overlaps in time the
-		// schedule has no lanes — makespan degenerates to the cycle sum.
-		for i := range s.plans {
-			if !s.runnable[i] {
-				continue
-			}
-			shards, err := m.lockInto(s.shards[:0], s.plans[i].bases)
-			s.shards = shards[:0]
-			if err != nil {
-				results[i].Err = err
-				continue
-			}
-			results[i].Row, results[i].Err = m.runRequest(s.plans[i], shards)
-			unlockShards(shards)
-		}
-		m.processQuarantines()
-		return
-	}
-
-	// Groups in first-request order directly on the memory's recorder:
-	// one window, one lane per group.
 	rec := m.Recorder()
 	rec.WindowBegin()
 	for gi := range s.groups {

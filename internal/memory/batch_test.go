@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/device"
 	"repro/internal/isa"
 	"repro/internal/params"
 	"repro/internal/pim"
@@ -460,56 +459,6 @@ func TestRecorderSafeDuringBatch(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestBatchWithFaultInjectorSerializes: with an injector attached the
-// batch must reproduce the serial engine's fault stream bit-for-bit.
-func TestBatchWithFaultInjectorSerializes(t *testing.T) {
-	cfg := params.DefaultConfig()
-	g := cfg.Geometry
-
-	run := func(batch bool) *Memory {
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.SetFaultInjector(device.NewFaultInjector(0.02, 0.01, 42))
-		reqs := make([]Request, 0, 4)
-		for s := 0; s < 4; s++ {
-			reqs = append(reqs, addRequest(t, m, g, 0, s, s))
-		}
-		if batch {
-			for i, r := range m.ExecuteBatch(reqs) {
-				if r.Err != nil {
-					t.Fatalf("request %d: %v", i, r.Err)
-				}
-			}
-		} else {
-			for i, r := range reqs {
-				if _, err := m.Execute(r.In, r.Operands, r.Dst); err != nil {
-					t.Fatalf("request %d: %v", i, err)
-				}
-			}
-		}
-		return m
-	}
-
-	serial := run(false)
-	bat := run(true)
-	for s := 0; s < 4; s++ {
-		dst := pimAddr(g, 0, s, 10)
-		want, err := serial.ReadRow(dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := bat.ReadRow(dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Errorf("DBC %d: faulted batch differs from faulted serial run", s)
-		}
-	}
 }
 
 // TestBatchProfilerSnapshotEqualsSerial is the hardware profiler's

@@ -6,9 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dbc"
 	"repro/internal/isa"
-	"repro/internal/pim"
 	"repro/internal/resilient"
 	"repro/internal/telemetry"
 )
@@ -213,8 +211,9 @@ func (m *Memory) findSpareLocked(victim isa.Addr) (isa.Addr, bool) {
 // remapShard replaces the victim shard's physical cluster with a fresh
 // one (the spare), migrating all rows. The shard object — and with it
 // the lock, the tracer and the telemetry source — survives, so in-flight
-// lock-ordering invariants are unaffected; the swap happens under the
-// shard lock.
+// lock-ordering invariants are unaffected. The spare is built before the
+// shard lock is taken (newCluster reads cfg-class state) and swapped in
+// under it.
 func (m *Memory) remapShard(base, spare isa.Addr) error {
 	m.tableMu.RLock()
 	sh := m.shards[base]
@@ -222,51 +221,22 @@ func (m *Memory) remapShard(base, spare isa.Addr) error {
 	if sh == nil {
 		return fmt.Errorf("memory: quarantined DBC %+v never materialized", base)
 	}
-	m.cfgMu.Lock()
-	rec, pol := m.rec, m.pol
-	m.cfgMu.Unlock()
-	inj := m.injectorFor(spare)
+	c, err := m.newCluster(base, spare, sh.tr)
+	if err != nil {
+		return err
+	}
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	old := sh.d
-	var nd *dbc.DBC
-	if sh.u != nil {
-		u, err := pim.NewUnit(m.cfg)
-		if err != nil {
-			return err
-		}
-		u.D.SetTracer(sh.tr)
-		u.D.SetFaultInjector(inj)
-		u.SetTelemetry(rec, srcFor(base))
-		nd = u.D
-		sh.u = u
-		sh.ex = nil
-		if pol.Enabled() {
-			ex, err := resilient.NewExecutor(u, pol)
-			if err != nil {
-				return err
-			}
-			sh.ex = ex
-		}
-	} else {
-		d, err := dbc.New(m.cfg.Geometry.TrackWidth, m.cfg.Geometry.RowsPerDBC, m.cfg.TRD)
-		if err != nil {
-			return err
-		}
-		d.SetTracer(sh.tr)
-		d.SetFaultInjector(inj)
-		d.SetTelemetry(rec, srcFor(base))
-		nd = d
-	}
 	// Migrate the victim's contents row by row. The copies ride the row
 	// buffer like any other intra-bank movement, so they are priced as
 	// row copies on the telemetry stream.
+	rec := c.d.Recorder()
 	for r := 0; r < m.cfg.Geometry.RowsPerDBC; r++ {
-		nd.LoadRow(r, old.PeekRow(r))
-		rec.Move(srcFor(base), telemetry.OpRowCopy, nd.Width())
+		c.d.LoadRow(r, sh.d.PeekRow(r))
+		rec.Move(srcFor(base), telemetry.OpRowCopy, c.d.Width())
 	}
-	sh.d = nd
+	sh.cluster = c
 	return nil
 }
 

@@ -20,13 +20,6 @@
 // so it is safe — and consistent — while operations are in flight. Every access is also recorded by the
 // memory's telemetry recorder, row movement included, so MoveStats is a
 // view over the unified telemetry counters rather than a bespoke tally.
-//
-// Fault injection is the one feature that serializes: the injector's
-// random stream is consumed in operation order, so reproducible
-// experiments require serial execution (ExecuteBatch degrades to the
-// serial path when an injector is attached, and direct concurrent
-// access with an injector installed needs external ordering anyway for
-// the fault pattern to be meaningful).
 package memory
 
 import (
@@ -54,19 +47,24 @@ import (
 // rows explicitly with CopyRow first. Test with errors.Is.
 var ErrCrossDBC = errors.New("memory: operand outside the executing DBC's bank")
 
-// shard is one materialized DBC with its lock and accounting. The DBC
-// (and, for PIM-enabled clusters, the unit wrapping it) is only touched
-// with mu held.
+// shard is one materialized DBC with its lock and accounting. The
+// physical cluster behind it is only touched with mu held.
 type shard struct {
 	mu   sync.Mutex
 	base isa.Addr
-	d    *dbc.DBC
-	u    *pim.Unit           // non-nil iff the cluster is PIM-enabled
-	ex   *resilient.Executor // non-nil iff u != nil and recovery is enabled
 	// tr is the shard's slice of the memory-wide device accounting;
 	// trace.Tracer is plain counters, so sharing one across shards would
 	// race. Stats() folds the shards together.
 	tr *trace.Tracer
+	cluster
+}
+
+// cluster is the physical hardware behind a shard, replaced as a whole
+// when quarantine remaps the shard to a spare.
+type cluster struct {
+	d  *dbc.DBC
+	u  *pim.Unit           // non-nil iff the cluster is PIM-enabled
+	ex *resilient.Executor // non-nil iff u != nil and recovery is enabled
 }
 
 // setRecorder points the shard's DBC (and unit) at rec. Callers hold
@@ -95,8 +93,7 @@ type Memory struct {
 	// cfgMu guards the attachment state below.
 	cfgMu sync.Mutex
 	rec   *telemetry.Recorder // always non-nil: metrics-only by default
-	inj   *device.FaultInjector
-	prof  *FaultProfile // per-shard deterministic injectors; excludes inj
+	prof  *FaultProfile       // per-DBC fault injection; nil = fault-free
 	pol   resilient.Policy
 
 	// health is the fault ledger behind quarantine and remapping
@@ -252,40 +249,52 @@ func (m *Memory) shardFor(a isa.Addr) (*shard, error) {
 	if sh, ok := m.shards[base]; ok {
 		return sh, nil
 	}
-	sh = &shard{base: base, tr: &trace.Tracer{}}
+	tr := &trace.Tracer{}
+	c, err := m.newCluster(base, base, tr)
+	if err != nil {
+		return nil, err
+	}
+	sh = &shard{base: base, tr: tr, cluster: c}
+	m.shards[base] = sh
+	return sh, nil
+}
+
+// newCluster builds the physical cluster at phys that backs the logical
+// DBC base — phys is base for a fresh shard and the spare for a remap.
+// The cluster accounts into tr, carries the fault profile's injector
+// seeded at phys, records under base's telemetry source, and on a
+// PIM-enabled location runs under a recovery executor when a policy is
+// set. It reads the attachment state under cfgMu, so callers must not
+// hold a shard lock.
+func (m *Memory) newCluster(base, phys isa.Addr, tr *trace.Tracer) (cluster, error) {
 	m.cfgMu.Lock()
 	rec, pol := m.rec, m.pol
 	m.cfgMu.Unlock()
-	inj := m.injectorFor(base)
-	if a.IsPIMEnabled(m.cfg.Geometry) {
-		u, err := pim.NewUnit(m.cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Route the unit's device accounting into the shard tracer.
-		u.D.SetTracer(sh.tr)
-		u.D.SetFaultInjector(inj)
-		u.SetTelemetry(rec, srcFor(base))
-		sh.u, sh.d = u, u.D
-		if pol.Enabled() {
-			ex, err := resilient.NewExecutor(u, pol)
-			if err != nil {
-				return nil, err
-			}
-			sh.ex = ex
-		}
-	} else {
+	inj := m.injectorFor(phys)
+	if !base.IsPIMEnabled(m.cfg.Geometry) {
 		d, err := dbc.New(m.cfg.Geometry.TrackWidth, m.cfg.Geometry.RowsPerDBC, m.cfg.TRD)
 		if err != nil {
-			return nil, err
+			return cluster{}, err
 		}
-		d.SetTracer(sh.tr)
+		d.SetTracer(tr)
 		d.SetFaultInjector(inj)
 		d.SetTelemetry(rec, srcFor(base))
-		sh.d = d
+		return cluster{d: d}, nil
 	}
-	m.shards[base] = sh
-	return sh, nil
+	u, err := pim.NewUnit(m.cfg)
+	if err != nil {
+		return cluster{}, err
+	}
+	u.SetTracer(tr)
+	u.D.SetFaultInjector(inj)
+	u.SetTelemetry(rec, srcFor(base))
+	c := cluster{d: u.D, u: u}
+	if pol.Enabled() {
+		if c.ex, err = resilient.NewExecutor(u, pol); err != nil {
+			return cluster{}, err
+		}
+	}
+	return c, nil
 }
 
 // lockOrdered materializes and locks the shards of the given DBC bases
@@ -445,37 +454,14 @@ func shardByBase(shards []*shard, b isa.Addr) *shard {
 	return nil
 }
 
-// SetFaultInjector attaches fault injection to every future cluster
-// materialization and all already-materialized clusters. With an
-// injector attached, ExecuteBatch runs in program order with no window
-// lanes: the injector's random stream is consumed in operation order,
-// so reordering groups would destroy the reproducibility fixed-seed
-// experiments rely on.
-//
-// Deprecated: new code should attach the injector at construction with
-// the façade's WithFaults option (or use SetFaultProfile for per-DBC
-// injection that keeps the windowed group schedule); the setter remains for call
-// sites that attach faults after construction.
-func (m *Memory) SetFaultInjector(f *device.FaultInjector) {
-	m.cfgMu.Lock()
-	m.inj = f
-	m.prof = nil
-	m.cfgMu.Unlock()
-	for _, sh := range m.snapshotShards() {
-		sh.mu.Lock()
-		sh.d.SetFaultInjector(f)
-		sh.mu.Unlock()
-	}
-}
-
-// FaultProfile describes statistically independent per-DBC fault
-// injection: every cluster gets its own injector, seeded from Seed and
-// the cluster's linear address, so its fault stream depends only on the
-// sequence of operations on that cluster — not on how operations on
-// other clusters interleave. This is what lets ExecuteBatch keep its
-// group schedule and window lanes under fault injection (unlike the
-// single order-dependent stream of SetFaultInjector, which forces
-// program order) while staying exactly reproducible for a fixed seed.
+// FaultProfile describes the §V-F fault model as a property of each
+// DBC, and is the one way to inject faults into a Memory: every cluster
+// gets its own injector, seeded from Seed and the cluster's linear
+// address, so its fault stream depends only on the sequence of
+// operations on that cluster — not on how operations on other clusters
+// interleave. ExecuteBatch therefore keeps its group schedule and window
+// lanes under fault injection and stays exactly reproducible for a
+// fixed seed.
 type FaultProfile struct {
 	TRProb    float64 // per-sense probability of a ±1-level TR fault (§V-F)
 	ShiftProb float64 // per-step probability of an over-/under-shift
@@ -486,11 +472,10 @@ type FaultProfile struct {
 func (p FaultProfile) enabled() bool { return p.TRProb > 0 || p.ShiftProb > 0 }
 
 // SetFaultProfile installs (or, with a zero profile, removes) per-DBC
-// fault injection on every current and future cluster. It replaces any
-// global SetFaultInjector injector.
+// fault injection on every current and future cluster, replacing any
+// previous profile.
 func (m *Memory) SetFaultProfile(p FaultProfile) {
 	m.cfgMu.Lock()
-	m.inj = nil
 	if p.enabled() {
 		m.prof = &p
 	} else {
@@ -508,17 +493,17 @@ func (m *Memory) SetFaultProfile(p FaultProfile) {
 	}
 }
 
-// injectorFor builds the injector a cluster at base should carry under
-// the current attachment state: the profile's per-shard injector, the
-// global injector, or none.
-func (m *Memory) injectorFor(base isa.Addr) *device.FaultInjector {
+// injectorFor builds the injector the cluster at phys carries under the
+// current fault profile: the profile's per-DBC injector, or nil when no
+// profile is set.
+func (m *Memory) injectorFor(phys isa.Addr) *device.FaultInjector {
 	m.cfgMu.Lock()
-	prof, inj := m.prof, m.inj
+	prof := m.prof
 	m.cfgMu.Unlock()
 	if prof == nil {
-		return inj
+		return nil
 	}
-	return device.NewFaultInjector(prof.TRProb, prof.ShiftProb, prof.Seed^base.Linear(m.cfg.Geometry))
+	return device.NewFaultInjector(prof.TRProb, prof.ShiftProb, prof.Seed^phys.Linear(m.cfg.Geometry))
 }
 
 // SetRecovery installs a recovery policy (resilient.Policy) on every

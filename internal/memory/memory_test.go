@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dbc"
-	"repro/internal/device"
 	"repro/internal/isa"
 	"repro/internal/params"
 	"repro/internal/pim"
@@ -221,7 +220,7 @@ func TestMemoryFaultInjection(t *testing.T) {
 	if err := m.WriteRow(a, zero); err != nil {
 		t.Fatal(err)
 	}
-	m.SetFaultInjector(device.NewFaultInjector(1.0, 0, 9))
+	m.SetFaultProfile(FaultProfile{TRProb: 1, Seed: 9})
 	res, err := m.Execute(isa.Instruction{Op: isa.OpXor, Src: pimAddr, Blocksize: 8, Operands: 2},
 		[]isa.Addr{a, a}, isa.Addr{Tile: 2, Row: 0})
 	if err != nil {
@@ -229,6 +228,49 @@ func TestMemoryFaultInjection(t *testing.T) {
 	}
 	if res.OnesCount() == 0 {
 		t.Error("probability-1 faults produced a clean result")
+	}
+}
+
+// TestStatsCountUnitChargedSteps: every device step a PIM opcode costs
+// reaches Memory.Stats(), including the steps the unit charges itself
+// rather than through its DBC (the multiplier's predicated copies and
+// reductions, ReLU's refresh, the div/shift/fma step charges) — so the
+// traced cycles equal the telemetry clock after each opcode.
+func TestStatsCountUnitChargedSteps(t *testing.T) {
+	pimAddr := isa.Addr{Tile: 0, DBC: 15}
+	a := isa.Addr{Tile: 1, Row: 0}
+	b := isa.Addr{Tile: 1, Row: 1}
+	c := isa.Addr{Tile: 1, Row: 2}
+	for _, in := range []isa.Instruction{
+		{Op: isa.OpAdd, Blocksize: 8, Operands: 2},
+		{Op: isa.OpMult, Blocksize: 16, Operands: 2},
+		{Op: isa.OpMax, Blocksize: 8, Operands: 2},
+		{Op: isa.OpRelu, Blocksize: 8, Operands: 1},
+		{Op: isa.OpDiv, Blocksize: 8, Operands: 2},
+		{Op: isa.OpMod, Blocksize: 8, Operands: 2},
+		{Op: isa.OpShl, Blocksize: 8, Operands: 1, Imm: 3},
+		{Op: isa.OpShr, Blocksize: 8, Operands: 1, Imm: 3},
+		{Op: isa.OpFma, Blocksize: 16, Operands: 3},
+		{Op: isa.OpXor, Blocksize: 8, Operands: 2},
+	} {
+		t.Run(in.Op.String(), func(t *testing.T) {
+			m := testMemory(t)
+			vals := [][]uint64{{200, 77, 5, 0}, {7, 3, 9, 3}, {1, 2, 4, 8}}
+			operands := []isa.Addr{a, b, c}[:in.Operands]
+			for i, addr := range operands {
+				row := pim.MustPackLanes(vals[i][:32/in.Blocksize], in.Blocksize, 32)
+				if err := m.WriteRow(addr, row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			in.Src = pimAddr
+			if _, err := m.Execute(in, operands, isa.Addr{Tile: 2}); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := uint64(m.Stats().Cycles()), m.Recorder().Cycle(); got != want {
+				t.Errorf("Stats().Cycles() = %d, recorder clock = %d", got, want)
+			}
+		})
 	}
 }
 

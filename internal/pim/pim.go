@@ -76,6 +76,14 @@ func (u *Unit) TRD() params.TRD { return u.cfg.TRD }
 // Tracer exposes the unit's primitive-op accounting.
 func (u *Unit) Tracer() *trace.Tracer { return u.tr }
 
+// SetTracer directs subsequent accounting to t (nil disables): both the
+// steps its DBC traces and the steps the unit charges itself (chargeStep,
+// the multiplier's predicated copies and reductions, ReLU's refresh).
+func (u *Unit) SetTracer(t *trace.Tracer) {
+	u.tr = t
+	u.D.SetTracer(t)
+}
+
 // SetTelemetry attaches a telemetry recorder to the unit and its DBC
 // (nil disables); src tags the unit's events and names its track in the
 // Chrome trace export.

@@ -60,6 +60,20 @@ func TestCampaignDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("campaign not deterministic for a fixed seed:\n  first:  %+v\n  second: %+v", a, b)
 	}
+
+	// A quarantining campaign runs the spare-seeded fault streams of
+	// remapped clusters too; its report is pinned exactly.
+	pol := resilient.DefaultPolicy()
+	pol.QuarantineAfter = 3
+	q, err := Campaign{TRProb: 5e-3, Policy: pol, Ops: 400, Seed: 7}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [...]int{q.RawErrors, q.RecovErrors, q.Detected, q.Quarantined, q.SparesUsed,
+		q.RawStats.Cycles(), q.RecovStats.Cycles()}
+	if want := [...]int{370, 44, 1593, 8, 8, 16856, 155627}; got != want {
+		t.Errorf("quarantining campaign [raw recov detected quarantined spares rawCycles recovCycles] = %v, want %v", got, want)
+	}
 }
 
 // TestCampaignValidation covers the error paths.

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -374,60 +373,4 @@ func (m *Metrics) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// snapshot returns a JSON-encodable view for expvar.
-func (m *Metrics) snapshot() any {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	type opJSON struct {
-		Steps    uint64  `json:"steps"`
-		Wires    uint64  `json:"wires"`
-		EnergyPJ float64 `json:"energy_pj"`
-	}
-	type spanJSON struct {
-		Count    uint64  `json:"count"`
-		Cycles   uint64  `json:"cycles"`
-		EnergyPJ float64 `json:"energy_pj"`
-	}
-	ops := make(map[string]opJSON)
-	for op := Op(0); op < numOps; op++ {
-		om := m.perOp[op]
-		if om.Steps != 0 {
-			ops[op.String()] = opJSON{Steps: om.Steps, Wires: om.WiresTotal, EnergyPJ: om.EnergyPJTotal}
-		}
-	}
-	srcs := make(map[string]opJSON)
-	for s, sm := range m.perSrc {
-		srcs[string(s)] = opJSON{Steps: sm.Cycles(), EnergyPJ: sm.EnergyPJ}
-	}
-	spans := make(map[string]spanJSON)
-	for n, sp := range m.spans {
-		spans[n] = spanJSON{Count: sp.Count, Cycles: sp.TotalCycles, EnergyPJ: sp.TotalPJ}
-	}
-	type markJSON struct {
-		Count uint64 `json:"count"`
-		Total uint64 `json:"total"`
-	}
-	marks := make(map[string]markJSON)
-	for n, mk := range m.marks {
-		marks[n] = markJSON{Count: mk.Count, Total: mk.WiresTotal}
-	}
-	return map[string]any{"ops": ops, "sources": srcs, "spans": spans, "marks": marks}
-}
-
-var expvarMu sync.Mutex
-
-// PublishExpvar exposes the metrics as a JSON expvar under the given
-// name (e.g. on /debug/vars when an HTTP server is attached). If the
-// name is already published — by this metrics value or another — the
-// call is a no-op: expvar slots are process-global and cannot be
-// replaced.
-func (m *Metrics) PublishExpvar(name string) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return m.snapshot() }))
 }

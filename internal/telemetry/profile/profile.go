@@ -26,8 +26,8 @@
 // bit-identical to a serial run.
 //
 // The aggregate is exposed three ways: Prometheus text exposition
-// (WritePrometheus / Handler, mounted on -debug-addr next to expvar
-// and pprof), Chrome trace counter events (WithChromeCounters, so
+// (WritePrometheus / Handler, mounted on -debug-addr next to pprof),
+// Chrome trace counter events (WithChromeCounters, so
 // per-DBC heatlines render in Perfetto), and the `coruscant top` live
 // terminal view (RenderTop).
 package profile

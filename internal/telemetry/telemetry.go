@@ -14,7 +14,9 @@
 // in-memory ring buffer, a JSONL writer, and a Chrome trace_event
 // exporter loadable in Perfetto/chrome://tracing — and accumulate into
 // Metrics (counters and histograms per op kind, per source and per
-// span), exposable via expvar and a text dump.
+// span), reported as a text dump (Metrics.WriteText); the one
+// machine-readable exposition is the profiler's Prometheus text
+// (internal/telemetry/profile).
 //
 // The cycle clock follows the same rule as trace.Stats.Cycles(): one
 // cycle per control step. A Recorder attached next to a trace.Tracer

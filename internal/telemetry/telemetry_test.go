@@ -162,14 +162,6 @@ func TestRingSinkEvictsOldest(t *testing.T) {
 	}
 }
 
-func TestPublishExpvarIsIdempotent(t *testing.T) {
-	m := NewMetrics()
-	m.PublishExpvar("telemetry.test")
-	// A second publish (same or different metrics) must not panic.
-	m.PublishExpvar("telemetry.test")
-	NewMetrics().PublishExpvar("telemetry.test")
-}
-
 func TestMarksAggregateByName(t *testing.T) {
 	r := NewRecorder(testConfig())
 	r.Mark("pimc", "moves-saved", 5)

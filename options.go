@@ -27,9 +27,9 @@ type (
 	HealthReport = memory.HealthReport
 	// QuarantineRecord describes one quarantined (remapped) DBC.
 	QuarantineRecord = memory.QuarantineRecord
-	// FaultProfile is per-DBC deterministic fault injection; unlike a
-	// global FaultInjector it keeps ExecuteBatch's windowed group
-	// schedule.
+	// FaultProfile is per-DBC deterministic fault injection, the one way
+	// to inject faults into a Memory (Memory.SetFaultProfile); a
+	// FaultInjector attaches to a Unit or Controller (WithFaults).
 	FaultProfile = memory.FaultProfile
 	// Campaign is a Monte Carlo fault sweep through the recovered path.
 	Campaign = reliability.Campaign
@@ -98,9 +98,7 @@ func WithTelemetry(rec *Recorder) Option {
 }
 
 // WithFaults attaches a fault injector at construction. Applies to
-// NewUnit, NewMemory (as the global injector, which runs batches in
-// program order; see Memory.SetFaultProfile for the per-DBC form that
-// keeps the windowed group schedule) and NewController.
+// NewUnit and NewController.
 func WithFaults(inj *FaultInjector) Option {
 	return func(o *options) { o.inj, o.injSet = inj, true }
 }
@@ -146,18 +144,18 @@ func NewUnit(cfg Config, opts ...Option) (*Unit, error) {
 
 // NewMemory returns an empty functional memory (clusters materialize
 // lazily, so the full 1 GB geometry is addressable). Accepts
-// WithTelemetry, WithFaults and WithRecovery.
+// WithTelemetry and WithRecovery.
 func NewMemory(cfg Config, opts ...Option) (*Memory, error) {
 	o := gather(opts)
+	if o.injSet {
+		return nil, fmt.Errorf("coruscant: WithFaults does not apply to NewMemory (inject per-DBC faults with SetFaultProfile)")
+	}
 	m, err := memory.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if o.recSet {
 		m.SetTelemetry(o.rec)
-	}
-	if o.injSet {
-		m.SetFaultInjector(o.inj)
 	}
 	if o.polSet {
 		if err := m.SetRecovery(o.pol); err != nil {
@@ -176,16 +174,17 @@ type ShardPool = memory.Pool
 
 // NewShardPool builds n independent memory shards of one
 // configuration. Accepts WithRecovery, applied to every shard. WithTelemetry and WithFaults are errors here: one
-// shared recorder or injector would serialize the shards — attach
-// per-shard observability through the service layer (service.Config
-// Telemetry/Sinks) or per shard via Shard(i).SetTelemetry.
+// shared recorder would serialize the shards — attach per-shard
+// observability through the service layer (service.Config
+// Telemetry/Sinks) or per shard via Shard(i).SetTelemetry — and a
+// memory takes faults only as a per-DBC Shard(i).SetFaultProfile.
 func NewShardPool(cfg Config, n int, opts ...Option) (*ShardPool, error) {
 	o := gather(opts)
 	if o.recSet {
 		return nil, fmt.Errorf("coruscant: WithTelemetry does not apply to NewShardPool (one recorder would serialize the shards; attach per shard via Shard(i).SetTelemetry or through the service layer)")
 	}
 	if o.injSet {
-		return nil, fmt.Errorf("coruscant: WithFaults does not apply to NewShardPool (attach per shard via Shard(i).SetFaultInjector)")
+		return nil, fmt.Errorf("coruscant: WithFaults does not apply to NewShardPool (inject per-DBC faults per shard via Shard(i).SetFaultProfile)")
 	}
 	p, err := memory.NewPool(cfg, n)
 	if err != nil {

@@ -4,5 +4,6 @@ package coruscant
 
 // raceEnabled reports that this binary was built with the race
 // detector, whose instrumentation inflates per-call allocation counts;
-// TestAllocBudget only pins budgets in non-race builds.
+// the allocation gates in alloc_budget_test.go only pin counts in
+// non-race builds.
 const raceEnabled = true

@@ -2,6 +2,7 @@ package coruscant_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	coruscant "repro"
@@ -154,6 +155,9 @@ func TestConstructionOptions(t *testing.T) {
 	if _, err := coruscant.NewMemory(cfg, coruscant.WithRecovery(bad)); err == nil {
 		t.Error("invalid recovery policy should fail construction")
 	}
+	if _, err := coruscant.NewMemory(cfg, coruscant.WithFaults(inj)); err == nil || !strings.Contains(err.Error(), "SetFaultProfile") {
+		t.Errorf("WithFaults on NewMemory: err = %v, want a rejection naming SetFaultProfile", err)
+	}
 
 	c, err := coruscant.NewController(cfg, coruscant.WithRecovery(coruscant.DefaultRecoveryPolicy()))
 	if err != nil {
@@ -199,56 +203,5 @@ func TestRecoveredControllerExecution(t *testing.T) {
 	}
 	if wrong > 2 {
 		t.Errorf("recovered controller delivered %d/50 wrong sums", wrong)
-	}
-}
-
-// TestExecuteNoFaultAllocsUnchanged pins the allocation count of the
-// no-fault, no-recovery Execute path: installing then disabling
-// recovery must leave the hot path allocation-identical to a memory
-// that never saw the recovery layer.
-func TestExecuteNoFaultAllocsUnchanged(t *testing.T) {
-	cfg := coruscant.DefaultConfig()
-	cfg.Geometry.TrackWidth = 32
-	g := cfg.Geometry
-
-	measure := func(m *coruscant.Memory) float64 {
-		pimAddr := coruscant.Addr{Bank: 0, Tile: 0, DBC: g.DBCsPerTile - g.PIMDBCsPerTile}
-		ops := []coruscant.Addr{{Bank: 0, Tile: 1}, {Bank: 0, Tile: 1, Row: 1}}
-		dst := coruscant.Addr{Bank: 0, Tile: 2}
-		row, err := coruscant.PackLanes([]uint64{5}, 8, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range ops {
-			if err := m.WriteRow(a, row); err != nil {
-				t.Fatal(err)
-			}
-		}
-		in := coruscant.Instruction{Op: coruscant.OpcodeAdd, Src: pimAddr, Blocksize: 8, Operands: 2}
-		run := func() {
-			if _, err := m.Execute(in, ops, dst); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run() // materialize shards outside the measurement
-		return testing.AllocsPerRun(50, run)
-	}
-
-	plain, err := coruscant.NewMemory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	toggled, err := coruscant.NewMemory(cfg, coruscant.WithRecovery(coruscant.DefaultRecoveryPolicy()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := toggled.SetRecovery(coruscant.RecoveryPolicy{}); err != nil {
-		t.Fatal(err)
-	}
-
-	base := measure(plain)
-	after := measure(toggled)
-	if after > base {
-		t.Errorf("disabled-recovery Execute allocates %.1f/op, plain memory %.1f/op", after, base)
 	}
 }
