@@ -61,12 +61,15 @@ race:
 # detector with -count=2: the recorder is shared mutable state threaded
 # through memory, pim and dbc; memory's striped locks are hammered by
 # concurrent callers next to running batches (the memory stress
-# tests), and coruscantd runs one goroutine per share-nothing shard
-# behind concurrent HTTP handlers. A second pass catches ordering
-# flakes the single ./... sweep can miss.
+# tests), coruscantd runs one goroutine per share-nothing shard behind
+# concurrent HTTP handlers, and a compiled pimc plan is shared
+# read-only by every memory it runs on (TestPlanRunShared runs one plan
+# on two memories at once). A second pass catches ordering flakes the
+# single ./... sweep can miss.
 race-obs:
 	$(GO) test -race -count=2 ./internal/memory ./internal/telemetry \
-		./internal/telemetry/profile ./internal/service ./cmd/coruscantd
+		./internal/telemetry/profile ./internal/service ./cmd/coruscantd \
+		./internal/isa/compile
 
 # fuzz gives each native fuzz target a short deterministic smoke run;
 # longer sessions are manual (`go test -fuzz <name> -fuzztime 5m`).

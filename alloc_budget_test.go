@@ -1,5 +1,6 @@
 // Allocation budgets for the hot kernels, pinned to the numbers
-// recorded in BENCH_plane.json and BENCH_parallel.json. `make ci` runs
+// recorded in BENCH_plane.json, BENCH_parallel.json and
+// BENCH_compile.json. `make ci` runs
 // this test (the alloc-budget target): a change that makes any kernel
 // allocate more per call than its recorded budget fails the build, so
 // alloc regressions can't slip in silently behind unchanged ns/op on a
@@ -15,6 +16,8 @@ import (
 	"testing"
 
 	"repro/internal/dbc"
+	"repro/internal/isa/compile"
+	"repro/internal/memory"
 	"repro/internal/params"
 	"repro/internal/pim"
 	"repro/internal/service"
@@ -32,8 +35,10 @@ func allocBudget(t *testing.T, name string, budget float64, f func()) {
 }
 
 // TestAllocBudget pins the per-call allocation counts of the PIM
-// kernels (the BENCH_plane.json rows) and of the batch execution paths
-// (the BENCH_parallel.json rows). Budgets are the recorded numbers.
+// kernels (the BENCH_plane.json rows), of the batch execution paths
+// (the BENCH_parallel.json rows), of compiling and running pimc plans
+// and of the service codec and handler. Budgets are the measured
+// numbers.
 func TestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts; budgets are pinned by the non-race ci run (make alloc-budget)")
@@ -48,7 +53,7 @@ func TestAllocBudget(t *testing.T) {
 	for i := range addRows {
 		addRows[i] = pim.MustPackLanes(vals, 8, 512)
 	}
-	allocBudget(t, "AddMulti", 2, func() {
+	allocBudget(t, "AddMulti", 1, func() {
 		if _, err := u.AddMulti(addRows, 8); err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +76,7 @@ func TestAllocBudget(t *testing.T) {
 	for i := range mulVals {
 		mulVals[i] = uint64(i*7 + 3)
 	}
-	allocBudget(t, "Multiply", 31, func() {
+	allocBudget(t, "Multiply", 4, func() {
 		if _, err := u.MultiplyValues(mulVals, mulVals, 8); err != nil {
 			t.Fatal(err)
 		}
@@ -85,10 +90,9 @@ func TestAllocBudget(t *testing.T) {
 		}
 		maxRows[i] = pim.MustPackLanes(mv, 8, 512)
 	}
-	// The ISSUE acceptance bound is ≤ 8; the kernel measures 1 (one
-	// result-row allocation) after the transverse-read scratch moved
-	// into the unit's reusable buffers.
-	allocBudget(t, "MaxTR", 8, func() {
+	// One result-row allocation: the transverse-read scratch lives in
+	// the unit's reusable buffers.
+	allocBudget(t, "MaxTR", 1, func() {
 		if _, err := u.MaxTR(maxRows, 8); err != nil {
 			t.Fatal(err)
 		}
@@ -97,20 +101,43 @@ func TestAllocBudget(t *testing.T) {
 	// Batch paths: the 32-request fixture from bench_parallel_test.go.
 	// Budgets are per batch (32 requests), matching BENCH_parallel.json.
 	m, reqs := batchFixture(t)
-	allocBudget(t, "BatchSerial", 480, func() {
+	allocBudget(t, "BatchSerial", 128, func() {
 		for _, r := range reqs {
 			if _, err := m.Execute(r.In, r.Operands, r.Dst); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
-	allocBudget(t, "ExecuteBatch", 289, func() {
+	allocBudget(t, "ExecuteBatch", 33, func() {
 		for _, res := range m.ExecuteBatch(reqs) {
 			if res.Err != nil {
 				t.Fatal(res.Err)
 			}
 		}
 	})
+
+	// pimc: compile and run the three examples/pimasm programs at -O 2
+	// (what compile-corpus and the loadgen kernel run) on a memory whose
+	// DBCs the first corpus pass materialized. Budget is per corpus.
+	ccfg := benchCompileConfig()
+	cm, err := memory.New(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := benchCorpus(t)
+	compileRun := func() {
+		for _, src := range corpus {
+			res, err := compile.Compile(src, ccfg, compile.Options{Level: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Plan.Run(cm); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	compileRun()
+	allocBudget(t, "CompileRunO2", 1063, compileRun)
 
 	// Service wire codec: one 8-word row encoded and decoded back (the
 	// canonical spelling takes the decoder's fast path), then one
@@ -147,7 +174,7 @@ func TestAllocBudget(t *testing.T) {
 		}
 		bodies = append(bodies, body)
 	}
-	allocBudget(t, "ServiceExecute", 106, func() {
+	allocBudget(t, "ServiceExecute", 97, func() {
 		for _, body := range bodies {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, service.PathExecute, bytes.NewReader(body)))

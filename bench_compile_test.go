@@ -1,10 +1,11 @@
 // pimc compiler benchmarks (recorded in BENCH_compile.json): a fixed
-// three-program corpus compiled at -O0 (naive single-DBC staging) and
-// -O1 (placement-aware), measuring compile latency and the measured
-// cost of running the compiled plans — row-buffer moves, racetrack
-// shift steps and device cycles, reported as custom metrics. The -O1
-// rows must come in under naive on moves and cycles; the differential
-// tests in internal/isa/compile prove the results are bit-identical.
+// three-program corpus compiled at -O0 (naive single-DBC staging), -O1
+// (placement-aware) and -O2 (pipelined, what compile-corpus and the
+// loadgen kernel run), measuring compile latency and the measured cost
+// of running the compiled plans — row-buffer moves, racetrack shift
+// steps and device cycles, reported as custom metrics. The -O1 rows
+// must come in under naive on moves and cycles; the differential tests
+// in internal/isa/compile prove the results are bit-identical.
 package coruscant
 
 import (
@@ -72,12 +73,12 @@ func seedInputs(tb testing.TB, m *memory.Memory, res *compile.Result, prog int) 
 }
 
 // BenchmarkCompileProgram measures compile latency over the corpus at
-// both optimization levels (at -O1 this includes pricing the naive
-// layout for the moves/shifts-saved telemetry).
+// each optimization level (at -O1 and -O2 this includes pricing the
+// naive layout for the moves/shifts-saved telemetry).
 func BenchmarkCompileProgram(b *testing.B) {
 	cfg := benchCompileConfig()
 	corpus := benchCorpus(b)
-	for _, level := range []int{0, 1} {
+	for _, level := range []int{0, 1, 2} {
 		b.Run(fmt.Sprintf("O%d", level), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -99,7 +100,7 @@ func BenchmarkCompileProgram(b *testing.B) {
 func BenchmarkCompiledExec(b *testing.B) {
 	cfg := benchCompileConfig()
 	corpus := benchCorpus(b)
-	for _, level := range []int{0, 1} {
+	for _, level := range []int{0, 1, 2} {
 		b.Run(fmt.Sprintf("O%d", level), func(b *testing.B) {
 			var plans []*compile.Plan
 			var results []*compile.Result

@@ -156,7 +156,7 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 		// bank's rows via recycling has no naive layout to price, so a
 		// pricing failure leaves Naive zero instead of failing the
 		// compilation that already succeeded.
-		if naive, err := prog.cloneShape().priceNaive(cfg); err == nil {
+		if naive, err := prog.priceNaive(cfg); err == nil {
 			res.Naive = naive
 			if rec != nil {
 				rec.Mark(Source, "moves-saved", max(0, naive.CrossDBCMoves-plan.Stats.CrossDBCMoves))
@@ -167,29 +167,15 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// cloneShape deep-copies the DAG so a second placement cannot disturb
-// the homes already assigned to the primary one.
-func (p *Program) cloneShape() *Program {
-	cp := &Program{byName: make(map[string]*node, len(p.byName)), geo: p.geo}
-	remap := make(map[*node]*node, len(p.nodes))
-	for _, n := range p.nodes {
-		c := &node{}
-		*c = *n
-		c.home, c.exec, c.direct = isa.Addr{}, isa.Addr{}, false
-		c.args = make([]*node, len(n.args))
-		for i, a := range n.args {
-			c.args[i] = remap[a]
-		}
-		remap[n] = c
-		cp.nodes = append(cp.nodes, c)
-		if c.name != "" {
-			cp.byName[c.name] = c
-		}
-	}
-	return cp
-}
-
+// priceNaive places the program under the naive layout and returns its
+// cost model. It overwrites every node's placement (home, exec,
+// direct), so Compile calls it only once the plan, the inputs, the
+// outputs and the per-DBC shift split are built: nothing reads the
+// primary placement after that.
 func (p *Program) priceNaive(cfg params.Config) (PlanStats, error) {
+	for _, n := range p.nodes {
+		n.home, n.exec, n.direct = isa.Addr{}, isa.Addr{}, false
+	}
 	lay, err := p.place(cfg, 0, 1, false)
 	if err != nil {
 		return PlanStats{}, err

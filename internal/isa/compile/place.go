@@ -30,12 +30,16 @@ type layout struct {
 	geo      params.Geometry
 	trd      params.TRD
 	execBank int
-	pool     []isa.Addr         // executing PIM DBC bases, assignment order
-	free     map[isa.Addr][]int // per pool base: unused non-window rows, port-sorted
-	userDBC  map[isa.Addr]bool  // DBC bases the program names; off-limits to allocators
+	pool     []isa.Addr // executing PIM DBC bases, assignment order
+	// free maps each pool base to its unused non-window rows,
+	// port-sorted. The lists start out sharing one array, so updates
+	// re-slice or build a new slice and never write in place.
+	free    map[isa.Addr][]int
+	userDBC map[isa.Addr]bool // DBC bases the program names; off-limits to allocators
 
-	stageRows []isa.Addr // allocated-but-unused rows of the current staging DBC
-	stageSeq  int        // enumeration cursor over candidate staging DBCs
+	stageOrder []int      // row hand-out order of every staging DBC
+	stageRows  []isa.Addr // allocated-but-unused rows of the current staging DBCs
+	stageSeq   int        // enumeration cursor over candidate staging DBCs
 
 	// availFrom is the earliest schedule-window index (see buildPipelined's
 	// window numbering) from which a recycled free row may be rewritten:
@@ -188,17 +192,28 @@ func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool
 		return nil, fmt.Errorf("pimc: no free PIM-enabled DBC in bank %d", lay.execBank)
 	}
 	// Non-window rows of each executing DBC: rows the op window never
-	// clobbers, so results parked there survive later operations.
+	// clobbers, so results parked there survive later operations. The
+	// order depends only on the geometry, so every DBC shares one.
 	left, right := params.PortPlacement(g.RowsPerDBC, cfg.TRD)
 	loClobber, hiClobber := left-int(cfg.TRD), right+int(cfg.TRD)
-	for _, base := range lay.pool {
-		var rows []int
-		for r := 0; r < g.RowsPerDBC; r++ {
-			if r < loClobber || r > hiClobber {
-				rows = append(rows, r)
-			}
+	var rows []int
+	for r := 0; r < g.RowsPerDBC; r++ {
+		if r < loClobber || r > hiClobber {
+			rows = append(rows, r)
 		}
-		lay.free[base] = sideOrder(rows, g.RowsPerDBC, cfg.TRD)
+	}
+	nonWindow := sideOrder(rows, g.RowsPerDBC, cfg.TRD)
+	for _, base := range lay.pool {
+		lay.free[base] = nonWindow
+	}
+	// Staging DBCs hand out every row: nearest port first when
+	// optimizing, sequentially from row 0 in the naive layout.
+	lay.stageOrder = make([]int, g.RowsPerDBC)
+	for r := range lay.stageOrder {
+		lay.stageOrder[r] = r
+	}
+	if opt {
+		lay.stageOrder = sideOrder(lay.stageOrder, g.RowsPerDBC, cfg.TRD)
 	}
 
 	// Pass 1: level-0 values (loads, constants).
@@ -424,51 +439,32 @@ func (lay *layout) takePrivate(base isa.Addr, win int) (isa.Addr, bool) {
 // and become parallel lanes instead of one serial chain.
 const stageSpread = 4
 
-// stageRow allocates a row in a non-PIM staging DBC of the exec bank.
-// The optimizing layout hands rows out nearest-port-first; the naive
-// layout sequentially from row 0, modeling placement-unaware staging.
-// The pipelined layout refills from stageSpread DBCs at once, rows
-// interleaved round-robin.
+// stageRow allocates a row in a non-PIM staging DBC of the exec bank,
+// in stageOrder. The pipelined layout refills from stageSpread DBCs at
+// once, rows interleaved round-robin.
 func (lay *layout) stageRow() (isa.Addr, error) {
 	if len(lay.stageRows) == 0 {
 		want := 1
 		if lay.pipeline {
 			want = stageSpread
 		}
-		var queues [][]isa.Addr
-		for len(queues) < want {
+		var buf [stageSpread]isa.Addr
+		bases := buf[:0]
+		for len(bases) < want {
 			base, ok := lay.nextStageDBC()
 			if !ok {
 				break
 			}
-			rows := make([]int, lay.geo.RowsPerDBC)
-			for r := range rows {
-				rows[r] = r
-			}
-			if lay.opt {
-				rows = sideOrder(rows, lay.geo.RowsPerDBC, lay.trd)
-			}
-			q := make([]isa.Addr, len(rows))
-			for i, r := range rows {
-				a := base
-				a.Row = r
-				q[i] = a
-			}
-			queues = append(queues, q)
+			bases = append(bases, base)
 		}
-		if len(queues) == 0 {
+		if len(bases) == 0 {
 			return isa.Addr{}, fmt.Errorf("pimc: staging rows exhausted in bank %d", lay.execBank)
 		}
-		for i := 0; ; i++ {
-			took := false
-			for _, q := range queues {
-				if i < len(q) {
-					lay.stageRows = append(lay.stageRows, q[i])
-					took = true
-				}
-			}
-			if !took {
-				break
+		lay.stageRows = make([]isa.Addr, 0, len(bases)*len(lay.stageOrder))
+		for _, r := range lay.stageOrder {
+			for _, base := range bases {
+				base.Row = r
+				lay.stageRows = append(lay.stageRows, base)
 			}
 		}
 	}

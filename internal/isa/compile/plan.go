@@ -51,13 +51,6 @@ type Plan struct {
 	Stats     PlanStats
 	Opt       bool // placement-aware (-O1+) vs naive hand-placed layout
 	Pipelined bool // -O2: staging and stores scheduled into batch windows
-
-	// Batch grouping is memoized per target memory: plans are
-	// state-independent (quarantine is re-checked at lock time), so a
-	// kernel replaying a fixed schedule plans its batches once. Makes
-	// Run unsafe for concurrent use on the same Plan.
-	planMem    *memory.Memory
-	batchPlans []*memory.BatchPlan
 }
 
 // buildPlan schedules the placed program.
@@ -388,16 +381,11 @@ func packConst(val uint64, bs, width int) (dbc.Row, error) {
 
 // Run executes the plan against the memory. The memory's rows at the
 // program's load addresses are the plan's inputs; after Run returns,
-// every store address holds its program value. Batch steps are grouped
-// once per target memory and the grouping is replayed on subsequent
-// runs (the kernel-loop fast path); because of that memo, Run is not
-// safe for concurrent use on the same Plan.
+// every store address holds its program value. Each batch step is one
+// ExecuteBatch call, planned on the memory's pooled scratch. Run only
+// reads the plan, so one plan may run concurrently on several memories.
 func (pl *Plan) Run(m *memory.Memory) error {
 	width := m.Config().Geometry.TrackWidth
-	if pl.planMem != m {
-		pl.planMem = m
-		pl.batchPlans = make([]*memory.BatchPlan, len(pl.Steps))
-	}
 	for i, st := range pl.Steps {
 		var err error
 		switch st.Kind {
@@ -409,12 +397,7 @@ func (pl *Plan) Run(m *memory.Memory) error {
 		case StepCopy:
 			err = m.CopyRow(st.Src, st.Dst)
 		case StepBatch:
-			bp := pl.batchPlans[i]
-			if bp == nil {
-				bp = m.PlanBatch(st.Reqs)
-				pl.batchPlans[i] = bp
-			}
-			for r, res := range bp.Run() {
+			for r, res := range m.ExecuteBatch(st.Reqs) {
 				if res.Err != nil {
 					err = fmt.Errorf("request %d (%v): %w", r, reqOp(st.Reqs[r]), res.Err)
 					break

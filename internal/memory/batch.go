@@ -61,7 +61,7 @@ type batchGroup struct {
 // batchScratch holds every planning-time buffer of a batch: the plans,
 // the grouping union-find, and the groups themselves. ExecuteBatch
 // draws one from a pool and returns it, so steady-state batches plan
-// without allocating; PlanBatch owns one per plan for memoized reuse.
+// without allocating; a BatchPlan owns one.
 type batchScratch struct {
 	plans    []execPlan
 	runnable []bool
@@ -230,36 +230,20 @@ func (m *Memory) ExecuteBatch(reqs []Request) []Result {
 	return results
 }
 
-// BatchPlan is a validated, grouped batch, ready to run repeatedly
-// against the memory that planned it. Planning depends only on the
-// immutable geometry — quarantine is re-checked at lock time — so a
-// plan never goes stale. A BatchPlan is not safe for concurrent Run
-// calls on itself (distinct plans may run concurrently).
+// BatchPlan is a validated, grouped batch: the planning half of
+// ExecuteBatch, kept on its own scratch.
 type BatchPlan struct {
-	mem *Memory
-	n   int
-	s   batchScratch
+	s batchScratch
 }
 
-// PlanBatch validates and groups the requests once; Run executes the
-// plan. Compiled kernels that replay a fixed batch shape (isa/compile
-// StepBatch) use this to hoist planning out of the execution loop.
-// The request slices (Operands, Row payloads) are retained by value.
+// PlanBatch validates and groups the requests without running them. It
+// is the planning-only API: the end-to-end benchmark times batch
+// planning with it. Execution paths, compiled pimc plans included, call
+// ExecuteBatch, which plans the same way on pooled scratch.
 func (m *Memory) PlanBatch(reqs []Request) *BatchPlan {
-	bp := &BatchPlan{mem: m, n: len(reqs)}
+	bp := new(BatchPlan)
 	m.planBatch(reqs, &bp.s)
 	return bp
-}
-
-// Memory returns the memory the plan was built against.
-func (bp *BatchPlan) Memory() *Memory { return bp.mem }
-
-// Run executes the planned batch, exactly like ExecuteBatch on the
-// original requests. Results are freshly allocated and positional.
-func (bp *BatchPlan) Run() []Result {
-	results := make([]Result, bp.n)
-	bp.mem.runBatch(&bp.s, results)
-	return results
 }
 
 // runBatch executes a planned batch. Planning errors land in results

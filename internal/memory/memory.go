@@ -57,6 +57,11 @@ type shard struct {
 	// race. Stats() folds the shards together.
 	tr *trace.Tracer
 	cluster
+
+	// operands stages an exec's operand rows for dispatchOp (runPlan).
+	// Guarded by mu: the rows are valid only while the exec that read
+	// them holds the lock, and no result ever aliases them.
+	operands []dbc.Row
 }
 
 // cluster is the physical hardware behind a shard, replaced as a whole
@@ -372,15 +377,35 @@ func (sh *shard) writeRow(a isa.Addr, row dbc.Row) error {
 	return nil
 }
 
-// readRow loads the row at the address; sh.mu held.
+// readRow loads the row at the address into a fresh row; sh.mu held.
 func (sh *shard) readRow(a isa.Addr) (dbc.Row, error) {
+	row := dbc.NewRow(sh.d.Width())
+	if err := sh.readRowInto(a, row); err != nil {
+		return dbc.Row{}, err
+	}
+	return row, nil
+}
+
+// readRowInto loads the row at the address into out, a row of the
+// DBC's width; sh.mu held.
+func (sh *shard) readRowInto(a isa.Addr, out dbc.Row) error {
 	d := sh.d
 	side, _, err := d.AlignNearest(a.Row)
 	if err != nil {
-		return dbc.Row{}, err
+		return err
 	}
 	sh.recorder().Move(d.Source(), telemetry.OpRowRead, d.Width())
-	return d.ReadPort(side), nil
+	d.ReadPortInto(side, out)
+	return nil
+}
+
+// operandRows returns n staging rows owned by the shard, reused across
+// execs; sh.mu held.
+func (sh *shard) operandRows(n int) []dbc.Row {
+	for len(sh.operands) < n {
+		sh.operands = append(sh.operands, dbc.NewRow(sh.d.Width()))
+	}
+	return sh.operands[:n]
 }
 
 // WriteRow stores a row at the address through its DBC's nearest access
@@ -440,7 +465,7 @@ func copyLocked(shards []*shard, src, dst isa.Addr) (dbc.Row, error) {
 	if err := dstSh.writeRow(dst, row); err != nil {
 		return dbc.Row{}, err
 	}
-	dstSh.recorder().Move(srcFor(dbcBase(dst)), telemetry.OpRowCopy, row.N)
+	dstSh.recorder().Move(dstSh.d.Source(), telemetry.OpRowCopy, row.N)
 	return row, nil
 }
 
@@ -550,8 +575,7 @@ func (m *Memory) Recovery() resilient.Policy {
 // the bank-staging rule enforced, and the lock set precomputed — all
 // before any lock is taken, so an invalid request fails without
 // touching (or blocking) any shard. Planning reads only the immutable
-// geometry (quarantine is checked at lock time, in shardFor), so plans
-// stay valid across executions and can be memoized (see PlanBatch).
+// geometry; quarantine is checked at lock time, in shardFor.
 type execPlan struct {
 	kind     RequestKind
 	in       isa.Instruction
@@ -666,25 +690,37 @@ func (m *Memory) planExecute(in isa.Instruction, operands []isa.Addr, dst isa.Ad
 	return execPlan{in: in, operands: operands, dst: dst, bases: m.sortBases(bases)}, nil
 }
 
+// execSpans names each cpim opcode's exec span, built once so the exec
+// path formats no string per request. It covers every opcode
+// planExecute admits.
+var execSpans = func() (names [isa.OpFma + 1]string) {
+	for op := range names {
+		names[op] = "exec-" + isa.OpCode(op).String()
+	}
+	return names
+}()
+
 // runPlan executes a validated plan over its locked shards, in
 // program order: stage operands, run the PIM op (through the recovery
 // executor when one is installed), write the result. shards holds the
-// plan's lock set (all locks held by the caller).
+// plan's lock set (all locks held by the caller). The operands are
+// staged into the executing shard's scratch rows; every PIM op returns
+// a fresh row, so the result never aliases them.
 func (m *Memory) runPlan(p execPlan, shards []*shard) (dbc.Row, error) {
 	execSh := shardByBase(shards, dbcBase(p.in.Src))
 	u := execSh.u
-	defer execSh.recorder().Span(srcFor(execSh.base), "exec-"+p.in.Op.String())()
-	rows := make([]dbc.Row, len(p.operands))
+	rec, src := execSh.recorder(), execSh.d.Source()
+	rec.Begin(src, execSpans[p.in.Op])
+	defer rec.End(src)
+	rows := execSh.operandRows(len(p.operands))
 	for i, a := range p.operands {
-		row, err := shardByBase(shards, dbcBase(a)).readRow(a)
-		if err != nil {
+		if err := shardByBase(shards, dbcBase(a)).readRowInto(a, rows[i]); err != nil {
 			return dbc.Row{}, fmt.Errorf("memory: operand %d: %w", i, err)
 		}
 		if dbcBase(a) != dbcBase(p.in.Src) {
 			// Staged over the row buffer into the executing DBC.
-			execSh.recorder().Move(srcFor(execSh.base), telemetry.OpRowCopy, row.N)
+			rec.Move(src, telemetry.OpRowCopy, rows[i].N)
 		}
-		rows[i] = row
 	}
 
 	var result dbc.Row

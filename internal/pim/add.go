@@ -26,7 +26,8 @@ import (
 // compute = 26 cycles for TRD=7; the TRD=3 two-operand layout saves the
 // final placement shift: 3 + 16 = 19 cycles.
 func (u *Unit) AddMulti(operands []dbc.Row, blocksize int) (dbc.Row, error) {
-	defer u.Span("add")()
+	u.rec.Begin(u.src, "add")
+	defer u.rec.End(u.src)
 	k := len(operands)
 	if k < 2 {
 		return dbc.Row{}, fmt.Errorf("pim: add needs at least 2 operands, got %d", k)

@@ -15,7 +15,8 @@ import (
 // rounds for k operands plus one blocksize-cycle carry chain, versus
 // O(k·blocksize) for chained additions.
 func (u *Unit) AddLarge(operands []dbc.Row, blocksize int) (dbc.Row, error) {
-	defer u.Span("add-large")()
+	u.rec.Begin(u.src, "add-large")
+	defer u.rec.End(u.src)
 	k := len(operands)
 	if k == 0 {
 		return dbc.Row{}, fmt.Errorf("pim: large add with no operands")
@@ -55,7 +56,8 @@ func (u *Unit) AddLarge(operands []dbc.Row, blocksize int) (dbc.Row, error) {
 // (no carry-save reductions) — the baseline AddLarge is measured
 // against in the ablation benchmarks. Functionally identical.
 func (u *Unit) AddChained(operands []dbc.Row, blocksize int) (dbc.Row, error) {
-	defer u.Span("add-chained")()
+	u.rec.Begin(u.src, "add-chained")
+	defer u.rec.End(u.src)
 	k := len(operands)
 	if k == 0 {
 		return dbc.Row{}, fmt.Errorf("pim: chained add with no operands")

@@ -7,6 +7,23 @@ import (
 	"repro/internal/params"
 )
 
+// bulkSpans names each gate's bulk span, built once so BulkBitwise
+// formats no string per call.
+var bulkSpans = func() (names [dbc.OpMAJ + 1]string) {
+	for op := range names {
+		names[op] = "bulk-" + dbc.Op(op).String()
+	}
+	return names
+}()
+
+// bulkSpan returns the span name of a bulk gate.
+func bulkSpan(op dbc.Op) string {
+	if op >= 0 && int(op) < len(bulkSpans) {
+		return bulkSpans[op]
+	}
+	return "bulk-" + op.String()
+}
+
 // BulkBitwise computes a k-operand bulk-bitwise operation in a single
 // transverse read (§III-B, Fig. 5). Up to TRD operand rows are combined;
 // unused window slots carry the Fig. 7 padding constant so smaller
@@ -18,10 +35,9 @@ import (
 // bit-sliced level planes and the polymorphic gate is evaluated 64 wires
 // per word operation (dbc.EvalPlanes).
 func (u *Unit) BulkBitwise(op dbc.Op, operands []dbc.Row) (dbc.Row, error) {
-	// The span name is only materialized when telemetry is attached:
-	// the string concat would otherwise allocate on the disabled path.
 	if u.rec != nil {
-		defer u.rec.Span(u.src, "bulk-"+op.String())()
+		u.rec.Begin(u.src, bulkSpan(op))
+		defer u.rec.End(u.src)
 	}
 	k := len(operands)
 	if k == 0 {

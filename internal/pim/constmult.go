@@ -124,7 +124,8 @@ func (p ConstMulPlan) AdditionSteps() int { return len(p.Groups) }
 // are 2·bw bits wide with the bw-bit input in the low half; products are
 // reduced modulo 2^(2·bw).
 func (u *Unit) ConstMultiply(a dbc.Row, c uint64, bw int) (dbc.Row, error) {
-	defer u.Span("const-mult")()
+	u.rec.Begin(u.src, "const-mult")
+	defer u.rec.End(u.src)
 	laneW := 2 * bw
 	if err := u.checkBlocksize(laneW); err != nil {
 		return dbc.Row{}, fmt.Errorf("pim: product lane: %w", err)

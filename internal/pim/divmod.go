@@ -23,7 +23,8 @@ import (
 // decides the subtraction. Lanes dividing by zero fall out of the same
 // dataflow with the RISC-V convention: quotient all-ones, remainder a.
 func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
-	defer u.Span("div")()
+	u.rec.Begin(u.src, "div")
+	defer u.rec.End(u.src)
 	if err := u.checkBlocksize(blocksize); err != nil {
 		return dbc.Row{}, dbc.Row{}, err
 	}
@@ -134,7 +135,8 @@ func (u *Unit) subChainInto(dst, x, notd, one dbc.Row, blocksize int) error {
 // MinInt/−1 wraps to MinInt with remainder 0 (the Go/RISC-V overflow
 // convention) — both fall out of the magnitude dataflow.
 func (u *Unit) DivModSigned(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
-	defer u.Span("sdiv")()
+	u.rec.Begin(u.src, "sdiv")
+	defer u.rec.End(u.src)
 	if err := u.checkBlocksize(blocksize); err != nil {
 		return dbc.Row{}, dbc.Row{}, err
 	}

@@ -19,7 +19,8 @@ import (
 // partial products folds c in. This is the PIRM composition of the
 // §III-D optimized multiplication.
 func (u *Unit) FMA(a, b, c dbc.Row, bw int) (dbc.Row, error) {
-	defer u.Span("fma")()
+	u.rec.Begin(u.src, "fma")
+	defer u.rec.End(u.src)
 	laneW := 2 * bw
 	if err := u.checkBlocksize(laneW); err != nil {
 		return dbc.Row{}, fmt.Errorf("pim: product lane: %w", err)

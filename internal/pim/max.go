@@ -20,7 +20,8 @@ import (
 // the maximum all survive; the final result is extracted with a last TR
 // whose OR output reads the surviving value regardless of its position.
 func (u *Unit) MaxTR(candidates []dbc.Row, blocksize int) (dbc.Row, error) {
-	defer u.Span("max")()
+	u.rec.Begin(u.src, "max")
+	defer u.rec.End(u.src)
 	k := len(candidates)
 	if k < 2 {
 		return dbc.Row{}, fmt.Errorf("pim: max needs at least 2 candidates, got %d", k)
@@ -83,7 +84,8 @@ func (u *Unit) MaxTR(candidates []dbc.Row, blocksize int) (dbc.Row, error) {
 // using a predicated row refresh; other lanes pass through. One read of
 // the MSB wires plus one predicated write.
 func (u *Unit) ReLU(row dbc.Row, blocksize int) (dbc.Row, error) {
-	defer u.Span("relu")()
+	u.rec.Begin(u.src, "relu")
+	defer u.rec.End(u.src)
 	if err := u.checkBlocksize(blocksize); err != nil {
 		return dbc.Row{}, err
 	}

@@ -11,7 +11,8 @@ import (
 // maximum and consumes up to TRD−1 further candidates, exactly how a
 // pooling layer with more inputs than the window handles them (§IV-B).
 func (u *Unit) MaxLarge(candidates []dbc.Row, blocksize int) (dbc.Row, error) {
-	defer u.Span("max-large")()
+	u.rec.Begin(u.src, "max-large")
+	defer u.rec.End(u.src)
 	switch len(candidates) {
 	case 0:
 		return dbc.Row{}, fmt.Errorf("pim: max with no candidates")

@@ -28,7 +28,8 @@ import (
 // With bw=8 and TRD=7 this costs 61 cycles against the paper's 64 (§V-B);
 // the delta is recorded in EXPERIMENTS.md.
 func (u *Unit) Multiply(a, b dbc.Row, bw int) (dbc.Row, error) {
-	defer u.Span("mult")()
+	u.rec.Begin(u.src, "mult")
+	defer u.rec.End(u.src)
 	laneW := 2 * bw
 	if err := u.checkBlocksize(laneW); err != nil {
 		return dbc.Row{}, fmt.Errorf("pim: product lane: %w", err)

@@ -23,7 +23,8 @@ func (u *Unit) ValidNMR(n int) bool {
 // An uncorrectable error needs ⌈N/2⌉ replicas faulty in the same bit
 // position (or a C' sensing fault), giving the Table V reliability tiers.
 func (u *Unit) Vote(replicas []dbc.Row) (dbc.Row, error) {
-	defer u.Span("vote")()
+	u.rec.Begin(u.src, "vote")
+	defer u.rec.End(u.src)
 	n := len(replicas)
 	if !u.ValidNMR(n) {
 		return dbc.Row{}, fmt.Errorf("pim: unsupported redundancy degree %d for %v: %w", n, u.cfg.TRD, params.ErrBadTRD)
@@ -60,7 +61,8 @@ func (u *Unit) Vote(replicas []dbc.Row) (dbc.Row, error) {
 // trade-off — voting after the whole add is cheaper but lets carry
 // errors accumulate ("nearly two orders of magnitude" apart, §V-F).
 func (u *Unit) AddMultiNMR(n int, operands []dbc.Row, blocksize int) (dbc.Row, error) {
-	defer u.Span("add-nmr")()
+	u.rec.Begin(u.src, "add-nmr")
+	defer u.rec.End(u.src)
 	if !u.ValidNMR(n) {
 		return dbc.Row{}, fmt.Errorf("pim: unsupported redundancy degree %d for %v: %w", n, u.cfg.TRD, params.ErrBadTRD)
 	}

@@ -99,8 +99,10 @@ func (u *Unit) Recorder() *telemetry.Recorder { return u.rec }
 func (u *Unit) TelemetrySource() telemetry.Source { return u.src }
 
 // Span opens a named telemetry span on the unit's track and returns its
-// closer, for the `defer u.Span("add")()` idiom. Every public PIM
-// operation wraps itself in a span, so workload-level spans nest around
+// closer, for the `defer u.Span("cnn-binary")()` idiom of workloads
+// built on the unit. Every public PIM operation wraps itself in a span
+// too, opened with u.rec.Begin and closed by a deferred u.rec.End so
+// the hot path allocates no closer; workload-level spans nest around
 // operation spans, which nest around primitive steps. With no recorder
 // attached the returned closer is a shared no-op.
 func (u *Unit) Span(name string) func() { return u.rec.Span(u.src, name) }

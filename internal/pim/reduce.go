@@ -37,7 +37,8 @@ func (r Reduction) Rows() []dbc.Row {
 // regardless of operand count or lane width. Operand placement, when the
 // rows are not already in the window, costs 2k cycles as usual.
 func (u *Unit) Reduce(operands []dbc.Row, blocksize int) (Reduction, error) {
-	defer u.Span("reduce")()
+	u.rec.Begin(u.src, "reduce")
+	defer u.rec.End(u.src)
 	k := len(operands)
 	if k < 2 {
 		return Reduction{}, fmt.Errorf("pim: reduce needs at least 2 operands, got %d", k)

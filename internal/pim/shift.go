@@ -24,7 +24,8 @@ var ErrShiftAmount = fmt.Errorf("pim: shift amount outside 0..blocksize")
 // evaluations — so a k-bit shift costs k + 2 control steps regardless
 // of lane count.
 func (u *Unit) LogicalShift(a dbc.Row, amount, blocksize int, left bool) (dbc.Row, error) {
-	defer u.Span("shift")()
+	u.rec.Begin(u.src, "shift")
+	defer u.rec.End(u.src)
 	if err := u.checkBlocksize(blocksize); err != nil {
 		return dbc.Row{}, err
 	}

@@ -14,7 +14,8 @@ import (
 // step"). Results are modulo 2^blocksize (two's-complement negatives
 // have the lane MSB set; ReLU interprets them as negative).
 func (u *Unit) Sub(a, b dbc.Row, blocksize int) (dbc.Row, error) {
-	defer u.Span("sub")()
+	u.rec.Begin(u.src, "sub")
+	defer u.rec.End(u.src)
 	if err := u.checkBlocksize(blocksize); err != nil {
 		return dbc.Row{}, err
 	}
