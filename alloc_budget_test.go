@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/dbc"
+	"repro/internal/isa"
 	"repro/internal/isa/compile"
 	"repro/internal/memory"
 	"repro/internal/params"
@@ -36,9 +37,9 @@ func allocBudget(t *testing.T, name string, budget float64, f func()) {
 
 // TestAllocBudget pins the per-call allocation counts of the PIM
 // kernels (the BENCH_plane.json rows), of the batch execution paths
-// (the BENCH_parallel.json rows), of compiling and running pimc plans
-// and of the service codec and handler. Budgets are the measured
-// numbers.
+// (the BENCH_parallel.json rows), of compiling and running pimc plans,
+// of reading a memory's cost and of the service codec and handler.
+// Budgets are the measured numbers.
 func TestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts; budgets are pinned by the non-race ci run (make alloc-budget)")
@@ -138,6 +139,25 @@ func TestAllocBudget(t *testing.T) {
 	}
 	compileRun()
 	allocBudget(t, "CompileRunO2", 1063, compileRun)
+
+	// Memory.Stats reads the recorder's ledger: nothing per shard.
+	sm, err := memory.New(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < 16; d++ {
+		if err := sm.WriteRow(isa.Addr{Tile: 1, DBC: d}, dbc.NewRow(ccfg.Geometry.TrackWidth)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := sm.MaterializedDBCs(); n != 16 {
+		t.Fatalf("materialized %d DBCs, want 16", n)
+	}
+	allocBudget(t, "MemoryStats", 0, func() {
+		if sm.Stats().WriteSteps != 16 {
+			t.Fatal("Memory.Stats lost the 16 row writes")
+		}
+	})
 
 	// Service wire codec: one 8-word row encoded and decoded back (the
 	// canonical spelling takes the decoder's fast path), then one

@@ -454,6 +454,9 @@ func batchDemo(rec *telemetry.Recorder) error {
 		return err
 	}
 	m.SetTelemetry(rec)
+	// With -metrics, rec is shared with the other subcommands (demo
+	// charges it too): total only the steps charged from here on.
+	before := m.Stats()
 
 	banks := 8
 	if banks > cfg.Geometry.Banks {
@@ -500,6 +503,7 @@ func batchDemo(rec *telemetry.Recorder) error {
 		fmt.Printf("  bank %d: %v\n", bank, pim.UnpackLanes(res.Row, 8))
 	}
 	st := m.Stats()
+	st.Add(before.Scale(-1))
 	fmt.Printf("totals: %d cycles, %d DBCs materialized, moves %+v\n",
 		st.Cycles(), m.MaterializedDBCs(), m.Moves())
 	return nil

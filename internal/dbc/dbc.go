@@ -11,10 +11,11 @@
 // the single-wire reference model the packed engine is differentially
 // tested against (refdbc_test.go).
 //
-// All state-changing operations are traced: each control step logs into a
-// trace.Tracer from which cycle latency and energy are derived, and —
-// when a telemetry.Recorder is attached — also emits one timestamped
-// telemetry event (injected faults emit additional tagged events).
+// All state-changing operations are charged: each control step makes one
+// charge to the DBC's ledger — a trace.Tracer (standalone DBCs and PIM
+// units), a telemetry.Recorder (memory.Memory's clusters), or both — from
+// which cycle latency and energy derive. The recorder also timestamps
+// the step as an event (injected faults emit additional tagged events).
 package dbc
 
 import (
@@ -72,7 +73,8 @@ func (d *DBC) Rows() int { return d.rows }
 // TRD returns the PIM window length.
 func (d *DBC) TRD() params.TRD { return d.trd }
 
-// SetTracer directs subsequent operation accounting to t (nil disables).
+// SetTracer directs subsequent operation accounting to t (nil detaches
+// it; an attached recorder keeps counting).
 func (d *DBC) SetTracer(t *trace.Tracer) { d.tracer = t }
 
 // Tracer returns the current tracer (possibly nil).
@@ -92,6 +94,43 @@ func (d *DBC) Source() telemetry.Source { return d.src }
 
 // SetFaultInjector enables fault injection on TRs and shifts.
 func (d *DBC) SetFaultInjector(f *device.FaultInjector) { d.inj = f }
+
+// Charge charges one control step of kind op touching wires nanowires
+// (or bits) to whichever of the tracer and the recorder is attached:
+// the one call a step makes. PIM operations that compute their result
+// word-parallel charge through it the steps the hardware would issue.
+func (d *DBC) Charge(op telemetry.Op, wires int) {
+	d.tracer.Charge(trace.Kind(op), wires)
+	d.rec.Step(d.src, op, wires)
+}
+
+// Stall charges n idle cycles (recovery backoff) to the tracer and to
+// the recorder under src, the component that ordered the wait.
+func (d *DBC) Stall(src telemetry.Source, n int) {
+	for i := 0; i < n; i++ {
+		d.tracer.Charge(trace.Stall, 0)
+		d.rec.Step(src, telemetry.OpStall, 0)
+	}
+}
+
+// chargeShift charges one shift step, attributed with the head offset
+// after it. The explicit nil guard keeps the disabled path at one
+// branch: Offset() is only computed when somebody listens.
+func (d *DBC) chargeShift() {
+	d.tracer.Charge(trace.Shift, d.width)
+	if d.rec != nil {
+		d.rec.StepShift(d.src, d.width, d.pa.Offset())
+	}
+}
+
+// chargePort charges one access-port step at port s, attributed with
+// the data row under it.
+func (d *DBC) chargePort(op telemetry.Op, wires int, s device.Side) {
+	d.tracer.Charge(trace.Kind(op), wires)
+	if d.rec != nil {
+		d.rec.StepPort(d.src, op, wires, d.pa.RowAtPort(s), portOf(s))
+	}
+}
 
 // checkRow validates a row argument width.
 func (d *DBC) checkRow(r Row) {
@@ -152,12 +191,7 @@ func (d *DBC) Shift(steps int) error {
 				return err
 			}
 		}
-		d.tracer.Shift(d.width)
-		if d.rec != nil {
-			// The explicit nil guard keeps the disabled path at one
-			// branch: Offset() is only computed when somebody listens.
-			d.rec.StepShift(d.src, d.width, d.pa.Offset())
-		}
+		d.chargeShift()
 	}
 	return nil
 }
@@ -207,10 +241,7 @@ func (d *DBC) ReadPort(s device.Side) Row {
 func (d *DBC) ReadPortInto(s device.Side, out Row) {
 	d.checkRow(out)
 	d.pa.ReadPort(s, out.Words)
-	d.tracer.Read(d.width)
-	if d.rec != nil {
-		d.rec.StepPort(d.src, telemetry.OpRead, d.width, d.pa.RowAtPort(s), portOf(s))
-	}
+	d.chargePort(telemetry.OpRead, d.width, s)
 }
 
 // portOf maps a device port side to the telemetry Pos encoding.
@@ -225,10 +256,7 @@ func portOf(s device.Side) int {
 func (d *DBC) WritePort(s device.Side, bits Row) {
 	d.checkRow(bits)
 	d.pa.WritePort(s, bits.Words)
-	d.tracer.Write(d.width)
-	if d.rec != nil {
-		d.rec.StepPort(d.src, telemetry.OpWrite, d.width, d.pa.RowAtPort(s), portOf(s))
-	}
+	d.chargePort(telemetry.OpWrite, d.width, s)
 }
 
 // WriteScatter performs, in one traced control step, a set of port writes
@@ -245,18 +273,19 @@ func (d *DBC) WriteScatter(writes []PortBit) {
 			right = true
 		}
 	}
-	d.tracer.Write(len(writes))
-	if d.rec != nil {
-		d.stepScatter(len(writes), left, right)
-	}
+	d.chargeScatter(len(writes), left, right)
 }
 
-// stepScatter records one scatter-write control step with wear
+// chargeScatter charges one scatter-write control step with wear
 // attribution: the touched row(s) are whatever sits under the used
 // port(s). With both ports written the event carries the left-port row
 // and PortBoth — the right-port row is TRD-1 rows further, which the
 // profiler reconstructs from the geometry.
-func (d *DBC) stepScatter(count int, left, right bool) {
+func (d *DBC) chargeScatter(count int, left, right bool) {
+	d.tracer.Charge(trace.Write, count)
+	if d.rec == nil {
+		return
+	}
 	switch {
 	case left && right:
 		d.rec.StepPort(d.src, telemetry.OpWrite, count, d.pa.RowAtPort(device.Left), telemetry.PortBoth)
@@ -332,8 +361,7 @@ func (d *DBC) TRAllPlanesInto(lp *LevelPlanes) {
 		device.PerturbTRPlanes(lp.C0, lp.C1, lp.C2, flip, up, int(d.trd))
 		d.rec.Fault(d.src, "tr-level", device.OnesCount(flip))
 	}
-	d.tracer.TR(d.width)
-	d.rec.Step(d.src, telemetry.OpTR, d.width)
+	d.Charge(telemetry.OpTR, d.width)
 }
 
 // TRAll performs a transverse read on every nanowire in one traced
@@ -381,8 +409,7 @@ func (d *DBC) TRWiresInto(levels []int, wires []int) error {
 		}
 		levels[w] = sensed
 	}
-	d.tracer.TR(len(wires))
-	d.rec.Step(d.src, telemetry.OpTR, len(wires))
+	d.Charge(telemetry.OpTR, len(wires))
 	return nil
 }
 
@@ -426,8 +453,7 @@ func (d *DBC) TRMaskedInto(lp *LevelPlanes, mask []uint64, wires int) {
 			}
 		}
 	}
-	d.tracer.TR(wires)
-	d.rec.Step(d.src, telemetry.OpTR, wires)
+	d.Charge(telemetry.OpTR, wires)
 }
 
 // WriteScatterPlanes performs, in one traced control step, word-parallel
@@ -439,10 +465,7 @@ func (d *DBC) TRMaskedInto(lp *LevelPlanes, mask []uint64, wires int) {
 func (d *DBC) WriteScatterPlanes(left, leftMask, right, rightMask []uint64, count int) {
 	d.pa.WritePortMasked(device.Left, left, leftMask)
 	d.pa.WritePortMasked(device.Right, right, rightMask)
-	d.tracer.Write(count)
-	if d.rec != nil {
-		d.stepScatter(count, leftMask != nil, rightMask != nil)
-	}
+	d.chargeScatter(count, leftMask != nil, rightMask != nil)
 }
 
 // TW performs a transverse write of a full row (§IV-B): on every wire the
@@ -452,10 +475,7 @@ func (d *DBC) WriteScatterPlanes(left, leftMask, right, rightMask []uint64, coun
 func (d *DBC) TW(bits Row) {
 	d.checkRow(bits)
 	d.pa.TW(bits.Words)
-	d.tracer.TW(d.width)
-	if d.rec != nil {
-		d.rec.StepPort(d.src, telemetry.OpTW, d.width, d.pa.RowAtPort(device.Left), telemetry.PortLeft)
-	}
+	d.chargePort(telemetry.OpTW, d.width, device.Left)
 }
 
 // WindowRow maps window position i (0 = left port) to the data row

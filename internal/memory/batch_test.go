@@ -2,7 +2,6 @@ package memory
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/params"
 	"repro/internal/pim"
+	"repro/internal/resilient"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/profile"
 )
@@ -154,7 +154,7 @@ func TestBatchTelemetryTotalsEqualSerial(t *testing.T) {
 	if gc, wc := bat.Recorder().Cycle(), serial.Recorder().Cycle(); gc != wc {
 		t.Errorf("cycle clock: batch %d, serial %d", gc, wc)
 	}
-	if ge, we := bat.Recorder().EnergyPJ(), serial.Recorder().EnergyPJ(); math.Abs(ge-we) > 1e-6 {
+	if ge, we := bat.Recorder().EnergyPJ(), serial.Recorder().EnergyPJ(); ge != we {
 		t.Errorf("energy: batch %v, serial %v", ge, we)
 	}
 	for op := telemetry.Op(0); op < telemetry.OpSpan; op++ {
@@ -174,6 +174,80 @@ func TestBatchTelemetryTotalsEqualSerial(t *testing.T) {
 	// The cycle-clock == trace.Stats contract survives the window markers.
 	if got, want := bat.Recorder().Cycle(), bat.Stats().Cycles(); got != uint64(want) {
 		t.Errorf("recorder cycle %d != stats cycles %d", got, want)
+	}
+}
+
+// TestRecorderEnergyIsPricedLedger: after mixed batch traffic — execs
+// of several opcodes next to writes, copies and reads — the memory
+// recorder's energy is its integer ledger priced once, exactly
+// Stats().EnergyPJ, also under NMR-3 recovery with injected faults
+// (replicas, retry stalls and votes on top of the plain steps).
+func TestRecorderEnergyIsPricedLedger(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prof FaultProfile
+		pol  resilient.Policy
+	}{
+		{name: "plain"},
+		{name: "nmr3+faults", prof: FaultProfile{TRProb: 5e-3, Seed: 13}, pol: resilient.DefaultPolicy()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := params.DefaultConfig()
+			cfg.Geometry.TrackWidth = 64
+			g := cfg.Geometry
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SetFaultProfile(tc.prof)
+			if err := m.SetRecovery(tc.pol); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(17))
+			ops := []isa.OpCode{isa.OpAdd, isa.OpMult, isa.OpMax, isa.OpXor}
+			for b := 0; b < 12; b++ {
+				reqs := make([]Request, 0, 16)
+				for bank := 0; bank < 8; bank++ {
+					in := isa.Instruction{Op: ops[rng.Intn(len(ops))], Src: pimAddr(g, bank, b%4, 0), Blocksize: 8, Operands: 2}
+					if in.Op == isa.OpMult {
+						in.Blocksize = 16
+					}
+					operands := []isa.Addr{pimAddr(g, bank, b%4, 0), pimAddr(g, bank, b%4, 1)}
+					for _, a := range operands {
+						vals := make([]uint64, g.TrackWidth/in.Blocksize)
+						for l := range vals {
+							vals[l] = uint64(rng.Intn(100))
+						}
+						if err := m.WriteRow(a, pim.MustPackLanes(vals, in.Blocksize, g.TrackWidth)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					dst := pimAddr(g, bank, b%4, 10)
+					reqs = append(reqs, Request{In: in, Operands: operands, Dst: dst})
+					side := isa.Addr{Bank: bank, Subarray: 1, Tile: 2, Row: b}
+					switch bank % 3 {
+					case 0:
+						row := pim.MustPackLanes([]uint64{uint64(rng.Intn(256))}, 8, g.TrackWidth)
+						reqs = append(reqs, Request{Kind: KindWrite, Dst: side, Row: row})
+					case 1:
+						reqs = append(reqs, Request{Kind: KindCopy, Src: dst, Dst: side})
+					default:
+						reqs = append(reqs, Request{Kind: KindRead, Src: side})
+					}
+				}
+				for i, r := range m.ExecuteBatch(reqs) {
+					if r.Err != nil {
+						t.Fatalf("batch %d request %d: %v", b, i, r.Err)
+					}
+				}
+			}
+			if tc.pol.Enabled() && m.Health().TotalDetected == 0 {
+				t.Fatal("no faults detected: the recovery path went unexercised")
+			}
+			if got, want := m.Recorder().EnergyPJ(), m.Stats().EnergyPJ(cfg.Energy, cfg.TRD); got != want {
+				t.Errorf("recorder energy %.17g != priced Stats %.17g", got, want)
+			}
+		})
 	}
 }
 

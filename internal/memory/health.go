@@ -210,7 +210,7 @@ func (m *Memory) findSpareLocked(victim isa.Addr) (isa.Addr, bool) {
 
 // remapShard replaces the victim shard's physical cluster with a fresh
 // one (the spare), migrating all rows. The shard object — and with it
-// the lock, the tracer and the telemetry source — survives, so in-flight
+// the lock and the telemetry source — survives, so in-flight
 // lock-ordering invariants are unaffected. The spare is built before the
 // shard lock is taken (newCluster reads cfg-class state) and swapped in
 // under it.
@@ -221,7 +221,7 @@ func (m *Memory) remapShard(base, spare isa.Addr) error {
 	if sh == nil {
 		return fmt.Errorf("memory: quarantined DBC %+v never materialized", base)
 	}
-	c, err := m.newCluster(base, spare, sh.tr)
+	c, err := m.newCluster(base, spare)
 	if err != nil {
 		return err
 	}

@@ -9,17 +9,19 @@
 // touched clusters exist.
 //
 // Concurrency model: the memory is striped per DBC — each materialized
-// cluster is a shard with its own lock and its own trace.Tracer, so
-// operations on disjoint clusters never contend (the bank-level
-// parallelism the DBC organization exists to provide). Multi-DBC
-// operations (CopyRow, Execute's operand staging) take the involved
-// shard locks in global address order, which makes deadlock impossible.
-// ExecuteBatch (batch.go) runs whole request groups under the same
-// striping, one group at a time on the calling goroutine. All accesses
-// are traced; Stats() merges the per-shard tracers under their locks,
-// so it is safe — and consistent — while operations are in flight. Every access is also recorded by the
-// memory's telemetry recorder, row movement included, so MoveStats is a
-// view over the unified telemetry counters rather than a bespoke tally.
+// cluster is a shard with its own lock, so operations on disjoint
+// clusters never contend (the bank-level parallelism the DBC
+// organization exists to provide). Multi-DBC operations (CopyRow,
+// Execute's operand staging) take the involved shard locks in global
+// address order, which makes deadlock impossible. ExecuteBatch
+// (batch.go) runs whole request groups under the same striping, one
+// group at a time on the calling goroutine.
+//
+// One ledger: every device step and row movement is charged once, to
+// the memory's always-on telemetry recorder. Stats, Moves and the
+// recorder's Cycle, Makespan and EnergyPJ all read it under its locks,
+// never a shard's, so they agree and are safe while operations are in
+// flight; replacing the recorder resets them together.
 package memory
 
 import (
@@ -52,10 +54,6 @@ var ErrCrossDBC = errors.New("memory: operand outside the executing DBC's bank")
 type shard struct {
 	mu   sync.Mutex
 	base isa.Addr
-	// tr is the shard's slice of the memory-wide device accounting;
-	// trace.Tracer is plain counters, so sharing one across shards would
-	// race. Stats() folds the shards together.
-	tr *trace.Tracer
 	cluster
 
 	// operands stages an exec's operand rows for dispatchOp (runPlan).
@@ -147,20 +145,12 @@ func (m *Memory) snapshotShards() []*shard {
 	return out
 }
 
-// Stats returns the accumulated device-primitive counts of every DBC.
-// It folds the per-shard tracers under their locks, one shard at a
-// time, so it is safe to call while operations — including a batch —
-// are in flight and never blocks the whole memory.
-func (m *Memory) Stats() trace.Stats {
-	var total trace.Stats
-	for _, sh := range m.snapshotShards() {
-		sh.mu.Lock()
-		s := sh.tr.Stats()
-		sh.mu.Unlock()
-		total.Add(s)
-	}
-	return total
-}
+// Stats returns the device-primitive counts of the memory's recorder
+// (Recorder().Stats()): every step its DBCs charged since the recorder
+// was attached, plus those of anything else sharing the recorder. It
+// takes no shard lock, so it is safe to call while operations —
+// including a batch — are in flight.
+func (m *Memory) Stats() trace.Stats { return m.Recorder().Stats() }
 
 // Moves returns the row-movement counters, derived from the unified
 // telemetry metrics. Events of an in-flight batch appear as its
@@ -254,24 +244,23 @@ func (m *Memory) shardFor(a isa.Addr) (*shard, error) {
 	if sh, ok := m.shards[base]; ok {
 		return sh, nil
 	}
-	tr := &trace.Tracer{}
-	c, err := m.newCluster(base, base, tr)
+	c, err := m.newCluster(base, base)
 	if err != nil {
 		return nil, err
 	}
-	sh = &shard{base: base, tr: tr, cluster: c}
+	sh = &shard{base: base, cluster: c}
 	m.shards[base] = sh
 	return sh, nil
 }
 
 // newCluster builds the physical cluster at phys that backs the logical
 // DBC base — phys is base for a fresh shard and the spare for a remap.
-// The cluster accounts into tr, carries the fault profile's injector
-// seeded at phys, records under base's telemetry source, and on a
-// PIM-enabled location runs under a recovery executor when a policy is
-// set. It reads the attachment state under cfgMu, so callers must not
-// hold a shard lock.
-func (m *Memory) newCluster(base, phys isa.Addr, tr *trace.Tracer) (cluster, error) {
+// The cluster carries the fault profile's injector seeded at phys,
+// charges its steps to the memory's recorder alone (no tracer) under
+// base's telemetry source, and on a PIM-enabled location runs under a
+// recovery executor when a policy is set. It reads the attachment state
+// under cfgMu, so callers must not hold a shard lock.
+func (m *Memory) newCluster(base, phys isa.Addr) (cluster, error) {
 	m.cfgMu.Lock()
 	rec, pol := m.rec, m.pol
 	m.cfgMu.Unlock()
@@ -281,7 +270,6 @@ func (m *Memory) newCluster(base, phys isa.Addr, tr *trace.Tracer) (cluster, err
 		if err != nil {
 			return cluster{}, err
 		}
-		d.SetTracer(tr)
 		d.SetFaultInjector(inj)
 		d.SetTelemetry(rec, srcFor(base))
 		return cluster{d: d}, nil
@@ -290,7 +278,7 @@ func (m *Memory) newCluster(base, phys isa.Addr, tr *trace.Tracer) (cluster, err
 	if err != nil {
 		return cluster{}, err
 	}
-	u.SetTracer(tr)
+	u.D.SetTracer(nil)
 	u.D.SetFaultInjector(inj)
 	u.SetTelemetry(rec, srcFor(base))
 	c := cluster{d: u.D, u: u}
@@ -727,9 +715,9 @@ func (m *Memory) runPlan(p execPlan, shards []*shard) (dbc.Row, error) {
 	var err error
 	if ex := execSh.ex; ex != nil {
 		// Recovered path: the executor re-runs the op per its policy,
-		// prices retries into the shard tracer, and reports detected
-		// faults to the health ledger (quarantines are processed by the
-		// caller once all locks are released).
+		// charges retry backoff to the executing DBC, and reports
+		// detected faults to the health ledger (quarantines are
+		// processed by the caller once all locks are released).
 		var out resilient.Outcome
 		result, out, err = ex.Do(p.in.Op.String(), func() (dbc.Row, error) {
 			return dispatchOp(u, p.in, rows)

@@ -233,9 +233,10 @@ func TestMemoryFaultInjection(t *testing.T) {
 
 // TestStatsCountUnitChargedSteps: every device step a PIM opcode costs
 // reaches Memory.Stats(), including the steps the unit charges itself
-// rather than through its DBC (the multiplier's predicated copies and
-// reductions, ReLU's refresh, the div/shift/fma step charges) — so the
-// traced cycles equal the telemetry clock after each opcode.
+// through dbc.Charge rather than by a DBC primitive (the multiplier's
+// predicated copies and reductions, ReLU's refresh, the div/shift/fma
+// step charges) — so the ledger's cycles equal the telemetry clock
+// after each opcode.
 func TestStatsCountUnitChargedSteps(t *testing.T) {
 	pimAddr := isa.Addr{Tile: 0, DBC: 15}
 	a := isa.Addr{Tile: 1, Row: 0}

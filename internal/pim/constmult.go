@@ -156,10 +156,8 @@ func (u *Unit) ConstMultiply(a dbc.Row, c uint64, bw int) (dbc.Row, error) {
 	shifted[0] = a
 	for s := 1; s <= maxShift; s++ {
 		shifted[s] = laneShiftLeft(shifted[s-1], laneW)
-		u.tr.Copy(width)
-		u.rec.Step(u.src, telemetry.OpCopy, width)
-		u.tr.Shift(width)
-		u.rec.Step(u.src, telemetry.OpShift, width)
+		u.D.Charge(telemetry.OpCopy, width)
+		u.D.Charge(telemetry.OpShift, width)
 	}
 
 	var sum dbc.Row
@@ -175,8 +173,7 @@ func (u *Unit) ConstMultiply(a dbc.Row, c uint64, bw int) (dbc.Row, error) {
 				// −x = ~x + 1 (mod 2^laneW): complement the term and
 				// accumulate the +1 into the shared correction row.
 				term = complementLanes(term, laneW)
-				u.tr.Logic() // inverted read through the NOR path
-				u.rec.Step(u.src, telemetry.OpLogic, 0)
+				u.D.Charge(telemetry.OpLogic, 0) // inverted read through the NOR path
 				correction++
 			}
 			operands = append(operands, term)

@@ -50,8 +50,8 @@ func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
 		notd.Words[i] = ^w
 	}
 	notd.MaskTail()
-	u.chargeStep(telemetry.OpTR, width)
-	u.chargeStep(telemetry.OpWrite, width)
+	u.D.Charge(telemetry.OpTR, width)
+	u.D.Charge(telemetry.OpWrite, width)
 	one := u.scratchRow()
 	for l := 0; l < lanes; l++ {
 		one.Set(l*b, 1)
@@ -75,7 +75,7 @@ func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
 				rem.Set(l*b, 1)
 			}
 		}
-		u.chargeStep(telemetry.OpShift, width)
+		u.D.Charge(telemetry.OpShift, width)
 		// Trial subtraction on the carry chain.
 		if err := u.subChainInto(diff, rem, notd, one, b); err != nil {
 			return dbc.Row{}, dbc.Row{}, err
@@ -96,7 +96,7 @@ func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
 			rem.Words[i] = diff.Words[i]&take.Words[i] | rem.Words[i]&^take.Words[i]
 		}
 		rem.MaskTail()
-		u.chargeStep(telemetry.OpCopy, width)
+		u.D.Charge(telemetry.OpCopy, width)
 	}
 	q.MaskTail()
 	return q, copyRow(rem), nil
@@ -161,9 +161,9 @@ func (u *Unit) DivModSigned(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, erro
 			laneNegate(magD, l, b)
 		}
 	}
-	u.chargeStep(telemetry.OpTR, width)
-	u.chargeStep(telemetry.OpWrite, width)
-	u.chargeStep(telemetry.OpCopy, width)
+	u.D.Charge(telemetry.OpTR, width)
+	u.D.Charge(telemetry.OpWrite, width)
+	u.D.Charge(telemetry.OpCopy, width)
 
 	q, r, err := u.DivMod(magA, magD, b)
 	if err != nil {
@@ -190,9 +190,9 @@ func (u *Unit) DivModSigned(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, erro
 	}
 	q.MaskTail()
 	r.MaskTail()
-	u.chargeStep(telemetry.OpTR, width)
-	u.chargeStep(telemetry.OpWrite, width)
-	u.chargeStep(telemetry.OpCopy, width)
+	u.D.Charge(telemetry.OpTR, width)
+	u.D.Charge(telemetry.OpWrite, width)
+	u.D.Charge(telemetry.OpCopy, width)
 	return q, r, nil
 }
 

@@ -44,8 +44,8 @@ func (u *Unit) FMA(a, b, c dbc.Row, bw int) (dbc.Row, error) {
 	// The addend joins the reduction set in the window: one write step
 	// plus one placement shift, like any operand entering the window.
 	rows = append(rows, c)
-	u.chargeStep(telemetry.OpWrite, width)
-	u.chargeStep(telemetry.OpShift, width)
+	u.D.Charge(telemetry.OpWrite, width)
+	u.D.Charge(telemetry.OpShift, width)
 	return u.reduceAndAddScratch(rows, laneW, min(int(u.cfg.TRD), len(rows)))
 }
 

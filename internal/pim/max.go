@@ -94,10 +94,8 @@ func (u *Unit) ReLU(row dbc.Row, blocksize int) (dbc.Row, error) {
 		return dbc.Row{}, fmt.Errorf("pim: row width %d, want %d", row.N, width)
 	}
 	lanes := width / blocksize
-	u.tr.Read(lanes) // sign-bit wires into the row buffer
-	u.rec.Step(u.src, telemetry.OpRead, lanes)
-	u.tr.Write(width) // predicated refresh
-	u.rec.Step(u.src, telemetry.OpWrite, width)
+	u.D.Charge(telemetry.OpRead, lanes)  // sign-bit wires into the row buffer
+	u.D.Charge(telemetry.OpWrite, width) // predicated refresh
 	out := row.Clone()
 	for l := 0; l < lanes; l++ {
 		if out.Get(l*blocksize+blocksize-1) == 1 {

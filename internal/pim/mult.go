@@ -60,8 +60,7 @@ func (u *Unit) genPartialProducts(pps []dbc.Row, a, b dbc.Row, laneW, bw int) []
 	width := u.D.Width()
 
 	// Step 1: multiplier into the row buffer.
-	u.tr.Read(width)
-	u.rec.Step(u.src, telemetry.OpRead, width)
+	u.D.Charge(telemetry.OpRead, width)
 
 	// Step 2: predicated shifted copies (§III-D: "to write k shifted
 	// copies with a max logical distance of k requires k shifted
@@ -82,10 +81,8 @@ func (u *Unit) genPartialProducts(pps []dbc.Row, a, b dbc.Row, laneW, bw int) []
 		pp := u.scratchRow()
 		maskByMultiplierBitInto(pp, cur, b, i, laneW)
 		pps = append(pps, pp)
-		u.tr.Copy(width)
-		u.rec.Step(u.src, telemetry.OpCopy, width)
-		u.tr.Shift(width)
-		u.rec.Step(u.src, telemetry.OpShift, width)
+		u.D.Charge(telemetry.OpCopy, width)
+		u.D.Charge(telemetry.OpShift, width)
 	}
 	return pps
 }
@@ -111,21 +108,15 @@ func (u *Unit) reduceAndAddScratch(rows []dbc.Row, laneW, inWindow int) (dbc.Row
 		k := min(trdN, len(rows))
 		for r := inWindow; r < k; r++ {
 			// Rotate an out-of-window row in: one shift, one write.
-			u.tr.Shift(width)
-			u.rec.Step(u.src, telemetry.OpShift, width)
-			u.tr.Write(width)
-			u.rec.Step(u.src, telemetry.OpWrite, width)
+			u.D.Charge(telemetry.OpShift, width)
+			u.D.Charge(telemetry.OpWrite, width)
 		}
 		red := u.reduceRowsScratch(rows[:k], laneW, hasCp)
-		u.tr.TR(width)
-		u.rec.Step(u.src, telemetry.OpTR, width)
-		u.tr.Write(width) // S through the left port
-		u.rec.Step(u.src, telemetry.OpWrite, width)
-		u.tr.TW(width) // C rotated in by transverse write
-		u.rec.Step(u.src, telemetry.OpTW, width)
+		u.D.Charge(telemetry.OpTR, width)
+		u.D.Charge(telemetry.OpWrite, width) // S through the left port
+		u.D.Charge(telemetry.OpTW, width)    // C rotated in by transverse write
 		if hasCp {
-			u.tr.TW(width) // C'
-			u.rec.Step(u.src, telemetry.OpTW, width)
+			u.D.Charge(telemetry.OpTW, width) // C'
 		}
 		// Splice the reduction outputs over rows[:k] in place: the
 		// outputs are fresh scratch rows, so no aliasing with the tail.

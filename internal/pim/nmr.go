@@ -111,8 +111,7 @@ func (u *Unit) AddMultiNMR(n int, operands []dbc.Row, blocksize int) (dbc.Row, e
 				votesCp[t] += int(o.Cp)
 			}
 		}
-		u.Tracer().Logic() // the majority evaluation (C' circuit reuse)
-		u.rec.Step(u.src, telemetry.OpLogic, 0)
+		u.D.Charge(telemetry.OpLogic, 0) // the majority evaluation (C' circuit reuse)
 		writes := make([]dbc.PortBit, 0, 3*len(wires))
 		for _, t := range wires {
 			s := majBit(votesS[t], n)

@@ -6,9 +6,12 @@
 // N-modular redundancy voting (§III-F).
 //
 // Every operation runs functionally on the bit-level DBC model — results
-// are exact and are property-tested against integer arithmetic — while a
-// trace.Tracer counts the device primitives from which cycle latency and
-// energy derive. Cycle-count anchors from the paper (§V-B): an 8-bit
+// are exact and are property-tested against integer arithmetic — while
+// each device step is charged once to the DBC's ledger: the unit's own
+// trace.Tracer, and the telemetry.Recorder when one is attached (a
+// memory.Memory strips the tracer and counts on its recorder alone).
+// Cycle latency and energy derive from those counts. Cycle-count
+// anchors from the paper (§V-B): an 8-bit
 // five-operand add takes 10 cycles of operand placement plus 16 cycles of
 // per-bit TR+write = 26 cycles; one 7→3 reduction takes 4 cycles.
 package pim
@@ -27,7 +30,6 @@ import (
 type Unit struct {
 	D   *dbc.DBC
 	cfg params.Config
-	tr  *trace.Tracer
 	rec *telemetry.Recorder
 	src telemetry.Source
 
@@ -50,9 +52,8 @@ func NewUnit(cfg params.Config) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := &Unit{D: d, cfg: cfg, tr: &trace.Tracer{}, lp: dbc.NewLevelPlanes(cfg.Geometry.TrackWidth)}
-	d.SetTracer(u.tr)
-	return u, nil
+	d.SetTracer(&trace.Tracer{})
+	return &Unit{D: d, cfg: cfg, lp: dbc.NewLevelPlanes(cfg.Geometry.TrackWidth)}, nil
 }
 
 // MustNewUnit is NewUnit for configurations known to be valid.
@@ -73,16 +74,11 @@ func (u *Unit) Width() int { return u.D.Width() }
 // TRD returns the unit's transverse-read distance.
 func (u *Unit) TRD() params.TRD { return u.cfg.TRD }
 
-// Tracer exposes the unit's primitive-op accounting.
-func (u *Unit) Tracer() *trace.Tracer { return u.tr }
-
-// SetTracer directs subsequent accounting to t (nil disables): both the
-// steps its DBC traces and the steps the unit charges itself (chargeStep,
-// the multiplier's predicated copies and reductions, ReLU's refresh).
-func (u *Unit) SetTracer(t *trace.Tracer) {
-	u.tr = t
-	u.D.SetTracer(t)
-}
+// Tracer exposes the unit's primitive-op accounting: its DBC's tracer,
+// which also counts the steps the unit charges itself (the multiplier's
+// predicated copies and reductions, ReLU's refresh). Nil once a memory
+// has detached it.
+func (u *Unit) Tracer() *trace.Tracer { return u.D.Tracer() }
 
 // SetTelemetry attaches a telemetry recorder to the unit and its DBC
 // (nil disables); src tags the unit's events and names its track in the
@@ -108,14 +104,14 @@ func (u *Unit) TelemetrySource() telemetry.Source { return u.src }
 func (u *Unit) Span(name string) func() { return u.rec.Span(u.src, name) }
 
 // Stats returns the accumulated primitive counts.
-func (u *Unit) Stats() trace.Stats { return u.tr.Stats() }
+func (u *Unit) Stats() trace.Stats { return u.Tracer().Stats() }
 
 // ResetStats clears the accumulated counters.
-func (u *Unit) ResetStats() { u.tr.Reset() }
+func (u *Unit) ResetStats() { u.Tracer().Reset() }
 
 // Cost converts the accumulated trace into a latency/energy cost.
 func (u *Unit) Cost() trace.Cost {
-	return trace.OfStats(u.tr.Stats(), u.cfg.Energy, u.cfg.TRD)
+	return trace.OfStats(u.Stats(), u.cfg.Energy, u.cfg.TRD)
 }
 
 // maxAddOperands returns the operand limit for multi-operand addition.
@@ -180,30 +176,6 @@ func (u *Unit) placeWindow(rows []dbc.Row, pad uint8, finalShift bool) error {
 		u.D.PokeWindowConst(0, pad)
 	}
 	return nil
-}
-
-// chargeStep charges one device control step of the given kind across
-// width wires to both cost sinks: the primitive tracer (latency/energy
-// derivation) and the telemetry recorder (cycle clock). Operations whose
-// functional result is computed word-parallel use it to account the
-// device steps the hardware would issue, exactly as Multiply charges its
-// predicated copy/shift pairs.
-func (u *Unit) chargeStep(op telemetry.Op, width int) {
-	switch op {
-	case telemetry.OpShift:
-		u.tr.Shift(width)
-	case telemetry.OpTR:
-		u.tr.TR(width)
-	case telemetry.OpTW:
-		u.tr.TW(width)
-	case telemetry.OpRead:
-		u.tr.Read(width)
-	case telemetry.OpWrite:
-		u.tr.Write(width)
-	case telemetry.OpCopy:
-		u.tr.Copy(width)
-	}
-	u.rec.Step(u.src, op, width)
 }
 
 // trAll performs a traced whole-DBC transverse read into the unit's

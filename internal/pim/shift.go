@@ -42,11 +42,11 @@ func (u *Unit) LogicalShift(a dbc.Row, amount, blocksize int, left bool) (dbc.Ro
 	} else {
 		laneShiftRightKInto(out, a, blocksize, amount)
 	}
-	u.chargeStep(telemetry.OpRead, width)
+	u.D.Charge(telemetry.OpRead, width)
 	for s := 0; s < amount; s++ {
-		u.chargeStep(telemetry.OpShift, width)
+		u.D.Charge(telemetry.OpShift, width)
 	}
-	u.chargeStep(telemetry.OpWrite, width)
+	u.D.Charge(telemetry.OpWrite, width)
 	return out, nil
 }
 

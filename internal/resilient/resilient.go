@@ -248,8 +248,7 @@ func (e *Executor) Do(name string, op func() (dbc.Row, error)) (dbc.Row, Outcome
 			stall := e.Policy.BackoffCycles << attempt
 			if stall > 0 {
 				out.StallCycles += stall
-				e.U.D.Tracer().Stall(stall)
-				rec.Stall(Source, stall)
+				e.U.D.Stall(Source, stall)
 			}
 			rec.Mark(Source, "retry:"+name, attempt+1)
 			continue

@@ -360,22 +360,18 @@ func (s *Server) runCompile(shard int, mem *memory.Memory, j *job) {
 		j.cerr = fmt.Errorf("%w: %v", ErrBadRequest, err)
 		return
 	}
-	var rec *telemetry.Recorder
-	if s.recs != nil {
-		rec = s.recs[shard]
-	}
-	var cycles0, span0 uint64
-	if rec != nil {
-		cycles0, span0 = rec.Cycle(), rec.Makespan()
-	}
+	// Every shard memory records, telemetry or not: read its recorder.
+	rec := mem.Recorder()
+	cycles0, span0 := rec.Cycle(), rec.Makespan()
 	if err := res.Plan.Run(mem); err != nil {
 		j.cerr = err
 		return
 	}
-	out := &CompileResponse{Shard: shard, Outputs: make([]CompileOutput, 0, len(res.Outputs))}
-	if rec != nil {
-		out.Cycles = rec.Cycle() - cycles0
-		out.Makespan = rec.Makespan() - span0
+	out := &CompileResponse{
+		Shard:    shard,
+		Cycles:   rec.Cycle() - cycles0,
+		Makespan: rec.Makespan() - span0,
+		Outputs:  make([]CompileOutput, 0, len(res.Outputs)),
 	}
 	for _, o := range res.Outputs {
 		row, err := mem.ReadRow(o.Addr)

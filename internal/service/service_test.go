@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/isa/compile"
 	"repro/internal/memory"
 	"repro/internal/params"
 	"repro/internal/pim"
@@ -161,13 +162,7 @@ func TestBatchAndCompile(t *testing.T) {
 		t.Fatalf("read lane 0 = %d, want 9", resp.Results[1].Values[0])
 	}
 
-	cres, err := api.Compile(ctx, CompileRequest{Shard: &shard, Level: 2, Source: `
-%x = load b0.s0.t1.d0.r0
-%w = load b0.s0.t1.d0.r1
-%b = load b0.s0.t1.d0.r2
-%y = fma %x, %w, %b bs=8
-store %y, b0.s0.t2.d1.r0
-`})
+	cres, err := api.Compile(ctx, CompileRequest{Shard: &shard, Level: 2, Source: fmaKernel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +172,63 @@ store %y, b0.s0.t2.d1.r0
 	// fma lane 0: 1*9 + 4 = 13.
 	if cres.Outputs[0].Values[0] != 13 {
 		t.Fatalf("compiled fma lane 0 = %d, want 13", cres.Outputs[0].Values[0])
+	}
+}
+
+// fmaKernel is a one-op pimasm program over rows 0–2 of b0.s0.t1.d0.
+const fmaKernel = `
+%x = load b0.s0.t1.d0.r0
+%w = load b0.s0.t1.d0.r1
+%b = load b0.s0.t1.d0.r2
+%y = fma %x, %w, %b bs=8
+store %y, b0.s0.t2.d1.r0
+`
+
+// TestCompileCostWithoutTelemetry: with telemetry off, a compile reply
+// still reports its plan's cycles and makespan — every shard memory
+// records — and they equal a mirror memory's recorder deltas for the
+// same plan run from the same state.
+func TestCompileCostWithoutTelemetry(t *testing.T) {
+	srv, api := startServer(t, Config{Shards: 1, Telemetry: false})
+	ctx := context.Background()
+	shard := 0
+	mirror, err := memory.New(srv.cfg.Device)
+	if err != nil {
+		t.Fatal(err)
+	}
+	width := srv.cfg.Device.Geometry.TrackWidth
+	for r := 0; r < 3; r++ {
+		vals := make([]uint64, 8)
+		for i := range vals {
+			vals[i] = uint64((r*8+i)%13 + 1)
+		}
+		dst := Addr{Tile: 1, DBC: 0, Row: r}
+		if _, err := api.Execute(ctx, ExecuteRequest{Shard: &shard, Request: Request{
+			Op: "write", Dst: &dst, Blocksize: 8, Values: vals,
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := mirror.WriteRow(dst.isa(), pim.MustPackLanes(vals, 8, width)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cres, err := api.Compile(ctx, CompileRequest{Shard: &shard, Level: 2, Source: fmaKernel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := compile.Compile(fmaKernel, srv.cfg.Device, compile.Options{Level: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := mirror.Recorder()
+	cycles0, span0 := rec.Cycle(), rec.Makespan()
+	if err := res.Plan.Run(mirror); err != nil {
+		t.Fatal(err)
+	}
+	if cres.Cycles == 0 || cres.Cycles != rec.Cycle()-cycles0 || cres.Makespan != rec.Makespan()-span0 {
+		t.Errorf("reply cycles=%d makespan=%d, mirror cycles=%d makespan=%d",
+			cres.Cycles, cres.Makespan, rec.Cycle()-cycles0, rec.Makespan()-span0)
 	}
 }
 

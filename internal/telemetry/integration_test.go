@@ -1,5 +1,6 @@
 // Integration tests pairing the telemetry recorder with the real
-// engine: the cycle clock must agree with trace.Stats exactly, faults
+// engine: the recorder's ledger, cycle clock and energy must agree with
+// trace.Stats exactly, faults
 // must surface as tagged events, and the Chrome export of a real
 // workload must validate.
 package telemetry_test
@@ -15,6 +16,7 @@ import (
 	"repro/internal/params"
 	"repro/internal/pim"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 func packed(t *testing.T, u *pim.Unit, vals []uint64, lane int) dbc.Row {
@@ -28,8 +30,8 @@ func packed(t *testing.T, u *pim.Unit, vals []uint64, lane int) dbc.Row {
 
 // TestRecorderClockMatchesTraceStats drives every major PIM op and
 // asserts the telemetry cycle clock equals trace.Stats.Cycles() — the
-// one-cycle-per-control-step contract — and that the recorded energy
-// matches the priced trace.
+// one-cycle-per-control-step contract — and that the recorder's ledger
+// and energy equal the tracer's counts and their price exactly.
 func TestRecorderClockMatchesTraceStats(t *testing.T) {
 	cfg := params.DefaultConfig()
 	cfg.Geometry.TrackWidth = 64
@@ -81,7 +83,10 @@ func TestRecorderClockMatchesTraceStats(t *testing.T) {
 	if got, want := rec.Cycle(), uint64(stats.Cycles()); got != want {
 		t.Errorf("telemetry clock %d != trace cycles %d", got, want)
 	}
-	if got, want := rec.EnergyPJ(), stats.EnergyPJ(cfg.Energy, cfg.TRD); !closeEnough(got, want) {
+	if got := rec.Stats(); got != stats {
+		t.Errorf("recorder ledger %v != trace %v", got, stats)
+	}
+	if got, want := rec.EnergyPJ(), stats.EnergyPJ(cfg.Energy, cfg.TRD); got != want {
 		t.Errorf("telemetry energy %v != trace energy %v", got, want)
 	}
 	// Per-op step counts mirror the trace step counters one-to-one.
@@ -105,12 +110,57 @@ func TestRecorderClockMatchesTraceStats(t *testing.T) {
 	}
 }
 
-func closeEnough(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
+// TestOneChargeReachesBothLedgers charges each step kind once through
+// the DBC of a unit carrying both a tracer and a recorder: the one call
+// must land in both, so the tracer's counts, the recorder's ledger,
+// clock and energy, and the event's priced energy all agree exactly.
+func TestOneChargeReachesBothLedgers(t *testing.T) {
+	cfg := params.DefaultConfig()
+	cfg.Geometry.TrackWidth = 64
+	for _, c := range []struct {
+		op    telemetry.Op
+		wires int
+		want  trace.Stats
+	}{
+		{telemetry.OpShift, 64, trace.Stats{ShiftSteps: 1, ShiftWires: 64}},
+		{telemetry.OpTR, 64, trace.Stats{TRSteps: 1, TRWires: 64}},
+		{telemetry.OpWrite, 24, trace.Stats{WriteSteps: 1, WriteBits: 24}},
+		{telemetry.OpRead, 8, trace.Stats{ReadSteps: 1, ReadBits: 8}},
+		{telemetry.OpTW, 64, trace.Stats{TWSteps: 1, TWBits: 64}},
+		{telemetry.OpCopy, 64, trace.Stats{CopySteps: 1, CopyBits: 64}},
+		{telemetry.OpLogic, 0, trace.Stats{LogicSteps: 1}},
+		{telemetry.OpStall, 0, trace.Stats{StallSteps: 1}},
+	} {
+		t.Run(c.op.String(), func(t *testing.T) {
+			u, err := pim.NewUnit(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring := telemetry.NewRingSink(8)
+			rec := telemetry.NewRecorder(cfg, ring)
+			u.SetTelemetry(rec, "u0")
+			u.D.Charge(c.op, c.wires)
+
+			st := u.Stats()
+			if st != c.want {
+				t.Fatalf("tracer %+v, want %+v", st, c.want)
+			}
+			if got := rec.Stats(); got != st {
+				t.Errorf("recorder ledger %+v != tracer %+v", got, st)
+			}
+			if got := rec.Cycle(); got != 1 {
+				t.Errorf("recorder clock %d, want 1", got)
+			}
+			pj := st.EnergyPJ(cfg.Energy, cfg.TRD)
+			if got := rec.EnergyPJ(); got != pj {
+				t.Errorf("recorder energy %v != priced tracer %v", got, pj)
+			}
+			ev := ring.Events()
+			if len(ev) != 1 || ev[0].Op != c.op || ev[0].Wires != c.wires || ev[0].EnergyPJ != pj {
+				t.Errorf("events %+v, want one %v step of %d wires at %v pJ", ev, c.op, c.wires, pj)
+			}
+		})
 	}
-	return d <= 1e-6*(1+b)
 }
 
 // TestFaultsAppearAsTaggedEvents composes telemetry with the fault

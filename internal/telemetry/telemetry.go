@@ -18,9 +18,13 @@
 // machine-readable exposition is the profiler's Prometheus text
 // (internal/telemetry/profile).
 //
-// The cycle clock follows the same rule as trace.Stats.Cycles(): one
-// cycle per control step. A Recorder attached next to a trace.Tracer
-// therefore agrees with it exactly (telemetry tests assert this).
+// A Recorder is also a cost ledger: it keeps the integer step and wire
+// totals of everything it records (Stats), its cycle clock follows
+// trace.Stats.Cycles() — one cycle per control step — and its energy is
+// those totals priced once (EnergyPJ). A memory.Memory reads its device
+// cost from its recorder alone; a standalone DBC or PIM unit that also
+// carries a trace.Tracer charges both from one call per step, so the two
+// agree exactly (telemetry tests assert this).
 //
 // Overhead contract: a nil *Recorder is valid, discards everything and
 // costs a single inlineable nil check per hook, so the disabled engine
@@ -41,24 +45,28 @@ import (
 // movement inside a memory, and higher-level spans.
 type Op uint8
 
-// Event kinds. The first eight mirror the control-step counters of
-// trace.Stats one-to-one.
+// Event kinds. The first eight are the control steps of trace.Kind,
+// value for value, so trace.Kind(op) converts a step kind.
 const (
-	OpShift    Op = iota // DBC-wide domain-wall shift step
-	OpTR                 // transverse-read step
-	OpWrite              // access-port write step
-	OpRead               // access-port read step
-	OpTW                 // transverse-write step
-	OpCopy               // laterally shifted read/write step
-	OpLogic              // PIM-logic / row-buffer-only step
-	OpStall              // idle cycle (recovery backoff); costs latency, no energy
-	OpFault              // injected or detected fault (zero-duration, tagged)
-	OpRowRead            // memory row read (row movement, not a cycle)
-	OpRowWrite           // memory row write
-	OpRowCopy            // row-buffer transfer between DBCs
-	OpMark               // zero-duration tagged control event (retry, giveup, quarantine)
-	OpSpan               // higher-level operation span (Begin/End pair)
-	OpWindow             // parallelism-window marker (begin/lane/end, makespan accounting)
+	OpShift = Op(trace.Shift) // DBC-wide domain-wall shift step
+	OpTR    = Op(trace.TR)    // transverse-read step
+	OpWrite = Op(trace.Write) // access-port write step
+	OpRead  = Op(trace.Read)  // access-port read step
+	OpTW    = Op(trace.TW)    // transverse-write step
+	OpCopy  = Op(trace.Copy)  // laterally shifted read/write step
+	OpLogic = Op(trace.Logic) // PIM-logic / row-buffer-only step
+	OpStall = Op(trace.Stall) // idle cycle (recovery backoff); costs latency, no energy
+)
+
+// Instant, span and window kinds follow the step kinds.
+const (
+	OpFault    Op = OpStall + 1 + iota // injected or detected fault (zero-duration, tagged)
+	OpRowRead                          // memory row read (row movement, not a cycle)
+	OpRowWrite                         // memory row write
+	OpRowCopy                          // row-buffer transfer between DBCs
+	OpMark                             // zero-duration tagged control event (retry, giveup, quarantine)
+	OpSpan                             // higher-level operation span (Begin/End pair)
+	OpWindow                           // parallelism-window marker (begin/lane/end, makespan accounting)
 
 	numOps
 )
@@ -160,10 +168,10 @@ type Sink interface {
 }
 
 // Recorder is the telemetry hub: it timestamps events on a cycle clock,
-// prices them with the configured energy table, updates Metrics and
-// fans them out to the attached sinks. A nil *Recorder is valid and
-// records nothing — the hooks threaded through the engine cost one
-// branch when telemetry is disabled.
+// prices them with the configured energy table, counts them in its
+// ledger, updates Metrics and fans them out to the attached sinks. A
+// nil *Recorder is valid and records nothing — the hooks threaded
+// through the engine cost one branch when telemetry is disabled.
 //
 // A Recorder is safe for concurrent use; a single lock serializes the
 // clock, mirroring the one memory controller in front of the arrays.
@@ -171,35 +179,34 @@ type Recorder struct {
 	mu      sync.Mutex
 	cycle   uint64
 	tl      trace.Timeline // per-window critical-path accounting
-	totalPJ float64
-	energy  params.Energy
-	trd     params.TRD
+	ledger  trace.Tracer   // integer step and wire totals by kind
+	price   trace.Prices   // per-wire energy of each step kind
 	sinks   []Sink
 	metrics *Metrics
 	spans   map[Source][]spanFrame
 }
 
+// spanFrame is an open span: its name and the ledger when it began.
 type spanFrame struct {
-	name        string
-	startCycle  uint64
-	startEnergy float64
+	name  string
+	start trace.Stats
 }
 
 // NewRecorder returns a recorder pricing events with cfg's energy table
 // and emitting to the given sinks (none is valid: metrics only).
 func NewRecorder(cfg params.Config, sinks ...Sink) *Recorder {
 	return &Recorder{
-		energy:  cfg.Energy,
-		trd:     cfg.TRD,
+		price:   trace.PricesFor(cfg.Energy, cfg.TRD),
 		sinks:   sinks,
 		metrics: NewMetrics(),
 		spans:   make(map[Source][]spanFrame),
 	}
 }
 
-// Step records one primitive control step of kind op at src touching
-// wires nanowires (or bits), advancing the cycle clock by one — the
-// same one-cycle-per-control-step rule as trace.Stats.Cycles(). The
+// Step records one primitive control step of kind op (a step kind,
+// OpShift through OpStall) at src touching wires nanowires (or bits),
+// advancing the cycle clock by one — the same one-cycle-per-control-step
+// rule as trace.Stats.Cycles() — and charging the ledger. The
 // wrapper stays small enough to inline so the nil (disabled) path costs
 // a single branch.
 func (r *Recorder) Step(src Source, op Op, wires int) {
@@ -245,50 +252,18 @@ func (r *Recorder) step(src Source, op Op, wires, row, pos int) {
 		Src:      src,
 		Cycle:    r.cycle,
 		Wires:    wires,
-		EnergyPJ: r.stepEnergy(op, wires),
+		EnergyPJ: float64(wires) * r.price[op],
 		Row:      row,
 		Pos:      pos,
 	}
 	r.cycle++
 	r.tl.Step()
-	r.totalPJ += e.EnergyPJ
+	r.ledger.Charge(trace.Kind(op), wires)
 	r.metrics.record(e)
 	for _, s := range r.sinks {
 		s.Emit(e)
 	}
 	r.mu.Unlock()
-}
-
-// stepEnergy prices one control step, mirroring trace.Stats.EnergyPJ.
-func (r *Recorder) stepEnergy(op Op, wires int) float64 {
-	switch op {
-	case OpShift:
-		return float64(wires) * r.energy.ShiftPJ
-	case OpTR:
-		return float64(wires) * r.energy.TRPJ(r.trd)
-	case OpWrite:
-		return float64(wires) * r.energy.WritePJ
-	case OpRead:
-		return float64(wires) * r.energy.ReadPJ
-	case OpTW:
-		return float64(wires) * r.energy.TWPJ
-	case OpCopy:
-		return float64(wires) * (r.energy.ReadPJ + r.energy.WritePJ)
-	}
-	return 0
-}
-
-// Stall records n idle cycles at src: the clock advances by n, one
-// OpStall step per cycle (so SrcMetrics cycle sums and the trace.Stats
-// contract stay exact), and no energy accrues. Recovery backoff is the
-// canonical emitter.
-func (r *Recorder) Stall(src Source, n int) {
-	if r == nil {
-		return
-	}
-	for i := 0; i < n; i++ {
-		r.step(src, OpStall, 0, 0, 0)
-	}
 }
 
 // Fault records an injected fault as a zero-duration tagged event at
@@ -341,7 +316,7 @@ func (r *Recorder) Begin(src Source, name string) {
 		return
 	}
 	r.mu.Lock()
-	r.spans[src] = append(r.spans[src], spanFrame{name: name, startCycle: r.cycle, startEnergy: r.totalPJ})
+	r.spans[src] = append(r.spans[src], spanFrame{name: name, start: r.ledger.Stats()})
 	e := Event{Op: OpSpan, Phase: PhaseBegin, Src: src, Name: name, Cycle: r.cycle}
 	for _, s := range r.sinks {
 		s.Emit(e)
@@ -350,8 +325,8 @@ func (r *Recorder) Begin(src Source, name string) {
 }
 
 // End closes the innermost open span at src, recording its cycle
-// duration and energy delta into the span metrics. An End without a
-// matching Begin is ignored.
+// duration and energy — the ledger's growth since Begin, priced — into
+// the span metrics. An End without a matching Begin is ignored.
 func (r *Recorder) End(src Source) {
 	if r == nil {
 		return
@@ -362,7 +337,9 @@ func (r *Recorder) End(src Source) {
 		f := stack[n-1]
 		r.spans[src] = stack[:n-1]
 		e := Event{Op: OpSpan, Phase: PhaseEnd, Src: src, Name: f.name, Cycle: r.cycle}
-		r.metrics.recordSpan(f.name, r.cycle-f.startCycle, r.totalPJ-f.startEnergy)
+		d := r.ledger.Stats()
+		d.Add(f.start.Scale(-1))
+		r.metrics.recordSpan(f.name, uint64(d.Cycles()), r.price.EnergyPJ(d))
 		for _, s := range r.sinks {
 			s.Emit(e)
 		}
@@ -460,14 +437,25 @@ func (r *Recorder) Cycle() uint64 {
 	return r.cycle
 }
 
-// EnergyPJ returns the total energy recorded so far, in picojoules.
+// Stats returns the ledger: the integer step and wire totals by kind of
+// every control step recorded so far. Stats().Cycles() equals Cycle().
+func (r *Recorder) Stats() trace.Stats {
+	if r == nil {
+		return trace.Stats{}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ledger.Stats()
+}
+
+// EnergyPJ returns the total energy recorded so far, in picojoules: the
+// ledger priced once, so it equals Stats().EnergyPJ exactly however the
+// steps interleaved.
 func (r *Recorder) EnergyPJ() float64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.totalPJ
+	return r.price.EnergyPJ(r.Stats())
 }
 
 // Metrics returns the recorder's aggregate metrics: never nil for a

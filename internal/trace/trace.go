@@ -89,12 +89,7 @@ func (s Stats) Cycles() int {
 // EnergyPJ returns the energy in picojoules of the traced sequence under
 // the given energy table and TR window length.
 func (s Stats) EnergyPJ(e params.Energy, trd params.TRD) float64 {
-	return float64(s.ShiftWires)*e.ShiftPJ +
-		float64(s.TRWires)*e.TRPJ(trd) +
-		float64(s.WriteBits)*e.WritePJ +
-		float64(s.ReadBits)*e.ReadPJ +
-		float64(s.TWBits)*e.TWPJ +
-		float64(s.CopyBits)*(e.ReadPJ+e.WritePJ)
+	return PricesFor(e, trd).EnergyPJ(s)
 }
 
 // String renders the counters compactly for logs and test output.
@@ -103,90 +98,71 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "cycles=%d", s.Cycles())
 	fmt.Fprintf(&b, " shifts=%d trs=%d writes=%d reads=%d tws=%d copies=%d logic=%d stalls=%d",
 		s.ShiftSteps, s.TRSteps, s.WriteSteps, s.ReadSteps, s.TWSteps, s.CopySteps, s.LogicSteps, s.StallSteps)
-	fmt.Fprintf(&b, " (wire events: shift=%d tr=%d w=%d r=%d tw=%d)",
-		s.ShiftWires, s.TRWires, s.WriteBits, s.ReadBits, s.TWBits)
+	fmt.Fprintf(&b, " (wire events: shift=%d tr=%d w=%d r=%d tw=%d copy=%d)",
+		s.ShiftWires, s.TRWires, s.WriteBits, s.ReadBits, s.TWBits, s.CopyBits)
 	return b.String()
+}
+
+// Kind names a device control step: one of the eight step counters of
+// Stats, in field order. telemetry.Op's step kinds share these values.
+type Kind uint8
+
+// Step kinds.
+const (
+	Shift Kind = iota // DBC-wide domain-wall shift step
+	TR                // transverse-read step
+	Write             // access-port write step
+	Read              // access-port read step
+	TW                // transverse-write step
+	Copy              // laterally shifted read/write step (Fig. 4(a) brown path)
+	Logic             // PIM-logic / row-buffer-only step
+	Stall             // idle cycle (recovery backoff); latency, no energy
+)
+
+// Prices holds the energy in picojoules of one wire event of each step
+// kind, indexed by Kind: the one per-kind price behind Stats.EnergyPJ
+// and every telemetry event's energy. Logic and stall steps touch no
+// storage and cost none.
+type Prices [Stall + 1]float64
+
+// PricesFor returns the per-kind prices of an energy table and TR
+// window length.
+func PricesFor(e params.Energy, trd params.TRD) Prices {
+	return Prices{
+		Shift: e.ShiftPJ,
+		TR:    e.TRPJ(trd),
+		Write: e.WritePJ,
+		Read:  e.ReadPJ,
+		TW:    e.TWPJ,
+		Copy:  e.ReadPJ + e.WritePJ,
+	}
+}
+
+// EnergyPJ prices the wire events of s.
+func (p Prices) EnergyPJ(s Stats) float64 {
+	return float64(s.ShiftWires)*p[Shift] +
+		float64(s.TRWires)*p[TR] +
+		float64(s.WriteBits)*p[Write] +
+		float64(s.ReadBits)*p[Read] +
+		float64(s.TWBits)*p[TW] +
+		float64(s.CopyBits)*p[Copy]
 }
 
 // Tracer accumulates Stats. The zero value is ready to use. A nil *Tracer
 // is also valid and discards all events, so hot paths need no nil checks
 // at call sites.
 type Tracer struct {
-	stats Stats
+	steps, wires [Stall + 1]int // indexed by Kind
 }
 
-// Shift records one DBC-wide shift step affecting wires nanowires.
-func (t *Tracer) Shift(wires int) {
+// Charge records one control step of kind k touching wires nanowires
+// (or bits); logic and stall steps carry no wire events.
+func (t *Tracer) Charge(k Kind, wires int) {
 	if t == nil {
 		return
 	}
-	t.stats.ShiftSteps++
-	t.stats.ShiftWires += wires
-}
-
-// TR records one transverse-read step over wires nanowires in parallel.
-func (t *Tracer) TR(wires int) {
-	if t == nil {
-		return
-	}
-	t.stats.TRSteps++
-	t.stats.TRWires += wires
-}
-
-// Write records one port-write step touching bits individual bits.
-func (t *Tracer) Write(bits int) {
-	if t == nil {
-		return
-	}
-	t.stats.WriteSteps++
-	t.stats.WriteBits += bits
-}
-
-// Read records one port-read step touching bits individual bits.
-func (t *Tracer) Read(bits int) {
-	if t == nil {
-		return
-	}
-	t.stats.ReadSteps++
-	t.stats.ReadBits += bits
-}
-
-// TW records one transverse-write step touching bits individual bits.
-func (t *Tracer) TW(bits int) {
-	if t == nil {
-		return
-	}
-	t.stats.TWSteps++
-	t.stats.TWBits += bits
-}
-
-// Copy records one laterally shifted read/write step (the Fig. 4(a)
-// brown forwarding path) touching bits individual bits.
-func (t *Tracer) Copy(bits int) {
-	if t == nil {
-		return
-	}
-	t.stats.CopySteps++
-	t.stats.CopyBits += bits
-}
-
-// Logic records one control step that uses only the PIM logic or row
-// buffer (no storage-array event).
-func (t *Tracer) Logic() {
-	if t == nil {
-		return
-	}
-	t.stats.LogicSteps++
-}
-
-// Stall records n idle cycles in which the controller holds the DBC
-// quiescent (recovery backoff between retry attempts). Stalls cost
-// latency but no energy.
-func (t *Tracer) Stall(n int) {
-	if t == nil || n <= 0 {
-		return
-	}
-	t.stats.StallSteps += n
+	t.steps[k]++
+	t.wires[k] += wires
 }
 
 // Stats returns a copy of the accumulated counters.
@@ -194,7 +170,13 @@ func (t *Tracer) Stats() Stats {
 	if t == nil {
 		return Stats{}
 	}
-	return t.stats
+	return Stats{
+		ShiftSteps: t.steps[Shift], TRSteps: t.steps[TR], WriteSteps: t.steps[Write],
+		ReadSteps: t.steps[Read], TWSteps: t.steps[TW], CopySteps: t.steps[Copy],
+		LogicSteps: t.steps[Logic], StallSteps: t.steps[Stall],
+		ShiftWires: t.wires[Shift], TRWires: t.wires[TR], WriteBits: t.wires[Write],
+		ReadBits: t.wires[Read], TWBits: t.wires[TW], CopyBits: t.wires[Copy],
+	}
 }
 
 // Reset clears the accumulated counters.
@@ -202,7 +184,7 @@ func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.stats = Stats{}
+	*t = Tracer{}
 }
 
 // Cost is a latency/energy pair used by analytic models (baselines and

@@ -10,13 +10,9 @@ import (
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Shift(8)
-	tr.TR(8)
-	tr.Write(8)
-	tr.Read(8)
-	tr.TW(8)
-	tr.Copy(8)
-	tr.Logic()
+	for k := Shift; k <= Stall; k++ {
+		tr.Charge(k, 8)
+	}
 	tr.Reset()
 	if got := tr.Stats(); got != (Stats{}) {
 		t.Errorf("nil tracer accumulated %+v", got)
@@ -25,20 +21,25 @@ func TestNilTracerIsSafe(t *testing.T) {
 
 func TestTracerAccumulates(t *testing.T) {
 	tr := &Tracer{}
-	tr.Shift(4)
-	tr.Shift(4)
-	tr.TR(16)
-	tr.Write(3)
-	tr.Read(2)
-	tr.TW(8)
-	tr.Copy(8)
-	tr.Logic()
+	tr.Charge(Shift, 4)
+	tr.Charge(Shift, 4)
+	tr.Charge(TR, 16)
+	tr.Charge(Write, 3)
+	tr.Charge(Read, 2)
+	tr.Charge(TW, 8)
+	tr.Charge(Copy, 8)
+	tr.Charge(Logic, 0)
+	tr.Charge(Stall, 0)
 	s := tr.Stats()
-	if s.ShiftSteps != 2 || s.ShiftWires != 8 {
-		t.Errorf("shift %d/%d", s.ShiftSteps, s.ShiftWires)
+	want := Stats{
+		ShiftSteps: 2, TRSteps: 1, WriteSteps: 1, ReadSteps: 1, TWSteps: 1, CopySteps: 1, LogicSteps: 1, StallSteps: 1,
+		ShiftWires: 8, TRWires: 16, WriteBits: 3, ReadBits: 2, TWBits: 8, CopyBits: 8,
 	}
-	if s.Cycles() != 8 {
-		t.Errorf("cycles = %d, want 8", s.Cycles())
+	if s != want {
+		t.Errorf("stats = %+v, want %+v", s, want)
+	}
+	if s.Cycles() != 9 {
+		t.Errorf("cycles = %d, want 9", s.Cycles())
 	}
 	tr.Reset()
 	if tr.Stats() != (Stats{}) {
@@ -108,11 +109,18 @@ func TestOfStats(t *testing.T) {
 }
 
 func TestStatsString(t *testing.T) {
-	s := Stats{ShiftSteps: 1, TRSteps: 2}
-	str := s.String()
-	for _, want := range []string{"cycles=3", "shifts=1", "trs=2"} {
-		if !strings.Contains(str, want) {
-			t.Errorf("String %q missing %q", str, want)
+	for _, c := range []struct {
+		s    Stats
+		want []string
+	}{
+		{Stats{ShiftSteps: 1, TRSteps: 2}, []string{"cycles=3", "shifts=1", "trs=2"}},
+		{Stats{CopySteps: 2, CopyBits: 128}, []string{"cycles=2", "copies=2", "copy=128"}},
+	} {
+		str := c.s.String()
+		for _, want := range c.want {
+			if !strings.Contains(str, want) {
+				t.Errorf("String %q missing %q", str, want)
+			}
 		}
 	}
 }
