@@ -138,7 +138,7 @@ func TestAllocBudget(t *testing.T) {
 		}
 	}
 	compileRun()
-	allocBudget(t, "CompileRunO2", 1063, compileRun)
+	allocBudget(t, "CompileRunO2", 938, compileRun)
 
 	// Memory.Stats reads the recorder's ledger: nothing per shard.
 	sm, err := memory.New(ccfg)

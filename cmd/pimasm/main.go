@@ -236,13 +236,14 @@ func compileProg(cfg params.Config, path string, level int, dump bool, tracePath
 		}
 		fmt.Printf("plan (-O%d): %d steps, %d requests in %d batches\n",
 			level, len(res.Plan.Steps), res.Stats.Requests, res.Stats.Batches)
-		fmt.Printf("cost model: %d cross-DBC moves, %d port shifts\n",
-			res.Stats.CrossDBCMoves, res.Stats.PortShifts)
+		fmt.Printf("cost model: %d cross-DBC moves, %d shift steps, %d cycles, makespan %d\n",
+			res.Stats.CrossDBCMoves, res.Stats.PortShifts, res.Stats.Cycles, res.Stats.Makespan)
 		if level >= 1 {
-			fmt.Printf("vs naive:   %d cross-DBC moves, %d port shifts (saved %d moves, %d shifts)\n",
-				res.Naive.CrossDBCMoves, res.Naive.PortShifts,
+			fmt.Printf("vs naive:   %d cross-DBC moves, %d shift steps, %d cycles (saved %d moves, %d shifts, %d cycles)\n",
+				res.Naive.CrossDBCMoves, res.Naive.PortShifts, res.Naive.Cycles,
 				res.Naive.CrossDBCMoves-res.Stats.CrossDBCMoves,
-				res.Naive.PortShifts-res.Stats.PortShifts)
+				res.Naive.PortShifts-res.Stats.PortShifts,
+				res.Naive.Cycles-res.Stats.Cycles)
 		}
 		if !run {
 			if profiled {
@@ -434,9 +435,12 @@ func preview(vals []uint64, n int) []uint64 {
 }
 
 // writeProfileReport prints the model-vs-measured shift table per DBC:
-// the placement cost model's predicted align steps against the shift
-// steps the hardware profiler measured during the run. measured may be
-// nil (compile without exec), which prints the prediction column only.
+// the cost model's predicted shift steps (port alignment and kernel
+// shifts) against the shift steps the hardware profiler measured during
+// the run. The measurement also covers the input-seeding writes before
+// the plan and the output reads after it, which the model does not
+// price, so the program's load and store DBCs read a few steps over. measured may be nil (compile without exec), which prints
+// the prediction column only.
 // The two sides are joined on the isa.DBCSource name, so staging DBCs
 // the model priced and DBCs only the runtime touched both show up.
 func writeProfileReport(w io.Writer, model map[string]int, measured map[string]uint64) {

@@ -200,7 +200,8 @@ type (
 	CompiledPlan = compile.Plan
 	// CompiledStep is one schedulable unit of a plan.
 	CompiledStep = compile.Step
-	// PlanStats is the placement pass's cost model accounting.
+	// PlanStats is the cost model's prediction for a compiled plan:
+	// row copies, shift steps, cycles and makespan.
 	PlanStats = compile.PlanStats
 	// ProgramOutput names one load or store row of a compiled program.
 	ProgramOutput = compile.Output

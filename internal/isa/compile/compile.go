@@ -140,7 +140,15 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	}
 	dump("schedule", plan.String)
 
-	res := &Result{Plan: plan, Stats: plan.Stats, ShiftsByDBC: lay.shiftsBySource()}
+	done = pass("price")
+	stats, heads, err := plan.price(cfg.Geometry, cfg.TRD, nil)
+	done()
+	if err != nil {
+		return nil, err
+	}
+	plan.Stats = stats
+
+	res := &Result{Plan: plan, Stats: stats, ShiftsByDBC: shiftsBySource(heads)}
 	for _, n := range prog.nodes {
 		switch n.kind {
 		case nLoad:
@@ -180,7 +188,12 @@ func (p *Program) priceNaive(cfg params.Config) (PlanStats, error) {
 	if err != nil {
 		return PlanStats{}, err
 	}
-	return lay.stats, nil
+	plan, err := buildPlan(p, lay)
+	if err != nil {
+		return PlanStats{}, err
+	}
+	stats, _, err := plan.price(cfg.Geometry, cfg.TRD, nil)
+	return stats, err
 }
 
 func dumpLevels(p *Program) string {
@@ -201,8 +214,11 @@ func dumpLevels(p *Program) string {
 func dumpPlacement(p *Program, lay *layout) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "exec bank %d, pool:", lay.execBank)
-	for _, e := range lay.pool {
-		fmt.Fprintf(&b, " %s", isa.FormatAddr(e))
+	for _, x := range lay.pool {
+		fmt.Fprintf(&b, " %s", isa.FormatAddr(x.base))
+		if x.comp != x.base {
+			fmt.Fprintf(&b, "+%s", isa.FormatAddr(x.comp))
+		}
 	}
 	b.WriteByte('\n')
 	for _, n := range p.nodes {
@@ -219,7 +235,5 @@ func dumpPlacement(p *Program, lay *layout) string {
 			fmt.Fprintf(&b, "store %%%s -> %s (%s)\n", n.args[0].name, isa.FormatAddr(n.addr), mode)
 		}
 	}
-	fmt.Fprintf(&b, "cost: %d cross-DBC moves, %d port shifts\n",
-		lay.stats.CrossDBCMoves, lay.stats.PortShifts)
 	return b.String()
 }

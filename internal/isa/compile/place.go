@@ -7,14 +7,17 @@ import (
 	"repro/internal/params"
 )
 
-// PlanStats is the placement pass's cost-model accounting for one plan:
-// predicted cross-DBC row-buffer transfers and the estimated racetrack
-// shift distance between the rows the plan touches and their DBC access
-// ports. The bench harness compares these predictions against the
-// memory's measured MoveStats / trace counters.
+// PlanStats is the cost model's prediction for one plan, priced
+// request by request in run order on a memory whose heads start at
+// rest: row-buffer copies, every shift step (port alignment and kernel
+// shifts alike), device cycles and the makespan of the batch windows.
+// The bench harness compares these predictions against the memory's
+// measured MoveStats, trace counters and recorder.
 type PlanStats struct {
-	CrossDBCMoves int // row-buffer transfers (explicit copies + exec-time staging)
-	PortShifts    int // estimated shift steps aligning touched rows with ports
+	CrossDBCMoves int // row-buffer copies: copy requests plus operands staged from another DBC
+	PortShifts    int // shift steps: port alignment and kernel shifts
+	Cycles        int // device control steps, the serial sum
+	Makespan      int // critical path: each batch window costs its longest lane
 	Batches       int // ExecuteBatch groups issued (0 for the naive serial plan)
 	Requests      int // cpim operations issued
 	RowsRecycled  int // home rows returned to the allocators by liveness
@@ -30,12 +33,12 @@ type layout struct {
 	geo      params.Geometry
 	trd      params.TRD
 	execBank int
-	pool     []isa.Addr // executing PIM DBC bases, assignment order
-	// free maps each pool base to its unused non-window rows,
-	// port-sorted. The lists start out sharing one array, so updates
-	// re-slice or build a new slice and never write in place.
-	free    map[isa.Addr][]int
-	userDBC map[isa.Addr]bool // DBC bases the program names; off-limits to allocators
+	pool     []execDBC // executing PIM DBCs, assignment order
+	// free maps each companion base to its unused rows, port-sorted.
+	// The lists start out sharing one array, so updates re-slice or
+	// build a new slice and never write in place.
+	free     map[isa.Addr][]int
+	reserved map[isa.Addr]bool // DBC bases the program names or companions claim; off-limits to the staging allocator
 
 	stageOrder []int      // row hand-out order of every staging DBC
 	stageRows  []isa.Addr // allocated-but-unused rows of the current staging DBCs
@@ -47,20 +50,53 @@ type layout struct {
 	// out have no entry (available from window 0).
 	availFrom map[isa.Addr]int
 
-	head    map[isa.Addr]int // per-DBC data offset of the racetrack head
-	shiftBy map[isa.Addr]int // per-DBC share of stats.PortShifts
+	// cm tracks the heads in placement order, so choices read the
+	// cost of an access or a kernel as the head would then stand.
+	cm costModel
 
 	stats PlanStats
 }
 
-// shiftsBySource exports the per-DBC shift predictions keyed by the
-// telemetry source name memory.Memory assigns the cluster, so they
-// join directly against the hardware profiler's measured counters.
-func (lay *layout) shiftsBySource() map[string]int {
-	out := make(map[string]int, len(lay.shiftBy))
-	for base, n := range lay.shiftBy {
-		if n > 0 {
-			out[isa.DBCSource(base)] = n
+// execDBC is one executing PIM DBC and its companion: a staging DBC of
+// the same bank, preferably the same subarray, whose near-port rows
+// home the results (and -O2 private operand copies) of the ops it
+// executes. The exec DBC's own rows then hold only its kernel window,
+// so no result trip drags its head away from rest.
+//
+// When the bank has no staging DBC to spare, comp is base itself: it
+// owns no free rows, so results and private copies fall back to the
+// staging allocator and to shared reads.
+type execDBC struct {
+	base isa.Addr
+	comp isa.Addr
+}
+
+// holds reports whether the row at a lies in the pair: in the exec DBC
+// or its companion, where the exec DBC's ops read it without sharing a
+// footprint with anyone else.
+func (x execDBC) holds(a isa.Addr) bool {
+	b := dbcBase(a)
+	return b == x.base || b == x.comp
+}
+
+// pair returns the pool entry of the executing DBC e.
+func (lay *layout) pair(e isa.Addr) execDBC {
+	for _, x := range lay.pool {
+		if x.base == e {
+			return x
+		}
+	}
+	return execDBC{base: e, comp: e}
+}
+
+// shiftsBySource keys predicted per-DBC shift steps by the telemetry
+// source name memory.Memory assigns the cluster, so they join directly
+// against the hardware profiler's measured counters.
+func shiftsBySource(heads []dbcHead) map[string]int {
+	out := make(map[string]int, len(heads))
+	for _, h := range heads {
+		if h.shifts > 0 {
+			out[isa.DBCSource(h.base)] = h.shifts
 		}
 	}
 	return out
@@ -130,16 +166,18 @@ func sideOrder(rows []int, total int, trd params.TRD) []int {
 // place assigns every value a home row and every op an executing DBC.
 //
 // The optimizing layout (level >= 1) keeps same-bank loads in place,
-// homes results in the executing DBC's non-window rows nearest the
-// access ports, folds first stores into request destinations, and
-// spreads each DAG level over execDBCs PIM DBCs. At level >= 2 the
-// staging allocator additionally round-robins its rows across several
-// staging DBCs, so the pipelined schedule's staging lanes land on
-// disjoint footprints and run concurrently inside a batch window. The
-// naive layout (level 0) models hand-placed execution: one PIM DBC,
-// every input copied to sequential staging rows (far from the ports),
-// every store an explicit copy — the baseline the differential harness
-// and the bench compare against.
+// pairs each executing PIM DBC with a companion staging DBC and homes
+// results in the companion's rows nearest the access ports, folds
+// first stores into request destinations, and spreads each DAG level
+// over execDBCs PIM DBCs, choosing each op's DBC by the cost model's
+// predicted lane length and cycles. At level >= 2 the staging allocator
+// additionally round-robins its rows across several staging DBCs, so
+// the pipelined schedule's staging lanes land on disjoint footprints
+// and run concurrently inside a batch window. The naive layout (level
+// 0) models hand-placed execution: one PIM DBC, every input copied to
+// sequential staging rows (far from the ports), every store an explicit
+// copy — the baseline the differential harness and the bench compare
+// against.
 func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool) (*layout, error) {
 	g := cfg.Geometry
 	opt := level >= 1
@@ -150,10 +188,9 @@ func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool
 		geo:       g,
 		trd:       cfg.TRD,
 		free:      make(map[isa.Addr][]int),
-		userDBC:   make(map[isa.Addr]bool),
+		reserved:  make(map[isa.Addr]bool),
 		availFrom: make(map[isa.Addr]int),
-		head:      make(map[isa.Addr]int),
-		shiftBy:   make(map[isa.Addr]int),
+		cm:        newCostModel(g, cfg.TRD),
 	}
 
 	// The program's own rows (and their whole DBCs) are off-limits to
@@ -161,7 +198,7 @@ func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool
 	bankVotes := make(map[int]int)
 	for _, n := range p.nodes {
 		if n.kind == nLoad || n.kind == nStore {
-			lay.userDBC[dbcBase(n.addr)] = true
+			lay.reserved[dbcBase(n.addr)] = true
 			bankVotes[n.addr.Bank]++
 		}
 	}
@@ -181,30 +218,15 @@ func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool
 		for tile := 0; tile < g.PIMTilesPerSub && len(lay.pool) < execDBCs; tile++ {
 			for d := g.DBCsPerTile - g.PIMDBCsPerTile; d < g.DBCsPerTile && len(lay.pool) < execDBCs; d++ {
 				base := isa.Addr{Bank: lay.execBank, Subarray: sub, Tile: tile, DBC: d}
-				if lay.userDBC[base] {
+				if lay.reserved[base] {
 					continue
 				}
-				lay.pool = append(lay.pool, base)
+				lay.pool = append(lay.pool, execDBC{base: base})
 			}
 		}
 	}
 	if len(lay.pool) == 0 {
 		return nil, fmt.Errorf("pimc: no free PIM-enabled DBC in bank %d", lay.execBank)
-	}
-	// Non-window rows of each executing DBC: rows the op window never
-	// clobbers, so results parked there survive later operations. The
-	// order depends only on the geometry, so every DBC shares one.
-	left, right := params.PortPlacement(g.RowsPerDBC, cfg.TRD)
-	loClobber, hiClobber := left-int(cfg.TRD), right+int(cfg.TRD)
-	var rows []int
-	for r := 0; r < g.RowsPerDBC; r++ {
-		if r < loClobber || r > hiClobber {
-			rows = append(rows, r)
-		}
-	}
-	nonWindow := sideOrder(rows, g.RowsPerDBC, cfg.TRD)
-	for _, base := range lay.pool {
-		lay.free[base] = nonWindow
 	}
 	// Staging DBCs hand out every row: nearest port first when
 	// optimizing, sequentially from row 0 in the naive layout.
@@ -214,6 +236,15 @@ func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool
 	}
 	if opt {
 		lay.stageOrder = sideOrder(lay.stageOrder, g.RowsPerDBC, cfg.TRD)
+		for i := range lay.pool {
+			x := &lay.pool[i]
+			x.comp = x.base
+			if comp, ok := lay.pickCompanion(x.base.Subarray); ok {
+				x.comp = comp
+				lay.reserved[comp] = true
+				lay.free[comp] = lay.stageOrder
+			}
+		}
 	}
 
 	// Pass 1: level-0 values (loads, constants).
@@ -231,8 +262,8 @@ func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool
 			}
 			n.home = home
 			owned[n] = rowOwner{base: dbcBase(home), staged: true}
-			lay.stats.CrossDBCMoves++
-			lay.stats.PortShifts += lay.access(n.addr) + lay.access(home)
+			lay.cm.access(n.addr)
+			lay.cm.access(home)
 		case nConst:
 			home, err := lay.stageRow()
 			if err != nil {
@@ -240,7 +271,7 @@ func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool
 			}
 			n.home = home
 			owned[n] = rowOwner{base: dbcBase(home), staged: true}
-			lay.stats.PortShifts += lay.access(home)
+			lay.cm.access(home)
 		}
 	}
 
@@ -281,6 +312,8 @@ func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool
 		}
 	}
 
+	ls := newLanes(g, len(p.nodes))
+	operands := make([]isa.Addr, 0, 8)
 	for lv := 1; lv <= levels; lv++ {
 		// Recycle the home rows of values consumed for the last time by
 		// the previous level: hand each row back to the allocator it
@@ -308,48 +341,28 @@ func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool
 			}
 		}
 
-		assigned := make(map[isa.Addr]int, len(lay.pool))
+		ls.reset()
 		reqs := 0
 		for _, n := range p.nodes {
 			if n.kind != nOp || n.level != lv {
 				continue
 			}
 			reqs++
-			best, bestCost := lay.pool[0], 1<<30
-			for _, e := range lay.pool {
-				c := 2 * assigned[e] // spread a level across the pool
-				for _, a := range n.args {
-					if dbcBase(a.home) == e {
-						c += lay.dist(a.home.Row)
-					} else {
-						c += 8 // row-buffer staging into the window
-					}
-				}
-				if c < bestCost {
-					best, bestCost = e, c
-				}
-			}
-			n.exec = best
-			assigned[best]++
-			for _, a := range n.args {
-				lay.stats.PortShifts += lay.access(a.home)
-				if dbcBase(a.home) != best {
-					lay.stats.CrossDBCMoves++
-				}
-			}
+			x, cycles, private := lay.chooseExec(&ls, n, directFor[n])
+			n.exec = x.base
 			if s := directFor[n]; s != nil {
 				n.home, s.direct = s.addr, true
 			} else {
 				var home isa.Addr
 				var ok bool
 				if opt {
-					// Results live in the executing DBC's own non-window
-					// rows, nearest port first; the naive layout parks
-					// everything in far staging rows instead.
-					home, ok = lay.takeFree(best)
+					// Results live in the companion's rows, nearest
+					// port first; the naive layout parks everything in
+					// far staging rows instead.
+					home, ok = lay.takeFree(x.comp)
 				}
 				if ok {
-					owned[n] = rowOwner{base: best}
+					owned[n] = rowOwner{base: x.comp}
 				} else {
 					var err error
 					if home, err = lay.stageRow(); err != nil {
@@ -359,7 +372,13 @@ func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool
 				}
 				n.home = home
 			}
-			lay.stats.PortShifts += lay.access(n.home)
+			operands = operands[:0]
+			for _, a := range n.args {
+				operands = append(operands, a.home)
+			}
+			lay.cm.exec(isa.Instruction{Op: n.op, Src: x.base, Blocksize: n.bs, Operands: len(n.args), Imm: n.imm}, operands, n.home)
+			ls.opFootprint(n, x, n.home, private)
+			ls.add(cycles)
 		}
 		if reqs > 0 {
 			lay.stats.Requests += reqs
@@ -368,43 +387,104 @@ func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool
 			}
 		}
 	}
-
-	// Pass 3: remaining stores are explicit row-buffer copies.
-	for _, n := range p.nodes {
-		if n.kind == nStore && !n.direct {
-			lay.stats.CrossDBCMoves++
-			lay.stats.PortShifts += lay.access(n.args[0].home) + lay.access(n.addr)
-		}
-	}
 	return lay, nil
 }
 
-// access prices aligning a.Row under the nearest feasible port of its
-// DBC, walking that DBC's head the same way Nanowire.NearestPort/Align
-// do at run time, and returns the step count. Pricing from the head's
-// current position (rather than the rest-position port distance) is
-// what makes consecutive accesses to adjacent rows cost ~1 step — the
-// effect the rest-position model overstates on small programs.
-func (lay *layout) access(a isa.Addr) int {
-	rows, trd := lay.geo.RowsPerDBC, int(lay.trd)
-	pl, pr := params.PortPlacement(rows, lay.trd)
-	base := dbcBase(a)
-	off := lay.head[base]
-	dl, dr := pl-a.Row-off, pr-a.Row-off
-	d := dr
-	if a.Row <= rows-trd && (a.Row < trd-1 || abs(dl) <= abs(dr)) {
-		d = dl
+// opFootprint sets the footprint to the DBCs op n locks in its batch
+// window when it executes on x with its result at home: x, its
+// companion and home's DBC, plus every operand DBC outside the pair
+// unless private, when the -O2 scheduler copies those operands into
+// the companion first.
+func (ls *lanes) opFootprint(n *node, x execDBC, home isa.Addr, private bool) {
+	ls.fp = ls.fp[:0]
+	ls.use(x.base)
+	ls.use(x.comp)
+	ls.use(home)
+	for _, a := range n.args {
+		if !private || x.holds(a.home) {
+			ls.use(a.home)
+		}
 	}
-	lay.head[base] += d
-	lay.shiftBy[base] += abs(d)
-	return abs(d)
 }
 
-func (lay *layout) dist(row int) int {
-	return portDist(row, lay.geo.RowsPerDBC, lay.trd)
+// chooseExec picks the executing DBC for op n, whose result is folded
+// into the store direct when that is not nil. The pick is the DBC whose
+// lane in the level's window would end first with the op on it; the
+// op's predicted cycles there are its operand reads, its kernel from
+// that DBC's head and the write of its result into the companion's
+// next free row. Reading an operand homed outside the pair merges the
+// op's lane with every request of the window touching that DBC; at -O2
+// the op may instead privatize those operands, one copy each into the
+// companion, when that ends its lane sooner. chooseExec returns the
+// DBC, the op's predicted cycles and whether it counted on
+// privatizing. Ties go to the earlier DBC of the pool.
+func (lay *layout) chooseExec(ls *lanes, n *node, direct *node) (execDBC, int, bool) {
+	reads := 0
+	for _, a := range n.args {
+		reads += lay.cm.peek(a.home)
+	}
+	kc := lay.cm.kernel(isa.Instruction{Op: n.op, Blocksize: n.bs, Operands: len(n.args), Imm: n.imm})
+	best, bestEnd, bestCycles, bestPrivate := 0, 1<<30, 0, false
+	for i, x := range lay.pool {
+		next := x.comp
+		if rows := lay.free[x.comp]; len(rows) > 0 {
+			next.Row = rows[0]
+		}
+		home := next
+		if direct != nil {
+			home = direct.addr
+		}
+		_, kernel, _ := kc.run(lay.cm.offset(x.base))
+		c := reads + kernel + lay.cm.peek(home)
+		ls.opFootprint(n, x, home, false)
+		if end := ls.peek(c); end < bestEnd {
+			best, bestEnd, bestCycles, bestPrivate = i, end, c, false
+		}
+		if !lay.pipeline {
+			continue
+		}
+		copies := 0
+		for _, a := range n.args {
+			if !x.holds(a.home) {
+				copies += lay.cm.peek(a.home) + lay.cm.peek(next)
+			}
+		}
+		ls.opFootprint(n, x, home, true)
+		if end := ls.peek(c + copies); copies > 0 && end < bestEnd {
+			best, bestEnd, bestCycles, bestPrivate = i, end, c+copies, true
+		}
+	}
+	return lay.pool[best], bestCycles, bestPrivate
 }
 
-// takeFree pops the port-nearest unused non-window row of the DBC.
+// pickCompanion claims a staging DBC of the exec bank for an executing
+// DBC of subarray sub: the first free one of that subarray, else the
+// first free one of the bank.
+func (lay *layout) pickCompanion(sub int) (isa.Addr, bool) {
+	g := lay.geo
+	try := func(s int) (isa.Addr, bool) {
+		for t := 0; t < g.TilesPerSubarray; t++ {
+			for d := 0; d < g.DBCsPerTile; d++ {
+				base := isa.Addr{Bank: lay.execBank, Subarray: s, Tile: t, DBC: d}
+				if !base.IsPIMEnabled(g) && !lay.reserved[base] {
+					return base, true
+				}
+			}
+		}
+		return isa.Addr{}, false
+	}
+	if base, ok := try(sub); ok {
+		return base, true
+	}
+	for s := 0; s < g.SubarraysPerBank; s++ {
+		if base, ok := try(s); ok {
+			return base, true
+		}
+	}
+	return isa.Addr{}, false
+}
+
+// takeFree pops the port-nearest unused row of the companion DBC.
 func (lay *layout) takeFree(base isa.Addr) (isa.Addr, bool) {
 	rows := lay.free[base]
 	if len(rows) == 0 {
@@ -415,7 +495,7 @@ func (lay *layout) takeFree(base isa.Addr) (isa.Addr, bool) {
 	return base, true
 }
 
-// takePrivate pops the port-nearest free row of the DBC that is
+// takePrivate pops the port-nearest free row of the companion DBC that is
 // rewritable from schedule window win on. Rows recycled by place() stay
 // live until their previous owner's last reader has run, so a
 // privatization write scheduled into an earlier window must skip them
@@ -487,7 +567,7 @@ func (lay *layout) nextStageDBC() (isa.Addr, bool) {
 			Tile:     seq % perSub / g.DBCsPerTile,
 			DBC:      seq % g.DBCsPerTile,
 		}
-		if base.IsPIMEnabled(g) || lay.userDBC[base] {
+		if base.IsPIMEnabled(g) || lay.reserved[base] {
 			continue
 		}
 		return base, true

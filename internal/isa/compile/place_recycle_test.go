@@ -140,7 +140,8 @@ func TestRecyclingBitIdentical(t *testing.T) {
 // which overstated both layouts (the naive one most, since it never
 // revisits nearby rows). The head-relative model prices what the
 // nanowire actually does: each DBC's head moves from wherever the last
-// access left it.
+// access left it, and every kernel shifts as the kernel cost table
+// measured it (realign from its entry offset, then a fixed count).
 func TestShiftCostModelRegression(t *testing.T) {
 	cfg := testCfg(params.TRD7)
 	src := `%a = load b0.s0.t1.d0.r0
@@ -162,11 +163,14 @@ store %s, b0.s0.t2.d0.r5
 	// itself changes. The old port-midpoint model priced the same
 	// layouts noticeably higher on both sides (it charged each access
 	// the full port distance even when the head was already adjacent),
-	// inflating the shifts-saved telemetry.
-	if got, want := res.Naive.PortShifts, 75; got != want {
+	// inflating the shifts-saved telemetry. Both values count kernel
+	// shifts too: 9 fixed steps at -O1 (add k=3 twice, not, xor) on
+	// fresh exec DBCs, 16 naive (the same 9 plus 7 realigning from the
+	// previous kernel's exit offset on its one exec DBC).
+	if got, want := res.Naive.PortShifts, 91; got != want {
 		t.Errorf("naive PortShifts = %d, want %d", got, want)
 	}
-	if got, want := res.Stats.PortShifts, 45; got != want {
+	if got, want := res.Stats.PortShifts, 38; got != want {
 		t.Errorf("-O1 PortShifts = %d, want %d", got, want)
 	}
 	if res.Stats.PortShifts >= res.Naive.PortShifts {

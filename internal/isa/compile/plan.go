@@ -53,12 +53,29 @@ type Plan struct {
 	Pipelined bool // -O2: staging and stores scheduled into batch windows
 }
 
-// buildPlan schedules the placed program.
+// buildPlan schedules the placed program. Every exec request's operand
+// list is carved from one backing array sized to the program.
 func buildPlan(p *Program, lay *layout) (*Plan, error) {
 	if lay.pipeline {
 		return buildPipelined(p, lay)
 	}
-	pl := &Plan{Stats: lay.stats, Opt: lay.opt}
+	// Size the step list up front: at most one batch per level (or one
+	// step per op, naive), plus one step per constant, load and
+	// unfolded store (in-place loads emit none).
+	levels := p.levelize()
+	steps, nArgs := levels, 0
+	for _, n := range p.nodes {
+		switch {
+		case n.kind == nOp:
+			nArgs += len(n.args)
+			if !lay.opt {
+				steps++
+			}
+		case n.kind != nStore || !n.direct:
+			steps++
+		}
+	}
+	pl := &Plan{Stats: lay.stats, Opt: lay.opt, Steps: make([]Step, 0, steps)}
 	for _, n := range p.nodes {
 		switch n.kind {
 		case nConst:
@@ -69,7 +86,7 @@ func buildPlan(p *Program, lay *layout) (*Plan, error) {
 			}
 		}
 	}
-	levels := p.levelize()
+	backing := make([]isa.Addr, 0, nArgs)
 	for lv := 1; lv <= levels; lv++ {
 		var reqs []memory.Request
 		for _, n := range p.nodes {
@@ -77,10 +94,11 @@ func buildPlan(p *Program, lay *layout) (*Plan, error) {
 				continue
 			}
 			in := isa.Instruction{Op: n.op, Src: n.exec, Blocksize: n.bs, Operands: len(n.args), Imm: n.imm}
-			operands := make([]isa.Addr, len(n.args))
-			for i, a := range n.args {
-				operands[i] = a.home
+			start := len(backing)
+			for _, a := range n.args {
+				backing = append(backing, a.home)
 			}
+			operands := backing[start:len(backing):len(backing)]
 			if lay.opt {
 				reqs = append(reqs, memory.Request{In: in, Operands: operands, Dst: n.home})
 			} else {
@@ -103,12 +121,13 @@ func buildPlan(p *Program, lay *layout) (*Plan, error) {
 // windows (-O2). Three schedule transformations drive the makespan
 // down without changing results:
 //
-//   - Operand privatization: every operand homed outside its op's
-//     executing DBC is copied (constants: lane-broadcast written) into
-//     a free row of that DBC before the op's window. The op's
-//     footprint collapses to its own DBC, so same-level ops become
-//     disjoint parallel lanes instead of one group serialized through
-//     a shared operand DBC.
+//   - Operand privatization: an operand homed outside its op's
+//     executing DBC and companion is copied (constants: lane-broadcast
+//     written) into a free row of the companion before the op's
+//     window, where the cost model predicts the copy pays for itself.
+//     The op's footprint collapses to its own DBC pair, so same-level
+//     ops become disjoint parallel lanes instead of one group
+//     serialized through a shared operand DBC.
 //   - Overlap hoisting: each privatization request is hoisted into the
 //     latest earlier compute window whose DBC footprint is disjoint
 //     from it — level N+1 staging runs in the same ExecuteBatch window
@@ -132,87 +151,93 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 	width := lay.geo.TrackWidth
 	levels := p.levelize()
 
-	stored := make(map[isa.Addr]bool)
-	for _, n := range p.nodes {
-		if n.kind == nStore {
-			stored[n.addr] = true
-		}
-	}
-	byLevel := make([][]*node, levels+1)
-	for _, n := range p.nodes {
-		if n.kind == nOp {
-			byLevel[n.level] = append(byLevel[n.level], n)
-		}
-	}
 	// Level-0 values read through their shared home (store operands,
 	// privatization fallbacks, loads whose user row a store clobbers)
-	// still need the generic window-0 staging.
-	needHome := make(map[*node]bool)
+	// still need the generic window-0 staging. needHome is indexed by
+	// node id, which legalize leaves dense.
+	needHome := make([]bool, len(p.nodes))
+	var stored []isa.Addr
+	nArgs := 0
 	for _, n := range p.nodes {
-		if n.kind == nStore && !n.direct && n.args[0].level == 0 {
-			needHome[n.args[0]] = true
+		switch n.kind {
+		case nStore:
+			stored = append(stored, n.addr)
+			if !n.direct && n.args[0].level == 0 {
+				needHome[n.args[0].id] = true
+			}
+		case nOp:
+			nArgs += len(n.args)
 		}
 	}
+	backing := make([]isa.Addr, 0, nArgs) // every exec request's operands
 
 	// Window numbering: window 0 stages level 1's operands; level L
 	// computes in window 2L-1; transfer window 2L-2 (L >= 2) drains the
 	// privatization traffic for level L that no earlier compute window
 	// could absorb. The store drain is appended after everything.
 	wins := make([][]memory.Request, max(1, 2*levels))
-	occupied := make([]map[isa.Addr]bool, len(wins))
-
-	type privKey struct {
-		val  *node
-		exec isa.Addr
-		lv   int
-	}
-	privAddr := make(map[privKey]isa.Addr)
-	operandAt := make(map[*node][]isa.Addr) // op -> final operand addresses
-	stats := lay.stats
-
-	var freed []isa.Addr
+	var occupied []winBase // DBCs each window's requests lock so far
+	var privs []privRow
+	var bases, freed []isa.Addr
+	var ops []*node
+	var priv []bool // per operand of the level's ops, in order: privatize it
+	var est []int   // per op of the level: predicted cycles
+	ls := newLanes(lay.geo, len(p.nodes))
+	static := newCostModel(lay.geo, lay.trd) // every head at rest
 	for lv := 1; lv <= levels; lv++ {
-		// Privatization is conflict-driven: an operand moves into its
-		// op's DBC only when two or more of the level's requests touch
-		// the operand's home DBC — that sharing is what merges lanes.
-		// Unshared operands read their home in place, copy-free; one
-		// reader of a purely-operand DBC keeps the shared read too
-		// (after the others privatize away, no conflict remains).
-		touch := make(map[isa.Addr]int)
-		fixed := make(map[isa.Addr]bool)
-		keeper := make(map[isa.Addr]*node)
-		for _, n := range byLevel[lv] {
-			e := dbcBase(n.exec)
-			seen := map[isa.Addr]bool{e: true, dbcBase(n.home): true}
-			fixed[e], fixed[dbcBase(n.home)] = true, true
-			for _, a := range n.args {
-				seen[dbcBase(a.home)] = true
-			}
-			for b := range seen {
-				touch[b]++
+		ops = ops[:0]
+		for _, n := range p.nodes {
+			if n.kind == nOp && n.level == lv {
+				ops = append(ops, n)
 			}
 		}
-		for _, n := range byLevel[lv] {
+		// Privatization is cost-driven: an operand homed outside its
+		// op's DBC pair moves into the companion only when that shortens
+		// the level's predicted window by more than the copy's predicted
+		// cycles. Reading a shared home merges the op's lane with every
+		// other request touching that DBC; a private copy splits it off,
+		// which pays only on the window's longest lane. Start from every
+		// such operand privatized and drop, in program order, each copy
+		// whose removal costs the window less than the copy itself.
+		priv, est = priv[:0], est[:0]
+		for _, n := range ops {
+			est = append(est, static.estimate(n))
+			for _, a := range n.args {
+				priv = append(priv, !lay.pair(n.exec).holds(a.home))
+			}
+		}
+		span := lay.levelSpan(&ls, ops, priv, est)
+		for i, on := range priv {
+			if !on {
+				continue
+			}
+			priv[i] = false
+			if without := lay.levelSpan(&ls, ops, priv, est); without-span > lay.copyCost(&static, ops, i) {
+				priv[i] = true
+			} else {
+				span = without
+			}
+		}
+		w := 2*lv - 1
+		i := 0
+		for _, n := range ops {
 			e := dbcBase(n.exec)
-			addrs := make([]isa.Addr, len(n.args))
-			for i, a := range n.args {
+			comp := lay.pair(e).comp
+			start := len(backing)
+			for _, a := range n.args {
 				home := a.home
-				x := dbcBase(home)
-				if x == e {
-					addrs[i] = home
-					continue
-				}
-				if touch[x] < 2 || (!fixed[x] && (keeper[x] == nil || keeper[x] == n)) {
-					keeper[x] = n
-					addrs[i] = home
+				privatize := priv[i]
+				i++
+				if !privatize {
+					backing = append(backing, home)
 					if a.level == 0 {
-						needHome[a] = true
+						needHome[a.id] = true
 					}
 					continue
 				}
 				k := privKey{val: a, exec: e, lv: lv}
-				if pa, ok := privAddr[k]; ok {
-					addrs[i] = pa
+				if row, ok := findPriv(privs, k); ok {
+					backing = append(backing, row)
 					continue
 				}
 				req := memory.Request{Kind: memory.KindCopy}
@@ -225,7 +250,7 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 						return nil, fmt.Errorf("pimc: constant %%%s: %w", a.name, err)
 					}
 					req = memory.Request{Kind: memory.KindWrite, Row: packed}
-				case a.kind == nLoad && !stored[a.addr]:
+				case a.kind == nLoad && !containsAddr(stored, a.addr):
 					// Loads privatize straight from the user row,
 					// skipping the staged intermediate.
 					req.Src = a.addr
@@ -233,13 +258,12 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 					// Op results — and loads whose user row a store
 					// clobbers — copy from the value's home.
 					if a.level == 0 {
-						needHome[a] = true
+						needHome[a.id] = true
 					}
 					req.Src = a.home
 				}
-				bases := make([]isa.Addr, 1, 2)
-				bases[0] = e
-				if req.Kind == memory.KindCopy && dbcBase(req.Src) != e {
+				bases = append(bases[:0], comp)
+				if req.Kind == memory.KindCopy && dbcBase(req.Src) != comp {
 					bases = append(bases, dbcBase(req.Src))
 				}
 				// Hoist into the latest earlier compute window whose
@@ -249,65 +273,52 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 				win := -1
 				var row isa.Addr
 				for j := lv - 1; j >= a.level+1; j-- {
-					w := 2*j - 1
-					if !disjointBases(occupied[w], bases) {
+					wj := 2*j - 1
+					if !disjointBases(occupied, wj, bases) {
 						continue
 					}
-					if r, ok := lay.takePrivate(e, w); ok {
-						win, row = w, r
+					if r, ok := lay.takePrivate(comp, wj); ok {
+						win, row = wj, r
 						break
 					}
 				}
 				if win < 0 {
-					w := 2*lv - 2
-					if r, ok := lay.takePrivate(e, w); ok {
-						win, row = w, r
+					if r, ok := lay.takePrivate(comp, 2*lv-2); ok {
+						win, row = 2*lv-2, r
 					}
 				}
 				if win < 0 {
 					// No private row left: fall back to the shared
 					// home (correct, just a merged lane).
-					addrs[i] = home
+					backing = append(backing, home)
 					if a.level == 0 {
-						needHome[a] = true
+						needHome[a.id] = true
 					}
 					continue
 				}
 				req.Dst = row
 				wins[win] = append(wins[win], req)
-				if occupied[win] == nil {
-					occupied[win] = make(map[isa.Addr]bool)
-				}
 				for _, b := range bases {
-					occupied[win][b] = true
+					occupied = append(occupied, winBase{win, b})
 				}
-				stats.CrossDBCMoves++
-				if req.Kind == memory.KindCopy {
-					stats.PortShifts += lay.access(req.Src)
-				}
-				stats.PortShifts += lay.access(row)
-				privAddr[k] = row
+				privs = append(privs, privRow{k, row})
 				freed = append(freed, row)
-				addrs[i] = row
+				backing = append(backing, row)
 			}
-			operandAt[n] = addrs
-		}
-		// This level's exec requests claim their compute window; the
-		// private rows its ops read become reusable from that window on
-		// (same-window rewrites stay ordered: exec precedes appended
-		// privatization, and both touch the executing DBC).
-		w := 2*lv - 1
-		occ := make(map[isa.Addr]bool)
-		for _, n := range byLevel[lv] {
+			// The exec request claims its compute window: privatization
+			// traffic for this level went to earlier windows only.
+			operands := backing[start:len(backing):len(backing)]
 			in := isa.Instruction{Op: n.op, Src: n.exec, Blocksize: n.bs, Operands: len(n.args), Imm: n.imm}
-			wins[w] = append(wins[w], memory.Request{In: in, Operands: operandAt[n], Dst: n.home})
-			occ[dbcBase(n.exec)] = true
-			occ[dbcBase(n.home)] = true
-			for _, oa := range operandAt[n] {
-				occ[dbcBase(oa)] = true
+			wins[w] = append(wins[w], memory.Request{In: in, Operands: operands, Dst: n.home})
+			occupied = append(occupied, winBase{w, e}, winBase{w, dbcBase(n.home)})
+			for _, oa := range operands {
+				occupied = append(occupied, winBase{w, dbcBase(oa)})
 			}
 		}
-		occupied[w] = occ
+		// The private rows this level's ops read become reusable from
+		// its compute window on (same-window rewrites stay ordered: exec
+		// precedes appended privatization, and both touch the
+		// companion).
 		for _, a := range freed {
 			lay.availFrom[a] = w
 			base := dbcBase(a)
@@ -321,7 +332,7 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 	// read the staged homes.
 	var w0 []memory.Request
 	for _, n := range p.nodes {
-		if !needHome[n] {
+		if !needHome[n.id] {
 			continue
 		}
 		switch n.kind {
@@ -346,7 +357,7 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 		}
 	}
 
-	pl := &Plan{Stats: stats, Opt: true, Pipelined: true}
+	pl := &Plan{Stats: lay.stats, Opt: true, Pipelined: true}
 	for _, win := range wins {
 		if len(win) > 0 {
 			pl.Steps = append(pl.Steps, Step{Kind: StepBatch, Reqs: win})
@@ -359,15 +370,101 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 	return pl, nil
 }
 
-// disjointBases reports whether none of the bases appear in the
-// window's occupied-DBC set.
-func disjointBases(occ map[isa.Addr]bool, bases []isa.Addr) bool {
-	for _, b := range bases {
-		if occ[b] {
+// winBase records that window win's requests lock the DBC base.
+type winBase struct {
+	win  int
+	base isa.Addr
+}
+
+// disjointBases reports whether none of the bases is locked by a
+// request of window win.
+func disjointBases(occ []winBase, win int, bases []isa.Addr) bool {
+	for _, o := range occ {
+		if o.win == win && containsAddr(bases, o.base) {
 			return false
 		}
 	}
 	return true
+}
+
+// levelSpan predicts the span of a level's compute window under the
+// given privatization choices (priv, one per operand of ops in order):
+// each exec request locks its DBC pair, its result's DBC and the homes
+// of the operands it reads in place, and costs its estimated cycles.
+func (lay *layout) levelSpan(ls *lanes, ops []*node, priv []bool, est []int) int {
+	ls.reset()
+	i := 0
+	for j, n := range ops {
+		x := lay.pair(n.exec)
+		ls.fp = ls.fp[:0]
+		ls.use(x.base)
+		ls.use(x.comp)
+		ls.use(n.home)
+		for _, a := range n.args {
+			if !priv[i] {
+				ls.use(a.home)
+			}
+			i++
+		}
+		ls.add(est[j])
+	}
+	return ls.span()
+}
+
+// copyCost predicts the cycles of privatizing operand i (counting the
+// operands of ops in order) into its op's companion: a read of the home
+// (none for a constant, which is written directly) and a write of the
+// companion's next free row.
+func (lay *layout) copyCost(cm *costModel, ops []*node, i int) int {
+	for _, n := range ops {
+		if i >= len(n.args) {
+			i -= len(n.args)
+			continue
+		}
+		a := n.args[i]
+		comp := lay.pair(n.exec).comp
+		dst := comp
+		if rows := lay.free[comp]; len(rows) > 0 {
+			dst.Row = rows[0]
+		}
+		c := cm.peek(dst)
+		if a.kind != nConst {
+			c += cm.peek(a.home)
+		}
+		return c
+	}
+	return 0
+}
+
+// privKey names one private copy: a value copied for the ops of one
+// executing DBC at one level.
+type privKey struct {
+	val  *node
+	exec isa.Addr
+	lv   int
+}
+
+type privRow struct {
+	key privKey
+	row isa.Addr
+}
+
+func findPriv(privs []privRow, k privKey) (isa.Addr, bool) {
+	for _, p := range privs {
+		if p.key == k {
+			return p.row, true
+		}
+	}
+	return isa.Addr{}, false
+}
+
+func containsAddr(list []isa.Addr, a isa.Addr) bool {
+	for _, b := range list {
+		if b == a {
+			return true
+		}
+	}
+	return false
 }
 
 // packConst broadcasts val into every bs-bit lane of a width-bit row.

@@ -301,7 +301,7 @@ func (c *Controller) Execute(in Instruction, operands []dbc.Row) (dbc.Row, error
 			return dbc.Row{}, fmt.Errorf("isa: unhandled opcode %v", in.Op)
 		}
 	}
-	run := func() (dbc.Row, error) { return c.dispatch(in, operands) }
+	run := func() (dbc.Row, error) { return Dispatch(c.Unit, in, operands) }
 	if c.ex != nil {
 		row, _, err := c.ex.Do(in.Op.String(), run)
 		return row, err
@@ -309,34 +309,41 @@ func (c *Controller) Execute(in Instruction, operands []dbc.Row) (dbc.Row, error
 	return run()
 }
 
-// dispatch runs one validated PIM opcode on the unit. It is
-// re-executable, so the recovery executor can replay it.
-func (c *Controller) dispatch(in Instruction, operands []dbc.Row) (dbc.Row, error) {
+// Dispatch runs one PIM opcode on the unit over operand rows already
+// staged for it, returning the result row: the one opcode-to-kernel
+// mapping the controller, memory.Memory and pimc's kernel cost table
+// share. It validates nothing beyond what the kernels check. Every
+// kernel rewrites the DBC window from the operand rows, so a call can
+// be replayed verbatim.
+func Dispatch(u *pim.Unit, in Instruction, operands []dbc.Row) (dbc.Row, error) {
 	switch in.Op {
 	case OpAdd:
-		return c.Unit.AddMulti(operands, in.Blocksize)
+		return u.AddMulti(operands, in.Blocksize)
 	case OpMult:
-		return c.Unit.Multiply(operands[0], operands[1], in.Blocksize/2)
+		return u.Multiply(operands[0], operands[1], in.Blocksize/2)
 	case OpMax:
-		return c.Unit.MaxTR(operands, in.Blocksize)
+		return u.MaxTR(operands, in.Blocksize)
 	case OpRelu:
-		return c.Unit.ReLU(operands[0], in.Blocksize)
+		return u.ReLU(operands[0], in.Blocksize)
 	case OpVote:
-		return c.Unit.Vote(operands)
+		return u.Vote(operands)
 	case OpDiv:
-		q, _, err := c.Unit.DivMod(operands[0], operands[1], in.Blocksize)
+		q, _, err := u.DivMod(operands[0], operands[1], in.Blocksize)
 		return q, err
 	case OpMod:
-		_, r, err := c.Unit.DivMod(operands[0], operands[1], in.Blocksize)
+		_, r, err := u.DivMod(operands[0], operands[1], in.Blocksize)
 		return r, err
 	case OpShl:
-		return c.Unit.LogicalShift(operands[0], in.Imm, in.Blocksize, true)
+		return u.LogicalShift(operands[0], in.Imm, in.Blocksize, true)
 	case OpShr:
-		return c.Unit.LogicalShift(operands[0], in.Imm, in.Blocksize, false)
+		return u.LogicalShift(operands[0], in.Imm, in.Blocksize, false)
 	case OpFma:
-		return c.Unit.FMA(operands[0], operands[1], operands[2], in.Blocksize/2)
+		return u.FMA(operands[0], operands[1], operands[2], in.Blocksize/2)
 	default:
-		op, _ := in.Op.bulkOp()
-		return c.Unit.BulkBitwise(op, operands)
+		op, ok := in.Op.bulkOp()
+		if !ok {
+			return dbc.Row{}, fmt.Errorf("isa: opcode %v is not a PIM operation", in.Op)
+		}
+		return u.BulkBitwise(op, operands)
 	}
 }

@@ -720,13 +720,13 @@ func (m *Memory) runPlan(p execPlan, shards []*shard) (dbc.Row, error) {
 		// processed by the caller once all locks are released).
 		var out resilient.Outcome
 		result, out, err = ex.Do(p.in.Op.String(), func() (dbc.Row, error) {
-			return dispatchOp(u, p.in, rows)
+			return isa.Dispatch(u, p.in, rows)
 		})
 		if out.Detected > 0 {
 			m.noteFaults(execSh.base, out.Detected, ex.Policy.QuarantineAfter)
 		}
 	} else {
-		result, err = dispatchOp(u, p.in, rows)
+		result, err = isa.Dispatch(u, p.in, rows)
 	}
 	if err != nil {
 		return dbc.Row{}, err
@@ -735,39 +735,6 @@ func (m *Memory) runPlan(p execPlan, shards []*shard) (dbc.Row, error) {
 		return dbc.Row{}, err
 	}
 	return result, nil
-}
-
-// dispatchOp runs one cpim opcode on the unit. It is re-executable:
-// every operation rewrites the DBC window from the staged operand rows,
-// so the recovery executor can replay it verbatim.
-func dispatchOp(u *pim.Unit, in isa.Instruction, rows []dbc.Row) (dbc.Row, error) {
-	switch in.Op {
-	case isa.OpAdd:
-		return u.AddMulti(rows, in.Blocksize)
-	case isa.OpMult:
-		return u.Multiply(rows[0], rows[1], in.Blocksize/2)
-	case isa.OpMax:
-		return u.MaxTR(rows, in.Blocksize)
-	case isa.OpRelu:
-		return u.ReLU(rows[0], in.Blocksize)
-	case isa.OpVote:
-		return u.Vote(rows)
-	case isa.OpDiv:
-		q, _, err := u.DivMod(rows[0], rows[1], in.Blocksize)
-		return q, err
-	case isa.OpMod:
-		_, r, err := u.DivMod(rows[0], rows[1], in.Blocksize)
-		return r, err
-	case isa.OpShl:
-		return u.LogicalShift(rows[0], in.Imm, in.Blocksize, true)
-	case isa.OpShr:
-		return u.LogicalShift(rows[0], in.Imm, in.Blocksize, false)
-	case isa.OpFma:
-		return u.FMA(rows[0], rows[1], rows[2], in.Blocksize/2)
-	default:
-		op, _ := bulkOp(in.Op)
-		return u.BulkBitwise(op, rows)
-	}
 }
 
 // Execute runs a cpim instruction whose operands live at memory
@@ -796,27 +763,6 @@ func (m *Memory) Execute(in isa.Instruction, operands []isa.Addr, dst isa.Addr) 
 	}
 	defer unlock()
 	return m.runPlan(p, shards)
-}
-
-// bulkOp maps a bulk opcode to the PIM logic selector.
-func bulkOp(o isa.OpCode) (dbc.Op, bool) {
-	switch o {
-	case isa.OpAnd:
-		return dbc.OpAND, true
-	case isa.OpOr:
-		return dbc.OpOR, true
-	case isa.OpNand:
-		return dbc.OpNAND, true
-	case isa.OpNor:
-		return dbc.OpNOR, true
-	case isa.OpXor:
-		return dbc.OpXOR, true
-	case isa.OpXnor:
-		return dbc.OpXNOR, true
-	case isa.OpNot:
-		return dbc.OpNOT, true
-	}
-	return 0, false
 }
 
 // MaterializedDBCs reports how many clusters have been touched (for
