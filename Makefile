@@ -88,13 +88,16 @@ fuzz:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkDBC|BenchmarkBulk|BenchmarkPIM|BenchmarkAdd' -benchmem ./...
 
-# alloc-budget is the allocation-regression gate: every hot kernel's
-# allocs/op is pinned to the number recorded in BENCH_plane.json /
-# BENCH_parallel.json (TestAllocBudget, alloc_budget_test.go). A change
-# that makes any kernel allocate more per call fails ci even when the
-# wall-clock columns are too noisy to notice.
+# alloc-budget runs the exact-count gates together. TestAllocBudget
+# (alloc_budget_test.go) pins every hot kernel's allocs/op to the number
+# recorded in BENCH_plane.json / BENCH_parallel.json / BENCH_compile.json,
+# so a change that makes any kernel allocate more per call fails ci even
+# when the wall-clock columns are too noisy to notice.
+# TestBenchDeviceCounts (bench_counts_test.go) re-measures the compiled
+# example corpus and requires the row copies, shift steps, cycles and
+# makespan BENCH_compile.json and BENCH_pipeline.json record.
 alloc-budget:
-	$(GO) test -run 'TestAllocBudget' -count=1 -v .
+	$(GO) test -run 'TestAllocBudget|TestBenchDeviceCounts' -count=1 -v .
 
 # bench-parallel measures the bank-parallel batch path: one ExecuteBatch
 # of independent adds across banks/subarrays against the

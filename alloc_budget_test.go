@@ -125,7 +125,7 @@ func TestAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus := benchCorpus(t)
+	_, corpus := benchCorpus(t)
 	compileRun := func() {
 		for _, src := range corpus {
 			res, err := compile.Compile(src, ccfg, compile.Options{Level: 2})
@@ -138,7 +138,7 @@ func TestAllocBudget(t *testing.T) {
 		}
 	}
 	compileRun()
-	allocBudget(t, "CompileRunO2", 938, compileRun)
+	allocBudget(t, "CompileRunO2", 867, compileRun)
 
 	// Memory.Stats reads the recorder's ledger: nothing per shard.
 	sm, err := memory.New(ccfg)

@@ -24,9 +24,10 @@ import (
 // benchCorpus loads the fixed program set from examples/pimasm in
 // filename order: mixed arithmetic on one bank, the PIRM-style ops
 // (div/mod/shifts/fma), and cross-bank traffic that forces staging
-// moves. Keeping the corpus on disk gives `pimasm vet` (and make
-// lint's sweep) the same programs the benchmarks measure.
-func benchCorpus(tb testing.TB) []string {
+// moves. It returns each program's file name and source. Keeping the
+// corpus on disk gives `pimasm vet` (and make lint's sweep) the same
+// programs the benchmarks measure.
+func benchCorpus(tb testing.TB) (names, progs []string) {
 	tb.Helper()
 	paths, err := filepath.Glob(filepath.Join("examples", "pimasm", "*.pimasm"))
 	if err != nil {
@@ -36,15 +37,15 @@ func benchCorpus(tb testing.TB) []string {
 	if len(paths) != 3 {
 		tb.Fatalf("examples/pimasm holds %d programs, want the fixed 3-program corpus", len(paths))
 	}
-	progs := make([]string, len(paths))
-	for i, p := range paths {
+	for _, p := range paths {
 		src, err := os.ReadFile(p)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		progs[i] = string(src)
+		names = append(names, filepath.Base(p))
+		progs = append(progs, string(src))
 	}
-	return progs
+	return names, progs
 }
 
 func benchCompileConfig() params.Config {
@@ -72,12 +73,40 @@ func seedInputs(tb testing.TB, m *memory.Memory, res *compile.Result, prog int) 
 	}
 }
 
+// runCorpus compiles every program at the level, seeds each one's load
+// rows (seed gets the program's index), then runs the plans in order on
+// one fresh memory of cfg. It is the measured pass behind the device
+// counts of BenchmarkCompiledExec (the corpus on one memory),
+// BenchmarkPipeline (one program per memory) and TestBenchDeviceCounts.
+func runCorpus(tb testing.TB, cfg params.Config, progs []string, level int,
+	seed func(testing.TB, *memory.Memory, *compile.Result, int)) ([]*compile.Plan, *memory.Memory) {
+	tb.Helper()
+	m, err := memory.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plans := make([]*compile.Plan, len(progs))
+	for i, src := range progs {
+		res, err := compile.Compile(src, cfg, compile.Options{Level: level})
+		if err != nil {
+			tb.Fatalf("compile -O%d: %v", level, err)
+		}
+		seed(tb, m, res, i)
+		plans[i] = res.Plan
+	}
+	for _, p := range plans {
+		if err := p.Run(m); err != nil {
+			tb.Fatalf("run -O%d: %v", level, err)
+		}
+	}
+	return plans, m
+}
+
 // BenchmarkCompileProgram measures compile latency over the corpus at
-// each optimization level (at -O1 and -O2 this includes pricing the
-// naive layout for the moves/shifts-saved telemetry).
+// each optimization level.
 func BenchmarkCompileProgram(b *testing.B) {
 	cfg := benchCompileConfig()
-	corpus := benchCorpus(b)
+	_, corpus := benchCorpus(b)
 	for _, level := range []int{0, 1, 2} {
 		b.Run(fmt.Sprintf("O%d", level), func(b *testing.B) {
 			b.ReportAllocs()
@@ -99,33 +128,11 @@ func BenchmarkCompileProgram(b *testing.B) {
 // are idempotent: stores never alias loads).
 func BenchmarkCompiledExec(b *testing.B) {
 	cfg := benchCompileConfig()
-	corpus := benchCorpus(b)
+	_, corpus := benchCorpus(b)
 	for _, level := range []int{0, 1, 2} {
 		b.Run(fmt.Sprintf("O%d", level), func(b *testing.B) {
-			var plans []*compile.Plan
-			var results []*compile.Result
-			for _, src := range corpus {
-				res, err := compile.Compile(src, cfg, compile.Options{Level: level})
-				if err != nil {
-					b.Fatal(err)
-				}
-				plans = append(plans, res.Plan)
-				results = append(results, res)
-			}
-
 			// One instrumented corpus pass for the cost metrics.
-			mm, err := memory.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i, res := range results {
-				seedInputs(b, mm, res, i)
-			}
-			for _, p := range plans {
-				if err := p.Run(mm); err != nil {
-					b.Fatal(err)
-				}
-			}
+			plans, mm := runCorpus(b, cfg, corpus, level, seedInputs)
 			moves := mm.Moves()
 			stats := mm.Stats()
 

@@ -11,8 +11,6 @@ package coruscant
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 
@@ -22,20 +20,11 @@ import (
 	"repro/internal/pim"
 )
 
-// pipelineRun compiles src at the given level, seeds its load rows
-// deterministically, runs the plan, and returns the run's telemetry
-// cycle count and makespan.
-func pipelineRun(tb testing.TB, cfg params.Config, src string, level int) (uint64, uint64) {
+// seedSorted writes deterministic 8-bit lanes into the program's load
+// rows in address order, each row from its own seeded stream.
+func seedSorted(tb testing.TB, m *memory.Memory, res *compile.Result, _ int) {
 	tb.Helper()
-	res, err := compile.Compile(src, cfg, compile.Options{Level: level})
-	if err != nil {
-		tb.Fatalf("compile -O%d: %v", level, err)
-	}
-	m, err := memory.New(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	g := cfg.Geometry
+	g := m.Config().Geometry
 	inputs := append([]compile.Output(nil), res.Inputs...)
 	sort.Slice(inputs, func(i, j int) bool { return inputs[i].Addr.Linear(g) < inputs[j].Addr.Linear(g) })
 	for i, in := range inputs {
@@ -48,9 +37,14 @@ func pipelineRun(tb testing.TB, cfg params.Config, src string, level int) (uint6
 			tb.Fatal(err)
 		}
 	}
-	if err := res.Plan.Run(m); err != nil {
-		tb.Fatalf("run -O%d: %v", level, err)
-	}
+}
+
+// pipelineRun compiles src at the given level, seeds its load rows
+// with seedSorted, runs the plan on a fresh memory, and returns the
+// run's telemetry cycle count and makespan.
+func pipelineRun(tb testing.TB, cfg params.Config, src string, level int) (uint64, uint64) {
+	tb.Helper()
+	_, m := runCorpus(tb, cfg, []string{src}, level, seedSorted)
 	return m.Recorder().Cycle(), m.Recorder().Makespan()
 }
 
@@ -60,18 +54,10 @@ func pipelineRun(tb testing.TB, cfg params.Config, src string, level int) (uint6
 // (also asserted by compile's TestPipelinedCorpus: never worse per
 // program, ≥10% shorter over the corpus).
 func BenchmarkPipeline(b *testing.B) {
-	files, err := filepath.Glob(filepath.Join("examples", "pimasm", "*.pimasm"))
-	if err != nil || len(files) == 0 {
-		b.Fatalf("example corpus not found: %v", err)
-	}
 	cfg := params.DefaultConfig()
-	for _, f := range files {
-		srcBytes, err := os.ReadFile(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		src := string(srcBytes)
-		name := filepath.Base(f)
+	names, progs := benchCorpus(b)
+	for i, name := range names {
+		src := progs[i]
 		for _, level := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/O%d", name, level), func(b *testing.B) {
 				var cycles, makespan uint64

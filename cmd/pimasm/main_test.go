@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -171,6 +172,40 @@ func TestRunExecGolden(t *testing.T) {
 		if !bytes.Equal(c.got, want) {
 			t.Errorf("%s mismatch:\ngot:\n%s\nwant:\n%s", c.golden, c.got, want)
 		}
+	}
+}
+
+// TestRunProgramGolden pins pimasm's report on the example programs
+// byte for byte against testdata/programs.golden: `exec` at -O0, -O1
+// and -O2 (plan summary, cost model, vs-naive baseline, stored outputs
+// and measured counters) and the -O2 `-dump compile` pass output.
+func TestRunProgramGolden(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "pimasm", "*.pimasm"))
+	if err != nil || len(files) != 3 {
+		t.Fatalf("example corpus: %d programs, %v", len(files), err)
+	}
+	var got strings.Builder
+	for _, f := range files {
+		for _, args := range [][]string{
+			{"-O", "0", "exec"},
+			{"-O", "1", "exec"},
+			{"-O", "2", "exec"},
+			{"-O", "2", "-dump", "compile"},
+		} {
+			fmt.Fprintf(&got, "$ pimasm %s %s\n", strings.Join(args, " "), filepath.Base(f))
+			got.WriteString(captureStdout(t, func() {
+				if err := run(append(args, f)); err != nil {
+					t.Fatalf("%v %s: %v", args, f, err)
+				}
+			}))
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "programs.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("report mismatch:\ngot:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 

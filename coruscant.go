@@ -190,18 +190,22 @@ const (
 // pimc: the placement-aware compiler from pimasm programs to memory
 // execution plans (parse → legalize → place → schedule).
 type (
-	// CompileOptions selects the placement level, telemetry recorder
-	// and per-pass dump hook of a compilation.
+	// CompileOptions holds a compilation's three settings: the
+	// placement level, a telemetry recorder for per-pass spans and a
+	// per-pass dump hook. The naive baseline to compare a plan against
+	// is a Level 0 compile.
 	CompileOptions = compile.Options
 	// CompileResult carries the executable plan, its input/output rows
 	// and the placement cost model.
 	CompileResult = compile.Result
-	// CompiledPlan is an executable schedule over a Memory.
+	// CompiledPlan is an executable schedule over a Memory: a sequence
+	// of ExecuteBatch windows.
 	CompiledPlan = compile.Plan
-	// CompiledStep is one schedulable unit of a plan.
+	// CompiledStep is one ExecuteBatch window of a plan.
 	CompiledStep = compile.Step
 	// PlanStats is the cost model's prediction for a compiled plan:
-	// row copies, shift steps, cycles and makespan.
+	// row copies, shift steps, cycles and makespan, plus the plan's
+	// Batches — its ExecuteBatch windows, one per step at every level.
 	PlanStats = compile.PlanStats
 	// ProgramOutput names one load or store row of a compiled program.
 	ProgramOutput = compile.Output
@@ -225,9 +229,8 @@ func CompileProgram(src string, cfg Config, opts CompileOptions) (*CompileResult
 // VetProgram runs the pimasm front end and dataflow verifier without
 // compiling: every diagnostic — syntax and semantic rejections as well
 // as dead-store/unreachable-result warnings — comes back line-numbered
-// and classed. Compile runs the same verifier and fails on its errors;
-// VetProgram also surfaces the warnings Compile only reports through
-// Options.Diag.
+// and classed. Compile runs the same verifier and fails on its errors
+// but drops its warnings; VetProgram is the way to see them.
 func VetProgram(src string, cfg Config) []VetDiag {
 	return compile.Vet(src, cfg.Geometry)
 }

@@ -347,12 +347,8 @@ store %s, b0.s0.t2.d0.r5
 		t.Errorf("compiled add = %v, want 11 12 13...", got[:3])
 	}
 
-	// Compilation at level 1 publishes the placement savings as marks.
-	met := rec.Metrics()
-	if mk := met.Mark("moves-saved"); mk.Count == 0 {
-		t.Error("no moves-saved mark recorded")
-	}
-	if sp := met.Span("pimc-place"); sp.Count == 0 {
+	// Compilation records one span per pass.
+	if sp := rec.Metrics().Span("pimc-place"); sp.Count == 0 {
 		t.Error("no pimc-place span recorded")
 	}
 }

@@ -9,13 +9,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Source tags the compiler's telemetry events (pass spans and the
-// moves-saved / shifts-saved marks).
+// Source tags the compiler's telemetry events: one span per pass.
 const Source = telemetry.Source("pimc")
-
-// DefaultExecDBCs is how many PIM-enabled DBCs the -O1 placement
-// spreads each DAG level across when Options.ExecDBCs is zero.
-const DefaultExecDBCs = 4
 
 // Options configures a compilation.
 type Options struct {
@@ -26,21 +21,8 @@ type Options struct {
 	// batch windows, overlapping with compute — same results, lower
 	// makespan). Higher levels behave like 2.
 	Level int
-	// ExecDBCs bounds the PIM DBCs the -O1 placement uses per level
-	// (default DefaultExecDBCs, clamped to the geometry).
-	ExecDBCs int
-	// NoRecycle disables liveness-driven home-row recycling at -O1
-	// (for ablation; recycling is what lets long programs fit the
-	// bank's free rows). The naive layout never recycles.
-	NoRecycle bool
-	// Recorder, when non-nil, receives per-pass spans and — at -O1 —
-	// "moves-saved" / "shifts-saved" marks quantifying the placement
-	// win over the naive layout.
+	// Recorder, when non-nil, receives one span per compiler pass.
 	Recorder *telemetry.Recorder
-	// Diag, when non-nil, receives every warning-severity verifier
-	// diagnostic (dead-store, unreachable-result). Error-severity
-	// diagnostics abort compilation regardless.
-	Diag func(Diag)
 	// Dump, when non-nil, is called after each pass with its name
 	// ("parse", "legalize", "levels", "place", "schedule") and a
 	// textual rendering of the pass output.
@@ -62,7 +44,6 @@ type Result struct {
 	Inputs  []Output // the program's live load rows (Blocksize 0: raw)
 	Outputs []Output
 	Stats   PlanStats // cost model of the emitted plan
-	Naive   PlanStats // cost model of the naive layout (Level >= 1 only)
 
 	// ShiftsByDBC splits Stats.PortShifts per DBC, keyed by the
 	// telemetry source name (isa.DBCSource) — the prediction side of
@@ -73,7 +54,10 @@ type Result struct {
 // Compile parses, legalizes, places and schedules a pimasm program
 // into an executable Plan. The compiled plan is result-identical to
 // naive hand-placed execution; at Level >= 1 it needs fewer cross-DBC
-// row-buffer moves and shorter port alignment shifts.
+// row-buffer moves and shorter port alignment shifts. The naive
+// baseline to compare against is a Level 0 compile's Stats. Compile
+// fails on the verifier's errors and drops its warnings; Vet returns
+// them.
 func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -100,15 +84,10 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	dump("parse", prog.String)
 
 	done = pass("verify")
-	diags := prog.Verify()
+	err = firstError(prog.Verify())
 	done()
-	if err := firstError(diags); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if opt.Diag != nil {
-		for _, d := range diags {
-			opt.Diag(d)
-		}
 	}
 
 	done = pass("legalize")
@@ -120,12 +99,8 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	dump("legalize", prog.String)
 	dump("levels", func() string { return dumpLevels(prog) })
 
-	execDBCs := opt.ExecDBCs
-	if execDBCs <= 0 {
-		execDBCs = DefaultExecDBCs
-	}
 	done = pass("place")
-	lay, err := prog.place(cfg, opt.Level, execDBCs, !opt.NoRecycle)
+	lay, err := prog.place(cfg, opt.Level, true)
 	done()
 	if err != nil {
 		return nil, err
@@ -146,7 +121,7 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan.Stats = stats
+	stats.RowsRecycled = lay.recycled
 
 	res := &Result{Plan: plan, Stats: stats, ShiftsByDBC: shiftsBySource(heads)}
 	for _, n := range prog.nodes {
@@ -157,43 +132,7 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 			res.Outputs = append(res.Outputs, Output{Name: n.srcName, Addr: n.addr, Blocksize: n.args[0].bs})
 		}
 	}
-	if opt.Level >= 1 {
-		// Price the same program under the naive layout so the
-		// placement win is visible in telemetry without running both.
-		// The comparison is advisory: a program that only fits the
-		// bank's rows via recycling has no naive layout to price, so a
-		// pricing failure leaves Naive zero instead of failing the
-		// compilation that already succeeded.
-		if naive, err := prog.priceNaive(cfg); err == nil {
-			res.Naive = naive
-			if rec != nil {
-				rec.Mark(Source, "moves-saved", max(0, naive.CrossDBCMoves-plan.Stats.CrossDBCMoves))
-				rec.Mark(Source, "shifts-saved", max(0, naive.PortShifts-plan.Stats.PortShifts))
-			}
-		}
-	}
 	return res, nil
-}
-
-// priceNaive places the program under the naive layout and returns its
-// cost model. It overwrites every node's placement (home, exec,
-// direct), so Compile calls it only once the plan, the inputs, the
-// outputs and the per-DBC shift split are built: nothing reads the
-// primary placement after that.
-func (p *Program) priceNaive(cfg params.Config) (PlanStats, error) {
-	for _, n := range p.nodes {
-		n.home, n.exec, n.direct = isa.Addr{}, isa.Addr{}, false
-	}
-	lay, err := p.place(cfg, 0, 1, false)
-	if err != nil {
-		return PlanStats{}, err
-	}
-	plan, err := buildPlan(p, lay)
-	if err != nil {
-		return PlanStats{}, err
-	}
-	stats, _, err := plan.price(cfg.Geometry, cfg.TRD, nil)
-	return stats, err
 }
 
 func dumpLevels(p *Program) string {

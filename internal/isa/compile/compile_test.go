@@ -261,7 +261,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 					gen.store(banks)
 				}
 
-				m0, _ := runPlanOn(t, cfg, gen, 0)
+				m0, naive := runPlanOn(t, cfg, gen, 0)
 				m1, res := runPlanOn(t, cfg, gen, 1)
 				for a, reg := range gen.stores {
 					r0, err0 := m0.ReadRow(a)
@@ -281,9 +281,9 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 						}
 					}
 				}
-				if res.Stats.CrossDBCMoves > res.Naive.CrossDBCMoves {
+				if res.Stats.CrossDBCMoves > naive.Stats.CrossDBCMoves {
 					t.Errorf("trial %d: -O1 predicts %d cross-DBC moves, naive %d",
-						trial, res.Stats.CrossDBCMoves, res.Naive.CrossDBCMoves)
+						trial, res.Stats.CrossDBCMoves, naive.Stats.CrossDBCMoves)
 				}
 			}
 		})
@@ -341,19 +341,25 @@ store %s, b0.s0.t2.d1.r5
 	if err != nil {
 		t.Fatal(err)
 	}
+	naive, err := Compile(src, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, st := range res.Plan.Steps {
-		if st.Kind == StepCopy {
-			t.Errorf("unexpected copy step %s -> %s: store should fold into the request",
-				isa.FormatAddr(st.Src), isa.FormatAddr(st.Dst))
-		}
-		if st.Kind == StepBatch {
-			if want := (isa.Addr{Bank: 0, Subarray: 0, Tile: 2, DBC: 1, Row: 5}); st.Reqs[0].Dst != want {
-				t.Errorf("request dst = %s, want the store address", isa.FormatAddr(st.Reqs[0].Dst))
+		for _, r := range st.Reqs {
+			switch r.Kind {
+			case memory.KindCopy:
+				t.Errorf("unexpected copy %s -> %s: store should fold into the request",
+					isa.FormatAddr(r.Src), isa.FormatAddr(r.Dst))
+			case memory.KindExec:
+				if want := (isa.Addr{Bank: 0, Subarray: 0, Tile: 2, DBC: 1, Row: 5}); r.Dst != want {
+					t.Errorf("request dst = %s, want the store address", isa.FormatAddr(r.Dst))
+				}
 			}
 		}
 	}
-	if res.Stats.CrossDBCMoves >= res.Naive.CrossDBCMoves {
-		t.Errorf("folded plan predicts %d moves, naive %d", res.Stats.CrossDBCMoves, res.Naive.CrossDBCMoves)
+	if res.Stats.CrossDBCMoves >= naive.Stats.CrossDBCMoves {
+		t.Errorf("folded plan predicts %d moves, naive %d", res.Stats.CrossDBCMoves, naive.Stats.CrossDBCMoves)
 	}
 }
 
@@ -373,8 +379,8 @@ func TestLevelSpreadsAcrossDBCs(t *testing.T) {
 	}
 	execs := make(map[isa.Addr]bool)
 	for _, st := range res.Plan.Steps {
-		if st.Kind == StepBatch {
-			for _, r := range st.Reqs {
+		for _, r := range st.Reqs {
+			if r.Kind == memory.KindExec {
 				execs[r.In.Src] = true
 			}
 		}

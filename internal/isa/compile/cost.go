@@ -289,48 +289,32 @@ func (ls *lanes) span() int {
 
 // price predicts the plan's run on a memory whose DBC heads start at
 // the given offsets (nil: every head at rest, as on a fresh memory):
-// its row-buffer copies, shift steps, cycles and makespan, plus the
-// shift steps per DBC. Steps run in plan order; a batch step is one
-// window of lanes, every other step is serial.
+// its windows, cpim requests, row-buffer copies, shift steps, cycles
+// and makespan, plus the shift steps per DBC. Steps run in plan order,
+// each one window of lanes.
 func (pl *Plan) price(geo params.Geometry, trd params.TRD, start map[isa.Addr]int) (PlanStats, []dbcHead, error) {
 	cm := newCostModel(geo, trd)
 	cm.start = start
-	st := pl.Stats
-	st.CrossDBCMoves, st.PortShifts, st.Cycles, st.Makespan = 0, 0, 0, 0
+	st := PlanStats{Batches: len(pl.Steps)}
 	widest := 0
 	for i := range pl.Steps {
 		widest = max(widest, len(pl.Steps[i].Reqs))
 	}
 	ls := newLanes(geo, widest)
 	for i := range pl.Steps {
-		s := &pl.Steps[i]
-		c := 0
-		switch s.Kind {
-		case StepWrite:
-			c = cm.access(s.Addr)
-		case StepCopy:
-			c = cm.access(s.Src) + cm.access(s.Dst)
-			st.CrossDBCMoves++
-		case StepExec:
-			r := memory.Request{In: s.In, Operands: s.Operands, Dst: s.DstA}
-			var copies int
-			c, copies = cm.request(&r)
-			st.CrossDBCMoves += copies
-		case StepBatch:
-			ls.reset()
-			for j := range s.Reqs {
-				r := &s.Reqs[j]
-				rc, copies := cm.request(r)
-				st.CrossDBCMoves += copies
-				st.Cycles += rc
-				ls.footprint(r)
-				ls.add(rc)
+		ls.reset()
+		for j := range pl.Steps[i].Reqs {
+			r := &pl.Steps[i].Reqs[j]
+			if r.Kind == memory.KindExec {
+				st.Requests++
 			}
-			st.Makespan += ls.span()
-			continue
+			c, copies := cm.request(r)
+			st.CrossDBCMoves += copies
+			st.Cycles += c
+			ls.footprint(r)
+			ls.add(c)
 		}
-		st.Cycles += c
-		st.Makespan += c
+		st.Makespan += ls.span()
 	}
 	for _, h := range cm.heads {
 		st.PortShifts += h.shifts

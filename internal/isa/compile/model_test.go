@@ -60,33 +60,20 @@ type seededInput struct {
 	row  dbc.Row
 }
 
-// requestsPerDBC counts, per DBC, the plan's requests (batch requests
-// and serial steps) whose footprint includes it.
+// requestsPerDBC counts, per DBC, the plan's requests whose footprint
+// includes it.
 func requestsPerDBC(pl *Plan, geo params.Geometry) map[isa.Addr]int {
 	out := make(map[isa.Addr]int)
 	ls := newLanes(geo, 1)
-	touch := func(r *memory.Request) {
-		ls.footprint(r)
-		seen := make(map[isa.Addr]bool)
-		for _, key := range ls.fp {
-			seen[isa.AddrOfLinear(key, geo)] = true
-		}
-		for b := range seen {
-			out[b]++
-		}
-	}
 	for i := range pl.Steps {
-		s := &pl.Steps[i]
-		switch s.Kind {
-		case StepWrite:
-			touch(&memory.Request{Kind: memory.KindWrite, Dst: s.Addr})
-		case StepCopy:
-			touch(&memory.Request{Kind: memory.KindCopy, Src: s.Src, Dst: s.Dst})
-		case StepExec:
-			touch(&memory.Request{In: s.In, Operands: s.Operands, Dst: s.DstA})
-		case StepBatch:
-			for j := range s.Reqs {
-				touch(&s.Reqs[j])
+		for j := range pl.Steps[i].Reqs {
+			ls.footprint(&pl.Steps[i].Reqs[j])
+			seen := make(map[isa.Addr]bool)
+			for _, key := range ls.fp {
+				seen[isa.AddrOfLinear(key, geo)] = true
+			}
+			for b := range seen {
+				out[b]++
 			}
 		}
 	}

@@ -18,7 +18,7 @@ type PlanStats struct {
 	PortShifts    int // shift steps: port alignment and kernel shifts
 	Cycles        int // device control steps, the serial sum
 	Makespan      int // critical path: each batch window costs its longest lane
-	Batches       int // ExecuteBatch groups issued (0 for the naive serial plan)
+	Batches       int // ExecuteBatch windows issued, one per plan step
 	Requests      int // cpim operations issued
 	RowsRecycled  int // home rows returned to the allocators by liveness
 }
@@ -54,7 +54,7 @@ type layout struct {
 	// cost of an access or a kernel as the head would then stand.
 	cm costModel
 
-	stats PlanStats
+	recycled int // home rows returned to the allocators by liveness
 }
 
 // execDBC is one executing PIM DBC and its companion: a staging DBC of
@@ -163,6 +163,10 @@ func sideOrder(rows []int, total int, trd params.TRD) []int {
 	return append(portOrder(lefts, total, trd), portOrder(rights, total, trd)...)
 }
 
+// execDBCs is how many PIM-enabled DBCs the optimizing layout spreads
+// each DAG level across, clamped to the geometry.
+const execDBCs = 4
+
 // place assigns every value a home row and every op an executing DBC.
 //
 // The optimizing layout (level >= 1) keeps same-bank loads in place,
@@ -178,7 +182,9 @@ func sideOrder(rows []int, total int, trd params.TRD) []int {
 // sequential staging rows (far from the ports), every store an explicit
 // copy — the baseline the differential harness and the bench compare
 // against.
-func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool) (*layout, error) {
+// recycle false turns off liveness-driven row recycling at level >= 1:
+// the ablation the recycling tests compare against.
+func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, error) {
 	g := cfg.Geometry
 	opt := level >= 1
 	lay := &layout{
@@ -210,13 +216,13 @@ func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool
 		}
 	}
 
-	if !opt {
-		execDBCs = 1
+	nExec := 1
+	if opt {
+		nExec = min(execDBCs, g.SubarraysPerBank*g.PIMTilesPerSub*g.PIMDBCsPerTile)
 	}
-	execDBCs = max(1, min(execDBCs, g.SubarraysPerBank*g.PIMTilesPerSub*g.PIMDBCsPerTile))
-	for sub := 0; sub < g.SubarraysPerBank && len(lay.pool) < execDBCs; sub++ {
-		for tile := 0; tile < g.PIMTilesPerSub && len(lay.pool) < execDBCs; tile++ {
-			for d := g.DBCsPerTile - g.PIMDBCsPerTile; d < g.DBCsPerTile && len(lay.pool) < execDBCs; d++ {
+	for sub := 0; sub < g.SubarraysPerBank && len(lay.pool) < nExec; sub++ {
+		for tile := 0; tile < g.PIMTilesPerSub && len(lay.pool) < nExec; tile++ {
+			for d := g.DBCsPerTile - g.PIMDBCsPerTile; d < g.DBCsPerTile && len(lay.pool) < nExec; d++ {
 				base := isa.Addr{Bank: lay.execBank, Subarray: sub, Tile: tile, DBC: d}
 				if lay.reserved[base] {
 					continue
@@ -325,7 +331,7 @@ func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool
 				continue
 			}
 			delete(owned, d)
-			lay.stats.RowsRecycled++
+			lay.recycled++
 			if own.staged {
 				a := own.base
 				a.Row = d.home.Row
@@ -342,12 +348,10 @@ func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool
 		}
 
 		ls.reset()
-		reqs := 0
 		for _, n := range p.nodes {
 			if n.kind != nOp || n.level != lv {
 				continue
 			}
-			reqs++
 			x, cycles, private := lay.chooseExec(&ls, n, directFor[n])
 			n.exec = x.base
 			if s := directFor[n]; s != nil {
@@ -379,12 +383,6 @@ func (p *Program) place(cfg params.Config, level int, execDBCs int, recycle bool
 			lay.cm.exec(isa.Instruction{Op: n.op, Src: x.base, Blocksize: n.bs, Operands: len(n.args), Imm: n.imm}, operands, n.home)
 			ls.opFootprint(n, x, n.home, private)
 			ls.add(cycles)
-		}
-		if reqs > 0 {
-			lay.stats.Requests += reqs
-			if opt {
-				lay.stats.Batches++
-			}
 		}
 	}
 	return lay, nil

@@ -46,6 +46,23 @@ func chainProg(n int) string {
 	return b.String()
 }
 
+// compileNoRecycle compiles src at -O1 with liveness recycling turned
+// off: Compile's passes, through place's ablation switch.
+func compileNoRecycle(src string, cfg params.Config) (*Plan, error) {
+	prog, err := Parse(src, cfg.Geometry)
+	if err != nil {
+		return nil, err
+	}
+	if err := prog.legalize(cfg.TRD); err != nil {
+		return nil, err
+	}
+	lay, err := prog.place(cfg, 1, false)
+	if err != nil {
+		return nil, err
+	}
+	return buildPlan(prog, lay)
+}
+
 // TestRecyclingExtendsCapacity is the ROADMAP capacity claim: a chain
 // long enough to exhaust every free row of the tiny bank fails to
 // place without liveness recycling, and compiles — and still computes
@@ -55,7 +72,7 @@ func TestRecyclingExtendsCapacity(t *testing.T) {
 	const n = 40
 	src := chainProg(n)
 
-	if _, err := Compile(src, cfg, Options{Level: 1, NoRecycle: true}); err == nil {
+	if _, err := compileNoRecycle(src, cfg); err == nil {
 		t.Fatalf("%d-op chain placed without recycling; the exhaustion premise broke", n)
 	} else if !strings.Contains(err.Error(), "exhausted") {
 		t.Fatalf("want a rows-exhausted error, got: %v", err)
@@ -65,7 +82,7 @@ func TestRecyclingExtendsCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recycling compile: %v", err)
 	}
-	if res.Plan.Stats.RowsRecycled == 0 {
+	if res.Stats.RowsRecycled == 0 {
 		t.Error("RowsRecycled = 0; the chain's dead intermediates were not reclaimed")
 	}
 
@@ -100,11 +117,10 @@ func TestRecyclingBitIdentical(t *testing.T) {
 	src := chainProg(6)
 	lanes := []uint64{1, 2, 3, 4, 250, 251, 252, 253}
 
-	run := func(opt Options) dbc.Row {
+	run := func(pl *Plan, err error) dbc.Row {
 		t.Helper()
-		res, err := Compile(src, cfg, opt)
 		if err != nil {
-			t.Fatalf("compile %+v: %v", opt, err)
+			t.Fatalf("compile: %v", err)
 		}
 		m, err := memory.New(cfg)
 		if err != nil {
@@ -113,8 +129,8 @@ func TestRecyclingBitIdentical(t *testing.T) {
 		if err := m.WriteRow(isa.Addr{Tile: 1}, pim.MustPackLanes(lanes, 8, 64)); err != nil {
 			t.Fatal(err)
 		}
-		if err := res.Plan.Run(m); err != nil {
-			t.Fatalf("run %+v: %v", opt, err)
+		if err := pl.Run(m); err != nil {
+			t.Fatalf("run: %v", err)
 		}
 		row, err := m.ReadRow(isa.Addr{Tile: 1, Row: 1})
 		if err != nil {
@@ -123,9 +139,16 @@ func TestRecyclingBitIdentical(t *testing.T) {
 		return row
 	}
 
-	recycled := run(Options{Level: 1})
-	plain := run(Options{Level: 1, NoRecycle: true})
-	naive := run(Options{Level: 0})
+	compiled := func(level int) (*Plan, error) {
+		res, err := Compile(src, cfg, Options{Level: level})
+		if err != nil {
+			return nil, err
+		}
+		return res.Plan, nil
+	}
+	recycled := run(compiled(1))
+	plain := run(compileNoRecycle(src, cfg))
+	naive := run(compiled(0))
 	if !recycled.Equal(plain) {
 		t.Error("recycled -O1 differs from no-recycle -O1")
 	}
@@ -158,22 +181,26 @@ store %s, b0.s0.t2.d0.r5
 	if err != nil {
 		t.Fatal(err)
 	}
+	naive, err := Compile(src, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Golden values for the fixed program above under the head-relative
 	// model; recompute from a trusted build when the placement policy
 	// itself changes. The old port-midpoint model priced the same
 	// layouts noticeably higher on both sides (it charged each access
 	// the full port distance even when the head was already adjacent),
-	// inflating the shifts-saved telemetry. Both values count kernel
+	// inflating the placement win. Both values count kernel
 	// shifts too: 9 fixed steps at -O1 (add k=3 twice, not, xor) on
 	// fresh exec DBCs, 16 naive (the same 9 plus 7 realigning from the
 	// previous kernel's exit offset on its one exec DBC).
-	if got, want := res.Naive.PortShifts, 91; got != want {
+	if got, want := naive.Stats.PortShifts, 91; got != want {
 		t.Errorf("naive PortShifts = %d, want %d", got, want)
 	}
 	if got, want := res.Stats.PortShifts, 38; got != want {
 		t.Errorf("-O1 PortShifts = %d, want %d", got, want)
 	}
-	if res.Stats.PortShifts >= res.Naive.PortShifts {
-		t.Errorf("-O1 shifts (%d) not below naive (%d)", res.Stats.PortShifts, res.Naive.PortShifts)
+	if res.Stats.PortShifts >= naive.Stats.PortShifts {
+		t.Errorf("-O1 shifts (%d) not below naive (%d)", res.Stats.PortShifts, naive.Stats.PortShifts)
 	}
 }

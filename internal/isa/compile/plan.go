@@ -10,108 +10,97 @@ import (
 	"repro/internal/pim"
 )
 
-// StepKind discriminates the operations of a compiled plan.
+// StepKind names the shape of a plan step. Every step is an
+// ExecuteBatch window, so StepBatch (the zero value) is the only kind.
 type StepKind int
 
-const (
-	StepWrite StepKind = iota // materialize a lane-broadcast constant
-	StepCopy                  // row-buffer transfer between two rows
-	StepBatch                 // one DAG level as an ExecuteBatch group
-	StepExec                  // one serial cpim operation (naive plan)
-)
+// StepBatch marks a step as one ExecuteBatch window.
+const StepBatch StepKind = iota
 
-// Step is one schedulable unit of a plan.
+// Step is one ExecuteBatch window of a plan: requests whose DBC
+// footprints overlap run in program order as one lane, disjoint ones as
+// concurrent lanes. Constant writes, staging and store copies and cpim
+// operations are all requests.
 type Step struct {
 	Kind StepKind
-
-	// StepWrite: broadcast Val into every Bs-bit lane of the row at Addr.
-	Addr isa.Addr
-	Val  uint64
-	Bs   int
-
-	// StepCopy: CopyRow Src -> Dst.
-	Src, Dst isa.Addr
-
-	// StepBatch: independent requests of one DAG level.
 	Reqs []memory.Request
-
-	// StepExec: one serial instruction.
-	In       isa.Instruction
-	Operands []isa.Addr
-	DstA     isa.Addr
 }
 
-// Plan is an executable schedule over a Memory: constants and staging
-// copies first, then the DAG levels (batched under -O1, serial program
-// order naive), then the store copies placement could not fold away.
-// The pipelined schedule (-O2) folds the staging and store traffic
-// into the batch windows themselves, so it overlaps with compute.
+// Plan is an executable schedule over a Memory: a sequence of
+// ExecuteBatch windows. The naive (-O0) and level-barrier (-O1) plans
+// give each constant write and staging copy a window of its own, then
+// each op (-O0) or each DAG level (-O1), then each store copy placement
+// could not fold away. The pipelined plan (-O2) folds the staging and
+// store traffic into the compute windows, so it overlaps with compute.
 type Plan struct {
-	Steps     []Step
-	Stats     PlanStats
-	Opt       bool // placement-aware (-O1+) vs naive hand-placed layout
-	Pipelined bool // -O2: staging and stores scheduled into batch windows
+	Steps []Step
 }
 
-// buildPlan schedules the placed program. Every exec request's operand
-// list is carved from one backing array sized to the program.
+// buildPlan schedules the placed program. Every request is carved from
+// one array and every exec request's operand list from another, both
+// sized to the program; there are at most as many windows as requests.
 func buildPlan(p *Program, lay *layout) (*Plan, error) {
 	if lay.pipeline {
 		return buildPipelined(p, lay)
 	}
-	// Size the step list up front: at most one batch per level (or one
-	// step per op, naive), plus one step per constant, load and
-	// unfolded store (in-place loads emit none).
 	levels := p.levelize()
-	steps, nArgs := levels, 0
+	nReqs, nArgs := 0, 0
 	for _, n := range p.nodes {
 		switch {
 		case n.kind == nOp:
 			nArgs += len(n.args)
-			if !lay.opt {
-				steps++
-			}
-		case n.kind != nStore || !n.direct:
-			steps++
+		case n.kind == nLoad && n.home == n.addr, n.kind == nStore && n.direct:
+			continue // read in place, or folded into its producer
 		}
+		nReqs++
 	}
-	pl := &Plan{Stats: lay.stats, Opt: lay.opt, Steps: make([]Step, 0, steps)}
-	for _, n := range p.nodes {
-		switch n.kind {
-		case nConst:
-			pl.Steps = append(pl.Steps, Step{Kind: StepWrite, Addr: n.home, Val: n.val, Bs: n.bs})
-		case nLoad:
-			if n.home != n.addr {
-				pl.Steps = append(pl.Steps, Step{Kind: StepCopy, Src: n.addr, Dst: n.home})
-			}
-		}
-	}
+	reqs := make([]memory.Request, 0, nReqs)
 	backing := make([]isa.Addr, 0, nArgs)
+	pl := &Plan{Steps: make([]Step, 0, nReqs)}
+	// window closes the requests appended since the previous window
+	// into one step; reqs never outgrows its array, so steps stay valid.
+	start := 0
+	window := func() {
+		if len(reqs) > start {
+			pl.Steps = append(pl.Steps, Step{Reqs: reqs[start:len(reqs):len(reqs)]})
+			start = len(reqs)
+		}
+	}
+	width := lay.geo.TrackWidth
+	for _, n := range p.nodes {
+		switch {
+		case n.kind == nConst:
+			row, err := packConst(n.val, n.bs, width)
+			if err != nil {
+				return nil, fmt.Errorf("pimc: constant %%%s: %w", n.name, err)
+			}
+			reqs = append(reqs, memory.Request{Kind: memory.KindWrite, Dst: n.home, Row: row})
+		case n.kind == nLoad && n.home != n.addr:
+			reqs = append(reqs, memory.Request{Kind: memory.KindCopy, Src: n.addr, Dst: n.home})
+		}
+		window()
+	}
 	for lv := 1; lv <= levels; lv++ {
-		var reqs []memory.Request
 		for _, n := range p.nodes {
 			if n.kind != nOp || n.level != lv {
 				continue
 			}
 			in := isa.Instruction{Op: n.op, Src: n.exec, Blocksize: n.bs, Operands: len(n.args), Imm: n.imm}
-			start := len(backing)
+			first := len(backing)
 			for _, a := range n.args {
 				backing = append(backing, a.home)
 			}
-			operands := backing[start:len(backing):len(backing)]
-			if lay.opt {
-				reqs = append(reqs, memory.Request{In: in, Operands: operands, Dst: n.home})
-			} else {
-				pl.Steps = append(pl.Steps, Step{Kind: StepExec, In: in, Operands: operands, DstA: n.home})
+			reqs = append(reqs, memory.Request{In: in, Operands: backing[first:len(backing):len(backing)], Dst: n.home})
+			if !lay.opt {
+				window() // naive: one serial operation per window
 			}
 		}
-		if len(reqs) > 0 {
-			pl.Steps = append(pl.Steps, Step{Kind: StepBatch, Reqs: reqs})
-		}
+		window()
 	}
 	for _, n := range p.nodes {
 		if n.kind == nStore && !n.direct {
-			pl.Steps = append(pl.Steps, Step{Kind: StepCopy, Src: n.args[0].home, Dst: n.addr})
+			reqs = append(reqs, memory.Request{Kind: memory.KindCopy, Src: n.args[0].home, Dst: n.addr})
+			window()
 		}
 	}
 	return pl, nil
@@ -137,7 +126,7 @@ func buildPlan(p *Program, lay *layout) (*Plan, error) {
 //     the producer's and consumer's lanes, re-serializing the window).
 //   - Staging and store folding: window 0 batches the level-0 staging
 //     the privatized schedule still needs, and the trailing store
-//     copies drain as one final batch window, instead of serial steps.
+//     copies drain as one final batch window, instead of a window each.
 //
 // Correctness rests on ExecuteBatch's footprint grouping (requests of
 // one window that touch a common row share its DBC, so they stay in
@@ -357,16 +346,15 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 		}
 	}
 
-	pl := &Plan{Stats: lay.stats, Opt: true, Pipelined: true}
+	pl := &Plan{Steps: make([]Step, 0, len(wins)+1)}
 	for _, win := range wins {
 		if len(win) > 0 {
-			pl.Steps = append(pl.Steps, Step{Kind: StepBatch, Reqs: win})
+			pl.Steps = append(pl.Steps, Step{Reqs: win})
 		}
 	}
 	if len(stores) > 0 {
-		pl.Steps = append(pl.Steps, Step{Kind: StepBatch, Reqs: stores})
+		pl.Steps = append(pl.Steps, Step{Reqs: stores})
 	}
-	pl.Stats.Batches = len(pl.Steps)
 	return pl, nil
 }
 
@@ -478,33 +466,15 @@ func packConst(val uint64, bs, width int) (dbc.Row, error) {
 
 // Run executes the plan against the memory. The memory's rows at the
 // program's load addresses are the plan's inputs; after Run returns,
-// every store address holds its program value. Each batch step is one
+// every store address holds its program value. Each step is one
 // ExecuteBatch call, planned on the memory's pooled scratch. Run only
 // reads the plan, so one plan may run concurrently on several memories.
 func (pl *Plan) Run(m *memory.Memory) error {
-	width := m.Config().Geometry.TrackWidth
 	for i, st := range pl.Steps {
-		var err error
-		switch st.Kind {
-		case StepWrite:
-			var row dbc.Row
-			if row, err = packConst(st.Val, st.Bs, width); err == nil {
-				err = m.WriteRow(st.Addr, row)
+		for r, res := range m.ExecuteBatch(st.Reqs) {
+			if res.Err != nil {
+				return fmt.Errorf("pimc: step %d: request %d (%v): %w", i, r, reqOp(st.Reqs[r]), res.Err)
 			}
-		case StepCopy:
-			err = m.CopyRow(st.Src, st.Dst)
-		case StepBatch:
-			for r, res := range m.ExecuteBatch(st.Reqs) {
-				if res.Err != nil {
-					err = fmt.Errorf("request %d (%v): %w", r, reqOp(st.Reqs[r]), res.Err)
-					break
-				}
-			}
-		case StepExec:
-			_, err = m.Execute(st.In, st.Operands, st.DstA)
-		}
-		if err != nil {
-			return fmt.Errorf("pimc: step %d: %w", i, err)
 		}
 	}
 	return nil
@@ -524,29 +494,21 @@ func reqOp(r memory.Request) string {
 	}
 }
 
-// String renders the schedule one step per line for -dump output.
+// String renders the schedule one window per line, each request
+// indented below it, for -dump output.
 func (pl *Plan) String() string {
 	var b strings.Builder
 	for i, st := range pl.Steps {
-		switch st.Kind {
-		case StepWrite:
-			fmt.Fprintf(&b, "%3d: write %s <- %d bs=%d\n", i, isa.FormatAddr(st.Addr), st.Val, st.Bs)
-		case StepCopy:
-			fmt.Fprintf(&b, "%3d: copy  %s -> %s\n", i, isa.FormatAddr(st.Src), isa.FormatAddr(st.Dst))
-		case StepBatch:
-			fmt.Fprintf(&b, "%3d: batch %d requests\n", i, len(st.Reqs))
-			for _, r := range st.Reqs {
-				switch r.Kind {
-				case memory.KindCopy:
-					fmt.Fprintf(&b, "       copy %s -> %s\n", isa.FormatAddr(r.Src), isa.FormatAddr(r.Dst))
-				case memory.KindWrite:
-					fmt.Fprintf(&b, "       write -> %s\n", isa.FormatAddr(r.Dst))
-				default:
-					fmt.Fprintf(&b, "       %v @ %s -> %s\n", r.In.Op, isa.FormatAddr(r.In.Src), isa.FormatAddr(r.Dst))
-				}
+		fmt.Fprintf(&b, "%3d: batch %d requests\n", i, len(st.Reqs))
+		for _, r := range st.Reqs {
+			switch r.Kind {
+			case memory.KindCopy:
+				fmt.Fprintf(&b, "       copy %s -> %s\n", isa.FormatAddr(r.Src), isa.FormatAddr(r.Dst))
+			case memory.KindWrite:
+				fmt.Fprintf(&b, "       write -> %s\n", isa.FormatAddr(r.Dst))
+			default:
+				fmt.Fprintf(&b, "       %v @ %s -> %s\n", r.In.Op, isa.FormatAddr(r.In.Src), isa.FormatAddr(r.Dst))
 			}
-		case StepExec:
-			fmt.Fprintf(&b, "%3d: exec  %v @ %s -> %s\n", i, st.In.Op, isa.FormatAddr(st.In.Src), isa.FormatAddr(st.DstA))
 		}
 	}
 	return b.String()

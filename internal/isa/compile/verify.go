@@ -89,7 +89,7 @@ func (d Diag) String() string {
 //     — it is read, but only by other dead values.
 //
 // Diagnostics come back sorted by line. Errors abort compilation;
-// warnings are reported by `pimasm vet` and the Options.Diag hook.
+// warnings are reported only by Vet (`pimasm vet`).
 func (p *Program) Verify() []Diag {
 	var diags []Diag
 	report := func(n *node, class ErrorClass, isErr bool, format string, args ...any) {

@@ -82,6 +82,17 @@ func (o OpCode) bulkOp() (dbc.Op, bool) {
 	return 0, false
 }
 
+// IsPIM reports whether the opcode runs a kernel on the PIM unit: the
+// opcodes Dispatch accepts. Read, write and nop bypass the PIM logic.
+func (o OpCode) IsPIM() bool {
+	switch o {
+	case OpAdd, OpMult, OpMax, OpRelu, OpVote, OpDiv, OpMod, OpShl, OpShr, OpFma:
+		return true
+	}
+	_, bulk := o.bulkOp()
+	return bulk
+}
+
 // Addr locates a row inside the memory hierarchy of Fig. 2: bank →
 // subarray → tile → DBC → row.
 type Addr struct {
@@ -190,7 +201,7 @@ func (in Instruction) Validate(g params.Geometry, trd params.TRD) error {
 			return fmt.Errorf("isa: shift amount %d outside 0..%d", in.Imm, in.Blocksize)
 		}
 		return nil
-	case OpDiv, OpMod:
+	case OpMult, OpDiv, OpMod:
 		if in.Operands != 2 {
 			return fmt.Errorf("isa: %v expects 2 operands, got %d", in.Op, in.Operands)
 		}
@@ -291,15 +302,9 @@ func (c *Controller) Execute(in Instruction, operands []dbc.Row) (dbc.Row, error
 		}
 		c.Unit.D.WritePort(side, operands[0])
 		return operands[0], nil
-	case OpMult:
-		if len(operands) != 2 {
-			return dbc.Row{}, fmt.Errorf("isa: mult expects 2 operands, got %d", len(operands))
-		}
-	case OpAdd, OpMax, OpRelu, OpVote, OpDiv, OpMod, OpShl, OpShr, OpFma:
-	default:
-		if _, ok := in.Op.bulkOp(); !ok {
-			return dbc.Row{}, fmt.Errorf("isa: unhandled opcode %v", in.Op)
-		}
+	}
+	if !in.Op.IsPIM() {
+		return dbc.Row{}, fmt.Errorf("isa: unhandled opcode %v", in.Op)
 	}
 	run := func() (dbc.Row, error) { return Dispatch(c.Unit, in, operands) }
 	if c.ex != nil {
@@ -312,10 +317,13 @@ func (c *Controller) Execute(in Instruction, operands []dbc.Row) (dbc.Row, error
 // Dispatch runs one PIM opcode on the unit over operand rows already
 // staged for it, returning the result row: the one opcode-to-kernel
 // mapping the controller, memory.Memory and pimc's kernel cost table
-// share. It validates nothing beyond what the kernels check. Every
-// kernel rewrites the DBC window from the operand rows, so a call can
-// be replayed verbatim.
+// share. It rejects opcodes that are not IsPIM and validates nothing
+// beyond what the kernels check. Every kernel rewrites the DBC window
+// from the operand rows, so a call can be replayed verbatim.
 func Dispatch(u *pim.Unit, in Instruction, operands []dbc.Row) (dbc.Row, error) {
+	if !in.Op.IsPIM() {
+		return dbc.Row{}, fmt.Errorf("isa: opcode %v is not a PIM operation", in.Op)
+	}
 	switch in.Op {
 	case OpAdd:
 		return u.AddMulti(operands, in.Blocksize)
@@ -340,10 +348,7 @@ func Dispatch(u *pim.Unit, in Instruction, operands []dbc.Row) (dbc.Row, error) 
 	case OpFma:
 		return u.FMA(operands[0], operands[1], operands[2], in.Blocksize/2)
 	default:
-		op, ok := in.Op.bulkOp()
-		if !ok {
-			return dbc.Row{}, fmt.Errorf("isa: opcode %v is not a PIM operation", in.Op)
-		}
+		op, _ := in.Op.bulkOp()
 		return u.BulkBitwise(op, operands)
 	}
 }

@@ -1,0 +1,75 @@
+package isa_test
+
+import (
+	"errors"
+	"testing"
+
+	"repro/internal/dbc"
+	"repro/internal/isa"
+	"repro/internal/memory"
+	"repro/internal/params"
+	"repro/internal/pim"
+)
+
+// arity is a valid operand count for each opcode's kernel.
+func arity(op isa.OpCode) int {
+	switch op {
+	case isa.OpNot, isa.OpRelu, isa.OpShl, isa.OpShr:
+		return 1
+	case isa.OpFma, isa.OpVote:
+		return 3
+	}
+	return 2
+}
+
+// TestPIMOpcodes holds the one PIM-opcode list to its users: over every
+// opcode (and one past the last), IsPIM holds exactly when Dispatch runs
+// the opcode and exactly when Memory.Execute accepts it. mult takes two
+// operands, and Validate, Memory.Execute and Controller.Execute all
+// reject it with three.
+func TestPIMOpcodes(t *testing.T) {
+	cfg := params.DefaultConfig()
+	cfg.Geometry.TrackWidth = 64
+	g := cfg.Geometry
+	u, err := pim.NewUnit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := memory.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := isa.Addr{DBC: g.DBCsPerTile - 1} // a PIM-enabled DBC
+	operands := []isa.Addr{{Tile: 1}, {Tile: 1, Row: 1}, {Tile: 1, Row: 2}}
+	rows := make([]dbc.Row, 3)
+	for i := range rows {
+		rows[i] = dbc.NewRow(g.TrackWidth)
+	}
+	for op := isa.OpNop; op <= isa.OpFma+1; op++ {
+		k := arity(op)
+		in := isa.Instruction{Op: op, Src: exec, Blocksize: 8, Operands: k}
+		_, dispatchErr := isa.Dispatch(u, in, rows[:k])
+		_, execErr := m.Execute(in, operands[:k], isa.Addr{Tile: 2})
+		if pimOp := op.IsPIM(); (dispatchErr == nil) != pimOp || (execErr == nil) != pimOp {
+			t.Errorf("%v: IsPIM %v, Dispatch err %v, Memory.Execute err %v", op, pimOp, dispatchErr, execErr)
+		}
+		if execErr != nil && !errors.Is(execErr, memory.ErrInvalidRequest) {
+			t.Errorf("%v: Memory.Execute err %v, want ErrInvalidRequest", op, execErr)
+		}
+	}
+
+	mult := isa.Instruction{Op: isa.OpMult, Src: exec, Blocksize: 16, Operands: 3}
+	if err := mult.Validate(g, cfg.TRD); err == nil {
+		t.Error("Validate accepted mult k=3")
+	}
+	if _, err := m.Execute(mult, operands, isa.Addr{Tile: 2}); !errors.Is(err, memory.ErrInvalidRequest) {
+		t.Errorf("Memory.Execute mult k=3 err = %v, want ErrInvalidRequest", err)
+	}
+	c, err := isa.NewController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Execute(mult, rows); err == nil {
+		t.Error("Controller.Execute accepted mult k=3")
+	}
+}

@@ -49,6 +49,20 @@ import (
 // rows explicitly with CopyRow first. Test with errors.Is.
 var ErrCrossDBC = errors.New("memory: operand outside the executing DBC's bank")
 
+// ErrInvalidRequest marks every request Execute and ExecuteBatch reject
+// at planning, before any lock is taken: an address outside the
+// geometry, an instruction Validate rejects, an executing DBC that is
+// not PIM-enabled, an opcode that is not a PIM operation, an operand
+// count that does not match, a write row of the wrong width. The
+// rejection keeps its message and any more specific sentinel
+// (ErrCrossDBC, params.ErrBadTRD). Test with errors.Is.
+var ErrInvalidRequest = errors.New("memory: invalid request")
+
+// invalidRequest marks a planning rejection with ErrInvalidRequest.
+type invalidRequest struct{ error }
+
+func (e invalidRequest) Unwrap() []error { return []error{e.error, ErrInvalidRequest} }
+
 // shard is one materialized DBC with its lock and accounting. The
 // physical cluster behind it is only touched with mu held.
 type shard struct {
@@ -579,7 +593,13 @@ type execPlan struct {
 // non-nil, is an empty slice whose backing array the returned plan's
 // lock set reuses — the batch planner passes each pooled plan's
 // previous bases array so steady-state planning allocates nothing.
-func (m *Memory) planRequest(r Request, buf []isa.Addr) (execPlan, error) {
+// Every rejection wraps ErrInvalidRequest.
+func (m *Memory) planRequest(r Request, buf []isa.Addr) (p execPlan, err error) {
+	defer func() {
+		if err != nil {
+			err = invalidRequest{err}
+		}
+	}()
 	switch r.Kind {
 	case KindExec:
 		return m.planExecute(r.In, r.Operands, r.Dst, buf)
@@ -640,15 +660,7 @@ func (m *Memory) planExecute(in isa.Instruction, operands []isa.Addr, dst isa.Ad
 	if len(operands) != in.Operands {
 		return execPlan{}, fmt.Errorf("memory: %v expects %d operands, got %d", in.Op, in.Operands, len(operands))
 	}
-	switch in.Op {
-	case isa.OpMult:
-		if len(operands) != 2 {
-			return execPlan{}, fmt.Errorf("memory: mult expects 2 operands, got %d", len(operands))
-		}
-	case isa.OpAdd, isa.OpMax, isa.OpRelu, isa.OpVote,
-		isa.OpDiv, isa.OpMod, isa.OpShl, isa.OpShr, isa.OpFma,
-		isa.OpAnd, isa.OpOr, isa.OpNand, isa.OpNor, isa.OpXor, isa.OpXnor, isa.OpNot:
-	default:
+	if !in.Op.IsPIM() {
 		return execPlan{}, fmt.Errorf("memory: opcode %v is not a PIM operation", in.Op)
 	}
 	if err := m.checkAddr(dst); err != nil {
@@ -746,11 +758,12 @@ func (m *Memory) runPlan(p execPlan, shards []*shard) (dbc.Row, error) {
 //
 // The request is validated in full — instruction encoding, address
 // geometry, and the bank-staging rule — before any shard lock is taken;
-// operands or destinations outside in.Src's bank return ErrCrossDBC
-// (stage them with CopyRow first). The involved shard locks are then
-// acquired in address order and held for the whole operation.
+// a rejection wraps ErrInvalidRequest, and operands or destinations
+// outside in.Src's bank also ErrCrossDBC (stage them with CopyRow
+// first). The involved shard locks are then acquired in address order
+// and held for the whole operation.
 func (m *Memory) Execute(in isa.Instruction, operands []isa.Addr, dst isa.Addr) (dbc.Row, error) {
-	p, err := m.planExecute(in, operands, dst, nil)
+	p, err := m.planRequest(Request{In: in, Operands: operands, Dst: dst}, nil)
 	if err != nil {
 		return dbc.Row{}, err
 	}

@@ -67,6 +67,7 @@ var codings = []struct {
 	{"overloaded", ErrOverloaded, http.StatusTooManyRequests},
 	{"draining", ErrDraining, http.StatusServiceUnavailable},
 	{"too_large", ErrTooLarge, http.StatusRequestEntityTooLarge},
+	{"invalid_request", memory.ErrInvalidRequest, http.StatusBadRequest},
 }
 
 // encodeError maps an error onto (status, envelope). Errors outside

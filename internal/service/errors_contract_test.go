@@ -36,6 +36,7 @@ func TestErrorContractRoundTrip(t *testing.T) {
 		{ErrOverloaded, "overloaded", http.StatusTooManyRequests},
 		{ErrDraining, "draining", http.StatusServiceUnavailable},
 		{ErrTooLarge, "too_large", http.StatusRequestEntityTooLarge},
+		{memory.ErrInvalidRequest, "invalid_request", http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.code, func(t *testing.T) {
@@ -93,6 +94,16 @@ func TestErrorContractOverWire(t *testing.T) {
 		t.Fatalf("overflow write err = %v, want ErrLaneOverflow", err)
 	}
 
+	// invalid_request: a request the memory rejects at planning.
+	_, err = api.Execute(ctx, ExecuteRequest{Tenant: "t-invalid", Shard: &shard, Request: Request{
+		Op: "add", Src: &Addr{Tile: 0, DBC: 15}, Blocksize: 7,
+		Operands: []Addr{{Tile: 1}, {Tile: 1, Row: 1}}, Dst: &Addr{Tile: 2},
+	}})
+	var invalid *APIError
+	if !errors.Is(err, memory.ErrInvalidRequest) || !errors.As(err, &invalid) || invalid.Status != http.StatusBadRequest {
+		t.Fatalf("blocksize 7 err = %v, want ErrInvalidRequest with status 400", err)
+	}
+
 	// bad_request: malformed JSON and unknown fields both reject.
 	resp, err := http.Post(api.base+PathExecute, "application/json", strings.NewReader(`{"op": `))
 	if err != nil {
@@ -137,6 +148,37 @@ func TestErrorContractOverWire(t *testing.T) {
 	}
 	if srv.Counters().RejectedQuota == 0 {
 		t.Fatal("quota rejection not counted")
+	}
+}
+
+// TestMalformedRequestsAre4xx posts requests the memory layer rejects
+// at planning and expects a client error for each, never a 500: the
+// caller sent something wrong, the server did not fail.
+func TestMalformedRequestsAre4xx(t *testing.T) {
+	_, api := startServer(t, Config{Shards: 1})
+	for _, c := range []struct{ name, body string }{
+		{"blocksize 7", `{"op":"add","src":{"dbc":15},"blocksize":7,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`},
+		{"src row 999", `{"op":"add","src":{"dbc":15,"row":999},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`},
+		{"non-PIM executing DBC", `{"op":"add","src":{"tile":1},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`},
+		{"mult with 3 operands", `{"op":"mult","src":{"dbc":15},"blocksize":16,"operands":[{"tile":1},{"tile":1,"row":1},{"tile":1,"row":2}],"dst":{"tile":2}}`},
+		{"nop", `{"op":"nop","src":{"dbc":15},"dst":{"tile":2}}`},
+		{"read at bank 99", `{"op":"read","src":{"bank":99}}`},
+		{"copy to bank 99", `{"op":"copy","src":{"tile":1},"dst":{"bank":99}}`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			resp, err := http.Post(api.base+PathExecute, "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var env errorEnvelope
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+				t.Fatalf("status %d %+v, want 4xx", resp.StatusCode, env.Error)
+			}
+		})
 	}
 }
 
