@@ -138,7 +138,38 @@ func TestAllocBudget(t *testing.T) {
 		}
 	}
 	compileRun()
-	allocBudget(t, "CompileRunO2", 867, compileRun)
+	allocBudget(t, "CompileRunO2", 821, compileRun)
+
+	// The same for a program whose -O2 compile folds: a repeated load
+	// and add, a shift chain to zero, a multiply by that zero, and xor
+	// pairs that cancel. Three kernels are left: shr, add and fma.
+	const folded = `%a = load b0.s0.t1.d0.r0
+%a2 = load b0.s0.t1.d0.r0
+%b = load b0.s0.t1.d0.r1
+%n = shr %a bs=8 imm=4
+%nn = shr %n bs=8 imm=4
+%m = mult %nn, %n bs=8
+%p = add %a, %b, %m bs=8
+%q = add %b, %a2 bs=8
+%x = xor %p, %q, %b, %b bs=8
+%f = fma %n, %n, %x bs=8
+store %f, b0.s0.t2.d0.r0
+store %q, b0.s0.t2.d0.r1
+`
+	compileRunFolded := func() {
+		res, err := compile.Compile(folded, ccfg, compile.Options{Level: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Requests != 3 {
+			t.Fatalf("folded program issues %d kernels, want 3", res.Stats.Requests)
+		}
+		if err := res.Plan.Run(cm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compileRunFolded()
+	allocBudget(t, "CompileRunFolded", 182, compileRunFolded)
 
 	// Memory.Stats reads the recorder's ledger: nothing per shard.
 	sm, err := memory.New(ccfg)

@@ -218,7 +218,8 @@ type (
 
 // CompileProgram compiles a pimasm program into an executable plan.
 // The compiled plan is result-identical to naive hand-placed execution;
-// at Level >= 1 it needs fewer cross-DBC row-buffer moves and shorter
+// at Level >= 1 it computes each value once, folds lane-exact
+// identities, and needs fewer cross-DBC row-buffer moves and shorter
 // port-alignment shifts, and at Level >= 2 it pipelines the schedule —
 // staging overlaps compute inside batch windows, shrinking the
 // critical-path cycle count reported by Recorder().Makespan().
@@ -372,7 +373,8 @@ var (
 	// (draining, 503).
 	ErrServiceDraining = service.ErrDraining
 	// ErrServiceTooLarge reports a request body over its endpoint's
-	// size limit (too_large, 413).
+	// size limit, or a compiled program over its statement limit
+	// (too_large, 413).
 	ErrServiceTooLarge = service.ErrTooLarge
 )
 

@@ -15,11 +15,14 @@ const Source = telemetry.Source("pimc")
 // Options configures a compilation.
 type Options struct {
 	// Level selects the placement strategy: 0 compiles the naive
-	// hand-placed layout (one PIM DBC, everything staged), 1 the
-	// placement-aware layout with level-barrier batches, 2 the
-	// pipelined schedule (staging and store traffic folded into the
-	// batch windows, overlapping with compute — same results, lower
-	// makespan). Higher levels behave like 2.
+	// hand-placed layout (one PIM DBC, everything staged, every
+	// statement computed as written), 1 the placement-aware layout
+	// with level-barrier batches, 2 the pipelined schedule (staging
+	// and store traffic folded into the batch windows, overlapping
+	// with compute — same results, lower makespan). From 1 up, each
+	// value is computed once and lane-exact identities are folded, so
+	// no kernel is issued that can be proved redundant. Higher levels
+	// behave like 2.
 	Level int
 	// Recorder, when non-nil, receives one span per compiler pass.
 	Recorder *telemetry.Recorder
@@ -41,7 +44,7 @@ type Output struct {
 // Result is a compiled program.
 type Result struct {
 	Plan    *Plan
-	Inputs  []Output // the program's live load rows (Blocksize 0: raw)
+	Inputs  []Output // the program's live load rows, folded or not (Blocksize 0: raw)
 	Outputs []Output
 	Stats   PlanStats // cost model of the emitted plan
 
@@ -53,8 +56,9 @@ type Result struct {
 
 // Compile parses, legalizes, places and schedules a pimasm program
 // into an executable Plan. The compiled plan is result-identical to
-// naive hand-placed execution; at Level >= 1 it needs fewer cross-DBC
-// row-buffer moves and shorter port alignment shifts. The naive
+// naive hand-placed execution; at Level >= 1 it issues fewer kernels
+// and needs fewer cross-DBC row-buffer moves and shorter port
+// alignment shifts. The naive
 // baseline to compare against is a Level 0 compile's Stats. Compile
 // fails on the verifier's errors and drops its warnings; Vet returns
 // them.
@@ -91,7 +95,7 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	}
 
 	done = pass("legalize")
-	err = prog.legalize(cfg.TRD)
+	err = prog.legalize(cfg.TRD, opt.Level >= 1)
 	done()
 	if err != nil {
 		return nil, err
@@ -123,13 +127,12 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	}
 	stats.RowsRecycled = lay.recycled
 
-	res := &Result{Plan: plan, Stats: stats, ShiftsByDBC: shiftsBySource(heads)}
+	// Inputs and outputs are the source program's, whatever folding
+	// made of the values between them.
+	res := &Result{Plan: plan, Inputs: prog.inputs, Stats: stats, ShiftsByDBC: shiftsBySource(heads)}
 	for _, n := range prog.nodes {
-		switch n.kind {
-		case nLoad:
-			res.Inputs = append(res.Inputs, Output{Name: n.name, Addr: n.addr})
-		case nStore:
-			res.Outputs = append(res.Outputs, Output{Name: n.srcName, Addr: n.addr, Blocksize: n.args[0].bs})
+		if n.kind == nStore {
+			res.Outputs = append(res.Outputs, Output{Name: n.srcName, Addr: n.addr, Blocksize: n.bs})
 		}
 	}
 	return res, nil

@@ -38,6 +38,8 @@ type progGen struct {
 	regs  []string
 	vals  map[string][]uint64
 	next  int
+	ops   []genOp // every op emitted so far, for redundant re-emission
+	zero  string  // a register holding zero in every lane, once emitted
 
 	loads  map[isa.Addr][]uint64
 	stores map[isa.Addr]string
@@ -65,6 +67,19 @@ func (g *progGen) def(name string, vals []uint64) {
 }
 
 func (g *progGen) pick() string { return g.regs[g.rng.Intn(len(g.regs))] }
+
+// genOp is one emitted operation: its right-hand side and lane values.
+type genOp struct {
+	expr string
+	vals []uint64
+}
+
+// emit writes "%name = expr" and defines name with the lane values.
+func (g *progGen) emit(name, expr string, vals []uint64) {
+	fmt.Fprintf(&g.src, "%%%s = %s\n", name, expr)
+	g.def(name, vals)
+	g.ops = append(g.ops, genOp{expr, vals})
+}
 
 // addr draws an unused non-PIM row in one of the given banks.
 func (g *progGen) addr(banks []int) isa.Addr {
@@ -124,6 +139,7 @@ func (g *progGen) op() {
 	mask := laneMask(g.bs)
 	name := g.fresh()
 	out := make([]uint64, g.lanes)
+	var expr string
 	switch op := genOps[g.rng.Intn(len(genOps))]; op {
 	case "add":
 		k := 2 + g.rng.Intn(5)
@@ -137,13 +153,13 @@ func (g *progGen) op() {
 			}
 			out[l] &= mask
 		}
-		fmt.Fprintf(&g.src, "%%%s = add %%%s bs=%d\n", name, strings.Join(args, ", %"), g.bs)
+		expr = fmt.Sprintf("add %%%s bs=%d", strings.Join(args, ", %"), g.bs)
 	case "sub":
 		a, b := g.pick(), g.pick()
 		for l := range out {
 			out[l] = (g.vals[a][l] - g.vals[b][l]) & mask
 		}
-		fmt.Fprintf(&g.src, "%%%s = sub %%%s, %%%s bs=%d\n", name, a, b, g.bs)
+		expr = fmt.Sprintf("sub %%%s, %%%s bs=%d", a, b, g.bs)
 	case "and", "or", "xor":
 		a, b := g.pick(), g.pick()
 		for l := range out {
@@ -156,25 +172,25 @@ func (g *progGen) op() {
 				out[l] = g.vals[a][l] ^ g.vals[b][l]
 			}
 		}
-		fmt.Fprintf(&g.src, "%%%s = %s %%%s, %%%s bs=%d\n", name, op, a, b, g.bs)
+		expr = fmt.Sprintf("%s %%%s, %%%s bs=%d", op, a, b, g.bs)
 	case "not":
 		a := g.pick()
 		for l := range out {
 			out[l] = ^g.vals[a][l] & mask
 		}
-		fmt.Fprintf(&g.src, "%%%s = not %%%s bs=%d\n", name, a, g.bs)
+		expr = fmt.Sprintf("not %%%s bs=%d", a, g.bs)
 	case "mult":
 		a, b := g.narrow(g.pick()), g.narrow(g.pick())
 		for l := range out {
 			out[l] = g.vals[a][l] * g.vals[b][l] & mask
 		}
-		fmt.Fprintf(&g.src, "%%%s = mult %%%s, %%%s bs=%d\n", name, a, b, g.bs)
+		expr = fmt.Sprintf("mult %%%s, %%%s bs=%d", a, b, g.bs)
 	case "fma":
 		a, b, c := g.narrow(g.pick()), g.narrow(g.pick()), g.pick()
 		for l := range out {
 			out[l] = (g.vals[a][l]*g.vals[b][l] + g.vals[c][l]) & mask
 		}
-		fmt.Fprintf(&g.src, "%%%s = fma %%%s, %%%s, %%%s bs=%d\n", name, a, b, c, g.bs)
+		expr = fmt.Sprintf("fma %%%s, %%%s, %%%s bs=%d", a, b, c, g.bs)
 	case "div", "mod":
 		a, d := g.pick(), g.pick()
 		for l := range out {
@@ -189,7 +205,7 @@ func (g *progGen) op() {
 				out[l] = r
 			}
 		}
-		fmt.Fprintf(&g.src, "%%%s = %s %%%s, %%%s bs=%d\n", name, op, a, d, g.bs)
+		expr = fmt.Sprintf("%s %%%s, %%%s bs=%d", op, a, d, g.bs)
 	case "shl", "shr":
 		a, k := g.pick(), g.rng.Intn(g.bs+1)
 		for l := range out {
@@ -199,9 +215,107 @@ func (g *progGen) op() {
 				out[l] = g.vals[a][l] >> uint(k)
 			}
 		}
-		fmt.Fprintf(&g.src, "%%%s = %s %%%s bs=%d imm=%d\n", name, op, a, g.bs, k)
+		expr = fmt.Sprintf("%s %%%s bs=%d imm=%d", op, a, g.bs, k)
 	}
-	g.def(name, out)
+	g.emit(name, expr, out)
+}
+
+// zeroReg returns a register holding zero in every lane, emitting
+// "li 0" the first time.
+func (g *progGen) zeroReg() string {
+	if g.zero == "" {
+		g.zero = g.fresh()
+		fmt.Fprintf(&g.src, "%%%s = li 0 bs=%d\n", g.zero, g.bs)
+		g.def(g.zero, make([]uint64, g.lanes))
+	}
+	return g.zero
+}
+
+// redundant emits a statement pimc's -O1/-O2 folding can prove
+// redundant: an earlier op re-emitted under a fresh name, li 0, a
+// shift chain (which may reach zero), an and/or/xor/max of a register
+// with itself, an add/and/or/xor/max with a zero operand, or a
+// mult/fma with a zero multiplicand next to a narrowed one.
+func (g *progGen) redundant() {
+	mask := laneMask(g.bs)
+	out := make([]uint64, g.lanes)
+	var expr string
+	switch g.rng.Intn(6) {
+	case 0:
+		if len(g.ops) == 0 {
+			g.zeroReg()
+			return
+		}
+		e := g.ops[g.rng.Intn(len(g.ops))]
+		g.emit(g.fresh(), e.expr, e.vals)
+		return
+	case 1:
+		g.zero = ""
+		g.zeroReg()
+		return
+	case 2:
+		op, a := []string{"shl", "shr"}[g.rng.Intn(2)], g.pick()
+		for i := 0; i < 2; i++ {
+			k := g.rng.Intn(g.bs + 1)
+			shifted := make([]uint64, g.lanes)
+			for l := range shifted {
+				if op == "shl" {
+					shifted[l] = g.vals[a][l] << uint(k) & mask
+				} else {
+					shifted[l] = g.vals[a][l] >> uint(k)
+				}
+			}
+			name := g.fresh()
+			g.emit(name, fmt.Sprintf("%s %%%s bs=%d imm=%d", op, a, g.bs, k), shifted)
+			a = name
+		}
+		return
+	case 3, 4:
+		op := []string{"and", "or", "xor", "max", "add"}[g.rng.Intn(5)]
+		a, b := g.pick(), g.pick()
+		if op == "add" || g.rng.Intn(2) == 0 {
+			b = g.zeroReg()
+		}
+		args := []string{a, a, b}
+		if op == "add" {
+			args = []string{a, b}
+		}
+		g.rng.Shuffle(len(args), func(i, j int) { args[i], args[j] = args[j], args[i] })
+		for l := range out {
+			v := g.vals[args[0]][l]
+			for _, r := range args[1:] {
+				x := g.vals[r][l]
+				switch op {
+				case "and":
+					v &= x
+				case "or":
+					v |= x
+				case "xor":
+					v ^= x
+				case "max":
+					v = max(v, x)
+				case "add":
+					v = (v + x) & mask
+				}
+			}
+			out[l] = v
+		}
+		expr = fmt.Sprintf("%s %%%s bs=%d", op, strings.Join(args, ", %"), g.bs)
+	case 5:
+		z, n := g.zeroReg(), g.narrow(g.pick())
+		x, y := z, n
+		if g.rng.Intn(2) == 0 {
+			x, y = n, z
+		}
+		if g.rng.Intn(2) == 0 {
+			expr = fmt.Sprintf("mult %%%s, %%%s bs=%d", x, y, g.bs)
+		} else {
+			c := g.pick()
+			copy(out, g.vals[c])
+			expr = fmt.Sprintf("fma %%%s, %%%s, %%%s bs=%d", x, y, c, g.bs)
+		}
+	}
+	g.emit(g.fresh(), expr, out)
 }
 
 func (g *progGen) store(banks []int) {
@@ -255,6 +369,9 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 					gen.li()
 				}
 				for i := 0; i < 5+rng.Intn(8); i++ {
+					if rng.Intn(3) == 0 {
+						gen.redundant()
+					}
 					gen.op()
 				}
 				for i := 0; i < 2+rng.Intn(3); i++ {
@@ -517,6 +634,9 @@ func TestPipelinedDifferential(t *testing.T) {
 					gen.li()
 				}
 				for i := 0; i < 5+rng.Intn(10); i++ {
+					if rng.Intn(3) == 0 {
+						gen.redundant()
+					}
 					gen.op()
 				}
 				for i := 0; i < 2+rng.Intn(3); i++ {

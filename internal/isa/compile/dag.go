@@ -1,7 +1,7 @@
 package compile
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/isa"
 	"repro/internal/params"
@@ -11,104 +11,311 @@ import (
 // directly: the sub pseudo-op becomes not + add-with-one on the carry
 // chain, and associative operations whose operand lists exceed the
 // TR-window capacity are split into chains. Unreachable values are
-// dropped (they feed no store). The pass rewrites p.nodes in place.
-func (p *Program) legalize(trd params.TRD) error {
-	out := &Program{byName: p.byName, geo: p.geo}
-	ones := make(map[int]*node) // shared "li 1" per blocksize
-	synth := 0
-	fresh := func(op isa.OpCode, bs int, args []*node) *node {
-		synth++
-		return out.add(&node{kind: nOp, name: fmt.Sprintf("·%d", synth), op: op, bs: bs, args: args})
+// dropped (they feed no store). The pass rewrites p.nodes in place and
+// records the source program's live loads, the plan's inputs, in
+// p.inputs.
+//
+// With opt (-O1 and up) the walk also numbers values and folds
+// lane-exact identities, so the plan computes each value once and
+// issues no kernel it can prove redundant; see number and simplify.
+// Without it (-O0) every statement is computed as written: the naive
+// baseline shares only the legalizer's own constants.
+func (p *Program) legalize(trd params.TRD, opt bool) error {
+	lz := &legalizer{
+		nodes:  make([]*node, 0, len(p.nodes)+8),
+		values: make(map[vkey]*node, len(p.nodes)),
+		trd:    trd,
+		geo:    p.geo,
+		opt:    opt,
 	}
-	one := func(bs int) *node {
-		if n, ok := ones[bs]; ok {
-			return n
-		}
-		synth++
-		n := out.add(&node{kind: nConst, name: fmt.Sprintf("·%d", synth), val: 1, bs: bs})
-		ones[bs] = n
-		return n
-	}
-	// chain folds args through repeated at-most-max-operand ops,
-	// returning the final value.
-	chain := func(op isa.OpCode, bs int, args []*node, max int) *node {
-		t := args[0]
-		if len(args) > 1 {
-			head := min(len(args), max)
-			t = fresh(op, bs, args[:head])
-			for i := head; i < len(args); i += max - 1 {
-				t = fresh(op, bs, append([]*node{t}, args[i:min(i+max-1, len(args))]...))
-			}
-		}
-		return t
-	}
-
-	replaced := make(map[*node]*node) // original def -> legalized def
-	resolve := func(args []*node) []*node {
-		rs := make([]*node, len(args))
-		for i, a := range args {
-			r, ok := replaced[a]
-			if !ok {
-				r = a
-			}
-			rs[i] = r
-		}
-		return rs
-	}
-
 	live := liveSet(p.nodes)
+	nLoads := 0
+	for _, n := range p.nodes {
+		if n.kind == nLoad && live[n] {
+			nLoads++
+		}
+	}
+	p.inputs = make([]Output, 0, nLoads)
 	for _, n := range p.nodes {
 		if n.kind != nStore && !live[n] {
 			continue
 		}
 		switch n.kind {
-		case nLoad, nConst:
-			out.add(n)
-			continue
+		case nLoad:
+			p.inputs = append(p.inputs, Output{Name: n.name, Addr: n.addr})
+			n.repl = lz.number(n)
+		case nConst:
+			n.repl = lz.number(n)
 		case nStore:
-			n.args = resolve(n.args)
-			out.add(n)
-			continue
-		}
-		if err := checkOp(n, trd); err != nil {
-			return err
-		}
-		n.args = resolve(n.args)
-		maxAdd, maxBulk := trd.MaxAddOperands(), trd.MaxBulkOperands()
-		switch n.op {
-		case opSub:
-			// a - b = a + ~b + 1 on the carry chain.
-			nb := fresh(isa.OpNot, n.bs, n.args[1:2])
-			var t *node
-			if maxAdd >= 3 {
-				t = fresh(isa.OpAdd, n.bs, []*node{n.args[0], nb, one(n.bs)})
-			} else {
-				t = fresh(isa.OpAdd, n.bs, []*node{fresh(isa.OpAdd, n.bs, []*node{n.args[0], nb}), one(n.bs)})
+			n.args[0] = n.args[0].repl
+			lz.add(n)
+		case nOp:
+			if err := checkOp(n, trd); err != nil {
+				return err
 			}
-			replaced[n] = t
-			p.byName[n.name] = t
-		case isa.OpAdd:
-			if len(n.args) <= maxAdd {
-				out.add(n)
-				continue
+			for i, a := range n.args {
+				n.args[i] = a.repl
 			}
-			t := chain(isa.OpAdd, n.bs, n.args, maxAdd)
-			replaced[n] = t
-			p.byName[n.name] = t
-		case isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpMax:
-			if len(n.args) <= maxBulk {
-				out.add(n)
-				continue
-			}
-			t := chain(n.op, n.bs, n.args, maxBulk)
-			replaced[n] = t
-			p.byName[n.name] = t
-		default:
-			out.add(n)
+			n.repl = lz.op(n)
 		}
 	}
-	p.nodes = out.nodes
+	if lz.folded {
+		lz.dropDead()
+	}
+	p.nodes = lz.nodes
 	return nil
+}
+
+// legalizer is the state of one legalize walk.
+type legalizer struct {
+	nodes  []*node        // the legalized program, in emission order
+	values map[vkey]*node // value numbering: the node computing each value
+	trd    params.TRD
+	geo    params.Geometry
+	opt    bool // -O1 and up: number values and fold identities
+	synth  int  // legalizer registers named so far
+	folded bool // an identity fired, so emitted values may have lost their last use
+}
+
+// vkey identifies a value: a load by its row, a constant by its value
+// and blocksize, an op by its opcode, blocksize, immediate and
+// operands. The operands of add, and, or, xor, max and mult are
+// sorted, so those number as multisets. The fields are narrow because
+// a compile keeps one key per value.
+type vkey struct {
+	kind     nodeKind
+	op       isa.OpCode
+	bs, imm  int32
+	val      uint64             // nConst: the value; nLoad: the row's linear index
+	operands [params.TRD7]int32 // operand id+1 per operand, 0 past the last; a legal op reads at most TRD7
+}
+
+func (lz *legalizer) key(n *node) vkey {
+	k := vkey{kind: n.kind, op: n.op, bs: int32(n.bs), imm: int32(n.imm), val: n.val}
+	if n.kind == nLoad {
+		k.val = uint64(n.addr.Linear(lz.geo))
+	}
+	for i, a := range n.args {
+		k.operands[i] = int32(a.id + 1)
+	}
+	switch n.op {
+	case isa.OpAdd, isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpMax, isa.OpMult:
+		ids := k.operands[:len(n.args)]
+		for i := 1; i < len(ids); i++ {
+			for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
+				ids[j], ids[j-1] = ids[j-1], ids[j]
+			}
+		}
+	}
+	return k
+}
+
+func (lz *legalizer) add(n *node) *node {
+	n.id = len(lz.nodes)
+	lz.nodes = append(lz.nodes, n)
+	return n
+}
+
+// name returns the next legalizer register name: ·1, ·2, ...
+func (lz *legalizer) name() string {
+	lz.synth++
+	return "·" + strconv.Itoa(lz.synth)
+}
+
+// fresh makes a legalizer register computing op over args.
+func (lz *legalizer) fresh(op isa.OpCode, bs int, args []*node) *node {
+	return &node{kind: nOp, name: lz.name(), op: op, bs: bs, args: args}
+}
+
+// number returns the value n computes: the node emitted earlier for an
+// equal value, else n itself, emitted now. Without opt every statement
+// is its own value.
+func (lz *legalizer) number(n *node) *node {
+	if !lz.opt {
+		return lz.add(n)
+	}
+	k := lz.key(n)
+	if v, ok := lz.values[k]; ok {
+		return v
+	}
+	lz.values[k] = lz.add(n)
+	return n
+}
+
+// konst returns the constant val at blocksize bs. It is numbered at
+// every level, so the legalizer's own constants (sub's 1, a fold's 0)
+// take one row per value and blocksize even at -O0.
+func (lz *legalizer) konst(val uint64, bs int) *node {
+	k := lz.key(&node{kind: nConst, val: val, bs: bs})
+	if c, ok := lz.values[k]; ok {
+		return c
+	}
+	c := lz.add(&node{kind: nConst, name: lz.name(), val: val, bs: bs})
+	lz.values[k] = c
+	return c
+}
+
+// op lowers op n, whose operands are legalized values, and returns the
+// value it computes. The identities hold bit for bit only where every
+// lane is whole, so a blocksize that does not divide the track width
+// is not folded.
+func (lz *legalizer) op(n *node) *node {
+	if lz.opt && lz.geo.TrackWidth%n.bs == 0 {
+		if v := lz.simplify(n); v != nil {
+			return v
+		}
+	}
+	maxAdd, maxBulk := lz.trd.MaxAddOperands(), lz.trd.MaxBulkOperands()
+	switch n.op {
+	case opSub:
+		// a - b = a + ~b + 1 on the carry chain.
+		nb := lz.op(lz.fresh(isa.OpNot, n.bs, n.args[1:2]))
+		if maxAdd >= 3 {
+			return lz.op(lz.fresh(isa.OpAdd, n.bs, []*node{n.args[0], nb, lz.konst(1, n.bs)}))
+		}
+		lo := lz.op(lz.fresh(isa.OpAdd, n.bs, []*node{n.args[0], nb}))
+		return lz.op(lz.fresh(isa.OpAdd, n.bs, []*node{lo, lz.konst(1, n.bs)}))
+	case isa.OpAdd:
+		if len(n.args) > maxAdd {
+			return lz.chain(n, maxAdd)
+		}
+	case isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpMax:
+		if len(n.args) > maxBulk {
+			return lz.chain(n, maxBulk)
+		}
+	}
+	return lz.number(n)
+}
+
+// chain folds n's operands through repeated at-most-max-operand ops,
+// returning the final value.
+func (lz *legalizer) chain(n *node, max int) *node {
+	args := n.args
+	t := lz.op(lz.fresh(n.op, n.bs, args[:max]))
+	for i := max; i < len(args); i += max - 1 {
+		t = lz.op(lz.fresh(n.op, n.bs, append([]*node{t}, args[i:min(i+max-1, len(args))]...)))
+	}
+	return t
+}
+
+// simplify applies the lane-exact identities of unsigned bs-bit lanes
+// to op n, whose operands are legalized values. It returns the value n
+// folds to, or nil with n rewritten in place (operands dropped, shift
+// amounts merged) and still to be lowered:
+//
+//   - a shift by 0 is its operand; a shift of zero, or by bs or more,
+//     is zero; shr(shr(x, a), b) is shr(x, a+b), likewise shl;
+//   - a repeated operand of and/or/max collapses, and repeated xor
+//     operands cancel in pairs;
+//   - a zero operand drops out of add/or/xor/max and makes an and zero;
+//   - mult by zero is zero and fma with a zero multiplicand is its
+//     addend, but only when the other multiplicand is provably narrow,
+//     so a multiply whose operand may overflow still reaches the
+//     kernel's run-time lane check;
+//   - an op left with one operand is that operand, and with none, zero.
+func (lz *legalizer) simplify(n *node) *node {
+	bs := n.bs
+	switch n.op {
+	case isa.OpShl, isa.OpShr:
+		x := n.args[0]
+		if x.kind == nOp && x.op == n.op {
+			n.imm += x.imm
+			x = x.args[0]
+			n.args[0] = x
+			lz.folded = true
+		}
+		switch {
+		case n.imm == 0:
+			return lz.fold(x)
+		case n.imm >= bs || isZero(x):
+			return lz.fold(lz.konst(0, bs))
+		}
+	case isa.OpMult, isa.OpFma:
+		a, b := n.args[0], n.args[1]
+		if isZero(a) && narrow(b, bs) || isZero(b) && narrow(a, bs) {
+			if n.op == isa.OpFma {
+				return lz.fold(n.args[2])
+			}
+			return lz.fold(lz.konst(0, bs))
+		}
+	case isa.OpAdd, isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpMax:
+		args := n.args[:0]
+	scan:
+		for _, a := range n.args {
+			if isZero(a) {
+				if n.op == isa.OpAnd {
+					return lz.fold(lz.konst(0, bs))
+				}
+				continue
+			}
+			if n.op != isa.OpAdd {
+				for j, b := range args {
+					if b == a {
+						if n.op == isa.OpXor {
+							args = append(args[:j], args[j+1:]...)
+						}
+						continue scan
+					}
+				}
+			}
+			args = append(args, a)
+		}
+		if len(args) < len(n.args) {
+			lz.folded = true
+		}
+		n.args = args
+		switch len(args) {
+		case 0:
+			return lz.fold(lz.konst(0, bs))
+		case 1:
+			return lz.fold(args[0])
+		}
+	}
+	return nil
+}
+
+// fold notes that an identity replaced an op by the value v.
+func (lz *legalizer) fold(v *node) *node {
+	lz.folded = true
+	return v
+}
+
+func isZero(n *node) bool { return n.kind == nConst && n.val == 0 }
+
+// narrow reports whether n provably fits the low half of its bs-bit
+// lanes, the multiplier's input range: a constant below 2^(bs/2), or a
+// shr by at least bs/2.
+func narrow(n *node, bs int) bool {
+	switch n.kind {
+	case nConst:
+		return n.val>>(uint(bs)/2) == 0
+	case nOp:
+		return n.op == isa.OpShr && n.imm >= bs/2
+	}
+	return false
+}
+
+// dropDead removes the values no store reaches any longer, walking
+// back from the stores, and renumbers the survivors densely.
+func (lz *legalizer) dropDead() {
+	live := make([]bool, len(lz.nodes))
+	for i := len(lz.nodes) - 1; i >= 0; i-- {
+		n := lz.nodes[i]
+		if n.kind != nStore && !live[i] {
+			continue
+		}
+		for _, a := range n.args {
+			live[a.id] = true
+		}
+	}
+	kept := lz.nodes[:0]
+	for i, n := range lz.nodes {
+		if n.kind == nStore || live[i] {
+			n.id = len(kept)
+			kept = append(kept, n)
+		}
+	}
+	lz.nodes = kept
 }
 
 // checkOp validates operand cardinality and immediates against the op

@@ -48,13 +48,14 @@ type node struct {
 	line    int    // 1-based source line (0 for legalizer-inserted nodes)
 
 	op   isa.OpCode // nOp
-	bs   int        // blocksize (nConst, nOp)
+	bs   int        // blocksize (nConst, nOp; nStore: the stored register's, 0 for a raw load)
 	imm  int        // shift amount (shl/shr)
 	val  uint64     // nConst
 	addr isa.Addr   // nLoad source / nStore destination
 
 	args  []*node
-	level int // DAG depth: loads/consts 0, ops 1+max(args)
+	level int   // DAG depth: loads/consts 0, ops 1+max(args)
+	repl  *node // legalize: the legalized value this statement computes
 
 	// Placement results (place.go).
 	home   isa.Addr // row where the value lives once defined
@@ -68,6 +69,7 @@ type Program struct {
 	nodes  []*node
 	byName map[string]*node
 	geo    params.Geometry
+	inputs []Output // legalize: the source program's live loads, in order
 }
 
 var vregRe = regexp.MustCompile(`^%[A-Za-z_][A-Za-z0-9_]*$`)
@@ -79,11 +81,20 @@ func lineErr(line int, class ErrorClass, format string, args ...any) error {
 	}}
 }
 
+// MaxStatements bounds the statements of one program. Placement and
+// scheduling walk the DAG once per level and the parser scans the
+// program for each store, so the work grows with the square of the
+// program; Parse rejects a longer program (class too-large) before
+// any of that runs. The largest program in the tree has about 40
+// statements.
+const MaxStatements = 1024
+
 // Parse parses pimasm source, enforcing single assignment,
-// define-before-use, and geometry-valid addresses. Errors carry 1-based
-// line numbers as *isa.ParseError.
+// define-before-use, geometry-valid addresses and MaxStatements.
+// Errors carry 1-based line numbers as *isa.ParseError.
 func Parse(src string, g params.Geometry) (*Program, error) {
 	p := &Program{byName: make(map[string]*node), geo: g}
+	stmts := 0
 	for i, raw := range strings.Split(src, "\n") {
 		ln := i + 1
 		text := raw
@@ -92,6 +103,9 @@ func Parse(src string, g params.Geometry) (*Program, error) {
 		}
 		if strings.TrimSpace(text) == "" {
 			continue
+		}
+		if stmts++; stmts > MaxStatements {
+			return nil, lineErr(ln, ClassTooLarge, "program exceeds %d statements", MaxStatements)
 		}
 		fields := strings.Fields(strings.ReplaceAll(text, ",", " "))
 		var err error
@@ -164,7 +178,7 @@ func (p *Program) parseStore(fields []string, line int) error {
 			return lineErr(line, ClassAddress, "store to loaded address %s (loads read initial memory)", isa.FormatAddr(addr))
 		}
 	}
-	p.add(&node{kind: nStore, srcName: arg.name, line: line, addr: addr, args: []*node{arg}})
+	p.add(&node{kind: nStore, srcName: arg.name, line: line, bs: arg.bs, addr: addr, args: []*node{arg}})
 	return nil
 }
 

@@ -200,8 +200,13 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 	}
 
 	// The program's own rows (and their whole DBCs) are off-limits to
-	// the allocators, so a home can never alias a load or store address.
+	// the allocators, so a home can never alias a load or store address,
+	// even a load whose every use folded away. The rows the plan
+	// touches vote for the exec bank.
 	bankVotes := make(map[int]int)
+	for _, in := range p.inputs {
+		lay.reserved[dbcBase(in.Addr)] = true
+	}
 	for _, n := range p.nodes {
 		if n.kind == nLoad || n.kind == nStore {
 			lay.reserved[dbcBase(n.addr)] = true

@@ -16,8 +16,9 @@ import (
 type ErrorClass string
 
 // The diagnostic classes. Parse and legalize reject syntax, address,
-// redefinition, opcode, arity, immediate and width problems; the verify
-// pass adds the dataflow classes (use-before-def on hand-built DAGs,
+// redefinition, opcode, arity, immediate and width problems, and
+// programs longer than MaxStatements (too-large); the verify pass adds
+// the dataflow classes (use-before-def on hand-built DAGs,
 // width-overflow across defs and uses, dead-store and
 // unreachable-result warnings).
 const (
@@ -31,6 +32,7 @@ const (
 	ClassWidth        ErrorClass = "width-overflow"
 	ClassDeadStore    ErrorClass = "dead-store"
 	ClassUnreachable  ErrorClass = "unreachable-result"
+	ClassTooLarge     ErrorClass = "too-large"
 )
 
 // classedError tags an error with its ErrorClass. The message is the

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -43,6 +44,9 @@ func TestDiagnosticsGolden(t *testing.T) {
 		{"li-bs-too-big", "%a = li 1 bs=128", 1, ClassWidth},
 		{"bad-blocksize", "%a = li 1 bs=9", 1, ClassWidth},
 		{"duplicate-store", "%a = load b0.s0.t1.d0.r0\nstore %a, b0.s0.t1.d0.r1\nstore %a, b0.s0.t1.d0.r1", 3, ClassDeadStore},
+		// Parser: program size, checked before any pass that grows
+		// with the square of the program.
+		{"too-many-statements", constStatements(MaxStatements + 1), MaxStatements + 1, ClassTooLarge},
 		// Parser: opcodes.
 		{"unknown-op", "%a = li 1 bs=8\n%b = frob %a bs=8", 2, ClassOpcode},
 		{"non-compute-op", "%a = read b0.s0.t0.d0.r0", 1, ClassOpcode},
@@ -77,6 +81,15 @@ func TestDiagnosticsGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// constStatements returns a program of n distinct constant statements.
+func constStatements(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "%%r%d = li 1 bs=8\n", i)
+	}
+	return b.String()
 }
 
 // TestVetWarnings pins the warning-severity diagnostics (dead stores
@@ -153,5 +166,11 @@ func TestVetParseFailure(t *testing.T) {
 	}
 	if !strings.Contains(diags[0].String(), "error: width-overflow") {
 		t.Errorf("diagnostic string %q lacks the class", diags[0].String())
+	}
+	// An over-long program is one too-large error at the first
+	// statement past the limit.
+	diags = Vet(constStatements(MaxStatements+1), params.DefaultGeometry())
+	if len(diags) != 1 || !diags[0].Err || diags[0].Class != ClassTooLarge || diags[0].Line != MaxStatements+1 {
+		t.Fatalf("got %v, want one too-large error on line %d", diags, MaxStatements+1)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/isa"
 	"repro/internal/memory"
+	"repro/internal/pim"
 )
 
 // TestAdmissionTokenRelease walks every handler path and checks the
@@ -128,5 +130,57 @@ func TestHandlerPathsReleaseTokens(t *testing.T) {
 	}
 	if c := srv.Counters(); c.Accepted != c.Completed {
 		t.Fatalf("accepted %d != completed %d", c.Accepted, c.Completed)
+	}
+}
+
+// TestCancelledJobsDoNotRun: a job whose client went away while it
+// queued is dropped before it executes (a window job before the merge,
+// a compile job before Compile) and counted Cancelled, not Completed.
+func TestCancelledJobsDoNotRun(t *testing.T) {
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	row := pim.MustPackLanes([]uint64{1, 2, 3, 4, 5, 6, 7, 8}, 8, 64)
+	target := isa.Addr{Tile: 1, Row: 2}
+	kept := isa.Addr{Tile: 1, Row: 3}
+	for _, tc := range []struct {
+		name string
+		job  *job
+	}{
+		{"window", &job{ctx: gone, reqs: []memory.Request{{Kind: memory.KindWrite, Dst: target, Row: row}}}},
+		{"compile", &job{ctx: gone, compile: &CompileRequest{Source: "%a = li 5 bs=8\nstore %a, b0.s0.t1.d0.r2\n"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Unstarted workers: the client is gone before the job runs.
+			srv, err := newServer(Config{Device: testConfig(t), Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.job.done = make(chan struct{})
+			live := &job{ctx: context.Background(), reqs: []memory.Request{{Kind: memory.KindWrite, Dst: kept, Row: row}}, done: make(chan struct{})}
+			for _, j := range []*job{tc.job, live} {
+				release, err := srv.admit(0, j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer release()
+			}
+			srv.start()
+			srv.Drain()
+			<-tc.job.done
+			if !errors.Is(tc.job.cerr, context.Canceled) {
+				t.Errorf("dropped job err = %v, want context.Canceled", tc.job.cerr)
+			}
+			mem := srv.Pool().Shard(0)
+			if got, err := mem.ReadRow(target); err != nil || got.OnesCount() != 0 {
+				t.Errorf("cancelled job's target row holds %d set bits (err %v), want untouched", got.OnesCount(), err)
+			}
+			if got, err := mem.ReadRow(kept); err != nil || !got.Equal(row) {
+				t.Errorf("live job's row was not written (err %v)", err)
+			}
+			c := srv.Counters()
+			if c.Cancelled != 1 || c.Accepted != c.Completed+c.Cancelled {
+				t.Errorf("counters %+v: want Cancelled 1 and Accepted == Completed + Cancelled", c)
+			}
+		})
 	}
 }

@@ -29,7 +29,8 @@ var (
 	// the server finishes accepted work but admits nothing new.
 	ErrDraining = errors.New("service: server draining")
 	// ErrTooLarge marks a request whose body exceeds its endpoint's
-	// size limit; the server stops reading it at the limit.
+	// size limit — the server stops reading it at the limit — or a
+	// compile request whose program exceeds compile.MaxStatements.
 	ErrTooLarge = errors.New("service: request body too large")
 )
 

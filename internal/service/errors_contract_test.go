@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/isa/compile"
 	"repro/internal/memory"
 	"repro/internal/params"
 	"repro/internal/pim"
@@ -148,6 +150,36 @@ func TestErrorContractOverWire(t *testing.T) {
 	}
 	if srv.Counters().RejectedQuota == 0 {
 		t.Fatal("quota rejection not counted")
+	}
+}
+
+// TestCompileStatementLimit posts programs at and past the compiler's
+// statement limit. A body well under the 1 MiB compile limit can still
+// hold a program whose placement would take seconds on its shard, so
+// the limit is on statements: one past it is answered 413 too_large,
+// and a program at the limit compiles.
+func TestCompileStatementLimit(t *testing.T) {
+	_, api := startServer(t, Config{Shards: 1})
+	ctx := context.Background()
+	// n statements: a constant, an xor chain over it, one store.
+	program := func(n int) string {
+		var b strings.Builder
+		b.WriteString("%r0 = li 1 bs=8\n")
+		for i := 1; i < n-1; i++ {
+			fmt.Fprintf(&b, "%%r%d = xor %%r%d, %%r0 bs=8\n", i, i-1)
+		}
+		fmt.Fprintf(&b, "store %%r%d, b0.s0.t1.d0.r0\n", n-2)
+		return b.String()
+	}
+	src := program(compile.MaxStatements + 1)
+	_, err := api.Compile(ctx, CompileRequest{Source: src})
+	var tooLarge *APIError
+	if !errors.Is(err, ErrTooLarge) || !errors.As(err, &tooLarge) || tooLarge.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-statement program (%d bytes) err = %v, want ErrTooLarge with status 413",
+			compile.MaxStatements+1, len(src), err)
+	}
+	if _, err := api.Compile(ctx, CompileRequest{Source: program(compile.MaxStatements)}); err != nil {
+		t.Fatalf("%d-statement program: %v", compile.MaxStatements, err)
 	}
 }
 

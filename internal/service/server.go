@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -72,13 +73,14 @@ func (c *Config) fill() {
 // wire requests or a compile request. The worker publishes the outcome
 // fields and then closes done; the handler reads them only after done.
 type job struct {
+	ctx     context.Context   // the request's; nil never cancels
 	reqs    []memory.Request  // lowered batchable ops (compile == nil)
 	one     [1]memory.Request // backs reqs for a single /v1/execute op
 	compile *CompileRequest
 
 	res  []memory.Result
 	cres *CompileResponse
-	cerr error
+	cerr error // the compile's error, or ctx's when the job was dropped unrun
 	done chan struct{}
 }
 
@@ -108,6 +110,7 @@ type Server struct {
 	inflight          atomic.Int64 // admitted, response not yet written
 	accepted          atomic.Uint64
 	completed         atomic.Uint64
+	cancelled         atomic.Uint64
 	rejectedQuota     atomic.Uint64
 	rejectedOverload  atomic.Uint64
 	rejectedDraining  atomic.Uint64
@@ -176,6 +179,7 @@ func (s *Server) Counters() Counters {
 	return Counters{
 		Accepted:          s.accepted.Load(),
 		Completed:         s.completed.Load(),
+		Cancelled:         s.cancelled.Load(),
 		RejectedQuota:     s.rejectedQuota.Load(),
 		RejectedOverload:  s.rejectedOverload.Load(),
 		RejectedDraining:  s.rejectedDraining.Load(),
@@ -269,7 +273,9 @@ func (s *Server) worker(shard int) {
 			}
 		}
 		if j.compile != nil {
-			s.runCompile(shard, mem, j)
+			if !s.dropCancelled(j) {
+				s.runCompile(shard, mem, j)
+			}
 			continue
 		}
 		window := []*job{j}
@@ -323,12 +329,37 @@ func (s *Server) worker(shard int) {
 	}
 }
 
+// dropCancelled drops job j, unrun, when its client went away while it
+// queued: it closes j.done with the context's error and counts the job
+// Cancelled instead of Completed. It reports whether j was dropped.
+func (s *Server) dropCancelled(j *job) bool {
+	if j.ctx == nil || j.ctx.Err() == nil {
+		return false
+	}
+	j.cerr = j.ctx.Err()
+	close(j.done)
+	s.cancelled.Add(1)
+	return true
+}
+
 // runWindow concatenates the window's requests into one ExecuteBatch —
 // program order within each job is preserved because ExecuteBatch
 // keeps order inside overlapping footprints and jobs' own requests
 // always land contiguously — then scatters the positional results back
-// to their jobs.
+// to their jobs. Jobs whose client went away are dropped first.
 func (s *Server) runWindow(mem *memory.Memory, window []*job, total int) {
+	live := window[:0]
+	for _, j := range window {
+		if s.dropCancelled(j) {
+			total -= len(j.reqs)
+			continue
+		}
+		live = append(live, j)
+	}
+	window = live
+	if len(window) == 0 {
+		return
+	}
 	if len(window) > 1 {
 		s.coalescedWindows.Add(1)
 		s.coalescedRequests.Add(uint64(total))
@@ -357,7 +388,13 @@ func (s *Server) runCompile(shard int, mem *memory.Memory, j *job) {
 	req := j.compile
 	res, err := compile.Compile(req.Source, s.cfg.Device, compile.Options{Level: req.Level})
 	if err != nil {
-		j.cerr = fmt.Errorf("%w: %v", ErrBadRequest, err)
+		// A program past the statement limit is too large however few
+		// bytes it takes.
+		bad := ErrBadRequest
+		if compile.ClassOf(err) == compile.ClassTooLarge {
+			bad = ErrTooLarge
+		}
+		j.cerr = fmt.Errorf("%w: %v", bad, err)
 		return
 	}
 	// Every shard memory records, telemetry or not: read its recorder.
@@ -510,7 +547,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err, 0)
 		return
 	}
-	j := &job{one: [1]memory.Request{mreq}, done: make(chan struct{})}
+	j := &job{ctx: r.Context(), one: [1]memory.Request{mreq}, done: make(chan struct{})}
 	j.reqs = j.one[:]
 	ok, release := s.submit(w, shard, j)
 	if !ok {
@@ -518,6 +555,10 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	<-j.done
+	if j.cerr != nil {
+		writeError(w, j.cerr, 0)
+		return
+	}
 	if err := j.res[0].Err; err != nil {
 		writeError(w, err, 0)
 		return
@@ -552,13 +593,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		mreqs[i] = mr
 	}
-	j := &job{reqs: mreqs, done: make(chan struct{})}
+	j := &job{ctx: r.Context(), reqs: mreqs, done: make(chan struct{})}
 	ok, release := s.submit(w, shard, j)
 	if !ok {
 		return
 	}
 	defer release()
 	<-j.done
+	if j.cerr != nil {
+		writeError(w, j.cerr, 0)
+		return
+	}
 	resp := BatchResponse{Shard: shard, Results: make([]BatchItem, len(j.res))}
 	for i, res := range j.res {
 		if res.Err != nil {
@@ -589,7 +634,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	j := &job{compile: &req, done: make(chan struct{})}
+	j := &job{ctx: r.Context(), compile: &req, done: make(chan struct{})}
 	ok, release := s.submit(w, shard, j)
 	if !ok {
 		return
@@ -639,6 +684,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}{
 		{"coruscantd_requests_accepted_total", "Requests admitted to a shard queue.", c.Accepted},
 		{"coruscantd_requests_completed_total", "Admitted requests answered.", c.Completed},
+		{"coruscantd_cancelled_total", "Admitted requests dropped unrun because their client went away.", c.Cancelled},
 		{"coruscantd_rejected_quota_total", "Requests rejected by tenant quota.", c.RejectedQuota},
 		{"coruscantd_rejected_overload_total", "Requests rejected by a full shard queue.", c.RejectedOverload},
 		{"coruscantd_rejected_draining_total", "Requests rejected during graceful drain.", c.RejectedDraining},

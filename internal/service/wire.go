@@ -287,8 +287,9 @@ type GeometrySummary struct {
 // Counters is the service-level accounting exposed by /v1/health and
 // /v1/metrics. Accepted counts admissions into a shard queue; every
 // accepted request is eventually Completed — including through a
-// graceful drain — so Accepted == Completed once the server is idle
-// or drained.
+// graceful drain — or Cancelled, dropped unrun because its client went
+// away while it queued, so Accepted == Completed + Cancelled once the
+// server is idle or drained.
 type Counters struct {
 	Accepted          uint64 `json:"accepted"`
 	Completed         uint64 `json:"completed"`
@@ -297,6 +298,7 @@ type Counters struct {
 	RejectedDraining  uint64 `json:"rejected_draining"`
 	CoalescedWindows  uint64 `json:"coalesced_windows"`
 	CoalescedRequests uint64 `json:"coalesced_requests"`
+	Cancelled         uint64 `json:"cancelled"`
 }
 
 // HealthResponse is the /v1/health reply.
