@@ -76,6 +76,8 @@ race-obs:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRowRoundTrip -fuzztime 5s ./internal/dbc
 	$(GO) test -run '^$$' -fuzz FuzzEncodeDecode -fuzztime 5s ./internal/isa
+	$(GO) test -run '^$$' -fuzz FuzzAsmRoundTrip -fuzztime 5s ./internal/isa
+	$(GO) test -run '^$$' -fuzz FuzzParseInstruction -fuzztime 5s ./internal/isa
 	$(GO) test -run '^$$' -fuzz FuzzParseProgram -fuzztime 5s ./internal/isa/compile
 	$(GO) test -run '^$$' -fuzz FuzzCompileDifferential -fuzztime 5s ./internal/isa/compile
 	$(GO) test -run '^$$' -fuzz FuzzRowDataJSON -fuzztime 5s ./internal/service

@@ -138,7 +138,7 @@ func TestAllocBudget(t *testing.T) {
 		}
 	}
 	compileRun()
-	allocBudget(t, "CompileRunO2", 821, compileRun)
+	allocBudget(t, "CompileRunO2", 793, compileRun)
 
 	// The same for a program whose -O2 compile folds: a repeated load
 	// and add, a shift chain to zero, a multiply by that zero, and xor

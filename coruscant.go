@@ -222,7 +222,8 @@ type (
 // identities, and needs fewer cross-DBC row-buffer moves and shorter
 // port-alignment shifts, and at Level >= 2 it pipelines the schedule —
 // staging overlaps compute inside batch windows, shrinking the
-// critical-path cycle count reported by Recorder().Makespan().
+// critical-path cycle count reported by Recorder().Makespan() — and
+// runs each div and mod of the same operands as one DivMod kernel.
 func CompileProgram(src string, cfg Config, opts CompileOptions) (*CompileResult, error) {
 	return compile.Compile(src, cfg, opts)
 }

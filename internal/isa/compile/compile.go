@@ -21,7 +21,10 @@ type Options struct {
 	// and store traffic folded into the batch windows, overlapping
 	// with compute — same results, lower makespan). From 1 up, each
 	// value is computed once and lane-exact identities are folded, so
-	// no kernel is issued that can be proved redundant. Higher levels
+	// no kernel is issued that can be proved redundant. At 2 a div and
+	// a mod of the same operands and blocksize also share one DivMod
+	// request (memory.Request.Rem); 1 keeps them apart, as the
+	// level-barrier baseline -O2 is measured against. Higher levels
 	// behave like 2.
 	Level int
 	// Recorder, when non-nil, receives one span per compiler pass.
@@ -95,7 +98,7 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	}
 
 	done = pass("legalize")
-	err = prog.legalize(cfg.TRD, opt.Level >= 1)
+	err = prog.legalize(cfg.TRD, opt.Level)
 	done()
 	if err != nil {
 		return nil, err

@@ -38,8 +38,10 @@ type progGen struct {
 	regs  []string
 	vals  map[string][]uint64
 	next  int
-	ops   []genOp // every op emitted so far, for redundant re-emission
-	zero  string  // a register holding zero in every lane, once emitted
+	ops   []genOp    // every op emitted so far, for redundant re-emission
+	zero  string     // a register holding zero in every lane, once emitted
+	raws  []string   // load registers: raw rows, readable at any blocksize
+	dms   []divmodOp // every div and mod emitted, for pairing
 
 	loads  map[isa.Addr][]uint64
 	stores map[isa.Addr]string
@@ -107,6 +109,7 @@ func (g *progGen) load(banks []int) {
 	name := g.fresh()
 	fmt.Fprintf(&g.src, "%%%s = load %s\n", name, isa.FormatAddr(a))
 	g.def(name, vals)
+	g.raws = append(g.raws, name)
 	g.loads[a] = vals
 }
 
@@ -193,19 +196,9 @@ func (g *progGen) op() {
 		expr = fmt.Sprintf("fma %%%s, %%%s, %%%s bs=%d", a, b, c, g.bs)
 	case "div", "mod":
 		a, d := g.pick(), g.pick()
-		for l := range out {
-			av, dv := g.vals[a][l], g.vals[d][l]
-			q, r := mask, av
-			if dv != 0 {
-				q, r = av/dv, av%dv
-			}
-			if op == "div" {
-				out[l] = q
-			} else {
-				out[l] = r
-			}
-		}
+		out = divmodLanes(op, g.vals[a], g.vals[d], g.bs)
 		expr = fmt.Sprintf("%s %%%s, %%%s bs=%d", op, a, d, g.bs)
+		g.dms = append(g.dms, divmodOp{op, a, d})
 	case "shl", "shr":
 		a, k := g.pick(), g.rng.Intn(g.bs+1)
 		for l := range out {
@@ -218,6 +211,77 @@ func (g *progGen) op() {
 		expr = fmt.Sprintf("%s %%%s bs=%d imm=%d", op, a, g.bs, k)
 	}
 	g.emit(name, expr, out)
+}
+
+// divmodOp is one emitted div or mod.
+type divmodOp struct{ op, a, d string }
+
+// divmodLanes is the scalar reference of div or mod over bs-bit lanes:
+// x/0 is all ones and x%0 is x.
+func divmodLanes(op string, a, d []uint64, bs int) []uint64 {
+	out := make([]uint64, len(a))
+	for l := range out {
+		q, r := laneMask(bs), a[l]
+		if d[l] != 0 {
+			q, r = a[l]/d[l], a[l]%d[l]
+		}
+		out[l] = q
+		if op == "mod" {
+			out[l] = r
+		}
+	}
+	return out
+}
+
+// divmod emits "%v = op %a, %d" at the program blocksize.
+func (g *progGen) divmod(op, a, d string) {
+	g.emit(g.fresh(), fmt.Sprintf("%s %%%s, %%%s bs=%d", op, a, d, g.bs), divmodLanes(op, g.vals[a], g.vals[d], g.bs))
+	g.dms = append(g.dms, divmodOp{op, a, d})
+}
+
+// pair emits a div and a mod over the same operands, the shapes pimc's
+// -O2 schedule pairs into one DivMod request and those it must not:
+// an earlier div or mod re-emitted with the opcode swapped, a fresh
+// pair in either order, a pair at two blocksizes, or a pair one side
+// of which is dead.
+func (g *progGen) pair(banks []int) {
+	ops := []string{"div", "mod"}
+	g.rng.Shuffle(2, func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+	switch v := g.rng.Intn(4); {
+	case v == 0 && len(g.dms) > 0:
+		e := g.dms[g.rng.Intn(len(g.dms))]
+		swapped := map[string]string{"div": "mod", "mod": "div"}[e.op]
+		g.divmod(swapped, e.a, e.d)
+	case v == 2:
+		// Raw loads read at two blocksizes. The second value's lanes
+		// differ from the program's, so no later op may read it; it is
+		// stored at once, and its expected row is recorded as lanes of
+		// the program blocksize.
+		a, d := g.raws[g.rng.Intn(len(g.raws))], g.raws[g.rng.Intn(len(g.raws))]
+		g.divmod(ops[0], a, d)
+		bs := []int{8, 16, 32}[g.rng.Intn(3)]
+		if bs == g.bs {
+			bs = 64
+		}
+		width := g.lanes * g.bs
+		as := func(reg string) []uint64 { return pim.UnpackLanes(pim.MustPackLanes(g.vals[reg], g.bs, width), bs) }
+		row := pim.MustPackLanes(divmodLanes(ops[1], as(a), as(d), bs), bs, width)
+		name := g.fresh()
+		fmt.Fprintf(&g.src, "%%%s = %s %%%s, %%%s bs=%d\n", name, ops[1], a, d, bs)
+		g.vals[name] = pim.UnpackLanes(row, g.bs)
+		at := g.addr(banks)
+		fmt.Fprintf(&g.src, "store %%%s, %s\n", name, isa.FormatAddr(at))
+		g.stores[at] = name
+	case v == 3:
+		// The first side is never read, so legalize drops it.
+		a, d := g.pick(), g.pick()
+		fmt.Fprintf(&g.src, "%%%s = %s %%%s, %%%s bs=%d\n", g.fresh(), ops[0], a, d, g.bs)
+		g.divmod(ops[1], a, d)
+	default:
+		a, d := g.pick(), g.pick()
+		g.divmod(ops[0], a, d)
+		g.divmod(ops[1], a, d)
+	}
 }
 
 // zeroReg returns a register holding zero in every lane, emitting
@@ -371,6 +435,9 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 				for i := 0; i < 5+rng.Intn(8); i++ {
 					if rng.Intn(3) == 0 {
 						gen.redundant()
+					}
+					if rng.Intn(4) == 0 {
+						gen.pair(banks)
 					}
 					gen.op()
 				}
@@ -636,6 +703,9 @@ func TestPipelinedDifferential(t *testing.T) {
 				for i := 0; i < 5+rng.Intn(10); i++ {
 					if rng.Intn(3) == 0 {
 						gen.redundant()
+					}
+					if rng.Intn(4) == 0 {
+						gen.pair(banks)
 					}
 					gen.op()
 				}

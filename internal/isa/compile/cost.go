@@ -114,6 +114,9 @@ func (cm *costModel) kernelAt(in isa.Instruction) int {
 // moving them.
 func (cm *costModel) estimate(n *node) int {
 	c := cm.peek(n.home)
+	if r := n.rem(); r != nil {
+		c += cm.peek(r.home)
+	}
 	for _, a := range n.args {
 		c += cm.peek(a.home)
 	}
@@ -121,8 +124,9 @@ func (cm *costModel) estimate(n *node) int {
 }
 
 // exec prices one cpim request: operand reads in order, the kernel on
-// the executing DBC from its current head, then the result write.
-func (cm *costModel) exec(in isa.Instruction, operands []isa.Addr, dst isa.Addr) int {
+// the executing DBC from its current head, then the result write and,
+// for a paired div (rem not nil), the remainder write.
+func (cm *costModel) exec(in isa.Instruction, operands []isa.Addr, dst isa.Addr, rem *isa.Addr) int {
 	c := 0
 	for _, a := range operands {
 		c += cm.access(a)
@@ -132,7 +136,11 @@ func (cm *costModel) exec(in isa.Instruction, operands []isa.Addr, dst isa.Addr)
 	shifts, cycles, exit := kc.run(h.off)
 	h.off = exit
 	h.shifts += shifts
-	return c + cycles + cm.access(dst)
+	c += cycles + cm.access(dst)
+	if rem != nil {
+		c += cm.access(*rem)
+	}
+	return c
 }
 
 // request prices one batch request and reports how many row-buffer
@@ -152,7 +160,7 @@ func (cm *costModel) request(r *memory.Request) (cycles, copies int) {
 			copies++
 		}
 	}
-	return cm.exec(r.In, r.Operands, r.Dst), copies
+	return cm.exec(r.In, r.Operands, r.Dst, r.Rem), copies
 }
 
 // lanes folds one batch window's requests into ExecuteBatch's lanes:
@@ -210,6 +218,9 @@ func (ls *lanes) footprint(r *memory.Request) {
 	default:
 		ls.use(r.In.Src)
 		ls.use(r.Dst)
+		if r.Rem != nil {
+			ls.use(*r.Rem)
+		}
 		for _, a := range r.Operands {
 			ls.use(a)
 		}

@@ -15,18 +15,21 @@ import (
 // records the source program's live loads, the plan's inputs, in
 // p.inputs.
 //
-// With opt (-O1 and up) the walk also numbers values and folds
-// lane-exact identities, so the plan computes each value once and
-// issues no kernel it can prove redundant; see number and simplify.
-// Without it (-O0) every statement is computed as written: the naive
-// baseline shares only the legalizer's own constants.
-func (p *Program) legalize(trd params.TRD, opt bool) error {
+// From level 1 up the walk also numbers values and folds lane-exact
+// identities, so the plan computes each value once and issues no
+// kernel it can prove redundant; see number and simplify. At level 2
+// it also pairs each live div with the live mod of the same operands
+// and blocksize, so one DivMod request computes both. At level 0 every
+// statement is computed as written: the naive baseline shares only the
+// legalizer's own constants.
+func (p *Program) legalize(trd params.TRD, level int) error {
 	lz := &legalizer{
 		nodes:  make([]*node, 0, len(p.nodes)+8),
 		values: make(map[vkey]*node, len(p.nodes)),
 		trd:    trd,
 		geo:    p.geo,
-		opt:    opt,
+		opt:    level >= 1,
+		pair:   level >= 2,
 	}
 	live := liveSet(p.nodes)
 	nLoads := 0
@@ -73,6 +76,7 @@ type legalizer struct {
 	trd    params.TRD
 	geo    params.Geometry
 	opt    bool // -O1 and up: number values and fold identities
+	pair   bool // -O2: pair div and mod of the same operands
 	synth  int  // legalizer registers named so far
 	folded bool // an identity fired, so emitted values may have lost their last use
 }
@@ -129,7 +133,9 @@ func (lz *legalizer) fresh(op isa.OpCode, bs int, args []*node) *node {
 
 // number returns the value n computes: the node emitted earlier for an
 // equal value, else n itself, emitted now. Without opt every statement
-// is its own value.
+// is its own value. With pair, a div or mod emitted now is paired with
+// its partner, found under its own value number with the opcode
+// swapped.
 func (lz *legalizer) number(n *node) *node {
 	if !lz.opt {
 		return lz.add(n)
@@ -139,6 +145,12 @@ func (lz *legalizer) number(n *node) *node {
 		return v
 	}
 	lz.values[k] = lz.add(n)
+	if lz.pair && (n.op == isa.OpDiv || n.op == isa.OpMod) {
+		k.op = isa.OpDiv + isa.OpMod - n.op
+		if m, ok := lz.values[k]; ok {
+			n.partner, m.partner = m, n
+		}
+	}
 	return n
 }
 
@@ -313,6 +325,10 @@ func (lz *legalizer) dropDead() {
 		if n.kind == nStore || live[i] {
 			n.id = len(kept)
 			kept = append(kept, n)
+		} else if n.partner != nil {
+			// A dead div or mod leaves its live partner a request of
+			// its own.
+			n.partner.partner, n.partner = nil, nil
 		}
 	}
 	lz.nodes = kept

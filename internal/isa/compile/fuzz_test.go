@@ -78,6 +78,9 @@ func FuzzCompileDifferential(f *testing.F) {
 	for _, s := range append(parseSeeds, foldSeeds...) {
 		f.Add(s)
 	}
+	for _, c := range pairCases {
+		f.Add(c.src)
+	}
 	cfg := testCfg(params.TRD7)
 	run := func(t *testing.T, res *Result) (*memory.Memory, error) {
 		m, err := memory.New(cfg)

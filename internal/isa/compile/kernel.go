@@ -133,7 +133,7 @@ func runKernel(key kernelKey, width, entry int, operands []dbc.Row) (kernelRun, 
 		}
 	}
 	in := isa.Instruction{Op: key.op, Blocksize: key.bs, Operands: key.k, Imm: key.imm}
-	if _, err := isa.Dispatch(u, in, operands); err != nil {
+	if _, _, err := isa.Dispatch(u, in, operands); err != nil {
 		return kernelRun{}, fmt.Errorf("pimc: measuring %v bs=%d k=%d: %w", key.op, key.bs, key.k, err)
 	}
 	st := u.Stats()

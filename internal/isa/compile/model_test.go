@@ -83,11 +83,12 @@ func requestsPerDBC(pl *Plan, geo params.Geometry) map[isa.Addr]int {
 // checkModel compiles src at the level, runs the plan on a fresh memory
 // seeded with the inputs, and holds the cost model to the measured run:
 // exact row copies, per-DBC shift steps within 2 per request touching
-// the DBC, cycles within 5% and makespan within 10%. The model starts
-// from the head offsets the seeding writes left, read off the event
-// stream, so seeding is not model error. It returns the predicted and
-// measured shift totals.
-func checkModel(t *testing.T, cfg params.Config, name, src string, inputs []seededInput, level int) (pred, meas int) {
+// the DBC, cycles within 5% and makespan within 10%, or, with exact,
+// cycles and makespan to the step. The model starts from the head
+// offsets the seeding writes left, read off the event stream, so
+// seeding is not model error. It returns the predicted and measured
+// shift totals.
+func checkModel(t *testing.T, cfg params.Config, name, src string, inputs []seededInput, level int, exact bool) (pred, meas int) {
 	t.Helper()
 	res, err := Compile(src, cfg, Options{Level: level})
 	if err != nil {
@@ -149,6 +150,9 @@ func checkModel(t *testing.T, cfg params.Config, name, src string, inputs []seed
 	if d := st.Makespan - span; 10*d > span || -10*d > span {
 		t.Errorf("%s -O%d: predicted makespan %d, measured %d", name, level, st.Makespan, span)
 	}
+	if exact && (st.Cycles != cycles || st.Makespan != span) {
+		t.Errorf("%s -O%d: predicted %d cycles and makespan %d, measured %d and %d", name, level, st.Cycles, st.Makespan, cycles, span)
+	}
 	return pred, meas
 }
 
@@ -182,7 +186,7 @@ func TestCostModelMatchesRun(t *testing.T) {
 				inputs = append(inputs, seededInput{in.Addr, pim.MustPackLanes(lanes, 8, width)})
 			}
 			for _, level := range []int{1, 2} {
-				p, m := checkModel(t, cfg, trd.String()+"/"+filepath.Base(f), string(src), inputs, level)
+				p, m := checkModel(t, cfg, trd.String()+"/"+filepath.Base(f), string(src), inputs, level, false)
 				pred, meas = pred+p, meas+m
 			}
 		}
@@ -208,9 +212,55 @@ func TestCostModelMatchesRun(t *testing.T) {
 				inputs = append(inputs, seededInput{a, pim.MustPackLanes(vals, bs, width)})
 			}
 			for _, level := range []int{1, 2} {
-				p, m := checkModel(t, cfg, trd.String()+"/random", gen.src.String(), inputs, level)
+				p, m := checkModel(t, cfg, trd.String()+"/random", gen.src.String(), inputs, level, false)
 				pred, meas = pred+p, meas+m
 			}
+		}
+		// Random DAGs full of div/mod pairs: -O2 issues one DivMod
+		// request per live pair, and the model prices its quotient and
+		// remainder writes exactly.
+		rng = rand.New(rand.NewSource(int64(trd) + 100))
+		paired := 0
+		for trial := 0; trial < 6; trial++ {
+			bs := []int{8, 16}[rng.Intn(2)]
+			gen := newProgGen(rng, bs, width)
+			banks := []int{0, 0, 1}[:1+rng.Intn(3)]
+			for i := 0; i < 3+rng.Intn(2); i++ {
+				gen.load(banks)
+			}
+			gen.li()
+			for i := 0; i < 3+rng.Intn(4); i++ {
+				gen.pair(banks)
+				gen.op()
+			}
+			for i := 0; i < 2+rng.Intn(2); i++ {
+				gen.store(banks)
+			}
+			var inputs []seededInput
+			for a, vals := range gen.loads {
+				inputs = append(inputs, seededInput{a, pim.MustPackLanes(vals, bs, width)})
+			}
+			for _, level := range []int{1, 2} {
+				p, m := checkModel(t, cfg, trd.String()+"/paired", gen.src.String(), inputs, level, true)
+				if p != m {
+					t.Errorf("%v/paired trial %d -O%d: predicted %d shift steps, measured %d\n%s", trd, trial, level, p, m, gen.src.String())
+				}
+				pred, meas = pred+p, meas+m
+			}
+			res, err := Compile(gen.src.String(), cfg, Options{Level: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range res.Plan.Steps {
+				for _, r := range st.Reqs {
+					if r.Rem != nil {
+						paired++
+					}
+				}
+			}
+		}
+		if paired == 0 {
+			t.Errorf("%v: the paired DAGs issued no paired request", trd)
 		}
 	}
 	// Lanes wider than the kernel table's measuring track, on the
@@ -235,7 +285,7 @@ store %s, b0.s0.t2.d0.r4
 		inputs = append(inputs, seededInput{isa.Addr{Tile: 1, Row: r}, pim.MustPackLanes(lanes, 64, cfg.Geometry.TrackWidth)})
 	}
 	for _, level := range []int{1, 2} {
-		p, m := checkModel(t, cfg, "wide", wide, inputs, level)
+		p, m := checkModel(t, cfg, "wide", wide, inputs, level, false)
 		pred, meas = pred+p, meas+m
 	}
 	t.Logf("shift steps: predicted %d, measured %d", pred, meas)

@@ -53,15 +53,29 @@ type node struct {
 	val  uint64     // nConst
 	addr isa.Addr   // nLoad source / nStore destination
 
-	args  []*node
-	level int   // DAG depth: loads/consts 0, ops 1+max(args)
-	repl  *node // legalize: the legalized value this statement computes
+	args    []*node
+	level   int   // DAG depth: loads/consts 0, ops 1+max(args)
+	repl    *node // legalize: the legalized value this statement computes
+	partner *node // -O2: the mod of a div (or div of a mod) of the same operands and blocksize
 
 	// Placement results (place.go).
 	home   isa.Addr // row where the value lives once defined
 	exec   isa.Addr // executing PIM DBC (nOp)
 	direct bool     // nStore folded into the producer's request Dst
 }
+
+// rem returns the mod whose value op n's request also writes, as its
+// remainder: n's partner when n is a paired div, else nil.
+func (n *node) rem() *node {
+	if n.op == isa.OpDiv {
+		return n.partner
+	}
+	return nil
+}
+
+// isRem reports whether op n is a mod whose value its partner div's
+// request writes as the remainder, so n issues no request of its own.
+func (n *node) isRem() bool { return n.op == isa.OpMod && n.partner != nil }
 
 // Program is a parsed (and, after passes, legalized and placed) pimasm
 // program.

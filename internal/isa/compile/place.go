@@ -354,55 +354,82 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 
 		ls.reset()
 		for _, n := range p.nodes {
-			if n.kind != nOp || n.level != lv {
+			if n.kind != nOp || n.level != lv || n.isRem() {
 				continue
 			}
-			x, cycles, private := lay.chooseExec(&ls, n, directFor[n])
+			x, cycles, private := lay.chooseExec(&ls, n, directFor)
 			n.exec = x.base
-			if s := directFor[n]; s != nil {
-				n.home, s.direct = s.addr, true
-			} else {
-				var home isa.Addr
-				var ok bool
-				if opt {
-					// Results live in the companion's rows, nearest
-					// port first; the naive layout parks everything in
-					// far staging rows instead.
-					home, ok = lay.takeFree(x.comp)
+			if err := lay.homeResult(n, x, directFor[n], owned); err != nil {
+				return nil, err
+			}
+			// A paired div's request also writes its mod's value.
+			var rem *isa.Addr
+			if r := n.rem(); r != nil {
+				r.exec = x.base
+				if err := lay.homeResult(r, x, directFor[r], owned); err != nil {
+					return nil, err
 				}
-				if ok {
-					owned[n] = rowOwner{base: x.comp}
-				} else {
-					var err error
-					if home, err = lay.stageRow(); err != nil {
-						return nil, err
-					}
-					owned[n] = rowOwner{base: dbcBase(home), staged: true}
-				}
-				n.home = home
+				rem = &r.home
 			}
 			operands = operands[:0]
 			for _, a := range n.args {
 				operands = append(operands, a.home)
 			}
-			lay.cm.exec(isa.Instruction{Op: n.op, Src: x.base, Blocksize: n.bs, Operands: len(n.args), Imm: n.imm}, operands, n.home)
-			ls.opFootprint(n, x, n.home, private)
+			lay.cm.exec(isa.Instruction{Op: n.op, Src: x.base, Blocksize: n.bs, Operands: len(n.args), Imm: n.imm}, operands, n.home, rem)
+			ls.opFootprint(n, x, private, n.home, remHome(n))
 			ls.add(cycles)
 		}
 	}
 	return lay, nil
 }
 
+// homeResult homes the value op n computes on x: at its store when
+// direct is not nil, else in the companion's next free row, else (or
+// in the naive layout) in a staging row. owned records the row's
+// allocator for recycling.
+func (lay *layout) homeResult(n *node, x execDBC, direct *node, owned map[*node]rowOwner) error {
+	if direct != nil {
+		n.home, direct.direct = direct.addr, true
+		return nil
+	}
+	if lay.opt {
+		// Results live in the companion's rows, nearest port first; the
+		// naive layout parks everything in far staging rows instead.
+		if home, ok := lay.takeFree(x.comp); ok {
+			n.home = home
+			owned[n] = rowOwner{base: x.comp}
+			return nil
+		}
+	}
+	home, err := lay.stageRow()
+	if err != nil {
+		return err
+	}
+	n.home = home
+	owned[n] = rowOwner{base: dbcBase(home), staged: true}
+	return nil
+}
+
+// remHome is the home of the remainder op n's request writes, or n's
+// own home when it writes none (a footprint may name a DBC twice).
+func remHome(n *node) isa.Addr {
+	if r := n.rem(); r != nil {
+		return r.home
+	}
+	return n.home
+}
+
 // opFootprint sets the footprint to the DBCs op n locks in its batch
-// window when it executes on x with its result at home: x, its
-// companion and home's DBC, plus every operand DBC outside the pair
-// unless private, when the -O2 scheduler copies those operands into
-// the companion first.
-func (ls *lanes) opFootprint(n *node, x execDBC, home isa.Addr, private bool) {
+// window when it executes on x with its results at quo and rem: x, its
+// companion and the result DBCs, plus every operand DBC outside the
+// pair unless private, when the -O2 scheduler copies those operands
+// into the companion first.
+func (ls *lanes) opFootprint(n *node, x execDBC, private bool, quo, rem isa.Addr) {
 	ls.fp = ls.fp[:0]
 	ls.use(x.base)
 	ls.use(x.comp)
-	ls.use(home)
+	ls.use(quo)
+	ls.use(rem)
 	for _, a := range n.args {
 		if !private || x.holds(a.home) {
 			ls.use(a.home)
@@ -410,36 +437,52 @@ func (ls *lanes) opFootprint(n *node, x execDBC, home isa.Addr, private bool) {
 	}
 }
 
-// chooseExec picks the executing DBC for op n, whose result is folded
-// into the store direct when that is not nil. The pick is the DBC whose
-// lane in the level's window would end first with the op on it; the
-// op's predicted cycles there are its operand reads, its kernel from
-// that DBC's head and the write of its result into the companion's
-// next free row. Reading an operand homed outside the pair merges the
-// op's lane with every request of the window touching that DBC; at -O2
-// the op may instead privatize those operands, one copy each into the
-// companion, when that ends its lane sooner. chooseExec returns the
-// DBC, the op's predicted cycles and whether it counted on
-// privatizing. Ties go to the earlier DBC of the pool.
-func (lay *layout) chooseExec(ls *lanes, n *node, direct *node) (execDBC, int, bool) {
+// chooseExec picks the executing DBC for op n, whose results fold into
+// their stores in directFor. The pick is the DBC whose lane in the
+// level's window would end first with the op on it; the op's predicted
+// cycles there are its operand reads, its kernel from that DBC's head
+// and the writes of its results (a paired div's two) into the
+// companion's next free rows. Reading an operand homed outside the
+// pair merges the op's lane with every request of the window touching
+// that DBC; at -O2 the op may instead privatize those operands, one
+// copy each into the companion, when that ends its lane sooner.
+// chooseExec returns the DBC, the op's predicted cycles and whether it
+// counted on privatizing. Ties go to the earlier DBC of the pool.
+func (lay *layout) chooseExec(ls *lanes, n *node, directFor map[*node]*node) (execDBC, int, bool) {
 	reads := 0
 	for _, a := range n.args {
 		reads += lay.cm.peek(a.home)
 	}
 	kc := lay.cm.kernel(isa.Instruction{Op: n.op, Blocksize: n.bs, Operands: len(n.args), Imm: n.imm})
+	r := n.rem()
 	best, bestEnd, bestCycles, bestPrivate := 0, 1<<30, 0, false
 	for i, x := range lay.pool {
+		// Each result not folded into its store takes the companion's
+		// next free row, the quotient first.
+		rows := lay.free[x.comp]
 		next := x.comp
-		if rows := lay.free[x.comp]; len(rows) > 0 {
+		if len(rows) > 0 {
 			next.Row = rows[0]
 		}
-		home := next
-		if direct != nil {
-			home = direct.addr
+		home := func(v *node) isa.Addr {
+			if d := directFor[v]; d != nil {
+				return d.addr
+			}
+			a := x.comp
+			if len(rows) > 0 {
+				a.Row, rows = rows[0], rows[1:]
+			}
+			return a
+		}
+		quo := home(n)
+		rem, writes := quo, lay.cm.peek(quo)
+		if r != nil {
+			rem = home(r)
+			writes += lay.cm.peek(rem)
 		}
 		_, kernel, _ := kc.run(lay.cm.offset(x.base))
-		c := reads + kernel + lay.cm.peek(home)
-		ls.opFootprint(n, x, home, false)
+		c := reads + kernel + writes
+		ls.opFootprint(n, x, false, quo, rem)
 		if end := ls.peek(c); end < bestEnd {
 			best, bestEnd, bestCycles, bestPrivate = i, end, c, false
 		}
@@ -452,7 +495,7 @@ func (lay *layout) chooseExec(ls *lanes, n *node, direct *node) (execDBC, int, b
 				copies += lay.cm.peek(a.home) + lay.cm.peek(next)
 			}
 		}
-		ls.opFootprint(n, x, home, true)
+		ls.opFootprint(n, x, true, quo, rem)
 		if end := ls.peek(c + copies); copies > 0 && end < bestEnd {
 			best, bestEnd, bestCycles, bestPrivate = i, end, c+copies, true
 		}

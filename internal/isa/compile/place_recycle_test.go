@@ -53,7 +53,7 @@ func compileNoRecycle(src string, cfg params.Config) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := prog.legalize(cfg.TRD, true); err != nil {
+	if err := prog.legalize(cfg.TRD, 1); err != nil {
 		return nil, err
 	}
 	lay, err := prog.place(cfg, 1, false)

@@ -156,9 +156,12 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 			}
 		case nOp:
 			nArgs += len(n.args)
+			if n.rem() != nil {
+				nArgs++
+			}
 		}
 	}
-	backing := make([]isa.Addr, 0, nArgs) // every exec request's operands
+	backing := make([]isa.Addr, 0, nArgs) // every exec request's operands and remainder row
 
 	// Window numbering: window 0 stages level 1's operands; level L
 	// computes in window 2L-1; transfer window 2L-2 (L >= 2) drains the
@@ -176,7 +179,7 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 	for lv := 1; lv <= levels; lv++ {
 		ops = ops[:0]
 		for _, n := range p.nodes {
-			if n.kind == nOp && n.level == lv {
+			if n.kind == nOp && n.level == lv && !n.isRem() {
 				ops = append(ops, n)
 			}
 		}
@@ -295,11 +298,18 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 				backing = append(backing, row)
 			}
 			// The exec request claims its compute window: privatization
-			// traffic for this level went to earlier windows only.
+			// traffic for this level went to earlier windows only. A
+			// paired div also writes its mod's value, to Rem.
 			operands := backing[start:len(backing):len(backing)]
 			in := isa.Instruction{Op: n.op, Src: n.exec, Blocksize: n.bs, Operands: len(n.args), Imm: n.imm}
-			wins[w] = append(wins[w], memory.Request{In: in, Operands: operands, Dst: n.home})
+			req := memory.Request{In: in, Operands: operands, Dst: n.home}
 			occupied = append(occupied, winBase{w, e}, winBase{w, dbcBase(n.home)})
+			if r := n.rem(); r != nil {
+				backing = append(backing, r.home)
+				req.Rem = &backing[len(backing)-1]
+				occupied = append(occupied, winBase{w, dbcBase(r.home)})
+			}
+			wins[w] = append(wins[w], req)
 			for _, oa := range operands {
 				occupied = append(occupied, winBase{w, dbcBase(oa)})
 			}
@@ -377,7 +387,7 @@ func disjointBases(occ []winBase, win int, bases []isa.Addr) bool {
 
 // levelSpan predicts the span of a level's compute window under the
 // given privatization choices (priv, one per operand of ops in order):
-// each exec request locks its DBC pair, its result's DBC and the homes
+// each exec request locks its DBC pair, its results' DBCs and the homes
 // of the operands it reads in place, and costs its estimated cycles.
 func (lay *layout) levelSpan(ls *lanes, ops []*node, priv []bool, est []int) int {
 	ls.reset()
@@ -388,6 +398,7 @@ func (lay *layout) levelSpan(ls *lanes, ops []*node, priv []bool, est []int) int
 		ls.use(x.base)
 		ls.use(x.comp)
 		ls.use(n.home)
+		ls.use(remHome(n))
 		for _, a := range n.args {
 			if !priv[i] {
 				ls.use(a.home)
@@ -507,7 +518,11 @@ func (pl *Plan) String() string {
 			case memory.KindWrite:
 				fmt.Fprintf(&b, "       write -> %s\n", isa.FormatAddr(r.Dst))
 			default:
-				fmt.Fprintf(&b, "       %v @ %s -> %s\n", r.In.Op, isa.FormatAddr(r.In.Src), isa.FormatAddr(r.Dst))
+				fmt.Fprintf(&b, "       %v @ %s -> %s", r.In.Op, isa.FormatAddr(r.In.Src), isa.FormatAddr(r.Dst))
+				if r.Rem != nil {
+					fmt.Fprintf(&b, " rem %s", isa.FormatAddr(*r.Rem))
+				}
+				b.WriteByte('\n')
 			}
 		}
 	}

@@ -306,7 +306,10 @@ func (c *Controller) Execute(in Instruction, operands []dbc.Row) (dbc.Row, error
 	if !in.Op.IsPIM() {
 		return dbc.Row{}, fmt.Errorf("isa: unhandled opcode %v", in.Op)
 	}
-	run := func() (dbc.Row, error) { return Dispatch(c.Unit, in, operands) }
+	run := func() (dbc.Row, error) {
+		res, _, err := Dispatch(c.Unit, in, operands)
+		return res, err
+	}
 	if c.ex != nil {
 		row, _, err := c.ex.Do(in.Op.String(), run)
 		return row, err
@@ -317,38 +320,40 @@ func (c *Controller) Execute(in Instruction, operands []dbc.Row) (dbc.Row, error
 // Dispatch runs one PIM opcode on the unit over operand rows already
 // staged for it, returning the result row: the one opcode-to-kernel
 // mapping the controller, memory.Memory and pimc's kernel cost table
-// share. It rejects opcodes that are not IsPIM and validates nothing
-// beyond what the kernels check. Every kernel rewrites the DBC window
-// from the operand rows, so a call can be replayed verbatim.
-func Dispatch(u *pim.Unit, in Instruction, operands []dbc.Row) (dbc.Row, error) {
+// share. The DivMod kernel computes the quotient and the remainder in
+// one run, so for div Dispatch also hands back the remainder in rem;
+// for every other opcode rem is the zero Row. It rejects opcodes that
+// are not IsPIM and validates nothing beyond what the kernels check.
+// Every kernel rewrites the DBC window from the operand rows, so a call
+// can be replayed verbatim.
+func Dispatch(u *pim.Unit, in Instruction, operands []dbc.Row) (res, rem dbc.Row, err error) {
 	if !in.Op.IsPIM() {
-		return dbc.Row{}, fmt.Errorf("isa: opcode %v is not a PIM operation", in.Op)
+		return dbc.Row{}, dbc.Row{}, fmt.Errorf("isa: opcode %v is not a PIM operation", in.Op)
 	}
 	switch in.Op {
 	case OpAdd:
-		return u.AddMulti(operands, in.Blocksize)
+		res, err = u.AddMulti(operands, in.Blocksize)
 	case OpMult:
-		return u.Multiply(operands[0], operands[1], in.Blocksize/2)
+		res, err = u.Multiply(operands[0], operands[1], in.Blocksize/2)
 	case OpMax:
-		return u.MaxTR(operands, in.Blocksize)
+		res, err = u.MaxTR(operands, in.Blocksize)
 	case OpRelu:
-		return u.ReLU(operands[0], in.Blocksize)
+		res, err = u.ReLU(operands[0], in.Blocksize)
 	case OpVote:
-		return u.Vote(operands)
+		res, err = u.Vote(operands)
 	case OpDiv:
-		q, _, err := u.DivMod(operands[0], operands[1], in.Blocksize)
-		return q, err
+		return u.DivMod(operands[0], operands[1], in.Blocksize)
 	case OpMod:
-		_, r, err := u.DivMod(operands[0], operands[1], in.Blocksize)
-		return r, err
+		_, res, err = u.DivMod(operands[0], operands[1], in.Blocksize)
 	case OpShl:
-		return u.LogicalShift(operands[0], in.Imm, in.Blocksize, true)
+		res, err = u.LogicalShift(operands[0], in.Imm, in.Blocksize, true)
 	case OpShr:
-		return u.LogicalShift(operands[0], in.Imm, in.Blocksize, false)
+		res, err = u.LogicalShift(operands[0], in.Imm, in.Blocksize, false)
 	case OpFma:
-		return u.FMA(operands[0], operands[1], operands[2], in.Blocksize/2)
+		res, err = u.FMA(operands[0], operands[1], operands[2], in.Blocksize/2)
 	default:
 		op, _ := in.Op.bulkOp()
-		return u.BulkBitwise(op, operands)
+		res, err = u.BulkBitwise(op, operands)
 	}
+	return res, dbc.Row{}, err
 }

@@ -48,7 +48,7 @@ func TestPIMOpcodes(t *testing.T) {
 	for op := isa.OpNop; op <= isa.OpFma+1; op++ {
 		k := arity(op)
 		in := isa.Instruction{Op: op, Src: exec, Blocksize: 8, Operands: k}
-		_, dispatchErr := isa.Dispatch(u, in, rows[:k])
+		_, _, dispatchErr := isa.Dispatch(u, in, rows[:k])
 		_, execErr := m.Execute(in, operands[:k], isa.Addr{Tile: 2})
 		if pimOp := op.IsPIM(); (dispatchErr == nil) != pimOp || (execErr == nil) != pimOp {
 			t.Errorf("%v: IsPIM %v, Dispatch err %v, Memory.Execute err %v", op, pimOp, dispatchErr, execErr)

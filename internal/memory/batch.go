@@ -26,9 +26,9 @@ const (
 )
 
 // Request is one batch operation for ExecuteBatch. Kind selects the
-// shape: KindExec uses In/Operands/Dst, KindCopy uses Src/Dst,
-// KindWrite uses Row/Dst, and KindRead uses Src. Copies and writes
-// participate in the same
+// shape: KindExec uses In/Operands/Dst (and Rem, for div), KindCopy
+// uses Src/Dst, KindWrite uses Row/Dst, and KindRead uses Src. Copies
+// and writes participate in the same
 // footprint grouping as executions, which is what lets a compiled plan
 // hand its staging traffic and compute to one batch and still preserve
 // every data dependence (any two requests that touch a common row share
@@ -38,8 +38,14 @@ type Request struct {
 	In       isa.Instruction
 	Operands []isa.Addr
 	Dst      isa.Addr
-	Src      isa.Addr // KindCopy: source row
-	Row      dbc.Row  // KindWrite: payload
+	// Rem, when not nil, names a second destination for a div request:
+	// its one DivMod kernel writes the quotient to Dst, then the
+	// remainder to Rem. Rem follows Dst's rules (inside the geometry, in
+	// the executing DBC's bank) and must differ from it; any other
+	// opcode or kind with a Rem is rejected with ErrInvalidRequest.
+	Rem *isa.Addr
+	Src isa.Addr // KindCopy: source row
+	Row dbc.Row  // KindWrite: payload
 }
 
 // Result is the outcome of one batch request. For KindCopy and
@@ -132,7 +138,7 @@ func (m *Memory) planBatch(reqs []Request, s *batchScratch) {
 	}
 
 	// Union-find over lock-set overlap. Distinct bases are tracked in a
-	// flat slice with linear lookup: lock sets are tiny (≤ operands+2),
+	// flat slice with linear lookup: lock sets are tiny (≤ operands+3),
 	// and the scan beats a map both in allocs and in constant factor at
 	// batch sizes the compiler emits.
 	for i := range s.plans {

@@ -347,7 +347,7 @@ func unlockShards(shards []*shard) {
 // linear index — the lock acquisition order.
 func (m *Memory) sortBases(bases []isa.Addr) []isa.Addr {
 	g := m.cfg.Geometry
-	// Insertion sort: lock sets are tiny (≤ operands+2), and sort.Slice
+	// Insertion sort: lock sets are tiny (≤ operands+3), and sort.Slice
 	// costs an allocation per call — visible on the batch planning path.
 	for i := 1; i < len(bases); i++ {
 		for j := i; j > 0 && bases[j].Linear(g) < bases[j-1].Linear(g); j-- {
@@ -583,6 +583,7 @@ type execPlan struct {
 	in       isa.Instruction
 	operands []isa.Addr
 	dst      isa.Addr
+	rem      *isa.Addr  // a div's remainder destination; nil: none
 	src      isa.Addr   // KindCopy: source row
 	row      dbc.Row    // KindWrite: payload
 	bases    []isa.Addr // sorted, deduplicated lock set
@@ -600,9 +601,12 @@ func (m *Memory) planRequest(r Request, buf []isa.Addr) (p execPlan, err error) 
 			err = invalidRequest{err}
 		}
 	}()
+	if r.Rem != nil && (r.Kind != KindExec || r.In.Op != isa.OpDiv) {
+		return execPlan{}, errors.New("memory: only a div request takes a remainder destination")
+	}
 	switch r.Kind {
 	case KindExec:
-		return m.planExecute(r.In, r.Operands, r.Dst, buf)
+		return m.planExecute(r.In, r.Operands, r.Dst, r.Rem, buf)
 	case KindCopy:
 		if err := m.checkAddr(r.Src); err != nil {
 			return execPlan{}, err
@@ -648,9 +652,11 @@ func (m *Memory) runRequest(p execPlan, shards []*shard) (dbc.Row, error) {
 	}
 }
 
-// planExecute validates the request upfront and returns its plan. The
-// plan's lock set is built on buf's backing array when one is passed.
-func (m *Memory) planExecute(in isa.Instruction, operands []isa.Addr, dst isa.Addr, buf []isa.Addr) (execPlan, error) {
+// planExecute validates the request upfront and returns its plan. rem,
+// when not nil, is a div's remainder destination, checked like dst.
+// The plan's lock set is built on buf's backing array when one is
+// passed.
+func (m *Memory) planExecute(in isa.Instruction, operands []isa.Addr, dst isa.Addr, rem *isa.Addr, buf []isa.Addr) (execPlan, error) {
 	if err := in.Validate(m.cfg.Geometry, m.cfg.TRD); err != nil {
 		return execPlan{}, err
 	}
@@ -687,7 +693,23 @@ func (m *Memory) planExecute(in isa.Instruction, operands []isa.Addr, dst isa.Ad
 			dst, in.Src.Bank, ErrCrossDBC)
 	}
 	bases = append(bases, dbcBase(dst))
-	return execPlan{in: in, operands: operands, dst: dst, bases: m.sortBases(bases)}, nil
+	p := execPlan{in: in, operands: operands, dst: dst}
+	if rem != nil {
+		if err := m.checkAddr(*rem); err != nil {
+			return execPlan{}, fmt.Errorf("memory: remainder: %w", err)
+		}
+		if *rem == dst {
+			return execPlan{}, fmt.Errorf("memory: remainder destination %+v is the quotient's", dst)
+		}
+		if rem.Bank != in.Src.Bank {
+			return execPlan{}, fmt.Errorf("memory: remainder destination %+v, executing DBC in bank %d: %w",
+				*rem, in.Src.Bank, ErrCrossDBC)
+		}
+		p.rem = rem
+		bases = append(bases, dbcBase(*rem))
+	}
+	p.bases = m.sortBases(bases)
+	return p, nil
 }
 
 // execSpans names each cpim opcode's exec span, built once so the exec
@@ -702,13 +724,13 @@ var execSpans = func() (names [isa.OpFma + 1]string) {
 
 // runPlan executes a validated plan over its locked shards, in
 // program order: stage operands, run the PIM op (through the recovery
-// executor when one is installed), write the result. shards holds the
-// plan's lock set (all locks held by the caller). The operands are
-// staged into the executing shard's scratch rows; every PIM op returns
-// a fresh row, so the result never aliases them.
+// executor when one is installed), write the result, then, for a
+// paired div, the remainder. shards holds the plan's lock set (all
+// locks held by the caller). The operands are staged into the
+// executing shard's scratch rows; every PIM op returns a fresh row, so
+// the result never aliases them.
 func (m *Memory) runPlan(p execPlan, shards []*shard) (dbc.Row, error) {
 	execSh := shardByBase(shards, dbcBase(p.in.Src))
-	u := execSh.u
 	rec, src := execSh.recorder(), execSh.d.Source()
 	rec.Begin(src, execSpans[p.in.Op])
 	defer rec.End(src)
@@ -723,30 +745,54 @@ func (m *Memory) runPlan(p execPlan, shards []*shard) (dbc.Row, error) {
 		}
 	}
 
-	var result dbc.Row
-	var err error
-	if ex := execSh.ex; ex != nil {
-		// Recovered path: the executor re-runs the op per its policy,
-		// charges retry backoff to the executing DBC, and reports
-		// detected faults to the health ledger (quarantines are
-		// processed by the caller once all locks are released).
-		var out resilient.Outcome
-		result, out, err = ex.Do(p.in.Op.String(), func() (dbc.Row, error) {
-			return isa.Dispatch(u, p.in, rows)
-		})
-		if out.Detected > 0 {
-			m.noteFaults(execSh.base, out.Detected, ex.Policy.QuarantineAfter)
-		}
-	} else {
-		result, err = isa.Dispatch(u, p.in, rows)
-	}
+	result, rem, err := m.dispatch(execSh, p.in, rows)
 	if err != nil {
 		return dbc.Row{}, err
 	}
 	if err := shardByBase(shards, dbcBase(p.dst)).writeRow(p.dst, result); err != nil {
 		return dbc.Row{}, err
 	}
+	if p.rem == nil {
+		return result, nil
+	}
+	if execSh.ex != nil {
+		// The executor verifies the one row a run returns, so the
+		// remainder gets a verified mod of its own over the same staged
+		// operands: a recovered pair runs the kernels a div and a mod
+		// request would.
+		mod := p.in
+		mod.Op = isa.OpMod
+		if rem, _, err = m.dispatch(execSh, mod, rows); err != nil {
+			return dbc.Row{}, err
+		}
+	}
+	if err := shardByBase(shards, dbcBase(*p.rem)).writeRow(*p.rem, rem); err != nil {
+		return dbc.Row{}, err
+	}
 	return result, nil
+}
+
+// dispatch runs the instruction's kernel on the executing shard over
+// its staged operand rows (isa.Dispatch), returning the result and,
+// for an unrecovered div, the remainder. With a recovery executor
+// installed it re-runs the kernel per the policy, charges retry
+// backoff to the executing DBC and reports detected faults to the
+// health ledger (quarantines are processed by the caller once all
+// locks are released); a recovered run returns no remainder.
+func (m *Memory) dispatch(sh *shard, in isa.Instruction, rows []dbc.Row) (res, rem dbc.Row, err error) {
+	ex := sh.ex
+	if ex == nil {
+		return isa.Dispatch(sh.u, in, rows)
+	}
+	var out resilient.Outcome
+	res, out, err = ex.Do(in.Op.String(), func() (dbc.Row, error) {
+		q, _, err := isa.Dispatch(sh.u, in, rows)
+		return q, err
+	})
+	if out.Detected > 0 {
+		m.noteFaults(sh.base, out.Detected, ex.Policy.QuarantineAfter)
+	}
+	return res, dbc.Row{}, err
 }
 
 // Execute runs a cpim instruction whose operands live at memory

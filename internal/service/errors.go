@@ -30,7 +30,8 @@ var (
 	ErrDraining = errors.New("service: server draining")
 	// ErrTooLarge marks a request whose body exceeds its endpoint's
 	// size limit — the server stops reading it at the limit — or a
-	// compile request whose program exceeds compile.MaxStatements.
+	// compile request whose program exceeds compile.MaxStatements or
+	// whose plan is predicted to run past maxPlanCycles.
 	ErrTooLarge = errors.New("service: request body too large")
 )
 

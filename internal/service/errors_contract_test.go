@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/isa/compile"
 	"repro/internal/memory"
 	"repro/internal/params"
@@ -180,6 +181,39 @@ func TestCompileStatementLimit(t *testing.T) {
 	}
 	if _, err := api.Compile(ctx, CompileRequest{Source: program(compile.MaxStatements)}); err != nil {
 		t.Fatalf("%d-statement program: %v", compile.MaxStatements, err)
+	}
+}
+
+// TestCompileCycleLimit posts a short program whose plan would hold the
+// shard for seconds: 64 chained bs=512 divs, 66 lines, which the cost
+// model prices at about 34M device cycles. The shard worker rejects it
+// before Plan.Run, as 413 too_large, so its store row stays untouched.
+func TestCompileCycleLimit(t *testing.T) {
+	srv, err := NewServer(Config{Device: params.DefaultConfig(), Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Drain()
+	})
+	api := NewClient(ts.URL, ts.Client())
+	var b strings.Builder
+	b.WriteString("%v0 = load b0.s0.t1.d0.r0\n")
+	for i := 1; i <= 64; i++ {
+		fmt.Fprintf(&b, "%%v%d = div %%v%d, %%v0 bs=512\n", i, i-1)
+	}
+	b.WriteString("store %v64, b0.s0.t1.d0.r1\n")
+	src := b.String()
+	_, err = api.Compile(context.Background(), CompileRequest{Source: src})
+	var tooLarge *APIError
+	if !errors.Is(err, ErrTooLarge) || !errors.As(err, &tooLarge) || tooLarge.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-line div chain err = %v, want ErrTooLarge with status 413", strings.Count(src, "\n"), err)
+	}
+	row, err := srv.Pool().Shard(0).ReadRow(isa.Addr{Tile: 1, Row: 1})
+	if err != nil || row.OnesCount() != 0 {
+		t.Errorf("rejected program's store row holds %d set bits (err %v), want untouched", row.OnesCount(), err)
 	}
 }
 

@@ -378,6 +378,15 @@ func (s *Server) runWindow(mem *memory.Memory, window []*job, total int) {
 	}
 }
 
+// maxPlanCycles bounds the device cycles a compiled plan may be
+// predicted to take (PlanStats.Cycles). The statement limit bounds
+// compile time, not run time: 64 chained bs=512 divs are 66 lines but
+// price 33.9M cycles, and Plan.Run held the shard for 7.6 s. Under this
+// limit the slowest run measured, a 990-statement bs=512 add chain
+// (1.02M cycles), takes about 0.2 s on a 2.1 GHz Xeon core; the
+// example programs price under 1200 cycles.
+const maxPlanCycles = 1 << 20
+
 // runCompile compiles and executes a pimasm program on the shard,
 // exclusively (no window shares the shard while a plan runs).
 func (s *Server) runCompile(shard int, mem *memory.Memory, j *job) {
@@ -395,6 +404,11 @@ func (s *Server) runCompile(shard int, mem *memory.Memory, j *job) {
 			bad = ErrTooLarge
 		}
 		j.cerr = fmt.Errorf("%w: %v", bad, err)
+		return
+	}
+	if res.Stats.Cycles > maxPlanCycles {
+		j.cerr = fmt.Errorf("%w: plan predicts %d device cycles, over the %d limit",
+			ErrTooLarge, res.Stats.Cycles, maxPlanCycles)
 		return
 	}
 	// Every shard memory records, telemetry or not: read its recorder.
