@@ -6,7 +6,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: ci vet lint audit build test race race-obs fuzz alloc-budget bench bench-obs bench-profile bench-parallel bench-resilient bench-compile bench-pipeline bench-serve bench-smoke
+.PHONY: ci vet lint audit build test race race-obs fuzz alloc-budget bench bench-obs bench-profile bench-parallel bench-resilient bench-compile bench-pipeline bench-serve bench-smoke loc
 
 ci: lint build race race-obs fuzz alloc-budget bench bench-obs bench-profile bench-parallel bench-resilient bench-compile bench-pipeline bench-serve bench-smoke
 
@@ -50,6 +50,16 @@ audit:
 
 build:
 	$(GO) build ./...
+
+# loc prints the non-test Go lines of every package directory and their
+# total: wc -l over the .go files that are not _test.go, with the
+# vendored third_party/ tree and testdata/ fixtures excluded. Changes
+# that aim at less code report their before/after numbers from it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './third_party/*' ! -path '*/testdata/*' \
+		-exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); \
+		n[d] += $$1; t += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; \
+		close("sort -k2"); printf "%7d total\n", t }'
 
 test:
 	$(GO) test ./...

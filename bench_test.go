@@ -278,17 +278,19 @@ func BenchmarkTinyCNNInference(b *testing.B) {
 	cfg := params.DefaultConfig()
 	cfg.Geometry.TrackWidth = 256
 	u := pim.MustNewUnit(cfg)
-	net := &cnn.TinyCNN{Kernel: [3][3]int{{1, -2, 1}, {2, 4, -1}, {-3, 1, 2}}}
-	img := make([][]int, 6)
-	for y := range img {
-		img[y] = make([]int, 6)
-		for x := range img[y] {
-			img[y][x] = (y*7 + x*3) % 16
+	net := &cnn.Sequential{Layers: []cnn.PIMLayer{
+		&cnn.ConvLayer{W: [][][3][3]int{{{{1, -2, 1}, {2, 4, -1}, {-3, 1, 2}}}}, B: []int{0}},
+		cnn.PoolLayer{},
+	}}
+	img := cnn.NewTensor3(1, 6, 6)
+	for y := range img[0] {
+		for x := range img[0][y] {
+			img[0][y][x] = (y*7 + x*3) % 16
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := net.InferPIM(u, img); err != nil {
+		if _, err := net.Forward(u, img); err != nil {
 			b.Fatal(err)
 		}
 	}

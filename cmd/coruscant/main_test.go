@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,41 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/profile"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/all.golden from this run")
+
+// TestRunAllGolden pins `coruscant all` byte for byte against
+// testdata/all.golden: every paper table, figure and note the
+// experiments regenerate. Re-capture it with
+// `go test ./cmd/coruscant -run TestRunAllGolden -update`, and give
+// each changed line its reason in CHANGES.md.
+func TestRunAllGolden(t *testing.T) {
+	got := captureStdout(t, func() {
+		if err := run([]string{"all"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	path := filepath.Join("testdata", "all.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < min(len(gotLines), len(wantLines)); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("%s line %d:\ngot:  %q\nwant: %q", path, i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("%s: got %d lines, want %d", path, len(gotLines), len(wantLines))
+}
 
 func TestRunList(t *testing.T) {
 	if err := run([]string{"list"}); err != nil {

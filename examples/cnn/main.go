@@ -21,30 +21,33 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net := &cnn.TinyCNN{Kernel: [3][3]int{
-		{-1, -1, -1},
-		{-1, 8, -1},
-		{-1, -1, -1}, // edge-detection kernel
+	net := &cnn.Sequential{Layers: []cnn.PIMLayer{
+		&cnn.ConvLayer{W: [][][3][3]int{{{
+			{-1, -1, -1},
+			{-1, 8, -1},
+			{-1, -1, -1}, // edge-detection kernel
+		}}}, B: []int{0}},
+		cnn.PoolLayer{},
 	}}
-	img := [][]int{
+	img := cnn.Tensor3{{
 		{0, 0, 0, 0, 0, 0},
 		{0, 9, 9, 9, 9, 0},
 		{0, 9, 0, 0, 9, 0},
 		{0, 9, 0, 0, 9, 0},
 		{0, 9, 9, 9, 9, 0},
 		{0, 0, 0, 0, 0, 0},
-	}
-	got, err := net.InferPIM(u, img)
+	}}
+	got, err := net.Forward(u, img)
 	if err != nil {
 		log.Fatal(err)
 	}
-	want := net.InferRef(img)
+	want := net.ForwardRef(img)
 	fmt.Println("edge-detect conv + ReLU + 2x2 max-pool, computed in-memory:")
 	match := true
-	for y := range got {
-		fmt.Printf("  %v\n", got[y])
-		for x := range got[y] {
-			if got[y][x] != want[y][x] {
+	for y := range got[0] {
+		fmt.Printf("  %v\n", got[0][y])
+		for x := range got[0][y] {
+			if got[0][y][x] != want[0][y][x] {
 				match = false
 			}
 		}

@@ -199,23 +199,25 @@ func (w *Nanowire) AlignSteps(r int, s Side) int {
 	return w.port(s) - w.rowPhys(r)
 }
 
-// feasible reports whether row r can physically align under port s
-// without data falling off an extremity: rows near the right end of the
-// wire can only reach the right port and vice versa.
-func (w *Nanowire) feasible(r int, s Side) bool {
-	start := w.port(s) - r
-	return start >= w.minS && start <= w.maxS
-}
-
 // NearestPort returns the feasible port requiring the fewest shift steps
-// to align row r, along with that signed step count.
+// to align row r, along with that signed step count (NearestPortAt at
+// the wire's offset).
 func (w *Nanowire) NearestPort(r int) (Side, int) {
 	w.checkRow(r)
-	dl := w.AlignSteps(r, Left)
-	dr := w.AlignSteps(r, Right)
-	lOK := w.feasible(r, Left)
-	rOK := w.feasible(r, Right)
-	if lOK && (!rOK || abs(dl) <= abs(dr)) {
+	return NearestPortAt(w.rows, w.trd, r, w.Offset())
+}
+
+// NearestPortAt is the port rule of every wire of rows data rows and a
+// trd window whose head stands at offset off: the feasible port that
+// aligns row r in the fewest shift steps, and that signed step count
+// (positive = right). Rows past rows-trd cannot reach the left port
+// without data falling off the wire, nor rows before trd-1 the right
+// one; a tie goes left. Nanowire and PlaneArray align by it, and
+// memory's pricer prices a port access by it without a wire.
+func NearestPortAt(rows int, trd params.TRD, r, off int) (Side, int) {
+	pl, pr := params.PortPlacement(rows, trd)
+	dl, dr := pl-r-off, pr-r-off
+	if r <= rows-int(trd) && (r < int(trd)-1 || abs(dl) <= abs(dr)) {
 		return Left, dl
 	}
 	return Right, dr

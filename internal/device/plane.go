@@ -277,23 +277,12 @@ func (pa *PlaneArray) AlignSteps(r int, s Side) int {
 	return pa.port(s) - (pa.start + r)
 }
 
-// feasible reports whether row r can align under port s without data
-// falling off an extremity.
-func (pa *PlaneArray) feasible(r int, s Side) bool {
-	start := pa.port(s) - r
-	return start >= pa.minS && start <= pa.maxS
-}
-
 // NearestPort returns the feasible port requiring the fewest shift steps
-// to align row r, along with that signed step count.
+// to align row r, along with that signed step count (NearestPortAt at
+// the array's offset).
 func (pa *PlaneArray) NearestPort(r int) (Side, int) {
 	pa.checkRow(r)
-	dl := pa.AlignSteps(r, Left)
-	dr := pa.AlignSteps(r, Right)
-	if pa.feasible(r, Left) && (!pa.feasible(r, Right) || abs(dl) <= abs(dr)) {
-		return Left, dl
-	}
-	return Right, dr
+	return NearestPortAt(pa.rows, pa.trd, r, pa.start-pa.rest)
 }
 
 // ReadPort copies the plane under the port into dst (a conventional

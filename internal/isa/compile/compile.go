@@ -49,7 +49,7 @@ type Result struct {
 	Plan    *Plan
 	Inputs  []Output // the program's live load rows, folded or not (Blocksize 0: raw)
 	Outputs []Output
-	Stats   PlanStats // cost model of the emitted plan
+	Stats   PlanStats // the pricer's prediction for the emitted plan
 
 	// ShiftsByDBC splits Stats.PortShifts per DBC, keyed by the
 	// telemetry source name (isa.DBCSource) — the prediction side of
@@ -123,7 +123,7 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	dump("schedule", plan.String)
 
 	done = pass("price")
-	stats, heads, err := plan.price(cfg.Geometry, cfg.TRD, nil)
+	stats, err := plan.price(lay.pr)
 	done()
 	if err != nil {
 		return nil, err
@@ -132,7 +132,7 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 
 	// Inputs and outputs are the source program's, whatever folding
 	// made of the values between them.
-	res := &Result{Plan: plan, Inputs: prog.inputs, Stats: stats, ShiftsByDBC: shiftsBySource(heads)}
+	res := &Result{Plan: plan, Inputs: prog.inputs, Stats: stats, ShiftsByDBC: lay.pr.ShiftsByDBC()}
 	for _, n := range prog.nodes {
 		if n.kind == nStore {
 			res.Outputs = append(res.Outputs, Output{Name: n.srcName, Addr: n.addr, Blocksize: n.bs})

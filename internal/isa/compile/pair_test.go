@@ -129,8 +129,8 @@ func TestDivModPairRequests(t *testing.T) {
 	}
 }
 
-// TestDivModPairModelExact holds the cost model to measured runs of
-// every pair case, to the step: a paired request reads its operands
+// TestDivModPairModelExact holds the price of every pair case's plans
+// to measured runs, to the step: a paired request reads its operands
 // once, runs one kernel, writes the quotient and then the remainder,
 // and locks the remainder's DBC in its batch window.
 func TestDivModPairModelExact(t *testing.T) {
@@ -149,10 +149,8 @@ func TestDivModPairModelExact(t *testing.T) {
 				}
 				inputs = append(inputs, seededInput{in.Addr, row})
 			}
-			for _, level := range []int{1, 2} {
-				if p, m := checkModel(t, cfg, trd.String()+"/"+c.name, c.src, inputs, level, true); p != m {
-					t.Errorf("%v/%s -O%d: predicted %d shift steps, measured %d", trd, c.name, level, p, m)
-				}
+			for _, level := range []int{0, 1, 2} {
+				checkModel(t, cfg, trd.String()+"/"+c.name, c.src, inputs, level)
 			}
 		}
 	}

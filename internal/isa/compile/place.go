@@ -3,16 +3,18 @@ package compile
 import (
 	"fmt"
 
+	"repro/internal/device"
 	"repro/internal/isa"
+	"repro/internal/memory"
 	"repro/internal/params"
 )
 
-// PlanStats is the cost model's prediction for one plan, priced
-// request by request in run order on a memory whose heads start at
-// rest: row-buffer copies, every shift step (port alignment and kernel
-// shifts alike), device cycles and the makespan of the batch windows.
-// The bench harness compares these predictions against the memory's
-// measured MoveStats, trace counters and recorder.
+// PlanStats is memory.Pricer's prediction for one plan, its windows
+// priced in run order on a memory whose heads start at rest: row-buffer
+// copies, every shift step (port alignment and kernel shifts alike),
+// device cycles and the makespan of the batch windows. The bench
+// harness compares these predictions against the memory's measured
+// MoveStats, trace counters and recorder.
 type PlanStats struct {
 	CrossDBCMoves int // row-buffer copies: copy requests plus operands staged from another DBC
 	PortShifts    int // shift steps: port alignment and kernel shifts
@@ -31,7 +33,6 @@ type layout struct {
 	pipeline bool // -O2: staging spread for overlapped batch windows
 	recycle  bool
 	geo      params.Geometry
-	trd      params.TRD
 	execBank int
 	pool     []execDBC // executing PIM DBCs, assignment order
 	// free maps each companion base to its unused rows, port-sorted.
@@ -50,9 +51,14 @@ type layout struct {
 	// out have no entry (available from window 0).
 	availFrom map[isa.Addr]int
 
-	// cm tracks the heads in placement order, so choices read the
-	// cost of an access or a kernel as the head would then stand.
-	cm costModel
+	// pr tracks the heads in placement order, so choices read the cost
+	// of an access or a kernel as the head would then stand. Placement
+	// leaves every head at rest again for the schedule and the price.
+	pr *memory.Pricer
+	// lanes prices the lanes of a window placement or scheduling is
+	// still building; fp holds the footprint being added or peeked.
+	lanes memory.Lanes
+	fp    []isa.Addr
 
 	recycled int // home rows returned to the allocators by liveness
 }
@@ -89,19 +95,6 @@ func (lay *layout) pair(e isa.Addr) execDBC {
 	return execDBC{base: e, comp: e}
 }
 
-// shiftsBySource keys predicted per-DBC shift steps by the telemetry
-// source name memory.Memory assigns the cluster, so they join directly
-// against the hardware profiler's measured counters.
-func shiftsBySource(heads []dbcHead) map[string]int {
-	out := make(map[string]int, len(heads))
-	for _, h := range heads {
-		if h.shifts > 0 {
-			out[isa.DBCSource(h.base)] = h.shifts
-		}
-	}
-	return out
-}
-
 // rowOwner remembers which allocator a recyclable home row came from,
 // so liveness can hand it back to the right pool.
 type rowOwner struct {
@@ -121,10 +114,11 @@ func abs(x int) int {
 	return x
 }
 
-// portDist is the shift distance from a row to its nearest access port.
+// portDist is the shift distance that aligns a row under its nearest
+// feasible access port from rest.
 func portDist(row, rows int, trd params.TRD) int {
-	l, r := params.PortPlacement(rows, trd)
-	return min(abs(row-l), abs(row-r))
+	_, d := device.NearestPortAt(rows, trd, row, 0)
+	return abs(d)
 }
 
 // portOrder returns the given rows sorted by access-port distance
@@ -151,10 +145,9 @@ func portOrder(rows []int, total int, trd params.TRD) []int {
 // shift on every consecutive allocation; grouping by side keeps
 // consecutively handed-out rows physically close.
 func sideOrder(rows []int, total int, trd params.TRD) []int {
-	l, r := params.PortPlacement(total, trd)
 	var lefts, rights []int
 	for _, row := range rows {
-		if abs(row-l) <= abs(row-r) {
+		if side, _ := device.NearestPortAt(total, trd, row, 0); side == device.Left {
 			lefts = append(lefts, row)
 		} else {
 			rights = append(rights, row)
@@ -173,7 +166,7 @@ const execDBCs = 4
 // pairs each executing PIM DBC with a companion staging DBC and homes
 // results in the companion's rows nearest the access ports, folds
 // first stores into request destinations, and spreads each DAG level
-// over execDBCs PIM DBCs, choosing each op's DBC by the cost model's
+// over execDBCs PIM DBCs, choosing each op's DBC by the pricer's
 // predicted lane length and cycles. At level >= 2 the staging allocator
 // additionally round-robins its rows across several staging DBCs, so
 // the pipelined schedule's staging lanes land on disjoint footprints
@@ -192,11 +185,12 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 		pipeline:  level >= 2,
 		recycle:   opt && recycle,
 		geo:       g,
-		trd:       cfg.TRD,
 		free:      make(map[isa.Addr][]int),
 		reserved:  make(map[isa.Addr]bool),
 		availFrom: make(map[isa.Addr]int),
-		cm:        newCostModel(g, cfg.TRD),
+		pr:        memory.NewPricer(cfg),
+		lanes:     memory.NewLanes(len(p.nodes)),
+		fp:        make([]isa.Addr, 0, 16),
 	}
 
 	// The program's own rows (and their whole DBCs) are off-limits to
@@ -273,8 +267,8 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 			}
 			n.home = home
 			owned[n] = rowOwner{base: dbcBase(home), staged: true}
-			lay.cm.access(n.addr)
-			lay.cm.access(home)
+			lay.pr.Access(n.addr)
+			lay.pr.Access(home)
 		case nConst:
 			home, err := lay.stageRow()
 			if err != nil {
@@ -282,7 +276,7 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 			}
 			n.home = home
 			owned[n] = rowOwner{base: dbcBase(home), staged: true}
-			lay.cm.access(home)
+			lay.pr.Access(home)
 		}
 	}
 
@@ -323,7 +317,6 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 		}
 	}
 
-	ls := newLanes(g, len(p.nodes))
 	operands := make([]isa.Addr, 0, 8)
 	for lv := 1; lv <= levels; lv++ {
 		// Recycle the home rows of values consumed for the last time by
@@ -352,12 +345,12 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 			}
 		}
 
-		ls.reset()
+		lay.lanes.Reset()
 		for _, n := range p.nodes {
 			if n.kind != nOp || n.level != lv || n.isRem() {
 				continue
 			}
-			x, cycles, private := lay.chooseExec(&ls, n, directFor)
+			x, cycles, private := lay.chooseExec(n, directFor)
 			n.exec = x.base
 			if err := lay.homeResult(n, x, directFor[n], owned); err != nil {
 				return nil, err
@@ -375,11 +368,13 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 			for _, a := range n.args {
 				operands = append(operands, a.home)
 			}
-			lay.cm.exec(isa.Instruction{Op: n.op, Src: x.base, Blocksize: n.bs, Operands: len(n.args), Imm: n.imm}, operands, n.home, rem)
-			ls.opFootprint(n, x, private, n.home, remHome(n))
-			ls.add(cycles)
+			lay.pr.Exec(isa.Instruction{Op: n.op, Src: x.base, Blocksize: n.bs, Operands: len(n.args), Imm: n.imm}, operands, n.home, rem)
+			lay.lanes.Add(lay.opFootprint(n, x, private, n.home, remHome(n)), cycles)
 		}
 	}
+	// The plan runs from rest: scheduling peeks the heads there, and
+	// Compile prices the plan from there.
+	lay.pr.Reset()
 	return lay, nil
 }
 
@@ -419,22 +414,19 @@ func remHome(n *node) isa.Addr {
 	return n.home
 }
 
-// opFootprint sets the footprint to the DBCs op n locks in its batch
-// window when it executes on x with its results at quo and rem: x, its
-// companion and the result DBCs, plus every operand DBC outside the
-// pair unless private, when the -O2 scheduler copies those operands
-// into the companion first.
-func (ls *lanes) opFootprint(n *node, x execDBC, private bool, quo, rem isa.Addr) {
-	ls.fp = ls.fp[:0]
-	ls.use(x.base)
-	ls.use(x.comp)
-	ls.use(quo)
-	ls.use(rem)
+// opFootprint returns the footprint op n locks in its batch window
+// when it executes on x with its results at quo and rem: x, its
+// companion and the result rows, plus every operand outside the pair
+// unless private, when the -O2 scheduler copies those operands into
+// the companion first. It is built in lay.fp.
+func (lay *layout) opFootprint(n *node, x execDBC, private bool, quo, rem isa.Addr) []isa.Addr {
+	lay.fp = append(lay.fp[:0], x.base, x.comp, quo, rem)
 	for _, a := range n.args {
 		if !private || x.holds(a.home) {
-			ls.use(a.home)
+			lay.fp = append(lay.fp, a.home)
 		}
 	}
+	return lay.fp
 }
 
 // chooseExec picks the executing DBC for op n, whose results fold into
@@ -448,12 +440,12 @@ func (ls *lanes) opFootprint(n *node, x execDBC, private bool, quo, rem isa.Addr
 // copy each into the companion, when that ends its lane sooner.
 // chooseExec returns the DBC, the op's predicted cycles and whether it
 // counted on privatizing. Ties go to the earlier DBC of the pool.
-func (lay *layout) chooseExec(ls *lanes, n *node, directFor map[*node]*node) (execDBC, int, bool) {
+func (lay *layout) chooseExec(n *node, directFor map[*node]*node) (execDBC, int, bool) {
 	reads := 0
 	for _, a := range n.args {
-		reads += lay.cm.peek(a.home)
+		reads += lay.pr.Peek(a.home)
 	}
-	kc := lay.cm.kernel(isa.Instruction{Op: n.op, Blocksize: n.bs, Operands: len(n.args), Imm: n.imm})
+	in := isa.Instruction{Op: n.op, Blocksize: n.bs, Operands: len(n.args), Imm: n.imm}
 	r := n.rem()
 	best, bestEnd, bestCycles, bestPrivate := 0, 1<<30, 0, false
 	for i, x := range lay.pool {
@@ -475,15 +467,14 @@ func (lay *layout) chooseExec(ls *lanes, n *node, directFor map[*node]*node) (ex
 			return a
 		}
 		quo := home(n)
-		rem, writes := quo, lay.cm.peek(quo)
+		rem, writes := quo, lay.pr.Peek(quo)
 		if r != nil {
 			rem = home(r)
-			writes += lay.cm.peek(rem)
+			writes += lay.pr.Peek(rem)
 		}
-		_, kernel, _ := kc.run(lay.cm.offset(x.base))
-		c := reads + kernel + writes
-		ls.opFootprint(n, x, false, quo, rem)
-		if end := ls.peek(c); end < bestEnd {
+		in.Src = x.base
+		c := reads + lay.pr.PeekKernel(in) + writes
+		if end := lay.lanes.Peek(lay.opFootprint(n, x, false, quo, rem), c); end < bestEnd {
 			best, bestEnd, bestCycles, bestPrivate = i, end, c, false
 		}
 		if !lay.pipeline {
@@ -492,11 +483,10 @@ func (lay *layout) chooseExec(ls *lanes, n *node, directFor map[*node]*node) (ex
 		copies := 0
 		for _, a := range n.args {
 			if !x.holds(a.home) {
-				copies += lay.cm.peek(a.home) + lay.cm.peek(next)
+				copies += lay.pr.Peek(a.home) + lay.pr.Peek(next)
 			}
 		}
-		ls.opFootprint(n, x, true, quo, rem)
-		if end := ls.peek(c + copies); copies > 0 && end < bestEnd {
+		if end := lay.lanes.Peek(lay.opFootprint(n, x, true, quo, rem), c+copies); copies > 0 && end < bestEnd {
 			best, bestEnd, bestCycles, bestPrivate = i, end, c+copies, true
 		}
 	}

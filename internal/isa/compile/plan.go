@@ -113,7 +113,7 @@ func buildPlan(p *Program, lay *layout) (*Plan, error) {
 //   - Operand privatization: an operand homed outside its op's
 //     executing DBC and companion is copied (constants: lane-broadcast
 //     written) into a free row of the companion before the op's
-//     window, where the cost model predicts the copy pays for itself.
+//     window, where the pricer predicts the copy pays for itself.
 //     The op's footprint collapses to its own DBC pair, so same-level
 //     ops become disjoint parallel lanes instead of one group
 //     serialized through a shared operand DBC.
@@ -173,9 +173,7 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 	var bases, freed []isa.Addr
 	var ops []*node
 	var priv []bool // per operand of the level's ops, in order: privatize it
-	var est []int   // per op of the level: predicted cycles
-	ls := newLanes(lay.geo, len(p.nodes))
-	static := newCostModel(lay.geo, lay.trd) // every head at rest
+	var est []int   // per op of the level: predicted cycles, every head at rest
 	for lv := 1; lv <= levels; lv++ {
 		ops = ops[:0]
 		for _, n := range p.nodes {
@@ -193,18 +191,18 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 		// whose removal costs the window less than the copy itself.
 		priv, est = priv[:0], est[:0]
 		for _, n := range ops {
-			est = append(est, static.estimate(n))
+			est = append(est, lay.estimate(n))
 			for _, a := range n.args {
 				priv = append(priv, !lay.pair(n.exec).holds(a.home))
 			}
 		}
-		span := lay.levelSpan(&ls, ops, priv, est)
+		span := lay.levelSpan(ops, priv, est)
 		for i, on := range priv {
 			if !on {
 				continue
 			}
 			priv[i] = false
-			if without := lay.levelSpan(&ls, ops, priv, est); without-span > lay.copyCost(&static, ops, i) {
+			if without := lay.levelSpan(ops, priv, est); without-span > lay.copyCost(ops, i) {
 				priv[i] = true
 			} else {
 				span = without
@@ -385,36 +383,45 @@ func disjointBases(occ []winBase, win int, bases []isa.Addr) bool {
 	return true
 }
 
+// estimate prices op n's request as the heads now stand, without
+// moving them.
+func (lay *layout) estimate(n *node) int {
+	c := lay.pr.Peek(n.home)
+	if r := n.rem(); r != nil {
+		c += lay.pr.Peek(r.home)
+	}
+	for _, a := range n.args {
+		c += lay.pr.Peek(a.home)
+	}
+	return c + lay.pr.PeekKernel(isa.Instruction{Op: n.op, Src: n.exec, Blocksize: n.bs, Operands: len(n.args), Imm: n.imm})
+}
+
 // levelSpan predicts the span of a level's compute window under the
 // given privatization choices (priv, one per operand of ops in order):
 // each exec request locks its DBC pair, its results' DBCs and the homes
 // of the operands it reads in place, and costs its estimated cycles.
-func (lay *layout) levelSpan(ls *lanes, ops []*node, priv []bool, est []int) int {
-	ls.reset()
+func (lay *layout) levelSpan(ops []*node, priv []bool, est []int) int {
+	lay.lanes.Reset()
 	i := 0
 	for j, n := range ops {
 		x := lay.pair(n.exec)
-		ls.fp = ls.fp[:0]
-		ls.use(x.base)
-		ls.use(x.comp)
-		ls.use(n.home)
-		ls.use(remHome(n))
+		lay.fp = append(lay.fp[:0], x.base, x.comp, n.home, remHome(n))
 		for _, a := range n.args {
 			if !priv[i] {
-				ls.use(a.home)
+				lay.fp = append(lay.fp, a.home)
 			}
 			i++
 		}
-		ls.add(est[j])
+		lay.lanes.Add(lay.fp, est[j])
 	}
-	return ls.span()
+	return lay.lanes.Span()
 }
 
 // copyCost predicts the cycles of privatizing operand i (counting the
-// operands of ops in order) into its op's companion: a read of the home
-// (none for a constant, which is written directly) and a write of the
-// companion's next free row.
-func (lay *layout) copyCost(cm *costModel, ops []*node, i int) int {
+// operands of ops in order) into its op's companion, every head at
+// rest: a read of the home (none for a constant, which is written
+// directly) and a write of the companion's next free row.
+func (lay *layout) copyCost(ops []*node, i int) int {
 	for _, n := range ops {
 		if i >= len(n.args) {
 			i -= len(n.args)
@@ -426,9 +433,9 @@ func (lay *layout) copyCost(cm *costModel, ops []*node, i int) int {
 		if rows := lay.free[comp]; len(rows) > 0 {
 			dst.Row = rows[0]
 		}
-		c := cm.peek(dst)
+		c := lay.pr.Peek(dst)
 		if a.kind != nConst {
-			c += cm.peek(a.home)
+			c += lay.pr.Peek(a.home)
 		}
 		return c
 	}
@@ -489,6 +496,22 @@ func (pl *Plan) Run(m *memory.Memory) error {
 		}
 	}
 	return nil
+}
+
+// price predicts the plan's run from the pricer's heads and moves them
+// as the run would, window by window in plan order: its windows, cpim
+// requests, row-buffer copies, shift steps, cycles and makespan.
+func (pl *Plan) price(pr *memory.Pricer) (PlanStats, error) {
+	st := PlanStats{Batches: len(pl.Steps)}
+	for _, step := range pl.Steps {
+		c := pr.Window(step.Reqs)
+		st.Requests += c.Execs
+		st.CrossDBCMoves += c.RowCopies
+		st.PortShifts += c.Shifts
+		st.Cycles += c.Cycles
+		st.Makespan += c.Makespan
+	}
+	return st, pr.Err()
 }
 
 // reqOp names a batch request for error messages.

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/dbc"
@@ -65,19 +66,17 @@ type batchGroup struct {
 }
 
 // batchScratch holds every planning-time buffer of a batch: the plans,
-// the grouping union-find, and the groups themselves. ExecuteBatch
-// draws one from a pool and returns it, so steady-state batches plan
-// without allocating; a BatchPlan owns one.
+// the grouping lanes, and the groups themselves. ExecuteBatch and the
+// Pricer draw one from a pool and return it, so steady-state batches
+// plan without allocating; a BatchPlan owns one.
 type batchScratch struct {
 	plans    []execPlan
 	runnable []bool
 	errs     []error // planning error per request (nil when runnable)
 	groups   []batchGroup
 
-	reqParent []int      // union-find over request indices
-	baseAddr  []isa.Addr // distinct DBC bases seen so far
-	baseReq   []int      // first request that claimed baseAddr[i]
-	groupIdx  []int      // union-find root -> index into groups
+	lanes    Lanes // one member per request
+	groupIdx []int // lane root -> index into groups
 
 	shards []*shard // per-group lock buffer
 }
@@ -90,13 +89,11 @@ func (s *batchScratch) reset(n int) {
 		s.plans = make([]execPlan, n)
 		s.runnable = make([]bool, n)
 		s.errs = make([]error, n)
-		s.reqParent = make([]int, n)
 		s.groupIdx = make([]int, n)
 	}
 	s.plans = s.plans[:n]
 	s.runnable = s.runnable[:n]
 	s.errs = s.errs[:n]
-	s.reqParent = s.reqParent[:n]
 	s.groupIdx = s.groupIdx[:n]
 	for i := 0; i < n; i++ {
 		// Keep each plan's bases backing array: planBatch hands it back
@@ -104,75 +101,145 @@ func (s *batchScratch) reset(n int) {
 		s.plans[i] = execPlan{bases: s.plans[i].bases[:0]}
 		s.runnable[i] = false
 		s.errs[i] = nil
-		s.reqParent[i] = i
 		s.groupIdx[i] = -1
 	}
-	s.baseAddr = s.baseAddr[:0]
-	s.baseReq = s.baseReq[:0]
+	s.lanes.Reset()
 	s.groups = s.groups[:0]
 }
 
-// ufRoot finds i's union-find root with path halving.
-func ufRoot(parent []int, i int) int {
-	for parent[i] != i {
-		parent[i] = parent[parent[i]]
-		i = parent[i]
+// Lanes groups the members of one batch window into ExecuteBatch's
+// lanes: members whose footprints share a DBC join one lane and run
+// back to back in member order, disjoint lanes run concurrently, and
+// the window costs its longest lane. It is a union-find over the
+// members, rooted at each lane's first member, and every root carries
+// its lane's summed cycles. planBatch groups requests with it (the
+// Pricer prices windows through planBatch), and pimc's placement prices
+// the lanes of windows it has not built yet. The zero value is an empty
+// window.
+type Lanes struct {
+	parent []int      // union-find over members
+	cycles []int      // lane cycles, valid at a root
+	bases  []isa.Addr // distinct DBCs the window touched, linear lookup
+	owner  []int      // the first member that touched each of them
+}
+
+// NewLanes returns an empty window with room for n members, carved
+// from two allocations.
+func NewLanes(n int) Lanes {
+	ints := make([]int, 3*n)
+	return Lanes{
+		parent: ints[0:0:n],
+		cycles: ints[n : n : 2*n],
+		owner:  ints[2*n : 2*n : 3*n],
+		bases:  make([]isa.Addr, 0, 2*n+8),
+	}
+}
+
+// Reset empties the window, keeping its capacity.
+func (l *Lanes) Reset() {
+	l.parent, l.cycles = l.parent[:0], l.cycles[:0]
+	l.bases, l.owner = l.bases[:0], l.owner[:0]
+}
+
+// root finds member i's lane root with path halving.
+func (l *Lanes) root(i int) int {
+	for l.parent[i] != i {
+		l.parent[i] = l.parent[l.parent[i]]
+		i = l.parent[i]
 	}
 	return i
 }
 
+// owned returns the index in bases of the DBC holding a, or -1. Lock
+// sets are tiny (≤ operands+3), and the scan beats a map both in allocs
+// and in constant factor at the window sizes the compiler emits.
+func (l *Lanes) owned(a isa.Addr) int {
+	b := dbcBase(a)
+	for k, seen := range l.bases {
+		if seen == b {
+			return k
+		}
+	}
+	return -1
+}
+
+// Add joins a member of the given cycles whose footprint is the DBCs
+// holding the addresses in fp, merging every lane that touches one of
+// them.
+func (l *Lanes) Add(fp []isa.Addr, cycles int) {
+	i := len(l.parent)
+	l.parent = append(l.parent, i)
+	l.cycles = append(l.cycles, cycles)
+	for _, a := range fp {
+		j := l.owned(a)
+		if j < 0 {
+			l.bases = append(l.bases, dbcBase(a))
+			l.owner = append(l.owner, i)
+			continue
+		}
+		ra, rb := l.root(l.owner[j]), l.root(i)
+		if ra == rb {
+			continue
+		}
+		if ra > rb {
+			ra, rb = rb, ra
+		}
+		l.parent[rb] = ra // the lane's first member stays its root
+		l.cycles[ra] += l.cycles[rb]
+	}
+}
+
+// Peek returns the length of the lane a member of footprint fp and the
+// given cycles would land in, without adding it.
+func (l *Lanes) Peek(fp []isa.Addr, cycles int) int {
+	var buf [8]int
+	roots := buf[:0]
+	for _, a := range fp {
+		if j := l.owned(a); j >= 0 {
+			if r := l.root(l.owner[j]); !slices.Contains(roots, r) {
+				roots = append(roots, r)
+				cycles += l.cycles[r]
+			}
+		}
+	}
+	return cycles
+}
+
+// Span returns the window's cost: its longest lane.
+func (l *Lanes) Span() int {
+	longest := 0
+	for i, p := range l.parent {
+		if p == i {
+			longest = max(longest, l.cycles[i])
+		}
+	}
+	return longest
+}
+
 // planBatch validates every request and partitions the runnable ones
-// into connected components by DBC footprint. Groups come out ordered
-// by their first request index (the union root is always the lowest
-// index of its component), and each group's request list preserves
-// program order. All state lands in s.
-func (m *Memory) planBatch(reqs []Request, s *batchScratch) {
+// into lanes by DBC footprint. Groups come out ordered by their first
+// request index, and each group's request list preserves program
+// order. All state lands in s.
+func (pl *planner) planBatch(reqs []Request, s *batchScratch) {
 	s.reset(len(reqs))
 	for i, r := range reqs {
-		p, err := m.planRequest(r, s.plans[i].bases)
+		// Every request is a member, so member and request indices
+		// agree; a rejected one touches nothing and joins no lane.
+		p, err := pl.planRequest(r, s.plans[i].bases)
 		if err != nil {
 			s.errs[i] = err
+			s.lanes.Add(nil, 0)
 			continue
 		}
 		s.plans[i], s.runnable[i] = p, true
-	}
-
-	// Union-find over lock-set overlap. Distinct bases are tracked in a
-	// flat slice with linear lookup: lock sets are tiny (≤ operands+3),
-	// and the scan beats a map both in allocs and in constant factor at
-	// batch sizes the compiler emits.
-	for i := range s.plans {
-		if !s.runnable[i] {
-			continue
-		}
-		for _, b := range s.plans[i].bases {
-			j := -1
-			for k := range s.baseAddr {
-				if s.baseAddr[k] == b {
-					j = k
-					break
-				}
-			}
-			if j < 0 {
-				s.baseAddr = append(s.baseAddr, b)
-				s.baseReq = append(s.baseReq, i)
-				continue
-			}
-			ra, rb := ufRoot(s.reqParent, i), ufRoot(s.reqParent, s.baseReq[j])
-			if ra != rb {
-				if ra > rb {
-					ra, rb = rb, ra
-				}
-				s.reqParent[rb] = ra // lowest request index becomes the root
-			}
-		}
+		s.lanes.Add(p.bases, 0)
 	}
 
 	for i := range s.plans {
 		if !s.runnable[i] {
 			continue
 		}
-		r := ufRoot(s.reqParent, i)
+		r := s.lanes.root(i)
 		gi := s.groupIdx[r]
 		if gi < 0 {
 			gi = len(s.groups)
@@ -192,7 +259,7 @@ func (m *Memory) planBatch(reqs []Request, s *batchScratch) {
 		g.bases = append(g.bases, s.plans[i].bases...)
 	}
 	for gi := range s.groups {
-		s.groups[gi].bases = m.sortBases(s.groups[gi].bases)
+		s.groups[gi].bases = pl.sortBases(s.groups[gi].bases)
 	}
 }
 

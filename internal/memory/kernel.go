@@ -1,4 +1,4 @@
-package compile
+package memory
 
 import (
 	"fmt"
@@ -46,14 +46,14 @@ func (c kernelCost) run(entry int) (shifts, cycles, exit int) {
 
 // kernelCosts is the process-wide kernel cost table: each key is
 // measured once, on first use, and read under the read lock after
-// that, so a warm compile allocates nothing here.
+// that, so warm pricing allocates nothing here.
 var kernelCosts struct {
 	mu sync.RWMutex
 	m  map[kernelKey]kernelCost
 }
 
 // costOf returns the kernel's measured cost, measuring it on first use.
-// Two compiles racing on a cold key both measure it and store the same
+// Two pricers racing on a cold key both measure it and store the same
 // value.
 func costOf(key kernelKey) (kernelCost, error) {
 	kernelCosts.mu.RLock()
@@ -101,7 +101,7 @@ func measureKernel(key kernelKey) (kernelCost, error) {
 	case at1 == kernelRun{at0.shifts, at0.cycles, at0.exit + 1}:
 		return kernelCost{shifts: at0.shifts, cycles: at0.cycles, exit: at0.exit}, nil
 	}
-	return kernelCost{}, fmt.Errorf("pimc: %v bs=%d k=%d cost depends on the entry head offset: %+v at 0, %+v at 1",
+	return kernelCost{}, fmt.Errorf("memory: %v bs=%d k=%d cost depends on the entry head offset: %+v at 0, %+v at 1",
 		key.op, key.bs, key.k, at0, at1)
 }
 
@@ -134,7 +134,7 @@ func runKernel(key kernelKey, width, entry int, operands []dbc.Row) (kernelRun, 
 	}
 	in := isa.Instruction{Op: key.op, Blocksize: key.bs, Operands: key.k, Imm: key.imm}
 	if _, _, err := isa.Dispatch(u, in, operands); err != nil {
-		return kernelRun{}, fmt.Errorf("pimc: measuring %v bs=%d k=%d: %w", key.op, key.bs, key.k, err)
+		return kernelRun{}, fmt.Errorf("memory: measuring %v bs=%d k=%d: %w", key.op, key.bs, key.k, err)
 	}
 	st := u.Stats()
 	return kernelRun{shifts: st.ShiftSteps, cycles: st.Cycles(), exit: u.D.Offset()}, nil

@@ -1,10 +1,7 @@
-package compile
+package memory
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
-	"sync"
 	"testing"
 
 	"repro/internal/dbc"
@@ -14,7 +11,7 @@ import (
 	"repro/internal/pim"
 )
 
-// reachedKernels lists every kernel key the example corpus and the
+// reachedKernels lists every kernel key pimc's example corpus and its
 // random DAG programs reach at blocksizes 8 and 16: add with 2..5
 // operands, the bulk ops and max at every width the TR window takes,
 // not, mult, fma, div, mod, relu, and shl/shr at every shift amount.
@@ -52,6 +49,13 @@ func reachedKernels() []kernelKey {
 		}
 	}
 	return keys
+}
+
+func laneMask(bs int) uint64 {
+	if bs >= 64 {
+		return ^uint64(0)
+	}
+	return 1<<uint(bs) - 1
 }
 
 // randomOperands draws the key's operand rows: random lanes, narrowed to
@@ -109,54 +113,4 @@ func resetKernelCosts() {
 	kernelCosts.mu.Lock()
 	kernelCosts.m = nil
 	kernelCosts.mu.Unlock()
-}
-
-// TestCompileConcurrentColdTable compiles the example corpus from 8
-// goroutines at once against an empty kernel cost table: every compile
-// must predict what a sequential compile on a warm table predicts. The
-// race detector (make race-obs) checks the table's locking.
-func TestCompileConcurrentColdTable(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("..", "..", "..", "examples", "pimasm", "*.pimasm"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("example corpus not found: %v", err)
-	}
-	cfg := testCfg(params.TRD7)
-	var srcs []string
-	var want []PlanStats
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Compile(string(src), cfg, Options{Level: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs, want = append(srcs, string(src)), append(want, res.Stats)
-	}
-	resetKernelCosts()
-	var wg sync.WaitGroup
-	errs := make(chan error, 8*len(srcs))
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := range srcs {
-				j := (i + g) % len(srcs)
-				res, err := Compile(srcs[j], cfg, Options{Level: 2})
-				if err != nil {
-					errs <- err
-					continue
-				}
-				if res.Stats != want[j] {
-					t.Errorf("goroutine %d, %s: predicted %+v, sequential %+v", g, filepath.Base(files[j]), res.Stats, want[j])
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
 }

@@ -100,7 +100,7 @@ func (sh *shard) recorder() *telemetry.Recorder { return sh.d.Recorder() }
 // Memory is one CORUSCANT main memory, safe for concurrent use through
 // per-DBC striped locking.
 type Memory struct {
-	cfg params.Config
+	planner // the configuration, and every check that reads only it
 
 	// tableMu guards the shard table only; shard state is behind each
 	// shard's own lock.
@@ -133,9 +133,9 @@ func New(cfg params.Config) (*Memory, error) {
 		return nil, err
 	}
 	m := &Memory{
-		cfg:    cfg,
-		shards: make(map[isa.Addr]*shard),
-		rec:    telemetry.NewRecorder(cfg),
+		planner: planner{cfg: cfg},
+		shards:  make(map[isa.Addr]*shard),
+		rec:     telemetry.NewRecorder(cfg),
 	}
 	m.health.init()
 	return m, nil
@@ -228,9 +228,17 @@ func dbcBase(a isa.Addr) isa.Addr {
 	return a
 }
 
+// planner is the half of a Memory that reads nothing but the immutable
+// configuration: address and request validation, lock sets, and the
+// batch planner's footprint grouping. A Pricer embeds one too, so it
+// plans with the code ExecuteBatch runs, without a memory.
+type planner struct {
+	cfg params.Config
+}
+
 // checkAddr validates an address against the geometry.
-func (m *Memory) checkAddr(a isa.Addr) error {
-	if !a.Valid(m.cfg.Geometry) {
+func (pl *planner) checkAddr(a isa.Addr) error {
+	if !a.Valid(pl.cfg.Geometry) {
 		return fmt.Errorf("memory: address %+v outside geometry", a)
 	}
 	return nil
@@ -345,8 +353,8 @@ func unlockShards(shards []*shard) {
 
 // sortBases deduplicates and orders DBC base addresses by their global
 // linear index — the lock acquisition order.
-func (m *Memory) sortBases(bases []isa.Addr) []isa.Addr {
-	g := m.cfg.Geometry
+func (pl *planner) sortBases(bases []isa.Addr) []isa.Addr {
+	g := pl.cfg.Geometry
 	// Insertion sort: lock sets are tiny (≤ operands+3), and sort.Slice
 	// costs an allocation per call — visible on the batch planning path.
 	for i := 1; i < len(bases); i++ {
@@ -595,7 +603,7 @@ type execPlan struct {
 // lock set reuses — the batch planner passes each pooled plan's
 // previous bases array so steady-state planning allocates nothing.
 // Every rejection wraps ErrInvalidRequest.
-func (m *Memory) planRequest(r Request, buf []isa.Addr) (p execPlan, err error) {
+func (pl *planner) planRequest(r Request, buf []isa.Addr) (p execPlan, err error) {
 	defer func() {
 		if err != nil {
 			err = invalidRequest{err}
@@ -606,28 +614,28 @@ func (m *Memory) planRequest(r Request, buf []isa.Addr) (p execPlan, err error) 
 	}
 	switch r.Kind {
 	case KindExec:
-		return m.planExecute(r.In, r.Operands, r.Dst, r.Rem, buf)
+		return pl.planExecute(r.In, r.Operands, r.Dst, r.Rem, buf)
 	case KindCopy:
-		if err := m.checkAddr(r.Src); err != nil {
+		if err := pl.checkAddr(r.Src); err != nil {
 			return execPlan{}, err
 		}
-		if err := m.checkAddr(r.Dst); err != nil {
+		if err := pl.checkAddr(r.Dst); err != nil {
 			return execPlan{}, err
 		}
 		return execPlan{
 			kind: KindCopy, src: r.Src, dst: r.Dst,
-			bases: m.sortBases(append(buf, dbcBase(r.Src), dbcBase(r.Dst))),
+			bases: pl.sortBases(append(buf, dbcBase(r.Src), dbcBase(r.Dst))),
 		}, nil
 	case KindWrite:
-		if err := m.checkAddr(r.Dst); err != nil {
+		if err := pl.checkAddr(r.Dst); err != nil {
 			return execPlan{}, err
 		}
-		if r.Row.N != m.cfg.Geometry.TrackWidth {
-			return execPlan{}, fmt.Errorf("memory: row width %d, want %d", r.Row.N, m.cfg.Geometry.TrackWidth)
+		if r.Row.N != pl.cfg.Geometry.TrackWidth {
+			return execPlan{}, fmt.Errorf("memory: row width %d, want %d", r.Row.N, pl.cfg.Geometry.TrackWidth)
 		}
 		return execPlan{kind: KindWrite, dst: r.Dst, row: r.Row, bases: append(buf, dbcBase(r.Dst))}, nil
 	case KindRead:
-		if err := m.checkAddr(r.Src); err != nil {
+		if err := pl.checkAddr(r.Src); err != nil {
 			return execPlan{}, err
 		}
 		return execPlan{kind: KindRead, src: r.Src, bases: append(buf, dbcBase(r.Src))}, nil
@@ -656,11 +664,11 @@ func (m *Memory) runRequest(p execPlan, shards []*shard) (dbc.Row, error) {
 // when not nil, is a div's remainder destination, checked like dst.
 // The plan's lock set is built on buf's backing array when one is
 // passed.
-func (m *Memory) planExecute(in isa.Instruction, operands []isa.Addr, dst isa.Addr, rem *isa.Addr, buf []isa.Addr) (execPlan, error) {
-	if err := in.Validate(m.cfg.Geometry, m.cfg.TRD); err != nil {
+func (pl *planner) planExecute(in isa.Instruction, operands []isa.Addr, dst isa.Addr, rem *isa.Addr, buf []isa.Addr) (execPlan, error) {
+	if err := in.Validate(pl.cfg.Geometry, pl.cfg.TRD); err != nil {
 		return execPlan{}, err
 	}
-	if !in.Src.IsPIMEnabled(m.cfg.Geometry) {
+	if !in.Src.IsPIMEnabled(pl.cfg.Geometry) {
 		return execPlan{}, fmt.Errorf("memory: %+v is not a PIM-enabled DBC", in.Src)
 	}
 	if len(operands) != in.Operands {
@@ -669,7 +677,7 @@ func (m *Memory) planExecute(in isa.Instruction, operands []isa.Addr, dst isa.Ad
 	if !in.Op.IsPIM() {
 		return execPlan{}, fmt.Errorf("memory: opcode %v is not a PIM operation", in.Op)
 	}
-	if err := m.checkAddr(dst); err != nil {
+	if err := pl.checkAddr(dst); err != nil {
 		return execPlan{}, err
 	}
 	if buf == nil {
@@ -679,7 +687,7 @@ func (m *Memory) planExecute(in isa.Instruction, operands []isa.Addr, dst isa.Ad
 	}
 	bases := append(buf, dbcBase(in.Src))
 	for i, a := range operands {
-		if err := m.checkAddr(a); err != nil {
+		if err := pl.checkAddr(a); err != nil {
 			return execPlan{}, fmt.Errorf("memory: operand %d: %w", i, err)
 		}
 		if a.Bank != in.Src.Bank {
@@ -695,7 +703,7 @@ func (m *Memory) planExecute(in isa.Instruction, operands []isa.Addr, dst isa.Ad
 	bases = append(bases, dbcBase(dst))
 	p := execPlan{in: in, operands: operands, dst: dst}
 	if rem != nil {
-		if err := m.checkAddr(*rem); err != nil {
+		if err := pl.checkAddr(*rem); err != nil {
 			return execPlan{}, fmt.Errorf("memory: remainder: %w", err)
 		}
 		if *rem == dst {
@@ -708,9 +716,14 @@ func (m *Memory) planExecute(in isa.Instruction, operands []isa.Addr, dst isa.Ad
 		p.rem = rem
 		bases = append(bases, dbcBase(*rem))
 	}
-	p.bases = m.sortBases(bases)
+	p.bases = pl.sortBases(bases)
 	return p, nil
 }
+
+// staged reports whether an exec on the DBC at exec reads its operand
+// at a over the bank's row buffer: an operand outside the executing
+// DBC is staged into it, one row copy.
+func staged(a, exec isa.Addr) bool { return dbcBase(a) != dbcBase(exec) }
 
 // execSpans names each cpim opcode's exec span, built once so the exec
 // path formats no string per request. It covers every opcode
@@ -739,8 +752,7 @@ func (m *Memory) runPlan(p execPlan, shards []*shard) (dbc.Row, error) {
 		if err := shardByBase(shards, dbcBase(a)).readRowInto(a, rows[i]); err != nil {
 			return dbc.Row{}, fmt.Errorf("memory: operand %d: %w", i, err)
 		}
-		if dbcBase(a) != dbcBase(p.in.Src) {
-			// Staged over the row buffer into the executing DBC.
+		if staged(a, p.in.Src) {
 			rec.Move(src, telemetry.OpRowCopy, rows[i].N)
 		}
 	}

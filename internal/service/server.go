@@ -81,6 +81,8 @@ type job struct {
 	res  []memory.Result
 	cres *CompileResponse
 	cerr error // the compile's error, or ctx's when the job was dropped unrun
+	// done is closed once the job is answered, after the worker counted
+	// it Completed or Cancelled: a handler that has returned is counted.
 	done chan struct{}
 }
 
@@ -337,8 +339,8 @@ func (s *Server) dropCancelled(j *job) bool {
 		return false
 	}
 	j.cerr = j.ctx.Err()
-	close(j.done)
 	s.cancelled.Add(1)
+	close(j.done)
 	return true
 }
 
@@ -373,8 +375,8 @@ func (s *Server) runWindow(mem *memory.Memory, window []*job, total int) {
 	for _, j := range window {
 		j.res = results[off : off+len(j.reqs)]
 		off += len(j.reqs)
-		close(j.done)
 		s.completed.Add(1)
+		close(j.done)
 	}
 }
 
@@ -391,8 +393,8 @@ const maxPlanCycles = 1 << 20
 // exclusively (no window shares the shard while a plan runs).
 func (s *Server) runCompile(shard int, mem *memory.Memory, j *job) {
 	defer func() {
-		close(j.done)
 		s.completed.Add(1)
+		close(j.done)
 	}()
 	req := j.compile
 	res, err := compile.Compile(req.Source, s.cfg.Device, compile.Options{Level: req.Level})

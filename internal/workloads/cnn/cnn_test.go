@@ -202,6 +202,15 @@ func TestTable6NMR(t *testing.T) {
 	}
 }
 
+// tinyCNN is the 3×3 convolution + ReLU + 2×2 max-pool network with
+// one input and one output channel, as a Sequential.
+func tinyCNN(k [3][3]int) *Sequential {
+	return &Sequential{Layers: []PIMLayer{
+		&ConvLayer{W: [][][3][3]int{{k}}, B: []int{0}},
+		PoolLayer{},
+	}}
+}
+
 func TestFunctionalTinyCNNMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, trd := range []params.TRD{params.TRD3, params.TRD5, params.TRD7} {
@@ -209,23 +218,22 @@ func TestFunctionalTinyCNNMatchesReference(t *testing.T) {
 		cfg.TRD = trd
 		cfg.Geometry.TrackWidth = 256 // 16 lanes of 16 bits
 		u := pim.MustNewUnit(cfg)
-		net := &TinyCNN{Kernel: [3][3]int{{1, -2, 1}, {2, 4, -1}, {-3, 1, 2}}}
-		img := make([][]int, 6)
-		for y := range img {
-			img[y] = make([]int, 6)
-			for x := range img[y] {
-				img[y][x] = rng.Intn(16)
+		net := tinyCNN([3][3]int{{1, -2, 1}, {2, 4, -1}, {-3, 1, 2}})
+		img := NewTensor3(1, 6, 6)
+		for y := range img[0] {
+			for x := range img[0][y] {
+				img[0][y][x] = rng.Intn(16)
 			}
 		}
-		want := net.InferRef(img)
-		got, err := net.InferPIM(u, img)
+		want := net.ForwardRef(img)
+		got, err := net.Forward(u, img)
 		if err != nil {
 			t.Fatalf("%v: %v", trd, err)
 		}
-		for y := range want {
-			for x := range want[y] {
-				if got[y][x] != want[y][x] {
-					t.Errorf("%v: out[%d][%d] = %d, want %d", trd, y, x, got[y][x], want[y][x])
+		for y := range want[0] {
+			for x := range want[0][y] {
+				if got[0][y][x] != want[0][y][x] {
+					t.Errorf("%v: out[%d][%d] = %d, want %d", trd, y, x, got[0][y][x], want[0][y][x])
 				}
 			}
 		}
@@ -236,16 +244,16 @@ func TestFunctionalTinyCNNAllZeroKernel(t *testing.T) {
 	cfg := params.DefaultConfig()
 	cfg.Geometry.TrackWidth = 128
 	u := pim.MustNewUnit(cfg)
-	net := &TinyCNN{} // zero kernel: every output zero
-	img := [][]int{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 1, 2, 3}, {4, 5, 6, 7}}
-	got, err := net.InferPIM(u, img)
+	net := tinyCNN([3][3]int{}) // zero kernel: every output zero
+	img := Tensor3{{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 1, 2, 3}, {4, 5, 6, 7}}}
+	got, err := net.Forward(u, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for y := range got {
-		for x := range got[y] {
-			if got[y][x] != 0 {
-				t.Errorf("out[%d][%d] = %d, want 0", y, x, got[y][x])
+	for y := range got[0] {
+		for x := range got[0][y] {
+			if got[0][y][x] != 0 {
+				t.Errorf("out[%d][%d] = %d, want 0", y, x, got[0][y][x])
 			}
 		}
 	}

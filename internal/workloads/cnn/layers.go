@@ -7,11 +7,17 @@ import (
 	"repro/internal/pim"
 )
 
-// This file completes the §IV case study functionally: multi-channel
+// This file is the functional counterpart of §IV: multi-channel
 // convolution (§IV-A), max pooling (§IV-B) and the fully-connected layer
 // with bias and ReLU (§IV-C), composed into a Sequential network that
-// runs end to end on the PIM unit and is verified against integer
-// references.
+// runs bit-exactly on the PIM unit — multiplications through the
+// shifted-copy/CSA path, accumulation through multi-operand addition,
+// signed arithmetic via two's complement, ReLU via the
+// sign-bit-predicated refresh, max pooling via the TR tournament — and
+// is verified against integer references.
+
+// laneW is the two's-complement accumulator width used on the DBC.
+const laneW = 16
 
 // Tensor3 is a [channel][row][col] integer activation volume.
 type Tensor3 [][][]int
@@ -437,4 +443,45 @@ func (s *Sequential) ForwardRef(x Tensor3) Tensor3 {
 		cur = l.ForwardRef(cur)
 	}
 	return cur
+}
+
+// sumRows adds rows lane-wise in chunks of the unit's operand limit.
+// Empty input yields the empty Row sentinel.
+func sumRows(u *pim.Unit, rows []dbc.Row) (dbc.Row, error) {
+	switch len(rows) {
+	case 0:
+		return dbc.Row{}, nil
+	case 1:
+		return rows[0], nil
+	}
+	maxK := u.TRD().MaxAddOperands()
+	acc := rows[0]
+	rest := rows[1:]
+	for len(rest) > 0 {
+		k := min(maxK-1, len(rest))
+		operands := append([]dbc.Row{acc}, rest[:k]...)
+		var err error
+		acc, err = u.AddMulti(operands, laneW)
+		if err != nil {
+			return dbc.Row{}, err
+		}
+		rest = rest[k:]
+	}
+	return acc, nil
+}
+
+func complementRow(r dbc.Row) dbc.Row {
+	out := dbc.NewRow(r.N)
+	for i, w := range r.Words {
+		out.Words[i] = ^w
+	}
+	out.MaskTail()
+	return out
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
