@@ -37,9 +37,9 @@ func allocBudget(t *testing.T, name string, budget float64, f func()) {
 
 // TestAllocBudget pins the per-call allocation counts of the PIM
 // kernels (the BENCH_plane.json rows), of the batch execution paths
-// (the BENCH_parallel.json rows), of compiling and running pimc plans,
-// of reading a memory's cost and of the service codec and handler.
-// Budgets are the measured numbers.
+// (the BENCH_parallel.json rows), of the single-row memory calls, of
+// compiling and running pimc plans, of reading a memory's cost and of
+// the service codec and handler. Budgets are the measured numbers.
 func TestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts; budgets are pinned by the non-race ci run (make alloc-budget)")
@@ -102,7 +102,7 @@ func TestAllocBudget(t *testing.T) {
 	// Batch paths: the 32-request fixture from bench_parallel_test.go.
 	// Budgets are per batch (32 requests), matching BENCH_parallel.json.
 	m, reqs := batchFixture(t)
-	allocBudget(t, "BatchSerial", 128, func() {
+	allocBudget(t, "BatchSerial", 32, func() {
 		for _, r := range reqs {
 			if _, err := m.Execute(r.In, r.Operands, r.Dst); err != nil {
 				t.Fatal(err)
@@ -114,6 +114,31 @@ func TestAllocBudget(t *testing.T) {
 			if res.Err != nil {
 				t.Fatal(res.Err)
 			}
+		}
+	})
+
+	// The single-row calls are one-request plans on the batch path's
+	// pooled scratch: a write allocates nothing, a read and a copy only
+	// the row they move. Budgets are per call.
+	r0 := reqs[0]
+	operand, err := m.ReadRow(r0.Operands[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocBudget(t, "WriteRow", 0, func() {
+		if err := m.WriteRow(r0.Operands[0], operand); err != nil {
+			t.Fatal(err)
+		}
+	})
+	allocBudget(t, "ReadRow", 1, func() {
+		if _, err := m.ReadRow(r0.Dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	staging := isa.Addr{Bank: r0.Dst.Bank, Tile: 1} // a DBC outside the adds' footprints
+	allocBudget(t, "CopyRow", 1, func() {
+		if err := m.CopyRow(r0.Dst, staging); err != nil {
+			t.Fatal(err)
 		}
 	})
 

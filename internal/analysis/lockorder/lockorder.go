@@ -2,9 +2,9 @@
 // striped-locking discipline of the memory engine:
 //
 //   - multi-DBC lock sets must be acquired through the ordered
-//     multi-lock helper (lockOrdered), never as direct .mu.Lock()
-//     pairs — two goroutines pairing shards in opposite orders
-//     deadlock;
+//     multi-lock helper (lockInto, released by unlockShards), never as
+//     direct .mu.Lock() pairs — two goroutines pairing shards in
+//     opposite orders deadlock;
 //   - the cfg-class mutexes (cfgMu, tableMu) are ordered BEFORE the
 //     per-shard mutexes: acquiring one while a shard lock is held —
 //     directly, or by calling a function that locks one — inverts the
@@ -16,6 +16,10 @@
 // `cfgMu` or `tableMu`. The check walks the ctrlflow CFG tracking how
 // many shard locks each path holds; the call check uses a package-local
 // transitive summary of which functions acquire cfg-class mutexes.
+// lockInto and unlockShards are recognised by name, like the lock
+// classes, so the fixtures' replicas are checked as the engine's are;
+// every request path in the engine, single or batched, locks through
+// them.
 package lockorder
 
 import (
@@ -38,7 +42,7 @@ const Name = "lockorder"
 
 var Analyzer = &analysis.Analyzer{
 	Name:     Name,
-	Doc:      "striped-lock discipline: multi-shard acquisition goes through lockOrdered, and cfg-class mutexes (cfgMu/tableMu) are never acquired while a shard lock is held",
+	Doc:      "striped-lock discipline: multi-shard acquisition goes through lockInto (released by unlockShards), and cfg-class mutexes (cfgMu/tableMu) are never acquired while a shard lock is held",
 	Requires: []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer},
 	Run:      run,
 }
@@ -130,12 +134,21 @@ const (
 	evLockShard
 	evUnlockShard
 	evLockCfg
-	evLockOrdered
+	evLockSet   // lockInto: an ordered multi-shard acquisition
+	evUnlockSet // unlockShards: releases a lockInto set
 )
 
 // lockEvent classifies a call as one of the lock-state transitions. The
 // second result is the mutex field name for diagnostics.
 func lockEvent(pass *analysis.Pass, call *ast.CallExpr) (eventKind, string) {
+	if fn := typeutil.StaticCallee(pass.TypesInfo, call); fn != nil {
+		switch fn.Name() {
+		case "lockInto":
+			return evLockSet, ""
+		case "unlockShards":
+			return evUnlockSet, ""
+		}
+	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return evNone, ""
@@ -143,9 +156,6 @@ func lockEvent(pass *analysis.Pass, call *ast.CallExpr) (eventKind, string) {
 	switch sel.Sel.Name {
 	case "Lock", "RLock", "Unlock", "RUnlock":
 	default:
-		if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok && fn.Name() == "lockOrdered" {
-			return evLockOrdered, ""
-		}
 		return evNone, ""
 	}
 	field, ok := sel.X.(*ast.SelectorExpr)
@@ -197,14 +207,12 @@ func isShardExpr(pass *analysis.Pass, e ast.Expr) bool {
 
 // lockState is one path's shard-lock footprint: how many direct shard
 // locks are held (capped — loops would otherwise grow it without
-// bound), whether a lockOrdered set is held, and the unlock closure
-// bound to it.
+// bound), and whether a lockInto set is held.
 type lockState struct {
 	count   int
 	ordered bool
-	unlock  types.Object
-	// errObj is the error result bound alongside the lockOrdered set:
-	// on the branch where it is non-nil, the helper acquired nothing.
+	// errObj is lockInto's error result: on the branch where it is
+	// non-nil, the helper acquired nothing.
 	errObj types.Object
 }
 
@@ -236,7 +244,7 @@ func checkFunc(pass *analysis.Pass, g *cfg.CFG, locksCfg map[*types.Func]bool, r
 		}
 		for i, s := range b.Succs {
 			next := st
-			// `shards, unlock, err := m.lockOrdered(...)` followed by an
+			// `shards, err := m.lockInto(...)` followed by an
 			// `if err != nil` early-out: on the error branch the helper
 			// acquired nothing, so the ordered set is not held there.
 			if next.errObj != nil && len(b.Succs) == 2 && errBranchTaken(pass, b, next.errObj, i) {
@@ -303,25 +311,16 @@ func transfer(pass *analysis.Pass, node ast.Node, st lockState, locksCfg map[*ty
 		return st
 	}
 
-	// Bind the unlock closure of `shards, unlock, err := m.lockOrdered(...)`.
-	if as, ok := node.(*ast.AssignStmt); ok && len(as.Rhs) == 1 && len(as.Lhs) >= 2 {
+	// Bind the error result of `shards, err := m.lockInto(...)`.
+	if as, ok := node.(*ast.AssignStmt); ok && len(as.Rhs) == 1 && len(as.Lhs) == 2 {
 		if call, ok := as.Rhs[0].(*ast.CallExpr); ok {
-			if kind, _ := lockEvent(pass, call); kind == evLockOrdered {
+			if kind, _ := lockEvent(pass, call); kind == evLockSet {
+				st.errObj = nil
 				if id, ok := as.Lhs[1].(*ast.Ident); ok {
 					if obj := pass.TypesInfo.Defs[id]; obj != nil {
-						st.unlock = obj
+						st.errObj = obj
 					} else if obj := pass.TypesInfo.Uses[id]; obj != nil {
-						st.unlock = obj
-					}
-				}
-				st.errObj = nil
-				if len(as.Lhs) >= 3 {
-					if id, ok := as.Lhs[2].(*ast.Ident); ok {
-						if obj := pass.TypesInfo.Defs[id]; obj != nil {
-							st.errObj = obj
-						} else if obj := pass.TypesInfo.Uses[id]; obj != nil {
-							st.errObj = obj
-						}
+						st.errObj = obj
 					}
 				}
 			}
@@ -333,27 +332,24 @@ func transfer(pass *analysis.Pass, node ast.Node, st lockState, locksCfg map[*ty
 		case *ast.FuncLit, *ast.DeferStmt:
 			return false
 		case *ast.CallExpr:
-			// Invoking the bound unlock closure releases the set.
-			if id, ok := m.Fun.(*ast.Ident); ok && st.unlock != nil && pass.TypesInfo.Uses[id] == st.unlock {
-				st.ordered = false
-				return true
-			}
 			kind, field := lockEvent(pass, m)
 			switch kind {
 			case evLockShard:
 				if st.held() {
 					report(m.Pos(),
-						"second shard lock acquired directly while one is already held; acquire multi-DBC lock sets through lockOrdered")
+						"second shard lock acquired directly while one is already held; acquire multi-DBC lock sets through lockInto")
 				}
 				st.count++
 			case evUnlockShard:
 				st.count = max(0, st.count-1)
-			case evLockOrdered:
+			case evLockSet:
 				if st.held() {
 					report(m.Pos(),
-						"lockOrdered called while a shard lock is already held; merge the lock sets into one lockOrdered call")
+						"lockInto called while a shard lock is already held; merge the lock sets into one lockInto call")
 				}
 				st.ordered = true
+			case evUnlockSet:
+				st.ordered, st.errObj = false, nil
 			case evLockCfg:
 				if st.held() {
 					report(m.Pos(),

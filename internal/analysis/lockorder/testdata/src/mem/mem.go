@@ -1,6 +1,6 @@
 // Package mem exercises the lockorder analyzer with a self-contained
 // replica of the striped-locking memory: per-DBC shard mutexes, the
-// coarse cfg-class mutexes, and the ordered multi-lock helper.
+// coarse cfg-class mutexes, and the ordered multi-lock helper pair.
 package mem
 
 import "sync"
@@ -13,35 +13,39 @@ type shard struct {
 type Memory struct {
 	tableMu sync.RWMutex
 	shards  map[int]*shard
+	scratch []*shard
 
 	cfgMu sync.Mutex
 	rec   int
 }
 
-// lockOrdered is the one sanctioned multi-shard acquisition path: the
+// lockInto is the one sanctioned multi-shard acquisition path: the
 // caller's bases arrive deduplicated and sorted, so the pairwise
-// acquisition order is global.
-func (m *Memory) lockOrdered(bases []int) ([]*shard, func(), error) {
-	shards := make([]*shard, 0, len(bases))
+// acquisition order is global. The shards are appended to dst; on error
+// nothing is locked.
+func (m *Memory) lockInto(dst []*shard, bases []int) ([]*shard, error) {
 	m.tableMu.RLock()
 	for _, b := range bases {
 		sh := m.shards[b]
 		if sh == nil {
 			m.tableMu.RUnlock()
-			return nil, nil, errNoShard
+			return dst[:0], errNoShard
 		}
-		shards = append(shards, sh)
+		dst = append(dst, sh)
 	}
 	m.tableMu.RUnlock()
-	for _, sh := range shards {
+	for _, sh := range dst {
 		//coruscantvet:ignore lockorder -- the ordered helper itself: bases are sorted, the order is global
 		sh.mu.Lock()
 	}
-	return shards, func() {
-		for i := len(shards) - 1; i >= 0; i-- {
-			shards[i].mu.Unlock()
-		}
-	}, nil
+	return dst, nil
+}
+
+// unlockShards releases a lockInto set in reverse acquisition order.
+func unlockShards(shards []*shard) {
+	for i := len(shards) - 1; i >= 0; i-- {
+		shards[i].mu.Unlock()
+	}
 }
 
 type lockErr string
@@ -91,8 +95,8 @@ func (m *Memory) cfgUnderShard(a *shard) {
 }
 
 func (m *Memory) tableUnderOrdered(bases []int) {
-	_, unlock, _ := m.lockOrdered(bases)
-	defer unlock()
+	shards, _ := m.lockInto(nil, bases)
+	defer unlockShards(shards)
 	m.tableMu.RLock() // want `cfg-class mutex tableMu acquired while a shard lock is held`
 	m.tableMu.RUnlock()
 }
@@ -104,9 +108,9 @@ func (m *Memory) callLocksCfgUnderShard(a *shard) {
 }
 
 func (m *Memory) transitiveCallUnderOrdered(bases []int) {
-	_, unlock, _ := m.lockOrdered(bases)
+	shards, _ := m.lockInto(nil, bases)
 	_ = m.reportHealth() // want `reportHealth acquires a cfg-class mutex`
-	unlock()
+	unlockShards(shards)
 }
 
 func (m *Memory) hoistedRecorderOK(a *shard) {
@@ -117,16 +121,23 @@ func (m *Memory) hoistedRecorderOK(a *shard) {
 }
 
 func (m *Memory) unlockedBetweenOK(bases []int, a *shard) {
-	_, unlock, _ := m.lockOrdered(bases)
-	unlock() // set released: the call below is clean
+	shards, _ := m.lockInto(nil, bases)
+	unlockShards(shards) // set released: the call below is clean
 	_ = m.Recorder()
 }
 
 func (m *Memory) orderedThenDirect(bases []int, a *shard) {
-	_, unlock, _ := m.lockOrdered(bases)
-	defer unlock()
+	shards, _ := m.lockInto(nil, bases)
+	defer unlockShards(shards)
 	a.mu.Lock() // want `second shard lock acquired directly`
 	a.mu.Unlock()
+}
+
+func (m *Memory) orderedTwice(a, b []int) {
+	shards, _ := m.lockInto(nil, a)
+	more, _ := m.lockInto(nil, b) // want `lockInto called while a shard lock is already held`
+	unlockShards(more)
+	unlockShards(shards)
 }
 
 func (m *Memory) cfgThenShardOK() {
@@ -145,35 +156,72 @@ func (m *Memory) loopRelockOK(shards []*shard) {
 	}
 }
 
-// errCheckedLoopOK mirrors the serial batch path: the error branch of
-// lockOrdered holds nothing, so continuing the loop (and calling a
-// cfg-locking function after it) is clean on every path.
+// errCheckedLoopOK: the error branch of lockInto holds nothing, so
+// continuing the loop (and calling a cfg-locking function after it) is
+// clean on every path.
 func (m *Memory) errCheckedLoopOK(basesList [][]int) {
 	for _, bases := range basesList {
-		_, unlock, err := m.lockOrdered(bases)
+		shards, err := m.lockInto(nil, bases)
 		if err != nil {
 			continue
 		}
-		unlock()
+		unlockShards(shards)
 	}
 	_ = m.Recorder()
 }
 
 func (m *Memory) errCheckedEqlOK(bases []int) {
-	_, unlock, err := m.lockOrdered(bases)
+	shards, err := m.lockInto(nil, bases)
 	if err == nil {
-		unlock()
+		unlockShards(shards)
 	}
 	_ = m.Recorder()
 }
 
 // errCheckedStillHeld: the non-error branch does hold the set, so a
-// cfg-locking call before unlock is still flagged.
+// cfg-locking call before unlockShards is still flagged.
 func (m *Memory) errCheckedStillHeld(bases []int) {
-	_, unlock, err := m.lockOrdered(bases)
+	shards, err := m.lockInto(nil, bases)
 	if err != nil {
 		return
 	}
 	_ = m.Recorder() // want `Recorder acquires a cfg-class mutex`
-	unlock()
+	unlockShards(shards)
+}
+
+// runBatch mirrors the batch engine's group loop: one lock set per
+// group, taken on a reused buffer, with a statement between lockInto and
+// its error check. The cfg-locking call under the set is flagged; the
+// same call on the error branch's continue, or after unlockShards, is
+// clean.
+func (m *Memory) runBatch(groups [][]int) {
+	for _, bases := range groups {
+		shards, err := m.lockInto(m.scratch[:0], bases)
+		m.scratch = shards[:0]
+		if err != nil {
+			_ = m.Recorder()
+			continue
+		}
+		for range bases {
+			_ = m.Recorder() // want `Recorder acquires a cfg-class mutex`
+		}
+		unlockShards(shards)
+		_ = m.Recorder()
+	}
+	_ = m.Recorder()
+}
+
+// run mirrors the single-request runner: the set is released by a
+// deferred unlockShards, so it is held for the rest of the function and
+// a cfg-locking call there is flagged. A deferred cfg-locking call
+// registered earlier runs after the release, and the error branch holds
+// nothing.
+func (m *Memory) run(bases []int) int {
+	defer m.reportHealth()
+	shards, err := m.lockInto(m.scratch[:0], bases)
+	if err != nil {
+		return m.Recorder()
+	}
+	defer unlockShards(shards)
+	return m.Recorder() // want `Recorder acquires a cfg-class mutex`
 }

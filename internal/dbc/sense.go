@@ -167,16 +167,3 @@ func broadcast(b int) uint64 {
 	}
 	return 0
 }
-
-// SenseLevels applies Sense to a whole row of levels, skipping entries
-// masked with -1 (unselected bitlines).
-func SenseLevels(levels []int, trd params.TRD) []PIMOutputs {
-	out := make([]PIMOutputs, len(levels))
-	for i, l := range levels {
-		if l < 0 {
-			continue
-		}
-		out[i] = Sense(l, trd)
-	}
-	return out
-}

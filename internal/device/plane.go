@@ -166,12 +166,6 @@ func (pa *PlaneArray) RowWords(r int, dst []uint64) {
 	copy(dst, pa.plane(pa.start+r))
 }
 
-// SetRowBit overwrites the single domain of wire w in data row r.
-func (pa *PlaneArray) SetRowBit(r, w int, b Bit) {
-	pa.checkRow(r)
-	setBit(pa.plane(pa.start+r), w, b)
-}
-
 // RowBit returns the domain of wire w in data row r.
 func (pa *PlaneArray) RowBit(r, w int) Bit {
 	pa.checkRow(r)

@@ -72,14 +72,22 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
+// registry is every experiment generator, in paper order: All runs
+// them, ByID looks one up and IDs lists their identifiers.
+var registry = []struct {
+	id  string
+	gen func() (*Table, error)
+}{
+	{"table1", Table1}, {"table3", Table3}, {"fig10", Fig10}, {"fig11", Fig11},
+	{"fig12", Fig12}, {"table4", Table4}, {"table5", Table5}, {"table6", Table6},
+	{"tops", TOPS}, {"sens", Sensitivity}, {"ablation", Ablation},
+}
+
 // All runs every experiment in paper order.
 func All() ([]*Table, error) {
-	gens := []func() (*Table, error){
-		Table1, Table3, Fig10, Fig11, Fig12, Table4, Table5, Table6, TOPS, Sensitivity, Ablation,
-	}
-	var out []*Table
-	for _, g := range gens {
-		t, err := g()
+	out := make([]*Table, 0, len(registry))
+	for _, e := range registry {
+		t, err := e.gen()
 		if err != nil {
 			return nil, err
 		}
@@ -90,33 +98,21 @@ func All() ([]*Table, error) {
 
 // ByID returns the named experiment generator.
 func ByID(id string) (func() (*Table, error), error) {
-	m := map[string]func() (*Table, error){
-		"table1": Table1,
-		"table3": Table3,
-		"table4": Table4,
-		"table5": Table5,
-		"table6": Table6,
-		"fig10":  Fig10,
-		"fig11":  Fig11,
-		"fig12":  Fig12,
-		"tops":   TOPS,
-		"sens":   Sensitivity,
-
-		"ablation": Ablation,
+	for _, e := range registry {
+		if e.id == id {
+			return e.gen, nil
+		}
 	}
-	g, ok := m[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
-	}
-	return g, nil
+	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
 // IDs lists the experiment identifiers in paper order.
 func IDs() []string {
-	return []string{
-		"table1", "table3", "fig10", "fig11", "fig12",
-		"table4", "table5", "table6", "tops", "sens", "ablation",
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
+	return ids
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

@@ -269,10 +269,11 @@ func (pl *planner) planBatch(reqs []Request, s *batchScratch) {
 // their program order; disjoint groups are independent lanes of one
 // parallelism window). Results are positional.
 //
-// Every request is validated upfront exactly as the serial primitives
-// validate — invalid requests (including ErrCrossDBC) fail in their
-// Result without blocking the rest of the batch, and a request that
-// fails at runtime does not stop later requests of its group.
+// Every request is validated upfront by planRequest, exactly as the
+// single-request calls (Execute, CopyRow, WriteRow, ReadRow) validate:
+// invalid requests (including ErrCrossDBC) fail in their Result without
+// blocking the rest of the batch, and a request that fails at runtime
+// does not stop later requests of its group.
 //
 // On the host the groups run one after another, in first-request order,
 // on the calling goroutine and directly on the memory's recorder; each

@@ -8,12 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dbc"
 	"repro/internal/isa"
 	"repro/internal/params"
 	"repro/internal/pim"
 	"repro/internal/resilient"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/profile"
+	"repro/internal/trace"
 )
 
 // pimAddr returns the PIM-enabled DBC of the given bank/subarray under
@@ -585,6 +587,144 @@ func TestBatchProfilerSnapshotEqualsSerial(t *testing.T) {
 					serial[i].Src, serial[i], bat[i])
 				break
 			}
+		}
+	}
+}
+
+// errClass names the sentinel an error wraps, for comparing how two
+// paths fail.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrCrossDBC):
+		return "cross-dbc"
+	case errors.Is(err, ErrInvalidRequest):
+		return "invalid"
+	}
+	return "other"
+}
+
+// ledger is what one request may change in a memory's accounting.
+type ledger struct {
+	stats            trace.Stats
+	moves            MoveStats
+	cycle, makespan  uint64
+	materializedDBCs int
+}
+
+func ledgerOf(m *Memory) ledger {
+	rec := m.Recorder()
+	return ledger{m.Stats(), m.Moves(), rec.Cycle(), rec.Makespan(), m.MaterializedDBCs()}
+}
+
+// since returns what changed from an earlier ledger of the same memory.
+func (l ledger) since(was ledger) ledger {
+	l.stats.Add(was.stats.Scale(-1))
+	l.moves.RowReads -= was.moves.RowReads
+	l.moves.RowWrites -= was.moves.RowWrites
+	l.moves.RowCopies -= was.moves.RowCopies
+	l.cycle -= was.cycle
+	l.makespan -= was.makespan
+	l.materializedDBCs -= was.materializedDBCs
+	return l
+}
+
+// TestSingleRequestIsOneRequestBatch: Execute, CopyRow, WriteRow and
+// ReadRow are one-request plans, so each call on one memory and
+// ExecuteBatch([]Request{r}) on its twin return the same row and the
+// same error class, and move Stats, Moves, Cycle, Makespan and the
+// materialized-DBC count by the same amounts. A rejected request wraps
+// ErrInvalidRequest and materializes nothing, whichever path it takes.
+func TestSingleRequestIsOneRequestBatch(t *testing.T) {
+	single, twin := testMemory(t), testMemory(t)
+	g := single.Config().Geometry
+	rng := rand.New(rand.NewSource(22))
+	exec := isa.Addr{Tile: 0, DBC: g.DBCsPerTile - 1}
+	row := func(r int) isa.Addr { a := exec; a.Row = r; return a }
+	far := isa.Addr{Bank: 0, Subarray: 1, Tile: 3, DBC: 2, Row: 5} // same bank, another DBC
+	outside := isa.Addr{Bank: g.Banks}
+	add := isa.Instruction{Op: isa.OpAdd, Src: exec, Blocksize: 8, Operands: 3}
+
+	type call struct {
+		name string
+		req  Request
+		do   func(m *Memory) (dbc.Row, error)
+		want string // error class; a rejected call may change nothing
+	}
+	write := func(a isa.Addr, r dbc.Row, want string) call {
+		return call{"WriteRow", Request{Kind: KindWrite, Dst: a, Row: r},
+			func(m *Memory) (dbc.Row, error) { return dbc.Row{}, m.WriteRow(a, r) }, want}
+	}
+	read := func(a isa.Addr, want string) call {
+		return call{"ReadRow", Request{Kind: KindRead, Src: a},
+			func(m *Memory) (dbc.Row, error) { return m.ReadRow(a) }, want}
+	}
+	cp := func(src, dst isa.Addr, want string) call {
+		return call{"CopyRow", Request{Kind: KindCopy, Src: src, Dst: dst},
+			func(m *Memory) (dbc.Row, error) { return dbc.Row{}, m.CopyRow(src, dst) }, want}
+	}
+	ex := func(ops []isa.Addr, dst isa.Addr, want string) call {
+		return call{"Execute", Request{In: add, Operands: ops, Dst: dst},
+			func(m *Memory) (dbc.Row, error) { return m.Execute(add, ops, dst) }, want}
+	}
+	calls := []call{
+		write(row(0), randRow(g.TrackWidth, rng), "ok"),
+		write(row(1), randRow(g.TrackWidth, rng), "ok"),
+		write(far, randRow(g.TrackWidth, rng), "ok"),
+		read(row(1), "ok"),
+		cp(far, row(2), "ok"),
+		cp(row(0), isa.Addr{Subarray: 2, Tile: 4, DBC: 1}, "ok"), // materializes the destination
+		ex([]isa.Addr{row(0), row(1), far}, row(3), "ok"),        // stages far over the row buffer
+		ex([]isa.Addr{row(3), row(3), row(2)}, far, "ok"),
+		read(far, "ok"),
+		read(isa.Addr{Bank: 3, Tile: 7}, "ok"), // a fresh DBC reads back zeros
+
+		write(isa.Addr{Bank: 1, Tile: 6}, dbc.NewRow(2*g.TrackWidth), "invalid"),
+		write(outside, dbc.NewRow(g.TrackWidth), "invalid"),
+		read(outside, "invalid"),
+		cp(outside, isa.Addr{Bank: 2, Tile: 6}, "invalid"),
+		cp(isa.Addr{Bank: 2, Tile: 6}, outside, "invalid"),
+		ex([]isa.Addr{row(0), row(1), row(2)}, outside, "invalid"),
+		ex([]isa.Addr{row(0), row(1), {Bank: 1, Tile: 6}}, row(4), "cross-dbc"),
+	}
+	for i, c := range calls {
+		before := ledgerOf(single)
+		got, err := c.do(single)
+		after := ledgerOf(single)
+
+		twinBefore := ledgerOf(twin)
+		res := twin.ExecuteBatch([]Request{c.req})[0]
+		twinAfter := ledgerOf(twin)
+
+		if errClass(err) != c.want || errClass(res.Err) != c.want {
+			t.Errorf("call %d, %s: single err %v, batch err %v; want class %q", i, c.name, err, res.Err, c.want)
+		}
+		if c.name == "ReadRow" || c.name == "Execute" {
+			if !got.Equal(res.Row) {
+				t.Errorf("call %d, %s: single row %v, batch row %v", i, c.name, got, res.Row)
+			}
+		}
+		d, td := after.since(before), twinAfter.since(twinBefore)
+		if d != td {
+			t.Errorf("call %d, %s: single call moved %+v, one-request batch %+v", i, c.name, d, td)
+		}
+		if c.want != "ok" && d != (ledger{}) {
+			t.Errorf("call %d, %s: rejected request changed the memory's ledger by %+v", i, c.name, d)
+		}
+	}
+	// Every row the calls touched holds the same data on both memories.
+	for _, a := range []isa.Addr{row(0), row(1), row(2), row(3), far, {Subarray: 2, Tile: 4, DBC: 1}} {
+		x, err := single.ReadRow(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := twin.ReadRow(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !x.Equal(y) {
+			t.Errorf("row %+v: single %v, batch %v", a, x, y)
 		}
 	}
 }

@@ -124,8 +124,8 @@ func (m *Memory) checkQuarantine(base isa.Addr) error {
 }
 
 // processQuarantines remaps every cluster scheduled by noteFaults. It
-// must be called with no shard locks held (end of Execute and
-// ExecuteBatch); remapping takes the ledger lock, the table lock and
+// must be called with no shard locks held (run and runBatch call it
+// once their locks are released); remapping takes the ledger lock, the table lock and
 // the victim's shard lock in that order.
 func (m *Memory) processQuarantines() {
 	h := &m.health

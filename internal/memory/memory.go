@@ -8,14 +8,20 @@
 // half a million DBCs) is addressable without allocating it: only
 // touched clusters exist.
 //
+// One request path: every row operation is a Request — a cpim exec, a
+// row-buffer copy, a write or a read. Execute, CopyRow, WriteRow and
+// ReadRow are one-request plans; ExecuteBatch (batch.go) plans many and
+// groups them by footprint. Either way a request is validated by
+// planRequest before any lock is taken, its shards are locked by
+// lockInto and released by unlockShards, and runRequest runs it.
+//
 // Concurrency model: the memory is striped per DBC — each materialized
 // cluster is a shard with its own lock, so operations on disjoint
 // clusters never contend (the bank-level parallelism the DBC
-// organization exists to provide). Multi-DBC operations (CopyRow,
-// Execute's operand staging) take the involved shard locks in global
-// address order, which makes deadlock impossible. ExecuteBatch
-// (batch.go) runs whole request groups under the same striping, one
-// group at a time on the calling goroutine.
+// organization exists to provide). lockInto is the one multi-shard
+// acquisition: it takes a lock set in global address order, which makes
+// deadlock impossible. ExecuteBatch runs whole request groups under the
+// same striping, one group at a time on the calling goroutine.
 //
 // One ledger: every device step and row movement is charged once, to
 // the memory's always-on telemetry recorder. Stats, Moves and the
@@ -49,11 +55,13 @@ import (
 // rows explicitly with CopyRow first. Test with errors.Is.
 var ErrCrossDBC = errors.New("memory: operand outside the executing DBC's bank")
 
-// ErrInvalidRequest marks every request Execute and ExecuteBatch reject
-// at planning, before any lock is taken: an address outside the
-// geometry, an instruction Validate rejects, an executing DBC that is
-// not PIM-enabled, an opcode that is not a PIM operation, an operand
-// count that does not match, a write row of the wrong width. The
+// ErrInvalidRequest marks every request the memory rejects at planning,
+// before any lock is taken or any DBC is materialized — through
+// Execute, CopyRow, WriteRow, ReadRow and ExecuteBatch alike: an
+// address outside the geometry, an instruction Validate rejects, an
+// executing DBC that is not PIM-enabled, an opcode that is not a PIM
+// operation, an operand count that does not match, a write row of the
+// wrong width. The
 // rejection keeps its message and any more specific sentinel
 // (ErrCrossDBC, params.ErrBadTRD). Test with errors.Is.
 var ErrInvalidRequest = errors.New("memory: invalid request")
@@ -312,23 +320,12 @@ func (m *Memory) newCluster(base, phys isa.Addr) (cluster, error) {
 	return c, nil
 }
 
-// lockOrdered materializes and locks the shards of the given DBC bases
-// in global address order (the deadlock-freedom invariant: every
-// multi-shard operation acquires in the same order). bases must be
-// duplicate-free; sortBases provides that. The returned unlock releases
-// in reverse order.
-func (m *Memory) lockOrdered(bases []isa.Addr) ([]*shard, func(), error) {
-	shards, err := m.lockInto(make([]*shard, 0, len(bases)), bases)
-	if err != nil {
-		return nil, nil, err
-	}
-	return shards, func() { unlockShards(shards) }, nil
-}
-
-// lockInto is lockOrdered on a caller-owned buffer: shards are appended
-// to dst (reusing its capacity) and locked in order, with no unlock
-// closure allocated — the batch fast path's per-group locking primitive.
-// On error nothing is locked. Callers release with unlockShards.
+// lockInto materializes the shards of the given DBC bases, appends them
+// to dst (reusing its capacity) and locks them in global address order —
+// the deadlock-freedom invariant: every multi-shard acquisition takes
+// its set in the same order. bases must be sorted and duplicate-free, as
+// planRequest and planBatch leave them. On error nothing is locked.
+// Callers release with unlockShards.
 func (m *Memory) lockInto(dst []*shard, bases []isa.Addr) ([]*shard, error) {
 	for _, b := range bases {
 		sh, err := m.shardFor(b)
@@ -419,53 +416,33 @@ func (sh *shard) operandRows(n int) []dbc.Row {
 }
 
 // WriteRow stores a row at the address through its DBC's nearest access
-// port (shift-align plus port write, all traced).
+// port (shift-align plus port write, all traced): a one-request
+// KindWrite plan, run as ExecuteBatch runs each request. A row of the
+// wrong width or an address outside the geometry wraps
+// ErrInvalidRequest and touches no DBC.
 func (m *Memory) WriteRow(a isa.Addr, row dbc.Row) error {
-	sh, err := m.shardFor(a)
-	if err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.writeRow(a, row)
+	_, err := m.run(Request{Kind: KindWrite, Dst: a, Row: row})
+	return err
 }
 
-// ReadRow loads the row at the address.
+// ReadRow loads the row at the address: a one-request KindRead plan.
 func (m *Memory) ReadRow(a isa.Addr) (dbc.Row, error) {
-	sh, err := m.shardFor(a)
-	if err != nil {
-		return dbc.Row{}, err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.readRow(a)
+	return m.run(Request{Kind: KindRead, Src: a})
 }
 
 // CopyRow moves a row between two locations over the shared row buffer
 // (§II-B / [35]): an activate-read at the source and an activate-write
-// at the destination, without crossing the memory bus. The two shard
-// locks are taken in address order.
+// at the destination, without crossing the memory bus. It is a
+// one-request KindCopy plan, so the two shard locks are taken in
+// address order.
 func (m *Memory) CopyRow(src, dst isa.Addr) error {
-	if err := m.checkAddr(src); err != nil {
-		return err
-	}
-	if err := m.checkAddr(dst); err != nil {
-		return err
-	}
-	bases := m.sortBases([]isa.Addr{dbcBase(src), dbcBase(dst)})
-	shards, unlock, err := m.lockOrdered(bases)
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	_, err = copyLocked(shards, src, dst)
+	_, err := m.run(Request{Kind: KindCopy, Src: src, Dst: dst})
 	return err
 }
 
-// copyLocked is CopyRow's body with the shard locks already held:
-// activate-read at src, activate-write at dst, and the row-buffer move
-// instant — the same event stream in the same order. shards must hold
-// the lock set covering both addresses.
+// copyLocked runs a copy request over its locked shards: activate-read
+// at src, activate-write at dst, and the row-buffer move instant.
+// shards must hold the lock set covering both addresses.
 func copyLocked(shards []*shard, src, dst isa.Addr) (dbc.Row, error) {
 	row, err := shardByBase(shards, dbcBase(src)).readRow(src)
 	if err != nil {
@@ -581,7 +558,7 @@ func (m *Memory) Recovery() resilient.Policy {
 	return m.pol
 }
 
-// execPlan is a fully validated batch request: every address checked,
+// execPlan is a fully validated request: every address checked,
 // the bank-staging rule enforced, and the lock set precomputed — all
 // before any lock is taken, so an invalid request fails without
 // touching (or blocking) any shard. Planning reads only the immutable
@@ -597,12 +574,11 @@ type execPlan struct {
 	bases    []isa.Addr // sorted, deduplicated lock set
 }
 
-// planRequest validates one batch request of any kind and returns its
-// plan (planExecute generalized to copy and write requests). buf, when
-// non-nil, is an empty slice whose backing array the returned plan's
-// lock set reuses — the batch planner passes each pooled plan's
-// previous bases array so steady-state planning allocates nothing.
-// Every rejection wraps ErrInvalidRequest.
+// planRequest validates one request of any kind and returns its plan.
+// buf is an empty slice whose backing array the returned plan's lock
+// set reuses: run and planBatch (and through it the Pricer) pass a
+// pooled plan's previous bases array, so steady-state planning
+// allocates nothing. Every rejection wraps ErrInvalidRequest.
 func (pl *planner) planRequest(r Request, buf []isa.Addr) (p execPlan, err error) {
 	defer func() {
 		if err != nil {
@@ -645,8 +621,9 @@ func (pl *planner) planRequest(r Request, buf []isa.Addr) (p execPlan, err error
 }
 
 // runRequest executes a validated plan of any kind over its locked
-// shards, mirroring the serial primitives exactly: KindExec is runPlan,
-// KindCopy is CopyRow's locked body, KindWrite is WriteRow's.
+// shards. It is the body of every row operation: of Execute (runPlan),
+// CopyRow (copyLocked), WriteRow and ReadRow through run, and of each
+// request of an ExecuteBatch group.
 func (m *Memory) runRequest(p execPlan, shards []*shard) (dbc.Row, error) {
 	switch p.kind {
 	case KindCopy:
@@ -662,8 +639,7 @@ func (m *Memory) runRequest(p execPlan, shards []*shard) (dbc.Row, error) {
 
 // planExecute validates the request upfront and returns its plan. rem,
 // when not nil, is a div's remainder destination, checked like dst.
-// The plan's lock set is built on buf's backing array when one is
-// passed.
+// The plan's lock set is built on buf's backing array.
 func (pl *planner) planExecute(in isa.Instruction, operands []isa.Addr, dst isa.Addr, rem *isa.Addr, buf []isa.Addr) (execPlan, error) {
 	if err := in.Validate(pl.cfg.Geometry, pl.cfg.TRD); err != nil {
 		return execPlan{}, err
@@ -679,11 +655,6 @@ func (pl *planner) planExecute(in isa.Instruction, operands []isa.Addr, dst isa.
 	}
 	if err := pl.checkAddr(dst); err != nil {
 		return execPlan{}, err
-	}
-	if buf == nil {
-		// One right-sized allocation for the one-shot Execute path;
-		// batch planning passes a pooled buffer instead.
-		buf = make([]isa.Addr, 0, len(operands)+2)
 	}
 	bases := append(buf, dbcBase(in.Src))
 	for i, a := range operands {
@@ -814,26 +785,39 @@ func (m *Memory) dispatch(sh *shard, in isa.Instruction, rows []dbc.Row) (res, r
 // PIM-enabled DBCs"), executes the operation there, and writes the
 // result to dst.
 //
-// The request is validated in full — instruction encoding, address
-// geometry, and the bank-staging rule — before any shard lock is taken;
-// a rejection wraps ErrInvalidRequest, and operands or destinations
-// outside in.Src's bank also ErrCrossDBC (stage them with CopyRow
-// first). The involved shard locks are then acquired in address order
-// and held for the whole operation.
+// It is a one-request KindExec plan: validated in full — instruction
+// encoding, address geometry, and the bank-staging rule — before any
+// shard lock is taken; a rejection wraps ErrInvalidRequest, and
+// operands or destinations outside in.Src's bank also ErrCrossDBC
+// (stage them with CopyRow first). The involved shard locks are then
+// acquired in address order and held for the whole operation.
 func (m *Memory) Execute(in isa.Instruction, operands []isa.Addr, dst isa.Addr) (dbc.Row, error) {
-	p, err := m.planRequest(Request{In: in, Operands: operands, Dst: dst}, nil)
+	return m.run(Request{In: in, Operands: operands, Dst: dst})
+}
+
+// run takes one request down the path runBatch takes each request of a
+// group: planRequest on the pooled batch scratch, lockInto, runRequest,
+// unlockShards, then the quarantines the request scheduled. It emits no
+// window markers, so the request's cycles extend the makespan serially.
+func (m *Memory) run(r Request) (dbc.Row, error) {
+	s := scratchPool.Get().(*batchScratch)
+	defer scratchPool.Put(s)
+	s.reset(1)
+	p, err := m.planRequest(r, s.plans[0].bases)
 	if err != nil {
 		return dbc.Row{}, err
 	}
-	// Quarantines scheduled by this execution are processed after the
-	// shard locks are released (defers run LIFO).
+	s.plans[0].bases = p.bases // reused by the next request's plan
+	// Deferred calls run last in first out: the locks are released
+	// before quarantines are processed.
 	defer m.processQuarantines()
-	shards, unlock, err := m.lockOrdered(p.bases)
+	shards, err := m.lockInto(s.shards[:0], p.bases)
+	s.shards = shards[:0]
 	if err != nil {
 		return dbc.Row{}, err
 	}
-	defer unlock()
-	return m.runPlan(p, shards)
+	defer unlockShards(shards)
+	return m.runRequest(p, shards)
 }
 
 // MaterializedDBCs reports how many clusters have been touched (for

@@ -136,20 +136,14 @@ func (u *Unit) reduceAndAddScratch(rows []dbc.Row, laneW, inWindow int) (dbc.Row
 	return u.AddMulti(rows, laneW)
 }
 
-// maskByMultiplierBit zeroes each lane of pp whose multiplier lane has a
-// zero at bit i — the predicated copy of §III-D2 that retains only the
-// needed shifted versions of A. For lanes that divide the word size the
-// per-lane predicate is smeared word-parallel: the multiplier bits are
-// isolated, moved to the lane base, and multiplied by the all-ones lane
-// to build the keep mask with three word operations.
-func maskByMultiplierBit(pp, b dbc.Row, i, laneW int) dbc.Row {
-	out := dbc.NewRow(pp.N)
-	maskByMultiplierBitInto(out, pp, b, i, laneW)
-	return out
-}
-
-// maskByMultiplierBitInto is maskByMultiplierBit writing into a
-// caller-owned row of the same width (out must not alias pp).
+// maskByMultiplierBitInto writes into out, a caller-owned row of pp's
+// width that must not alias it, pp with each lane zeroed whose
+// multiplier lane has a zero at bit i — the predicated copy of §III-D2
+// that retains only the needed shifted versions of A. For lanes that
+// divide the word size the per-lane predicate is smeared word-parallel:
+// the multiplier bits are isolated, moved to the lane base, and
+// multiplied by the all-ones lane to build the keep mask with three
+// word operations.
 func maskByMultiplierBitInto(out, pp, b dbc.Row, i, laneW int) {
 	switch {
 	case 64%laneW == 0:

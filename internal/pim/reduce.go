@@ -98,31 +98,6 @@ func reductionOfPlanes(lp dbc.LevelPlanes, blocksize int, hasCp bool) Reduction 
 	return red
 }
 
-// reductionOfLevels converts per-wire TR levels into the S/C/C' rows,
-// masking carries at lane boundaries. It tolerates -1 (masked) entries
-// and is the scalar reference for reductionOfPlanes.
-func reductionOfLevels(levels []int, blocksize int, hasCp bool) Reduction {
-	width := len(levels)
-	red := Reduction{S: dbc.NewRow(width), C: dbc.NewRow(width)}
-	if hasCp {
-		red.Cp = dbc.NewRow(width)
-	}
-	for t, l := range levels {
-		if l < 0 {
-			continue
-		}
-		j := t % blocksize
-		red.S.Set(t, uint8(l&1))
-		if j+1 < blocksize {
-			red.C.Set(t+1, uint8(l>>1&1))
-		}
-		if hasCp && j+2 < blocksize {
-			red.Cp.Set(t+2, uint8(l>>2&1))
-		}
-	}
-	return red
-}
-
 // reduceRowsFunctional is the dataflow of Reduce without touching the
 // DBC: used by Multiply, which charges its cost explicitly, and by tests
 // that check equivalence with the DBC-executed path. The operand bits

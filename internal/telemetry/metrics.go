@@ -48,15 +48,6 @@ func (h Hist) Sum() uint64 { return h.SumV }
 // Max returns the exact maximum observed sample (0 when empty).
 func (h Hist) Max() uint64 { return h.MaxV }
 
-// Mean returns the exact mean of the observed samples (0 when empty).
-func (h Hist) Mean() float64 {
-	n := h.Total()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.SumV) / float64(n)
-}
-
 // Quantile returns an upper-bound estimate of the q-quantile: the
 // upper edge of the first bucket whose cumulative count reaches
 // q×Total, clamped to the exact maximum. q outside (0,1] is clamped.
@@ -132,7 +123,6 @@ type OpMetrics struct {
 	WiresTotal    uint64  // total affected nanowires/bits
 	EnergyPJTotal float64 // total energy
 	WiresHist     Hist    // distribution of wires touched per step
-	EnergyHist    Hist    // distribution of per-step energy (rounded pJ)
 }
 
 // SrcMetrics aggregates the events of one source (typically one DBC).
@@ -156,7 +146,6 @@ type SpanMetrics struct {
 	TotalCycles uint64
 	TotalPJ     float64
 	CycleHist   Hist // span latency in device cycles
-	EnergyHist  Hist // span energy in rounded pJ
 }
 
 // MarkMetrics aggregates the tagged control events of one mark name.
@@ -195,7 +184,6 @@ func (m *Metrics) record(e Event) {
 	om.WiresTotal += uint64(e.Wires)
 	om.EnergyPJTotal += e.EnergyPJ
 	om.WiresHist.Observe(uint64(e.Wires))
-	om.EnergyHist.Observe(uint64(math.Round(e.EnergyPJ)))
 	sm := m.perSrc[e.Src]
 	if sm == nil {
 		sm = &SrcMetrics{}
@@ -227,7 +215,6 @@ func (m *Metrics) recordSpan(name string, cycles uint64, pj float64) {
 	sp.TotalCycles += cycles
 	sp.TotalPJ += pj
 	sp.CycleHist.Observe(cycles)
-	sp.EnergyHist.Observe(uint64(math.Round(pj)))
 	m.mu.Unlock()
 }
 

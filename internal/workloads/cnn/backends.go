@@ -97,11 +97,6 @@ const (
 
 // --- Work functions (ns of serialized PIM work per inference) -------------
 
-// fpWorkNS is full-precision work: MACs at the per-MAC device cycles.
-func fpWorkNS(macCycles float64, n Network) float64 {
-	return float64(n.MACs()) * macCycles * devCycleNS
-}
-
 // corTWNWorkNS is CORUSCANT ternary work: the Eq. 2 additions consumed
 // by carry-save reductions at the TRD-dependent rate.
 func corTWNWorkNS(trd params.TRD, n Network) float64 {

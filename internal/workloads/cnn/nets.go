@@ -117,17 +117,6 @@ func (n Network) Adds() int64 {
 	return t
 }
 
-// ActivationBytes returns the total activation traffic per inference at
-// the given bytes-per-value (1 for 8-bit, 0.25 for ternary packing):
-// every layer's outputs move between tiles once.
-func (n Network) ActivationBytes(bytesPerVal float64) int64 {
-	var vals int64 = 0
-	for _, l := range n.Layers {
-		vals += l.Outputs()
-	}
-	return int64(float64(vals)*bytesPerVal) + n.InputBytes
-}
-
 // LeNet5 returns the LeNet-5 [55] layer table (MNIST, 28×28 input).
 func LeNet5() Network {
 	return Network{
