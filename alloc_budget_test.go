@@ -98,6 +98,11 @@ func TestAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	allocBudget(t, "MaxSelect", 1, func() {
+		if _, err := u.MaxSelect(maxRows[0], maxRows[1], 8); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	// Batch paths: the 32-request fixture from bench_parallel_test.go.
 	// Budgets are per batch (32 requests), matching BENCH_parallel.json.
@@ -163,7 +168,7 @@ func TestAllocBudget(t *testing.T) {
 		}
 	}
 	compileRun()
-	allocBudget(t, "CompileRunO2", 793, compileRun)
+	allocBudget(t, "CompileRunO2", 779, compileRun)
 
 	// The same for a program whose -O2 compile folds: a repeated load
 	// and add, a shift chain to zero, a multiply by that zero, and xor
@@ -194,7 +199,7 @@ store %q, b0.s0.t2.d0.r1
 		}
 	}
 	compileRunFolded()
-	allocBudget(t, "CompileRunFolded", 182, compileRunFolded)
+	allocBudget(t, "CompileRunFolded", 178, compileRunFolded)
 
 	// Memory.Stats reads the recorder's ledger: nothing per shard.
 	sm, err := memory.New(ccfg)

@@ -261,6 +261,26 @@ func BenchmarkMaxTR(b *testing.B) {
 	}
 }
 
+// BenchmarkMaxSelect benchmarks the two-candidate max on the carry
+// chain over the first two of BenchmarkMaxTR's candidate rows.
+func BenchmarkMaxSelect(b *testing.B) {
+	u := pim.MustNewUnit(params.DefaultConfig())
+	rows := make([]dbc.Row, 2)
+	for i := range rows {
+		vals := make([]uint64, 64)
+		for j := range vals {
+			vals[j] = uint64((i*37 + j*11) % 256)
+		}
+		rows[i] = pim.MustPackLanes(vals, 8, 512)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := u.MaxSelect(rows[0], rows[1], 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPolybenchGemm benchmarks the instrumented gemm kernel run.
 func BenchmarkPolybenchGemm(b *testing.B) {
 	k, err := polybench.ByName("gemm")

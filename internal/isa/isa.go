@@ -201,6 +201,14 @@ func (in Instruction) Validate(g params.Geometry, trd params.TRD) error {
 			return fmt.Errorf("isa: shift amount %d outside 0..%d", in.Imm, in.Blocksize)
 		}
 		return nil
+	case OpNot, OpRelu:
+		if in.Operands != 1 {
+			return fmt.Errorf("isa: %v expects 1 operand, got %d", in.Op, in.Operands)
+		}
+	case OpAdd, OpMax:
+		if in.Operands < 2 {
+			return fmt.Errorf("isa: %v expects at least 2 operands, got %d", in.Op, in.Operands)
+		}
 	case OpMult, OpDiv, OpMod:
 		if in.Operands != 2 {
 			return fmt.Errorf("isa: %v expects 2 operands, got %d", in.Op, in.Operands)
@@ -320,12 +328,15 @@ func (c *Controller) Execute(in Instruction, operands []dbc.Row) (dbc.Row, error
 // Dispatch runs one PIM opcode on the unit over operand rows already
 // staged for it, returning the result row: the one opcode-to-kernel
 // mapping the controller, memory.Memory and pimc's kernel cost table
-// share. The DivMod kernel computes the quotient and the remainder in
-// one run, so for div Dispatch also hands back the remainder in rem;
-// for every other opcode rem is the zero Row. It rejects opcodes that
-// are not IsPIM and validates nothing beyond what the kernels check.
-// Every kernel rewrites the DBC window from the operand rows, so a call
-// can be replayed verbatim.
+// share. max picks its kernel by candidate count: exactly two run the
+// carry-chain compare-select (pim.MaxSelect), which costs fewer cycles
+// and less energy at every blocksize and TRD; 3..TRD run the TW
+// tournament (pim.MaxTR). The DivMod kernel computes the quotient and
+// the remainder in one run, so for div Dispatch also hands back the
+// remainder in rem; for every other opcode rem is the zero Row. It
+// rejects opcodes that are not IsPIM and validates nothing beyond what
+// the kernels check. Every kernel rewrites the DBC window from the
+// operand rows, so a call can be replayed verbatim.
 func Dispatch(u *pim.Unit, in Instruction, operands []dbc.Row) (res, rem dbc.Row, err error) {
 	if !in.Op.IsPIM() {
 		return dbc.Row{}, dbc.Row{}, fmt.Errorf("isa: opcode %v is not a PIM operation", in.Op)
@@ -336,7 +347,11 @@ func Dispatch(u *pim.Unit, in Instruction, operands []dbc.Row) (res, rem dbc.Row
 	case OpMult:
 		res, err = u.Multiply(operands[0], operands[1], in.Blocksize/2)
 	case OpMax:
-		res, err = u.MaxTR(operands, in.Blocksize)
+		if len(operands) == 2 {
+			res, err = u.MaxSelect(operands[0], operands[1], in.Blocksize)
+		} else {
+			res, err = u.MaxTR(operands, in.Blocksize)
+		}
 	case OpRelu:
 		res, err = u.ReLU(operands[0], in.Blocksize)
 	case OpVote:

@@ -24,9 +24,10 @@ func arity(op isa.OpCode) int {
 
 // TestPIMOpcodes holds the one PIM-opcode list to its users: over every
 // opcode (and one past the last), IsPIM holds exactly when Dispatch runs
-// the opcode and exactly when Memory.Execute accepts it. mult takes two
-// operands, and Validate, Memory.Execute and Controller.Execute all
-// reject it with three.
+// the opcode and exactly when Memory.Execute accepts it. Validate owns
+// kernel arity: mult takes two operands, add and max at least two, not
+// and relu exactly one, and Validate, Memory.Execute and
+// Controller.Execute all reject every other count.
 func TestPIMOpcodes(t *testing.T) {
 	cfg := params.DefaultConfig()
 	cfg.Geometry.TrackWidth = 64
@@ -58,18 +59,26 @@ func TestPIMOpcodes(t *testing.T) {
 		}
 	}
 
-	mult := isa.Instruction{Op: isa.OpMult, Src: exec, Blocksize: 16, Operands: 3}
-	if err := mult.Validate(g, cfg.TRD); err == nil {
-		t.Error("Validate accepted mult k=3")
-	}
-	if _, err := m.Execute(mult, operands, isa.Addr{Tile: 2}); !errors.Is(err, memory.ErrInvalidRequest) {
-		t.Errorf("Memory.Execute mult k=3 err = %v, want ErrInvalidRequest", err)
-	}
 	c, err := isa.NewController(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Execute(mult, rows); err == nil {
-		t.Error("Controller.Execute accepted mult k=3")
+	for _, in := range []isa.Instruction{
+		{Op: isa.OpMult, Src: exec, Blocksize: 16, Operands: 3},
+		{Op: isa.OpAdd, Src: exec, Blocksize: 8, Operands: 1},
+		{Op: isa.OpMax, Src: exec, Blocksize: 8, Operands: 1},
+		{Op: isa.OpNot, Src: exec, Blocksize: 8, Operands: 2},
+		{Op: isa.OpRelu, Src: exec, Blocksize: 8, Operands: 2},
+	} {
+		k := in.Operands
+		if err := in.Validate(g, cfg.TRD); err == nil {
+			t.Errorf("Validate accepted %v k=%d", in.Op, k)
+		}
+		if _, err := m.Execute(in, operands[:k], isa.Addr{Tile: 2}); !errors.Is(err, memory.ErrInvalidRequest) {
+			t.Errorf("Memory.Execute %v k=%d err = %v, want ErrInvalidRequest", in.Op, k, err)
+		}
+		if _, err := c.Execute(in, rows[:k]); err == nil {
+			t.Errorf("Controller.Execute accepted %v k=%d", in.Op, k)
+		}
 	}
 }

@@ -15,7 +15,8 @@ import (
 // random DAG programs reach at blocksizes 8 and 16: add with 2..5
 // operands, the bulk ops and max at every width the TR window takes,
 // not, mult, fma, div, mod, relu, and shl/shr at every shift amount.
-// A few lanes wider than the measuring track close the list.
+// A few lanes wider than the measuring track close the list, the
+// two-candidate max (the compare-select kernel) among them.
 func reachedKernels() []kernelKey {
 	var keys []kernelKey
 	for _, trd := range []params.TRD{params.TRD3, params.TRD5, params.TRD7} {
@@ -44,7 +45,7 @@ func reachedKernels() []kernelKey {
 		}
 	}
 	for _, bs := range []int{128, 512} {
-		for _, op := range []isa.OpCode{isa.OpAdd, isa.OpXor, isa.OpMult, isa.OpDiv} {
+		for _, op := range []isa.OpCode{isa.OpAdd, isa.OpXor, isa.OpMax, isa.OpMult, isa.OpDiv} {
 			keys = append(keys, kernelKey{op: op, bs: bs, k: 2, trd: params.TRD7})
 		}
 	}

@@ -67,7 +67,7 @@ func (u *Unit) AddMulti(operands []dbc.Row, blocksize int) (dbc.Row, error) {
 // scalar scatter.
 func (u *Unit) addPlaced(blocksize int, hasCp bool) (dbc.Row, error) {
 	sum := dbc.NewRow(u.D.Width())
-	if err := u.addPlacedInto(sum, blocksize, hasCp); err != nil {
+	if err := u.addPlacedInto(sum, blocksize, hasCp, nil); err != nil {
 		return dbc.Row{}, err
 	}
 	return sum, nil
@@ -77,7 +77,17 @@ func (u *Unit) addPlaced(blocksize int, hasCp bool) (dbc.Row, error) {
 // DBC width (cleared first), so iterative users of the chain — the
 // restoring divider runs it once per quotient bit — stay on the scratch
 // arena instead of allocating a fresh sum row per step.
-func (u *Unit) addPlacedInto(sum dbc.Row, blocksize int, hasCp bool) error {
+//
+// cout, when non-nil (words of the DBC width), collects each lane's
+// carry-out as the chain senses it: the carry C the TR of the lane's
+// MSB produces, and the super-carries C' that would land past the lane
+// (from its two top wires). The lane-boundary mask drops these bits
+// from the sum; here they are ORed into cout at the lane's MSB wire,
+// without clearing it, so chained adds accumulate. Any carry past the
+// lane means its sum reached 2^blocksize, so a set bit marks exactly the
+// lanes that overflowed. An injected TR fault reaches cout as it reaches
+// the sum.
+func (u *Unit) addPlacedInto(sum dbc.Row, blocksize int, hasCp bool, cout []uint64) error {
 	width := u.D.Width()
 	b := blocksize
 	for i := range sum.Words {
@@ -116,6 +126,9 @@ func (u *Unit) addPlacedInto(sum dbc.Row, blocksize int, hasCp bool) error {
 			rBits, rMask = cBits, cMask
 			count += nw
 		}
+		if cout != nil {
+			senseCarryOut(cout, lp, j, b, hasCp)
+		}
 		// C' skips a position: left port of wire t+2 (disjoint from the S
 		// wires whenever it is generated, since j+2 < b implies b > 2).
 		if hasCp && j+2 < b {
@@ -137,6 +150,28 @@ func (u *Unit) addPlacedInto(sum dbc.Row, blocksize int, hasCp bool) error {
 	}
 	sum.MaskTail()
 	return nil
+}
+
+// senseCarryOut ORs into cout, at each lane's MSB wire, the carries the
+// chain's bit-j TR sends past the lane: C and C' off the MSB wire
+// (j = b−1), and C' off the wire below it (j = b−2, moved up one wire).
+// The level planes hold only bit-j wires, so no other lane's bits leak.
+func senseCarryOut(cout []uint64, lp dbc.LevelPlanes, j, b int, hasCp bool) {
+	switch {
+	case j == b-1:
+		for i := range cout {
+			cout[i] |= lp.C1[i]
+			if hasCp {
+				cout[i] |= lp.C2[i]
+			}
+		}
+	case hasCp && j == b-2:
+		var carry uint64
+		for i, w := range lp.C2 {
+			cout[i] |= w<<1 | carry
+			carry = w >> 63
+		}
+	}
 }
 
 // shiftWordsUp sets dst to src shifted k bit positions toward higher

@@ -47,6 +47,7 @@ func TestAllocsPerOpSteadyState(t *testing.T) {
 		{"AddMulti", 1, func() error { _, err := u.AddMulti(operands, 8); return err }},
 		{"Multiply", 1, func() error { _, err := u.Multiply(ma, mb, 8); return err }},
 		{"MaxTR", 1, func() error { _, err := u.MaxTR(operands, 8); return err }},
+		{"MaxSelect", 1, func() error { _, err := u.MaxSelect(operands[0], operands[1], 8); return err }},
 		// The new ops return owned rows too: DivMod q+r, DivModSigned
 		// q+r, one result row each for shift and FMA.
 		{"DivMod", 2, func() error { _, _, err := u.DivMod(da, dd, 8); return err }},
@@ -92,6 +93,9 @@ func TestScratchReuseKeepsResultsIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := u.MaxTR([]dbc.Row{a, b}, 16); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.MaxSelect(a, b, 16); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := u.AddMulti([]dbc.Row{a, b}, 16); err != nil {

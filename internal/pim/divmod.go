@@ -42,20 +42,7 @@ func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
 	take := u.scratchRow()
 	q := dbc.NewRow(width)
 
-	// ¬d through the polymorphic NOT gate: one bulk pass, same charge as
-	// the Sub complement. The +1 correction row is a preset constant
-	// (bit 0 of every lane), maintained like the Fig. 7 padding.
-	notd := u.scratchRow()
-	for i, w := range d.Words {
-		notd.Words[i] = ^w
-	}
-	notd.MaskTail()
-	u.D.Charge(telemetry.OpTR, width)
-	u.D.Charge(telemetry.OpWrite, width)
-	one := u.scratchRow()
-	for l := 0; l < lanes; l++ {
-		one.Set(l*b, 1)
-	}
+	notd, one := u.subtrahendRows(d, b)
 
 	for j := b - 1; j >= 0; j-- {
 		// Overflow bit: lanes whose remainder MSB is set before doubling
@@ -77,7 +64,7 @@ func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
 		}
 		u.D.Charge(telemetry.OpShift, width)
 		// Trial subtraction on the carry chain.
-		if err := u.subChainInto(diff, rem, notd, one, b); err != nil {
+		if err := u.subChainInto(diff, rem, notd, one, b, nil); err != nil {
 			return dbc.Row{}, dbc.Row{}, err
 		}
 		// Decide per lane and set the quotient bit.
@@ -90,40 +77,71 @@ func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
 				q.Set(base+j, 1)
 			}
 		}
-		// rem = take ? diff : rem — the predicated write driver keeps the
-		// difference only in subtracting lanes (one copy step).
-		for i := range rem.Words {
-			rem.Words[i] = diff.Words[i]&take.Words[i] | rem.Words[i]&^take.Words[i]
-		}
-		rem.MaskTail()
-		u.D.Charge(telemetry.OpCopy, width)
+		// rem = take ? diff : rem: keep the difference only in
+		// subtracting lanes.
+		u.predicatedCopy(rem, diff, rem, take)
 	}
 	q.MaskTail()
 	return q, copyRow(rem), nil
 }
 
+// subtrahendRows materializes the trial subtraction's ¬d and +1 rows on
+// the scratch arena. ¬d comes through the polymorphic NOT gate: one bulk
+// pass, charged like the Sub complement (one TR and one write step). The
+// +1 correction row is a preset constant (bit 0 of every lane),
+// maintained like the Fig. 7 padding, so it costs nothing.
+func (u *Unit) subtrahendRows(d dbc.Row, blocksize int) (notd, one dbc.Row) {
+	width := u.D.Width()
+	notd = u.scratchRow()
+	for i, w := range d.Words {
+		notd.Words[i] = ^w
+	}
+	notd.MaskTail()
+	u.D.Charge(telemetry.OpTR, width)
+	u.D.Charge(telemetry.OpWrite, width)
+	one = u.scratchRow()
+	for l := 0; l < width/blocksize; l++ {
+		one.Set(l*blocksize, 1)
+	}
+	return notd, one
+}
+
+// predicatedCopy sets dst to x in the lanes take selects and to y in
+// the others: the predicated write driver, charged as one copy step.
+// dst may alias y.
+func (u *Unit) predicatedCopy(dst, x, y, take dbc.Row) {
+	for i := range dst.Words {
+		dst.Words[i] = x.Words[i]&take.Words[i] | y.Words[i]&^take.Words[i]
+	}
+	dst.MaskTail()
+	u.D.Charge(telemetry.OpCopy, u.D.Width())
+}
+
 // subChainInto computes x − d into dst via the carry chain, with ¬d and
 // the +1 correction already materialized: one three-operand window add
 // for TRD ≥ 5, or two chained two-operand adds on the TRD=3 window.
-func (u *Unit) subChainInto(dst, x, notd, one dbc.Row, blocksize int) error {
+// A non-nil cout receives each lane's carry-out as addPlacedInto senses
+// it, ORed over both chained adds on the TRD=3 window: it is set exactly
+// in the lanes where x ≥ d.
+func (u *Unit) subChainInto(dst, x, notd, one dbc.Row, blocksize int, cout []uint64) error {
 	if u.maxAddOperands() >= 3 {
 		hasCp := u.cfg.TRD.HasSuperCarry()
 		if err := u.placeWindow(append(u.scratchRowList(3), x, notd, one), 0, hasCp); err != nil {
 			return err
 		}
-		return u.addPlacedInto(dst, blocksize, hasCp)
+		return u.addPlacedInto(dst, blocksize, hasCp, cout)
 	}
 	t := u.scratchRow()
 	if err := u.placeWindow(append(u.scratchRowList(2), x, notd), 0, false); err != nil {
 		return err
 	}
-	if err := u.addPlacedInto(t, blocksize, false); err != nil {
+	if err := u.addPlacedInto(t, blocksize, false, cout); err != nil {
 		return err
 	}
 	if err := u.placeWindow(append(u.scratchRowList(2), t, one), 0, false); err != nil {
 		return err
 	}
-	return u.addPlacedInto(dst, blocksize, false)
+	return u.addPlacedInto(dst, blocksize, false, cout)
 }
 
 // DivModSigned is DivMod on two's-complement lanes with truncated

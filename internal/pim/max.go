@@ -79,6 +79,51 @@ func (u *Unit) MaxTR(candidates []dbc.Row, blocksize int) (dbc.Row, error) {
 	return dbc.EvalPlanes(dbc.OpOR, u.trAll(), u.cfg.TRD), nil
 }
 
+// MaxSelect computes the lane-wise maximum of two candidate rows on the
+// Fig. 6 carry chain instead of the TW tournament: the trial
+// subtraction a + ¬b + 1 of the restoring divider (DivMod) runs as one
+// three-operand add (two chained adds on the TRD=3 window), and the
+// carry each lane's chain sends past its MSB is set exactly where
+// a ≥ b. A predicated write then keeps a in those lanes and b in the
+// others, charged as one copy step like DivMod's restoring step. The
+// difference itself is discarded.
+//
+// The select bit is the carry-out as the TRs sense it, so an injected
+// TR fault reaches the result as it reaches MaxTR's. Lanes are
+// blocksize bits wide, values unsigned; the result equals MaxTR's over
+// the same two candidates, at a fraction of its cost (MaxTR rotates all
+// TRD window rows once per bit).
+func (u *Unit) MaxSelect(a, b dbc.Row, blocksize int) (dbc.Row, error) {
+	u.rec.Begin(u.src, "max")
+	defer u.rec.End(u.src)
+	if err := u.checkBlocksize(blocksize); err != nil {
+		return dbc.Row{}, err
+	}
+	width := u.D.Width()
+	if a.N != width || b.N != width {
+		return dbc.Row{}, fmt.Errorf("pim: candidate widths %d,%d, want %d", a.N, b.N, width)
+	}
+	u.enterOp()
+	defer u.exitOp()
+
+	notb, one := u.subtrahendRows(b, blocksize)
+	diff := u.scratchRow()
+	cout := u.scratchRow()
+	if err := u.subChainInto(diff, a, notb, one, blocksize, cout.Words); err != nil {
+		return dbc.Row{}, err
+	}
+	// Widen each lane's carry-out (at its MSB wire) to a lane mask.
+	take := u.scratchRow()
+	for l := 0; l < width/blocksize; l++ {
+		if cout.Get(l*blocksize+blocksize-1) != 0 {
+			setLane(take, l, blocksize)
+		}
+	}
+	res := dbc.NewRow(width)
+	u.predicatedCopy(res, a, b, take)
+	return res, nil
+}
+
 // ReLU applies the rectifier of §IV-C lane-wise to two's-complement
 // values: lanes whose sign bit (lane MSB) is set are replaced by zero
 // using a predicated row refresh; other lanes pass through. One read of

@@ -2,8 +2,9 @@
 // a PIM-enabled domain-block cluster: multi-operand bulk-bitwise logic,
 // multi-operand addition with the C/C' carry chain (Fig. 6), the 7→3
 // carry-save reduction, two-operand and constant multiplication (§III-D),
-// the transverse-write-based max function and ReLU (§IV-B/C), and
-// N-modular redundancy voting (§III-F).
+// the transverse-write-based max function and ReLU (§IV-B/C), a
+// two-candidate max on the carry chain (MaxSelect), and N-modular
+// redundancy voting (§III-F).
 //
 // Every operation runs functionally on the bit-level DBC model — results
 // are exact and are property-tested against integer arithmetic — while

@@ -83,7 +83,7 @@ func TestErrorContractOverWire(t *testing.T) {
 	// tenant, burst 1.)
 	_, err := api.Execute(ctx, ExecuteRequest{Tenant: "t-cross", Shard: &shard, Request: Request{
 		Op: "add", Src: &Addr{Tile: 0, DBC: 15}, Blocksize: 8,
-		Operands: []Addr{{Bank: 2, Tile: 1}}, Dst: &Addr{Tile: 2},
+		Operands: []Addr{{Tile: 1}, {Bank: 2, Tile: 1}}, Dst: &Addr{Tile: 2},
 	}})
 	if !errors.Is(err, memory.ErrCrossDBC) {
 		t.Fatalf("cross-bank operand err = %v, want ErrCrossDBC", err)
@@ -227,6 +227,10 @@ func TestMalformedRequestsAre4xx(t *testing.T) {
 		{"src row 999", `{"op":"add","src":{"dbc":15,"row":999},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`},
 		{"non-PIM executing DBC", `{"op":"add","src":{"tile":1},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`},
 		{"mult with 3 operands", `{"op":"mult","src":{"dbc":15},"blocksize":16,"operands":[{"tile":1},{"tile":1,"row":1},{"tile":1,"row":2}],"dst":{"tile":2}}`},
+		{"max with 1 operand", `{"op":"max","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1}],"dst":{"tile":2}}`},
+		{"add with 1 operand", `{"op":"add","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1}],"dst":{"tile":2}}`},
+		{"not with 2 operands", `{"op":"not","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`},
+		{"relu with 2 operands", `{"op":"relu","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`},
 		{"nop", `{"op":"nop","src":{"dbc":15},"dst":{"tile":2}}`},
 		{"read at bank 99", `{"op":"read","src":{"bank":99}}`},
 		{"copy to bank 99", `{"op":"copy","src":{"tile":1},"dst":{"bank":99}}`},
