@@ -103,6 +103,13 @@ func TestAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// Two allocations: the quotient and the remainder row.
+	divA, divD := divRows()
+	allocBudget(t, "DivMod", 2, func() {
+		if _, _, err := u.DivMod(divA, divD, 8); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	// Batch paths: the 32-request fixture from bench_parallel_test.go.
 	// Budgets are per batch (32 requests), matching BENCH_parallel.json.

@@ -281,6 +281,31 @@ func BenchmarkMaxSelect(b *testing.B) {
 	}
 }
 
+// BenchmarkDivMod benchmarks the restoring divider over 64 8-bit lanes:
+// BenchmarkMaxTR's first candidate row divided by a row of divisors
+// 1..8 (lane l divides by l%8+1).
+func BenchmarkDivMod(b *testing.B) {
+	u := pim.MustNewUnit(params.DefaultConfig())
+	a, d := divRows()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := u.DivMod(a, d, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// divRows returns BenchmarkDivMod's dividend and divisor rows.
+func divRows() (a, d dbc.Row) {
+	av := make([]uint64, 64)
+	dv := make([]uint64, 64)
+	for j := range av {
+		av[j] = uint64(j * 11 % 256)
+		dv[j] = uint64(j%8 + 1)
+	}
+	return pim.MustPackLanes(av, 8, 512), pim.MustPackLanes(dv, 8, 512)
+}
+
 // BenchmarkPolybenchGemm benchmarks the instrumented gemm kernel run.
 func BenchmarkPolybenchGemm(b *testing.B) {
 	k, err := polybench.ByName("gemm")

@@ -355,10 +355,15 @@ func checkOp(n *node, trd params.TRD) error {
 		if k < 2 {
 			return lineErr(n.line, ClassArity, "%v wants at least 2 operands, got %d", n.op, k)
 		}
-	case isa.OpNand, isa.OpNor, isa.OpXnor, isa.OpVote:
+	case isa.OpNand, isa.OpNor, isa.OpXnor:
 		// Not associative: the window capacity is a hard limit.
 		if k < 2 || k > maxBulk {
 			return lineErr(n.line, ClassArity, "%v wants 2..%d operands (not associative), got %d", n.op, maxBulk, k)
+		}
+	case isa.OpVote:
+		// The window votes only the degrees the kernel does.
+		if !trd.ValidNMR(k) {
+			return lineErr(n.line, ClassArity, "vote wants 3, 5 or 7 operands within %v, got %d", trd, k)
 		}
 	default:
 		return lineErr(n.line, ClassOpcode, "opcode %v is not compilable", n.op)

@@ -56,6 +56,8 @@ func TestDiagnosticsGolden(t *testing.T) {
 		{"div-too-few", "%a = li 1 bs=8\n%b = div %a bs=8\nstore %b, b0.s0.t1.d0.r0", 2, ClassArity},
 		{"add-too-few", "%a = li 1 bs=8\n%b = add %a bs=8\nstore %b, b0.s0.t1.d0.r0", 2, ClassArity},
 		{"nand-over-window", "%a = li 1 bs=8\n%b = nand %a, %a, %a, %a, %a, %a, %a, %a bs=8\nstore %b, b0.s0.t1.d0.r0", 2, ClassArity},
+		{"vote-degree-2", "%a = li 1 bs=8\n%c = li 2 bs=8\n%b = vote %a, %c bs=8\nstore %b, b0.s0.t1.d0.r0", 3, ClassArity},
+		{"vote-degree-4", "%a = li 1 bs=8\n%b = vote %a, %a, %a, %a bs=8\nstore %b, b0.s0.t1.d0.r0", 2, ClassArity},
 		{"shift-out-of-range", "%a = li 1 bs=8\n%b = shl %a bs=8 imm=9\nstore %b, b0.s0.t1.d0.r0", 2, ClassWidth},
 		{"imm-on-non-shift", "%a = li 1 bs=8\n%b = add %a, %a bs=8 imm=3\nstore %b, b0.s0.t1.d0.r0", 2, ClassImmediate},
 		// Verifier: width dataflow.

@@ -177,7 +177,10 @@ type Instruction struct {
 	Imm       int // shift amount for shl/shr (0..Blocksize); zero otherwise
 }
 
-// Validate reports instruction encoding errors.
+// Validate reports instruction encoding errors, kernel arity included:
+// an add with more operands than the TR window adds at once and a vote
+// whose degree the window cannot vote wrap params.ErrBadTRD, so memory
+// rejects them before it stages any operand.
 func (in Instruction) Validate(g params.Geometry, trd params.TRD) error {
 	if err := in.Src.CheckGeometry(g); err != nil {
 		return err
@@ -208,6 +211,13 @@ func (in Instruction) Validate(g params.Geometry, trd params.TRD) error {
 	case OpAdd, OpMax:
 		if in.Operands < 2 {
 			return fmt.Errorf("isa: %v expects at least 2 operands, got %d", in.Op, in.Operands)
+		}
+		if max := trd.MaxAddOperands(); in.Op == OpAdd && in.Operands > max {
+			return fmt.Errorf("isa: add with %d operands exceeds limit %d for %v: %w", in.Operands, max, trd, params.ErrBadTRD)
+		}
+	case OpVote:
+		if !trd.ValidNMR(in.Operands) {
+			return fmt.Errorf("isa: unsupported redundancy degree %d for %v: %w", in.Operands, trd, params.ErrBadTRD)
 		}
 	case OpMult, OpDiv, OpMod:
 		if in.Operands != 2 {

@@ -25,9 +25,11 @@ func arity(op isa.OpCode) int {
 // TestPIMOpcodes holds the one PIM-opcode list to its users: over every
 // opcode (and one past the last), IsPIM holds exactly when Dispatch runs
 // the opcode and exactly when Memory.Execute accepts it. Validate owns
-// kernel arity: mult takes two operands, add and max at least two, not
-// and relu exactly one, and Validate, Memory.Execute and
-// Controller.Execute all reject every other count.
+// kernel arity: mult takes two operands, add at least two and at most
+// TRD−2 (TRD 7), max at least two, not and relu exactly one, vote a
+// degree of 3, 5 or 7 within the TRD, and Validate, Memory.Execute and
+// Controller.Execute all reject every other count. The window limits
+// wrap params.ErrBadTRD.
 func TestPIMOpcodes(t *testing.T) {
 	cfg := params.DefaultConfig()
 	cfg.Geometry.TrackWidth = 64
@@ -41,9 +43,10 @@ func TestPIMOpcodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	exec := isa.Addr{DBC: g.DBCsPerTile - 1} // a PIM-enabled DBC
-	operands := []isa.Addr{{Tile: 1}, {Tile: 1, Row: 1}, {Tile: 1, Row: 2}}
-	rows := make([]dbc.Row, 3)
+	operands := make([]isa.Addr, cfg.TRD)
+	rows := make([]dbc.Row, cfg.TRD)
 	for i := range rows {
+		operands[i] = isa.Addr{Tile: 1, Row: i}
 		rows[i] = dbc.NewRow(g.TrackWidth)
 	}
 	for op := isa.OpNop; op <= isa.OpFma+1; op++ {
@@ -63,16 +66,27 @@ func TestPIMOpcodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range []isa.Instruction{
-		{Op: isa.OpMult, Src: exec, Blocksize: 16, Operands: 3},
-		{Op: isa.OpAdd, Src: exec, Blocksize: 8, Operands: 1},
-		{Op: isa.OpMax, Src: exec, Blocksize: 8, Operands: 1},
-		{Op: isa.OpNot, Src: exec, Blocksize: 8, Operands: 2},
-		{Op: isa.OpRelu, Src: exec, Blocksize: 8, Operands: 2},
+	for _, tc := range []struct {
+		in     isa.Instruction
+		badTRD bool // the count exceeds what the TR window can do
+	}{
+		{isa.Instruction{Op: isa.OpMult, Src: exec, Blocksize: 16, Operands: 3}, false},
+		{isa.Instruction{Op: isa.OpAdd, Src: exec, Blocksize: 8, Operands: 1}, false},
+		{isa.Instruction{Op: isa.OpAdd, Src: exec, Blocksize: 8, Operands: 6}, true},
+		{isa.Instruction{Op: isa.OpAdd, Src: exec, Blocksize: 8, Operands: 7}, true},
+		{isa.Instruction{Op: isa.OpMax, Src: exec, Blocksize: 8, Operands: 1}, false},
+		{isa.Instruction{Op: isa.OpNot, Src: exec, Blocksize: 8, Operands: 2}, false},
+		{isa.Instruction{Op: isa.OpRelu, Src: exec, Blocksize: 8, Operands: 2}, false},
+		{isa.Instruction{Op: isa.OpVote, Src: exec, Blocksize: 8, Operands: 1}, true},
+		{isa.Instruction{Op: isa.OpVote, Src: exec, Blocksize: 8, Operands: 2}, true},
+		{isa.Instruction{Op: isa.OpVote, Src: exec, Blocksize: 8, Operands: 4}, true},
+		{isa.Instruction{Op: isa.OpVote, Src: exec, Blocksize: 8, Operands: 6}, true},
 	} {
-		k := in.Operands
+		in, k := tc.in, tc.in.Operands
 		if err := in.Validate(g, cfg.TRD); err == nil {
 			t.Errorf("Validate accepted %v k=%d", in.Op, k)
+		} else if errors.Is(err, params.ErrBadTRD) != tc.badTRD {
+			t.Errorf("Validate %v k=%d: %v, wraps ErrBadTRD %v, want %v", in.Op, k, err, !tc.badTRD, tc.badTRD)
 		}
 		if _, err := m.Execute(in, operands[:k], isa.Addr{Tile: 2}); !errors.Is(err, memory.ErrInvalidRequest) {
 			t.Errorf("Memory.Execute %v k=%d err = %v, want ErrInvalidRequest", in.Op, k, err)

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -209,6 +210,51 @@ func TestExecuteErrors(t *testing.T) {
 	}
 	if err := m.WriteRow(isa.Addr{}, dbc.NewRow(5)); err == nil {
 		t.Error("wrong row width accepted")
+	}
+}
+
+// TestRejectedRequestsCostNothing: a request Validate rejects fails at
+// planning, before memory stages an operand, on the single-request and
+// the batch path alike, so Stats() and Moves() do not change. An add
+// beyond the window's operand limit and a vote at a degree the window
+// cannot vote wrap params.ErrBadTRD too (the wire's bad_trd).
+func TestRejectedRequestsCostNothing(t *testing.T) {
+	m := testMemory(t)
+	pimAddr := isa.Addr{Tile: 0, DBC: 15}
+	operands := make([]isa.Addr, params.TRD7)
+	for i := range operands {
+		operands[i] = isa.Addr{Tile: 1, Row: i}
+		if err := m.WriteRow(operands[i], randRow(32, rand.New(rand.NewSource(int64(i))))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		op     isa.OpCode
+		k      int
+		badTRD bool
+	}{
+		{isa.OpAdd, 6, true},
+		{isa.OpAdd, 7, true},
+		{isa.OpVote, 1, true},
+		{isa.OpVote, 2, true},
+		{isa.OpVote, 4, true},
+		{isa.OpVote, 6, true},
+		{isa.OpMult, 3, false},
+		{isa.OpNot, 2, false},
+	} {
+		in := isa.Instruction{Op: c.op, Src: pimAddr, Blocksize: 8, Operands: c.k}
+		stats, moves := m.Stats(), m.Moves()
+		_, err := m.Execute(in, operands[:c.k], isa.Addr{Tile: 2})
+		if !errors.Is(err, ErrInvalidRequest) || errors.Is(err, params.ErrBadTRD) != c.badTRD {
+			t.Errorf("Execute %v k=%d: err %v, want ErrInvalidRequest (ErrBadTRD: %v)", c.op, c.k, err, c.badTRD)
+		}
+		res := m.ExecuteBatch([]Request{{In: in, Operands: operands[:c.k], Dst: isa.Addr{Tile: 2}}})
+		if err := res[0].Err; !errors.Is(err, ErrInvalidRequest) || errors.Is(err, params.ErrBadTRD) != c.badTRD {
+			t.Errorf("ExecuteBatch %v k=%d: err %v, want ErrInvalidRequest (ErrBadTRD: %v)", c.op, c.k, err, c.badTRD)
+		}
+		if got, gotMoves := m.Stats(), m.Moves(); got != stats || gotMoves != moves {
+			t.Errorf("%v k=%d: rejected requests moved the ledger: stats %v -> %v, moves %+v -> %+v", c.op, c.k, stats, got, moves, gotMoves)
+		}
 	}
 }
 

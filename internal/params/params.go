@@ -60,6 +60,12 @@ func (t TRD) MaxBulkOperands() int { return int(t) }
 // produce the super-carry C' (needs counts ≥ 4, i.e. three count bits).
 func (t TRD) HasSuperCarry() bool { return t >= 4 }
 
+// ValidNMR reports whether n is a modular-redundancy degree the window
+// can vote: the paper supports N ∈ {3, 5, 7} with N ≤ TRD (§III-F).
+func (t TRD) ValidNMR(n int) bool {
+	return (n == 3 || n == 5 || n == 7) && n <= int(t)
+}
+
 // Geometry describes the CORUSCANT main-memory organization (Table II)
 // and the DBC internal layout (Fig. 2(d)).
 type Geometry struct {

@@ -17,11 +17,23 @@ import (
 // and a predicated write keeps either the difference or the untouched
 // remainder — the restoring step costs no extra add.
 //
+// Only the remainder changes from bit to bit, so on a window with a
+// spare slot (TRD ≥ 5) the subtrahend stays resident: the first
+// quotient bit places ¬d, +1 and rem, rem last so that it sits in
+// window slot 1 beside the S slot, and each later bit rewrites only that
+// slot (rewriteSlot1: two shifts and one write instead of a fresh
+// three-row placement). The TRD=3 window has no slot to spare and
+// places both chained adds every bit.
+//
 // The loop invariant rem < d makes the b-bit window exact: the doubled
 // remainder is at most 2d−1, so a single overflow bit (the remainder
 // MSB captured before the shift) together with the in-window compare
-// decides the subtraction. Lanes dividing by zero fall out of the same
-// dataflow with the RISC-V convention: quotient all-ones, remainder a.
+// decides the subtraction. The compare is the carry the chain senses
+// past each lane's MSB, set exactly where the doubled remainder is ≥ d,
+// so the quotient bit is the overflow bit ORed with that carry-out and
+// an injected TR fault reaches the quotient as it reaches the
+// difference. Lanes dividing by zero fall out of the same dataflow with
+// the RISC-V convention: quotient all-ones, remainder a.
 func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
 	u.rec.Begin(u.src, "div")
 	defer u.rec.End(u.src)
@@ -43,16 +55,19 @@ func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
 	q := dbc.NewRow(width)
 
 	notd, one := u.subtrahendRows(d, b)
+	resident := u.maxAddOperands() >= 3
 
 	for j := b - 1; j >= 0; j-- {
 		// Overflow bit: lanes whose remainder MSB is set before doubling
 		// already exceed d after the shift, whatever the low bits say.
+		// take holds it at the lane's MSB wire, where the chain's
+		// carry-out lands too.
 		for i := range take.Words {
 			take.Words[i] = 0
 		}
 		for l := 0; l < lanes; l++ {
-			if rem.Get(l*b+b-1) != 0 {
-				setLane(take, l, b)
+			if msb := l*b + b - 1; rem.Get(msb) != 0 {
+				take.Set(msb, 1)
 			}
 		}
 		// rem = rem<<1 | a_j: one lateral shift step on the racetrack.
@@ -63,18 +78,24 @@ func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
 			}
 		}
 		u.D.Charge(telemetry.OpShift, width)
-		// Trial subtraction on the carry chain.
-		if err := u.subChainInto(diff, rem, notd, one, b, nil); err != nil {
+		// Trial subtraction on the carry chain, ORing its carry-out into
+		// the overflow bits: take's MSB wires are the quotient bits.
+		var err error
+		if resident && j < b-1 {
+			if err = u.rewriteSlot1(rem); err == nil {
+				err = u.addPlacedInto(diff, b, u.cfg.TRD.HasSuperCarry(), take.Words)
+			}
+		} else {
+			err = u.subChainInto(diff, rem, notd, one, b, take.Words)
+		}
+		if err != nil {
 			return dbc.Row{}, dbc.Row{}, err
 		}
-		// Decide per lane and set the quotient bit.
+		// Set the quotient bit and widen it to the lane's select mask.
 		for l := 0; l < lanes; l++ {
-			base := l * b
-			if take.Get(base) == 0 && laneGE(rem, d, l, b) {
+			if take.Get(l*b+b-1) != 0 {
 				setLane(take, l, b)
-			}
-			if take.Get(base) != 0 {
-				q.Set(base+j, 1)
+				q.Set(l*b+j, 1)
 			}
 		}
 		// rem = take ? diff : rem: keep the difference only in
@@ -123,10 +144,14 @@ func (u *Unit) predicatedCopy(dst, x, y, take dbc.Row) {
 // A non-nil cout receives each lane's carry-out as addPlacedInto senses
 // it, ORed over both chained adds on the TRD=3 window: it is set exactly
 // in the lanes where x ≥ d.
+//
+// On the TRD ≥ 5 window x is placed last, so it sits in slot 1 beside
+// the S slot, where rewriteSlot1 can replace it without moving ¬d and
+// +1.
 func (u *Unit) subChainInto(dst, x, notd, one dbc.Row, blocksize int, cout []uint64) error {
 	if u.maxAddOperands() >= 3 {
 		hasCp := u.cfg.TRD.HasSuperCarry()
-		if err := u.placeWindow(append(u.scratchRowList(3), x, notd, one), 0, hasCp); err != nil {
+		if err := u.placeWindow(append(u.scratchRowList(3), notd, one, x), 0, hasCp); err != nil {
 			return err
 		}
 		return u.addPlacedInto(dst, blocksize, hasCp, cout)
@@ -142,6 +167,27 @@ func (u *Unit) subChainInto(dst, x, notd, one dbc.Row, blocksize int, cout []uin
 		return err
 	}
 	return u.addPlacedInto(dst, blocksize, false, cout)
+}
+
+// rewriteSlot1 replaces the row in window slot 1 — the operand a
+// placeWindow with its final shift put last, beside the S slot — with
+// x, leaving the other operands where they are: one traced shift brings
+// the slot under the left port, one write replaces it, and one shift
+// takes it back. The S and C slots the previous carry chain scattered
+// into go back to the pad constant untraced, as placeWindow restores
+// them: the Fig. 7 preset padding. Only a TRD ≥ 5 window has the S slot
+// this needs.
+func (u *Unit) rewriteSlot1(x dbc.Row) error {
+	if err := u.D.Shift(-1); err != nil {
+		return err
+	}
+	u.D.WritePort(dbcLeft, x)
+	if err := u.D.Shift(1); err != nil {
+		return err
+	}
+	u.D.PokeWindowConst(0, 0)
+	u.D.PokeWindowConst(int(u.cfg.TRD)-1, 0)
+	return nil
 }
 
 // DivModSigned is DivMod on two's-complement lanes with truncated
@@ -305,19 +351,6 @@ func setLane(r dbc.Row, l, lane int) {
 		}
 	}
 	r.MaskTail()
-}
-
-// laneGE reports whether lane l of x is ≥ lane l of y, comparing from
-// the most significant bit down.
-func laneGE(x, y dbc.Row, l, lane int) bool {
-	base := l * lane
-	for j := lane - 1; j >= 0; j-- {
-		xb, yb := x.Get(base+j), y.Get(base+j)
-		if xb != yb {
-			return xb > yb
-		}
-	}
-	return true
 }
 
 // laneIsZero reports whether lane l of r is all zeros.

@@ -9,10 +9,8 @@ import (
 )
 
 // ValidNMR reports whether n is a supported modular-redundancy degree for
-// the unit's TRD: the paper supports N ∈ {3,5,7} with N ≤ TRD (§III-F).
-func (u *Unit) ValidNMR(n int) bool {
-	return (n == 3 || n == 5 || n == 7) && n <= int(u.cfg.TRD)
-}
+// the unit's TRD (params.TRD.ValidNMR).
+func (u *Unit) ValidNMR(n int) bool { return u.cfg.TRD.ValidNMR(n) }
 
 // Vote computes the bitwise majority of n replica rows using the C'
 // circuit (§III-F, Fig. 7(c)/(d)): the replicas are placed in the window

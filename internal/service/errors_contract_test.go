@@ -219,23 +219,29 @@ func TestCompileCycleLimit(t *testing.T) {
 
 // TestMalformedRequestsAre4xx posts requests the memory layer rejects
 // at planning and expects a client error for each, never a 500: the
-// caller sent something wrong, the server did not fail.
+// caller sent something wrong, the server did not fail. Counts the TR
+// window cannot take answer bad_trd, and a rejected request leaves the
+// shard's device ledger as it was.
 func TestMalformedRequestsAre4xx(t *testing.T) {
-	_, api := startServer(t, Config{Shards: 1})
-	for _, c := range []struct{ name, body string }{
-		{"blocksize 7", `{"op":"add","src":{"dbc":15},"blocksize":7,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`},
-		{"src row 999", `{"op":"add","src":{"dbc":15,"row":999},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`},
-		{"non-PIM executing DBC", `{"op":"add","src":{"tile":1},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`},
-		{"mult with 3 operands", `{"op":"mult","src":{"dbc":15},"blocksize":16,"operands":[{"tile":1},{"tile":1,"row":1},{"tile":1,"row":2}],"dst":{"tile":2}}`},
-		{"max with 1 operand", `{"op":"max","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1}],"dst":{"tile":2}}`},
-		{"add with 1 operand", `{"op":"add","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1}],"dst":{"tile":2}}`},
-		{"not with 2 operands", `{"op":"not","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`},
-		{"relu with 2 operands", `{"op":"relu","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`},
-		{"nop", `{"op":"nop","src":{"dbc":15},"dst":{"tile":2}}`},
-		{"read at bank 99", `{"op":"read","src":{"bank":99}}`},
-		{"copy to bank 99", `{"op":"copy","src":{"tile":1},"dst":{"bank":99}}`},
+	srv, api := startServer(t, Config{Shards: 1})
+	for _, c := range []struct{ name, body, code string }{
+		{"add with 6 operands", `{"op":"add","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1},{"tile":1,"row":2},{"tile":1,"row":3},{"tile":1,"row":4},{"tile":1,"row":5}],"dst":{"tile":2}}`, "bad_trd"},
+		{"vote with 2 operands", `{"op":"vote","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`, "bad_trd"},
+		{"vote with 4 operands", `{"op":"vote","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1},{"tile":1,"row":2},{"tile":1,"row":3}],"dst":{"tile":2}}`, "bad_trd"},
+		{"blocksize 7", `{"op":"add","src":{"dbc":15},"blocksize":7,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`, ""},
+		{"src row 999", `{"op":"add","src":{"dbc":15,"row":999},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`, ""},
+		{"non-PIM executing DBC", `{"op":"add","src":{"tile":1},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`, ""},
+		{"mult with 3 operands", `{"op":"mult","src":{"dbc":15},"blocksize":16,"operands":[{"tile":1},{"tile":1,"row":1},{"tile":1,"row":2}],"dst":{"tile":2}}`, ""},
+		{"max with 1 operand", `{"op":"max","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1}],"dst":{"tile":2}}`, ""},
+		{"add with 1 operand", `{"op":"add","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1}],"dst":{"tile":2}}`, ""},
+		{"not with 2 operands", `{"op":"not","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`, ""},
+		{"relu with 2 operands", `{"op":"relu","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`, ""},
+		{"nop", `{"op":"nop","src":{"dbc":15},"dst":{"tile":2}}`, ""},
+		{"read at bank 99", `{"op":"read","src":{"bank":99}}`, ""},
+		{"copy to bank 99", `{"op":"copy","src":{"tile":1},"dst":{"bank":99}}`, ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			stats := srv.Pool().Shard(0).Stats()
 			resp, err := http.Post(api.base+PathExecute, "application/json", strings.NewReader(c.body))
 			if err != nil {
 				t.Fatal(err)
@@ -247,6 +253,12 @@ func TestMalformedRequestsAre4xx(t *testing.T) {
 			}
 			if resp.StatusCode < 400 || resp.StatusCode >= 500 {
 				t.Fatalf("status %d %+v, want 4xx", resp.StatusCode, env.Error)
+			}
+			if c.code != "" && env.Error.Code != c.code {
+				t.Errorf("code %q (%s), want %q", env.Error.Code, env.Error.Message, c.code)
+			}
+			if got := srv.Pool().Shard(0).Stats(); got != stats {
+				t.Errorf("rejected request moved the shard's ledger: %v -> %v", stats, got)
 			}
 		})
 	}
