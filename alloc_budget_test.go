@@ -175,7 +175,7 @@ func TestAllocBudget(t *testing.T) {
 		}
 	}
 	compileRun()
-	allocBudget(t, "CompileRunO2", 779, compileRun)
+	allocBudget(t, "CompileRunO2", 771, compileRun)
 
 	// The same for a program whose -O2 compile folds: a repeated load
 	// and add, a shift chain to zero, a multiply by that zero, and xor

@@ -158,7 +158,7 @@ func vetProgs(cfg params.Config, paths []string) error {
 		if err != nil {
 			return err
 		}
-		diags := compile.Vet(string(src), cfg.Geometry)
+		diags := compile.Vet(string(src), cfg)
 		for _, d := range diags {
 			fmt.Printf("%s:%s\n", path, strings.TrimPrefix(d.String(), "line "))
 			if d.Err {

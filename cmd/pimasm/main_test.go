@@ -41,6 +41,26 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunVetArity: vet rejects the operand counts legalization rejects,
+// on the line exec would fail on.
+func TestRunVetArity(t *testing.T) {
+	dir := t.TempDir()
+	for i, src := range []string{
+		"%a = li 1 bs=8\n%b = not %a, %a bs=8\nstore %b, b0.s0.t1.d0.r0\n",
+		"%a = li 1 bs=8\n%c = li 2 bs=8\n%b = vote %a, %c bs=8\nstore %b, b0.s0.t1.d0.r0\n",
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("p%d.pimasm", i))
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		out := captureStdout(t, func() { err = run([]string{"vet", path}) })
+		if err == nil || !strings.Contains(out, "error: arity") {
+			t.Errorf("vet of\n%s= %v, printed %q; want an arity error", src, err, out)
+		}
+	}
+}
+
 func TestRunExec(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "exec.json")

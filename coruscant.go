@@ -228,13 +228,15 @@ func CompileProgram(src string, cfg Config, opts CompileOptions) (*CompileResult
 	return compile.Compile(src, cfg, opts)
 }
 
-// VetProgram runs the pimasm front end and dataflow verifier without
+// VetProgram runs the pimasm front end, the dataflow verifier and the
+// legalizer's operand-count and immediate checks at cfg's TRD without
 // compiling: every diagnostic — syntax and semantic rejections as well
 // as dead-store/unreachable-result warnings — comes back line-numbered
-// and classed. Compile runs the same verifier and fails on its errors
-// but drops its warnings; VetProgram is the way to see them.
+// and classed, each rejection on the line and class Compile reports.
+// Compile runs the same checks and fails on their first error but
+// drops the warnings; VetProgram is the way to see them.
 func VetProgram(src string, cfg Config) []VetDiag {
-	return compile.Vet(src, cfg.Geometry)
+	return compile.Vet(src, cfg)
 }
 
 // System model.

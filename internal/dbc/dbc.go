@@ -468,6 +468,15 @@ func (d *DBC) WriteScatterPlanes(left, leftMask, right, rightMask []uint64, coun
 	d.chargeScatter(count, leftMask != nil, rightMask != nil)
 }
 
+// CopyPort lands a row under the port through the shifted read/write
+// path of §III-D2 (one traced copy step): the multiplier's partial
+// products enter the TR window this way.
+func (d *DBC) CopyPort(s device.Side, bits Row) {
+	d.checkRow(bits)
+	d.pa.WritePort(s, bits.Words)
+	d.chargePort(telemetry.OpCopy, d.width, s)
+}
+
 // TW performs a transverse write of a full row (§IV-B): on every wire the
 // bit is written under the left port while the window contents shift one
 // position right, ejecting the domain under the right port. One traced

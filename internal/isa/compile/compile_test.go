@@ -548,14 +548,19 @@ store %s, b0.s0.t2.d1.r5
 }
 
 // TestLevelSpreadsAcrossDBCs checks that independent ops of one DAG
-// level are placed on different PIM DBCs of the exec bank.
+// level are placed on different PIM DBCs of the exec bank. Each add
+// reads and stores rows of its own subarray, so the four lanes share no
+// DBC: spread over the subarrays' exec DBCs they run in parallel, and
+// the plan's makespan is a fraction of its cycles. (Adds sharing their
+// operand and store DBCs fold into one lane wherever they execute, and
+// spreading them saves no makespan.)
 func TestLevelSpreadsAcrossDBCs(t *testing.T) {
 	cfg := testCfg(params.TRD7)
 	var src strings.Builder
 	for i := 0; i < 4; i++ {
-		fmt.Fprintf(&src, "%%a%d = load b0.s0.t1.d0.r%d\n%%b%d = load b0.s0.t1.d1.r%d\n", i, i, i, i)
-		fmt.Fprintf(&src, "%%s%d = add %%a%d, %%b%d bs=8\n", i, i, i)
-		fmt.Fprintf(&src, "store %%s%d, b0.s1.t2.d0.r%d\n", i, i)
+		fmt.Fprintf(&src, "%%a%[1]d = load b0.s%[1]d.t1.d0.r%[1]d\n%%b%[1]d = load b0.s%[1]d.t1.d1.r%[1]d\n", i)
+		fmt.Fprintf(&src, "%%s%[1]d = add %%a%[1]d, %%b%[1]d bs=8\n", i)
+		fmt.Fprintf(&src, "store %%s%[1]d, b0.s%[1]d.t2.d0.r%[1]d\n", i)
 	}
 	res, err := Compile(src.String(), cfg, Options{Level: 1})
 	if err != nil {
@@ -569,8 +574,11 @@ func TestLevelSpreadsAcrossDBCs(t *testing.T) {
 			}
 		}
 	}
-	if len(execs) < 2 {
-		t.Errorf("4 independent ops placed on %d DBC(s), want a spread", len(execs))
+	if len(execs) != 4 {
+		t.Errorf("4 independent ops placed on %d DBC(s), want one each", len(execs))
+	}
+	if st := res.Stats; 2*st.Makespan > st.Cycles {
+		t.Errorf("spread plan: makespan %d of %d cycles, want the lanes to overlap", st.Makespan, st.Cycles)
 	}
 }
 

@@ -178,20 +178,39 @@ func firstError(diags []Diag) error {
 }
 
 // Vet parses and verifies a pimasm program without compiling it,
-// returning every diagnostic. A parse failure comes back as a single
-// error-severity Diag (the parser stops at the first problem).
-func Vet(src string, g params.Geometry) []Diag {
-	prog, err := Parse(src, g)
+// returning every diagnostic sorted by line: the verifier's, and every
+// operand-count and immediate rejection (checkOp) legalization would
+// make of a live op, with the line and class Compile reports it with. A
+// parse failure comes back as a single error-severity Diag (the parser
+// stops at the first problem).
+func Vet(src string, cfg params.Config) []Diag {
+	prog, err := Parse(src, cfg.Geometry)
 	if err != nil {
-		d := Diag{Line: 0, Class: ClassSyntax, Err: true, Msg: err.Error()}
-		var pe *isa.ParseError
-		if errors.As(err, &pe) {
-			d.Line, d.Msg = pe.Line, pe.Err.Error()
-		}
-		if c := ClassOf(err); c != "" {
-			d.Class = c
-		}
-		return []Diag{d}
+		return []Diag{diagOf(err)}
 	}
-	return prog.Verify()
+	diags := prog.Verify()
+	live := liveSet(prog.nodes)
+	for _, n := range prog.nodes {
+		if n.kind == nOp && live[n] {
+			if err := checkOp(n, cfg.TRD); err != nil {
+				diags = append(diags, diagOf(err))
+			}
+		}
+	}
+	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Line < diags[j].Line })
+	return diags
+}
+
+// diagOf turns a parse or legalize rejection into an error-severity
+// Diag on its line and class.
+func diagOf(err error) Diag {
+	d := Diag{Line: 0, Class: ClassSyntax, Err: true, Msg: err.Error()}
+	var pe *isa.ParseError
+	if errors.As(err, &pe) {
+		d.Line, d.Msg = pe.Line, pe.Err.Error()
+	}
+	if c := ClassOf(err); c != "" {
+		d.Class = c
+	}
+	return d
 }

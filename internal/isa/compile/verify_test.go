@@ -13,7 +13,9 @@ import (
 // TestDiagnosticsGolden pins the full rejection surface of the front
 // end — parser, legalizer and verifier — on exact line numbers AND
 // error classes, so a refactor cannot silently reroute a rejection to
-// a different line or relabel its class.
+// a different line or relabel its class. Vet (pimasm vet) must report
+// each program's first error on the same line and class as Compile,
+// the legalizer's arity and immediate rejections included.
 func TestDiagnosticsGolden(t *testing.T) {
 	cfg := testCfg(params.TRD7)
 	cases := []struct {
@@ -82,6 +84,17 @@ func TestDiagnosticsGolden(t *testing.T) {
 				t.Errorf("error class %q, want %q: %v", got, tc.class, err)
 			}
 		})
+		t.Run(tc.name+"/Vet", func(t *testing.T) {
+			for _, d := range Vet(tc.src, cfg) {
+				if d.Err {
+					if d.Line != tc.line || d.Class != tc.class {
+						t.Errorf("first Vet error %v, want line %d class %q", d, tc.line, tc.class)
+					}
+					return
+				}
+			}
+			t.Errorf("Vet reports no error:\n%s", tc.src)
+		})
 	}
 }
 
@@ -98,14 +111,13 @@ func constStatements(n int) string {
 // and unreachable results) on line and class: they must not abort
 // compilation, and Vet must surface them.
 func TestVetWarnings(t *testing.T) {
-	g := params.DefaultGeometry()
 	src := `%a = load b0.s0.t1.d0.r0
 %dead = li 3 bs=8
 %mid = not %a bs=8
 %top = not %mid bs=8
 store %a, b0.s0.t1.d0.r1
 `
-	diags := Vet(src, g)
+	diags := Vet(src, params.DefaultConfig())
 	want := []struct {
 		line  int
 		class ErrorClass
@@ -162,7 +174,7 @@ func TestVerifyHandBuiltDAG(t *testing.T) {
 // TestVetParseFailure: a parse error surfaces as a single classed
 // error diagnostic rather than a panic or an empty slice.
 func TestVetParseFailure(t *testing.T) {
-	diags := Vet("%a = li 300 bs=8", params.DefaultGeometry())
+	diags := Vet("%a = li 300 bs=8", params.DefaultConfig())
 	if len(diags) != 1 || !diags[0].Err || diags[0].Class != ClassWidth || diags[0].Line != 1 {
 		t.Fatalf("got %v, want one line-1 width-overflow error", diags)
 	}
@@ -171,7 +183,7 @@ func TestVetParseFailure(t *testing.T) {
 	}
 	// An over-long program is one too-large error at the first
 	// statement past the limit.
-	diags = Vet(constStatements(MaxStatements+1), params.DefaultGeometry())
+	diags = Vet(constStatements(MaxStatements+1), params.DefaultConfig())
 	if len(diags) != 1 || !diags[0].Err || diags[0].Class != ClassTooLarge || diags[0].Line != MaxStatements+1 {
 		t.Fatalf("got %v, want one too-large error on line %d", diags, MaxStatements+1)
 	}

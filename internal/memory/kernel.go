@@ -2,6 +2,7 @@ package memory
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/dbc"
@@ -21,27 +22,46 @@ type kernelKey struct {
 	trd params.TRD
 }
 
+// instruction returns the cpim instruction of the key's kernel.
+func (k kernelKey) instruction() isa.Instruction {
+	return isa.Instruction{Op: k.op, Blocksize: k.bs, Operands: k.k, Imm: k.imm}
+}
+
 // kernelCost is one kernel's device cost, measured by running it on a
-// scratch pim.Unit. A realigning kernel (every kernel that places its
-// operands in the TR window) first shifts the head back to rest, which
-// costs |entry offset| shift steps, and exits at a fixed offset; the
-// others (relu, shl, shr) never move the head, so they exit where they
-// entered. Past the realign, the cost does not depend on the operand
-// data or on the entry offset.
+// scratch pim.Unit. A window kernel places its operands through the
+// access port on the head's side: entered at head offset e within
+// ±band of rest, it costs its side's steps — left for e ≤ 0, right for
+// e > 0 — and exits at e plus that side's delta. Entered further out, it
+// first walks the head back to rest, |e| shift steps, and then runs as
+// entered at rest. Two-sided kernels have band TRD. The recentering
+// kernels (MaxTR's tournament, the TRD=3 two-placement subtraction)
+// have band 0, and the kernels that never move the head (relu, shl,
+// shr) an unbounded band with both sides equal. No cost depends on the
+// operand data.
 type kernelCost struct {
-	realign bool
-	shifts  int // shift steps past the realign
-	cycles  int // control steps past the realign, shifts included
-	exit    int // head offset on exit; added to the entry offset when !realign
+	band        int
+	left, right kernelSide
+}
+
+// kernelSide is a kernel's cost entered from one side of rest.
+type kernelSide struct {
+	shifts int // shift steps
+	cycles int // control steps, shifts included
+	delta  int // head offset on exit minus the entry offset
 }
 
 // run prices the kernel entered at head offset entry: its shift steps,
 // its cycles and the head offset it leaves behind.
 func (c kernelCost) run(entry int) (shifts, cycles, exit int) {
-	if !c.realign {
-		return c.shifts, c.cycles, entry + c.exit
+	walk := 0
+	if abs(entry) > c.band {
+		walk, entry = abs(entry), 0
 	}
-	return abs(entry) + c.shifts, abs(entry) + c.cycles, c.exit
+	s := c.left
+	if entry > 0 {
+		s = c.right
+	}
+	return walk + s.shifts, walk + s.cycles, entry + s.delta
 }
 
 // kernelCosts is the process-wide kernel cost table: each key is
@@ -80,29 +100,47 @@ type kernelRun struct {
 	shifts, cycles, exit int
 }
 
-// measureKernel runs the kernel from head offsets 0 and 1 and reads off
-// its cost: a realigning kernel pays the extra step and exits at the
-// same offset, a non-realigning one pays nothing extra and exits one
-// step further. Any other response means the cost depends on the head
-// in a way the table cannot hold, which is an error.
+// measureKernel runs the kernel from head offsets 0 and 1, which give
+// its left and right sides, and from −TRD−1, −TRD, TRD and TRD+1, which
+// tell the band: TRD for a two-sided kernel, 0 for a recentering one,
+// unbounded for one that never moves the head. A kernel whose six runs
+// fit none of the three shapes has a cost the table cannot hold, which
+// is an error.
 func measureKernel(key kernelKey) (kernelCost, error) {
 	width := max(scratchWidth, key.bs)
-	at0, err := runKernel(key, width, 0, nil)
-	if err != nil {
-		return kernelCost{}, err
+	trd := int(key.trd)
+	entries := [...]int{0, 1, -trd - 1, -trd, trd, trd + 1}
+	var runs [len(entries)]kernelRun
+	for i, e := range entries {
+		r, err := runKernel(key, width, e, nil)
+		if err != nil {
+			return kernelCost{}, err
+		}
+		runs[i] = r
 	}
-	at1, err := runKernel(key, width, 1, nil)
-	if err != nil {
-		return kernelCost{}, err
+	left := kernelSide{runs[0].shifts, runs[0].cycles, runs[0].exit}
+	right := kernelSide{runs[1].shifts, runs[1].cycles, runs[1].exit - 1}
+	for _, c := range []kernelCost{
+		{band: math.MaxInt, left: left, right: left},
+		{band: trd, left: left, right: right},
+		{band: 0, left: left, right: left},
+	} {
+		if c.fits(entries[:], runs[:]) {
+			return c, nil
+		}
 	}
-	switch {
-	case at1 == kernelRun{at0.shifts + 1, at0.cycles + 1, at0.exit}:
-		return kernelCost{realign: true, shifts: at0.shifts, cycles: at0.cycles, exit: at0.exit}, nil
-	case at1 == kernelRun{at0.shifts, at0.cycles, at0.exit + 1}:
-		return kernelCost{shifts: at0.shifts, cycles: at0.cycles, exit: at0.exit}, nil
+	return kernelCost{}, fmt.Errorf("memory: %v bs=%d k=%d cost depends on the entry head offset in a way the table cannot hold: %+v at entry offsets %v",
+		key.op, key.bs, key.k, runs, entries)
+}
+
+// fits reports whether c predicts every measured run.
+func (c kernelCost) fits(entries []int, runs []kernelRun) bool {
+	for i, e := range entries {
+		if shifts, cycles, exit := c.run(e); runs[i] != (kernelRun{shifts, cycles, exit}) {
+			return false
+		}
 	}
-	return kernelCost{}, fmt.Errorf("memory: %v bs=%d k=%d cost depends on the entry head offset: %+v at 0, %+v at 1",
-		key.op, key.bs, key.k, at0, at1)
+	return true
 }
 
 // scratchWidth is the track width of the measuring unit, widened to
@@ -110,30 +148,38 @@ func measureKernel(key kernelKey) (kernelCost, error) {
 // the width nor the data.
 const scratchWidth = 64
 
-// runKernel executes the kernel once on a fresh scratch unit of the
-// default geometry at the key's TRD and the given track width, whose
-// head starts at offset entry, over the given operand rows (zero rows
-// when nil), and returns what it cost.
-func runKernel(key kernelKey, width, entry int, operands []dbc.Row) (kernelRun, error) {
+// kernelUnit returns a fresh scratch unit of the default geometry at
+// the key's TRD and the given track width, its head at offset entry and
+// its step counts cleared.
+func kernelUnit(key kernelKey, width, entry int) (*pim.Unit, error) {
 	cfg := params.DefaultConfig()
 	cfg.TRD = key.trd
 	cfg.Geometry.TrackWidth = width
 	u, err := pim.NewUnit(cfg)
 	if err != nil {
-		return kernelRun{}, err
+		return nil, err
 	}
 	if err := u.D.Shift(entry); err != nil {
-		return kernelRun{}, err
+		return nil, err
 	}
 	u.ResetStats()
+	return u, nil
+}
+
+// runKernel executes the kernel once on a kernelUnit over the given
+// operand rows (zero rows when nil), and returns what it cost.
+func runKernel(key kernelKey, width, entry int, operands []dbc.Row) (kernelRun, error) {
+	u, err := kernelUnit(key, width, entry)
+	if err != nil {
+		return kernelRun{}, err
+	}
 	if operands == nil {
 		operands = make([]dbc.Row, key.k)
 		for i := range operands {
-			operands[i] = dbc.NewRow(cfg.Geometry.TrackWidth)
+			operands[i] = dbc.NewRow(width)
 		}
 	}
-	in := isa.Instruction{Op: key.op, Blocksize: key.bs, Operands: key.k, Imm: key.imm}
-	if _, _, err := isa.Dispatch(u, in, operands); err != nil {
+	if _, _, err := isa.Dispatch(u, key.instruction(), operands); err != nil {
 		return kernelRun{}, fmt.Errorf("memory: measuring %v bs=%d k=%d: %w", key.op, key.bs, key.k, err)
 	}
 	st := u.Stats()

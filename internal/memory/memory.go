@@ -23,6 +23,14 @@
 // deadlock impossible. ExecuteBatch runs whole request groups under the
 // same striping, one group at a time on the calling goroutine.
 //
+// Kernel band: a cpim kernel may overwrite rows of its PIM DBC beyond
+// the TR window. It places its operands from wherever the head stands
+// within TRD of rest, so any row from TRD rows left of the left port's
+// rest row to TRD rows right of the right port's — rows portL−TRD to
+// portR+TRD, 6 to 26 at 32 rows and TRD 7 — may change; every row
+// outside that band comes back intact. Nothing rejects a write into
+// the band: data kept there is lost to the next kernel on the DBC.
+//
 // One ledger: every device step and row movement is charged once, to
 // the memory's always-on telemetry recorder. Stats, Moves and the
 // recorder's Cycle, Makespan and EnergyPJ all read it under its locks,

@@ -2,12 +2,14 @@ package memory
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/dbc"
+	"repro/internal/device"
 	"repro/internal/isa"
 	"repro/internal/params"
 	"repro/internal/telemetry"
@@ -197,7 +199,10 @@ func priceCfg(trd params.TRD) params.Config {
 // earlier ones moved. They cover every request kind: each PIM opcode
 // at blocksizes 8, 16 and 32, paired div/mod, copies, writes, reads and
 // rejected requests, over footprints that overlap and footprints that
-// do not. A pricer fed the same windows must predict each window's
+// do not. Then every PIM opcode, at every operand count the window
+// takes, runs alone in a window entered at head offsets −TRD−1, −TRD,
+// 0, 1, TRD and TRD+1 on its executing DBC, put there by reads of that
+// DBC's rows. A pricer fed the same windows must predict each window's
 // cycles, makespan, row copies, shift steps and executed requests, and
 // every DBC's shift steps, exactly.
 func TestPricerMatchesRun(t *testing.T) {
@@ -213,11 +218,7 @@ func TestPricerMatchesRun(t *testing.T) {
 		pr := NewPricer(cfg)
 		gen := &windowGen{rng: rand.New(rand.NewSource(int64(trd))), g: cfg.Geometry, trd: trd}
 		var parallel, merged, paired, rejected int
-		for i := 0; i < 60; i++ {
-			reqs := gen.seed()
-			if i > 0 {
-				reqs = gen.window()
-			}
+		check := func(name string, reqs []Request) {
 			want := pr.Window(reqs)
 			cycles0, span0, copies0, shifts0 := rec.Cycle(), rec.Makespan(), m.Moves().RowCopies, m.Stats().ShiftSteps
 			got := Cost{}
@@ -226,7 +227,7 @@ func TestPricerMatchesRun(t *testing.T) {
 				case errors.Is(res.Err, ErrInvalidRequest):
 					rejected++
 				case res.Err != nil:
-					t.Fatalf("%v window %d: request %d failed: %v", trd, i, j, res.Err)
+					t.Fatalf("%v %s: request %d failed: %v", trd, name, j, res.Err)
 				case reqs[j].Kind == KindExec:
 					got.Execs++
 				}
@@ -237,10 +238,10 @@ func TestPricerMatchesRun(t *testing.T) {
 			got.Cycles, got.Makespan = int(rec.Cycle()-cycles0), int(rec.Makespan()-span0)
 			got.RowCopies, got.Shifts = m.Moves().RowCopies-copies0, m.Stats().ShiftSteps-shifts0
 			if got != want {
-				t.Errorf("%v window %d of %d requests: predicted %+v, measured %+v", trd, i, len(reqs), want, got)
+				t.Errorf("%v %s of %d requests: predicted %+v, measured %+v", trd, name, len(reqs), want, got)
 			}
 			if p, meas := pr.ShiftsByDBC(), sink.snapshot(); !maps.Equal(p, meas) {
-				t.Errorf("%v window %d: predicted shift steps per DBC %v, measured %v", trd, i, p, meas)
+				t.Errorf("%v %s: predicted shift steps per DBC %v, measured %v", trd, name, p, meas)
 			}
 			switch {
 			case want.Makespan < want.Cycles:
@@ -249,6 +250,13 @@ func TestPricerMatchesRun(t *testing.T) {
 				merged++
 			}
 		}
+		for i := 0; i < 60; i++ {
+			reqs := gen.seed()
+			if i > 0 {
+				reqs = gen.window()
+			}
+			check(fmt.Sprintf("window %d", i), reqs)
+		}
 		if err := pr.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +264,104 @@ func TestPricerMatchesRun(t *testing.T) {
 			t.Errorf("%v: windows with parallel lanes %d, with one lane %d; paired divs %d, rejected requests %d: want some of each",
 				trd, parallel, merged, paired, rejected)
 		}
+		n := int(trd)
+		for i, key := range pimKernels(trd, 8) {
+			key.bs = []int{8, 16, 32}[i%3]
+			sub := i % priceSubs
+			exec := pimAddr(cfg.Geometry, 0, sub, 0)
+			for _, entry := range []int{-n - 1, -n, 0, 1, n, n + 1} {
+				name := fmt.Sprintf("%v bs=%d k=%d entered at %d", key.op, key.bs, key.k, entry)
+				check(name+" (aligning)", headTo(t, m, exec, entry))
+				if off := headOffset(m, exec); off != entry {
+					t.Fatalf("%v %s: head at %d", trd, name, off)
+				}
+				check(name, []Request{gen.execAt(sub, key)})
+			}
+		}
+		if err := pr.Err(); err != nil {
+			t.Fatal(err)
+		}
 	}
+}
+
+// headOffset returns the head offset of the DBC holding a on the
+// memory, or 0 while it is not materialized.
+func headOffset(m *Memory, a isa.Addr) int {
+	m.tableMu.RLock()
+	sh := m.shards[dbcBase(a)]
+	m.tableMu.RUnlock()
+	if sh == nil {
+		return 0
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.d.Offset()
+}
+
+// headTo returns the reads of rows of a's DBC that bring its head from
+// where it stands on the memory to offset to: one read, or two where no
+// single row's nearest-port alignment lands there.
+func headTo(t *testing.T, m *Memory, a isa.Addr, to int) []Request {
+	t.Helper()
+	g, trd := m.Config().Geometry, m.Config().TRD
+	at := func(r, off int) int {
+		_, d := device.NearestPortAt(g.RowsPerDBC, trd, r, off)
+		return off + d
+	}
+	read := func(rows ...int) []Request {
+		reqs := make([]Request, len(rows))
+		for i, r := range rows {
+			a.Row = r
+			reqs[i] = Request{Kind: KindRead, Src: a}
+		}
+		return reqs
+	}
+	from := headOffset(m, a)
+	for r := 0; r < g.RowsPerDBC; r++ {
+		if at(r, from) == to {
+			return read(r)
+		}
+	}
+	for r1 := 0; r1 < g.RowsPerDBC; r1++ {
+		for r2 := 0; r2 < g.RowsPerDBC; r2++ {
+			if at(r2, at(r1, from)) == to {
+				return read(r1, r2)
+			}
+		}
+	}
+	t.Fatalf("no two reads bring the head from %d to %d", from, to)
+	return nil
+}
+
+// execAt returns a cpim request of the key's kernel on the subarray's
+// executing DBC whose operands and results all live in other DBCs, so
+// the kernel enters at whatever offset the executing DBC's head holds.
+// A div is paired with a mod.
+func (w *windowGen) execAt(sub int, key kernelKey) Request {
+	data := func() isa.Addr {
+		return isa.Addr{Subarray: sub, Tile: 1, DBC: w.rng.Intn(2), Row: w.rng.Intn(w.g.RowsPerDBC)}
+	}
+	operands := make([]isa.Addr, key.k)
+	for i := range operands {
+		if (key.op == isa.OpMult || key.op == isa.OpFma) && i < 2 {
+			operands[i] = isa.Addr{Subarray: sub, Tile: 2, Row: w.rng.Intn(4)}
+		} else {
+			operands[i] = data()
+		}
+	}
+	r := Request{
+		In:       isa.Instruction{Op: key.op, Src: pimAddr(w.g, 0, sub, 0), Blocksize: key.bs, Operands: key.k, Imm: key.imm},
+		Operands: operands,
+		Dst:      data(),
+	}
+	if key.op == isa.OpDiv {
+		rem := data()
+		for rem == r.Dst {
+			rem = data()
+		}
+		r.Rem = &rem
+	}
+	return r
 }
 
 // TestPricerConcurrentColdTable prices the differential test's windows

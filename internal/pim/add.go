@@ -50,7 +50,7 @@ func (u *Unit) AddMulti(operands []dbc.Row, blocksize int) (dbc.Row, error) {
 	// TRD≥5: operands at positions 1..k, position 0 is the S/C' slot and
 	// the last position the C slot. TRD=3: operands at positions 0..k−1
 	// (S overwrites an operand slot after its TR), C slot at the right.
-	if err := u.placeWindow(operands, 0, hasCp); err != nil {
+	if err := u.placeWindow(operands, placement{finalShift: hasCp}); err != nil {
 		return dbc.Row{}, err
 	}
 	return u.addPlaced(blocksize, hasCp)

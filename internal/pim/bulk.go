@@ -54,7 +54,7 @@ func (u *Unit) BulkBitwise(op dbc.Op, operands []dbc.Row) (dbc.Row, error) {
 			return dbc.Row{}, fmt.Errorf("pim: operand width %d, want %d", r.N, u.D.Width())
 		}
 	}
-	if err := u.placeWindow(operands, op.PadBit(), true); err != nil {
+	if err := u.placeWindow(operands, placement{pad: op.PadBit(), finalShift: true}); err != nil {
 		return dbc.Row{}, err
 	}
 	out := dbc.EvalPlanes(op, u.trAll(), u.cfg.TRD)

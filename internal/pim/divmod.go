@@ -19,11 +19,11 @@ import (
 //
 // Only the remainder changes from bit to bit, so on a window with a
 // spare slot (TRD ≥ 5) the subtrahend stays resident: the first
-// quotient bit places ¬d, +1 and rem, rem last so that it sits in
-// window slot 1 beside the S slot, and each later bit rewrites only that
-// slot (rewriteSlot1: two shifts and one write instead of a fresh
-// three-row placement). The TRD=3 window has no slot to spare and
-// places both chained adds every bit.
+// quotient bit places ¬d, +1 and rem, rem last so that it sits beside
+// the S slot (or the C slot, entered through the right port), and each
+// later bit rewrites only that slot (rewriteLast: two shifts and one
+// write instead of a fresh three-row placement). The TRD=3 window has
+// no slot to spare and places both chained adds every bit.
 //
 // The loop invariant rem < d makes the b-bit window exact: the doubled
 // remainder is at most 2d−1, so a single overflow bit (the remainder
@@ -82,7 +82,7 @@ func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
 		// the overflow bits: take's MSB wires are the quotient bits.
 		var err error
 		if resident && j < b-1 {
-			if err = u.rewriteSlot1(rem); err == nil {
+			if err = u.rewriteLast(rem); err == nil {
 				err = u.addPlacedInto(diff, b, u.cfg.TRD.HasSuperCarry(), take.Words)
 			}
 		} else {
@@ -145,44 +145,51 @@ func (u *Unit) predicatedCopy(dst, x, y, take dbc.Row) {
 // it, ORed over both chained adds on the TRD=3 window: it is set exactly
 // in the lanes where x ≥ d.
 //
-// On the TRD ≥ 5 window x is placed last, so it sits in slot 1 beside
-// the S slot, where rewriteSlot1 can replace it without moving ¬d and
-// +1.
+// On the TRD ≥ 5 window x is placed last, so it sits beside the S or C
+// slot, where rewriteLast can replace it without moving ¬d and +1. The
+// TRD=3 window's two placements enter at rest: the second would
+// otherwise enter from wherever the first left the head, and the pair's
+// cost would depend on the entry offset in a way one side's cost
+// cannot state.
 func (u *Unit) subChainInto(dst, x, notd, one dbc.Row, blocksize int, cout []uint64) error {
 	if u.maxAddOperands() >= 3 {
 		hasCp := u.cfg.TRD.HasSuperCarry()
-		if err := u.placeWindow(append(u.scratchRowList(3), notd, one, x), 0, hasCp); err != nil {
+		if err := u.placeWindow(append(u.scratchRowList(3), notd, one, x), placement{finalShift: hasCp}); err != nil {
 			return err
 		}
 		return u.addPlacedInto(dst, blocksize, hasCp, cout)
 	}
 	t := u.scratchRow()
-	if err := u.placeWindow(append(u.scratchRowList(2), x, notd), 0, false); err != nil {
+	if err := u.placeWindow(append(u.scratchRowList(2), x, notd), placement{atRest: true}); err != nil {
 		return err
 	}
 	if err := u.addPlacedInto(t, blocksize, false, cout); err != nil {
 		return err
 	}
-	if err := u.placeWindow(append(u.scratchRowList(2), t, one), 0, false); err != nil {
+	if err := u.placeWindow(append(u.scratchRowList(2), t, one), placement{atRest: true}); err != nil {
 		return err
 	}
 	return u.addPlacedInto(dst, blocksize, false, cout)
 }
 
-// rewriteSlot1 replaces the row in window slot 1 — the operand a
-// placeWindow with its final shift put last, beside the S slot — with
-// x, leaving the other operands where they are: one traced shift brings
-// the slot under the left port, one write replaces it, and one shift
-// takes it back. The S and C slots the previous carry chain scattered
-// into go back to the pad constant untraced, as placeWindow restores
-// them: the Fig. 7 preset padding. Only a TRD ≥ 5 window has the S slot
-// this needs.
-func (u *Unit) rewriteSlot1(x dbc.Row) error {
-	if err := u.D.Shift(-1); err != nil {
+// rewriteLast replaces the row the last placeWindow put in last — slot
+// 1 beside the S slot after a left entry, slot TRD−2 beside the C slot
+// after a right one — with x, leaving the other operands where they
+// are: one traced shift brings the slot under its entry port, one write
+// replaces it, and one shift takes it back. The S and C slots the
+// previous carry chain scattered into go back to the pad constant
+// untraced, as placeWindow restores them: the Fig. 7 preset padding.
+// Only a TRD ≥ 5 window has the spare slot this needs.
+func (u *Unit) rewriteLast(x dbc.Row) error {
+	side, step := dbcLeft, -1
+	if u.rightEntry {
+		side, step = dbcRight, 1
+	}
+	if err := u.D.Shift(step); err != nil {
 		return err
 	}
-	u.D.WritePort(dbcLeft, x)
-	if err := u.D.Shift(1); err != nil {
+	u.D.WritePort(side, x)
+	if err := u.D.Shift(-step); err != nil {
 		return err
 	}
 	u.D.PokeWindowConst(0, 0)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dbc"
-	"repro/internal/telemetry"
 )
 
 // FMA computes a·b + c lane-wise (fused multiply-add): operands divide
@@ -13,11 +12,12 @@ import (
 // 2·bw-bit lane. The result holds a·b + c modulo 2^(2·bw).
 //
 // The fusion reuses the Multiply partial-product planes: the addend row
-// simply joins the bw shifted copies in the carry-save reduction set
-// (one write plus one placement shift), so the accumulation costs no
-// extra addition pass — the same reduction tree that compresses the
-// partial products folds c in. This is the PIRM composition of the
-// §III-D optimized multiplication.
+// simply joins the bw shifted copies (one write plus one placement
+// shift), so the accumulation costs no extra addition pass — the same
+// reduction tree that compresses the partial products folds c in, or,
+// when one addition takes them all (bw=4 at TRD 7, 27 cycles), the
+// carry chain sums them where they were placed. This is the PIRM
+// composition of the §III-D optimized multiplication.
 func (u *Unit) FMA(a, b, c dbc.Row, bw int) (dbc.Row, error) {
 	u.rec.Begin(u.src, "fma")
 	defer u.rec.End(u.src)
@@ -40,13 +40,10 @@ func (u *Unit) FMA(a, b, c dbc.Row, bw int) (dbc.Row, error) {
 	u.enterOp()
 	defer u.exitOp()
 
-	rows := u.genPartialProducts(u.scratchRowList(bw+1), a, b, laneW, bw)
-	// The addend joins the reduction set in the window: one write step
-	// plus one placement shift, like any operand entering the window.
-	rows = append(rows, c)
-	u.D.Charge(telemetry.OpWrite, width)
-	u.D.Charge(telemetry.OpShift, width)
-	return u.reduceAndAddScratch(rows, laneW, min(int(u.cfg.TRD), len(rows)))
+	// The addend joins the partial products in the window: one write
+	// step plus one placement shift, like any operand entering it.
+	rows := append(u.genPartialProducts(u.scratchRowList(bw+1), a, b, laneW, bw), c)
+	return u.sumProducts(rows, bw, laneW)
 }
 
 // FMAValues is the lane-value convenience wrapper for FMA: products and

@@ -40,7 +40,7 @@ func (u *Unit) MaxTR(candidates []dbc.Row, blocksize int) (dbc.Row, error) {
 	}
 	u.enterOp()
 	defer u.exitOp()
-	if err := u.placeWindow(candidates, 0, false); err != nil {
+	if err := u.placeWindow(candidates, placement{atRest: true}); err != nil {
 		return dbc.Row{}, err
 	}
 

@@ -35,7 +35,7 @@ func (u *Unit) MaxTRFullShift(candidates []dbc.Row, blocksize int) (dbc.Row, err
 			return dbc.Row{}, fmt.Errorf("pim: candidate width %d, want %d", r.N, width)
 		}
 	}
-	if err := u.placeWindow(candidates, 0, false); err != nil {
+	if err := u.placeWindow(candidates, placement{atRest: true}); err != nil {
 		return dbc.Row{}, err
 	}
 

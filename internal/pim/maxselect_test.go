@@ -102,7 +102,7 @@ func TestCarryOutSensesLaneOverflow(t *testing.T) {
 					}
 					sum, cout := dbc.NewRow(width), dbc.NewRow(width)
 					u.enterOp()
-					if err := u.placeWindow(rows, 0, hasCp); err != nil {
+					if err := u.placeWindow(rows, placement{finalShift: hasCp}); err != nil {
 						t.Fatal(err)
 					}
 					if err := u.addPlacedInto(sum, bs, hasCp, cout.Words); err != nil {

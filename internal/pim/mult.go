@@ -25,8 +25,12 @@ import (
 //     two cycles each.
 //  4. A final multi-operand addition (DBC-executed) produces the product.
 //
-// With bw=8 and TRD=7 this costs 61 cycles against the paper's 64 (§V-B);
-// the delta is recorded in EXPERIMENTS.md.
+// When one addition takes every partial product (bw ≤ TRD−2: bw=4 at
+// TRD 7), generation places them in the window where that addition
+// reads them, and the carry chain runs on them in place: 25 cycles at
+// bw=4, TRD 7. With bw=8 and TRD=7 the reductions run and the multiply
+// costs 61 cycles against the paper's 64 (§V-B); the delta is recorded
+// in EXPERIMENTS.md.
 func (u *Unit) Multiply(a, b dbc.Row, bw int) (dbc.Row, error) {
 	u.rec.Begin(u.src, "mult")
 	defer u.rec.End(u.src)
@@ -50,17 +54,16 @@ func (u *Unit) Multiply(a, b dbc.Row, bw int) (dbc.Row, error) {
 	defer u.exitOp()
 
 	pps := u.genPartialProducts(u.scratchRowList(bw), a, b, laneW, bw)
-	return u.reduceAndAddScratch(pps, laneW, min(int(u.cfg.TRD), len(pps)))
+	return u.sumProducts(pps, bw, laneW)
 }
 
-// genPartialProducts runs Multiply's steps 1–2: the multiplier read and
-// the bw predicated shifted copies, appended to the scratch-backed pps
-// list. Generation leaves the last TRD of them in the TR window.
+// genPartialProducts runs Multiply's step 1 and the dataflow of step 2:
+// the multiplier read and the bw predicated shifted copies, appended to
+// the scratch-backed pps list. sumProducts charges the copies as it
+// places them.
 func (u *Unit) genPartialProducts(pps []dbc.Row, a, b dbc.Row, laneW, bw int) []dbc.Row {
-	width := u.D.Width()
-
 	// Step 1: multiplier into the row buffer.
-	u.D.Charge(telemetry.OpRead, width)
+	u.D.Charge(telemetry.OpRead, u.D.Width())
 
 	// Step 2: predicated shifted copies (§III-D: "to write k shifted
 	// copies with a max logical distance of k requires k shifted
@@ -81,10 +84,35 @@ func (u *Unit) genPartialProducts(pps []dbc.Row, a, b dbc.Row, laneW, bw int) []
 		pp := u.scratchRow()
 		maskByMultiplierBitInto(pp, cur, b, i, laneW)
 		pps = append(pps, pp)
-		u.D.Charge(telemetry.OpCopy, width)
-		u.D.Charge(telemetry.OpShift, width)
 	}
 	return pps
+}
+
+// sumProducts runs Multiply's steps 2–4 on a scratch-backed row list
+// whose first copies rows are partial products and whose rest (FMA's
+// addend) enter by port write, one shift step each either way. When one
+// addition takes every row, they are placed once, through placeWindow,
+// where the final add's carry chain reads them. Otherwise the
+// generation steps are charged as they stand and the rows go to the
+// carry-save reductions (reduceAndAddScratch, which splices the slice).
+func (u *Unit) sumProducts(rows []dbc.Row, copies, laneW int) (dbc.Row, error) {
+	hasCp := u.cfg.TRD.HasSuperCarry()
+	if len(rows) <= u.maxAddOperands() {
+		if err := u.placeWindow(rows, placement{finalShift: hasCp, copies: copies}); err != nil {
+			return dbc.Row{}, err
+		}
+		return u.addPlaced(laneW, hasCp)
+	}
+	width := u.D.Width()
+	for i := range rows {
+		if i < copies {
+			u.D.Charge(telemetry.OpCopy, width)
+		} else {
+			u.D.Charge(telemetry.OpWrite, width)
+		}
+		u.D.Charge(telemetry.OpShift, width)
+	}
+	return u.reduceAndAddScratch(rows, laneW, min(int(u.cfg.TRD), len(rows)))
 }
 
 // reduceAndAddScratch runs Multiply's steps 3–4 on a scratch-backed row

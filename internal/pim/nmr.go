@@ -41,7 +41,7 @@ func (u *Unit) Vote(replicas []dbc.Row) (dbc.Row, error) {
 		// operands; the '0' halves are the window's pad constant.
 		rows = append(rows, constRow(width, 1))
 	}
-	if err := u.placeWindow(rows, 0, true); err != nil {
+	if err := u.placeWindow(rows, placement{finalShift: true}); err != nil {
 		return dbc.Row{}, err
 	}
 	// The C' threshold is the majority output (§III-F); evaluate it
@@ -81,7 +81,7 @@ func (u *Unit) AddMultiNMR(n int, operands []dbc.Row, blocksize int) (dbc.Row, e
 		}
 	}
 	hasCp := u.cfg.TRD.HasSuperCarry()
-	if err := u.placeWindow(operands, 0, hasCp); err != nil {
+	if err := u.placeWindow(operands, placement{finalShift: hasCp}); err != nil {
 		return dbc.Row{}, err
 	}
 

@@ -42,6 +42,10 @@ type Unit struct {
 	// the DBC it fronts, a Unit is single-threaded — concurrent callers
 	// get one Unit each (memory.Memory shards per DBC).
 	scratch arena
+
+	// rightEntry records the port the last placeWindow entered through,
+	// for rewriteLast.
+	rightEntry bool
 }
 
 // NewUnit builds a PIM unit for the given configuration.
@@ -129,52 +133,80 @@ func (u *Unit) checkBlocksize(b int) error {
 	return nil
 }
 
-// recenter returns the DBC to its rest alignment with traced shifts, so
-// the following operation has full shift headroom. Fresh units are
-// already at rest and pay nothing.
-func (u *Unit) recenter() error {
-	return u.D.Shift(-u.D.Offset())
+// placement says how placeWindow lays operand rows out in the window.
+type placement struct {
+	pad        uint8 // Fig. 7 padding constant of the slots no operand takes
+	finalShift bool  // left entry: shift the last operand in too, freeing the left port's slot
+	copies     int   // leading rows that arrive as §III-D2 shifted copies, not port writes
+	atRest     bool  // walk the head back to rest and enter left, wherever it stands
 }
 
-// placeWindow loads the operand rows into the PIM window through the left
-// access port: each operand costs one write step plus one shift step (the
-// paper's "shifts and writes the words between the two heads", 10 cycles
-// for five operands). With finalShift, operand i (0-based) ends at window
-// position k-i, leaving position 0 free for the S/C' slot of the carry
+// placeWindow loads the operand rows into the PIM window through one of
+// its two access ports: each operand costs one write step plus one
+// shift step carrying it inward (the paper's "shifts and writes the
+// words between the two heads", 10 cycles for five operands). The port
+// is the one on the head's side, so no kernel pays to walk the head
+// back to rest while it stands within TRD of it:
+//   - head right of rest, within TRD: the operands enter through the
+//     right port, stepping left;
+//   - head at or left of rest, within TRD: they enter through the left
+//     port, stepping right from where the head stands;
+//   - head more than TRD from rest, or p.atRest: traced shifts walk the
+//     head back to rest first, and the operands enter left. The TW
+//     tournament (MaxTR and its ablation), Reduce's write-back and the
+//     TRD=3 two-placement subtraction choreograph that left layout.
+//
+// Entered left with p.finalShift, operand i (0-based) of k ends at
+// window slot k−i, leaving slot 0 free for the S/C' slot of the carry
 // chain; without it, the last operand stays under the left port (the
-// TRD=3 layout, where the sum overwrites an operand slot), costing 2k−1
-// cycles.
+// TRD=3 layout, where the sum overwrites an operand slot), costing
+// 2k−1 cycles. Entered right, the placement mirrors with the final
+// shift always taken: operand i ends at slot TRD−1−k+i and the right
+// port's slot stays free for the chain's carry C, so TRD=3's right side
+// costs one shift more than its left. A full window leaves no slot to
+// shift into either way: the last operand stays under its port. The
+// first p.copies rows arrive as the multiplier's shifted copies, one
+// copy step each instead of a write.
 //
 // The pad constant models the Fig. 7 pre-populated padding rows in and
 // adjacent to the window; restoring them is untraced, as the paper
 // maintains them as preset constants.
-func (u *Unit) placeWindow(rows []dbc.Row, pad uint8, finalShift bool) error {
+func (u *Unit) placeWindow(rows []dbc.Row, p placement) error {
 	trd := int(u.cfg.TRD)
 	if len(rows) > trd {
 		return fmt.Errorf("pim: %d operands exceed window of %d: %w", len(rows), trd, params.ErrBadTRD)
 	}
-	if err := u.recenter(); err != nil {
-		return err
-	}
-	if len(rows) == trd {
-		// A full window leaves no slot to shift into; the last operand
-		// stays under the left port.
-		finalShift = false
-	}
-	for i := 0; i < trd; i++ {
-		u.D.PokeWindowConst(i, pad)
-	}
-	for i, r := range rows {
-		u.D.WritePort(dbcLeft, r)
-		if !finalShift && i == len(rows)-1 {
-			break
-		}
-		if err := u.D.Shift(1); err != nil {
+	e := u.D.Offset()
+	if p.atRest || e < -trd || e > trd {
+		if err := u.D.Shift(-e); err != nil {
 			return err
 		}
-		// The domain shifted in under the left port comes from the
+		e = 0
+	}
+	u.rightEntry = e > 0
+	side, slot, step, final := dbcLeft, 0, 1, p.finalShift
+	if u.rightEntry {
+		side, slot, step, final = dbcRight, trd-1, -1, true
+	}
+	final = final && len(rows) < trd // a full window has no slot to shift into
+	for i := 0; i < trd; i++ {
+		u.D.PokeWindowConst(i, p.pad)
+	}
+	for i, r := range rows {
+		if i < p.copies {
+			u.D.CopyPort(side, r)
+		} else {
+			u.D.WritePort(side, r)
+		}
+		if !final && i == len(rows)-1 {
+			break
+		}
+		if err := u.D.Shift(step); err != nil {
+			return err
+		}
+		// The domain shifted in under the entry port comes from the
 		// pre-populated padding region.
-		u.D.PokeWindowConst(0, pad)
+		u.D.PokeWindowConst(slot, p.pad)
 	}
 	return nil
 }

@@ -55,7 +55,7 @@ func (u *Unit) Reduce(operands []dbc.Row, blocksize int) (Reduction, error) {
 			return Reduction{}, fmt.Errorf("pim: operand width %d, want %d", r.N, width)
 		}
 	}
-	if err := u.placeWindow(operands, 0, false); err != nil {
+	if err := u.placeWindow(operands, placement{atRest: true}); err != nil {
 		return Reduction{}, err
 	}
 	return u.reducePlaced(blocksize)

@@ -71,7 +71,7 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 	got := [...]int{q.RawErrors, q.RecovErrors, q.Detected, q.Quarantined, q.SparesUsed,
 		q.RawStats.Cycles(), q.RecovStats.Cycles()}
-	if want := [...]int{370, 44, 1593, 8, 8, 16856, 155627}; got != want {
+	if want := [...]int{370, 44, 1593, 8, 8, 15680, 139354}; got != want {
 		t.Errorf("quarantining campaign [raw recov detected quarantined spares rawCycles recovCycles] = %v, want %v", got, want)
 	}
 }
