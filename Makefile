@@ -91,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAsmRoundTrip -fuzztime 5s ./internal/isa
 	$(GO) test -run '^$$' -fuzz FuzzParseInstruction -fuzztime 5s ./internal/isa
 	$(GO) test -run '^$$' -fuzz FuzzParseProgram -fuzztime 5s ./internal/isa/compile
+	$(GO) test -run '^$$' -fuzz FuzzParseMatchesReference -fuzztime 5s ./internal/isa/compile
 	$(GO) test -run '^$$' -fuzz FuzzCompileDifferential -fuzztime 5s ./internal/isa/compile
 	$(GO) test -run '^$$' -fuzz FuzzRowDataJSON -fuzztime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzLanesJSON -fuzztime 5s ./internal/service

@@ -154,15 +154,23 @@ func TestAllocBudget(t *testing.T) {
 		}
 	})
 
-	// pimc: compile and run the three examples/pimasm programs at -O 2
-	// (what compile-corpus and the loadgen kernel run) on a memory whose
-	// DBCs the first corpus pass materialized. Budget is per corpus.
+	// pimc: compile the three examples/pimasm programs at -O 2 (what
+	// compile-corpus and the loadgen kernel run), first alone, then
+	// compile and run them on a memory whose DBCs the first corpus pass
+	// materialized. Budgets are per corpus.
 	ccfg := benchCompileConfig()
 	cm, err := memory.New(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, corpus := benchCorpus(t)
+	allocBudget(t, "CompileO2", 172, func() {
+		for _, src := range corpus {
+			if _, err := compile.Compile(src, ccfg, compile.Options{Level: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 	compileRun := func() {
 		for _, src := range corpus {
 			res, err := compile.Compile(src, ccfg, compile.Options{Level: 2})
@@ -175,7 +183,7 @@ func TestAllocBudget(t *testing.T) {
 		}
 	}
 	compileRun()
-	allocBudget(t, "CompileRunO2", 771, compileRun)
+	allocBudget(t, "CompileRunO2", 237, compileRun)
 
 	// The same for a program whose -O2 compile folds: a repeated load
 	// and add, a shift chain to zero, a multiply by that zero, and xor
@@ -206,7 +214,7 @@ store %q, b0.s0.t2.d0.r1
 		}
 	}
 	compileRunFolded()
-	allocBudget(t, "CompileRunFolded", 178, compileRunFolded)
+	allocBudget(t, "CompileRunFolded", 65, compileRunFolded)
 
 	// Memory.Stats reads the recorder's ledger: nothing per shard.
 	sm, err := memory.New(ccfg)

@@ -253,7 +253,7 @@ func compileProg(cfg params.Config, path string, level int, dump bool, tracePath
 		}
 		if !run {
 			if profiled {
-				writeProfileReport(os.Stdout, res.ShiftsByDBC, nil)
+				writeProfileReport(os.Stdout, res.ShiftsByDBC(), nil)
 			}
 			if !dump {
 				fmt.Print(res.Plan.String())
@@ -300,7 +300,7 @@ func compileProg(cfg params.Config, path string, level int, dump bool, tracePath
 		fmt.Printf("measured: %d row copies, %d shift steps, %d cycles, makespan %d\n",
 			moves.RowCopies, stats.ShiftSteps, stats.Cycles(), m.Recorder().Makespan())
 		if prof != nil {
-			writeProfileReport(os.Stdout, res.ShiftsByDBC, prof.ShiftStepsBySource())
+			writeProfileReport(os.Stdout, res.ShiftsByDBC(), prof.ShiftStepsBySource())
 		}
 		return nil
 	}()

@@ -196,7 +196,8 @@ type (
 	// is a Level 0 compile.
 	CompileOptions = compile.Options
 	// CompileResult carries the executable plan, its input/output rows
-	// and the placement cost model.
+	// and the placement cost model; its ShiftsByDBC method splits the
+	// predicted shift steps per DBC, formatting the labels when called.
 	CompileResult = compile.Result
 	// CompiledPlan is an executable schedule over a Memory: a sequence
 	// of ExecuteBatch windows.

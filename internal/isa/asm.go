@@ -143,30 +143,30 @@ func OpByName(name string) (OpCode, bool) {
 	return op, ok
 }
 
-// parseAddr parses "b<bank>.s<sub>.t<tile>.d<dbc>.r<row>".
+// parseAddr parses "b<bank>.s<sub>.t<tile>.d<dbc>.r<row>". It cuts the
+// fields off in place and parses them into a local array, so a
+// well-formed address allocates nothing.
 func parseAddr(s string) (Addr, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 5 {
+	if strings.Count(s, ".") != 4 {
 		return Addr{}, fmt.Errorf("isa: address %q wants b<n>.s<n>.t<n>.d<n>.r<n>", s)
 	}
-	var a Addr
-	for i, spec := range []struct {
-		prefix string
-		dst    *int
-	}{
-		{"b", &a.Bank}, {"s", &a.Subarray}, {"t", &a.Tile}, {"d", &a.DBC}, {"r", &a.Row},
-	} {
-		p := parts[i]
-		if !strings.HasPrefix(p, spec.prefix) {
-			return Addr{}, fmt.Errorf("isa: address field %q wants prefix %q", p, spec.prefix)
+	const prefixes = "bstdr"
+	var f [len(prefixes)]int
+	rest := s
+	for i := range f {
+		var p string
+		p, rest, _ = strings.Cut(rest, ".")
+		prefix := prefixes[i : i+1]
+		if !strings.HasPrefix(p, prefix) {
+			return Addr{}, fmt.Errorf("isa: address field %q wants prefix %q", p, prefix)
 		}
-		n, err := strconv.Atoi(p[len(spec.prefix):])
+		n, err := strconv.Atoi(p[len(prefix):])
 		if err != nil {
 			return Addr{}, fmt.Errorf("isa: address field %q: %w", p, err)
 		}
-		*spec.dst = n
+		f[i] = n
 	}
-	return a, nil
+	return Addr{Bank: f[0], Subarray: f[1], Tile: f[2], DBC: f[3], Row: f[4]}, nil
 }
 
 // FormatInstruction renders the assembly form (the inverse of

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/isa"
+	"repro/internal/memory"
 	"repro/internal/params"
 	"repro/internal/telemetry"
 )
@@ -51,10 +52,18 @@ type Result struct {
 	Outputs []Output
 	Stats   PlanStats // the pricer's prediction for the emitted plan
 
-	// ShiftsByDBC splits Stats.PortShifts per DBC, keyed by the
-	// telemetry source name (isa.DBCSource) — the prediction side of
-	// the `pimasm exec -profile` model-vs-measured comparison.
-	ShiftsByDBC map[string]int
+	pr *memory.Pricer // the pricer that priced Plan, for ShiftsByDBC
+}
+
+// ShiftsByDBC splits Stats.PortShifts per DBC, keyed by the telemetry
+// source name (isa.DBCSource): the prediction side of the `pimasm exec
+// -profile` model-vs-measured comparison. It formats the labels on
+// each call, so a compile that never asks pays nothing for them.
+func (r *Result) ShiftsByDBC() map[string]int {
+	if r.pr == nil {
+		return nil
+	}
+	return r.pr.ShiftsByDBC()
 }
 
 // Compile parses, legalizes, places and schedules a pimasm program
@@ -63,8 +72,8 @@ type Result struct {
 // and needs fewer cross-DBC row-buffer moves and shorter port
 // alignment shifts. The naive
 // baseline to compare against is a Level 0 compile's Stats. Compile
-// fails on the verifier's errors and drops its warnings; Vet returns
-// them.
+// fails on the verifier's errors and does not build its warnings; Vet
+// returns them.
 func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -91,7 +100,7 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	dump("parse", prog.String)
 
 	done = pass("verify")
-	err = firstError(prog.Verify())
+	err = firstError(prog.verify(false))
 	done()
 	if err != nil {
 		return nil, err
@@ -132,7 +141,13 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 
 	// Inputs and outputs are the source program's, whatever folding
 	// made of the values between them.
-	res := &Result{Plan: plan, Inputs: prog.inputs, Stats: stats, ShiftsByDBC: lay.pr.ShiftsByDBC()}
+	stores := 0
+	for _, n := range prog.nodes {
+		if n.kind == nStore {
+			stores++
+		}
+	}
+	res := &Result{Plan: plan, Inputs: prog.inputs, Outputs: make([]Output, 0, stores), Stats: stats, pr: lay.pr}
 	for _, n := range prog.nodes {
 		if n.kind == nStore {
 			res.Outputs = append(res.Outputs, Output{Name: n.srcName, Addr: n.addr, Blocksize: n.bs})

@@ -34,13 +34,13 @@ func (p *Program) legalize(trd params.TRD, level int) error {
 	live := liveSet(p.nodes)
 	nLoads := 0
 	for _, n := range p.nodes {
-		if n.kind == nLoad && live[n] {
+		if n.kind == nLoad && live[n.id] {
 			nLoads++
 		}
 	}
 	p.inputs = make([]Output, 0, nLoads)
 	for _, n := range p.nodes {
-		if n.kind != nStore && !live[n] {
+		if n.kind != nStore && !live[n.id] {
 			continue
 		}
 		switch n.kind {
@@ -384,25 +384,26 @@ func opName(op isa.OpCode) string {
 	return op.String()
 }
 
-// liveSet marks every node reachable backwards from a store.
-func liveSet(nodes []*node) map[*node]bool {
-	live := make(map[*node]bool)
-	var mark func(n *node)
-	mark = func(n *node) {
-		if live[n] {
-			return
-		}
-		live[n] = true
-		for _, a := range n.args {
-			mark(a)
-		}
-	}
+// liveSet marks every node reachable backwards from a store, indexed
+// by node id (dense in a parsed program).
+func liveSet(nodes []*node) []bool {
+	live := make([]bool, len(nodes))
 	for _, n := range nodes {
 		if n.kind == nStore {
-			mark(n)
+			markLive(live, n)
 		}
 	}
 	return live
+}
+
+func markLive(live []bool, n *node) {
+	if live[n.id] {
+		return
+	}
+	live[n.id] = true
+	for _, a := range n.args {
+		markLive(live, a)
+	}
 }
 
 // levelize assigns ASAP DAG depths: loads and constants are level 0,

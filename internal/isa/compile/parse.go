@@ -22,9 +22,9 @@ package compile
 
 import (
 	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/isa"
 	"repro/internal/params"
@@ -86,8 +86,6 @@ type Program struct {
 	inputs []Output // legalize: the source program's live loads, in order
 }
 
-var vregRe = regexp.MustCompile(`^%[A-Za-z_][A-Za-z0-9_]*$`)
-
 func lineErr(line int, class ErrorClass, format string, args ...any) error {
 	return &isa.ParseError{Line: line, Err: &classedError{
 		class: class,
@@ -103,33 +101,56 @@ func lineErr(line int, class ErrorClass, format string, args ...any) error {
 // statements.
 const MaxStatements = 1024
 
+// parser is the state of one Parse: the program being built, the slab
+// its statement nodes come from, the array its operand lists are
+// carved from, and the current line's fields.
+type parser struct {
+	*Program
+	slab   []node
+	args   []*node
+	fields []string
+}
+
 // Parse parses pimasm source, enforcing single assignment,
 // define-before-use, geometry-valid addresses and MaxStatements.
 // Errors carry 1-based line numbers as *isa.ParseError.
+//
+// A program costs a handful of allocations, not some per token: lines
+// are scanned in place, every statement's node comes from one slab
+// sized from the line count, and every operand list from one array
+// sized from the % count (each register reference has one).
 func Parse(src string, g params.Geometry) (*Program, error) {
-	p := &Program{byName: make(map[string]*node), geo: g}
+	lines := min(strings.Count(src, "\n")+1, MaxStatements)
+	ps := parser{
+		Program: &Program{nodes: make([]*node, 0, lines), byName: make(map[string]*node, lines), geo: g},
+		slab:    make([]node, lines),
+		args:    make([]*node, 0, min(strings.Count(src, "%"), maxOperandRefs)),
+		fields:  make([]string, 0, 16),
+	}
 	stmts := 0
-	for i, raw := range strings.Split(src, "\n") {
-		ln := i + 1
-		text := raw
+	rest, more := src, true
+	for ln := 1; more; ln++ {
+		var text string
+		text, rest, more = strings.Cut(rest, "\n")
 		if j := strings.IndexAny(text, ";#"); j >= 0 {
 			text = text[:j]
 		}
-		if strings.TrimSpace(text) == "" {
-			continue
+		var comma bool
+		ps.fields, comma = splitFields(ps.fields[:0], text)
+		if len(ps.fields) == 0 && !comma {
+			continue // blank or comment only
 		}
 		if stmts++; stmts > MaxStatements {
 			return nil, lineErr(ln, ClassTooLarge, "program exceeds %d statements", MaxStatements)
 		}
-		fields := strings.Fields(strings.ReplaceAll(text, ",", " "))
 		var err error
-		switch {
+		switch fields := ps.fields; {
 		case len(fields) == 0: // only commas and whitespace
 			err = lineErr(ln, ClassSyntax, "want \"%%reg = ...\" or \"store %%reg, <addr>\", got %q", strings.TrimSpace(text))
 		case fields[0] == "store":
-			err = p.parseStore(fields, ln)
+			err = ps.parseStore(fields, ln)
 		case strings.HasPrefix(fields[0], "%"):
-			err = p.parseAssign(fields, ln)
+			err = ps.parseAssign(fields, ln)
 		default:
 			err = lineErr(ln, ClassSyntax, "want \"%%reg = ...\" or \"store %%reg, <addr>\", got %q", strings.TrimSpace(text))
 		}
@@ -137,7 +158,53 @@ func Parse(src string, g params.Geometry) (*Program, error) {
 			return nil, err
 		}
 	}
-	return p, nil
+	return ps.Program, nil
+}
+
+// maxOperandRefs caps the operand array Parse sizes up front, so a
+// source of stray %s cannot ask for a large one; a program with more
+// references grows it.
+const maxOperandRefs = 16 * MaxStatements
+
+// splitFields appends line's fields to dst: the runs between commas and
+// unicode.IsSpace runes, exactly strings.Fields(strings.ReplaceAll(line,
+// ",", " ")). comma reports whether the line holds a comma.
+func splitFields(dst []string, line string) (fields []string, comma bool) {
+	start := -1
+	for i, r := range line {
+		if r != ',' && !unicode.IsSpace(r) {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		comma = comma || r == ','
+		if start >= 0 {
+			dst = append(dst, line[start:i])
+			start = -1
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst, comma
+}
+
+// isVReg reports whether s names a register: %, then an ASCII letter
+// or underscore, then ASCII letters, digits and underscores.
+func isVReg(s string) bool {
+	if len(s) < 2 || s[0] != '%' {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '_', 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z':
+		case '0' <= c && c <= '9' && i > 1:
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 func (p *Program) add(n *node) *node {
@@ -149,42 +216,57 @@ func (p *Program) add(n *node) *node {
 	return n
 }
 
-func (p *Program) lookup(field string, line int) (*node, error) {
-	if !vregRe.MatchString(field) {
+// stmt adds a statement's node, taken from the slab, to the program.
+func (ps *parser) stmt(n node) *node {
+	s := &ps.slab[0]
+	ps.slab = ps.slab[1:]
+	*s = n
+	return ps.add(s)
+}
+
+// operands returns the operand references appended to ps.args since
+// start as one list. The list's capacity ends at its length, so an
+// in-place rewrite of one list never reaches the next.
+func (ps *parser) operands(start int) []*node {
+	return ps.args[start:len(ps.args):len(ps.args)]
+}
+
+func (ps *parser) lookup(field string, line int) (*node, error) {
+	if !isVReg(field) {
 		return nil, lineErr(line, ClassSyntax, "want a %%register, got %q", field)
 	}
-	n, ok := p.byName[field[1:]]
+	n, ok := ps.byName[field[1:]]
 	if !ok {
 		return nil, lineErr(line, ClassUseBeforeDef, "use of undefined register %s", field)
 	}
 	return n, nil
 }
 
-func (p *Program) parseAddrIn(field string, line int) (isa.Addr, error) {
+func (ps *parser) parseAddrIn(field string, line int) (isa.Addr, error) {
 	a, err := isa.ParseAddr(field)
 	if err != nil {
 		return isa.Addr{}, &isa.ParseError{Line: line, Err: &classedError{class: ClassAddress, err: err}}
 	}
-	if err := a.CheckGeometry(p.geo); err != nil {
+	if err := a.CheckGeometry(ps.geo); err != nil {
 		return isa.Addr{}, &isa.ParseError{Line: line, Err: &classedError{class: ClassAddress, err: err}}
 	}
 	return a, nil
 }
 
 // parseStore handles "store %x, <addr>".
-func (p *Program) parseStore(fields []string, line int) error {
+func (ps *parser) parseStore(fields []string, line int) error {
 	if len(fields) != 3 {
 		return lineErr(line, ClassSyntax, "want \"store %%reg, <addr>\"")
 	}
-	arg, err := p.lookup(fields[1], line)
+	arg, err := ps.lookup(fields[1], line)
 	if err != nil {
 		return err
 	}
-	addr, err := p.parseAddrIn(fields[2], line)
+	addr, err := ps.parseAddrIn(fields[2], line)
 	if err != nil {
 		return err
 	}
-	for _, n := range p.nodes {
+	for _, n := range ps.nodes {
 		if n.kind == nStore && n.addr == addr {
 			return lineErr(line, ClassDeadStore, "duplicate store to %s", isa.FormatAddr(addr))
 		}
@@ -192,21 +274,23 @@ func (p *Program) parseStore(fields []string, line int) error {
 			return lineErr(line, ClassAddress, "store to loaded address %s (loads read initial memory)", isa.FormatAddr(addr))
 		}
 	}
-	p.add(&node{kind: nStore, srcName: arg.name, line: line, bs: arg.bs, addr: addr, args: []*node{arg}})
+	start := len(ps.args)
+	ps.args = append(ps.args, arg)
+	ps.stmt(node{kind: nStore, srcName: arg.name, line: line, bs: arg.bs, addr: addr, args: ps.operands(start)})
 	return nil
 }
 
 // parseAssign handles "%x = load <addr>", "%x = li <val> [bs=N]" and
 // "%x = <op> %a[, %b ...] [bs=N] [imm=N]".
-func (p *Program) parseAssign(fields []string, line int) error {
+func (ps *parser) parseAssign(fields []string, line int) error {
 	if len(fields) < 3 || fields[1] != "=" {
 		return lineErr(line, ClassSyntax, "want \"%%reg = <expr>\"")
 	}
-	if !vregRe.MatchString(fields[0]) {
+	if !isVReg(fields[0]) {
 		return lineErr(line, ClassSyntax, "bad register name %q", fields[0])
 	}
 	name := fields[0][1:]
-	if _, dup := p.byName[name]; dup {
+	if _, dup := ps.byName[name]; dup {
 		return lineErr(line, ClassRedefinition, "register %%%s assigned twice", name)
 	}
 	expr, rest := fields[2], fields[3:]
@@ -216,16 +300,16 @@ func (p *Program) parseAssign(fields []string, line int) error {
 		if len(rest) != 1 {
 			return lineErr(line, ClassSyntax, "want \"load <addr>\"")
 		}
-		addr, err := p.parseAddrIn(rest[0], line)
+		addr, err := ps.parseAddrIn(rest[0], line)
 		if err != nil {
 			return err
 		}
-		for _, n := range p.nodes {
+		for _, n := range ps.nodes {
 			if n.kind == nStore && n.addr == addr {
 				return lineErr(line, ClassAddress, "load of stored address %s (loads read initial memory)", isa.FormatAddr(addr))
 			}
 		}
-		p.add(&node{kind: nLoad, name: name, line: line, addr: addr})
+		ps.stmt(node{kind: nLoad, name: name, line: line, addr: addr})
 		return nil
 
 	case "li":
@@ -246,7 +330,7 @@ func (p *Program) parseAssign(fields []string, line int) error {
 		if bs < 64 && val>>uint(bs) != 0 {
 			return lineErr(line, ClassWidth, "immediate %d does not fit %d bits", val, bs)
 		}
-		p.add(&node{kind: nConst, name: name, line: line, val: val, bs: bs})
+		ps.stmt(node{kind: nConst, name: name, line: line, val: val, bs: bs})
 		return nil
 	}
 
@@ -260,27 +344,25 @@ func (p *Program) parseAssign(fields []string, line int) error {
 			return lineErr(line, ClassOpcode, "%v is not a compute operation (use load/store)", op)
 		}
 	}
-	var args []*node
-	i := 0
+	start, i := len(ps.args), 0
 	for ; i < len(rest) && strings.HasPrefix(rest[i], "%"); i++ {
-		a, err := p.lookup(rest[i], line)
+		a, err := ps.lookup(rest[i], line)
 		if err != nil {
 			return err
 		}
-		args = append(args, a)
+		ps.args = append(ps.args, a)
 	}
-	if len(args) == 0 {
+	if i == 0 {
 		return lineErr(line, ClassArity, "%s wants at least one %%register operand", expr)
 	}
 	bs, imm, err := parseArgs(rest[i:], line, true)
 	if err != nil {
 		return err
 	}
-	n := &node{kind: nOp, name: name, line: line, op: op, bs: bs, imm: imm, args: args}
 	if expr == "sub" {
-		n.op = opSub
+		op = opSub
 	}
-	p.add(n)
+	ps.stmt(node{kind: nOp, name: name, line: line, op: op, bs: bs, imm: imm, args: ps.operands(start)})
 	return nil
 }
 

@@ -35,14 +35,15 @@ type layout struct {
 	geo      params.Geometry
 	execBank int
 	pool     []execDBC // executing PIM DBCs, assignment order
-	// free maps each companion base to its unused rows, port-sorted.
-	// The lists start out sharing one array, so updates re-slice or
-	// build a new slice and never write in place.
+	// free maps each companion base to its unused rows as a stack: the
+	// row handed out next is the last, so popping a row, pushing a
+	// recycled one back and removing one all stay in the list's own
+	// array.
 	free     map[isa.Addr][]int
 	reserved map[isa.Addr]bool // DBC bases the program names or companions claim; off-limits to the staging allocator
 
 	stageOrder []int      // row hand-out order of every staging DBC
-	stageRows  []isa.Addr // allocated-but-unused rows of the current staging DBCs
+	stageRows  []isa.Addr // allocated-but-unused rows of the current staging DBCs, a stack like free
 	stageSeq   int        // enumeration cursor over candidate staging DBCs
 
 	// availFrom is the earliest schedule-window index (see buildPipelined's
@@ -96,10 +97,12 @@ func (lay *layout) pair(e isa.Addr) execDBC {
 }
 
 // rowOwner remembers which allocator a recyclable home row came from,
-// so liveness can hand it back to the right pool.
+// so liveness can hand it back to the right pool. held is set while
+// the value owns the row.
 type rowOwner struct {
 	base   isa.Addr
 	staged bool
+	held   bool
 }
 
 func dbcBase(a isa.Addr) isa.Addr {
@@ -121,39 +124,37 @@ func portDist(row, rows int, trd params.TRD) int {
 	return abs(d)
 }
 
-// portOrder returns the given rows sorted by access-port distance
-// (nearest first, ties by lower index).
-func portOrder(rows []int, total int, trd params.TRD) []int {
-	out := append([]int(nil), rows...)
-	for i := 1; i < len(out); i++ {
+// portSort sorts rows in place by access-port distance, nearest first,
+// ties by lower index.
+func portSort(rows []int, total int, trd params.TRD) {
+	for i := 1; i < len(rows); i++ {
 		for j := i; j > 0; j-- {
-			di, dj := portDist(out[j], total, trd), portDist(out[j-1], total, trd)
-			if di < dj || (di == dj && out[j] < out[j-1]) {
-				out[j], out[j-1] = out[j-1], out[j]
+			dj, dp := portDist(rows[j], total, trd), portDist(rows[j-1], total, trd)
+			if dj < dp || (dj == dp && rows[j] < rows[j-1]) {
+				rows[j], rows[j-1] = rows[j-1], rows[j]
 			} else {
 				break
 			}
 		}
 	}
-	return out
 }
 
-// sideOrder orders rows nearest-port-first but grouped by which port is
-// nearest: all left-port rows, then all right-port rows. Shift cost is
-// relative to the head's current offset, so a strict distance sort that
-// alternates between the two ends of the track pays a near-full-track
-// shift on every consecutive allocation; grouping by side keeps
-// consecutively handed-out rows physically close.
-func sideOrder(rows []int, total int, trd params.TRD) []int {
-	var lefts, rights []int
-	for _, row := range rows {
+// sideOrder sorts rows in place nearest-port-first but grouped by which
+// port is nearest: all left-port rows, then all right-port rows. Shift
+// cost is relative to the head's current offset, so a strict distance
+// sort that alternates between the two ends of the track pays a
+// near-full-track shift on every consecutive allocation; grouping by
+// side keeps consecutively handed-out rows physically close.
+func sideOrder(rows []int, total int, trd params.TRD) {
+	lefts := 0
+	for i, row := range rows {
 		if side, _ := device.NearestPortAt(total, trd, row, 0); side == device.Left {
-			lefts = append(lefts, row)
-		} else {
-			rights = append(rights, row)
+			rows[i], rows[lefts] = rows[lefts], row
+			lefts++
 		}
 	}
-	return append(portOrder(lefts, total, trd), portOrder(rights, total, trd)...)
+	portSort(rows[:lefts], total, trd)
+	portSort(rows[lefts:], total, trd)
 }
 
 // execDBCs is how many PIM-enabled DBCs the optimizing layout spreads
@@ -180,12 +181,17 @@ const execDBCs = 4
 func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, error) {
 	g := cfg.Geometry
 	opt := level >= 1
+	nExec := 1
+	if opt {
+		nExec = min(execDBCs, g.SubarraysPerBank*g.PIMTilesPerSub*g.PIMDBCsPerTile)
+	}
 	lay := &layout{
 		opt:       opt,
 		pipeline:  level >= 2,
 		recycle:   opt && recycle,
 		geo:       g,
-		free:      make(map[isa.Addr][]int),
+		pool:      make([]execDBC, 0, nExec),
+		free:      make(map[isa.Addr][]int, nExec),
 		reserved:  make(map[isa.Addr]bool),
 		availFrom: make(map[isa.Addr]int),
 		pr:        memory.NewPricer(cfg),
@@ -197,7 +203,7 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 	// the allocators, so a home can never alias a load or store address,
 	// even a load whose every use folded away. The rows the plan
 	// touches vote for the exec bank.
-	bankVotes := make(map[int]int)
+	bankVotes := make([]int, g.Banks)
 	for _, in := range p.inputs {
 		lay.reserved[dbcBase(in.Addr)] = true
 	}
@@ -209,16 +215,12 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 	}
 	lay.execBank = 0
 	bestVotes := -1
-	for b := 0; b < g.Banks; b++ {
-		if v := bankVotes[b]; v > bestVotes {
+	for b, v := range bankVotes {
+		if v > bestVotes {
 			lay.execBank, bestVotes = b, v
 		}
 	}
 
-	nExec := 1
-	if opt {
-		nExec = min(execDBCs, g.SubarraysPerBank*g.PIMTilesPerSub*g.PIMDBCsPerTile)
-	}
 	for sub := 0; sub < g.SubarraysPerBank && len(lay.pool) < nExec; sub++ {
 		for tile := 0; tile < g.PIMTilesPerSub && len(lay.pool) < nExec; tile++ {
 			for d := g.DBCsPerTile - g.PIMDBCsPerTile; d < g.DBCsPerTile && len(lay.pool) < nExec; d++ {
@@ -240,20 +242,29 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 		lay.stageOrder[r] = r
 	}
 	if opt {
-		lay.stageOrder = sideOrder(lay.stageOrder, g.RowsPerDBC, cfg.TRD)
+		sideOrder(lay.stageOrder, g.RowsPerDBC, cfg.TRD)
+		// Each companion's free stack is stageOrder reversed, in an
+		// array of its own.
+		rows := len(lay.stageOrder)
+		stacks := make([]int, len(lay.pool)*rows)
 		for i := range lay.pool {
 			x := &lay.pool[i]
 			x.comp = x.base
 			if comp, ok := lay.pickCompanion(x.base.Subarray); ok {
 				x.comp = comp
 				lay.reserved[comp] = true
-				lay.free[comp] = lay.stageOrder
+				stack := stacks[i*rows : (i+1)*rows : (i+1)*rows]
+				for j, r := range lay.stageOrder {
+					stack[rows-1-j] = r
+				}
+				lay.free[comp] = stack
 			}
 		}
 	}
 
-	// Pass 1: level-0 values (loads, constants).
-	owned := make(map[*node]rowOwner)
+	// Pass 1: level-0 values (loads, constants). owned, lastUse and
+	// directFor are indexed by node id, which legalize leaves dense.
+	owned := make([]rowOwner, len(p.nodes))
 	for _, n := range p.nodes {
 		switch n.kind {
 		case nLoad:
@@ -266,7 +277,7 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 				return nil, err
 			}
 			n.home = home
-			owned[n] = rowOwner{base: dbcBase(home), staged: true}
+			owned[n.id] = rowOwner{base: dbcBase(home), staged: true, held: true}
 			lay.pr.Access(n.addr)
 			lay.pr.Access(home)
 		case nConst:
@@ -275,21 +286,21 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 				return nil, err
 			}
 			n.home = home
-			owned[n] = rowOwner{base: dbcBase(home), staged: true}
+			owned[n.id] = rowOwner{base: dbcBase(home), staged: true, held: true}
 			lay.pr.Access(home)
 		}
 	}
 
 	// First same-bank store of each op can become the request Dst.
-	directFor := make(map[*node]*node)
+	directFor := make([]*node, len(p.nodes))
 	if opt {
 		for _, n := range p.nodes {
 			if n.kind != nStore {
 				continue
 			}
 			prod := n.args[0]
-			if prod.kind == nOp && n.addr.Bank == lay.execBank && directFor[prod] == nil {
-				directFor[prod] = n
+			if prod.kind == nOp && n.addr.Bank == lay.execBank && directFor[prod.id] == nil {
+				directFor[prod.id] = n
 			}
 		}
 	}
@@ -303,16 +314,17 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 	// consuming level. ExecuteBatch levels are sequential plan steps, so
 	// a row whose value was last read at level L is safely rewritable
 	// from level L+1 on.
-	lastUse := make(map[*node]int)
+	var lastUse []int
 	if lay.recycle {
+		lastUse = make([]int, len(p.nodes))
 		for _, n := range p.nodes {
 			switch n.kind {
 			case nOp:
 				for _, a := range n.args {
-					lastUse[a] = max(lastUse[a], n.level)
+					lastUse[a.id] = max(lastUse[a.id], n.level)
 				}
 			case nStore:
-				lastUse[n.args[0]] = 1 << 30
+				lastUse[n.args[0].id] = 1 << 30
 			}
 		}
 	}
@@ -320,22 +332,22 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 	operands := make([]isa.Addr, 0, 8)
 	for lv := 1; lv <= levels; lv++ {
 		// Recycle the home rows of values consumed for the last time by
-		// the previous level: hand each row back to the allocator it
-		// came from, front of the queue, so the next allocation lands
-		// on a row the head just visited.
+		// the previous level: push each row back on the stack of the
+		// allocator it came from, so the next allocation lands on a row
+		// the head just visited.
 		for _, d := range p.nodes {
-			own, ok := owned[d]
-			if !lay.recycle || !ok || lastUse[d] != lv-1 {
+			own := owned[d.id]
+			if !lay.recycle || !own.held || lastUse[d.id] != lv-1 {
 				continue
 			}
-			delete(owned, d)
+			owned[d.id].held = false
 			lay.recycled++
 			if own.staged {
 				a := own.base
 				a.Row = d.home.Row
-				lay.stageRows = append([]isa.Addr{a}, lay.stageRows...)
+				lay.stageRows = append(lay.stageRows, a)
 			} else {
-				lay.free[own.base] = append([]int{d.home.Row}, lay.free[own.base]...)
+				lay.free[own.base] = append(lay.free[own.base], d.home.Row)
 				// The dead value's last reader ran in the previous
 				// level's compute window (index 2(lv-1)-1 in the -O2
 				// window numbering); the row is rewritable from there.
@@ -352,14 +364,14 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 			}
 			x, cycles, private := lay.chooseExec(n, directFor)
 			n.exec = x.base
-			if err := lay.homeResult(n, x, directFor[n], owned); err != nil {
+			if err := lay.homeResult(n, x, directFor[n.id], owned); err != nil {
 				return nil, err
 			}
 			// A paired div's request also writes its mod's value.
 			var rem *isa.Addr
 			if r := n.rem(); r != nil {
 				r.exec = x.base
-				if err := lay.homeResult(r, x, directFor[r], owned); err != nil {
+				if err := lay.homeResult(r, x, directFor[r.id], owned); err != nil {
 					return nil, err
 				}
 				rem = &r.home
@@ -382,7 +394,7 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 // direct is not nil, else in the companion's next free row, else (or
 // in the naive layout) in a staging row. owned records the row's
 // allocator for recycling.
-func (lay *layout) homeResult(n *node, x execDBC, direct *node, owned map[*node]rowOwner) error {
+func (lay *layout) homeResult(n *node, x execDBC, direct *node, owned []rowOwner) error {
 	if direct != nil {
 		n.home, direct.direct = direct.addr, true
 		return nil
@@ -392,7 +404,7 @@ func (lay *layout) homeResult(n *node, x execDBC, direct *node, owned map[*node]
 		// naive layout parks everything in far staging rows instead.
 		if home, ok := lay.takeFree(x.comp); ok {
 			n.home = home
-			owned[n] = rowOwner{base: x.comp}
+			owned[n.id] = rowOwner{base: x.comp, held: true}
 			return nil
 		}
 	}
@@ -401,7 +413,7 @@ func (lay *layout) homeResult(n *node, x execDBC, direct *node, owned map[*node]
 		return err
 	}
 	n.home = home
-	owned[n] = rowOwner{base: dbcBase(home), staged: true}
+	owned[n.id] = rowOwner{base: dbcBase(home), staged: true, held: true}
 	return nil
 }
 
@@ -440,7 +452,7 @@ func (lay *layout) opFootprint(n *node, x execDBC, private bool, quo, rem isa.Ad
 // copy each into the companion, when that ends its lane sooner.
 // chooseExec returns the DBC, the op's predicted cycles and whether it
 // counted on privatizing. Ties go to the earlier DBC of the pool.
-func (lay *layout) chooseExec(n *node, directFor map[*node]*node) (execDBC, int, bool) {
+func (lay *layout) chooseExec(n *node, directFor []*node) (execDBC, int, bool) {
 	reads := 0
 	for _, a := range n.args {
 		reads += lay.pr.Peek(a.home)
@@ -453,16 +465,16 @@ func (lay *layout) chooseExec(n *node, directFor map[*node]*node) (execDBC, int,
 		// next free row, the quotient first.
 		rows := lay.free[x.comp]
 		next := x.comp
-		if len(rows) > 0 {
-			next.Row = rows[0]
+		if k := len(rows); k > 0 {
+			next.Row = rows[k-1]
 		}
 		home := func(v *node) isa.Addr {
-			if d := directFor[v]; d != nil {
+			if d := directFor[v.id]; d != nil {
 				return d.addr
 			}
 			a := x.comp
-			if len(rows) > 0 {
-				a.Row, rows = rows[0], rows[1:]
+			if k := len(rows); k > 0 {
+				a.Row, rows = rows[k-1], rows[:k-1]
 			}
 			return a
 		}
@@ -523,11 +535,12 @@ func (lay *layout) pickCompanion(sub int) (isa.Addr, bool) {
 // takeFree pops the port-nearest unused row of the companion DBC.
 func (lay *layout) takeFree(base isa.Addr) (isa.Addr, bool) {
 	rows := lay.free[base]
-	if len(rows) == 0 {
+	k := len(rows)
+	if k == 0 {
 		return isa.Addr{}, false
 	}
-	lay.free[base] = rows[1:]
-	base.Row = rows[0]
+	lay.free[base] = rows[:k-1]
+	base.Row = rows[k-1]
 	return base, true
 }
 
@@ -538,11 +551,12 @@ func (lay *layout) takeFree(base isa.Addr) (isa.Addr, bool) {
 // instead of clobbering a still-live home (takeFree cannot tell).
 func (lay *layout) takePrivate(base isa.Addr, win int) (isa.Addr, bool) {
 	rows := lay.free[base]
-	for i, r := range rows {
+	for i := len(rows) - 1; i >= 0; i-- {
 		a := base
-		a.Row = r
+		a.Row = rows[i]
 		if lay.availFrom[a] <= win {
-			lay.free[base] = append(rows[:i:i], rows[i+1:]...)
+			copy(rows[i:], rows[i+1:])
+			lay.free[base] = rows[:len(rows)-1]
 			return a, true
 		}
 	}
@@ -576,16 +590,19 @@ func (lay *layout) stageRow() (isa.Addr, error) {
 		if len(bases) == 0 {
 			return isa.Addr{}, fmt.Errorf("pimc: staging rows exhausted in bank %d", lay.execBank)
 		}
-		lay.stageRows = make([]isa.Addr, 0, len(bases)*len(lay.stageOrder))
+		i := len(bases) * len(lay.stageOrder)
+		lay.stageRows = make([]isa.Addr, i)
 		for _, r := range lay.stageOrder {
 			for _, base := range bases {
 				base.Row = r
-				lay.stageRows = append(lay.stageRows, base)
+				i--
+				lay.stageRows[i] = base
 			}
 		}
 	}
-	a := lay.stageRows[0]
-	lay.stageRows = lay.stageRows[1:]
+	k := len(lay.stageRows) - 1
+	a := lay.stageRows[k]
+	lay.stageRows = lay.stageRows[:k]
 	return a, nil
 }
 

@@ -145,20 +145,26 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 	// still need the generic window-0 staging. needHome is indexed by
 	// node id, which legalize leaves dense.
 	needHome := make([]bool, len(p.nodes))
-	var stored []isa.Addr
-	nArgs := 0
+	nStores, nOps, nArgs := 0, 0, 0
 	for _, n := range p.nodes {
 		switch n.kind {
 		case nStore:
-			stored = append(stored, n.addr)
+			nStores++
 			if !n.direct && n.args[0].level == 0 {
 				needHome[n.args[0].id] = true
 			}
 		case nOp:
+			nOps++
 			nArgs += len(n.args)
 			if n.rem() != nil {
 				nArgs++
 			}
+		}
+	}
+	stored := make([]isa.Addr, 0, nStores)
+	for _, n := range p.nodes {
+		if n.kind == nStore {
+			stored = append(stored, n.addr)
 		}
 	}
 	backing := make([]isa.Addr, 0, nArgs) // every exec request's operands and remainder row
@@ -167,13 +173,18 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 	// computes in window 2L-1; transfer window 2L-2 (L >= 2) drains the
 	// privatization traffic for level L that no earlier compute window
 	// could absorb. The store drain is appended after everything.
-	wins := make([][]memory.Request, max(1, 2*levels))
-	var occupied []winBase // DBCs each window's requests lock so far
-	var privs []privRow
-	var bases, freed []isa.Addr
-	var ops []*node
-	var priv []bool // per operand of the level's ops, in order: privatize it
-	var est []int   // per op of the level: predicted cycles, every head at rest
+	// Requests queue with their window, at most one exec per op and one
+	// privatization per operand, and are laid out by window at the end;
+	// every per-level list is sized up front to the same bounds.
+	nWins := max(1, 2*levels)
+	queued := make([]winReq, 0, nOps+nArgs)
+	occupied := make([]winBase, 0, 3*(nOps+nArgs)) // DBCs each window's requests lock so far
+	privs := make([]privRow, 0, nArgs)
+	freed := make([]isa.Addr, 0, nArgs)
+	ops := make([]*node, 0, nOps)
+	priv := make([]bool, 0, nArgs) // per operand of the level's ops, in order: privatize it
+	est := make([]int, 0, nOps)    // per op of the level: predicted cycles, every head at rest
+	var basesBuf [2]isa.Addr
 	for lv := 1; lv <= levels; lv++ {
 		ops = ops[:0]
 		for _, n := range p.nodes {
@@ -252,7 +263,7 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 					}
 					req.Src = a.home
 				}
-				bases = append(bases[:0], comp)
+				bases := append(basesBuf[:0], comp)
 				if req.Kind == memory.KindCopy && dbcBase(req.Src) != comp {
 					bases = append(bases, dbcBase(req.Src))
 				}
@@ -287,7 +298,7 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 					continue
 				}
 				req.Dst = row
-				wins[win] = append(wins[win], req)
+				queued = append(queued, winReq{win, req})
 				for _, b := range bases {
 					occupied = append(occupied, winBase{win, b})
 				}
@@ -307,7 +318,7 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 				req.Rem = &backing[len(backing)-1]
 				occupied = append(occupied, winBase{w, dbcBase(r.home)})
 			}
-			wins[w] = append(wins[w], req)
+			queued = append(queued, winReq{w, req})
 			for _, oa := range operands {
 				occupied = append(occupied, winBase{w, dbcBase(oa)})
 			}
@@ -319,51 +330,79 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 		for _, a := range freed {
 			lay.availFrom[a] = w
 			base := dbcBase(a)
-			lay.free[base] = append([]int{a.Row}, lay.free[base]...)
+			lay.free[base] = append(lay.free[base], a.Row)
 		}
 		freed = freed[:0]
 	}
 
 	// The generic staging the privatized schedule still needs lands at
 	// the head of window 0, ahead of the privatization copies that may
-	// read the staged homes.
-	var w0 []memory.Request
+	// read the staged homes, and the store copies drain last, as one
+	// window. Every request goes into one array, window by window:
+	// at[w] counts window w's requests (at[nWins] the store drain),
+	// then becomes where the window starts, then, as its cursor
+	// advances, where it ends.
+	stage := func(n *node) bool {
+		return needHome[n.id] && (n.kind == nConst || n.kind == nLoad && n.home != n.addr)
+	}
+	drain := func(n *node) bool { return n.kind == nStore && !n.direct }
+	at := make([]int, nWins+1)
 	for _, n := range p.nodes {
-		if !needHome[n.id] {
-			continue
+		switch {
+		case stage(n):
+			at[0]++
+		case drain(n):
+			at[nWins]++
 		}
-		switch n.kind {
-		case nConst:
+	}
+	for _, q := range queued {
+		at[q.win]++
+	}
+	total := 0
+	for w, c := range at {
+		at[w], total = total, total+c
+	}
+	reqs := make([]memory.Request, total)
+	put := func(w int, r memory.Request) {
+		reqs[at[w]] = r
+		at[w]++
+	}
+	for _, n := range p.nodes {
+		switch {
+		case stage(n) && n.kind == nLoad:
+			put(0, memory.Request{Kind: memory.KindCopy, Src: n.addr, Dst: n.home})
+		case stage(n):
 			packed, err := packConst(n.val, n.bs, width)
 			if err != nil {
 				return nil, fmt.Errorf("pimc: constant %%%s: %w", n.name, err)
 			}
-			w0 = append(w0, memory.Request{Kind: memory.KindWrite, Dst: n.home, Row: packed})
-		case nLoad:
-			if n.home != n.addr {
-				w0 = append(w0, memory.Request{Kind: memory.KindCopy, Src: n.addr, Dst: n.home})
-			}
+			put(0, memory.Request{Kind: memory.KindWrite, Dst: n.home, Row: packed})
 		}
 	}
-	wins[0] = append(w0, wins[0]...)
-
-	var stores []memory.Request
+	for _, q := range queued {
+		put(q.win, q.req)
+	}
 	for _, n := range p.nodes {
-		if n.kind == nStore && !n.direct {
-			stores = append(stores, memory.Request{Kind: memory.KindCopy, Src: n.args[0].home, Dst: n.addr})
+		if drain(n) {
+			put(nWins, memory.Request{Kind: memory.KindCopy, Src: n.args[0].home, Dst: n.addr})
 		}
 	}
 
-	pl := &Plan{Steps: make([]Step, 0, len(wins)+1)}
-	for _, win := range wins {
-		if len(win) > 0 {
-			pl.Steps = append(pl.Steps, Step{Reqs: win})
+	pl := &Plan{Steps: make([]Step, 0, len(at))}
+	begin := 0
+	for _, end := range at {
+		if end > begin {
+			pl.Steps = append(pl.Steps, Step{Reqs: reqs[begin:end:end]})
 		}
-	}
-	if len(stores) > 0 {
-		pl.Steps = append(pl.Steps, Step{Reqs: stores})
+		begin = end
 	}
 	return pl, nil
+}
+
+// winReq is a request queued for schedule window win.
+type winReq struct {
+	win int
+	req memory.Request
 }
 
 // winBase records that window win's requests lock the DBC base.
@@ -431,7 +470,7 @@ func (lay *layout) copyCost(ops []*node, i int) int {
 		comp := lay.pair(n.exec).comp
 		dst := comp
 		if rows := lay.free[comp]; len(rows) > 0 {
-			dst.Row = rows[0]
+			dst.Row = rows[len(rows)-1]
 		}
 		c := lay.pr.Peek(dst)
 		if a.kind != nConst {

@@ -92,7 +92,12 @@ func (d Diag) String() string {
 //
 // Diagnostics come back sorted by line. Errors abort compilation;
 // warnings are reported only by Vet (`pimasm vet`).
-func (p *Program) Verify() []Diag {
+func (p *Program) Verify() []Diag { return p.verify(true) }
+
+// verify runs the checks Verify documents. Compile needs only the
+// errors, so without warn it builds no liveness sets and formats no
+// warning: a program that passes costs no allocation.
+func (p *Program) verify(warn bool) []Diag {
 	var diags []Diag
 	report := func(n *node, class ErrorClass, isErr bool, format string, args ...any) {
 		diags = append(diags, Diag{Line: n.line, Class: class, Err: isErr, Msg: fmt.Sprintf(format, args...)})
@@ -123,13 +128,18 @@ func (p *Program) Verify() []Diag {
 		}
 	}
 
+	if !warn {
+		sortDiags(diags)
+		return diags
+	}
+
 	// Backward liveness from the stores: defs nothing reads are dead
 	// row writes; defs that are read, but only by dead values, can
 	// never reach memory.
-	used := make(map[*node]bool)
+	used := make([]bool, len(p.nodes))
 	for _, n := range p.nodes {
 		for _, a := range n.args {
-			used[a] = true
+			used[a.id] = true
 		}
 	}
 	live := liveSet(p.nodes)
@@ -138,17 +148,24 @@ func (p *Program) Verify() []Diag {
 			continue
 		}
 		switch {
-		case !used[n]:
+		case !used[n.id]:
 			report(n, ClassDeadStore, false,
 				"%%%s is written but never read (dead row write; it will be dropped)", n.name)
-		case !live[n]:
+		case !live[n.id]:
 			report(n, ClassUnreachable, false,
 				"%%%s never reaches a store: every use feeds a dead value", n.name)
 		}
 	}
 
-	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Line < diags[j].Line })
+	sortDiags(diags)
 	return diags
+}
+
+// sortDiags orders diagnostics by line, keeping the order of one line's.
+func sortDiags(diags []Diag) {
+	if len(diags) > 1 {
+		sort.SliceStable(diags, func(i, j int) bool { return diags[i].Line < diags[j].Line })
+	}
 }
 
 // describe names a node for diagnostics.
@@ -191,13 +208,13 @@ func Vet(src string, cfg params.Config) []Diag {
 	diags := prog.Verify()
 	live := liveSet(prog.nodes)
 	for _, n := range prog.nodes {
-		if n.kind == nOp && live[n] {
+		if n.kind == nOp && live[n.id] {
 			if err := checkOp(n, cfg.TRD); err != nil {
 				diags = append(diags, diagOf(err))
 			}
 		}
 	}
-	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Line < diags[j].Line })
+	sortDiags(diags)
 	return diags
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/params"
+	"repro/internal/pim"
 )
 
 func approx(t *testing.T, name string, got, want, tol float64) {
@@ -60,6 +61,57 @@ func TestMeasuredMultTREventsFeedTheModel(t *testing.T) {
 	for _, r := range rows {
 		if r.Name == "multiply (per 8 bits)" && !(r.C3 > r.C7) {
 			t.Errorf("after live measurement, multiply ordering broken: %+v", r)
+		}
+	}
+}
+
+// TestMultTREventsPinDeviation2 pins the cause of EXPERIMENTS.md
+// deviation 2, Table V's multiply rates sitting 2-4x below the paper's:
+// the traced multiplier senses fewer wires than the paper's rates
+// imply. An 8-bit multiply reduces its partial products over the 16
+// wires of their product lane, one TR step sensing all 16 per
+// carry-save round, 6, 3 and 1 rounds at TRD 3, 5 and 7, then adds the
+// rest on the bs-16 carry chain, one TR step per wire: 112, 64 and 32
+// sensed wires. The paper's rates at p = 1e-6 (4.1e-4, 2.1e-4, 7.6e-5)
+// imply about 410, 210 and 76. The static multTREvents table Table V
+// reads without a live measurement must equal the trace.
+func TestMultTREventsPinDeviation2(t *testing.T) {
+	measured := MeasureMultTREvents()
+	for _, c := range []struct {
+		trd       params.TRD
+		rounds    int
+		paperRate float64
+	}{
+		{params.TRD3, 6, 4.1e-4},
+		{params.TRD5, 3, 2.1e-4},
+		{params.TRD7, 1, 7.6e-5},
+	} {
+		// The unit MeasureMultTREvents traces.
+		cfg := params.DefaultConfig()
+		cfg.TRD = c.trd
+		cfg.Geometry.TrackWidth = 16
+		u := pim.MustNewUnit(cfg)
+		prod, err := u.MultiplyValues([]uint64{201}, []uint64{57}, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := prod[0]; got != 201*57 {
+			t.Fatalf("%v: 201*57 = %d", c.trd, got)
+		}
+		st := u.Stats()
+		if st.TRSteps != c.rounds+16 || st.TRWires != 16*c.rounds+16 {
+			t.Errorf("%v: %d TR steps sensing %d wires, want %d rounds of 16 plus a 16-wire chain: %d steps, %d wires",
+				c.trd, st.TRSteps, st.TRWires, c.rounds, c.rounds+16, 16*c.rounds+16)
+		}
+		if measured[c.trd] != st.TRWires || multTREvents[c.trd] != st.TRWires {
+			t.Errorf("%v: MeasureMultTREvents %d, multTREvents %d, trace %d", c.trd, measured[c.trd], multTREvents[c.trd], st.TRWires)
+		}
+		implied := c.paperRate / DefaultTRFaultProb
+		if ratio := implied / float64(st.TRWires); ratio < 2 || ratio > 4 {
+			t.Errorf("%v: the paper's rate implies %.0f TRs, %.1fx the traced %d; deviation 2 states 2-4x", c.trd, implied, ratio, st.TRWires)
+		}
+		if rate := MultiplyErrorRate(st.TRWires, DefaultTRFaultProb); rate >= c.paperRate {
+			t.Errorf("%v: traced multiply rate %.3g is not below the paper's %.3g", c.trd, rate, c.paperRate)
 		}
 	}
 }
