@@ -36,7 +36,7 @@ lint: vet $(BIN)/coruscantvet
 	if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
-	$(GO) run ./cmd/pimasm vet $(shell find examples -name '*.pimasm')
+	$(GO) run ./cmd/pimasm vet $(shell find . -name '*.pimasm' ! -path './third_party/*' | sort)
 
 # audit is advisory, not a gate: it runs govulncheck when the tool is
 # installed and succeeds with a notice otherwise (the build environment

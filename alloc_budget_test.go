@@ -157,13 +157,21 @@ func TestAllocBudget(t *testing.T) {
 	// pimc: compile the three examples/pimasm programs at -O 2 (what
 	// compile-corpus and the loadgen kernel run), first alone, then
 	// compile and run them on a memory whose DBCs the first corpus pass
-	// materialized. Budgets are per corpus.
+	// materialized. Budgets are per corpus. CompileO0 is the naive
+	// baseline pimasm compiles beside every -O1/-O2 plan it reports.
 	ccfg := benchCompileConfig()
 	cm, err := memory.New(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, corpus := benchCorpus(t)
+	allocBudget(t, "CompileO0", 117, func() {
+		for _, src := range corpus {
+			if _, err := compile.Compile(src, ccfg, compile.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 	allocBudget(t, "CompileO2", 172, func() {
 		for _, src := range corpus {
 			if _, err := compile.Compile(src, ccfg, compile.Options{Level: 2}); err != nil {

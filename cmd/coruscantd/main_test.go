@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -74,6 +77,59 @@ func TestDaemonLifecycle(t *testing.T) {
 	if _, ok := found["coruscantd_inflight"]; !ok {
 		t.Errorf("metrics page lacks the coruscantd_inflight gauge; parsed service samples: %v", found)
 	}
+	// Every Counters field is one counter family on the page: one HELP,
+	// one TYPE and one sample carrying the value /v1/health reports.
+	// Health is not admitted to a queue, so it moves no counter.
+	if h, err = api.Health(ctx); err != nil {
+		t.Fatal(err)
+	}
+	families := map[string]string{
+		"Accepted":          "coruscantd_requests_accepted_total",
+		"Completed":         "coruscantd_requests_completed_total",
+		"Cancelled":         "coruscantd_cancelled_total",
+		"RejectedQuota":     "coruscantd_rejected_quota_total",
+		"RejectedOverload":  "coruscantd_rejected_overload_total",
+		"RejectedDraining":  "coruscantd_rejected_draining_total",
+		"CoalescedWindows":  "coruscantd_coalesced_windows_total",
+		"CoalescedRequests": "coruscantd_coalesced_requests_total",
+	}
+	lines := strings.Split(string(page), "\n")
+	count := func(prefix string) int {
+		n := 0
+		for _, l := range lines {
+			if strings.HasPrefix(l, prefix) {
+				n++
+			}
+		}
+		return n
+	}
+	checkFamily := func(name, kind string, val uint64) {
+		t.Helper()
+		for _, prefix := range []string{"# HELP " + name + " ", "# TYPE " + name + " ", name + " "} {
+			if n := count(prefix); n != 1 {
+				t.Errorf("%q: %d lines, want 1", prefix, n)
+			}
+		}
+		for _, line := range []string{"# TYPE " + name + " " + kind, fmt.Sprintf("%s %d", name, val)} {
+			if !slices.Contains(lines, line) {
+				t.Errorf("metrics page lacks the line %q", line)
+			}
+		}
+	}
+	cv := reflect.ValueOf(h.Counters)
+	for i := 0; i < cv.NumField(); i++ {
+		field := cv.Type().Field(i).Name
+		name, ok := families[field]
+		if !ok {
+			t.Errorf("Counters.%s has no metric family", field)
+			continue
+		}
+		checkFamily(name, "counter", cv.Field(i).Uint())
+	}
+	if len(families) != cv.NumField() {
+		t.Errorf("%d families for %d Counters fields", len(families), cv.NumField())
+	}
+	checkFamily("coruscantd_inflight", "gauge", 0)
 
 	if err := d.shutdown(ctx); err != nil {
 		t.Fatal(err)

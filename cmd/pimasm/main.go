@@ -12,9 +12,12 @@
 //	pimasm compile prog.pim        # compile a pimasm program (pimc)
 //	pimasm exec prog.pim           # compile and run it on a memory
 //
-// exec with instruction strings drives each one, in order, on a cpim
-// controller with deterministic operand lanes and reports the result
-// values plus the cycle/energy accounting of exactly that instruction.
+// exec with instruction strings drives each one, in order, on one PIM
+// unit with deterministic operand lanes and reports the result values
+// plus the cycle/energy accounting of exactly that instruction: read,
+// write and nop move rows through an access port, and every other
+// opcode runs its kernel through isa.Dispatch, the kernel map the
+// memory controller (internal/memory) runs.
 //
 // vet runs only the pimc front end and dataflow verifier over each
 // file, printing every line-numbered diagnostic (use-before-def and
@@ -319,9 +322,9 @@ func compileProg(cfg params.Config, path string, level int, dump bool, tracePath
 }
 
 // exec parses each instruction string and runs the stream in order on
-// one cpim controller, synthesizing deterministic operand rows, so the
-// encoded stream's cost and behaviour can be inspected without writing
-// a program. Instruction i records under telemetry source cpim.<i>.
+// one PIM unit, synthesizing deterministic operand rows, so the encoded
+// stream's cost and behaviour can be inspected without writing a
+// program. Instruction i records under telemetry source cpim.<i>.
 func exec(cfg params.Config, instrs []string, tracePath, jsonlPath string, metrics bool) error {
 	rec, files, err := newRecorder(cfg, tracePath, jsonlPath, metrics)
 	if err != nil {
@@ -337,7 +340,7 @@ func exec(cfg params.Config, instrs []string, tracePath, jsonlPath string, metri
 			}
 			ins[i] = in
 		}
-		c, err := isa.NewController(cfg)
+		u, err := pim.NewUnit(cfg)
 		if err != nil {
 			return err
 		}
@@ -346,17 +349,17 @@ func exec(cfg params.Config, instrs []string, tracePath, jsonlPath string, metri
 			// an instruction's shift cost never depends on the ones before
 			// it (the realignment models operand staging, which is not part
 			// of the measured instruction).
-			c.Unit.SetTelemetry(nil, "")
-			if _, err := c.Unit.D.Align(0, device.Left); err != nil {
+			u.SetTelemetry(nil, "")
+			if _, err := u.D.Align(0, device.Left); err != nil {
 				return err
 			}
-			c.Unit.SetTelemetry(rec, telemetry.Source(fmt.Sprintf("cpim.%d", i)))
-			c.Unit.ResetStats()
-			row, err := c.Execute(in, operandRows(cfg.Geometry.TrackWidth, in))
+			u.SetTelemetry(rec, telemetry.Source(fmt.Sprintf("cpim.%d", i)))
+			u.ResetStats()
+			row, err := execInstr(u, cfg.Geometry, in, operandRows(cfg.Geometry.TrackWidth, in))
 			if err != nil {
 				return err
 			}
-			stats := c.Unit.Stats()
+			stats := u.Stats()
 			fmt.Printf("%s\n", isa.FormatInstruction(in))
 			if bs := laneWidth(in); bs > 0 && row.N > 0 {
 				vals := pim.UnpackLanes(row, bs)
@@ -382,6 +385,41 @@ func exec(cfg params.Config, instrs []string, tracePath, jsonlPath string, metri
 		fmt.Fprintf(os.Stderr, "pimasm: wrote %s (open in https://ui.perfetto.dev)\n", tracePath)
 	}
 	return runErr
+}
+
+// execInstr runs one instruction on u over operand rows already staged
+// in its DBC, under a cpim-<op> span, and returns the result row. Read,
+// write and nop bypass the PIM logic (the orange path of Fig. 4(a)):
+// read and write move the addressed row through its nearest port;
+// every other opcode runs its kernel through isa.Dispatch.
+func execInstr(u *pim.Unit, g params.Geometry, in isa.Instruction, operands []dbc.Row) (dbc.Row, error) {
+	if err := in.Validate(g, u.TRD()); err != nil {
+		return dbc.Row{}, err
+	}
+	if in.Op != isa.OpRead && in.Op != isa.OpNop && len(operands) != in.Operands {
+		return dbc.Row{}, fmt.Errorf("isa: %v expects %d operands, got %d", in.Op, in.Operands, len(operands))
+	}
+	defer u.Span("cpim-" + in.Op.String())()
+	switch in.Op {
+	case isa.OpNop:
+		return dbc.Row{}, nil
+	case isa.OpRead:
+		side, _, err := u.D.AlignNearest(in.Src.Row)
+		if err != nil {
+			return dbc.Row{}, err
+		}
+		return u.D.ReadPort(side), nil
+	case isa.OpWrite:
+		if len(operands) == 0 {
+			return dbc.Row{}, fmt.Errorf("write needs the row to write (k=1), got k=%d", in.Operands)
+		}
+		if err := u.D.WriteRow(in.Src.Row, operands[0]); err != nil {
+			return dbc.Row{}, err
+		}
+		return operands[0], nil
+	}
+	res, _, err := isa.Dispatch(u, in, operands)
+	return res, err
 }
 
 // operandRows synthesizes deterministic operand rows for an exec

@@ -9,6 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dbc"
+	"repro/internal/isa"
+	"repro/internal/params"
+	"repro/internal/pim"
 	"repro/internal/telemetry"
 )
 
@@ -229,10 +233,55 @@ func TestRunProgramGolden(t *testing.T) {
 	}
 }
 
+// TestExecReadWriteBypass pins the read/write/nop bypass: on one unit
+// a write and then a read of the same row return the written row, and
+// exec prints each bypass instruction's cost.
+func TestExecReadWriteBypass(t *testing.T) {
+	cfg := params.DefaultConfig()
+	cfg.Geometry.TrackWidth = 32
+	u, err := pim.NewUnit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := pim.MustPackLanes([]uint64{0xAB, 0xCD, 0x12, 0x34}, 8, 32)
+	write := isa.Instruction{Op: isa.OpWrite, Src: isa.Addr{Row: 9}, Operands: 1}
+	if _, err := execInstr(u, cfg.Geometry, write, []dbc.Row{row}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := execInstr(u, cfg.Geometry, isa.Instruction{Op: isa.OpRead, Src: isa.Addr{Row: 9}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(row) {
+		t.Fatalf("read-back = %v, want %v", got, row)
+	}
+
+	out := captureStdout(t, func() {
+		if err := run([]string{"exec",
+			"write b0.s0.t0.d15.r9 bs=8 k=1",
+			"read b0.s0.t0.d15.r9 bs=8",
+			"nop b0.s0.t0.d15.r0",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const want = `write b0.s0.t0.d15.r9
+  cost: 4 cycles, 204.8 pJ
+read b0.s0.t0.d15.r9
+  cost: 4 cycles, 194.6 pJ
+nop b0.s0.t0.d15.r0
+  cost: 0 cycles, 0.0 pJ
+`
+	if out != want {
+		t.Errorf("exec printed\n%s\nwant\n%s", out, want)
+	}
+}
+
 func TestRunExecErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"exec"},
 		{"exec", "bogus"},
+		{"exec", "write b0.s0.t0.d15.r9 bs=8 k=0"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)

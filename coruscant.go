@@ -10,7 +10,8 @@
 //     bulk-bitwise logic, addition, carry-save reduction, multiplication,
 //     max/ReLU, and N-modular-redundancy voting, all bit-exact and with
 //     cycle/energy accounting;
-//   - Controller/Instruction — the cpim ISA front end (§III-E);
+//   - Instruction/Addr — the cpim instruction (§III-E), which Memory,
+//     the memory controller, stages and runs;
 //   - System — the memory-hierarchy timing/energy model;
 //   - RecoveryPolicy/Campaign — the fault detect/retry/degrade layer
 //     and its Monte Carlo evaluation harness;
@@ -148,10 +149,8 @@ func UnpackLanes(row Row, lane int) []uint64 { return pim.UnpackLanes(row, lane)
 // multiplication (§III-D1).
 func CSD(c uint64) []pim.SignedDigit { return pim.CSD(c) }
 
-// ISA front end.
+// The cpim instruction (§III-E); Memory.Execute runs it.
 type (
-	// Controller expands cpim instructions into PIM operations.
-	Controller = isa.Controller
 	// Instruction is one cpim operation.
 	Instruction = isa.Instruction
 	// Addr locates a row in the memory hierarchy.

@@ -79,17 +79,26 @@ func TestFacadeNanowire(t *testing.T) {
 	}
 }
 
+// TestFacadeController issues one cpim add to Memory, the memory
+// controller: it stages the operand rows into the PIM DBC and runs the
+// kernel there.
 func TestFacadeController(t *testing.T) {
 	cfg := coruscant.DefaultConfig()
 	cfg.Geometry.TrackWidth = 32
-	c, err := coruscant.NewController(cfg)
+	m, err := coruscant.NewMemory(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := coruscant.PackLanes([]uint64{3, 5}, 16, 32)
-	b, _ := coruscant.PackLanes([]uint64{4, 6}, 16, 32)
-	in := coruscant.Instruction{Op: coruscant.OpcodeAdd, Blocksize: 16, Operands: 2}
-	sum, err := c.Execute(in, []coruscant.Row{a, b})
+	ops := []coruscant.Addr{{Tile: 1}, {Tile: 1, Row: 1}}
+	for i, vals := range [][]uint64{{3, 5}, {4, 6}} {
+		r, _ := coruscant.PackLanes(vals, 16, 32)
+		if err := m.WriteRow(ops[i], r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pimAddr := coruscant.Addr{DBC: cfg.Geometry.DBCsPerTile - 1}
+	in := coruscant.Instruction{Op: coruscant.OpcodeAdd, Src: pimAddr, Blocksize: 16, Operands: 2}
+	sum, err := m.Execute(in, ops, coruscant.Addr{Tile: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

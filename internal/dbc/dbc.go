@@ -259,6 +259,22 @@ func (d *DBC) WritePort(s device.Side, bits Row) {
 	d.chargePort(telemetry.OpWrite, d.width, s)
 }
 
+// WriteRow aligns data row r under its nearest port and writes bits
+// through that port. Unlike WritePort it reports a row of the wrong
+// width as an error instead of panicking, for callers whose rows come
+// from outside.
+func (d *DBC) WriteRow(r int, bits Row) error {
+	if bits.N != d.width {
+		return fmt.Errorf("dbc: row width %d, want %d", bits.N, d.width)
+	}
+	side, _, err := d.AlignNearest(r)
+	if err != nil {
+		return err
+	}
+	d.WritePort(side, bits)
+	return nil
+}
+
 // WriteScatter performs, in one traced control step, a set of port writes
 // on distinct (wire, port) targets. This models the addition carry chain
 // of Fig. 6 where S, C and C' are written simultaneously to the left port

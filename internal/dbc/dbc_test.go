@@ -77,6 +77,24 @@ func TestDBCAlignReadWritePort(t *testing.T) {
 	}
 }
 
+// TestDBCWriteRow: WriteRow lands the row on its data row through the
+// nearest port and reports a row of the wrong width as an error.
+func TestDBCWriteRow(t *testing.T) {
+	d := MustNew(8, 32, params.TRD7)
+	row := FromBits(1, 0, 1, 1, 0, 0, 1, 0)
+	for _, r := range []int{0, 9, 31} {
+		if err := d.WriteRow(r, row); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.PeekRow(r); !got.Equal(row) {
+			t.Errorf("row %d = %v, want %v", r, got, row)
+		}
+	}
+	if err := d.WriteRow(3, NewRow(9)); err == nil {
+		t.Error("9-wire row written to an 8-wire DBC")
+	}
+}
+
 func TestDBCTRMatchesPopcount(t *testing.T) {
 	// The DBC's per-wire TR must equal the per-wire popcount of the
 	// window rows — cross-checking the lockstep model against the

@@ -23,9 +23,15 @@ import (
 // statement is computed as written: the naive baseline shares only the
 // legalizer's own constants.
 func (p *Program) legalize(trd params.TRD, level int) error {
+	// Only -O1 and up number every value; at -O0 the map holds the
+	// legalizer's own constants, usually none to two.
+	values := 0
+	if level >= 1 {
+		values = len(p.nodes)
+	}
 	lz := &legalizer{
 		nodes:  make([]*node, 0, len(p.nodes)+8),
-		values: make(map[vkey]*node, len(p.nodes)),
+		values: make(map[vkey]*node, values),
 		trd:    trd,
 		geo:    p.geo,
 		opt:    level >= 1,

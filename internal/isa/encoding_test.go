@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dbc"
 	"repro/internal/params"
+	"repro/internal/pim"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -69,14 +70,12 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestEncodeControllerIntegration: a word travels CPU → controller:
+// encode, decode, then validate and dispatch.
 func TestEncodeControllerIntegration(t *testing.T) {
-	// A word travels CPU → controller: encode, decode, execute.
 	g := params.DefaultGeometry()
 	cfg := testConfig()
-	c, err := NewController(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := pim.MustNewUnit(cfg)
 	in := Instruction{Op: OpXor, Blocksize: 8, Operands: 2}
 	word, err := in.Encode(g, cfg.TRD)
 	if err != nil {
@@ -88,7 +87,7 @@ func TestEncodeControllerIntegration(t *testing.T) {
 	a.Set(3, 1)
 	b.Set(3, 1)
 	a.Set(7, 1)
-	got, err := c.Execute(decoded, []dbc.Row{a, b})
+	got, err := dispatch(u, decoded, []dbc.Row{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,26 +68,27 @@ func TestParseProgramLineNumbers(t *testing.T) {
 	}
 }
 
-// TestControllerNewOps drives the PIRM extension opcodes through the
-// controller dispatch and checks values against native arithmetic.
+// TestControllerNewOps drives the PIRM extension opcodes through
+// Dispatch and checks values against native arithmetic. One div run
+// returns both the quotient and the remainder.
 func TestControllerNewOps(t *testing.T) {
 	cfg := testConfig()
-	c, err := NewController(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	width := c.Unit.Width()
+	u := pim.MustNewUnit(cfg)
+	width := u.Width()
 	src := Addr{Tile: 0, DBC: cfg.Geometry.DBCsPerTile - 1}
 	a := pim.MustPackLanes([]uint64{200, 77, 5, 0}, 8, width)
 	d := pim.MustPackLanes([]uint64{7, 0, 9, 3}, 8, width)
 
-	q, err := c.Execute(Instruction{Op: OpDiv, Src: src, Blocksize: 8, Operands: 2}, []dbc.Row{a, d})
+	q, rem, err := Dispatch(u, Instruction{Op: OpDiv, Src: src, Blocksize: 8, Operands: 2}, []dbc.Row{a, d})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.Execute(Instruction{Op: OpMod, Src: src, Blocksize: 8, Operands: 2}, []dbc.Row{a, d})
+	r, err := dispatch(u, Instruction{Op: OpMod, Src: src, Blocksize: 8, Operands: 2}, []dbc.Row{a, d})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !rem.Equal(r) {
+		t.Errorf("div remainder %v, mod %v", pim.UnpackLanes(rem, 8), pim.UnpackLanes(r, 8))
 	}
 	qs := pim.UnpackLanes(q, 8)
 	rs := pim.UnpackLanes(r, 8)
@@ -99,14 +100,14 @@ func TestControllerNewOps(t *testing.T) {
 		}
 	}
 
-	sh, err := c.Execute(Instruction{Op: OpShl, Src: src, Blocksize: 8, Operands: 1, Imm: 3}, []dbc.Row{a})
+	sh, err := dispatch(u, Instruction{Op: OpShl, Src: src, Blocksize: 8, Operands: 1, Imm: 3}, []dbc.Row{a})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := pim.UnpackLanes(sh, 8)[0]; got != (200<<3)&0xFF {
 		t.Errorf("shl: %d, want %d", got, (200<<3)&0xFF)
 	}
-	sh, err = c.Execute(Instruction{Op: OpShr, Src: src, Blocksize: 8, Operands: 1, Imm: 2}, []dbc.Row{a})
+	sh, err = dispatch(u, Instruction{Op: OpShr, Src: src, Blocksize: 8, Operands: 1, Imm: 2}, []dbc.Row{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestControllerNewOps(t *testing.T) {
 	fa := pim.MustPackLanes([]uint64{13, 9}, 16, width)
 	fb := pim.MustPackLanes([]uint64{7, 200}, 16, width)
 	fc := pim.MustPackLanes([]uint64{1000, 60000}, 16, width)
-	fr, err := c.Execute(Instruction{Op: OpFma, Src: src, Blocksize: 16, Operands: 3}, []dbc.Row{fa, fb, fc})
+	fr, err := dispatch(u, Instruction{Op: OpFma, Src: src, Blocksize: 16, Operands: 3}, []dbc.Row{fa, fb, fc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 // Package isa implements the CORUSCANT instruction-set extension of
 // §III-E: the cpim instruction `cpim src, op, blocksize` that the CPU
-// issues to the memory controller, the physical address decomposition
-// down to DBC/row granularity, and a controller that expands cpim
-// operations into PIM-unit command sequences (or bypasses the PIM logic
-// for ordinary loads and stores).
+// issues to the memory controller, its encoding and assembly syntax,
+// the physical address decomposition down to DBC/row granularity, the
+// validation of an instruction against a geometry and TR window, and
+// Dispatch, the map from each PIM opcode to the kernel that runs it.
+// The memory controller that stages operands and runs the kernels is
+// internal/memory.
 package isa
 
 import (
@@ -12,7 +14,6 @@ import (
 	"repro/internal/dbc"
 	"repro/internal/params"
 	"repro/internal/pim"
-	"repro/internal/resilient"
 )
 
 // OpCode enumerates the cpim operations.
@@ -240,105 +241,10 @@ func (in Instruction) String() string {
 		in.Blocksize, in.Operands)
 }
 
-// Controller expands cpim instructions into PIM-unit operations. It owns
-// one PIM unit standing for the addressed PIM-enabled DBC; in
-// high-throughput mode the memory controller drives one such unit per
-// subarray with identical command streams (§IV-B).
-type Controller struct {
-	Unit *pim.Unit
-	geo  params.Geometry
-	ex   *resilient.Executor // non-nil when a recovery policy is installed
-}
-
-// NewController returns a controller over a fresh PIM unit.
-func NewController(cfg params.Config) (*Controller, error) {
-	u, err := pim.NewUnit(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Controller{Unit: u, geo: cfg.Geometry}, nil
-}
-
-// SetRecovery installs (or, with a disabled policy, removes) a recovery
-// protocol on the controller: PIM-executing instructions are verified,
-// retried and degraded per the policy; pure data movement (read, write,
-// nop) bypasses it.
-func (c *Controller) SetRecovery(p resilient.Policy) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if !p.Enabled() {
-		c.ex = nil
-		return nil
-	}
-	ex, err := resilient.NewExecutor(c.Unit, p)
-	if err != nil {
-		return err
-	}
-	c.ex = ex
-	return nil
-}
-
-// Recovery returns the installed recovery policy (zero when disabled).
-func (c *Controller) Recovery() resilient.Policy {
-	if c.ex == nil {
-		return resilient.Policy{}
-	}
-	return c.ex.Policy
-}
-
-// Execute runs one instruction. Operand rows model the data already
-// staged in the addressed DBC (moved there over the shared row buffer);
-// the result row is returned and, for PIM ops, also left in the DBC.
-func (c *Controller) Execute(in Instruction, operands []dbc.Row) (dbc.Row, error) {
-	if err := in.Validate(c.geo, c.Unit.TRD()); err != nil {
-		return dbc.Row{}, err
-	}
-	if in.Op != OpRead && in.Op != OpNop && len(operands) != in.Operands {
-		return dbc.Row{}, fmt.Errorf("isa: %v expects %d operands, got %d", in.Op, in.Operands, len(operands))
-	}
-	// Build the span name only when telemetry is attached so the concat
-	// does not allocate on the disabled path.
-	if rec := c.Unit.Recorder(); rec != nil {
-		defer rec.Span(c.Unit.TelemetrySource(), "cpim-"+in.Op.String())()
-	}
-	switch in.Op {
-	case OpNop:
-		return dbc.Row{}, nil
-	case OpRead:
-		// Bypass path: align the addressed row and read it through the
-		// orange direct path of Fig. 4(a).
-		side, _, err := c.Unit.D.AlignNearest(in.Src.Row)
-		if err != nil {
-			return dbc.Row{}, err
-		}
-		return c.Unit.D.ReadPort(side), nil
-	case OpWrite:
-		side, _, err := c.Unit.D.AlignNearest(in.Src.Row)
-		if err != nil {
-			return dbc.Row{}, err
-		}
-		c.Unit.D.WritePort(side, operands[0])
-		return operands[0], nil
-	}
-	if !in.Op.IsPIM() {
-		return dbc.Row{}, fmt.Errorf("isa: unhandled opcode %v", in.Op)
-	}
-	run := func() (dbc.Row, error) {
-		res, _, err := Dispatch(c.Unit, in, operands)
-		return res, err
-	}
-	if c.ex != nil {
-		row, _, err := c.ex.Do(in.Op.String(), run)
-		return row, err
-	}
-	return run()
-}
-
 // Dispatch runs one PIM opcode on the unit over operand rows already
 // staged for it, returning the result row: the one opcode-to-kernel
-// mapping the controller, memory.Memory and pimc's kernel cost table
-// share. max picks its kernel by candidate count: exactly two run the
+// mapping memory.Memory, its kernel cost table and pimasm exec share.
+// max picks its kernel by candidate count: exactly two run the
 // carry-chain compare-select (pim.MaxSelect), which costs fewer cycles
 // and less energy at every blocksize and TRD; 3..TRD run the TW
 // tournament (pim.MaxTR). The DivMod kernel computes the quotient and

@@ -96,11 +96,20 @@ func TestInstructionString(t *testing.T) {
 	}
 }
 
-func TestControllerBulkOps(t *testing.T) {
-	c, err := NewController(testConfig())
-	if err != nil {
-		t.Fatal(err)
+// dispatch runs a cpim instruction the way the memory controller
+// (internal/memory) does once a request's operands are staged:
+// Validate, then Dispatch on the PIM unit. The TestController tests
+// drive every kernel case through it.
+func dispatch(u *pim.Unit, in Instruction, operands []dbc.Row) (dbc.Row, error) {
+	if err := in.Validate(params.DefaultGeometry(), u.TRD()); err != nil {
+		return dbc.Row{}, err
 	}
+	res, _, err := Dispatch(u, in, operands)
+	return res, err
+}
+
+func TestControllerBulkOps(t *testing.T) {
+	u := pim.MustNewUnit(testConfig())
 	rng := rand.New(rand.NewSource(3))
 	a := randRow(32, rng)
 	b := randRow(32, rng)
@@ -115,7 +124,7 @@ func TestControllerBulkOps(t *testing.T) {
 		{OpNor, func(x, y uint8) uint8 { return 1 - (x | y) }},
 		{OpXnor, func(x, y uint8) uint8 { return 1 - x ^ y }},
 	} {
-		got, err := c.Execute(Instruction{Op: tc.op, Blocksize: 8, Operands: 2}, []dbc.Row{a, b})
+		got, err := dispatch(u, Instruction{Op: tc.op, Blocksize: 8, Operands: 2}, []dbc.Row{a, b})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.op, err)
 		}
@@ -128,13 +137,10 @@ func TestControllerBulkOps(t *testing.T) {
 }
 
 func TestControllerAddMult(t *testing.T) {
-	c, err := NewController(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := pim.MustNewUnit(testConfig())
 	a := pim.MustPackLanes([]uint64{200, 13, 40, 5}, 8, 32)
 	b := pim.MustPackLanes([]uint64{100, 29, 17, 250}, 8, 32)
-	sum, err := c.Execute(Instruction{Op: OpAdd, Blocksize: 8, Operands: 2}, []dbc.Row{a, b})
+	sum, err := dispatch(u, Instruction{Op: OpAdd, Blocksize: 8, Operands: 2}, []dbc.Row{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +153,7 @@ func TestControllerAddMult(t *testing.T) {
 
 	ma := pim.MustPackLanes([]uint64{12, 255}, 16, 32)
 	mb := pim.MustPackLanes([]uint64{11, 255}, 16, 32)
-	prod, err := c.Execute(Instruction{Op: OpMult, Blocksize: 16, Operands: 2}, []dbc.Row{ma, mb})
+	prod, err := dispatch(u, Instruction{Op: OpMult, Blocksize: 16, Operands: 2}, []dbc.Row{ma, mb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,16 +164,13 @@ func TestControllerAddMult(t *testing.T) {
 }
 
 func TestControllerMaxVoteRelu(t *testing.T) {
-	c, err := NewController(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := pim.MustNewUnit(testConfig())
 	rows := []dbc.Row{
 		pim.MustPackLanes([]uint64{5, 200, 17, 44}, 8, 32),
 		pim.MustPackLanes([]uint64{100, 3, 80, 44}, 8, 32),
 		pim.MustPackLanes([]uint64{7, 7, 7, 7}, 8, 32),
 	}
-	got, err := c.Execute(Instruction{Op: OpMax, Blocksize: 8, Operands: 3}, rows)
+	got, err := dispatch(u, Instruction{Op: OpMax, Blocksize: 8, Operands: 3}, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +181,7 @@ func TestControllerMaxVoteRelu(t *testing.T) {
 		}
 	}
 
-	vote, err := c.Execute(Instruction{Op: OpVote, Blocksize: 8, Operands: 3},
+	vote, err := dispatch(u, Instruction{Op: OpVote, Blocksize: 8, Operands: 3},
 		[]dbc.Row{rows[0], rows[0], rows[1]})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +190,7 @@ func TestControllerMaxVoteRelu(t *testing.T) {
 		t.Fatalf("vote = %v, want %v", vote, rows[0])
 	}
 
-	relu, err := c.Execute(Instruction{Op: OpRelu, Blocksize: 8, Operands: 1},
+	relu, err := dispatch(u, Instruction{Op: OpRelu, Blocksize: 8, Operands: 1},
 		[]dbc.Row{pim.MustPackLanes([]uint64{130, 4, 255, 127}, 8, 32)})
 	if err != nil {
 		t.Fatal(err)
@@ -200,37 +203,22 @@ func TestControllerMaxVoteRelu(t *testing.T) {
 	}
 }
 
-func TestControllerReadWriteBypass(t *testing.T) {
-	c, err := NewController(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := pim.MustPackLanes([]uint64{0xAB, 0xCD, 0x12, 0x34}, 8, 32)
-	if _, err := c.Execute(Instruction{Op: OpWrite, Src: Addr{Row: 9}, Operands: 1}, []dbc.Row{row}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Execute(Instruction{Op: OpRead, Src: Addr{Row: 9}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(row) {
-		t.Fatalf("read-back = %v, want %v", got, row)
-	}
-}
-
+// TestControllerErrors: a kernel without its operand rows, an operand
+// count past the TR window and an opcode that bypasses the PIM logic
+// all fail. Read, write and nop are data movement; the memory
+// controller runs them without Dispatch.
 func TestControllerErrors(t *testing.T) {
-	c, err := NewController(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Execute(Instruction{Op: OpAdd, Blocksize: 8, Operands: 2}, nil); err == nil {
+	u := pim.MustNewUnit(testConfig())
+	if _, err := dispatch(u, Instruction{Op: OpAdd, Blocksize: 8, Operands: 2}, nil); err == nil {
 		t.Error("missing operands accepted")
 	}
-	if _, err := c.Execute(Instruction{Op: OpNot, Blocksize: 8, Operands: 9}, nil); err == nil {
+	if _, err := dispatch(u, Instruction{Op: OpNot, Blocksize: 8, Operands: 9}, nil); err == nil {
 		t.Error("operand overflow accepted")
 	}
-	if r, err := c.Execute(Instruction{Op: OpNop}, nil); err != nil || !r.IsEmpty() {
-		t.Error("nop misbehaved")
+	for _, op := range []OpCode{OpNop, OpRead, OpWrite} {
+		if _, err := dispatch(u, Instruction{Op: op}, nil); err == nil {
+			t.Errorf("Dispatch ran %v", op)
+		}
 	}
 }
 

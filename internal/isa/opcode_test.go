@@ -27,9 +27,9 @@ func arity(op isa.OpCode) int {
 // the opcode and exactly when Memory.Execute accepts it. Validate owns
 // kernel arity: mult takes two operands, add at least two and at most
 // TRD−2 (TRD 7), max at least two, not and relu exactly one, vote a
-// degree of 3, 5 or 7 within the TRD, and Validate, Memory.Execute and
-// Controller.Execute all reject every other count. The window limits
-// wrap params.ErrBadTRD.
+// degree of 3, 5 or 7 within the TRD, and Validate and Memory.Execute
+// both reject every other count. The window limits wrap
+// params.ErrBadTRD.
 func TestPIMOpcodes(t *testing.T) {
 	cfg := params.DefaultConfig()
 	cfg.Geometry.TrackWidth = 64
@@ -62,10 +62,6 @@ func TestPIMOpcodes(t *testing.T) {
 		}
 	}
 
-	c, err := isa.NewController(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		in     isa.Instruction
 		badTRD bool // the count exceeds what the TR window can do
@@ -90,9 +86,6 @@ func TestPIMOpcodes(t *testing.T) {
 		}
 		if _, err := m.Execute(in, operands[:k], isa.Addr{Tile: 2}); !errors.Is(err, memory.ErrInvalidRequest) {
 			t.Errorf("Memory.Execute %v k=%d err = %v, want ErrInvalidRequest", in.Op, k, err)
-		}
-		if _, err := c.Execute(in, rows[:k]); err == nil {
-			t.Errorf("Controller.Execute accepted %v k=%d", in.Op, k)
 		}
 	}
 }

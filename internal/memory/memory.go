@@ -376,19 +376,13 @@ func (pl *planner) sortBases(bases []isa.Addr) []isa.Addr {
 	return out
 }
 
-// writeRowOn stores a row through the shard's nearest access port;
+// writeRow stores a row through the shard's nearest access port;
 // sh.mu held.
 func (sh *shard) writeRow(a isa.Addr, row dbc.Row) error {
-	d := sh.d
-	if row.N != d.Width() {
-		return fmt.Errorf("memory: row width %d, want %d", row.N, d.Width())
-	}
-	side, _, err := d.AlignNearest(a.Row)
-	if err != nil {
+	if err := sh.d.WriteRow(a.Row, row); err != nil {
 		return err
 	}
-	d.WritePort(side, row)
-	sh.recorder().Move(d.Source(), telemetry.OpRowWrite, row.N)
+	sh.recorder().Move(sh.d.Source(), telemetry.OpRowWrite, row.N)
 	return nil
 }
 

@@ -707,9 +707,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"coruscantd_coalesced_windows_total", "Execution windows that merged more than one request.", c.CoalescedWindows},
 		{"coruscantd_coalesced_requests_total", "Requests that rode a merged window.", c.CoalescedRequests},
 	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m.name, m.help, m.name, m.name, m.val)
+		profile.WriteScalar(w, m.name, "counter", m.help, m.val)
 	}
-	fmt.Fprintf(w, "# HELP coruscantd_inflight Admitted requests not yet answered.\n# TYPE coruscantd_inflight gauge\ncoruscantd_inflight %d\n", s.Inflight())
+	profile.WriteScalar(w, "coruscantd_inflight", "gauge", "Admitted requests not yet answered.", s.Inflight())
 	if len(s.profs) > 0 {
 		profile.WriteManyPrometheus(w, s.profs...)
 	}

@@ -183,6 +183,13 @@ func writeHeader(w io.Writer, name, kind, help string) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 }
 
+// WriteScalar writes a family of one unlabelled sample, a counter or a
+// gauge: its # HELP and # TYPE header, then the line "name val".
+func WriteScalar[T int64 | uint64](w io.Writer, name, kind, help string, val T) {
+	writeHeader(w, name, kind, help)
+	fmt.Fprintf(w, "%s %d\n", name, val)
+}
+
 // writeHist renders one telemetry.Hist as a cumulative Prometheus
 // histogram. Bucket i of the log2 histogram holds values with
 // bit-length i, i.e. values <= (1<<i)-1, which becomes the le= edge.

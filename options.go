@@ -3,7 +3,6 @@ package coruscant
 import (
 	"fmt"
 
-	"repro/internal/isa"
 	"repro/internal/memory"
 	"repro/internal/params"
 	"repro/internal/pim"
@@ -29,7 +28,7 @@ type (
 	QuarantineRecord = memory.QuarantineRecord
 	// FaultProfile is per-DBC deterministic fault injection, the one way
 	// to inject faults into a Memory (Memory.SetFaultProfile); a
-	// FaultInjector attaches to a Unit or Controller (WithFaults).
+	// FaultInjector attaches to a standalone Unit (WithFaults).
 	FaultProfile = memory.FaultProfile
 	// Campaign is a Monte Carlo fault sweep through the recovered path.
 	Campaign = reliability.Campaign
@@ -75,7 +74,7 @@ var (
 )
 
 // options collects the construction-time attachments shared by the
-// NewUnit/NewMemory/NewController option lists.
+// NewUnit/NewMemory/NewShardPool option lists.
 type options struct {
 	rec    *telemetry.Recorder
 	recSet bool
@@ -85,26 +84,27 @@ type options struct {
 	polSet bool
 }
 
-// Option configures a Unit, Memory or Controller at construction.
+// Option configures a Unit, Memory or ShardPool at construction.
 // Options not applicable to the constructed type are an error, so a
 // misplaced attachment fails loudly instead of being silently dropped.
 type Option func(*options)
 
 // WithTelemetry attaches a telemetry recorder at construction
-// (replacing a later SetTelemetry call). Applies to NewUnit, NewMemory
-// and NewController.
+// (replacing a later SetTelemetry call). Applies to NewUnit and
+// NewMemory.
 func WithTelemetry(rec *Recorder) Option {
 	return func(o *options) { o.rec, o.recSet = rec, true }
 }
 
-// WithFaults attaches a fault injector at construction. Applies to
-// NewUnit and NewController.
+// WithFaults attaches a fault injector at construction. Applies only
+// to NewUnit; a Memory takes faults as a per-DBC FaultProfile.
 func WithFaults(inj *FaultInjector) Option {
 	return func(o *options) { o.inj, o.injSet = inj, true }
 }
 
 // WithRecovery installs a recovery policy at construction. Applies to
-// NewMemory and NewController.
+// NewMemory and NewShardPool; wrap a standalone Unit with
+// NewRecoveryExecutor instead.
 func WithRecovery(p RecoveryPolicy) Option {
 	return func(o *options) { o.pol, o.polSet = p, true }
 }
@@ -196,26 +196,4 @@ func NewShardPool(cfg Config, n int, opts ...Option) (*ShardPool, error) {
 		}
 	}
 	return p, nil
-}
-
-// NewController builds a cpim controller over a fresh PIM unit. Accepts
-// WithTelemetry, WithFaults and WithRecovery.
-func NewController(cfg Config, opts ...Option) (*Controller, error) {
-	o := gather(opts)
-	c, err := isa.NewController(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if o.recSet {
-		c.Unit.SetTelemetry(o.rec, UnitSource)
-	}
-	if o.injSet {
-		c.Unit.D.SetFaultInjector(o.inj)
-	}
-	if o.polSet {
-		if err := c.SetRecovery(o.pol); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
 }

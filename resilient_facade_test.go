@@ -159,41 +159,43 @@ func TestConstructionOptions(t *testing.T) {
 		t.Errorf("WithFaults on NewMemory: err = %v, want a rejection naming SetFaultProfile", err)
 	}
 
-	c, err := coruscant.NewController(cfg, coruscant.WithRecovery(coruscant.DefaultRecoveryPolicy()))
+	// A standalone unit takes its recovery policy from the executor
+	// that wraps it.
+	ex, err := coruscant.NewRecoveryExecutor(u, coruscant.DefaultRecoveryPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Recovery().Enabled() {
-		t.Error("WithRecovery not applied to controller")
+	if !ex.Policy.Enabled() {
+		t.Error("NewRecoveryExecutor did not install the policy")
 	}
 }
 
-// TestRecoveredControllerExecution: a controller with faults and NMR
-// recovery still delivers correct results.
+// TestRecoveredControllerExecution: the memory controller with faults
+// and NMR recovery still delivers correct results.
 func TestRecoveredControllerExecution(t *testing.T) {
 	cfg := coruscant.DefaultConfig()
 	cfg.Geometry.TrackWidth = 32
-	inj := coruscant.NewFaultInjector(0.01, 0, 42)
-	c, err := coruscant.NewController(cfg,
-		coruscant.WithFaults(inj),
-		coruscant.WithRecovery(coruscant.DefaultRecoveryPolicy()))
+	m, err := coruscant.NewMemory(cfg, coruscant.WithRecovery(coruscant.DefaultRecoveryPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SetFaultProfile(coruscant.FaultProfile{TRProb: 0.01, Seed: 42})
 	pimAddr := coruscant.Addr{Tile: 0, DBC: cfg.Geometry.DBCsPerTile - 1}
 	in := coruscant.Instruction{Op: coruscant.OpcodeAdd, Src: pimAddr, Blocksize: 8, Operands: 2}
+	ops := []coruscant.Addr{{Tile: 1}, {Tile: 1, Row: 1}}
 	wrong := 0
 	for i := 0; i < 50; i++ {
 		a, b := uint64(i%50), uint64((7*i)%50)
-		ra, err := coruscant.PackLanes([]uint64{a, a, a, a}, 8, 32)
-		if err != nil {
-			t.Fatal(err)
+		for j, v := range []uint64{a, b} {
+			r, err := coruscant.PackLanes([]uint64{v, v, v, v}, 8, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.WriteRow(ops[j], r); err != nil {
+				t.Fatal(err)
+			}
 		}
-		rb, err := coruscant.PackLanes([]uint64{b, b, b, b}, 8, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := c.Execute(in, []coruscant.Row{ra, rb})
+		res, err := m.Execute(in, ops, coruscant.Addr{Tile: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,6 +204,9 @@ func TestRecoveredControllerExecution(t *testing.T) {
 		}
 	}
 	if wrong > 2 {
-		t.Errorf("recovered controller delivered %d/50 wrong sums", wrong)
+		t.Errorf("recovered memory delivered %d/50 wrong sums", wrong)
+	}
+	if m.Health().TotalDetected == 0 {
+		t.Error("no fault was detected, so recovery was never exercised")
 	}
 }
