@@ -60,6 +60,15 @@ func TestAllocBudget(t *testing.T) {
 		}
 	})
 
+	// One allocation, the sum row: the vote counters live in the
+	// unit's reusable buffers.
+	nmr := nmrRows()
+	allocBudget(t, "AddMultiNMR", 1, func() {
+		if _, err := u.AddMultiNMR(3, nmr, 8); err != nil {
+			t.Fatal(err)
+		}
+	})
+
 	xorRows := make([]dbc.Row, 7)
 	for i := range xorRows {
 		xorRows[i] = dbc.NewRow(512)

@@ -203,6 +203,32 @@ func BenchmarkAddMulti(b *testing.B) {
 	}
 }
 
+// BenchmarkAddMultiNMR benchmarks the per-step TMR-voted addition of
+// three 512-wire rows (64 8-bit lanes per call).
+func BenchmarkAddMultiNMR(b *testing.B) {
+	u := pim.MustNewUnit(params.DefaultConfig())
+	rows := nmrRows()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := u.AddMultiNMR(3, rows, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// nmrRows returns BenchmarkAddMultiNMR's three operand rows.
+func nmrRows() []dbc.Row {
+	rows := make([]dbc.Row, 3)
+	for i := range rows {
+		vals := make([]uint64, 64)
+		for j := range vals {
+			vals[j] = uint64((i*29 + j*13) % 256)
+		}
+		rows[i] = pim.MustPackLanes(vals, 8, 512)
+	}
+	return rows
+}
+
 // BenchmarkDBCAddMulti is BenchmarkAddMulti under the name matched by
 // the CI bench target (`make bench` runs 'BenchmarkDBC|BenchmarkBulk'),
 // so the word-packed engine's multi-operand-add throughput is tracked

@@ -1,7 +1,7 @@
 // Package scratchescape defines an analyzer enforcing the scratch-arena
 // lifetime contract of internal/pim/scratch.go: buffers handed out by
 // the unexported scratch* accessor family (scratchRow, scratchWords,
-// scratchInts, scratchRowList) are arena-backed and valid only until the
+// scratchRowList) are arena-backed and valid only until the
 // enclosing top-level operation returns. They must never outlive it.
 //
 // Two escape routes are checked:

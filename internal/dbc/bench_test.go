@@ -47,23 +47,12 @@ func BenchmarkDBCTRAll(b *testing.B) {
 	}
 }
 
-// BenchmarkDBCTRAllLevels includes the per-wire level expansion that
-// scalar consumers (reliability models, max search) use.
-func BenchmarkDBCTRAllLevels(b *testing.B) {
-	d := benchDBC(b, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := d.TRAll(); len(got) != 512 {
-			b.Fatal("bad length")
-		}
-	}
-}
-
 // BenchmarkDBCEvalPlanes measures the word-parallel gate evaluation of a
 // sensed window across 512 wires.
 func BenchmarkDBCEvalPlanes(b *testing.B) {
 	d := benchDBC(b, 512)
-	lp := d.TRAllPlanes()
+	lp := NewLevelPlanes(512)
+	d.TRAllPlanesInto(&lp)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if got := EvalPlanes(OpXOR, lp, params.TRD7); got.Len() != 512 {

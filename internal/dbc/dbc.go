@@ -7,9 +7,12 @@
 // The cluster state lives in a word-packed device.PlaneArray — one bit
 // plane per physical domain row, 64 wires per word — so shifts are index
 // bookkeeping and row transfers, transverse reads and bulk-bitwise
-// evaluation run 64 wires per machine instruction. device.Nanowire is
-// the single-wire reference model the packed engine is differentially
-// tested against (refdbc_test.go).
+// evaluation run 64 wires per machine instruction. A transverse read has
+// one form: TRAllPlanesInto senses every wire and TRMaskedInto a masked
+// subset, both into bit-sliced LevelPlanes whose bits are the S, C and
+// C' outputs. device.Nanowire is the single-wire reference model the
+// packed engine, both sensing calls included, is differentially tested
+// against (refdbc_test.go).
 //
 // All state-changing operations are charged: each control step makes one
 // charge to the DBC's ledger — a trace.Tracer (standalone DBCs and PIM
@@ -275,57 +278,13 @@ func (d *DBC) WriteRow(r int, bits Row) error {
 	return nil
 }
 
-// WriteScatter performs, in one traced control step, a set of port writes
-// on distinct (wire, port) targets. This models the addition carry chain
-// of Fig. 6 where S, C and C' are written simultaneously to the left port
-// of wire k, the right port of wire k+1 and the left port of wire k+2.
-func (d *DBC) WriteScatter(writes []PortBit) {
-	left, right := false, false
-	for _, pw := range writes {
-		d.pa.SetPortBit(pw.Side, pw.Wire, pw.Bit)
-		if pw.Side == device.Left {
-			left = true
-		} else {
-			right = true
-		}
-	}
-	d.chargeScatter(len(writes), left, right)
-}
-
-// chargeScatter charges one scatter-write control step with wear
-// attribution: the touched row(s) are whatever sits under the used
-// port(s). With both ports written the event carries the left-port row
-// and PortBoth — the right-port row is TRD-1 rows further, which the
-// profiler reconstructs from the geometry.
-func (d *DBC) chargeScatter(count int, left, right bool) {
-	d.tracer.Charge(trace.Write, count)
-	if d.rec == nil {
-		return
-	}
-	switch {
-	case left && right:
-		d.rec.StepPort(d.src, telemetry.OpWrite, count, d.pa.RowAtPort(device.Left), telemetry.PortBoth)
-	case right:
-		d.rec.StepPort(d.src, telemetry.OpWrite, count, d.pa.RowAtPort(device.Right), telemetry.PortRight)
-	default:
-		// Left-only, or an empty scatter (count 0) that still costs the
-		// control step: attribute to the left port like the carry chain.
-		d.rec.StepPort(d.src, telemetry.OpWrite, count, d.pa.RowAtPort(device.Left), telemetry.PortLeft)
-	}
-}
-
-// PortBit names a single-bit port write target for WriteScatter.
-type PortBit struct {
-	Wire int
-	Side device.Side
-	Bit  uint8
-}
-
-// LevelPlanes is the bit-sliced output of a whole-DBC transverse read:
-// the sensed level of wire w is the 3-bit number c2c1c0 read at bit
-// position w%64 of word w/64 of the three counter planes. Word-parallel
-// consumers (EvalPlanes, the carry-save reduction) combine the planes
-// directly; Levels expands to per-wire integers.
+// LevelPlanes is the bit-sliced output of a transverse read, the one
+// form every sensing consumer reads: the sensed level of wire w is the
+// 3-bit number c2c1c0 read at bit position w%64 of word w/64 of the
+// three counter planes, so C0, C1 and C2 are the S, C and C' outputs of
+// Fig. 4(b) for 64 wires per word. Word-parallel consumers (EvalPlanes,
+// the carry chain, the carry-save reduction) combine the planes
+// directly.
 type LevelPlanes struct {
 	C0, C1, C2 []uint64
 	N          int
@@ -335,15 +294,6 @@ type LevelPlanes struct {
 func (lp LevelPlanes) Level(w int) int {
 	word, bit := w>>6, uint(w&63)
 	return int(lp.C0[word]>>bit&1) | int(lp.C1[word]>>bit&1)<<1 | int(lp.C2[word]>>bit&1)<<2
-}
-
-// Levels expands the planes into one level per wire.
-func (lp LevelPlanes) Levels() []int {
-	out := make([]int, lp.N)
-	for w := range out {
-		out[w] = lp.Level(w)
-	}
-	return out
 }
 
 // NewLevelPlanes returns zeroed level planes for a DBC of the given
@@ -359,18 +309,11 @@ func NewLevelPlanes(width int) LevelPlanes {
 	}
 }
 
-// TRAllPlanes performs a transverse read on every nanowire in one traced
-// control step, returning the bit-sliced level planes for word-parallel
-// evaluation.
-func (d *DBC) TRAllPlanes() LevelPlanes {
-	lp := NewLevelPlanes(d.width)
-	d.TRAllPlanesInto(&lp)
-	return lp
-}
-
-// TRAllPlanesInto is TRAllPlanes writing into caller-owned planes (sized
-// by NewLevelPlanes), for hot paths that reuse a scratch buffer across
-// transverse reads instead of allocating per read.
+// TRAllPlanesInto performs a transverse read on every nanowire in one
+// traced control step, writing the level planes into caller-owned
+// planes (sized by NewLevelPlanes) that are reused across reads. With a
+// fault injector attached, TRFaultMasks draws one perturbation per wire
+// in wire order.
 func (d *DBC) TRAllPlanesInto(lp *LevelPlanes) {
 	d.pa.TRPlanes(lp.C0, lp.C1, lp.C2)
 	if flip, up, any := d.inj.TRFaultMasks(d.width); any {
@@ -380,71 +323,16 @@ func (d *DBC) TRAllPlanesInto(lp *LevelPlanes) {
 	d.Charge(telemetry.OpTR, d.width)
 }
 
-// TRAll performs a transverse read on every nanowire in one traced
-// control step, returning the per-wire '1' counts (levels 0..TRD).
-func (d *DBC) TRAll() []int {
-	return d.TRAllPlanes().Levels()
-}
-
-// TRWires performs a transverse read on the selected nanowires in one
-// traced control step (the memory controller masks the other bitlines,
-// §III-E). Unselected entries of the result are -1. Duplicate or
-// out-of-range wire indices are rejected: a physical bitline cannot be
-// sensed twice in one step, and silently double-counting would corrupt
-// the energy accounting of the trace.
-func (d *DBC) TRWires(wires []int) ([]int, error) {
-	levels := make([]int, d.width)
-	if err := d.TRWiresInto(levels, wires); err != nil {
-		return nil, err
-	}
-	return levels, nil
-}
-
-// TRWiresInto is TRWires writing into a caller-owned levels buffer of
-// length Width(), for hot paths that reuse the buffer across reads. The
-// buffer is reset to -1 before sensing; validation and fault-injection
-// draw order match TRWires exactly.
-func (d *DBC) TRWiresInto(levels []int, wires []int) error {
-	if len(levels) != d.width {
-		return fmt.Errorf("dbc: TR levels buffer length %d, want %d", len(levels), d.width)
-	}
-	for i := range levels {
-		levels[i] = -1
-	}
-	for _, w := range wires {
-		if w < 0 || w >= d.width {
-			return fmt.Errorf("dbc: TR wire %d out of range [0,%d)", w, d.width)
-		}
-		if levels[w] != -1 {
-			return fmt.Errorf("dbc: duplicate TR wire %d", w)
-		}
-		lvl := d.pa.TRWire(w)
-		sensed := d.inj.PerturbTR(lvl, int(d.trd))
-		if sensed != lvl {
-			d.rec.Fault(d.src, "tr-level", 1)
-		}
-		levels[w] = sensed
-	}
-	d.Charge(telemetry.OpTR, len(wires))
-	return nil
-}
-
-// TRMasked performs a transverse read on the bitlines selected by mask
-// (bit w%64 of word w/64) in one traced control step — the word-parallel
-// form of TRWires for periodic wire selections such as the Fig. 6 carry
-// chain, where per-index validation is statically unnecessary. wires
-// must be the number of selected bitlines (trace accounting). Unselected
-// lanes of the returned planes are zero. With a fault injector attached,
-// the per-wire perturbation draws happen in increasing wire order,
-// consuming exactly the random stream of the equivalent TRWires call.
-func (d *DBC) TRMasked(mask []uint64, wires int) LevelPlanes {
-	lp := NewLevelPlanes(d.width)
-	d.TRMaskedInto(&lp, mask, wires)
-	return lp
-}
-
-// TRMaskedInto is TRMasked writing into caller-owned planes (sized by
-// NewLevelPlanes), for hot paths that reuse a scratch buffer.
+// TRMaskedInto performs a transverse read on the bitlines selected by
+// mask (bit w%64 of word w/64) in one traced control step — the memory
+// controller masks the other bitlines (§III-E) — writing the level
+// planes into caller-owned planes (sized by NewLevelPlanes). Unselected
+// lanes read zero. wires must be the number of selected bitlines (trace
+// accounting). With a fault injector attached, each selected wire draws
+// one PerturbTR in increasing wire order and no draw happens at a zero
+// TR rate, so a kernel's fault stream depends only on which wires it
+// senses. The Fig. 6 carry chain, its per-step vote and the max
+// tournament all sense through it.
 func (d *DBC) TRMaskedInto(lp *LevelPlanes, mask []uint64, wires int) {
 	d.pa.TRPlanes(lp.C0, lp.C1, lp.C2)
 	for i := range lp.C0 {
@@ -475,13 +363,31 @@ func (d *DBC) TRMaskedInto(lp *LevelPlanes, mask []uint64, wires int) {
 // WriteScatterPlanes performs, in one traced control step, word-parallel
 // masked writes to both access ports: src bits on wires selected by the
 // matching mask overwrite that port's domain, other wires are untouched.
-// It is the plane form of WriteScatter for writes already organized as
-// bit planes (the Fig. 6 S/C/C' scatter). count must be the number of
-// individual bits written (trace accounting). Nil masks skip that port.
+// This is the Fig. 6 carry chain's scatter, where S, C and C' land on
+// the left port of wire k, the right port of wire k+1 and the left port
+// of wire k+2 at once. count must be the number of individual bits
+// written (trace accounting). Nil masks skip that port.
 func (d *DBC) WriteScatterPlanes(left, leftMask, right, rightMask []uint64, count int) {
 	d.pa.WritePortMasked(device.Left, left, leftMask)
 	d.pa.WritePortMasked(device.Right, right, rightMask)
-	d.chargeScatter(count, leftMask != nil, rightMask != nil)
+	d.tracer.Charge(trace.Write, count)
+	if d.rec == nil {
+		return
+	}
+	// Wear attribution: the touched rows are whatever sits under the
+	// written ports. With both ports written the event carries the
+	// left-port row and PortBoth — the right-port row is TRD-1 rows
+	// further, which the profiler reconstructs from the geometry.
+	switch {
+	case leftMask != nil && rightMask != nil:
+		d.rec.StepPort(d.src, telemetry.OpWrite, count, d.pa.RowAtPort(device.Left), telemetry.PortBoth)
+	case rightMask != nil:
+		d.rec.StepPort(d.src, telemetry.OpWrite, count, d.pa.RowAtPort(device.Right), telemetry.PortRight)
+	default:
+		// Left-only, or a scatter with no mask that still costs the
+		// control step: attribute to the left port like the carry chain.
+		d.rec.StepPort(d.src, telemetry.OpWrite, count, d.pa.RowAtPort(device.Left), telemetry.PortLeft)
+	}
 }
 
 // CopyPort lands a row under the port through the shifted read/write

@@ -109,7 +109,7 @@ func TestDBCTRMatchesPopcount(t *testing.T) {
 			want[w] += int(row.Get(w))
 		}
 	}
-	got := d.TRAll()
+	got := trLevels(d)
 	for w := range want {
 		if got[w] != want[w] {
 			t.Fatalf("TR wire %d = %d, want %d", w, got[w], want[w])
@@ -117,24 +117,24 @@ func TestDBCTRMatchesPopcount(t *testing.T) {
 	}
 }
 
-func TestDBCTRWiresMasking(t *testing.T) {
+func TestDBCTRMaskedInto(t *testing.T) {
 	d := MustNew(16, 32, params.TRD7)
+	tr := &trace.Tracer{}
+	d.SetTracer(tr)
 	d.PokeWindowConst(3, 1)
-	levels, err := d.TRWires([]int{2, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w, l := range levels {
-		switch w {
-		case 2, 5:
-			if l != 1 {
-				t.Fatalf("selected wire %d level = %d, want 1", w, l)
-			}
-		default:
-			if l != -1 {
-				t.Fatalf("masked wire %d level = %d, want -1", w, l)
-			}
+	lp := NewLevelPlanes(16)
+	d.TRMaskedInto(&lp, []uint64{1<<2 | 1<<5}, 2)
+	for w := 0; w < 16; w++ {
+		want := 0
+		if w == 2 || w == 5 {
+			want = 1
 		}
+		if l := lp.Level(w); l != want {
+			t.Fatalf("wire %d level = %d, want %d (unselected wires read 0)", w, l, want)
+		}
+	}
+	if s := tr.Stats(); s.TRSteps != 1 || s.TRWires != 2 {
+		t.Errorf("masked TR traced %d steps / %d wires, want 1/2", s.TRSteps, s.TRWires)
 	}
 }
 
@@ -158,16 +158,19 @@ func TestDBCWriteScatter(t *testing.T) {
 	d := MustNew(8, 32, params.TRD7)
 	tr := &trace.Tracer{}
 	d.SetTracer(tr)
-	d.WriteScatter([]PortBit{
-		{Wire: 0, Side: device.Left, Bit: 1},
-		{Wire: 1, Side: device.Right, Bit: 1},
-		{Wire: 2, Side: device.Left, Bit: 0},
-	})
+	d.PokeWindowConst(0, 1) // wire 2's left-port domain must be cleared
+	d.WriteScatterPlanes([]uint64{1 << 0}, []uint64{1<<0 | 1<<2}, []uint64{1 << 1}, []uint64{1 << 1}, 3)
 	if got := d.PeekWindow(0).Get(0); got != 1 {
 		t.Errorf("wire 0 left port = %d, want 1", got)
 	}
 	if got := d.PeekWindow(6).Get(1); got != 1 {
 		t.Errorf("wire 1 right port = %d, want 1", got)
+	}
+	if got := d.PeekWindow(0).Get(2); got != 0 {
+		t.Errorf("wire 2 left port = %d, want 0", got)
+	}
+	if got := d.PeekWindow(0).Get(3); got != 1 {
+		t.Errorf("unselected wire 3 left port = %d, want 1 (untouched)", got)
 	}
 	s := tr.Stats()
 	if s.WriteSteps != 1 || s.WriteBits != 3 {
@@ -182,7 +185,7 @@ func TestDBCTracing(t *testing.T) {
 	if err := d.Shift(3); err != nil {
 		t.Fatal(err)
 	}
-	d.TRAll()
+	trLevels(d)
 	d.WritePort(device.Left, NewRow(8))
 	d.ReadPort(device.Right)
 	d.TW(NewRow(8))
@@ -202,7 +205,7 @@ func TestDBCFaultInjection(t *testing.T) {
 	d := MustNew(4, 32, params.TRD7)
 	d.SetFaultInjector(device.NewFaultInjector(1.0, 0, 11))
 	d.PokeWindowConst(2, 1) // true level 1 everywhere
-	levels := d.TRAll()
+	levels := trLevels(d)
 	for w, l := range levels {
 		if l == 1 {
 			t.Errorf("wire %d unperturbed at probability 1", w)
@@ -277,6 +280,31 @@ func TestEvalMajority(t *testing.T) {
 	}
 }
 
+// TestEvalPlanesMatchesEval holds the word-parallel gate evaluation the
+// kernels use to the scalar Fig. 4(b) specification: at TRD 3, 5 and 7,
+// with wire w of a two-word, partial-tail row holding level w mod
+// (TRD+1), every op's EvalPlanes bit equals Eval of that level.
+func TestEvalPlanesMatchesEval(t *testing.T) {
+	const n = 70
+	for _, trd := range []params.TRD{params.TRD3, params.TRD5, params.TRD7} {
+		lp := NewLevelPlanes(n)
+		for w := 0; w < n; w++ {
+			level := uint64(w % (int(trd) + 1))
+			lp.C0[w>>6] |= level & 1 << uint(w&63)
+			lp.C1[w>>6] |= level >> 1 & 1 << uint(w&63)
+			lp.C2[w>>6] |= level >> 2 & 1 << uint(w&63)
+		}
+		for op := OpOR; op <= OpMAJ; op++ {
+			got := EvalPlanes(op, lp, trd)
+			for w := 0; w < n; w++ {
+				if want := Eval(op, lp.Level(w), trd); got.Get(w) != want {
+					t.Errorf("%v %v level %d: EvalPlanes %d, Eval %d", trd, op, lp.Level(w), got.Get(w), want)
+				}
+			}
+		}
+	}
+}
+
 func TestOpPadBits(t *testing.T) {
 	if OpAND.PadBit() != 1 || OpNAND.PadBit() != 1 {
 		t.Error("AND/NAND must pad with ones (Fig. 7a)")
@@ -294,4 +322,16 @@ func TestOpStrings(t *testing.T) {
 			t.Errorf("String = %q, want %q", got, want)
 		}
 	}
+}
+
+// trLevels senses every wire through TRAllPlanesInto and expands the
+// level planes to one level per wire.
+func trLevels(d *DBC) []int {
+	lp := NewLevelPlanes(d.Width())
+	d.TRAllPlanesInto(&lp)
+	levels := make([]int, lp.N)
+	for w := range levels {
+		levels[w] = lp.Level(w)
+	}
+	return levels
 }

@@ -67,7 +67,7 @@ func TestDBCEquivalentToIndependentNanowires(t *testing.T) {
 				}
 			}
 		case 3: // TR equivalence
-			levels := d.TRAll()
+			levels := trLevels(d)
 			for i, w := range wires {
 				if levels[i] != w.TR() {
 					t.Fatalf("step %d: TR diverged on wire %d: %d vs %d", step, i, levels[i], w.TR())

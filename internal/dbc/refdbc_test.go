@@ -2,6 +2,7 @@ package dbc
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/device"
@@ -99,7 +100,7 @@ func (d *refDBC) readPort(s device.Side) Row {
 	return out
 }
 
-// trAll mirrors DBC.TRAllPlanes: the injector is consumed through
+// trAll mirrors DBC.TRAllPlanesInto: the injector is consumed through
 // TRFaultMasks (wire-order draws) and applied as the scalar clamp.
 func (d *refDBC) trAll() []int {
 	levels := make([]int, d.width)
@@ -125,12 +126,10 @@ func (d *refDBC) trAll() []int {
 	return levels
 }
 
-// trWires mirrors DBC.TRWires: per-selected-wire PerturbTR draws.
-func (d *refDBC) trWires(sel []int) []int {
+// trMasked mirrors DBC.TRMaskedInto on the wires of sel, in increasing
+// order: one PerturbTR draw per selected wire; unselected wires read 0.
+func (d *refDBC) trMasked(sel []int) []int {
 	levels := make([]int, d.width)
-	for i := range levels {
-		levels[i] = -1
-	}
 	for _, wi := range sel {
 		levels[wi] = d.inj.PerturbTR(d.wires[wi].TR(), int(d.trd))
 	}
@@ -206,23 +205,28 @@ func runDifferential(t *testing.T, trd params.TRD, seed int64, faulty bool) {
 				t.Fatalf("trd=%v seed=%d step %d: ReadPort %v diverged:\n got %v\nwant %v", trd, seed, step, side, got, want)
 			}
 		case 3: // whole-DBC transverse read
-			got := d.TRAll()
+			got := trLevels(d)
 			want := ref.trAll()
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("trd=%v seed=%d step %d: TRAll wire %d = %d, want %d", trd, seed, step, i, got[i], want[i])
+					t.Fatalf("trd=%v seed=%d step %d: TRAllPlanesInto wire %d = %d, want %d", trd, seed, step, i, got[i], want[i])
 				}
 			}
 		case 4: // masked transverse read on a random wire subset
+			// The mask draws in wire order, so the reference senses the
+			// selection sorted.
 			sel := rng.Perm(width)[:1+rng.Intn(width)]
-			got, err := d.TRWires(sel)
-			if err != nil {
-				t.Fatalf("trd=%v seed=%d step %d: TRWires: %v", trd, seed, step, err)
+			sort.Ints(sel)
+			mask := NewRow(width)
+			for _, w := range sel {
+				mask.Set(w, 1)
 			}
-			want := ref.trWires(sel)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trd=%v seed=%d step %d: TRWires wire %d = %d, want %d", trd, seed, step, i, got[i], want[i])
+			lp := NewLevelPlanes(width)
+			d.TRMaskedInto(&lp, mask.Words, len(sel))
+			want := ref.trMasked(sel)
+			for i := range want {
+				if got := lp.Level(i); got != want[i] {
+					t.Fatalf("trd=%v seed=%d step %d: TRMaskedInto wire %d = %d, want %d", trd, seed, step, i, got, want[i])
 				}
 			}
 		case 5: // transverse write
@@ -321,27 +325,5 @@ func TestPeekReturnsOwnedCopies(t *testing.T) {
 	src.Set(0, 0)
 	if !d.PeekRow(7).Equal(snap) {
 		t.Fatal("mutating the LoadRow source wrote through to DBC state")
-	}
-}
-
-// TestTRWiresValidation: out-of-range and duplicate wire selections are
-// rejected, and a rejected call leaves the trace untouched.
-func TestTRWiresValidation(t *testing.T) {
-	d := MustNew(8, 32, params.TRD7)
-	tr := &trace.Tracer{}
-	d.SetTracer(tr)
-	for _, bad := range [][]int{{-1}, {8}, {0, 17}, {3, 3}, {0, 1, 2, 1}} {
-		if _, err := d.TRWires(bad); err == nil {
-			t.Errorf("TRWires(%v): want error, got nil", bad)
-		}
-	}
-	if got := tr.Stats(); got != (trace.Stats{}) {
-		t.Errorf("rejected TRWires calls traced events: %+v", got)
-	}
-	if levels, err := d.TRWires([]int{1, 6}); err != nil || levels[1] != 0 || levels[6] != 0 || levels[0] != -1 {
-		t.Errorf("valid TRWires failed: levels=%v err=%v", levels, err)
-	}
-	if got := tr.Stats(); got.TRSteps != 1 || got.TRWires != 2 {
-		t.Errorf("valid TRWires mistraced: %+v", got)
 	}
 }

@@ -13,10 +13,11 @@ import (
 // are straight word copies.
 //
 // Ownership: every Row returned by a DBC accessor (PeekRow, ReadPort,
-// PeekWindow, TRAll-derived results) is an owned copy; mutating it never
-// aliases domain state. Rows passed *into* a DBC are copied on entry.
-// The zero value Row{} is the "no row" sentinel (it has N == 0) used
-// where a nil slice was idiomatic before the packed representation.
+// PeekWindow) or evaluated from level planes (EvalPlanes) is an owned
+// copy; mutating it never aliases domain state. Rows passed *into* a
+// DBC are copied on entry. The zero value Row{} is the "no row"
+// sentinel (it has N == 0) used where a nil slice was idiomatic before
+// the packed representation.
 //
 // Bits beyond N in the last word must be zero; all constructors and
 // Set maintain that invariant, and word-level writers should finish

@@ -45,7 +45,10 @@ func (o Op) PadBit() uint8 {
 }
 
 // PIMOutputs is the full output set of the PIM logic block for one
-// nanowire's sensed level (Fig. 4(b)).
+// nanowire's sensed level (Fig. 4(b)). With Sense and Eval it is the
+// scalar specification of that block: kernels evaluate the level planes
+// word-parallel (EvalPlanes, the carry chain), and tests hold those to
+// this reference.
 type PIMOutputs struct {
 	OR, NOR, AND, NAND, XOR, XNOR uint8
 	S                             uint8 // sum: identical to XOR (level bit 0)
@@ -55,7 +58,8 @@ type PIMOutputs struct {
 
 // Sense evaluates the PIM logic block for a sensed level in [0, trd].
 // The level's binary decomposition yields S/C/C' directly: a count of at
-// most 7 fits in three bits.
+// most 7 fits in three bits. It is the scalar reference; no kernel
+// calls it.
 func Sense(level int, trd params.TRD) PIMOutputs {
 	if level < 0 || level > int(trd) {
 		panic(fmt.Sprintf("dbc: level %d out of range [0,%d]", level, int(trd)))
@@ -81,6 +85,7 @@ func Sense(level int, trd params.TRD) PIMOutputs {
 // the window was padded per Fig. 7 when fewer than TRD operands are used.
 // For OpMAJ the level must include the Fig. 7(c)/(d) vote padding so that
 // the C' threshold (level ≥ 4) realizes the majority of the replicas.
+// It is the scalar reference EvalPlanes is tested against.
 func Eval(op Op, level int, trd params.TRD) uint8 {
 	o := Sense(level, trd)
 	switch op {
@@ -114,7 +119,14 @@ func Eval(op Op, level int, trd params.TRD) uint8 {
 // word-parallel equivalent of calling Eval per wire. 64 wires are
 // evaluated per handful of bitwise word operations.
 func EvalPlanes(op Op, lp LevelPlanes, trd params.TRD) Row {
-	out := Row{Words: make([]uint64, len(lp.C0)), N: lp.N}
+	out := NewRow(lp.N)
+	EvalPlanesInto(out, op, lp, trd)
+	return out
+}
+
+// EvalPlanesInto is EvalPlanes writing into a caller-owned row of the
+// planes' width, for hot paths that evaluate into scratch words.
+func EvalPlanesInto(out Row, op Op, lp LevelPlanes, trd params.TRD) {
 	for i := range out.Words {
 		var v uint64
 		switch op {
@@ -138,7 +150,6 @@ func EvalPlanes(op Op, lp LevelPlanes, trd params.TRD) Row {
 		out.Words[i] = v
 	}
 	out.MaskTail()
-	return out
 }
 
 // levelEQ returns the mask of lanes whose 3-bit level equals t.

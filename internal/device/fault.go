@@ -58,9 +58,10 @@ func (f *FaultInjector) PerturbTR(level, max int) int {
 // level is perturbed, and the matching bit of up selects the direction
 // (+1 when set, -1 otherwise). any is false — and both masks nil — when
 // no wire faulted. The random draws happen wire by wire in wire order,
-// consuming exactly the stream the historical per-wire PerturbTR loop
-// consumed, so fixed-seed experiments reproduce the same fault pattern
-// on the packed and the reference engine alike.
+// exactly as one PerturbTR per wire 0..n−1 would draw them, so a
+// whole-DBC read consumes the stream a masked read of every wire would,
+// and fixed-seed experiments reproduce the same fault pattern on the
+// packed and the reference engine alike.
 func (f *FaultInjector) TRFaultMasks(n int) (flip, up []uint64, any bool) {
 	if f == nil || f.TRProb == 0 {
 		return nil, nil, false

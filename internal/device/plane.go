@@ -194,14 +194,6 @@ func (pa *PlaneArray) fillPlane(dst []uint64, b Bit) {
 	dst[pa.words-1] &= pa.tail
 }
 
-func setBit(plane []uint64, w int, b Bit) {
-	if b&1 != 0 {
-		plane[w>>6] |= 1 << uint(w&63)
-	} else {
-		plane[w>>6] &^= 1 << uint(w&63)
-	}
-}
-
 func getBit(plane []uint64, w int) Bit {
 	return Bit(plane[w>>6]>>uint(w&63)) & 1
 }
@@ -305,17 +297,6 @@ func (pa *PlaneArray) WritePortMasked(s Side, src, mask []uint64) {
 	}
 }
 
-// PortBit returns the domain of wire w under the port.
-func (pa *PlaneArray) PortBit(s Side, w int) Bit {
-	return getBit(pa.plane(pa.port(s)), w)
-}
-
-// SetPortBit writes the domain of wire w under the port (a single-wire
-// port write inside a compound step, e.g. the Fig. 6 carry scatter).
-func (pa *PlaneArray) SetPortBit(s Side, w int, b Bit) {
-	setBit(pa.plane(pa.port(s)), w, b)
-}
-
 // TRPlanes accumulates the transverse-read levels of every wire over the
 // TRD window into the bit-sliced counter planes c0/c1/c2 (level of wire
 // w is the 3-bit number c2c1c0 at bit position w). One carry-save pass
@@ -335,17 +316,6 @@ func (pa *PlaneArray) TRPlanes(c0, c1, c2 []uint64) {
 			c2[i] |= t1
 		}
 	}
-}
-
-// TRWire returns the transverse-read level of a single wire: the number
-// of '1' domains in its window.
-func (pa *PlaneArray) TRWire(w int) int {
-	word, bit := w>>6, uint(w&63)
-	n := 0
-	for p := pa.portL; p <= pa.portR; p++ {
-		n += int(pa.plane(p)[word] >> bit & 1)
-	}
-	return n
 }
 
 // WindowOnes returns the total number of '1' domains inside the window

@@ -28,6 +28,13 @@ import (
 func (u *Unit) AddMulti(operands []dbc.Row, blocksize int) (dbc.Row, error) {
 	u.rec.Begin(u.src, "add")
 	defer u.rec.End(u.src)
+	return u.addMulti(operands, blocksize, 1)
+}
+
+// addMulti is the body AddMulti and AddMultiNMR share: it validates the
+// operands, places them in the window and runs the carry chain with
+// each bit position sensed votes times (1 for the plain add).
+func (u *Unit) addMulti(operands []dbc.Row, blocksize, votes int) (dbc.Row, error) {
 	k := len(operands)
 	if k < 2 {
 		return dbc.Row{}, fmt.Errorf("pim: add needs at least 2 operands, got %d", k)
@@ -53,7 +60,7 @@ func (u *Unit) AddMulti(operands []dbc.Row, blocksize int) (dbc.Row, error) {
 	if err := u.placeWindow(operands, placement{finalShift: hasCp}); err != nil {
 		return dbc.Row{}, err
 	}
-	return u.addPlaced(blocksize, hasCp)
+	return u.addPlaced(blocksize, hasCp, votes), nil
 }
 
 // addPlaced runs the per-bit carry chain over operands already placed in
@@ -62,15 +69,13 @@ func (u *Unit) AddMulti(operands []dbc.Row, blocksize int) (dbc.Row, error) {
 // one masked transverse read senses all of them at once, and the level
 // planes are the scatter planes directly — C0 is S (kept at the left
 // port), C1 shifted up one wire is C (sent to the right port), C2
-// shifted up two wires is C' (left port). 64 lanes per word operation;
-// the trace records the same per-wire event counts as the historical
-// scalar scatter.
-func (u *Unit) addPlaced(blocksize int, hasCp bool) (dbc.Row, error) {
+// shifted up two wires is C' (left port). 64 lanes per word operation.
+// With votes > 1, senseVoted repeats each position's read and votes the
+// planes before the scatter.
+func (u *Unit) addPlaced(blocksize int, hasCp bool, votes int) dbc.Row {
 	sum := dbc.NewRow(u.D.Width())
-	if err := u.addPlacedInto(sum, blocksize, hasCp, nil); err != nil {
-		return dbc.Row{}, err
-	}
-	return sum, nil
+	u.addPlacedInto(sum, blocksize, hasCp, votes, nil)
+	return sum
 }
 
 // addPlacedInto is addPlaced accumulating into a caller-owned row of the
@@ -87,7 +92,7 @@ func (u *Unit) addPlaced(blocksize int, hasCp bool) (dbc.Row, error) {
 // lane means its sum reached 2^blocksize, so a set bit marks exactly the
 // lanes that overflowed. An injected TR fault reaches cout as it reaches
 // the sum.
-func (u *Unit) addPlacedInto(sum dbc.Row, blocksize int, hasCp bool, cout []uint64) error {
+func (u *Unit) addPlacedInto(sum dbc.Row, blocksize int, hasCp bool, votes int, cout []uint64) {
 	width := u.D.Width()
 	b := blocksize
 	for i := range sum.Words {
@@ -109,7 +114,7 @@ func (u *Unit) addPlacedInto(sum dbc.Row, blocksize int, hasCp bool, cout []uint
 			mask[t>>6] |= 1 << uint(t&63)
 			nw++
 		}
-		u.D.TRMaskedInto(&u.lp, mask, nw)
+		u.senseVoted(mask, nw, votes)
 		lp := u.lp
 		count := nw
 		// S stays at the selected wires' left ports and is the result bit.
@@ -149,7 +154,6 @@ func (u *Unit) addPlacedInto(sum dbc.Row, blocksize int, hasCp bool, cout []uint
 		u.D.WriteScatterPlanes(left, leftMask, rBits, rMask, count)
 	}
 	sum.MaskTail()
-	return nil
 }
 
 // senseCarryOut ORs into cout, at each lane's MSB wire, the carries the

@@ -45,6 +45,7 @@ func TestAllocsPerOpSteadyState(t *testing.T) {
 		op   func() error
 	}{
 		{"AddMulti", 1, func() error { _, err := u.AddMulti(operands, 8); return err }},
+		{"AddMultiNMR", 1, func() error { _, err := u.AddMultiNMR(3, operands[:3], 8); return err }},
 		{"Multiply", 1, func() error { _, err := u.Multiply(ma, mb, 8); return err }},
 		{"MaxTR", 1, func() error { _, err := u.MaxTR(operands, 8); return err }},
 		{"MaxSelect", 1, func() error { _, err := u.MaxSelect(operands[0], operands[1], 8); return err }},

@@ -83,7 +83,7 @@ func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
 		var err error
 		if resident && j < b-1 {
 			if err = u.rewriteLast(rem); err == nil {
-				err = u.addPlacedInto(diff, b, u.cfg.TRD.HasSuperCarry(), take.Words)
+				u.addPlacedInto(diff, b, u.cfg.TRD.HasSuperCarry(), 1, take.Words)
 			}
 		} else {
 			err = u.subChainInto(diff, rem, notd, one, b, take.Words)
@@ -157,19 +157,19 @@ func (u *Unit) subChainInto(dst, x, notd, one dbc.Row, blocksize int, cout []uin
 		if err := u.placeWindow(append(u.scratchRowList(3), notd, one, x), placement{finalShift: hasCp}); err != nil {
 			return err
 		}
-		return u.addPlacedInto(dst, blocksize, hasCp, cout)
+		u.addPlacedInto(dst, blocksize, hasCp, 1, cout)
+		return nil
 	}
 	t := u.scratchRow()
 	if err := u.placeWindow(append(u.scratchRowList(2), x, notd), placement{atRest: true}); err != nil {
 		return err
 	}
-	if err := u.addPlacedInto(t, blocksize, false, cout); err != nil {
-		return err
-	}
+	u.addPlacedInto(t, blocksize, false, 1, cout)
 	if err := u.placeWindow(append(u.scratchRowList(2), t, one), placement{atRest: true}); err != nil {
 		return err
 	}
-	return u.addPlacedInto(dst, blocksize, false, cout)
+	u.addPlacedInto(dst, blocksize, false, 1, cout)
+	return nil
 }
 
 // rewriteLast replaces the row the last placeWindow put in last — slot

@@ -1,6 +1,7 @@
 package pim
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -264,6 +265,20 @@ func TestAddMultiNMRBeatsEndVotingUnderFaults(t *testing.T) {
 	}
 	if step >= end {
 		t.Errorf("per-step voting (%d wrong) not better than end voting (%d wrong)", step, end)
+	}
+}
+
+// TestAddMultiNMROperandLimitIsErrBadTRD: a voted add with more
+// operands than the window takes reports params.ErrBadTRD, as AddMulti
+// does.
+func TestAddMultiNMROperandLimitIsErrBadTRD(t *testing.T) {
+	u := unitFor(t, params.TRD7, 16)
+	rows := zeroRows(u, 6)
+	if _, err := u.AddMultiNMR(3, rows, 8); !errors.Is(err, params.ErrBadTRD) {
+		t.Errorf("6-operand voted add at TRD 7: err = %v, want params.ErrBadTRD", err)
+	}
+	if _, err := u.AddMulti(rows, 8); !errors.Is(err, params.ErrBadTRD) {
+		t.Errorf("6-operand add at TRD 7: err = %v, want params.ErrBadTRD", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package pim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/dbc"
 	"repro/internal/params"
@@ -22,21 +23,8 @@ import (
 func (u *Unit) MaxTR(candidates []dbc.Row, blocksize int) (dbc.Row, error) {
 	u.rec.Begin(u.src, "max")
 	defer u.rec.End(u.src)
-	k := len(candidates)
-	if k < 2 {
-		return dbc.Row{}, fmt.Errorf("pim: max needs at least 2 candidates, got %d", k)
-	}
-	if k > u.cfg.TRD.MaxBulkOperands() {
-		return dbc.Row{}, fmt.Errorf("pim: max with %d candidates exceeds TRD %d: %w", k, int(u.cfg.TRD), params.ErrBadTRD)
-	}
-	if err := u.checkBlocksize(blocksize); err != nil {
+	if err := u.checkCandidates(candidates, blocksize); err != nil {
 		return dbc.Row{}, err
-	}
-	width := u.D.Width()
-	for _, r := range candidates {
-		if r.N != width {
-			return dbc.Row{}, fmt.Errorf("pim: candidate width %d, want %d", r.N, width)
-		}
 	}
 	u.enterOp()
 	defer u.exitOp()
@@ -44,32 +32,17 @@ func (u *Unit) MaxTR(candidates []dbc.Row, blocksize int) (dbc.Row, error) {
 		return dbc.Row{}, err
 	}
 
-	lanes := width / blocksize
-	wires := scratchInts(&u.scratch.wires, lanes)
-	levels := scratchInts(&u.scratch.levels, width)
+	hit := u.scratchRow()
 	row := u.scratchRow() // tournament rotation buffer, reused per TW
 	for j := blocksize - 1; j >= 0; j-- {
-		// TR across the candidates' bit j, one wire per lane.
-		for l := 0; l < lanes; l++ {
-			wires[l] = l*blocksize + j
-		}
-		if err := u.D.TRWiresInto(levels, wires); err != nil {
-			return dbc.Row{}, err
-		}
+		u.senseLaneBit(hit, j, blocksize)
 		// Rotate all TRD window rows once around: read at the right
 		// port, predicated row-buffer reset, transverse write at the
 		// left port. Rows holding padding rotate like candidates so the
 		// controller sequence is identical across subarrays (§IV-B).
 		for r := 0; r < int(u.cfg.TRD); r++ {
 			u.D.ReadPortInto(dbcRight, row)
-			for l := 0; l < lanes; l++ {
-				w := l*blocksize + j
-				if levels[w] > 0 && row.Get(w) == 0 {
-					// Some candidate has a '1' here and this one does
-					// not: the predicated reset zeroes the lane.
-					zeroLane(row, l, blocksize)
-				}
-			}
+			eliminate(row, hit, blocksize)
 			u.D.TW(row)
 		}
 	}
@@ -77,6 +50,55 @@ func (u *Unit) MaxTR(candidates []dbc.Row, blocksize int) (dbc.Row, error) {
 	// Extraction: a final TR per wire; the OR output reads the max
 	// (losers are zero vectors; ties overlap harmlessly).
 	return dbc.EvalPlanes(dbc.OpOR, u.trAll(), u.cfg.TRD), nil
+}
+
+// checkCandidates validates the candidate rows of a TW-tournament max.
+func (u *Unit) checkCandidates(candidates []dbc.Row, blocksize int) error {
+	k := len(candidates)
+	if k < 2 {
+		return fmt.Errorf("pim: max needs at least 2 candidates, got %d", k)
+	}
+	if k > u.cfg.TRD.MaxBulkOperands() {
+		return fmt.Errorf("pim: max with %d candidates exceeds TRD %d: %w", k, int(u.cfg.TRD), params.ErrBadTRD)
+	}
+	if err := u.checkBlocksize(blocksize); err != nil {
+		return err
+	}
+	for _, r := range candidates {
+		if r.N != u.D.Width() {
+			return fmt.Errorf("pim: candidate width %d, want %d", r.N, u.D.Width())
+		}
+	}
+	return nil
+}
+
+// senseLaneBit senses bit j of every lane with one masked transverse
+// read and leaves in hit the wires where some window row holds a '1':
+// the OR of the three level planes.
+func (u *Unit) senseLaneBit(hit dbc.Row, j, blocksize int) {
+	for i := range hit.Words {
+		hit.Words[i] = 0
+	}
+	lanes := hit.N / blocksize
+	for l := 0; l < lanes; l++ {
+		hit.Set(l*blocksize+j, 1)
+	}
+	u.D.TRMaskedInto(&u.lp, hit.Words, lanes)
+	for i := range hit.Words {
+		hit.Words[i] = u.lp.C0[i] | u.lp.C1[i] | u.lp.C2[i]
+	}
+	hit.MaskTail()
+}
+
+// eliminate is the tournament's predicated reset of one candidate row:
+// a lane where some candidate has a '1' (hit, one wire per lane) and
+// this row has a '0' is zeroed.
+func eliminate(row, hit dbc.Row, blocksize int) {
+	for i, h := range hit.Words {
+		for kill := h &^ row.Words[i]; kill != 0; kill &= kill - 1 {
+			zeroLane(row, (i<<6+bits.TrailingZeros64(kill))/blocksize, blocksize)
+		}
+	}
 }
 
 // MaxSelect computes the lane-wise maximum of two candidate rows on the

@@ -1,11 +1,6 @@
 package pim
 
-import (
-	"fmt"
-
-	"repro/internal/dbc"
-	"repro/internal/params"
-)
+import "repro/internal/dbc"
 
 // MaxTRFullShift computes the same lane-wise maximum as MaxTR but
 // rotates the candidates with whole-nanowire shifts instead of the
@@ -19,64 +14,29 @@ import (
 // §IV-B raises — so the rotation direction alternates per bit position
 // to stay within the overhead-domain excursion.
 func (u *Unit) MaxTRFullShift(candidates []dbc.Row, blocksize int) (dbc.Row, error) {
-	k := len(candidates)
-	if k < 2 {
-		return dbc.Row{}, fmt.Errorf("pim: max needs at least 2 candidates, got %d", k)
-	}
-	if k > u.cfg.TRD.MaxBulkOperands() {
-		return dbc.Row{}, fmt.Errorf("pim: max with %d candidates exceeds TRD %d: %w", k, int(u.cfg.TRD), params.ErrBadTRD)
-	}
-	if err := u.checkBlocksize(blocksize); err != nil {
+	if err := u.checkCandidates(candidates, blocksize); err != nil {
 		return dbc.Row{}, err
 	}
-	width := u.D.Width()
-	for _, r := range candidates {
-		if r.N != width {
-			return dbc.Row{}, fmt.Errorf("pim: candidate width %d, want %d", r.N, width)
-		}
-	}
+	u.enterOp()
+	defer u.exitOp()
 	if err := u.placeWindow(candidates, placement{atRest: true}); err != nil {
 		return dbc.Row{}, err
 	}
 
-	trd := int(u.cfg.TRD)
-	lanes := width / blocksize
-	rightward := true
+	hit := u.scratchRow()
+	row := u.scratchRow()
+	from, to, step := dbcRight, dbcLeft, 1
 	for j := blocksize - 1; j >= 0; j-- {
-		wires := make([]int, lanes)
-		for l := 0; l < lanes; l++ {
-			wires[l] = l*blocksize + j
-		}
-		levels, err := u.D.TRWires(wires)
-		if err != nil {
-			return dbc.Row{}, err
-		}
-		for r := 0; r < trd; r++ {
-			var row dbc.Row
-			if rightward {
-				row = u.D.ReadPort(dbcRight)
-			} else {
-				row = u.D.ReadPort(dbcLeft)
+		u.senseLaneBit(hit, j, blocksize)
+		for r := 0; r < int(u.cfg.TRD); r++ {
+			u.D.ReadPortInto(from, row)
+			eliminate(row, hit, blocksize)
+			if err := u.D.Shift(step); err != nil {
+				return dbc.Row{}, err
 			}
-			for l := 0; l < lanes; l++ {
-				w := l*blocksize + j
-				if levels[w] > 0 && row.Get(w) == 0 {
-					zeroLane(row, l, blocksize)
-				}
-			}
-			if rightward {
-				if err := u.D.Shift(1); err != nil {
-					return dbc.Row{}, err
-				}
-				u.D.WritePort(dbcLeft, row)
-			} else {
-				if err := u.D.Shift(-1); err != nil {
-					return dbc.Row{}, err
-				}
-				u.D.WritePort(dbcRight, row)
-			}
+			u.D.WritePort(to, row)
 		}
-		rightward = !rightward
+		from, to, step = to, from, -step
 	}
 
 	return dbc.EvalPlanes(dbc.OpOR, u.trAll(), u.cfg.TRD), nil

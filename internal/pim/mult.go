@@ -101,7 +101,7 @@ func (u *Unit) sumProducts(rows []dbc.Row, copies, laneW int) (dbc.Row, error) {
 		if err := u.placeWindow(rows, placement{finalShift: hasCp, copies: copies}); err != nil {
 			return dbc.Row{}, err
 		}
-		return u.addPlaced(laneW, hasCp)
+		return u.addPlaced(laneW, hasCp, 1), nil
 	}
 	width := u.D.Width()
 	for i := range rows {

@@ -58,80 +58,46 @@ func (u *Unit) Vote(replicas []dbc.Row) (dbc.Row, error) {
 // fault-tolerance end of the paper's performance-versus-reliability
 // trade-off — voting after the whole add is cheaper but lets carry
 // errors accumulate ("nearly two orders of magnitude" apart, §V-F).
+// It runs AddMulti's placement and carry chain, with n reads and one
+// logic step per bit position.
 func (u *Unit) AddMultiNMR(n int, operands []dbc.Row, blocksize int) (dbc.Row, error) {
 	u.rec.Begin(u.src, "add-nmr")
 	defer u.rec.End(u.src)
 	if !u.ValidNMR(n) {
 		return dbc.Row{}, fmt.Errorf("pim: unsupported redundancy degree %d for %v: %w", n, u.cfg.TRD, params.ErrBadTRD)
 	}
-	k := len(operands)
-	if k < 2 {
-		return dbc.Row{}, fmt.Errorf("pim: add needs at least 2 operands, got %d", k)
-	}
-	if max := u.maxAddOperands(); k > max {
-		return dbc.Row{}, fmt.Errorf("pim: add with %d operands exceeds limit %d for %v", k, max, u.cfg.TRD)
-	}
-	if err := u.checkBlocksize(blocksize); err != nil {
-		return dbc.Row{}, err
-	}
-	width := u.D.Width()
-	for _, r := range operands {
-		if r.N != width {
-			return dbc.Row{}, fmt.Errorf("pim: operand width %d, want %d", r.N, width)
-		}
-	}
-	hasCp := u.cfg.TRD.HasSuperCarry()
-	if err := u.placeWindow(operands, placement{finalShift: hasCp}); err != nil {
-		return dbc.Row{}, err
-	}
-
-	b := blocksize
-	sum := dbc.NewRow(width)
-	wires := make([]int, 0, width/b)
-	for j := 0; j < b; j++ {
-		wires = wires[:0]
-		for t := j; t < width; t += b {
-			wires = append(wires, t)
-		}
-		// Sense the same window n times; vote per output bit.
-		votesS := make([]int, width)
-		votesC := make([]int, width)
-		votesCp := make([]int, width)
-		for rep := 0; rep < n; rep++ {
-			levels, err := u.D.TRWires(wires)
-			if err != nil {
-				return dbc.Row{}, err
-			}
-			for _, t := range wires {
-				o := dbc.Sense(levels[t], u.cfg.TRD)
-				votesS[t] += int(o.S)
-				votesC[t] += int(o.C)
-				votesCp[t] += int(o.Cp)
-			}
-		}
-		u.D.Charge(telemetry.OpLogic, 0) // the majority evaluation (C' circuit reuse)
-		writes := make([]dbc.PortBit, 0, 3*len(wires))
-		for _, t := range wires {
-			s := majBit(votesS[t], n)
-			sum.Set(t, s)
-			writes = append(writes, dbc.PortBit{Wire: t, Side: dbcLeft, Bit: s})
-			if j+1 < b {
-				writes = append(writes, dbc.PortBit{Wire: t + 1, Side: dbcRight, Bit: majBit(votesC[t], n)})
-			}
-			if hasCp && j+2 < b {
-				writes = append(writes, dbc.PortBit{Wire: t + 2, Side: dbcLeft, Bit: majBit(votesCp[t], n)})
-			}
-		}
-		u.D.WriteScatter(writes)
-	}
-	return sum, nil
+	return u.addMulti(operands, blocksize, n)
 }
 
-func majBit(votes, n int) uint8 {
-	if 2*votes > n {
-		return 1
+// senseVoted is the carry chain's read of the wires mask selects (nw of
+// them), left in u.lp. With votes > 1 the read repeats votes times; each
+// of the S, C and C' planes is counted over the readings with the
+// carry-save counter of the reduction (countInto) and replaced by its
+// majority, OpMAJ's comparator over a window of votes readings. One
+// logic step charges the vote (the C' circuit reused, §III-F).
+func (u *Unit) senseVoted(mask []uint64, nw, votes int) {
+	if votes == 1 {
+		u.D.TRMaskedInto(&u.lp, mask, nw)
+		return
 	}
-	return 0
+	words := len(mask)
+	cs := scratchWords(&u.scratch.voteWords, 9*words)
+	planes := [3][]uint64{u.lp.C0, u.lp.C1, u.lp.C2} // S, C and C'
+	var tally [3]dbc.LevelPlanes                     // each plane's count of '1' readings
+	for p := range tally {
+		c := cs[3*p*words : 3*(p+1)*words]
+		tally[p] = dbc.LevelPlanes{C0: c[:words], C1: c[words : 2*words], C2: c[2*words:], N: u.lp.N}
+	}
+	for r := 0; r < votes; r++ {
+		u.D.TRMaskedInto(&u.lp, mask, nw)
+		for p, plane := range planes {
+			countInto(tally[p].C0, tally[p].C1, tally[p].C2, plane)
+		}
+	}
+	u.D.Charge(telemetry.OpLogic, 0)
+	for p, plane := range planes {
+		dbc.EvalPlanesInto(dbc.Row{Words: plane, N: u.lp.N}, dbc.OpMAJ, tally[p], params.TRD(votes))
+	}
 }
 
 // RunNMR executes op n times and votes on the results (§III-F). The op

@@ -117,13 +117,19 @@ func reduceRowsFunctional(rows []dbc.Row, blocksize int, hasCp bool) Reduction {
 // carry-save counter planes, word-parallel.
 func countRowsInto(c0, c1, c2 []uint64, rows []dbc.Row) {
 	for _, r := range rows {
-		for i, w := range r.Words {
-			t0 := c0[i] & w
-			c0[i] ^= w
-			t1 := c1[i] & t0
-			c1[i] ^= t0
-			c2[i] |= t1
-		}
+		countInto(c0, c1, c2, r.Words)
+	}
+}
+
+// countInto adds the bits of one plane to the carry-save counter planes
+// (at most seven planes fit the 3-bit counter).
+func countInto(c0, c1, c2, x []uint64) {
+	for i, w := range x {
+		t0 := c0[i] & w
+		c0[i] ^= w
+		t1 := c1[i] & t0
+		c1[i] ^= t0
+		c2[i] |= t1
 	}
 }
 

@@ -21,11 +21,10 @@ type arena struct {
 	rows []dbc.Row // pooled width-sized rows; rows[:used] are handed out
 	used int
 
-	addWords []uint64  // addPlaced: phase mask + scatter planes (5 × words)
-	redWords []uint64  // reduceRowsScratch: carry-save counters (3 × words)
-	wires    []int     // MaxTR: per-lane TR wire selection
-	levels   []int     // MaxTR: TRWiresInto destination (width entries)
-	rowList  []dbc.Row // Multiply: partial-product / reduction row list
+	addWords  []uint64  // addPlaced: phase mask + scatter planes (5 × words)
+	voteWords []uint64  // senseVoted: S/C/C' vote counters (9 × words)
+	redWords  []uint64  // reduceRowsScratch: carry-save counters (3 × words)
+	rowList   []dbc.Row // Multiply: partial-product / reduction row list
 }
 
 // enterOp opens an operation scope: the outermost scope reclaims every
@@ -66,14 +65,6 @@ func scratchWords(buf *[]uint64, n int) []uint64 {
 		s[i] = 0
 	}
 	return s
-}
-
-// scratchInts is scratchWords for int buffers.
-func scratchInts(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	return (*buf)[:n]
 }
 
 // scratchRowList returns an empty row list with capacity ≥ n backed by

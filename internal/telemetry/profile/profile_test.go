@@ -139,10 +139,8 @@ func TestScatterWearBothPorts(t *testing.T) {
 	if leftRow < 0 || rightRow < 0 {
 		t.Fatalf("ports not over data rows at reset (left=%d right=%d)", leftRow, rightRow)
 	}
-	d.WriteScatter([]dbc.PortBit{
-		{Wire: 0, Side: device.Left, Bit: 1},
-		{Wire: 1, Side: device.Right, Bit: 1},
-	})
+	left, right := []uint64{1 << 0}, []uint64{1 << 1}
+	d.WriteScatterPlanes(left, left, right, right, 2)
 
 	s := p.Snapshot()[0]
 	if s.RowWrites[leftRow] != 1 {
