@@ -87,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRowRoundTrip -fuzztime 5s ./internal/dbc
 	$(GO) test -run '^$$' -fuzz FuzzDivMod -fuzztime 5s ./internal/pim
 	$(GO) test -run '^$$' -fuzz FuzzAddMultiNMR -fuzztime 5s ./internal/pim
+	$(GO) test -run '^$$' -fuzz FuzzMultiplyFMA -fuzztime 5s ./internal/pim
 	$(GO) test -run '^$$' -fuzz FuzzKernelEntry -fuzztime 5s ./internal/memory
 	$(GO) test -run '^$$' -fuzz FuzzEncodeDecode -fuzztime 5s ./internal/isa
 	$(GO) test -run '^$$' -fuzz FuzzAsmRoundTrip -fuzztime 5s ./internal/isa

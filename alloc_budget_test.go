@@ -119,6 +119,22 @@ func TestAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// The ablation's 33-operand 32-bit large add on 64 wires: the
+	// reduction rounds run on the unit's arena, so only the sum row is
+	// allocated (51 allocations when each round allocated a Reduction
+	// and a new operand list).
+	largeCfg := params.DefaultConfig()
+	largeCfg.Geometry.TrackWidth = 64
+	ularge := pim.MustNewUnit(largeCfg)
+	largeRows := make([]dbc.Row, 33)
+	for i := range largeRows {
+		largeRows[i] = pim.MustPackLanes([]uint64{uint64(i * 999)}, 32, 64)
+	}
+	allocBudget(t, "AddLarge", 1, func() {
+		if _, err := ularge.AddLarge(largeRows, 32); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	// Batch paths: the 32-request fixture from bench_parallel_test.go.
 	// Budgets are per batch (32 requests), matching BENCH_parallel.json.

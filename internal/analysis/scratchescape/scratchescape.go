@@ -12,7 +12,7 @@
 //     wrapper, a struct literal adopting a scratch row (Reduction-style
 //     results), an append chain rooted in a scratch list, or an
 //     unexported same-package helper that itself returns scratch
-//     storage (reduceRowsScratch-style wrappers);
+//     storage (reducePlaced-style wrappers);
 //   - goroutine: any function — exported or not — passing scratch
 //     storage to a spawned goroutine, as an argument or a closed-over
 //     local. The arena is single-owner per Unit and reclaimed by the

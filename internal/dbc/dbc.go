@@ -150,11 +150,6 @@ func (d *DBC) LoadRow(r int, bits Row) {
 	d.pa.SetRow(r, bits.Words)
 }
 
-// LoadConst fills data row r with the constant bit (Fig. 7 padding).
-func (d *DBC) LoadConst(r int, bit uint8) {
-	d.pa.FillRow(r, bit)
-}
-
 // PeekRow returns an owned copy of data row r without modelling an
 // access. Callers may mutate the result freely; domain state is never
 // aliased.
@@ -415,7 +410,11 @@ func (d *DBC) WindowRow(i int) int { return d.pa.WindowRow(i) }
 
 // PokeWindow overwrites the domain at window position i on every wire
 // without tracing. It models Fig. 7 pre-populated padding constants that
-// are maintained outside the traced operation.
+// are maintained outside the traced operation, and places rows whose
+// placement a kernel prices itself: the rows of the multiplier's
+// carry-save rounds (charged as its shifted copies and rotate-ins) and
+// the subtrahend the trial subtraction's NOT senses (a pass priced at
+// its TR and write alone).
 func (d *DBC) PokeWindow(i int, bits Row) {
 	d.checkRow(bits)
 	d.pa.PokeWindow(i, bits.Words)

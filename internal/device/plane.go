@@ -154,12 +154,6 @@ func (pa *PlaneArray) SetRow(r int, src []uint64) {
 	pa.storePlane(pa.plane(pa.start+r), src)
 }
 
-// FillRow fills data row r with a constant bit.
-func (pa *PlaneArray) FillRow(r int, b Bit) {
-	pa.checkRow(r)
-	pa.fillPlane(pa.plane(pa.start+r), b)
-}
-
 // RowWords copies data row r into dst without modelling an access.
 func (pa *PlaneArray) RowWords(r int, dst []uint64) {
 	pa.checkRow(r)

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -14,11 +12,7 @@ import (
 // the experiment prints (the document writes "134 cyc" where the
 // experiment prints 134, and drops the experiment's "err" unit).
 func TestAblationTableMatchesExperiment(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := markdownTable(t, string(doc), "## Design-choice ablations")
+	rows := markdownTable(t, readExperimentsDoc(t), "## Design-choice ablations")
 	tb, err := Ablation()
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,10 @@ import (
 // multi-operand addition finishes the job. Complexity is O(k) reduction
 // rounds for k operands plus one blocksize-cycle carry chain, versus
 // O(k·blocksize) for chained additions.
+//
+// Each round places up to TRD rows at rest and reduces them with
+// reducePlaced under a "reduce" span, as Reduce does; its outputs stay
+// on the scratch arena and take the consumed rows' place in the list.
 func (u *Unit) AddLarge(operands []dbc.Row, blocksize int) (dbc.Row, error) {
 	u.rec.Begin(u.src, "add-large")
 	defer u.rec.End(u.src)
@@ -38,18 +42,30 @@ func (u *Unit) AddLarge(operands []dbc.Row, blocksize int) (dbc.Row, error) {
 		return u.AddMulti(operands, blocksize)
 	}
 
-	rows := make([]dbc.Row, k)
-	copy(rows, operands)
+	u.enterOp()
+	defer u.exitOp()
+	rows := append(u.scratchRowList(k), operands...)
 	trdN := int(u.cfg.TRD)
 	for len(rows) > maxAdd {
 		take := min(trdN, len(rows))
-		red, err := u.Reduce(rows[:take], blocksize)
+		red, err := u.reduceRound(rows[:take], blocksize)
 		if err != nil {
 			return dbc.Row{}, err
 		}
-		rows = append(red.Rows(), rows[take:]...)
+		rows = splice(rows, take, red)
 	}
 	return u.AddMulti(rows, blocksize)
+}
+
+// reduceRound is one of AddLarge's reduction rounds, in its own
+// "reduce" span: the rows placed at rest, then reducePlaced.
+func (u *Unit) reduceRound(rows []dbc.Row, blocksize int) (Reduction, error) {
+	u.rec.Begin(u.src, "reduce")
+	defer u.rec.End(u.src)
+	if err := u.placeWindow(rows, placement{atRest: true}); err != nil {
+		return Reduction{}, err
+	}
+	return u.reducePlaced(blocksize), nil
 }
 
 // AddChained adds the operands with sequential multi-operand additions

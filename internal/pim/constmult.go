@@ -155,7 +155,8 @@ func (u *Unit) ConstMultiply(a dbc.Row, c uint64, bw int) (dbc.Row, error) {
 	shifted := make([]dbc.Row, maxShift+1)
 	shifted[0] = a
 	for s := 1; s <= maxShift; s++ {
-		shifted[s] = laneShiftLeft(shifted[s-1], laneW)
+		shifted[s] = dbc.NewRow(width)
+		laneShiftLeftInto(shifted[s], shifted[s-1], laneW)
 		u.D.Charge(telemetry.OpCopy, width)
 		u.D.Charge(telemetry.OpShift, width)
 	}

@@ -54,7 +54,10 @@ func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
 	take := u.scratchRow()
 	q := dbc.NewRow(width)
 
-	notd, one := u.subtrahendRows(d, b)
+	notd, one, err := u.subtrahendRows(d, b)
+	if err != nil {
+		return dbc.Row{}, dbc.Row{}, err
+	}
 	resident := u.maxAddOperands() >= 3
 
 	for j := b - 1; j >= 0; j-- {
@@ -80,7 +83,6 @@ func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
 		u.D.Charge(telemetry.OpShift, width)
 		// Trial subtraction on the carry chain, ORing its carry-out into
 		// the overflow bits: take's MSB wires are the quotient bits.
-		var err error
 		if resident && j < b-1 {
 			if err = u.rewriteLast(rem); err == nil {
 				u.addPlacedInto(diff, b, u.cfg.TRD.HasSuperCarry(), 1, take.Words)
@@ -107,24 +109,25 @@ func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
 }
 
 // subtrahendRows materializes the trial subtraction's ¬d and +1 rows on
-// the scratch arena. ¬d comes through the polymorphic NOT gate: one bulk
-// pass, charged like the Sub complement (one TR and one write step). The
-// +1 correction row is a preset constant (bit 0 of every lane),
-// maintained like the Fig. 7 padding, so it costs nothing.
-func (u *Unit) subtrahendRows(d dbc.Row, blocksize int) (notd, one dbc.Row) {
-	width := u.D.Width()
-	notd = u.scratchRow()
-	for i, w := range d.Words {
-		notd.Words[i] = ^w
+// the scratch arena. ¬d is the NOT output of the polymorphic gate: d
+// stands alone in the window, one whole-DBC TR senses it, and ¬d is
+// written back through the left port. The pass is charged those two
+// steps, the TR and the write; d's placement is not charged, where
+// Sub's BulkBitwise NOT pays a write and a shift for it. The +1
+// correction row is a preset constant (bit 0 of every lane), maintained
+// like the Fig. 7 padding, so it costs nothing.
+func (u *Unit) subtrahendRows(d dbc.Row, blocksize int) (notd, one dbc.Row, err error) {
+	if err := u.pokeWindow([]dbc.Row{d}); err != nil {
+		return dbc.Row{}, dbc.Row{}, err
 	}
-	notd.MaskTail()
-	u.D.Charge(telemetry.OpTR, width)
-	u.D.Charge(telemetry.OpWrite, width)
+	notd = u.scratchRow()
+	dbc.EvalPlanesInto(notd, dbc.OpNOT, u.trAll(), u.cfg.TRD)
+	u.D.WritePort(dbcLeft, notd)
 	one = u.scratchRow()
-	for l := 0; l < width/blocksize; l++ {
+	for l := 0; l < u.D.Width()/blocksize; l++ {
 		one.Set(l*blocksize, 1)
 	}
-	return notd, one
+	return notd, one, nil
 }
 
 // predicatedCopy sets dst to x in the lanes take selects and to y in

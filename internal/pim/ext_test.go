@@ -144,6 +144,33 @@ func TestMaxTRFullShiftExact(t *testing.T) {
 	}
 }
 
+// TestMaxTRFullShiftStaysOnTheWire runs the full-shift ablation under
+// shift faults alone, at the 1.25% rate of the pinned fault stream, over
+// many seeds: a mis-shift may corrupt the maximum, but no sweep may
+// carry the head past the DBC's offset bounds ("push data off the
+// wire"). Every sweep stays within TRD−1 of rest, so a handful of
+// overshoots has room to land.
+func TestMaxTRFullShiftStaysOnTheWire(t *testing.T) {
+	for _, trd := range []params.TRD{params.TRD3, params.TRD5, params.TRD7} {
+		for _, k := range []int{2, int(trd)} {
+			for _, bs := range []int{8, 16} {
+				for seed := int64(1); seed <= 40; seed++ {
+					u := unitFor(t, trd, 64)
+					u.D.SetFaultInjector(device.NewFaultInjector(0, 0.0125, seed))
+					rng := rand.New(rand.NewSource(seed))
+					cands := make([]dbc.Row, k)
+					for i := range cands {
+						cands[i] = randBits(64, rng)
+					}
+					if _, err := u.MaxTRFullShift(cands, bs); err != nil {
+						t.Fatalf("%v k=%d bs=%d seed %d: %v", trd, k, bs, seed, err)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTWSavesMaxCycles(t *testing.T) {
 	// §IV-B: "TW for TRD = 7 reduces maximum function cycles by 28.5%".
 	// Our choreography: TW rotation is 2 steps/candidate vs 3 with

@@ -114,20 +114,13 @@ func lanePattern(lane, bit int) uint64 {
 	return p
 }
 
-// laneShiftLeft returns r logically shifted left by k bit positions
-// within each lane of the given width: bit j moves to bit j+k, the lane's
-// top k bits are discarded, the bottom k bits become zero. With k=1 this
-// is the Fig. 4(a) brown i→i+1 forwarding path (§III-D: a logical left
-// shift, multiply by two). The shift runs word-at-a-time: a cross-word
-// carry chain plus one lane-boundary mask.
-func laneShiftLeftK(r dbc.Row, lane, k int) dbc.Row {
-	out := dbc.NewRow(r.N)
-	laneShiftLeftKInto(out, r, lane, k)
-	return out
-}
-
-// laneShiftLeftKInto is laneShiftLeftK writing into a caller-owned row
-// of the same width. out == r is allowed (in-place shift): words are
+// laneShiftLeftKInto writes into out, a row of r's width, r logically
+// shifted left by k bit positions within each lane of the given width:
+// bit j moves to bit j+k, the lane's top k bits are discarded, the
+// bottom k bits become zero. With k=1 this is the Fig. 4(a) brown i→i+1
+// forwarding path (§III-D: a logical left shift, multiply by two). The
+// shift runs word-at-a-time: a cross-word carry chain plus one
+// lane-boundary mask. out == r is allowed (in-place shift): words are
 // filled from the high index down, so every source word is read before
 // it can be overwritten. Any k ≥ 0 is supported (k ≥ lane zeroes the
 // lanes); shifts wider than a word decompose into a whole-word move
@@ -243,8 +236,6 @@ func clearLaneHigh(out dbc.Row, lane, k int) {
 		}
 	}
 }
-
-func laneShiftLeft(r dbc.Row, lane int) dbc.Row { return laneShiftLeftK(r, lane, 1) }
 
 func laneShiftLeftInto(out, r dbc.Row, lane int) { laneShiftLeftKInto(out, r, lane, 1) }
 

@@ -128,7 +128,10 @@ func (u *Unit) MaxSelect(a, b dbc.Row, blocksize int) (dbc.Row, error) {
 	u.enterOp()
 	defer u.exitOp()
 
-	notb, one := u.subtrahendRows(b, blocksize)
+	notb, one, err := u.subtrahendRows(b, blocksize)
+	if err != nil {
+		return dbc.Row{}, err
+	}
 	diff := u.scratchRow()
 	cout := u.scratchRow()
 	if err := u.subChainInto(diff, a, notb, one, blocksize, cout.Words); err != nil {

@@ -12,8 +12,14 @@ import "repro/internal/dbc"
 //
 // Whole-nanowire shifting drifts the DBC alignment — the very problem
 // §IV-B raises — so the rotation direction alternates per bit position
-// to stay within the overhead-domain excursion.
+// to stay within the overhead-domain excursion. Placement leaves the
+// head k−1 steps right of rest, so the first sweep runs left, toward
+// rest and past it: every sweep then stays within TRD−1 of rest, where
+// a rightward first sweep at k = TRD would end at 2·TRD−1 and a single
+// shift overshoot would push data off the wire.
 func (u *Unit) MaxTRFullShift(candidates []dbc.Row, blocksize int) (dbc.Row, error) {
+	u.rec.Begin(u.src, "max-fullshift")
+	defer u.rec.End(u.src)
 	if err := u.checkCandidates(candidates, blocksize); err != nil {
 		return dbc.Row{}, err
 	}
@@ -25,7 +31,7 @@ func (u *Unit) MaxTRFullShift(candidates []dbc.Row, blocksize int) (dbc.Row, err
 
 	hit := u.scratchRow()
 	row := u.scratchRow()
-	from, to, step := dbcRight, dbcLeft, 1
+	from, to, step := dbcLeft, dbcRight, -1
 	for j := blocksize - 1; j >= 0; j-- {
 		u.senseLaneBit(hit, j, blocksize)
 		for r := 0; r < int(u.cfg.TRD); r++ {

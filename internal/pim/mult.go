@@ -22,7 +22,9 @@ import (
 //  3. Carry-save TRD→3 reductions compress the partial products until at
 //     most TRD−2 rows remain; the first reduction's operands are already
 //     in the window from generation, later rounds rotate extra rows in at
-//     two cycles each.
+//     two cycles each. Each round is a sensed whole-DBC TR whose S, C
+//     and C' are written back into the window (reducePlaced), so an
+//     injected TR fault reaches the product through every round.
 //  4. A final multi-operand addition (DBC-executed) produces the product.
 //
 // When one addition takes every partial product (bw ≤ TRD−2: bw=4 at
@@ -118,20 +120,20 @@ func (u *Unit) sumProducts(rows []dbc.Row, copies, laneW int) (dbc.Row, error) {
 // reduceAndAddScratch runs Multiply's steps 3–4 on a scratch-backed row
 // list: carry-save reductions compress the rows until one multi-operand
 // addition fits, then the final add runs on the DBC. inWindow says how
-// many trailing rows are already placed in the TR window; the rest
-// rotate in at one shift plus one write each. The slice is spliced in
-// place, so it must not be reused by the caller afterwards.
+// many leading rows the charged steps already placed in the TR window;
+// the rest rotate in at one shift plus one write each. Each round's
+// rows then go into the window where those charged steps put them
+// (pokeWindow) for the sensed reduction. The slice is spliced in place,
+// so it must not be reused by the caller afterwards.
 func (u *Unit) reduceAndAddScratch(rows []dbc.Row, laneW, inWindow int) (dbc.Row, error) {
 	width := u.D.Width()
-
-	// Step 3: carry-save reductions until a single addition suffices.
-	hasCp := u.cfg.TRD.HasSuperCarry()
 	outputs := 2
-	if hasCp {
+	if u.cfg.TRD.HasSuperCarry() {
 		outputs = 3
 	}
 	maxAdd := u.maxAddOperands()
 	trdN := int(u.cfg.TRD)
+	// Step 3: carry-save reductions until a single addition suffices.
 	for len(rows) > maxAdd {
 		k := min(trdN, len(rows))
 		for r := inWindow; r < k; r++ {
@@ -139,28 +141,15 @@ func (u *Unit) reduceAndAddScratch(rows []dbc.Row, laneW, inWindow int) (dbc.Row
 			u.D.Charge(telemetry.OpShift, width)
 			u.D.Charge(telemetry.OpWrite, width)
 		}
-		red := u.reduceRowsScratch(rows[:k], laneW, hasCp)
-		u.D.Charge(telemetry.OpTR, width)
-		u.D.Charge(telemetry.OpWrite, width) // S through the left port
-		u.D.Charge(telemetry.OpTW, width)    // C rotated in by transverse write
-		if hasCp {
-			u.D.Charge(telemetry.OpTW, width) // C'
+		if err := u.pokeWindow(rows[:k]); err != nil {
+			return dbc.Row{}, err
 		}
-		// Splice the reduction outputs over rows[:k] in place: the
-		// outputs are fresh scratch rows, so no aliasing with the tail.
-		rows[0], rows[1] = red.S, red.C
-		if hasCp {
-			rows[2] = red.Cp
-		}
-		n := copy(rows[outputs:], rows[k:])
-		rows = rows[:outputs+n]
+		rows = splice(rows, k, u.reducePlaced(laneW))
 		inWindow = outputs
 	}
 
-	// Step 4: final multi-operand addition on the DBC.
-	if len(rows) == 1 {
-		return copyRow(rows[0]), nil
-	}
+	// Step 4: final multi-operand addition on the DBC (a round leaves
+	// at least its two or three outputs, so at least two rows remain).
 	return u.AddMulti(rows, laneW)
 }
 

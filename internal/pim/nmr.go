@@ -71,10 +71,11 @@ func (u *Unit) AddMultiNMR(n int, operands []dbc.Row, blocksize int) (dbc.Row, e
 
 // senseVoted is the carry chain's read of the wires mask selects (nw of
 // them), left in u.lp. With votes > 1 the read repeats votes times; each
-// of the S, C and C' planes is counted over the readings with the
-// carry-save counter of the reduction (countInto) and replaced by its
-// majority, OpMAJ's comparator over a window of votes readings. One
-// logic step charges the vote (the C' circuit reused, §III-F).
+// of the S, C and C' planes is counted over the readings with a
+// bit-sliced carry-save counter (countInto, the count a TR's level
+// planes hold) and replaced by its majority, OpMAJ's comparator over a
+// window of votes readings. One logic step charges the vote (the C'
+// circuit reused, §III-F).
 func (u *Unit) senseVoted(mask []uint64, nw, votes int) {
 	if votes == 1 {
 		u.D.TRMaskedInto(&u.lp, mask, nw)
@@ -116,4 +117,16 @@ func (u *Unit) RunNMR(n int, op func() (dbc.Row, error)) (dbc.Row, error) {
 		replicas[i] = r
 	}
 	return u.Vote(replicas)
+}
+
+// countInto adds the bits of one plane to the carry-save counter planes
+// (at most seven planes fit the 3-bit counter).
+func countInto(c0, c1, c2, x []uint64) {
+	for i, w := range x {
+		t0 := c0[i] & w
+		c0[i] ^= w
+		t1 := c1[i] & t0
+		c1[i] ^= t0
+		c2[i] |= t1
+	}
 }

@@ -80,9 +80,11 @@ func (u *Unit) Width() int { return u.D.Width() }
 func (u *Unit) TRD() params.TRD { return u.cfg.TRD }
 
 // Tracer exposes the unit's primitive-op accounting: its DBC's tracer,
-// which also counts the steps the unit charges itself (the multiplier's
-// predicated copies and reductions, ReLU's refresh). Nil once a memory
-// has detached it.
+// which also counts the steps the unit charges without running them on
+// the DBC model (the multipliers' read, shifted copies and rotate-ins,
+// the divider's lateral shifts and predicated writes, the signed
+// divider's sign passes, LogicalShift, the vote's logic step, ReLU).
+// Nil once a memory has detached it.
 func (u *Unit) Tracer() *trace.Tracer { return u.D.Tracer() }
 
 // SetTelemetry attaches a telemetry recorder to the unit and its DBC
@@ -176,12 +178,9 @@ func (u *Unit) placeWindow(rows []dbc.Row, p placement) error {
 	if len(rows) > trd {
 		return fmt.Errorf("pim: %d operands exceed window of %d: %w", len(rows), trd, params.ErrBadTRD)
 	}
-	e := u.D.Offset()
-	if p.atRest || e < -trd || e > trd {
-		if err := u.D.Shift(-e); err != nil {
-			return err
-		}
-		e = 0
+	e, err := u.nearRest(p.atRest)
+	if err != nil {
+		return err
 	}
 	u.rightEntry = e > 0
 	side, slot, step, final := dbcLeft, 0, 1, p.finalShift
@@ -207,6 +206,37 @@ func (u *Unit) placeWindow(rows []dbc.Row, p placement) error {
 		// The domain shifted in under the entry port comes from the
 		// pre-populated padding region.
 		u.D.PokeWindowConst(slot, p.pad)
+	}
+	return nil
+}
+
+// nearRest brings the head within TRD of rest before a kernel touches
+// the window, so the window's domains stay inside the kernel band: a
+// head further out, or any head when atRest asks for rest, walks back
+// with traced shifts. It returns the offset the kernel enters from.
+func (u *Unit) nearRest(atRest bool) (int, error) {
+	trd := int(u.cfg.TRD)
+	e := u.D.Offset()
+	if atRest || e < -trd || e > trd {
+		return 0, u.D.Shift(-e)
+	}
+	return e, nil
+}
+
+// pokeWindow puts rows into the window untraced, rows[i] in slot i and
+// the free slots zeroed, for kernels that price the placement
+// themselves. The head first comes within TRD of rest (nearRest), so
+// only domains of the kernel band are written.
+func (u *Unit) pokeWindow(rows []dbc.Row) error {
+	if _, err := u.nearRest(false); err != nil {
+		return err
+	}
+	for i := 0; i < int(u.cfg.TRD); i++ {
+		if i < len(rows) {
+			u.D.PokeWindow(i, rows[i])
+		} else {
+			u.D.PokeWindowConst(i, 0)
+		}
 	}
 	return nil
 }

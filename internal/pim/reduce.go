@@ -55,109 +55,55 @@ func (u *Unit) Reduce(operands []dbc.Row, blocksize int) (Reduction, error) {
 			return Reduction{}, fmt.Errorf("pim: operand width %d, want %d", r.N, width)
 		}
 	}
+	u.enterOp()
+	defer u.exitOp()
 	if err := u.placeWindow(operands, placement{atRest: true}); err != nil {
 		return Reduction{}, err
 	}
-	return u.reducePlaced(blocksize)
+	red := u.reducePlaced(blocksize)
+	out := Reduction{S: red.S.Clone(), C: red.C.Clone()}
+	if !red.Cp.IsEmpty() {
+		out.Cp = red.Cp.Clone()
+	}
+	return out, nil
 }
 
-// reducePlaced reduces whatever occupies the window. After it returns,
-// the window holds the result rows: S under the left port region after
-// the transverse writes rotate it inward (positions 0..2 hold C', C, S
-// for TRD≥5; positions 0..1 hold C, S for TRD=3).
-func (u *Unit) reducePlaced(blocksize int) (Reduction, error) {
+// reducePlaced is the one TRD→3 reduction dataflow: it reduces whatever
+// occupies the window with one transverse read of every wire, whose
+// level bits are S, C and C', and writes them back — S through the left
+// port, then C and C' by transverse writes that rotate the window, so
+// slots 0..2 hold C', C, S afterwards (slots 0..1 hold C, S at TRD 3,
+// which has no C'). The returned rows are scratch rows: S in place, C
+// routed one bit position up and C' two, with the carries past each
+// blocksize lane masked — the multiplication forwarding path's lane
+// shift.
+func (u *Unit) reducePlaced(blocksize int) Reduction {
 	lp := u.trAll()
-	red := reductionOfPlanes(lp, blocksize, u.cfg.TRD.HasSuperCarry())
-	// Write-back: S through the left port, then rotate C (and C') in by
-	// transverse writes so all outputs occupy window rows (§IV-B notes TW
-	// also accelerates padding and multi-step operations).
+	red := Reduction{S: u.scratchRow(), C: u.scratchRow()}
+	copy(red.S.Words, lp.C0)
+	red.S.MaskTail()
+	laneShiftLeftKInto(red.C, dbc.Row{Words: lp.C1, N: lp.N}, blocksize, 1)
+	if u.cfg.TRD.HasSuperCarry() {
+		red.Cp = u.scratchRow()
+		laneShiftLeftKInto(red.Cp, dbc.Row{Words: lp.C2, N: lp.N}, blocksize, 2)
+	}
 	u.D.WritePort(dbcLeft, red.S)
 	u.D.TW(red.C)
 	if !red.Cp.IsEmpty() {
 		u.D.TW(red.Cp)
 	}
-	return red, nil
-}
-
-// reductionOfPlanes converts bit-sliced TR level planes into the S/C/C'
-// rows word-parallel: S is the level's bit 0 in place, C the level's bit
-// 1 routed one position up, C' bit 2 routed two positions up, with
-// carries masked at lane boundaries — exactly the lane shift used by the
-// multiplication forwarding path.
-func reductionOfPlanes(lp dbc.LevelPlanes, blocksize int, hasCp bool) Reduction {
-	s := dbc.Row{Words: append([]uint64(nil), lp.C0...), N: lp.N}
-	s.MaskTail()
-	c := dbc.Row{Words: append([]uint64(nil), lp.C1...), N: lp.N}
-	c.MaskTail()
-	red := Reduction{S: s, C: laneShiftLeft(c, blocksize)}
-	if hasCp {
-		cp := dbc.Row{Words: append([]uint64(nil), lp.C2...), N: lp.N}
-		cp.MaskTail()
-		red.Cp = laneShiftLeftK(cp, blocksize, 2)
-	}
 	return red
 }
 
-// reduceRowsFunctional is the dataflow of Reduce without touching the
-// DBC: used by Multiply, which charges its cost explicitly, and by tests
-// that check equivalence with the DBC-executed path. The operand bits
-// are counted with the same word-parallel carry-save pass the plane
-// engine uses for transverse reads.
-func reduceRowsFunctional(rows []dbc.Row, blocksize int, hasCp bool) Reduction {
-	words := len(rows[0].Words)
-	c0 := make([]uint64, words)
-	c1 := make([]uint64, words)
-	c2 := make([]uint64, words)
-	countRowsInto(c0, c1, c2, rows)
-	lp := dbc.LevelPlanes{C0: c0, C1: c1, C2: c2, N: rows[0].N}
-	return reductionOfPlanes(lp, blocksize, hasCp)
-}
-
-// countRowsInto accumulates the per-wire '1' counts of rows into zeroed
-// carry-save counter planes, word-parallel.
-func countRowsInto(c0, c1, c2 []uint64, rows []dbc.Row) {
-	for _, r := range rows {
-		countInto(c0, c1, c2, r.Words)
+// splice replaces the k rows a reduction consumed at the head of rows
+// with its outputs, in place and in the window order reducePlaced
+// leaves them (C', C, S from slot 0; C, S at TRD 3), and returns the
+// shortened list. k is at least the output count.
+func splice(rows []dbc.Row, k int, red Reduction) []dbc.Row {
+	out := rows[:0]
+	if !red.Cp.IsEmpty() {
+		out = append(out, red.Cp)
 	}
-}
-
-// countInto adds the bits of one plane to the carry-save counter planes
-// (at most seven planes fit the 3-bit counter).
-func countInto(c0, c1, c2, x []uint64) {
-	for i, w := range x {
-		t0 := c0[i] & w
-		c0[i] ^= w
-		t1 := c1[i] & t0
-		c1[i] ^= t0
-		c2[i] |= t1
-	}
-}
-
-// reduceRowsScratch is reduceRowsFunctional on the unit's scratch arena:
-// the counter planes live in a dedicated buffer and the S/C/C' outputs
-// are scratch rows, valid until the enclosing top-level op returns. The
-// in-place lane shifts route C and C' up one and two positions, exactly
-// as reductionOfPlanes does.
-func (u *Unit) reduceRowsScratch(rows []dbc.Row, blocksize int, hasCp bool) Reduction {
-	words := len(rows[0].Words)
-	cs := scratchWords(&u.scratch.redWords, 3*words)
-	c0, c1, c2 := cs[:words], cs[words:2*words], cs[2*words:]
-	countRowsInto(c0, c1, c2, rows)
-
-	s := u.scratchRow()
-	copy(s.Words, c0)
-	s.MaskTail()
-	c := u.scratchRow()
-	copy(c.Words, c1)
-	c.MaskTail()
-	laneShiftLeftKInto(c, c, blocksize, 1)
-	red := Reduction{S: s, C: c}
-	if hasCp {
-		cp := u.scratchRow()
-		copy(cp.Words, c2)
-		cp.MaskTail()
-		laneShiftLeftKInto(cp, cp, blocksize, 2)
-		red.Cp = cp
-	}
-	return red
+	out = append(out, red.C, red.S)
+	return append(out, rows[k:]...)
 }

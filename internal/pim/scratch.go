@@ -23,8 +23,7 @@ type arena struct {
 
 	addWords  []uint64  // addPlaced: phase mask + scatter planes (5 × words)
 	voteWords []uint64  // senseVoted: S/C/C' vote counters (9 × words)
-	redWords  []uint64  // reduceRowsScratch: carry-save counters (3 × words)
-	rowList   []dbc.Row // Multiply: partial-product / reduction row list
+	rowList   []dbc.Row // Multiply, AddLarge, subChainInto: operand / reduction row list
 }
 
 // enterOp opens an operation scope: the outermost scope reclaims every
