@@ -100,11 +100,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 5s ./internal/service
 
 # Benchmarks of the word-packed bit-plane engine: DBC primitives, the
-# bulk/multi-operand PIM operations built on them, and the add carry
-# chain. Reference numbers are recorded in BENCH_plane.json and
+# bulk/multi-operand PIM operations built on them, the add carry chain,
+# the multiplier, the TW tournament, the two-candidate max and the
+# divider. Reference numbers are recorded in BENCH_plane.json and
 # BENCH_lint.json.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkDBC|BenchmarkBulk|BenchmarkPIM|BenchmarkAdd' -benchmem ./...
+	$(GO) test -run '^$$' -bench 'BenchmarkDBC|BenchmarkBulk|BenchmarkPIM|BenchmarkAdd|BenchmarkMultiply|BenchmarkMaxTR|BenchmarkMaxSelect|BenchmarkDivMod' -benchmem ./...
 
 # alloc-budget runs the exact-count gates together. TestAllocBudget
 # (alloc_budget_test.go) pins every hot kernel's allocs/op to the number

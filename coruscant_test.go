@@ -33,13 +33,13 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := u.Add2(a, b, 8)
+	sum, err := u.AddMulti([]coruscant.Row{a, b}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := coruscant.UnpackLanes(sum, 8)
 	if got[0] != 155 || got[1] != 4 { // 260 mod 256
-		t.Errorf("Add2 = %v", got)
+		t.Errorf("a+b = %v", got)
 	}
 	if u.Stats().Cycles() == 0 {
 		t.Error("no cycles traced")

@@ -404,10 +404,6 @@ func (d *DBC) TW(bits Row) {
 	d.chargePort(telemetry.OpTW, d.width, device.Left)
 }
 
-// WindowRow maps window position i (0 = left port) to the data row
-// currently aligned there, or -1 for an overhead domain.
-func (d *DBC) WindowRow(i int) int { return d.pa.WindowRow(i) }
-
 // PokeWindow overwrites the domain at window position i on every wire
 // without tracing. It models Fig. 7 pre-populated padding constants that
 // are maintained outside the traced operation, and places rows whose

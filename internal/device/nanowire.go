@@ -265,19 +265,6 @@ func (w *Nanowire) TW(b Bit) {
 	w.domains[w.portL] = b & 1
 }
 
-// WindowRow returns the data-row index currently aligned with window
-// position i (0 = under the left port), or -1 for an overhead domain.
-func (w *Nanowire) WindowRow(i int) int {
-	if i < 0 || i >= int(w.trd) {
-		panic(fmt.Sprintf("device: window index %d out of range [0,%d)", i, int(w.trd)))
-	}
-	r := w.portL + i - w.start
-	if r < 0 || r >= w.rows {
-		return -1
-	}
-	return r
-}
-
 // PokeWindow overwrites the physical domain at window position i
 // (0 = under the left port) without modelling an access. It supports
 // maintaining the Fig. 7 pre-populated padding constants.

@@ -343,17 +343,6 @@ func (pa *PlaneArray) checkWindow(i int) {
 	}
 }
 
-// WindowRow returns the data row currently aligned with window position
-// i (0 = under the left port), or -1 for an overhead domain.
-func (pa *PlaneArray) WindowRow(i int) int {
-	pa.checkWindow(i)
-	r := pa.portL + i - pa.start
-	if r < 0 || r >= pa.rows {
-		return -1
-	}
-	return r
-}
-
 // PokeWindow overwrites the plane at window position i from src without
 // modelling an access (Fig. 7 pre-populated padding).
 func (pa *PlaneArray) PokeWindow(i int, src []uint64) {

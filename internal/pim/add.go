@@ -187,8 +187,3 @@ func shiftWordsUp(dst, src []uint64, k uint) {
 		carry = w >> (64 - k)
 	}
 }
-
-// Add2 is a convenience wrapper adding two rows lane-wise.
-func (u *Unit) Add2(a, b dbc.Row, blocksize int) (dbc.Row, error) {
-	return u.AddMulti([]dbc.Row{a, b}, blocksize)
-}

@@ -49,10 +49,9 @@ func TestAllocsPerOpSteadyState(t *testing.T) {
 		{"Multiply", 1, func() error { _, err := u.Multiply(ma, mb, 8); return err }},
 		{"MaxTR", 1, func() error { _, err := u.MaxTR(operands, 8); return err }},
 		{"MaxSelect", 1, func() error { _, err := u.MaxSelect(operands[0], operands[1], 8); return err }},
-		// The new ops return owned rows too: DivMod q+r, DivModSigned
-		// q+r, one result row each for shift and FMA.
+		// The new ops return owned rows too: DivMod q+r, one result
+		// row each for shift and FMA.
 		{"DivMod", 2, func() error { _, _, err := u.DivMod(da, dd, 8); return err }},
-		{"DivModSigned", 2, func() error { _, _, err := u.DivModSigned(da, dd, 8); return err }},
 		{"LogicalShift", 1, func() error { _, err := u.LogicalShift(da, 3, 8, true); return err }},
 		{"FMA", 1, func() error { _, err := u.FMA(ma, mb, operands[1], 8); return err }},
 	}

@@ -112,8 +112,9 @@ func (u *Unit) DivMod(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
 // the scratch arena. ¬d is the NOT output of the polymorphic gate: d
 // stands alone in the window, one whole-DBC TR senses it, and ¬d is
 // written back through the left port. The pass is charged those two
-// steps, the TR and the write; d's placement is not charged, where
-// Sub's BulkBitwise NOT pays a write and a shift for it. The +1
+// steps, the TR and the write; d's placement is not charged, where a
+// BulkBitwise NOT (pimc's not, and the one a lowered sub issues) pays a
+// write and a shift for it. The +1
 // correction row is a preset constant (bit 0 of every lane), maintained
 // like the Fig. 7 padding, so it costs nothing.
 func (u *Unit) subtrahendRows(d dbc.Row, blocksize int) (notd, one dbc.Row, err error) {
@@ -200,146 +201,6 @@ func (u *Unit) rewriteLast(x dbc.Row) error {
 	return nil
 }
 
-// DivModSigned is DivMod on two's-complement lanes with truncated
-// (round-toward-zero) semantics: the sign handling — conditional lane
-// negation before and after the unsigned core — runs functionally with
-// one complement pass (TR + write) and one predicated copy charged per
-// negation, while the divide itself runs on the carry chain. Division
-// by zero returns quotient all-ones (−1) and remainder a, and
-// MinInt/−1 wraps to MinInt with remainder 0 (the Go/RISC-V overflow
-// convention) — both fall out of the magnitude dataflow.
-func (u *Unit) DivModSigned(a, d dbc.Row, blocksize int) (dbc.Row, dbc.Row, error) {
-	u.rec.Begin(u.src, "sdiv")
-	defer u.rec.End(u.src)
-	if err := u.checkBlocksize(blocksize); err != nil {
-		return dbc.Row{}, dbc.Row{}, err
-	}
-	width := u.D.Width()
-	if a.N != width || d.N != width {
-		return dbc.Row{}, dbc.Row{}, fmt.Errorf("pim: operand widths %d,%d, want %d", a.N, d.N, width)
-	}
-	u.enterOp()
-	defer u.exitOp()
-
-	b := blocksize
-	lanes := width / b
-	magA := u.scratchRow()
-	magD := u.scratchRow()
-	copy(magA.Words, a.Words)
-	copy(magD.Words, d.Words)
-	for l := 0; l < lanes; l++ {
-		if a.Get(l*b+b-1) != 0 {
-			laneNegate(magA, l, b)
-		}
-		if d.Get(l*b+b-1) != 0 {
-			laneNegate(magD, l, b)
-		}
-	}
-	u.D.Charge(telemetry.OpTR, width)
-	u.D.Charge(telemetry.OpWrite, width)
-	u.D.Charge(telemetry.OpCopy, width)
-
-	q, r, err := u.DivMod(magA, magD, b)
-	if err != nil {
-		return dbc.Row{}, dbc.Row{}, err
-	}
-
-	for l := 0; l < lanes; l++ {
-		base := l * b
-		sa := a.Get(base+b-1) != 0
-		sd := d.Get(base+b-1) != 0
-		if laneIsZero(d, l, b) {
-			// q is already all-ones in zero-divisor lanes; restore r = a.
-			for j := 0; j < b; j++ {
-				r.Set(base+j, a.Get(base+j))
-			}
-			continue
-		}
-		if sa != sd {
-			laneNegate(q, l, b)
-		}
-		if sa {
-			laneNegate(r, l, b)
-		}
-	}
-	q.MaskTail()
-	r.MaskTail()
-	u.D.Charge(telemetry.OpTR, width)
-	u.D.Charge(telemetry.OpWrite, width)
-	u.D.Charge(telemetry.OpCopy, width)
-	return q, r, nil
-}
-
-// DivModValues is the lane-value convenience wrapper for DivMod.
-func (u *Unit) DivModValues(a, d []uint64, blocksize int) (q, r []uint64, err error) {
-	if len(a) != len(d) {
-		return nil, nil, fmt.Errorf("pim: operand counts %d and %d differ", len(a), len(d))
-	}
-	ra, err := PackLanes(a, blocksize, u.D.Width())
-	if err != nil {
-		return nil, nil, err
-	}
-	rd, err := PackLanes(d, blocksize, u.D.Width())
-	if err != nil {
-		return nil, nil, err
-	}
-	rq, rr, err := u.DivMod(ra, rd, blocksize)
-	if err != nil {
-		return nil, nil, err
-	}
-	return UnpackLanes(rq, blocksize)[:len(a)], UnpackLanes(rr, blocksize)[:len(a)], nil
-}
-
-// DivModSignedValues is the lane-value wrapper for DivModSigned, for
-// lanes of at most 64 bits (values are two's-complement encoded into
-// the lane width).
-func (u *Unit) DivModSignedValues(a, d []int64, blocksize int) (q, r []int64, err error) {
-	if len(a) != len(d) {
-		return nil, nil, fmt.Errorf("pim: operand counts %d and %d differ", len(a), len(d))
-	}
-	if blocksize > 64 {
-		return nil, nil, fmt.Errorf("pim: signed value wrapper limited to 64-bit lanes, got %d: %w", blocksize, ErrLaneOverflow)
-	}
-	mask := uint64(1)<<uint(blocksize) - 1
-	if blocksize == 64 {
-		mask = ^uint64(0)
-	}
-	enc := func(vals []int64) ([]uint64, error) {
-		out := make([]uint64, len(vals))
-		for i, v := range vals {
-			out[i] = uint64(v) & mask
-		}
-		return out, nil
-	}
-	ua, _ := enc(a)
-	ud, _ := enc(d)
-	ra, err := PackLanes(ua, blocksize, u.D.Width())
-	if err != nil {
-		return nil, nil, err
-	}
-	rd, err := PackLanes(ud, blocksize, u.D.Width())
-	if err != nil {
-		return nil, nil, err
-	}
-	rq, rr, err := u.DivModSigned(ra, rd, blocksize)
-	if err != nil {
-		return nil, nil, err
-	}
-	dec := func(row dbc.Row) []int64 {
-		us := UnpackLanes(row, blocksize)[:len(a)]
-		out := make([]int64, len(us))
-		sign := uint64(1) << uint(blocksize-1)
-		for i, v := range us {
-			if blocksize < 64 && v&sign != 0 {
-				v |= ^mask
-			}
-			out[i] = int64(v)
-		}
-		return out
-	}
-	return dec(rq), dec(rr), nil
-}
-
 // setLane fills lane l of row r with ones, word-at-a-time (the inverse
 // of zeroLane).
 func setLane(r dbc.Row, l, lane int) {
@@ -361,27 +222,4 @@ func setLane(r dbc.Row, l, lane int) {
 		}
 	}
 	r.MaskTail()
-}
-
-// laneIsZero reports whether lane l of r is all zeros.
-func laneIsZero(r dbc.Row, l, lane int) bool {
-	base := l * lane
-	for j := 0; j < lane; j++ {
-		if r.Get(base+j) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// laneNegate two's-complement negates lane l of r in place: complement
-// plus an in-lane ripple increment.
-func laneNegate(r dbc.Row, l, lane int) {
-	base := l * lane
-	carry := uint8(1)
-	for j := 0; j < lane; j++ {
-		s := (1 - r.Get(base+j)) + carry
-		r.Set(base+j, s&1)
-		carry = s >> 1
-	}
 }

@@ -1,7 +1,6 @@
 package pim
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -40,71 +39,14 @@ func TestDivModDifferential(t *testing.T) {
 						d[l] = rng.Uint64() & mask
 					}
 				}
-				q, r, err := u.DivModValues(a, d, bs)
+				rq, rr, err := u.DivMod(MustPackLanes(a, bs, width), MustPackLanes(d, bs, width), bs)
 				if err != nil {
 					t.Fatal(err)
 				}
+				q, r := UnpackLanes(rq, bs), UnpackLanes(rr, bs)
 				for l := range a {
 					wantQ, wantR := mask, a[l]
 					if d[l] != 0 {
-						wantQ, wantR = a[l]/d[l], a[l]%d[l]
-					}
-					if q[l] != wantQ || r[l] != wantR {
-						t.Fatalf("trd=%v bs=%d lane %d: %d /%% %d = (%d,%d), want (%d,%d)",
-							trd, bs, l, a[l], d[l], q[l], r[l], wantQ, wantR)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestDivModSignedDifferential checks truncated signed division against
-// Go's native semantics, including MinInt/−1 overflow wrap and negative
-// operands on both sides, plus divide-by-zero lanes.
-func TestDivModSignedDifferential(t *testing.T) {
-	for _, trd := range []params.TRD{params.TRD3, params.TRD7} {
-		for _, bs := range []int{8, 16, 32} {
-			width := 4 * bs
-			u := unitFor(t, trd, width)
-			rng := rand.New(rand.NewSource(int64(trd)*2000 + int64(bs)))
-			lanes := width / bs
-			minInt := int64(-1) << uint(bs-1)
-			maxInt := -minInt - 1
-			clamp := func(v int64) int64 { // wrap into the lane's range
-				m := uint64(1)<<uint(bs) - 1
-				uv := uint64(v) & m
-				if uv>>(uint(bs)-1) != 0 {
-					return int64(uv | ^m)
-				}
-				return int64(uv)
-			}
-			for iter := 0; iter < 8; iter++ {
-				a := make([]int64, lanes)
-				d := make([]int64, lanes)
-				for l := range a {
-					a[l] = clamp(rng.Int63n(maxInt+1) - rng.Int63n(maxInt+1))
-					switch rng.Intn(5) {
-					case 0:
-						d[l] = 0
-					case 1:
-						a[l], d[l] = minInt, -1 // overflow wrap lane
-					default:
-						d[l] = clamp(rng.Int63n(maxInt+1) - rng.Int63n(maxInt+1))
-					}
-				}
-				q, r, err := u.DivModSignedValues(a, d, bs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for l := range a {
-					var wantQ, wantR int64
-					switch {
-					case d[l] == 0:
-						wantQ, wantR = -1, a[l]
-					case a[l] == minInt && d[l] == -1:
-						wantQ, wantR = minInt, 0
-					default:
 						wantQ, wantR = a[l]/d[l], a[l]%d[l]
 					}
 					if q[l] != wantQ || r[l] != wantR {
@@ -146,12 +88,6 @@ func TestDivModErrors(t *testing.T) {
 	short := MustPackLanes([]uint64{1}, 8, 8)
 	if _, _, err := u.DivMod(a, short, 8); err == nil {
 		t.Fatal("mismatched width accepted")
-	}
-	if _, _, err := u.DivModValues([]uint64{1}, []uint64{1, 2}, 8); err == nil {
-		t.Fatal("mismatched counts accepted")
-	}
-	if _, _, err := u.DivModSignedValues([]int64{1}, []int64{1}, 128); !errors.Is(err, ErrLaneOverflow) {
-		t.Fatalf("128-bit signed wrapper: got %v, want ErrLaneOverflow", err)
 	}
 }
 

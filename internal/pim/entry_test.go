@@ -8,12 +8,15 @@ import (
 	"repro/internal/params"
 )
 
-// windowKernels are the kernels that place operands in the TR window,
-// each run on zero operand rows of the unit's width.
-var windowKernels = []struct {
+// kernel names one PIM kernel call and runs it on u.
+type kernel struct {
 	name string
 	run  func(u *Unit) error
-}{
+}
+
+// windowKernels are the kernels that place operands in the TR window,
+// each run on zero operand rows of the unit's width.
+var windowKernels = []kernel{
 	{"add2", func(u *Unit) error { _, err := u.AddMulti(zeroRows(u, 2), 8); return err }},
 	{"addmax", func(u *Unit) error { _, err := u.AddMulti(zeroRows(u, u.maxAddOperands()), 8); return err }},
 	{"xor2", func(u *Unit) error { _, err := u.BulkBitwise(dbc.OpXOR, zeroRows(u, 2)); return err }},

@@ -45,30 +45,3 @@ func (u *Unit) FMA(a, b, c dbc.Row, bw int) (dbc.Row, error) {
 	rows := append(u.genPartialProducts(u.scratchRowList(bw+1), a, b, laneW, bw), c)
 	return u.sumProducts(rows, bw, laneW)
 }
-
-// FMAValues is the lane-value convenience wrapper for FMA: products and
-// addends pack into 2·bw-bit lanes; results are a[i]·b[i]+c[i] modulo
-// 2^(2·bw).
-func (u *Unit) FMAValues(a, b, c []uint64, bw int) ([]uint64, error) {
-	if len(a) != len(b) || len(a) != len(c) {
-		return nil, fmt.Errorf("pim: operand counts %d, %d and %d differ", len(a), len(b), len(c))
-	}
-	laneW := 2 * bw
-	ra, err := PackLanes(a, laneW, u.D.Width())
-	if err != nil {
-		return nil, err
-	}
-	rb, err := PackLanes(b, laneW, u.D.Width())
-	if err != nil {
-		return nil, err
-	}
-	rc, err := PackLanes(c, laneW, u.D.Width())
-	if err != nil {
-		return nil, err
-	}
-	out, err := u.FMA(ra, rb, rc, bw)
-	if err != nil {
-		return nil, err
-	}
-	return UnpackLanes(out, laneW)[:len(a)], nil
-}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dbc"
 	"repro/internal/params"
 )
 
@@ -29,10 +30,11 @@ func TestFMADifferential(t *testing.T) {
 					b[l] = rng.Uint64() & bwMask
 					c[l] = rng.Uint64() & laneMask // full-lane addend
 				}
-				got, err := u.FMAValues(a, b, c, bw)
+				out, err := u.FMA(MustPackLanes(a, laneW, width), MustPackLanes(b, laneW, width), MustPackLanes(c, laneW, width), bw)
 				if err != nil {
 					t.Fatal(err)
 				}
+				got := UnpackLanes(out, laneW)
 				for l := range a {
 					want := (a[l]*b[l] + c[l]) & laneMask
 					if got[l] != want {
@@ -66,7 +68,7 @@ func TestFMAMatchesMultiplyPlusAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := u.Add2(prod, c, 16)
+	sum, err := u.AddMulti([]dbc.Row{prod, c}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +101,5 @@ func TestFMAErrors(t *testing.T) {
 	}
 	if _, err := u.FMA(ok, ok, ok, 3); err == nil {
 		t.Fatal("invalid product lane accepted")
-	}
-	if _, err := u.FMAValues([]uint64{1}, []uint64{1, 2}, []uint64{1}, 8); err == nil {
-		t.Fatal("mismatched counts accepted")
 	}
 }

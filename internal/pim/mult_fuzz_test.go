@@ -22,10 +22,11 @@ func FuzzMultiplyFMA(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a0, b0, c0, a1, b1, c1 uint64, bwSel, trdSel uint8) {
 		const width = 128
 		bw := 4 << (bwSel % 4)
+		laneW := 2 * bw
 		trd := []params.TRD{params.TRD3, params.TRD5, params.TRD7}[trdSel%3]
 		opMask := uint64(1)<<uint(bw) - 1
-		laneMask := ^uint64(0) >> uint(64-2*bw)
-		lanes := width / (2 * bw)
+		laneMask := ^uint64(0) >> uint(64-laneW)
+		lanes := width / laneW
 		a, b, c := make([]uint64, lanes), make([]uint64, lanes), make([]uint64, lanes)
 		for l := range a {
 			a[l], b[l], c[l] = a0&opMask, b0&opMask, c0&laneMask
@@ -38,10 +39,11 @@ func FuzzMultiplyFMA(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fma, err := u.FMAValues(a, b, c, bw)
+		sum, err := u.FMA(MustPackLanes(a, laneW, width), MustPackLanes(b, laneW, width), MustPackLanes(c, laneW, width), bw)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fma := UnpackLanes(sum, laneW)
 		for l := range a {
 			if want := a[l] * b[l]; prod[l] != want {
 				t.Fatalf("%v bw=%d lane %d: %d·%d = %d, want %d", trd, bw, l, a[l], b[l], prod[l], want)

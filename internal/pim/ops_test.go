@@ -339,6 +339,37 @@ func TestReLU(t *testing.T) {
 	}
 }
 
+// TestSubThenReLUIsPositivePart runs the paper's "pos − neg then
+// rectify" idiom (§IV-C) on the kernels pimc's sub lowering and cnn's
+// signed sums issue: ¬b from the gate's NOT, one add that folds in the
+// +1 row, then ReLU. Negative differences rectify to zero, positive
+// ones pass through.
+func TestSubThenReLUIsPositivePart(t *testing.T) {
+	u := unitFor(t, params.TRD7, 64)
+	a := MustPackLanes([]uint64{100, 10, 50, 0}, 8, 64)
+	b := MustPackLanes([]uint64{30, 90, 50, 1}, 8, 64)
+	nb, err := u.BulkBitwise(dbc.OpNOT, []dbc.Row{b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := MustPackLanes([]uint64{1, 1, 1, 1, 1, 1, 1, 1}, 8, 64)
+	diff, err := u.AddMulti([]dbc.Row{a, nb, one}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relued, err := u.ReLU(diff, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := UnpackLanes(relued, 8)
+	want := []uint64{70, 0, 0, 0, 0, 0, 0, 0}
+	for l := range want {
+		if got[l] != want[l] {
+			t.Errorf("lane %d = %d, want %d", l, got[l], want[l])
+		}
+	}
+}
+
 // --- N-modular redundancy -------------------------------------------------
 
 func TestVoteMajority(t *testing.T) {

@@ -366,17 +366,18 @@ func TestAddMultiErrors(t *testing.T) {
 	}
 }
 
+// TestAdd2: a two-operand add wraps each lane modulo 2^blocksize.
 func TestAdd2(t *testing.T) {
 	u := unitFor(t, params.TRD7, 16)
 	a := MustPackLanes([]uint64{250, 3}, 8, 16)
 	b := MustPackLanes([]uint64{10, 4}, 8, 16)
-	sum, err := u.Add2(a, b, 8)
+	sum, err := u.AddMulti([]dbc.Row{a, b}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := UnpackLanes(sum, 8)
 	if got[0] != 4 || got[1] != 7 { // 260 mod 256 = 4
-		t.Errorf("Add2 = %v, want [4 7]", got)
+		t.Errorf("a+b = %v, want [4 7]", got)
 	}
 }
 

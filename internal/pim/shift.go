@@ -49,17 +49,3 @@ func (u *Unit) LogicalShift(a dbc.Row, amount, blocksize int, left bool) (dbc.Ro
 	u.D.Charge(telemetry.OpWrite, width)
 	return out, nil
 }
-
-// LogicalShiftValues is the lane-value convenience wrapper for
-// LogicalShift.
-func (u *Unit) LogicalShiftValues(vals []uint64, amount, blocksize int, left bool) ([]uint64, error) {
-	r, err := PackLanes(vals, blocksize, u.D.Width())
-	if err != nil {
-		return nil, err
-	}
-	out, err := u.LogicalShift(r, amount, blocksize, left)
-	if err != nil {
-		return nil, err
-	}
-	return UnpackLanes(out, blocksize)[:len(vals)], nil
-}

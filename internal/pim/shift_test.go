@@ -27,10 +27,11 @@ func TestLogicalShiftDifferential(t *testing.T) {
 		}
 		for amount := 0; amount <= bs; amount++ {
 			for _, left := range []bool{true, false} {
-				got, err := u.LogicalShiftValues(vals, amount, bs, left)
+				out, err := u.LogicalShift(MustPackLanes(vals, bs, width), amount, bs, left)
 				if err != nil {
 					t.Fatal(err)
 				}
+				got := UnpackLanes(out, bs)
 				for l, v := range vals {
 					var want uint64
 					if amount < 64 {

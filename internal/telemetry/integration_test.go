@@ -63,7 +63,16 @@ func TestRecorderClockMatchesTraceStats(t *testing.T) {
 	if _, err := u.ConstMultiply(rows[0], 20061, 8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.Sub(rows[0], rows[1], 8); err != nil {
+	if _, _, err := u.DivMod(rows[0], rows[1], 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.FMA(rows[1], rows[2], rows[0], 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.MaxSelect(rows[0], rows[2], 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.LogicalShift(rows[0], 3, 8, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := u.ReLU(rows[0], 8); err != nil {

@@ -176,11 +176,16 @@ func (l *ConvLayer) Forward(u *pim.Unit, x Tensor3) (Tensor3, error) {
 	return out, nil
 }
 
-// signedSum computes Σpos − Σneg in two's-complement lanes.
+// signedSum computes Σpos − Σneg in two's-complement lanes: Σneg goes
+// through the gate's NOT, and the +1 row joins the add that folds it
+// into Σpos (§III-D1).
 func signedSum(u *pim.Unit, posRows, negRows []dbc.Row, batch int) (dbc.Row, error) {
-	pos, err := sumRows(u, posRows)
-	if err != nil {
-		return dbc.Row{}, err
+	var pos dbc.Row // the empty Row sentinel while there are no positive terms
+	if len(posRows) > 0 {
+		var err error
+		if pos, err = u.AddChained(posRows, laneW); err != nil {
+			return dbc.Row{}, err
+		}
 	}
 	if len(negRows) == 0 {
 		if pos.IsEmpty() {
@@ -188,7 +193,11 @@ func signedSum(u *pim.Unit, posRows, negRows []dbc.Row, batch int) (dbc.Row, err
 		}
 		return pos, nil
 	}
-	neg, err := sumRows(u, negRows)
+	neg, err := u.AddChained(negRows, laneW)
+	if err != nil {
+		return dbc.Row{}, err
+	}
+	notNeg, err := u.BulkBitwise(dbc.OpNOT, []dbc.Row{neg})
 	if err != nil {
 		return dbc.Row{}, err
 	}
@@ -200,7 +209,7 @@ func signedSum(u *pim.Unit, posRows, negRows []dbc.Row, batch int) (dbc.Row, err
 	if err != nil {
 		return dbc.Row{}, err
 	}
-	operands := []dbc.Row{complementRow(neg), oneRow}
+	operands := []dbc.Row{notNeg, oneRow}
 	if !pos.IsEmpty() {
 		operands = append([]dbc.Row{pos}, operands...)
 	}
@@ -443,40 +452,6 @@ func (s *Sequential) ForwardRef(x Tensor3) Tensor3 {
 		cur = l.ForwardRef(cur)
 	}
 	return cur
-}
-
-// sumRows adds rows lane-wise in chunks of the unit's operand limit.
-// Empty input yields the empty Row sentinel.
-func sumRows(u *pim.Unit, rows []dbc.Row) (dbc.Row, error) {
-	switch len(rows) {
-	case 0:
-		return dbc.Row{}, nil
-	case 1:
-		return rows[0], nil
-	}
-	maxK := u.TRD().MaxAddOperands()
-	acc := rows[0]
-	rest := rows[1:]
-	for len(rest) > 0 {
-		k := min(maxK-1, len(rest))
-		operands := append([]dbc.Row{acc}, rest[:k]...)
-		var err error
-		acc, err = u.AddMulti(operands, laneW)
-		if err != nil {
-			return dbc.Row{}, err
-		}
-		rest = rest[k:]
-	}
-	return acc, nil
-}
-
-func complementRow(r dbc.Row) dbc.Row {
-	out := dbc.NewRow(r.N)
-	for i, w := range r.Words {
-		out.Words[i] = ^w
-	}
-	out.MaskTail()
-	return out
 }
 
 func abs(x int) int {

@@ -97,7 +97,11 @@ func (t *TernaryConv) InferPIM(u *pim.Unit, img [][]uint8) ([][]uint8, error) {
 		if err != nil {
 			return nil, err
 		}
-		pre, err := u.AddLarge([]dbc.Row{pos, complementRow(neg), oneRow}, lane)
+		notNeg, err := u.BulkBitwise(dbc.OpNOT, []dbc.Row{neg})
+		if err != nil {
+			return nil, err
+		}
+		pre, err := u.AddLarge([]dbc.Row{pos, notNeg, oneRow}, lane)
 		if err != nil {
 			return nil, err
 		}
