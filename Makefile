@@ -98,6 +98,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRowDataJSON -fuzztime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzLanesJSON -fuzztime 5s ./internal/service
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 5s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzRequestEnvelopeJSON -fuzztime 5s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzReplyEnvelopeJSON -fuzztime 5s ./internal/service
 
 # Benchmarks of the word-packed bit-plane engine: DBC primitives, the
 # bulk/multi-operand PIM operations built on them, the add carry chain,

@@ -10,6 +10,7 @@ package coruscant
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -39,7 +40,8 @@ func allocBudget(t *testing.T, name string, budget float64, f func()) {
 // kernels (the BENCH_plane.json rows), of the batch execution paths
 // (the BENCH_parallel.json rows), of the single-row memory calls, of
 // compiling and running pimc plans, of reading a memory's cost and of
-// the service codec and handler. Budgets are the measured numbers.
+// the service codec, handler and client. Budgets are the measured
+// numbers.
 func TestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts; budgets are pinned by the non-race ci run (make alloc-budget)")
@@ -271,7 +273,12 @@ store %q, b0.s0.t2.d0.r1
 	// Service wire codec: one 8-word row encoded and decoded back (the
 	// canonical spelling takes the decoder's fast path), then one
 	// 512-wire blocksize-8 write plus one add through the /v1 handler
-	// with no socket. Budgets are per round trip and per request pair.
+	// with no socket, then one add through service.Client against a
+	// loopback server, the client and the server counted together.
+	// Budgets are per round trip, per request pair and per call. Both
+	// ends decode the canonical envelopes on their fast paths, so a
+	// request or a reply that falls back to encoding/json costs about
+	// ten more and fails its row.
 	wireRow := pim.MustPackLanes(vals, 8, 512)
 	wireJSON, err := json.Marshal(service.NewRowData(wireRow))
 	if err != nil {
@@ -303,13 +310,26 @@ store %q, b0.s0.t2.d0.r1
 		}
 		bodies = append(bodies, body)
 	}
-	allocBudget(t, "ServiceExecute", 97, func() {
+	allocBudget(t, "ServiceExecute", 70, func() {
 		for _, body := range bodies {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, service.PathExecute, bytes.NewReader(body)))
 			if rec.Code != http.StatusOK {
 				t.Fatalf("%s: %d %s", body, rec.Code, rec.Body)
 			}
+		}
+	})
+
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	api := service.NewClient(ts.URL, ts.Client())
+	shard := 0
+	add := service.ExecuteRequest{Tenant: "t", Shard: &shard, Request: service.Request{
+		Op: "add", Src: &service.Addr{DBC: 15}, Blocksize: 8,
+		Operands: []service.Addr{{Tile: 1}, {Tile: 1, Row: 1}}, Dst: &service.Addr{Tile: 2}}}
+	allocBudget(t, "ClientExecute", 108, func() {
+		if resp, err := api.Execute(context.Background(), add); err != nil || len(resp.Values) != 64 {
+			t.Fatal(err)
 		}
 	})
 }

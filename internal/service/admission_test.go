@@ -29,12 +29,10 @@ func TestAdmissionTokenRelease(t *testing.T) {
 		return &job{reqs: []memory.Request{{Kind: memory.KindRead}}, done: make(chan struct{})}
 	}
 	j1, j2 := mkJob(), mkJob()
-	rel1, err := srv.admit(0, j1)
-	if err != nil {
+	if err := srv.admit(0, j1); err != nil {
 		t.Fatal(err)
 	}
-	rel2, err := srv.admit(0, j2)
-	if err != nil {
+	if err := srv.admit(0, j2); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Inflight(); got != 2 {
@@ -42,7 +40,7 @@ func TestAdmissionTokenRelease(t *testing.T) {
 	}
 	// Queue full: the third admission must reject without leaking a
 	// token.
-	if _, err := srv.admit(0, mkJob()); !errors.Is(err, ErrOverloaded) {
+	if err := srv.admit(0, mkJob()); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overflow admit err = %v, want ErrOverloaded", err)
 	}
 	if got := srv.Inflight(); got != 2 {
@@ -57,13 +55,13 @@ func TestAdmissionTokenRelease(t *testing.T) {
 	srv.start()
 	<-j1.done
 	<-j2.done
-	rel1()
-	rel2()
+	srv.release()
+	srv.release()
 	if got := srv.Inflight(); got != 0 {
 		t.Fatalf("inflight after release = %d, want 0", got)
 	}
 	srv.Drain()
-	if _, err := srv.admit(0, mkJob()); !errors.Is(err, ErrDraining) {
+	if err := srv.admit(0, mkJob()); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain admit err = %v, want ErrDraining", err)
 	}
 	if got := srv.Inflight(); got != 0 {
@@ -158,11 +156,10 @@ func TestCancelledJobsDoNotRun(t *testing.T) {
 			tc.job.done = make(chan struct{})
 			live := &job{ctx: context.Background(), reqs: []memory.Request{{Kind: memory.KindWrite, Dst: kept, Row: row}}, done: make(chan struct{})}
 			for _, j := range []*job{tc.job, live} {
-				release, err := srv.admit(0, j)
-				if err != nil {
+				if err := srv.admit(0, j); err != nil {
 					t.Fatal(err)
 				}
-				defer release()
+				defer srv.release()
 			}
 			srv.start()
 			srv.Drain()

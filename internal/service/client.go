@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 )
 
@@ -26,7 +25,7 @@ func NewClient(base string, httpc *http.Client) *Client {
 	return &Client{base: base, http: httpc}
 }
 
-// post sends body to path and decodes a 2xx reply into out, or returns
+// post sends body to path and decodes a 200 reply into out, or returns
 // the decoded *APIError.
 func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	buf, err := json.Marshal(body)
@@ -38,20 +37,50 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	reply := getBody()
+	defer putBody(reply)
+	if err := c.do(req, reply); err != nil {
+		return err
+	}
+	return decodeReply(reply.Bytes(), out)
+}
+
+// get fetches path and returns its 200 reply body, or the decoded
+// *APIError.
+func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	var reply bytes.Buffer
+	if err := c.do(req, &reply); err != nil {
+		return nil, err
+	}
+	return reply.Bytes(), nil
+}
+
+// do sends req and reads its whole reply into buf. Any status but 200
+// comes back as an *APIError: the one its error envelope names, or code
+// "internal" when the reply carries no envelope.
+func (c *Client) do(req *http.Request, buf *bytes.Buffer) error {
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
+	_, err = buf.ReadFrom(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		var env errorEnvelope
-		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code == "" {
+		if decodeReply(buf.Bytes(), &env) != nil || env.Error.Code == "" {
 			return &APIError{Status: resp.StatusCode, Code: "internal",
 				Message: fmt.Sprintf("undecodable %d reply", resp.StatusCode)}
 		}
 		return env.Error.decode(resp.StatusCode)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err != nil {
+		return fmt.Errorf("service: read reply: %w", err)
+	}
+	return nil
 }
 
 // Execute runs one request.
@@ -84,17 +113,12 @@ func (c *Client) Compile(ctx context.Context, req CompileRequest) (*CompileRespo
 
 // Health fetches the server status and geometry.
 func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+PathHealth, nil)
+	body, err := c.get(ctx, PathHealth)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	var out HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := decodeReply(body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -102,14 +126,5 @@ func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 
 // Metrics fetches the raw Prometheus exposition page.
 func (c *Client) Metrics(ctx context.Context) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+PathMetrics, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	return c.get(ctx, PathMetrics)
 }

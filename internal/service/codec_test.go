@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -83,8 +84,42 @@ func TestWireBytesUnchanged(t *testing.T) {
 	}
 }
 
+// canonicalEnvelopes are the envelopes of a serving client's traffic,
+// spelled as their senders write them: the /v1/execute bodies of an
+// add, a read and a 64-lane write and a three-item /v1/batch body, as
+// json.Marshal writes them, and an execute and a batch reply of
+// 512-wire rows, as the handlers write them.
+func canonicalEnvelopes(t testing.TB) (execute, read, write, batch, executeReply, batchReply []byte) {
+	shard := 0
+	row := wireRows()[3]
+	lanes := pim.UnpackLanes(row, 8)
+	pimDBC, a, b, d := &Addr{DBC: 15}, Addr{Tile: 1}, Addr{Tile: 1, Row: 1}, Addr{Tile: 2, Row: 4}
+	add := Request{Op: "add", Src: pimDBC, Blocksize: 8, Operands: []Addr{a, b}, Dst: &d}
+	marshal := func(v any) []byte {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	reply := func(v any) []byte {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, v)
+		return rec.Body.Bytes()
+	}
+	rd := NewRowData(row)
+	return marshal(ExecuteRequest{Tenant: "mixed-0", Shard: &shard, Request: add}),
+		marshal(ExecuteRequest{Tenant: "mixed-0", Shard: &shard, Request: Request{Op: "read", Src: &a}}),
+		marshal(ExecuteRequest{Tenant: "mixed-0", Shard: &shard, Request: Request{Op: "write", Dst: &a, Blocksize: 8, Values: lanes}}),
+		marshal(BatchRequest{Tenant: "mixed-0", Shard: &shard, Requests: []Request{add, add, {Op: "read", Src: &d}}}),
+		reply(ExecuteResponse{Shard: 0, Row: rd, Values: lanes}),
+		reply(BatchResponse{Shard: 0, Results: []BatchItem{{Row: &rd, Values: lanes}, {Row: &rd, Values: lanes}, {Row: &rd}}})
+}
+
 // TestCodecFastPathAllocs pins the point of the fast paths: a canonical
-// row decodes in two allocations and a canonical lane array in one.
+// row decodes in two allocations and a canonical lane array in one,
+// and a canonical envelope in one per string, pointer, slice and row it
+// holds. encoding/json spends 14 to 33 on each of these envelopes.
 func TestCodecFastPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -110,6 +145,38 @@ func TestCodecFastPathAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(16, func() { rd = NewRowData(row) }); n != 2 {
 		t.Errorf("row encode: %.1f allocs, want 2", n)
+	}
+
+	execute, read, write, batch, executeReply, batchReply := canonicalEnvelopes(t)
+	var er ExecuteRequest
+	var br BatchRequest
+	var eo ExecuteResponse
+	var bo BatchResponse
+	for _, c := range []struct {
+		name   string
+		decode func() error
+		want   float64
+	}{
+		// tenant, shard, op, src, operands, dst
+		{"execute body", func() error { er = ExecuteRequest{}; return decodeRequest(execute, &er) }, 6},
+		// tenant, shard, op, src
+		{"read body", func() error { er = ExecuteRequest{}; return decodeRequest(read, &er) }, 4},
+		// tenant, shard, op, dst, values
+		{"write body", func() error { er = ExecuteRequest{}; return decodeRequest(write, &er) }, 5},
+		// tenant, shard, the items, and 4 + 4 + 2 for the items' fields
+		{"batch body", func() error { br = BatchRequest{}; return decodeRequest(batch, &br) }, 13},
+		// the row's string and words, values
+		{"execute reply", func() error { eo = ExecuteResponse{}; return decodeReply(executeReply, &eo) }, 3},
+		// the items, 3 for each row, values twice
+		{"batch reply", func() error { bo = BatchResponse{}; return decodeReply(batchReply, &bo) }, 12},
+	} {
+		if n := testing.AllocsPerRun(16, func() {
+			if err := c.decode(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != c.want {
+			t.Errorf("%s: %.1f allocs, want %.0f", c.name, n, c.want)
+		}
 	}
 }
 
@@ -193,10 +260,167 @@ func FuzzLanesJSON(f *testing.F) {
 	})
 }
 
+// prefilledRequest is a Request with every field set: the old value a
+// pre-filled decoding target starts from.
+func prefilledRequest() Request {
+	return Request{Op: "old", Src: &Addr{Bank: 1, Row: 2}, Operands: []Addr{{Tile: 3}, {DBC: 4}, {Row: 5}},
+		Dst: &Addr{Subarray: 6}, Blocksize: 16, Imm: 3, Row: &RowData{N: 7, Words: []string{"0x1"}}, Values: Lanes{9, 9}}
+}
+
+// FuzzRequestEnvelopeJSON: decodeRequest gives exactly what strict
+// encoding/json gives for /v1/execute and /v1/batch bodies, on zero
+// and on pre-filled targets: the same value (nil and empty slices
+// differ) and the same success or failure. The pre-filled batch keeps
+// an old item past its length, which encoding/json decodes into.
+func FuzzRequestEnvelopeJSON(f *testing.F) {
+	execute, read, write, batch, _, _ := canonicalEnvelopes(f)
+	f.Add(false, execute)
+	f.Add(false, read)
+	f.Add(false, write)
+	f.Add(true, batch)
+	for _, s := range []string{
+		`{"op":""}`,
+		`{"op":"read","src":{"bank":0,"subarray":0,"tile":1,"dbc":0,"row":0}}`,
+		`{"tenant":"","op":"read"}`,
+		`{"shard":-3,"op":"not","imm":-1,"blocksize":-8}`,
+		`{"shard":-0,"op":"read"}`,
+		`{"op":"add","operands":[]}`,
+		`{"op":"write","values":[]}`,
+		`{"op":"read","blocksize":0}`,
+		`{"op":"read","blocksize":123456789012345678}`,
+		`{"op":"read","blocksize":1234567890123456789}`,
+		`{"op":"read","src":{"tile":1}}`,
+		`{"op":"read","SRC":{"bank":0,"subarray":0,"tile":1,"dbc":0,"row":0}}`,
+		`{"op":"read","dst":{"bank":0,"subarray":0,"tile":0,"dbc":0,"row":0},"src":{"bank":0,"subarray":0,"tile":0,"dbc":0,"row":0}}`,
+		`{"op":"read","op":"write"}`,
+		`{"op":"write","row":{"n":64,"words":["0x1"]},"values":[1]}`,
+		`{"op":"write","row":{"n":64,"words":["0x1"],"x":1}}`,
+		`{"tenant":"a\u0062","op":"read"}`,
+		`{"op":"read","src":{"bank":0,"subarray":0,"tile":1,"dbc":0,"row":0}}x`,
+		`{"op":"read"} `,
+		`{"requests":[{"op":"read"},{"op":"add","imm":2}]}`,
+		`{"requests":[{"op":"read"},{"op":"read"},{"op":"read"},{"op":"read"}]}`,
+		`{"tenant":"t","requests":[{"op":"read"}]}`,
+		`{"requests":[]}`,
+		`{"requests":null}`,
+		`{"requests":[{"op":"read"}],"shard":0}`,
+		`null`, `{}`, ``,
+	} {
+		f.Add(false, []byte(s))
+		f.Add(true, []byte(s))
+	}
+	f.Fuzz(func(t *testing.T, batch bool, data []byte) {
+		if batch {
+			for _, fill := range []func() BatchRequest{
+				func() BatchRequest { return BatchRequest{} },
+				func() BatchRequest {
+					reqs := make([]Request, 2, 3)
+					reqs[0], reqs[1] = prefilledRequest(), prefilledRequest()
+					reqs[:3][2] = Request{Op: "stale", Imm: 7, Values: Lanes{1}}
+					return BatchRequest{Tenant: "old", Shard: ptr(5), Requests: reqs[:1]}
+				},
+			} {
+				got, want := fill(), fill()
+				gotErr := decodeRequest(data, &got)
+				wantErr := strictUnmarshal(data, &want)
+				if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%q:\n got %#v, err %v\nwant %#v, err %v", data, got, gotErr, want, wantErr)
+				}
+			}
+			return
+		}
+		for _, fill := range []func() ExecuteRequest{
+			func() ExecuteRequest { return ExecuteRequest{} },
+			func() ExecuteRequest {
+				return ExecuteRequest{Tenant: "old", Shard: ptr(5), Request: prefilledRequest()}
+			},
+		} {
+			got, want := fill(), fill()
+			gotErr := decodeRequest(data, &got)
+			wantErr := strictUnmarshal(data, &want)
+			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q:\n got %#v, err %v\nwant %#v, err %v", data, got, gotErr, want, wantErr)
+			}
+		}
+	})
+}
+
+// FuzzReplyEnvelopeJSON: decodeReply gives exactly what the client's
+// encoding/json decoding gives for /v1/execute and /v1/batch replies,
+// on zero and on pre-filled targets.
+func FuzzReplyEnvelopeJSON(f *testing.F) {
+	_, _, _, _, executeReply, batchReply := canonicalEnvelopes(f)
+	f.Add(false, executeReply)
+	f.Add(true, batchReply)
+	for _, s := range []string{
+		`{"shard":1,"row":{"n":64,"words":["0x1"]}}` + "\n",
+		`{"shard":1,"row":{"n":64,"words":["0x1"]}}`,
+		`{"shard":1,"row":{"n":64,"words":["0x1"]},"values":[]}` + "\n",
+		`{"shard":1,"row":{"n":64,"words":["0x1"]},"cycles":5}` + "\n",
+		`{"shard":-1,"row":{"n":0,"words":[]},"values":[1,2]}` + "\n",
+		`{"shard":1,"row":{"n":64,"words":null}}` + "\n",
+		`{"shard":0,"results":[{"error":{"code":"cross_dbc","message":"m"}},{"row":{"n":64,"words":["0x1"]}}]}` + "\n",
+		`{"shard":0,"results":[{"error":{"code":"overloaded","message":"m","retry_after_ms":25}}]}` + "\n",
+		`{"shard":0,"results":[{"error":{"code":"bad_request","message":"op \"x\""}}]}` + "\n",
+		`{"shard":0,"results":[{"error":{"code":"x","message":"a},{b"}},{}]}` + "\n",
+		`{"shard":0,"results":[{},{},{}]}` + "\n",
+		`{"shard":0,"results":[{"values":[3]}]}` + "\n",
+		`{"shard":0,"results":[]}` + "\n",
+		`{"shard":0,"results":null}` + "\n",
+		`{"shard":0,"results":[{"row":{"n":64,"words":["0x1"]}}]}` + "\n\n",
+		`null`, `{}`, ``,
+	} {
+		f.Add(false, []byte(s))
+		f.Add(true, []byte(s))
+	}
+	f.Fuzz(func(t *testing.T, batch bool, data []byte) {
+		decode := func(v any) error { return json.NewDecoder(bytes.NewReader(data)).Decode(v) }
+		if batch {
+			for _, fill := range []func() BatchResponse{
+				func() BatchResponse { return BatchResponse{} },
+				func() BatchResponse {
+					items := make([]BatchItem, 2, 3)
+					for k := range items[:3] {
+						items[:3][k] = BatchItem{Row: &RowData{N: 7, Words: []string{"0x1"}}, Values: Lanes{9},
+							Error: &WireError{Code: "old", Message: "old", RetryAfterMS: 5}}
+					}
+					return BatchResponse{Shard: 3, Results: items[:1]}
+				},
+			} {
+				got, want := fill(), fill()
+				gotErr := decodeReply(data, &got)
+				wantErr := decode(&want)
+				if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%q:\n got %#v, err %v\nwant %#v, err %v", data, got, gotErr, want, wantErr)
+				}
+			}
+			return
+		}
+		for _, fill := range []func() ExecuteResponse{
+			func() ExecuteResponse { return ExecuteResponse{} },
+			func() ExecuteResponse {
+				return ExecuteResponse{Shard: 3, Row: RowData{N: 7, Words: []string{"0x1"}}, Values: Lanes{9}}
+			},
+		} {
+			got, want := fill(), fill()
+			gotErr := decodeReply(data, &got)
+			wantErr := decode(&want)
+			if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q:\n got %#v, err %v\nwant %#v, err %v", data, got, gotErr, want, wantErr)
+			}
+		}
+	})
+}
+
 // FuzzDecodeRequest: any /v1/execute or /v1/batch body either fails
 // with a 4xx error of the bad-request, lane-overflow or too-large
 // family, or lowers to well-formed memory requests. It never panics
-// and never maps to a 500.
+// and never maps to a 500. Every body also runs through the handler of
+// a fresh server, with no socket, beside a mirror memory: a body the
+// decoder or the lowering turns down is answered 4xx, and a body
+// answered 4xx leaves the shard's ledger as it was. An accepted body's
+// requests run on the mirror too, and the reply carries the mirror's
+// rows and errors, with both ledgers equal after.
 func FuzzDecodeRequest(f *testing.F) {
 	cfg := params.DefaultConfig()
 	cfg.Geometry.TrackWidth = 64
@@ -224,17 +448,33 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"op":"write","dst":{},"blocksize":-8,"values":[1]}`,
 		`{"op":"nope","src":{},"dst":{}}`,
 		`{"requests":[{"op":"read"}]}`,
+		`{"op":"read","src":{"tile":1}}garbage`,
+		`{"op":"read","src":{"tile":1}}{"op":"read","src":{"tile":1}}`,
+		`{"op":"read","src":{"tile":1}} [1,2`,
 		`{"op": `, `null`, ``,
 	} {
 		f.Add(false, []byte(s))
 		f.Add(true, []byte(s))
 	}
+	seeds := []struct {
+		at   Addr
+		vals []uint64
+	}{{a, []uint64{3, 250, 7, 9, 11, 13, 15, 17}}, {b, []uint64{10, 20, 30, 40, 50, 60, 70, 80}}}
 	f.Fuzz(func(t *testing.T, batch bool, body []byte) {
-		fourxx := func(err error) {
-			status, we := encodeError(err, 0)
-			if status < 400 || status >= 500 ||
-				!(errors.Is(err, ErrBadRequest) || errors.Is(err, pim.ErrLaneOverflow) || errors.Is(err, ErrTooLarge)) {
-				t.Fatalf("%q: %v maps to %d %q", body, err, status, we.Code)
+		srv, err := NewServer(Config{Device: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Drain()
+		mirror, err := memory.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardMem := srv.Pool().Shard(0)
+		for _, sr := range seeds {
+			row := pim.MustPackLanes(sr.vals, 8, cfg.Geometry.TrackWidth)
+			if shardMem.WriteRow(sr.at.isa(), row) != nil || mirror.WriteRow(sr.at.isa(), row) != nil {
+				t.Fatal("seeding rows failed")
 			}
 		}
 		var er ExecuteRequest
@@ -243,19 +483,43 @@ func FuzzDecodeRequest(f *testing.F) {
 		if batch {
 			dst, path, limit = &br, PathBatch, batchLimit
 		}
+		stats := shardMem.Stats()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code >= 400 && rec.Code < 500 && shardMem.Stats() != stats {
+			t.Fatalf("%q: answered %d, yet moved the shard's ledger: %v -> %v", body, rec.Code, stats, shardMem.Stats())
+		}
+		// rejected requires the handler's answer to a body the decoder
+		// or the lowering turned down with err: that same 4xx.
+		rejected := func(err error) {
+			status, we := encodeError(err, 0)
+			if status < 400 || status >= 500 ||
+				!(errors.Is(err, ErrBadRequest) || errors.Is(err, pim.ErrLaneOverflow) || errors.Is(err, ErrTooLarge)) {
+				t.Fatalf("%q: %v maps to %d %q", body, err, status, we.Code)
+			}
+			if rec.Code != status {
+				t.Fatalf("%q: %v, yet the handler answered %d %s", body, err, rec.Code, rec.Body)
+			}
+		}
+
 		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 		if err := decodeBody(httptest.NewRecorder(), r, dst, limit); err != nil {
-			fourxx(err)
+			rejected(err)
 			return
 		}
-		reqs := br.Requests
+		reqs, tenant, explicit := br.Requests, br.Tenant, br.Shard
 		if !batch {
-			reqs = []Request{er.Request}
+			reqs, tenant, explicit = []Request{er.Request}, er.Tenant, er.Shard
 		}
+		mreqs := make([]memory.Request, 0, len(reqs))
+		var lowerErr error // the first item's that fails, which the handler answers
 		for _, q := range reqs {
 			mr, err := q.toMemory(cfg, pim.PackLanes)
 			if err != nil {
-				fourxx(err)
+				rejected(err)
+				if lowerErr == nil {
+					lowerErr = err
+				}
 				continue
 			}
 			switch mr.Kind {
@@ -272,6 +536,66 @@ func FuzzDecodeRequest(f *testing.F) {
 			default:
 				t.Fatalf("%q: request kind %v", body, mr.Kind)
 			}
+			mreqs = append(mreqs, mr)
+		}
+		if lowerErr != nil {
+			return
+		}
+		if _, err := srv.shardFor(explicit, tenant); err != nil {
+			rejected(err)
+			return
+		}
+		if batch && len(reqs) == 0 {
+			rejected(ErrBadRequest)
+			return
+		}
+
+		results := mirror.ExecuteBatch(mreqs)
+		// same checks one outcome against the mirror's result.
+		same := func(k int, row *RowData, vals Lanes, we *WireError) {
+			want := results[k]
+			if want.Err != nil {
+				if _, wantWE := encodeError(want.Err, 0); we == nil || *we != wantWE {
+					t.Fatalf("%q: request %d answered %+v, mirror failed with %+v", body, k, we, wantWE)
+				}
+				return
+			}
+			var wantVals []uint64
+			if bs := reqs[k].Blocksize; bs > 0 {
+				wantVals = pim.UnpackLanes(want.Row, bs)
+			}
+			if we != nil || row == nil || !reflect.DeepEqual(*row, NewRowData(want.Row)) || !slices.Equal(vals, wantVals) {
+				t.Fatalf("%q: request %d answered row %+v values %v error %+v, mirror row %+v values %v",
+					body, k, row, vals, we, NewRowData(want.Row), wantVals)
+			}
+		}
+		switch {
+		case batch:
+			var resp BatchResponse
+			if rec.Code != http.StatusOK || decodeReply(rec.Body.Bytes(), &resp) != nil || len(resp.Results) != len(results) {
+				t.Fatalf("%q: answered %d %s, mirror ran %d requests", body, rec.Code, rec.Body, len(results))
+			}
+			for k, it := range resp.Results {
+				same(k, it.Row, it.Values, it.Error)
+			}
+		case rec.Code == http.StatusOK:
+			var resp ExecuteResponse
+			if err := decodeReply(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%q: reply %s: %v", body, rec.Body, err)
+			}
+			same(0, &resp.Row, resp.Values, nil)
+		default:
+			var env errorEnvelope
+			if err := decodeReply(rec.Body.Bytes(), &env); err != nil {
+				t.Fatalf("%q: reply %s: %v", body, rec.Body, err)
+			}
+			if status, _ := encodeError(results[0].Err, 0); rec.Code != status {
+				t.Fatalf("%q: answered %d, mirror's error %v maps to %d", body, rec.Code, results[0].Err, status)
+			}
+			same(0, nil, nil, &env.Error)
+		}
+		if got, want := shardMem.Stats(), mirror.Stats(); got != want {
+			t.Fatalf("%q: shard ledger %v, mirror %v", body, got, want)
 		}
 	})
 }

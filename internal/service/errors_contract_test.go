@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/isa"
 	"repro/internal/isa/compile"
@@ -220,10 +222,14 @@ func TestCompileCycleLimit(t *testing.T) {
 // TestMalformedRequestsAre4xx posts requests the memory layer rejects
 // at planning and expects a client error for each, never a 500: the
 // caller sent something wrong, the server did not fail. Counts the TR
-// window cannot take answer bad_trd, and a rejected request leaves the
-// shard's device ledger as it was.
+// window cannot take answer bad_trd, a body with more than whitespace
+// after its value answers bad_request, a body past its limit answers
+// too_large whatever value it starts with, and a rejected request
+// leaves the shard's device ledger as it was.
 func TestMalformedRequestsAre4xx(t *testing.T) {
 	srv, api := startServer(t, Config{Shards: 1})
+	executeLimit, _ := bodyLimits(srv.cfg.Device.Geometry.TrackWidth)
+	read := `{"op":"read","src":{"tile":1}}`
 	for _, c := range []struct{ name, body, code string }{
 		{"add with 6 operands", `{"op":"add","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1},{"tile":1,"row":2},{"tile":1,"row":3},{"tile":1,"row":4},{"tile":1,"row":5}],"dst":{"tile":2}}`, "bad_trd"},
 		{"vote with 2 operands", `{"op":"vote","src":{"dbc":15},"blocksize":8,"operands":[{"tile":1},{"tile":1,"row":1}],"dst":{"tile":2}}`, "bad_trd"},
@@ -239,6 +245,10 @@ func TestMalformedRequestsAre4xx(t *testing.T) {
 		{"nop", `{"op":"nop","src":{"dbc":15},"dst":{"tile":2}}`, ""},
 		{"read at bank 99", `{"op":"read","src":{"bank":99}}`, ""},
 		{"copy to bank 99", `{"op":"copy","src":{"tile":1},"dst":{"bank":99}}`, ""},
+		{"garbage after the value", read + `garbage`, "bad_request"},
+		{"second object after the value", read + read, "bad_request"},
+		{"unclosed array after the value", read + ` [1,2`, "bad_request"},
+		{"whitespace past the limit", read + strings.Repeat(" ", int(executeLimit)), "too_large"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			stats := srv.Pool().Shard(0).Stats()
@@ -325,6 +335,49 @@ func TestStrictSchemaNested(t *testing.T) {
 		status, we := post(c.body)
 		if status != http.StatusBadRequest || !strings.Contains(we.Message, c.msg) {
 			t.Fatalf("%s: %d %+v, want 400 %q", c.body, status, we, c.msg)
+		}
+	}
+}
+
+// TestClientGetChecksStatus: Health and Metrics map a reply that is not
+// 200 to an *APIError, as Execute does, decoding the error envelope
+// when the reply carries one.
+func TestClientGetChecksStatus(t *testing.T) {
+	notFound := httptest.NewServer(http.NotFoundHandler())
+	defer notFound.Close()
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, ErrDraining, time.Second)
+	}))
+	defer draining.Close()
+	ctx := context.Background()
+	for _, c := range []struct {
+		name     string
+		ts       *httptest.Server
+		status   int
+		code     string
+		sentinel error
+	}{
+		{"404 page", notFound, http.StatusNotFound, "internal", nil},
+		{"503 envelope", draining, http.StatusServiceUnavailable, "draining", ErrDraining},
+	} {
+		api := NewClient(c.ts.URL, c.ts.Client())
+		health, herr := api.Health(ctx)
+		page, merr := api.Metrics(ctx)
+		for _, call := range []struct {
+			name string
+			got  any
+			err  error
+		}{{"Health", health, herr}, {"Metrics", page, merr}} {
+			var ae *APIError
+			if !errors.As(call.err, &ae) || ae.Status != c.status || ae.Code != c.code {
+				t.Errorf("%s against a %s: err %v, want an *APIError of status %d, code %q", call.name, c.name, call.err, c.status, c.code)
+			}
+			if c.sentinel != nil && !errors.Is(call.err, c.sentinel) {
+				t.Errorf("%s against a %s: err %v does not match %v", call.name, c.name, call.err, c.sentinel)
+			}
+			if !reflect.ValueOf(call.got).IsNil() {
+				t.Errorf("%s against a %s returned %v with its error", call.name, c.name, call.got)
+			}
 		}
 	}
 }

@@ -238,23 +238,26 @@ func (s *Server) shardFor(explicit *int, tenant string) (int, error) {
 // after Drain began, ErrOverloaded when the queue is full. On success
 // the admission token (inflight gauge) is held until release is
 // called — handlers defer it, so every path releases.
-func (s *Server) admit(shard int, j *job) (release func(), err error) {
+func (s *Server) admit(shard int, j *job) error {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
 	if s.draining {
 		s.rejectedDraining.Add(1)
-		return nil, ErrDraining
+		return ErrDraining
 	}
 	select {
 	case s.queues[shard] <- j:
 		s.accepted.Add(1)
 		s.inflight.Add(1)
-		return func() { s.inflight.Add(-1) }, nil
+		return nil
 	default:
 		s.rejectedOverload.Add(1)
-		return nil, fmt.Errorf("%w: shard %d", ErrOverloaded, shard)
+		return fmt.Errorf("%w: shard %d", ErrOverloaded, shard)
 	}
 }
+
+// release returns the admission token of an admitted job.
+func (s *Server) release() { s.inflight.Add(-1) }
 
 // worker is shard i's executor: it drains the shard queue, merging
 // runs of batchable jobs into coalescing windows (one ExecuteBatch per
@@ -264,6 +267,10 @@ func (s *Server) worker(shard int) {
 	defer s.wg.Done()
 	q := s.queues[shard]
 	mem := s.pool.Shard(shard)
+	// window and merged are kept from one window to the next, so a
+	// window allocates neither.
+	var window []*job
+	var merged []memory.Request
 	var pending *job
 	for {
 		j := pending
@@ -280,7 +287,7 @@ func (s *Server) worker(shard int) {
 			}
 			continue
 		}
-		window := []*job{j}
+		window = append(window[:0], j)
 		total := len(j.reqs)
 		// take folds the next queued job into the window; it reports
 		// false when collection must stop (queue closed, or a compile
@@ -327,7 +334,8 @@ func (s *Server) worker(shard int) {
 			}
 		}
 	run:
-		s.runWindow(mem, window, total)
+		merged = s.runWindow(mem, window, total, merged)
+		clear(window)
 	}
 }
 
@@ -348,8 +356,11 @@ func (s *Server) dropCancelled(j *job) bool {
 // program order within each job is preserved because ExecuteBatch
 // keeps order inside overlapping footprints and jobs' own requests
 // always land contiguously — then scatters the positional results back
-// to their jobs. Jobs whose client went away are dropped first.
-func (s *Server) runWindow(mem *memory.Memory, window []*job, total int) {
+// to their jobs. Jobs whose client went away are dropped first. A
+// window of one job runs its requests as they are; a merged window
+// concatenates them into merged, the worker's empty buffer, which
+// runWindow returns emptied for the next window.
+func (s *Server) runWindow(mem *memory.Memory, window []*job, total int, merged []memory.Request) []memory.Request {
 	live := window[:0]
 	for _, j := range window {
 		if s.dropCancelled(j) {
@@ -360,17 +371,19 @@ func (s *Server) runWindow(mem *memory.Memory, window []*job, total int) {
 	}
 	window = live
 	if len(window) == 0 {
-		return
+		return merged
 	}
+	reqs := window[0].reqs
 	if len(window) > 1 {
 		s.coalescedWindows.Add(1)
 		s.coalescedRequests.Add(uint64(total))
+		for _, j := range window {
+			merged = append(merged, j.reqs...)
+		}
+		reqs = merged
 	}
-	merged := make([]memory.Request, 0, total)
-	for _, j := range window {
-		merged = append(merged, j.reqs...)
-	}
-	results := mem.ExecuteBatch(merged)
+	results := mem.ExecuteBatch(reqs)
+	clear(merged)
 	off := 0
 	for _, j := range window {
 		j.res = results[off : off+len(j.reqs)]
@@ -378,6 +391,7 @@ func (s *Server) runWindow(mem *memory.Memory, window []*job, total int) {
 		s.completed.Add(1)
 		close(j.done)
 	}
+	return merged[:0]
 }
 
 // maxPlanCycles bounds the device cycles a compiled plan may be
@@ -481,18 +495,23 @@ func bodyLimits(width int) (execute, batch int64) {
 }
 
 // decodeBody strictly decodes a JSON request body of at most limit
-// bytes into dst; a longer body is ErrTooLarge.
+// bytes into dst: a longer body is ErrTooLarge, and a body that holds
+// anything but whitespace after its value is ErrBadRequest. The body is
+// read whole into a pooled buffer, which nothing decoded aliases.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any, limit int64) error {
 	if r.Method != http.MethodPost {
 		return fmt.Errorf("%w: %s requires POST", ErrBadRequest, r.URL.Path)
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	buf := getBody()
+	defer putBody(buf)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return fmt.Errorf("%w: %s body exceeds %d bytes", ErrTooLarge, r.URL.Path, tooLarge.Limit)
 		}
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if err := decodeRequest(buf.Bytes(), dst); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	return nil
@@ -537,15 +556,15 @@ func (s *Server) gate(w http.ResponseWriter, tenant string, explicit *int) (int,
 	return shard, true
 }
 
-// submit admits the job and waits for the worker's outcome; the
-// admission token is released however the handler exits.
-func (s *Server) submit(w http.ResponseWriter, shard int, j *job) (ok bool, release func()) {
-	release, err := s.admit(shard, j)
-	if err != nil {
+// submit admits the job, or writes the rejection and reports false.
+// An admitted job's handler holds its admission token until it has
+// answered: it defers s.release.
+func (s *Server) submit(w http.ResponseWriter, shard int, j *job) bool {
+	if err := s.admit(shard, j); err != nil {
 		writeError(w, err, 25*time.Millisecond)
-		return false, nil
+		return false
 	}
-	return true, release
+	return true
 }
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
@@ -565,11 +584,10 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	j := &job{ctx: r.Context(), one: [1]memory.Request{mreq}, done: make(chan struct{})}
 	j.reqs = j.one[:]
-	ok, release := s.submit(w, shard, j)
-	if !ok {
+	if !s.submit(w, shard, j) {
 		return
 	}
-	defer release()
+	defer s.release()
 	<-j.done
 	if j.cerr != nil {
 		writeError(w, j.cerr, 0)
@@ -610,11 +628,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		mreqs[i] = mr
 	}
 	j := &job{ctx: r.Context(), reqs: mreqs, done: make(chan struct{})}
-	ok, release := s.submit(w, shard, j)
-	if !ok {
+	if !s.submit(w, shard, j) {
 		return
 	}
-	defer release()
+	defer s.release()
 	<-j.done
 	if j.cerr != nil {
 		writeError(w, j.cerr, 0)
@@ -651,11 +668,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := &job{ctx: r.Context(), compile: &req, done: make(chan struct{})}
-	ok, release := s.submit(w, shard, j)
-	if !ok {
+	if !s.submit(w, shard, j) {
 		return
 	}
-	defer release()
+	defer s.release()
 	<-j.done
 	if j.cerr != nil {
 		writeError(w, j.cerr, 0)

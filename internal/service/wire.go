@@ -20,9 +20,19 @@
 // RowData ({"n", "words"}) and lane arrays (Lanes, the "values" fields)
 // are closed value types within v1: they never grow fields, and the
 // strict-schema rule reaches into them (an unknown key inside a nested
-// "row" is a 400). Their decoders take a fast path on the canonical
-// spelling the server writes and fall back to strict encoding/json on
-// any other, so both paths accept exactly the same documents.
+// "row" is a 400). A request body is one JSON value: anything but
+// whitespace after it is a 400.
+//
+// Decoding takes fast paths on the canonical spelling, the exact bytes
+// json.Marshal writes, and falls back to encoding/json on any other, so
+// both paths accept exactly the same documents and decode them to the
+// same values (codec.go). RowData and Lanes take theirs wherever they
+// appear. The server takes them for the /v1/execute and /v1/batch
+// bodies (ExecuteRequest and BatchRequest, with their Request and Addr
+// items), and the client for the replies to them (ExecuteResponse and
+// BatchResponse, with their BatchItem and WireError items).
+// CompileRequest, whose source carries escaped newlines, the other
+// replies, and every non-canonical spelling take encoding/json.
 //
 // Failures are reported through a stable error envelope:
 //
