@@ -24,8 +24,8 @@ $(BIN)/coruscantvet: $(VET_SRCS) go.mod
 # lint runs the stock vet analyzers, then the repository's own
 # coruscantvet suite (internal/analysis: rowalias, scratchescape,
 # masktail, seededrand, panicmsg, facadeerr, and the CFG-based
-# spanbalance and lockorder — see DESIGN.md "Invariants & static
-# analysis"), then checks formatting, then runs the pimasm IR verifier
+# spanbalance — see DESIGN.md "Invariants & static analysis"), then
+# checks formatting, then runs the pimasm IR verifier
 # over every .pimasm program in the tree (the examples and the
 # bench-compile corpus). The ./... sweep covers every package including
 # the pimc compiler (internal/isa/compile). third_party/ carries
@@ -69,9 +69,10 @@ race:
 
 # race-obs re-runs the concurrency-bearing packages under the race
 # detector with -count=2: the recorder is shared mutable state threaded
-# through memory, pim and dbc; memory's striped locks are hammered by
-# concurrent callers next to running batches (the memory stress
-# tests), coruscantd runs one goroutine per share-nothing shard behind
+# through memory, pim and dbc; memory's one lock is hammered by
+# concurrent callers next to running batches, quarantining ones
+# included (the memory stress tests), coruscantd runs one goroutine per
+# share-nothing shard behind
 # concurrent HTTP handlers, and a compiled pimc plan is shared
 # read-only by every memory it runs on (TestPlanRunShared runs one plan
 # on two memories at once). A second pass catches ordering flakes the

@@ -310,7 +310,7 @@ store %q, b0.s0.t2.d0.r1
 		}
 		bodies = append(bodies, body)
 	}
-	allocBudget(t, "ServiceExecute", 70, func() {
+	allocBudget(t, "ServiceExecute", 68, func() {
 		for _, body := range bodies {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, service.PathExecute, bytes.NewReader(body)))
@@ -327,7 +327,7 @@ store %q, b0.s0.t2.d0.r1
 	add := service.ExecuteRequest{Tenant: "t", Shard: &shard, Request: service.Request{
 		Op: "add", Src: &service.Addr{DBC: 15}, Blocksize: 8,
 		Operands: []service.Addr{{Tile: 1}, {Tile: 1, Row: 1}}, Dst: &service.Addr{Tile: 2}}}
-	allocBudget(t, "ClientExecute", 108, func() {
+	allocBudget(t, "ClientExecute", 106, func() {
 		if resp, err := api.Execute(context.Background(), add); err != nil || len(resp.Values) != 64 {
 			t.Fatal(err)
 		}

@@ -4,10 +4,13 @@
 // request is its own lane of the batch's parallelism window — against
 // the request-at-a-time serial loop. Results are bit-identical; the
 // batch path saves host work (pooled planning) and simulated time (the
-// makespan is the longest lane, not the cycle sum).
+// makespan is the longest lane, not the cycle sum). A third benchmark
+// drives one memory from concurrent callers.
 package coruscant
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -85,5 +88,34 @@ func BenchmarkBatchExecute(b *testing.B) {
 				b.Fatal(res.Err)
 			}
 		}
+	}
+}
+
+// BenchmarkBatchConcurrentCallers drives one memory from 1 and 2
+// goroutines, each running three-operand 8-bit adds on its own
+// subarray's PIM DBC; one op is one add, whichever goroutine ran it. A
+// memory serializes its callers, and every device step takes the
+// recorder's one mutex anyway, so a second goroutine buys no speedup:
+// host parallelism lives in a Pool's shards.
+func BenchmarkBatchConcurrentCallers(b *testing.B) {
+	for _, n := range []int{1, 2} {
+		b.Run(fmt.Sprintf("goroutines=%d", n), func(b *testing.B) {
+			m, reqs := batchFixture(b)
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for g := 0; g < n; g++ {
+				wg.Add(1)
+				go func(g int, r memory.Request) {
+					defer wg.Done()
+					for i := g; i < b.N; i += n {
+						if _, err := m.Execute(r.In, r.Operands, r.Dst); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(g, reqs[g])
+			}
+			wg.Wait()
+		})
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"golang.org/x/tools/go/analysis/unitchecker"
 
 	"repro/internal/analysis/facadeerr"
-	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/masktail"
 	"repro/internal/analysis/panicmsg"
 	"repro/internal/analysis/rowalias"
@@ -32,7 +31,6 @@ import (
 func main() {
 	unitchecker.Main(
 		facadeerr.Analyzer,
-		lockorder.Analyzer,
 		masktail.Analyzer,
 		panicmsg.Analyzer,
 		rowalias.Analyzer,

@@ -259,9 +259,9 @@ func NewSystem(cfg Config) *System { return mem.NewSystem(cfg) }
 
 // Memory is the functional whole-memory model: the Fig. 2 hierarchy
 // behind one address space, with row-buffer data movement and in-place
-// cpim execution in the PIM-enabled DBCs. Locking is striped per DBC,
-// so independent requests proceed in parallel; ExecuteBatch models
-// that bank-level parallelism as window lanes in simulated time.
+// cpim execution in the PIM-enabled DBCs. One lock serializes its
+// callers; ExecuteBatch models bank-level parallelism as window lanes in
+// simulated time, and host parallelism comes from a ShardPool's shards.
 type Memory = memory.Memory
 
 // MoveStats counts row-granularity data movement inside a Memory.

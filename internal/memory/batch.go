@@ -62,7 +62,7 @@ type Result struct {
 // lanes of the batch's window.
 type batchGroup struct {
 	reqs  []int      // request indices, ascending (program order)
-	bases []isa.Addr // union of the requests' lock sets, sorted
+	bases []isa.Addr // union of the requests' footprints, sorted
 }
 
 // batchScratch holds every planning-time buffer of a batch: the plans,
@@ -78,7 +78,7 @@ type batchScratch struct {
 	lanes    Lanes // one member per request
 	groupIdx []int // lane root -> index into groups
 
-	shards []*shard // per-group lock buffer
+	shards []*shard // per-group shard buffer
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(batchScratch) }}
@@ -276,12 +276,13 @@ func (pl *planner) planBatch(reqs []Request, s *batchScratch) {
 // does not stop later requests of its group.
 //
 // On the host the groups run one after another, in first-request order,
-// on the calling goroutine and directly on the memory's recorder; each
-// group holds only its own DBCs' striped locks, so concurrent callers on
-// disjoint DBCs still proceed in parallel. The memory state and the
-// telemetry stream after ExecuteBatch are bit-identical to running the
-// requests serially in order — only requests with disjoint footprints
-// are reordered, and those commute.
+// on the calling goroutine and directly on the memory's recorder, all
+// under the memory's lock: concurrent callers wait for the whole batch.
+// Each group materializes its whole footprint before any of its
+// requests runs, so a quarantined DBC fails its whole group. The memory
+// state and the telemetry stream after ExecuteBatch are bit-identical to
+// running the requests serially in order — only requests with disjoint
+// footprints are reordered, and those commute.
 //
 // The batch is bracketed in window markers (Recorder.WindowBegin /
 // WindowLane / WindowEnd), one lane per group, so Recorder.Makespan
@@ -294,7 +295,7 @@ func (pl *planner) planBatch(reqs []Request, s *batchScratch) {
 // from its own fault stream, so reordering disjoint groups leaves the
 // faults each request sees unchanged. Recovery (SetRecovery) runs inside
 // the groups; quarantines triggered by the batch are processed after the
-// last group.
+// last group, still under the lock.
 func (m *Memory) ExecuteBatch(reqs []Request) []Result {
 	results := make([]Result, len(reqs))
 	s := scratchPool.Get().(*batchScratch)
@@ -321,9 +322,9 @@ func (m *Memory) PlanBatch(reqs []Request) *BatchPlan {
 }
 
 // runBatch executes a planned batch. Planning errors land in results
-// first; the runnable requests then run group by group in first-request
-// order directly on the memory's recorder: one window, one lane per
-// group.
+// first; the runnable requests then run under the memory's lock, group
+// by group in first-request order, directly on the memory's recorder:
+// one window, one lane per group.
 func (m *Memory) runBatch(s *batchScratch, results []Result) {
 	for i, err := range s.errs {
 		if err != nil {
@@ -331,12 +332,14 @@ func (m *Memory) runBatch(s *batchScratch, results []Result) {
 		}
 	}
 
-	rec := m.Recorder()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rec := m.rec.Load()
 	rec.WindowBegin()
 	for gi := range s.groups {
 		g := &s.groups[gi]
 		rec.WindowLane()
-		shards, err := m.lockInto(s.shards[:0], g.bases)
+		shards, err := m.shardsInto(s.shards[:0], g.bases)
 		s.shards = shards[:0]
 		if err != nil {
 			for _, ri := range g.reqs {
@@ -347,7 +350,6 @@ func (m *Memory) runBatch(s *batchScratch, results []Result) {
 		for _, ri := range g.reqs {
 			results[ri].Row, results[ri].Err = m.runRequest(s.plans[ri], shards)
 		}
-		unlockShards(shards)
 	}
 	rec.WindowEnd()
 	m.processQuarantines()

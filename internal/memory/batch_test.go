@@ -484,13 +484,11 @@ func TestStatsSafeDuringBatch(t *testing.T) {
 	}
 }
 
-// TestRecorderSafeDuringBatch pins the lock order of runBatch: the
-// cfg-class mutex (taken by Recorder) must be acquired before a group's
-// shard locks, never under them. Hammering Recorder and SetTelemetry
-// from another goroutine while batches run keeps cfgMu contended
-// through the whole batch; a reintroduced inversion shows up here as a
-// -race report or a watchdog timeout instead of a silent latent
-// deadlock.
+// TestRecorderSafeDuringBatch hammers Recorder and SetTelemetry from
+// another goroutine while batches run: Recorder reads the recorder
+// without the memory's lock and SetTelemetry waits for the batch, so a
+// race on the recorder or a setter that wedges a running batch shows
+// up here as a -race report or a watchdog timeout.
 func TestRecorderSafeDuringBatch(t *testing.T) {
 	cfg := params.DefaultConfig()
 	g := cfg.Geometry
@@ -514,7 +512,7 @@ func TestRecorderSafeDuringBatch(t *testing.T) {
 			default:
 			}
 			rec := m.Recorder()
-			m.SetTelemetry(rec) // cfgMu write path, same recorder back
+			m.SetTelemetry(rec) // the locked write path, same recorder back
 		}
 	}()
 	done := make(chan struct{})
@@ -536,6 +534,71 @@ func TestRecorderSafeDuringBatch(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestSetTelemetryWaitsForBatch: a recorder swap waits for the batch
+// in flight, so the batch's steps land on the recorder that carries its
+// window markers. A sink on the old recorder calls SetTelemetry(fresh)
+// from another goroutine at the batch's second lane and gives it 200 ms
+// to return; if it returns mid-batch, the second group's steps land on
+// fresh, outside any window.
+func TestSetTelemetryWaitsForBatch(t *testing.T) {
+	cfg := params.DefaultConfig()
+	g := cfg.Geometry
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []Request{addRequest(t, m, g, 0, 0, 0), addRequest(t, m, g, 0, 1, 1)}
+	fresh := telemetry.NewRecorder(cfg)
+	sink := &swapSink{m: m, fresh: fresh, returned: make(chan struct{})}
+	old := telemetry.NewRecorder(cfg, sink)
+	m.SetTelemetry(old)
+	for i, r := range m.ExecuteBatch(reqs) {
+		if r.Err != nil {
+			t.Fatalf("request %d: %v", i, r.Err)
+		}
+	}
+	select {
+	case <-sink.returned:
+	case <-time.After(60 * time.Second):
+		t.Fatal("SetTelemetry never returned after the batch")
+	}
+	if got := fresh.Cycle(); got != 0 {
+		t.Errorf("%d of the batch's %d cycles landed on the recorder swapped in mid-batch",
+			got, got+old.Cycle())
+	}
+	if m.Recorder() != fresh {
+		t.Error("the swap did not take effect after the batch")
+	}
+}
+
+// swapSink swaps its memory's recorder for fresh at the second window
+// lane it sees, waiting up to 200 ms for SetTelemetry to return.
+type swapSink struct {
+	m        *Memory
+	fresh    *telemetry.Recorder
+	lanes    int
+	returned chan struct{}
+}
+
+func (s *swapSink) Emit(e telemetry.Event) {
+	if e.Op != telemetry.OpWindow || e.Name != telemetry.WindowMarkLane {
+		return
+	}
+	if s.lanes++; s.lanes != 2 {
+		return
+	}
+	go func() {
+		s.m.SetTelemetry(s.fresh)
+		close(s.returned)
+	}()
+	select {
+	case <-s.returned:
+	case <-time.After(200 * time.Millisecond):
+	}
+}
+
+func (s *swapSink) Close() error { return nil }
 
 // TestBatchProfilerSnapshotEqualsSerial is the hardware profiler's
 // batch acceptance test: with the spatial profiler attached as a sink,

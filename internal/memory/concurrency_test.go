@@ -1,12 +1,15 @@
 package memory
 
 import (
+	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/isa"
 	"repro/internal/params"
 	"repro/internal/pim"
+	"repro/internal/resilient"
 )
 
 // TestConcurrentAccess hammers one memory from many goroutines (run
@@ -97,5 +100,60 @@ func TestConcurrentExecute(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestQuarantineUnderConcurrentReaders runs batches under fault
+// injection with a recovery policy that quarantines a DBC at its first
+// detected fault, so processQuarantines remaps clusters under the
+// memory's lock, while another goroutine reads the health and shard
+// state and swaps the same recorder back in. Under -race (make
+// race-obs) it must neither race nor wedge, and the ledger must record
+// the quarantines.
+func TestQuarantineUnderConcurrentReaders(t *testing.T) {
+	pol := resilient.DefaultPolicy()
+	pol.QuarantineAfter = 1
+	m := faultyMemory(t, FaultProfile{TRProb: 0.05, Seed: 5}, pol)
+	g := m.Config().Geometry
+	reqs := make([]Request, 0, 4)
+	for bank := 0; bank < 4; bank++ {
+		reqs = append(reqs, addRequest(t, m, g, bank, 0, bank))
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = m.Health()
+			_ = m.MaterializedDBCs()
+			m.SetTelemetry(m.Recorder())
+		}
+	}()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for round := 0; round < 20; round++ {
+			for i, r := range m.ExecuteBatch(reqs) {
+				if r.Err != nil && !errors.Is(r.Err, ErrQuarantined) {
+					t.Errorf("round %d request %d: %v", round, i, r.Err)
+				}
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("batches under recovery wedged next to concurrent readers")
+	}
+	close(stop)
+	wg.Wait()
+	if h := m.Health(); len(h.Quarantined) == 0 {
+		t.Fatalf("no quarantine at QuarantineAfter=1; ledger: %+v", h)
 	}
 }

@@ -3,8 +3,6 @@ package memory
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/isa"
 	"repro/internal/resilient"
@@ -50,13 +48,11 @@ func (h HealthReport) SparesUsed() int {
 	return n
 }
 
-// healthLedger tracks per-DBC detected faults and quarantine state. It
-// has its own lock, never held while a shard lock is held: execution
-// paths only append observations (noteFaults), and the expensive
-// remapping work runs in processQuarantines after all shard locks are
-// released.
+// healthLedger tracks per-DBC detected faults and quarantine state,
+// under the memory's lock. Execution paths only append observations
+// (noteFaults); the remapping work runs in processQuarantines at the end
+// of the request or batch.
 type healthLedger struct {
-	mu       sync.Mutex
 	faults   map[isa.Addr]int      // detected faults per DBC base
 	remap    map[isa.Addr]isa.Addr // quarantined logical base → spare base
 	reserved map[isa.Addr]bool     // spare bases taken out of the address space
@@ -64,11 +60,6 @@ type healthLedger struct {
 	pending  []isa.Addr            // crossed threshold, awaiting remap
 	history  []QuarantineRecord
 	detected int // lifetime detected-fault total (never reset)
-
-	// active flips to true once any base is reserved or failed, so the
-	// no-recovery hot path checks quarantine state with one atomic load
-	// instead of a mutex acquisition per shard lookup.
-	active atomic.Bool
 }
 
 func (h *healthLedger) init() {
@@ -80,11 +71,9 @@ func (h *healthLedger) init() {
 
 // noteFaults credits n detected faults to the DBC and schedules a
 // quarantine once the threshold is crossed. threshold ≤ 0 disables
-// quarantining (faults are still counted for Health()).
+// quarantining (faults are still counted for Health()). m.mu held.
 func (m *Memory) noteFaults(base isa.Addr, n, threshold int) {
 	h := &m.health
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.faults[base] += n
 	h.detected += n
 	if threshold <= 0 || h.faults[base] < threshold {
@@ -105,15 +94,9 @@ func (m *Memory) noteFaults(base isa.Addr, n, threshold int) {
 }
 
 // checkQuarantine rejects addresses the ledger has taken out of
-// service. The inactive path — no quarantine ever taken — is one
-// atomic load.
+// service. m.mu held.
 func (m *Memory) checkQuarantine(base isa.Addr) error {
 	h := &m.health
-	if !h.active.Load() {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.reserved[base] {
 		return fmt.Errorf("memory: %+v is a reserved spare: %w", base, ErrQuarantined)
 	}
@@ -123,23 +106,14 @@ func (m *Memory) checkQuarantine(base isa.Addr) error {
 	return nil
 }
 
-// processQuarantines remaps every cluster scheduled by noteFaults. It
-// must be called with no shard locks held (run and runBatch call it
-// once their locks are released); remapping takes the ledger lock, the table lock and
-// the victim's shard lock in that order.
+// processQuarantines remaps every cluster scheduled by noteFaults. run
+// and runBatch call it once the request or batch has run. m.mu held.
 func (m *Memory) processQuarantines() {
 	h := &m.health
-	h.mu.Lock()
-	if len(h.pending) == 0 {
-		h.mu.Unlock()
-		return
-	}
-	pending := h.pending
-	h.pending = nil
-	h.mu.Unlock()
-	for _, base := range pending {
+	for _, base := range h.pending {
 		m.quarantine(base)
 	}
+	h.pending = h.pending[:0]
 }
 
 // quarantine takes one cluster out of service: it reserves a spare DBC
@@ -147,43 +121,37 @@ func (m *Memory) processQuarantines() {
 // spare in behind the victim's logical address — reads, writes and
 // executions keep their addresses; only the backing physical cluster
 // changes. With no spare left the logical address itself is failed and
-// subsequent accesses return ErrQuarantined.
+// subsequent accesses return ErrQuarantined. m.mu held.
 func (m *Memory) quarantine(base isa.Addr) {
 	h := &m.health
-	h.mu.Lock()
+	rec := m.rec.Load()
 	faults := h.faults[base]
-	spare, ok := m.findSpareLocked(base)
+	spare, ok := m.findSpare(base)
 	if !ok {
 		h.failed[base] = true
-		h.active.Store(true)
 		h.history = append(h.history, QuarantineRecord{Logical: base, Faults: faults})
-		h.mu.Unlock()
-		m.Recorder().Mark(resilient.Source, "quarantine-failed:"+string(srcFor(base)), faults)
+		rec.Mark(resilient.Source, "quarantine-failed:"+string(srcFor(base)), faults)
 		return
 	}
 	h.reserved[spare] = true
 	h.remap[base] = spare
 	h.faults[base] = 0 // the new physical cluster starts healthy
-	h.active.Store(true)
 	h.history = append(h.history, QuarantineRecord{Logical: base, Spare: spare, Faults: faults, Remapped: true})
-	h.mu.Unlock()
 
 	if err := m.remapShard(base, spare); err != nil {
 		// Materialization of the replacement can only fail on geometry
 		// errors, which checkAddr has already excluded; record defensively.
-		m.Recorder().Mark(resilient.Source, "quarantine-error:"+string(srcFor(base)), faults)
+		rec.Mark(resilient.Source, "quarantine-error:"+string(srcFor(base)), faults)
 		return
 	}
-	m.Recorder().Mark(resilient.Source, "quarantine:"+string(srcFor(base)), faults)
+	rec.Mark(resilient.Source, "quarantine:"+string(srcFor(base)), faults)
 }
 
-// findSpareLocked picks an unused DBC base in the victim's bank with the
-// same PIM capability, scanning subarray-major. Caller holds h.mu.
-func (m *Memory) findSpareLocked(victim isa.Addr) (isa.Addr, bool) {
+// findSpare picks an unused DBC base in the victim's bank with the same
+// PIM capability, scanning subarray-major. m.mu held.
+func (m *Memory) findSpare(victim isa.Addr) (isa.Addr, bool) {
 	g := m.cfg.Geometry
 	h := &m.health
-	m.tableMu.RLock()
-	defer m.tableMu.RUnlock()
 	wantPIM := victim.IsPIMEnabled(g)
 	for s := 0; s < g.SubarraysPerBank; s++ {
 		for t := 0; t < g.TilesPerSubarray; t++ {
@@ -210,14 +178,9 @@ func (m *Memory) findSpareLocked(victim isa.Addr) (isa.Addr, bool) {
 
 // remapShard replaces the victim shard's physical cluster with a fresh
 // one (the spare), migrating all rows. The shard object — and with it
-// the lock and the telemetry source — survives, so in-flight
-// lock-ordering invariants are unaffected. The spare is built before the
-// shard lock is taken (newCluster reads cfg-class state) and swapped in
-// under it.
+// the telemetry source — survives. m.mu held.
 func (m *Memory) remapShard(base, spare isa.Addr) error {
-	m.tableMu.RLock()
 	sh := m.shards[base]
-	m.tableMu.RUnlock()
 	if sh == nil {
 		return fmt.Errorf("memory: quarantined DBC %+v never materialized", base)
 	}
@@ -225,9 +188,6 @@ func (m *Memory) remapShard(base, spare isa.Addr) error {
 	if err != nil {
 		return err
 	}
-
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	// Migrate the victim's contents row by row. The copies ride the row
 	// buffer like any other intra-bank movement, so they are priced as
 	// row copies on the telemetry stream.
@@ -243,9 +203,9 @@ func (m *Memory) remapShard(base, spare isa.Addr) error {
 // Health returns a snapshot of the health ledger: per-DBC detected
 // fault counts and every quarantine decision taken so far.
 func (m *Memory) Health() HealthReport {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	h := &m.health
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	rep := HealthReport{Faults: make(map[isa.Addr]int, len(h.faults)), TotalDetected: h.detected}
 	for b, n := range h.faults {
 		if n > 0 {

@@ -12,16 +12,15 @@
 // row-buffer copy, a write or a read. Execute, CopyRow, WriteRow and
 // ReadRow are one-request plans; ExecuteBatch (batch.go) plans many and
 // groups them by footprint. Either way a request is validated by
-// planRequest before any lock is taken, its shards are locked by
-// lockInto and released by unlockShards, and runRequest runs it.
+// planRequest before the memory's lock is taken, its shards are
+// materialized by shardsInto, and runRequest runs it.
 //
-// Concurrency model: the memory is striped per DBC — each materialized
-// cluster is a shard with its own lock, so operations on disjoint
-// clusters never contend (the bank-level parallelism the DBC
-// organization exists to provide). lockInto is the one multi-shard
-// acquisition: it takes a lock set in global address order, which makes
-// deadlock impossible. ExecuteBatch runs whole request groups under the
-// same striping, one group at a time on the calling goroutine.
+// Concurrency model: a Memory has one mutex, held for a whole request
+// or a whole batch and by every setter and every reader of shard or
+// health state, so it is safe for concurrent use and concurrent callers
+// serialize. Host parallelism lives in a Pool's share-nothing shards,
+// one goroutine each; a Memory's bank-level parallelism is modelled in
+// simulated time (the window lanes behind Recorder.Makespan).
 //
 // Kernel band: a cpim kernel may overwrite rows of its PIM DBC beyond
 // the TR window. It places its operands from wherever the head stands
@@ -33,16 +32,16 @@
 //
 // One ledger: every device step and row movement is charged once, to
 // the memory's always-on telemetry recorder. Stats, Moves and the
-// recorder's Cycle, Makespan and EnergyPJ all read it under its locks,
-// never a shard's, so they agree and are safe while operations are in
-// flight; replacing the recorder resets them together.
+// recorder's Cycle, Makespan and EnergyPJ all read it under its own
+// locks, never the memory's, so they agree and are safe while
+// operations are in flight; replacing the recorder resets them together.
 package memory
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dbc"
 	"repro/internal/device"
@@ -79,16 +78,15 @@ type invalidRequest struct{ error }
 
 func (e invalidRequest) Unwrap() []error { return []error{e.error, ErrInvalidRequest} }
 
-// shard is one materialized DBC with its lock and accounting. The
-// physical cluster behind it is only touched with mu held.
+// shard is one materialized DBC. It is only touched with the memory's
+// lock held.
 type shard struct {
-	mu   sync.Mutex
 	base isa.Addr
 	cluster
 
-	// operands stages an exec's operand rows for dispatchOp (runPlan).
-	// Guarded by mu: the rows are valid only while the exec that read
-	// them holds the lock, and no result ever aliases them.
+	// operands stages an exec's operand rows for dispatch (runPlan). The
+	// rows are valid only while the exec that read them runs, and no
+	// result ever aliases them.
 	operands []dbc.Row
 }
 
@@ -100,8 +98,7 @@ type cluster struct {
 	ex *resilient.Executor // non-nil iff u != nil and recovery is enabled
 }
 
-// setRecorder points the shard's DBC (and unit) at rec. Callers hold
-// sh.mu.
+// setRecorder points the shard's DBC (and unit) at rec.
 func (sh *shard) setRecorder(rec *telemetry.Recorder) {
 	if sh.u != nil {
 		sh.u.SetTelemetry(rec, srcFor(sh.base))
@@ -113,24 +110,23 @@ func (sh *shard) setRecorder(rec *telemetry.Recorder) {
 // recorder returns the recorder currently attached to the shard's DBC.
 func (sh *shard) recorder() *telemetry.Recorder { return sh.d.Recorder() }
 
-// Memory is one CORUSCANT main memory, safe for concurrent use through
-// per-DBC striped locking.
+// Memory is one CORUSCANT main memory, safe for concurrent use: one
+// mutex covers a whole request or batch, so concurrent callers
+// serialize. Host parallelism comes from a Pool's independent shards.
 type Memory struct {
 	planner // the configuration, and every check that reads only it
 
-	// tableMu guards the shard table only; shard state is behind each
-	// shard's own lock.
-	tableMu sync.RWMutex
-	shards  map[isa.Addr]*shard
+	// rec is always non-nil (metrics-only by default). It is stored under
+	// mu but loaded without it, so Stats, Moves and Recorder never wait
+	// for a request or batch.
+	rec atomic.Pointer[telemetry.Recorder]
 
-	// cfgMu guards the attachment state below.
-	cfgMu sync.Mutex
-	rec   *telemetry.Recorder // always non-nil: metrics-only by default
-	prof  *FaultProfile       // per-DBC fault injection; nil = fault-free
-	pol   resilient.Policy
-
-	// health is the fault ledger behind quarantine and remapping
-	// (health.go); it has its own lock.
+	// mu guards the shard table, every shard's state, the attachment
+	// state and the health ledger (health.go).
+	mu     sync.Mutex
+	shards map[isa.Addr]*shard
+	prof   *FaultProfile // per-DBC fault injection; nil = fault-free
+	pol    resilient.Policy
 	health healthLedger
 }
 
@@ -151,8 +147,8 @@ func New(cfg params.Config) (*Memory, error) {
 	m := &Memory{
 		planner: planner{cfg: cfg},
 		shards:  make(map[isa.Addr]*shard),
-		rec:     telemetry.NewRecorder(cfg),
 	}
+	m.rec.Store(telemetry.NewRecorder(cfg))
 	m.health.init()
 	return m, nil
 }
@@ -160,26 +156,11 @@ func New(cfg params.Config) (*Memory, error) {
 // Config returns the memory's configuration.
 func (m *Memory) Config() params.Config { return m.cfg }
 
-// snapshotShards returns the materialized shards in address order.
-func (m *Memory) snapshotShards() []*shard {
-	m.tableMu.RLock()
-	out := make([]*shard, 0, len(m.shards))
-	for _, sh := range m.shards {
-		out = append(out, sh)
-	}
-	m.tableMu.RUnlock()
-	g := m.cfg.Geometry
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].base.Linear(g) < out[j].base.Linear(g)
-	})
-	return out
-}
-
 // Stats returns the device-primitive counts of the memory's recorder
 // (Recorder().Stats()): every step its DBCs charged since the recorder
 // was attached, plus those of anything else sharing the recorder. It
-// takes no shard lock, so it is safe to call while operations —
-// including a batch — are in flight.
+// does not take the memory's lock, so it is safe to call while
+// operations — including a batch — are in flight.
 func (m *Memory) Stats() trace.Stats { return m.Recorder().Stats() }
 
 // Moves returns the row-movement counters, derived from the unified
@@ -194,17 +175,16 @@ func (m *Memory) Moves() MoveStats {
 	}
 }
 
-// Recorder returns the memory's telemetry recorder (never nil).
-func (m *Memory) Recorder() *telemetry.Recorder {
-	m.cfgMu.Lock()
-	defer m.cfgMu.Unlock()
-	return m.rec
-}
+// Recorder returns the memory's telemetry recorder (never nil), without
+// waiting for a request or batch in flight.
+func (m *Memory) Recorder() *telemetry.Recorder { return m.rec.Load() }
 
 // SetTelemetry replaces the memory's telemetry recorder, re-attaching
 // every materialized DBC to it. Passing nil installs a fresh
 // metrics-only recorder (the memory always records: MoveStats derives
-// from the recorder's counters), which also resets the counters.
+// from the recorder's counters), which also resets the counters. It
+// waits for a request or batch in flight, so a batch's steps and its
+// window markers land on one recorder.
 //
 // Deprecated: new code should attach the recorder at construction with
 // the façade's WithTelemetry option; the setter remains for call sites
@@ -213,13 +193,11 @@ func (m *Memory) SetTelemetry(rec *telemetry.Recorder) {
 	if rec == nil {
 		rec = telemetry.NewRecorder(m.cfg)
 	}
-	m.cfgMu.Lock()
-	m.rec = rec
-	m.cfgMu.Unlock()
-	for _, sh := range m.snapshotShards() {
-		sh.mu.Lock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.rec.Store(rec)
+	for _, sh := range m.shards {
 		sh.setRecorder(rec)
-		sh.mu.Unlock()
 	}
 }
 
@@ -245,7 +223,7 @@ func dbcBase(a isa.Addr) isa.Addr {
 }
 
 // planner is the half of a Memory that reads nothing but the immutable
-// configuration: address and request validation, lock sets, and the
+// configuration: address and request validation, footprints, and the
 // batch planner's footprint grouping. A Pricer embeds one too, so it
 // plans with the code ExecuteBatch runs, without a memory.
 type planner struct {
@@ -260,25 +238,13 @@ func (pl *planner) checkAddr(a isa.Addr) error {
 	return nil
 }
 
-// shardFor materializes (or returns) the shard holding the address. For
-// PIM-enabled locations the shard's DBC belongs to a PIM unit.
-func (m *Memory) shardFor(a isa.Addr) (*shard, error) {
-	if err := m.checkAddr(a); err != nil {
-		return nil, err
-	}
-	base := dbcBase(a)
+// shardFor materializes (or returns) the shard of the DBC at base, a
+// planned and so valid DBC base. For PIM-enabled locations the shard's
+// DBC belongs to a PIM unit. m.mu held.
+func (m *Memory) shardFor(base isa.Addr) (*shard, error) {
 	if err := m.checkQuarantine(base); err != nil {
 		return nil, err
 	}
-	m.tableMu.RLock()
-	sh, ok := m.shards[base]
-	m.tableMu.RUnlock()
-	if ok {
-		return sh, nil
-	}
-
-	m.tableMu.Lock()
-	defer m.tableMu.Unlock()
 	if sh, ok := m.shards[base]; ok {
 		return sh, nil
 	}
@@ -286,7 +252,7 @@ func (m *Memory) shardFor(a isa.Addr) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh = &shard{base: base, cluster: c}
+	sh := &shard{base: base, cluster: c}
 	m.shards[base] = sh
 	return sh, nil
 }
@@ -296,12 +262,9 @@ func (m *Memory) shardFor(a isa.Addr) (*shard, error) {
 // The cluster carries the fault profile's injector seeded at phys,
 // charges its steps to the memory's recorder alone (no tracer) under
 // base's telemetry source, and on a PIM-enabled location runs under a
-// recovery executor when a policy is set. It reads the attachment state
-// under cfgMu, so callers must not hold a shard lock.
+// recovery executor when a policy is set. m.mu held.
 func (m *Memory) newCluster(base, phys isa.Addr) (cluster, error) {
-	m.cfgMu.Lock()
-	rec, pol := m.rec, m.pol
-	m.cfgMu.Unlock()
+	rec, pol := m.rec.Load(), m.pol
 	inj := m.injectorFor(phys)
 	if !base.IsPIMEnabled(m.cfg.Geometry) {
 		d, err := dbc.New(m.cfg.Geometry.TrackWidth, m.cfg.Geometry.RowsPerDBC, m.cfg.TRD)
@@ -328,13 +291,10 @@ func (m *Memory) newCluster(base, phys isa.Addr) (cluster, error) {
 	return c, nil
 }
 
-// lockInto materializes the shards of the given DBC bases, appends them
-// to dst (reusing its capacity) and locks them in global address order —
-// the deadlock-freedom invariant: every multi-shard acquisition takes
-// its set in the same order. bases must be sorted and duplicate-free, as
-// planRequest and planBatch leave them. On error nothing is locked.
-// Callers release with unlockShards.
-func (m *Memory) lockInto(dst []*shard, bases []isa.Addr) ([]*shard, error) {
+// shardsInto materializes the shards of the given DBC bases and appends
+// them to dst, reusing its capacity. On error it returns dst emptied.
+// m.mu held.
+func (m *Memory) shardsInto(dst []*shard, bases []isa.Addr) ([]*shard, error) {
 	for _, b := range bases {
 		sh, err := m.shardFor(b)
 		if err != nil {
@@ -342,25 +302,14 @@ func (m *Memory) lockInto(dst []*shard, bases []isa.Addr) ([]*shard, error) {
 		}
 		dst = append(dst, sh)
 	}
-	for _, sh := range dst {
-		//coruscantvet:ignore lockorder -- the sanctioned helper itself: bases are sorted by Linear, so the pairwise order is global
-		sh.mu.Lock()
-	}
 	return dst, nil
 }
 
-// unlockShards releases a lockInto set in reverse acquisition order.
-func unlockShards(shards []*shard) {
-	for i := len(shards) - 1; i >= 0; i-- {
-		shards[i].mu.Unlock()
-	}
-}
-
 // sortBases deduplicates and orders DBC base addresses by their global
-// linear index — the lock acquisition order.
+// linear index, the normal form of a footprint.
 func (pl *planner) sortBases(bases []isa.Addr) []isa.Addr {
 	g := pl.cfg.Geometry
-	// Insertion sort: lock sets are tiny (≤ operands+3), and sort.Slice
+	// Insertion sort: footprints are tiny (≤ operands+3), and sort.Slice
 	// costs an allocation per call — visible on the batch planning path.
 	for i := 1; i < len(bases); i++ {
 		for j := i; j > 0 && bases[j].Linear(g) < bases[j-1].Linear(g); j-- {
@@ -376,8 +325,7 @@ func (pl *planner) sortBases(bases []isa.Addr) []isa.Addr {
 	return out
 }
 
-// writeRow stores a row through the shard's nearest access port;
-// sh.mu held.
+// writeRow stores a row through the shard's nearest access port.
 func (sh *shard) writeRow(a isa.Addr, row dbc.Row) error {
 	if err := sh.d.WriteRow(a.Row, row); err != nil {
 		return err
@@ -386,7 +334,7 @@ func (sh *shard) writeRow(a isa.Addr, row dbc.Row) error {
 	return nil
 }
 
-// readRow loads the row at the address into a fresh row; sh.mu held.
+// readRow loads the row at the address into a fresh row.
 func (sh *shard) readRow(a isa.Addr) (dbc.Row, error) {
 	row := dbc.NewRow(sh.d.Width())
 	if err := sh.readRowInto(a, row); err != nil {
@@ -396,7 +344,7 @@ func (sh *shard) readRow(a isa.Addr) (dbc.Row, error) {
 }
 
 // readRowInto loads the row at the address into out, a row of the
-// DBC's width; sh.mu held.
+// DBC's width.
 func (sh *shard) readRowInto(a isa.Addr, out dbc.Row) error {
 	d := sh.d
 	side, _, err := d.AlignNearest(a.Row)
@@ -409,7 +357,7 @@ func (sh *shard) readRowInto(a isa.Addr, out dbc.Row) error {
 }
 
 // operandRows returns n staging rows owned by the shard, reused across
-// execs; sh.mu held.
+// execs.
 func (sh *shard) operandRows(n int) []dbc.Row {
 	for len(sh.operands) < n {
 		sh.operands = append(sh.operands, dbc.NewRow(sh.d.Width()))
@@ -435,17 +383,16 @@ func (m *Memory) ReadRow(a isa.Addr) (dbc.Row, error) {
 // CopyRow moves a row between two locations over the shared row buffer
 // (§II-B / [35]): an activate-read at the source and an activate-write
 // at the destination, without crossing the memory bus. It is a
-// one-request KindCopy plan, so the two shard locks are taken in
-// address order.
+// one-request KindCopy plan.
 func (m *Memory) CopyRow(src, dst isa.Addr) error {
 	_, err := m.run(Request{Kind: KindCopy, Src: src, Dst: dst})
 	return err
 }
 
-// copyLocked runs a copy request over its locked shards: activate-read
-// at src, activate-write at dst, and the row-buffer move instant.
-// shards must hold the lock set covering both addresses.
-func copyLocked(shards []*shard, src, dst isa.Addr) (dbc.Row, error) {
+// copyRow runs a copy request over its shards: activate-read at src,
+// activate-write at dst, and the row-buffer move instant. shards must
+// cover both addresses.
+func copyRow(shards []*shard, src, dst isa.Addr) (dbc.Row, error) {
 	row, err := shardByBase(shards, dbcBase(src)).readRow(src)
 	if err != nil {
 		return dbc.Row{}, err
@@ -458,7 +405,7 @@ func copyLocked(shards []*shard, src, dst isa.Addr) (dbc.Row, error) {
 	return row, nil
 }
 
-// shardByBase resolves a DBC base within a locked shard set.
+// shardByBase resolves a DBC base within a request's shards.
 func shardByBase(shards []*shard, b isa.Addr) *shard {
 	for _, sh := range shards {
 		if sh.base == b {
@@ -489,31 +436,22 @@ func (p FaultProfile) enabled() bool { return p.TRProb > 0 || p.ShiftProb > 0 }
 // fault injection on every current and future cluster, replacing any
 // previous profile.
 func (m *Memory) SetFaultProfile(p FaultProfile) {
-	m.cfgMu.Lock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.prof = nil
 	if p.enabled() {
 		m.prof = &p
-	} else {
-		m.prof = nil
 	}
-	m.cfgMu.Unlock()
-	for _, sh := range m.snapshotShards() {
-		// Build the injector before taking the shard lock: injectorFor
-		// reads cfg state under cfgMu, and cfg-class mutexes order
-		// strictly before shard locks.
-		inj := m.injectorFor(sh.base)
-		sh.mu.Lock()
-		sh.d.SetFaultInjector(inj)
-		sh.mu.Unlock()
+	for _, sh := range m.shards {
+		sh.d.SetFaultInjector(m.injectorFor(sh.base))
 	}
 }
 
 // injectorFor builds the injector the cluster at phys carries under the
 // current fault profile: the profile's per-DBC injector, or nil when no
-// profile is set.
+// profile is set. m.mu held.
 func (m *Memory) injectorFor(phys isa.Addr) *device.FaultInjector {
-	m.cfgMu.Lock()
 	prof := m.prof
-	m.cfgMu.Unlock()
 	if prof == nil {
 		return nil
 	}
@@ -532,39 +470,37 @@ func (m *Memory) SetRecovery(p resilient.Policy) error {
 	if p.Verify == resilient.VerifyNMR && p.NMR > int(m.cfg.TRD) {
 		return fmt.Errorf("memory: NMR degree %d exceeds %v window: %w", p.NMR, m.cfg.TRD, params.ErrBadTRD)
 	}
-	m.cfgMu.Lock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.pol = p
-	m.cfgMu.Unlock()
-	for _, sh := range m.snapshotShards() {
-		sh.mu.Lock()
-		if sh.u != nil {
-			sh.ex = nil
-			if p.Enabled() {
-				ex, err := resilient.NewExecutor(sh.u, p)
-				if err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				sh.ex = ex
-			}
+	for _, sh := range m.shards {
+		if sh.u == nil {
+			continue
 		}
-		sh.mu.Unlock()
+		sh.ex = nil
+		if p.Enabled() {
+			ex, err := resilient.NewExecutor(sh.u, p)
+			if err != nil {
+				return err
+			}
+			sh.ex = ex
+		}
 	}
 	return nil
 }
 
 // Recovery returns the installed recovery policy (zero when disabled).
 func (m *Memory) Recovery() resilient.Policy {
-	m.cfgMu.Lock()
-	defer m.cfgMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.pol
 }
 
 // execPlan is a fully validated request: every address checked,
-// the bank-staging rule enforced, and the lock set precomputed — all
-// before any lock is taken, so an invalid request fails without
-// touching (or blocking) any shard. Planning reads only the immutable
-// geometry; quarantine is checked at lock time, in shardFor.
+// the bank-staging rule enforced, and the footprint precomputed — all
+// before the memory's lock is taken, so an invalid request fails
+// without touching (or blocking) any shard. Planning reads only the
+// immutable geometry; quarantine is checked at run time, in shardFor.
 type execPlan struct {
 	kind     RequestKind
 	in       isa.Instruction
@@ -573,12 +509,12 @@ type execPlan struct {
 	rem      *isa.Addr  // a div's remainder destination; nil: none
 	src      isa.Addr   // KindCopy: source row
 	row      dbc.Row    // KindWrite: payload
-	bases    []isa.Addr // sorted, deduplicated lock set
+	bases    []isa.Addr // footprint: sorted, deduplicated DBC bases
 }
 
 // planRequest validates one request of any kind and returns its plan.
-// buf is an empty slice whose backing array the returned plan's lock
-// set reuses: run and planBatch (and through it the Pricer) pass a
+// buf is an empty slice whose backing array the returned plan's
+// footprint reuses: run and planBatch (and through it the Pricer) pass a
 // pooled plan's previous bases array, so steady-state planning
 // allocates nothing. Every rejection wraps ErrInvalidRequest.
 func (pl *planner) planRequest(r Request, buf []isa.Addr) (p execPlan, err error) {
@@ -622,14 +558,14 @@ func (pl *planner) planRequest(r Request, buf []isa.Addr) (p execPlan, err error
 	}
 }
 
-// runRequest executes a validated plan of any kind over its locked
-// shards. It is the body of every row operation: of Execute (runPlan),
-// CopyRow (copyLocked), WriteRow and ReadRow through run, and of each
-// request of an ExecuteBatch group.
+// runRequest executes a validated plan of any kind over its shards. It
+// is the body of every row operation: of Execute (runPlan), CopyRow
+// (copyRow), WriteRow and ReadRow through run, and of each request of
+// an ExecuteBatch group.
 func (m *Memory) runRequest(p execPlan, shards []*shard) (dbc.Row, error) {
 	switch p.kind {
 	case KindCopy:
-		return copyLocked(shards, p.src, p.dst)
+		return copyRow(shards, p.src, p.dst)
 	case KindWrite:
 		return p.row, shardByBase(shards, dbcBase(p.dst)).writeRow(p.dst, p.row)
 	case KindRead:
@@ -641,7 +577,7 @@ func (m *Memory) runRequest(p execPlan, shards []*shard) (dbc.Row, error) {
 
 // planExecute validates the request upfront and returns its plan. rem,
 // when not nil, is a div's remainder destination, checked like dst.
-// The plan's lock set is built on buf's backing array.
+// The plan's footprint is built on buf's backing array.
 func (pl *planner) planExecute(in isa.Instruction, operands []isa.Addr, dst isa.Addr, rem *isa.Addr, buf []isa.Addr) (execPlan, error) {
 	if err := in.Validate(pl.cfg.Geometry, pl.cfg.TRD); err != nil {
 		return execPlan{}, err
@@ -708,13 +644,12 @@ var execSpans = func() (names [isa.OpFma + 1]string) {
 	return names
 }()
 
-// runPlan executes a validated plan over its locked shards, in
-// program order: stage operands, run the PIM op (through the recovery
-// executor when one is installed), write the result, then, for a
-// paired div, the remainder. shards holds the plan's lock set (all
-// locks held by the caller). The operands are staged into the
-// executing shard's scratch rows; every PIM op returns a fresh row, so
-// the result never aliases them.
+// runPlan executes a validated plan over its shards, in program order:
+// stage operands, run the PIM op (through the recovery executor when
+// one is installed), write the result, then, for a paired div, the
+// remainder. shards covers the plan's footprint. The operands are
+// staged into the executing shard's scratch rows; every PIM op returns
+// a fresh row, so the result never aliases them.
 func (m *Memory) runPlan(p execPlan, shards []*shard) (dbc.Row, error) {
 	execSh := shardByBase(shards, dbcBase(p.in.Src))
 	rec, src := execSh.recorder(), execSh.d.Source()
@@ -762,8 +697,8 @@ func (m *Memory) runPlan(p execPlan, shards []*shard) (dbc.Row, error) {
 // for an unrecovered div, the remainder. With a recovery executor
 // installed it re-runs the kernel per the policy, charges retry
 // backoff to the executing DBC and reports detected faults to the
-// health ledger (quarantines are processed by the caller once all
-// locks are released); a recovered run returns no remainder.
+// health ledger (quarantines are processed by the caller at the end of
+// the request or batch); a recovered run returns no remainder.
 func (m *Memory) dispatch(sh *shard, in isa.Instruction, rows []dbc.Row) (res, rem dbc.Row, err error) {
 	ex := sh.ex
 	if ex == nil {
@@ -788,19 +723,20 @@ func (m *Memory) dispatch(sh *shard, in isa.Instruction, rows []dbc.Row) (res, r
 // result to dst.
 //
 // It is a one-request KindExec plan: validated in full — instruction
-// encoding, address geometry, and the bank-staging rule — before any
-// shard lock is taken; a rejection wraps ErrInvalidRequest, and
+// encoding, address geometry, and the bank-staging rule — before the
+// memory's lock is taken; a rejection wraps ErrInvalidRequest, and
 // operands or destinations outside in.Src's bank also ErrCrossDBC
-// (stage them with CopyRow first). The involved shard locks are then
-// acquired in address order and held for the whole operation.
+// (stage them with CopyRow first). The lock is then held for the whole
+// operation.
 func (m *Memory) Execute(in isa.Instruction, operands []isa.Addr, dst isa.Addr) (dbc.Row, error) {
 	return m.run(Request{In: in, Operands: operands, Dst: dst})
 }
 
 // run takes one request down the path runBatch takes each request of a
-// group: planRequest on the pooled batch scratch, lockInto, runRequest,
-// unlockShards, then the quarantines the request scheduled. It emits no
-// window markers, so the request's cycles extend the makespan serially.
+// group: planRequest on the pooled batch scratch, then, under the
+// memory's lock, shardsInto, runRequest and the quarantines the request
+// scheduled. It emits no window markers, so the request's cycles extend
+// the makespan serially.
 func (m *Memory) run(r Request) (dbc.Row, error) {
 	s := scratchPool.Get().(*batchScratch)
 	defer scratchPool.Put(s)
@@ -810,22 +746,22 @@ func (m *Memory) run(r Request) (dbc.Row, error) {
 		return dbc.Row{}, err
 	}
 	s.plans[0].bases = p.bases // reused by the next request's plan
-	// Deferred calls run last in first out: the locks are released
-	// before quarantines are processed.
-	defer m.processQuarantines()
-	shards, err := m.lockInto(s.shards[:0], p.bases)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	shards, err := m.shardsInto(s.shards[:0], p.bases)
 	s.shards = shards[:0]
 	if err != nil {
 		return dbc.Row{}, err
 	}
-	defer unlockShards(shards)
-	return m.runRequest(p, shards)
+	row, err := m.runRequest(p, shards)
+	m.processQuarantines()
+	return row, err
 }
 
 // MaterializedDBCs reports how many clusters have been touched (for
 // tests and capacity sanity checks).
 func (m *Memory) MaterializedDBCs() int {
-	m.tableMu.RLock()
-	defer m.tableMu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return len(m.shards)
 }

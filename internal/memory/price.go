@@ -19,7 +19,7 @@ type Cost struct {
 
 // Pricer predicts what ExecuteBatch windows cost on a fault-free memory
 // of one configuration, without running them. It plans each window
-// with planBatch, so validation, lock sets and lanes are the ones
+// with planBatch, so validation, footprints and lanes are the ones
 // ExecuteBatch runs, and prices every request as runRequest runs it:
 //   - a port access aligns the row under its nearest feasible port
 //     (device.NearestPortAt) from wherever the DBC's head was left, then

@@ -287,14 +287,12 @@ func TestPricerMatchesRun(t *testing.T) {
 // headOffset returns the head offset of the DBC holding a on the
 // memory, or 0 while it is not materialized.
 func headOffset(m *Memory, a isa.Addr) int {
-	m.tableMu.RLock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	sh := m.shards[dbcBase(a)]
-	m.tableMu.RUnlock()
 	if sh == nil {
 		return 0
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	return sh.d.Offset()
 }
 

@@ -9,11 +9,12 @@ import (
 
 // Pool is a fixed set of independent Memory shards behind one owner —
 // the substrate of the coruscantd service front end. Each shard is a
-// complete Memory (its own address space, striped per-DBC locks, its
-// own telemetry recorder), so the shards share nothing and requests
-// routed to distinct shards never contend on anything. The shards are
-// where host parallelism lives: each runs on its own goroutine, while a
-// Memory's bank-level parallelism is modelled in simulated time.
+// complete Memory (its own address space, its own lock, its own
+// telemetry recorder), so the shards share nothing and requests routed
+// to distinct shards never contend on anything. The shards are where
+// host parallelism lives: each runs on its own goroutine, while a
+// Memory serializes its callers and models its bank-level parallelism
+// in simulated time.
 //
 // Routing is the caller's concern: a Pool has no cross-shard address
 // space and never moves rows between shards (that is ROADMAP's elastic

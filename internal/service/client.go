@@ -36,7 +36,7 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header["Content-Type"] = jsonContentType
 	reply := getBody()
 	defer putBody(reply)
 	if err := c.do(req, reply); err != nil {

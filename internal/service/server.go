@@ -517,8 +517,13 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any, limit int64) er
 	return nil
 }
 
+// jsonContentType is the Content-Type of every JSON request and reply,
+// assigned rather than set: net/http only reads header values, and
+// Header.Set allocates a slice per message.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
