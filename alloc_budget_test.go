@@ -155,6 +155,13 @@ func TestAllocBudget(t *testing.T) {
 			}
 		}
 	})
+	// PlanBatch plans on a scratch of its own, so every call is a cold
+	// plan: the fixed set of arrays the batch's footprints and groups
+	// are carved from, not some per request (226 when each footprint
+	// and group list grew on its own).
+	allocBudget(t, "PlanBatch", 9, func() {
+		m.PlanBatch(reqs)
+	})
 
 	// The single-row calls are one-request plans on the batch path's
 	// pooled scratch: a write allocates nothing, a read and a copy only
@@ -186,20 +193,24 @@ func TestAllocBudget(t *testing.T) {
 	// compile and run them on a memory whose DBCs the first corpus pass
 	// materialized. Budgets are per corpus. CompileO0 is the naive
 	// baseline pimasm compiles beside every -O1/-O2 plan it reports.
+	// A compile works on a pooled scratch and allocates only what its
+	// Result owns: six objects per program (the Result, its
+	// input-and-output array, the Plan, its Steps, the request array and
+	// the operand array) and one packed row per constant write.
 	ccfg := benchCompileConfig()
 	cm, err := memory.New(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, corpus := benchCorpus(t)
-	allocBudget(t, "CompileO0", 117, func() {
+	allocBudget(t, "CompileO0", 20, func() {
 		for _, src := range corpus {
 			if _, err := compile.Compile(src, ccfg, compile.Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
-	allocBudget(t, "CompileO2", 172, func() {
+	allocBudget(t, "CompileO2", 20, func() {
 		for _, src := range corpus {
 			if _, err := compile.Compile(src, ccfg, compile.Options{Level: 2}); err != nil {
 				t.Fatal(err)
@@ -218,7 +229,24 @@ func TestAllocBudget(t *testing.T) {
 		}
 	}
 	compileRun()
-	allocBudget(t, "CompileRunO2", 237, compileRun)
+	allocBudget(t, "CompileRunO2", 85, compileRun)
+
+	// coruscantd's /v1/compile kernel, y = max(fma(x, w, b), x), at -O 2
+	// on the daemon's default device: one request in sixteen of the
+	// serve-mixed load compiles it.
+	const kernel = `%x = load b0.s0.t1.d0.r0
+%w = load b0.s0.t1.d0.r1
+%b = load b0.s0.t1.d0.r2
+%y = fma %x, %w, %b bs=8
+%r = max %y, %x bs=8
+store %r, b0.s0.t2.d1.r0
+store %y, b0.s0.t2.d1.r1
+`
+	allocBudget(t, "CompileKernel", 6, func() {
+		if _, err := compile.Compile(kernel, params.DefaultConfig(), compile.Options{Level: 2}); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	// The same for a program whose -O2 compile folds: a repeated load
 	// and add, a shift chain to zero, a multiply by that zero, and xor
@@ -249,7 +277,7 @@ store %q, b0.s0.t2.d0.r1
 		}
 	}
 	compileRunFolded()
-	allocBudget(t, "CompileRunFolded", 65, compileRunFolded)
+	allocBudget(t, "CompileRunFolded", 15, compileRunFolded)
 
 	// Memory.Stats reads the recorder's ledger: nothing per shard.
 	sm, err := memory.New(ccfg)

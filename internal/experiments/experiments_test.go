@@ -175,18 +175,3 @@ func TestTable3Anchors(t *testing.T) {
 		t.Error("headline ratio notes missing")
 	}
 }
-
-func TestTOPSOrderOfMagnitude(t *testing.T) {
-	tb, err := TOPS()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := strconv.ParseFloat(tb.Rows[0][1], 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Paper: 26 TOPS; accept the same order of magnitude.
-	if v < 10 || v > 80 {
-		t.Errorf("TOPS %.1f out of band around 26", v)
-	}
-}

@@ -101,3 +101,38 @@ func TestSensitivityTableMatchesExperiment(t *testing.T) {
 		}
 	}
 }
+
+// TestTOPSMatchesExperiment holds EXPERIMENTS.md's §V-E table to
+// `coruscant tops`: each row's Paper and Measured cells must state the
+// numbers TOPS prints for the metric the row ends with, at the printed
+// digits (the document writes "Peak 8-bit convolution TOPS" where the
+// experiment prints "TOPS").
+func TestTOPSMatchesExperiment(t *testing.T) {
+	rows := markdownTable(t, readExperimentsDoc(t), "## §V-E TOPS / GOPJ")
+	tb, err := TOPS()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := rows[0]; len(h) != 3 || h[1] != "Paper" || h[2] != "Measured" {
+		t.Fatalf("header %q: want Paper and Measured in columns 2 and 3", h)
+	}
+	if h := tb.Header; h[1] != "Measured" || h[2] != "Paper" {
+		t.Fatalf("experiment header %q: want Measured and Paper in columns 2 and 3", h)
+	}
+	rows = rows[1:]
+	if len(rows) != len(tb.Rows) {
+		t.Fatalf("EXPERIMENTS.md lists %d metrics, the experiment prints %d", len(rows), len(tb.Rows))
+	}
+	for i, row := range rows {
+		want := tb.Rows[i]
+		if !strings.HasSuffix(row[0], want[0]) {
+			t.Errorf("row %d: EXPERIMENTS.md says %q, the experiment prints %s", i+1, row[0], want[0])
+		}
+		if !sameNumbers(row[1], want[2]) {
+			t.Errorf("%s, Paper: EXPERIMENTS.md says %q, the experiment prints %s", want[0], row[1], want[2])
+		}
+		if !sameNumbers(row[2], want[1]) {
+			t.Errorf("%s, Measured: EXPERIMENTS.md says %q, the experiment prints %s", want[0], row[2], want[1])
+		}
+	}
+}

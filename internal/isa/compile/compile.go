@@ -3,6 +3,7 @@ package compile
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/memory"
@@ -45,25 +46,69 @@ type Output struct {
 	Blocksize int
 }
 
-// Result is a compiled program.
+// Result is a compiled program. It owns everything it holds: nothing
+// in it aliases the scratch Compile worked on.
 type Result struct {
 	Plan    *Plan
 	Inputs  []Output // the program's live load rows, folded or not (Blocksize 0: raw)
 	Outputs []Output
 	Stats   PlanStats // the pricer's prediction for the emitted plan
 
-	pr *memory.Pricer // the pricer that priced Plan, for ShiftsByDBC
+	cfg params.Config // the configuration Plan was compiled for, for ShiftsByDBC
 }
 
 // ShiftsByDBC splits Stats.PortShifts per DBC, keyed by the telemetry
 // source name (isa.DBCSource): the prediction side of the `pimasm exec
-// -profile` model-vs-measured comparison. It formats the labels on
-// each call, so a compile that never asks pays nothing for them.
+// -profile` model-vs-measured comparison. It prices the plan again on
+// a fresh Pricer, the prediction Compile made from the same heads at
+// rest, so a compile that never asks pays nothing for it.
 func (r *Result) ShiftsByDBC() map[string]int {
-	if r.pr == nil {
+	if r.Plan == nil {
 		return nil
 	}
-	return r.pr.ShiftsByDBC()
+	pr := memory.NewPricer(r.cfg)
+	// Compile priced this plan without error, so it prices again.
+	_, _ = r.Plan.price(pr)
+	return pr.ShiftsByDBC()
+}
+
+// scratch is the working state of one compile: the program being
+// built and every pass's buffers, one Pricer and one Lanes among them.
+// Compile takes one from scratchPool and puts it back cleared, as
+// memory.ExecuteBatch does its batch scratch, so a steady stream of
+// compiles reuses one set of arrays and maps and allocates only what
+// each Result owns. Buffers only grow: a pooled scratch is as large as
+// the largest program it has compiled.
+type scratch struct {
+	Program
+	ps  parser
+	lz  legalizer
+	lay layout
+	sch schedule
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release clears every buffer that points into the compiled program or
+// at the Result, so a pooled scratch keeps neither alive.
+func (s *scratch) release() {
+	p := &s.Program
+	clear(p.slab)
+	clear(p.args)
+	clear(p.nodes)
+	clear(p.byName)
+	p.slab, p.args, p.nodes = p.slab[:0], p.args[:0], p.nodes[:0]
+	p.inputs, p.outputs = nil, nil
+	clear(s.ps.fields)
+	s.ps.Program, s.ps.fields = nil, s.ps.fields[:0]
+	clear(s.lz.nodes)
+	clear(s.lz.values)
+	s.lz.p, s.lz.nodes = nil, s.lz.nodes[:0]
+	clear(s.lay.directFor)
+	clear(s.sch.ops)
+	clear(s.sch.privs)
+	clear(s.sch.queued)
+	s.sch.ops, s.sch.privs, s.sch.queued = s.sch.ops[:0], s.sch.privs[:0], s.sch.queued[:0]
 }
 
 // Compile parses, legalizes, places and schedules a pimasm program
@@ -74,10 +119,24 @@ func (r *Result) ShiftsByDBC() map[string]int {
 // baseline to compare against is a Level 0 compile's Stats. Compile
 // fails on the verifier's errors and does not build its warnings; Vet
 // returns them.
+//
+// Compile works on a pooled scratch and allocates only the Result: the
+// Result, its input-and-output array, the Plan with its Steps, one
+// request array, one operand-and-remainder array and each constant's
+// packed row.
 func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	defer s.release()
+	return s.compile(src, cfg, opt)
+}
+
+// compile runs Compile's passes on s, which must be empty: new, or
+// released since its last compile.
+func (s *scratch) compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	rec := opt.Recorder
 	pass := func(name string) func() {
 		if rec == nil {
@@ -85,6 +144,7 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 		}
 		return rec.Span(Source, "pimc-"+name)
 	}
+	prog := &s.Program
 	dump := func(name string, text func() string) {
 		if opt.Dump != nil {
 			opt.Dump(name, text())
@@ -92,7 +152,7 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	}
 
 	done := pass("parse")
-	prog, err := Parse(src, cfg.Geometry)
+	err := s.parse(src, cfg.Geometry)
 	done()
 	if err != nil {
 		return nil, err
@@ -107,7 +167,7 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	}
 
 	done = pass("legalize")
-	err = prog.legalize(cfg.TRD, opt.Level)
+	err = s.lz.legalize(prog, cfg.TRD, opt.Level)
 	done()
 	if err != nil {
 		return nil, err
@@ -116,15 +176,15 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	dump("levels", func() string { return dumpLevels(prog) })
 
 	done = pass("place")
-	lay, err := prog.place(cfg, opt.Level, true)
+	err = s.lay.place(prog, cfg, opt.Level, true)
 	done()
 	if err != nil {
 		return nil, err
 	}
-	dump("place", func() string { return dumpPlacement(prog, lay) })
+	dump("place", func() string { return dumpPlacement(prog, &s.lay) })
 
 	done = pass("schedule")
-	plan, err := buildPlan(prog, lay)
+	plan, err := s.sch.build(prog, &s.lay)
 	done()
 	if err != nil {
 		return nil, err
@@ -132,28 +192,16 @@ func Compile(src string, cfg params.Config, opt Options) (*Result, error) {
 	dump("schedule", plan.String)
 
 	done = pass("price")
-	stats, err := plan.price(lay.pr)
+	stats, err := plan.price(s.lay.pr)
 	done()
 	if err != nil {
 		return nil, err
 	}
-	stats.RowsRecycled = lay.recycled
+	stats.RowsRecycled = s.lay.recycled
 
 	// Inputs and outputs are the source program's, whatever folding
 	// made of the values between them.
-	stores := 0
-	for _, n := range prog.nodes {
-		if n.kind == nStore {
-			stores++
-		}
-	}
-	res := &Result{Plan: plan, Inputs: prog.inputs, Outputs: make([]Output, 0, stores), Stats: stats, pr: lay.pr}
-	for _, n := range prog.nodes {
-		if n.kind == nStore {
-			res.Outputs = append(res.Outputs, Output{Name: n.srcName, Addr: n.addr, Blocksize: n.bs})
-		}
-	}
-	return res, nil
+	return &Result{Plan: plan, Inputs: prog.inputs, Outputs: prog.outputs, Stats: stats, cfg: cfg}, nil
 }
 
 func dumpLevels(p *Program) string {

@@ -7,13 +7,13 @@ import (
 	"repro/internal/params"
 )
 
-// legalize lowers the DAG onto operations the PIM unit executes
+// legalize lowers p's DAG onto operations the PIM unit executes
 // directly: the sub pseudo-op becomes not + add-with-one on the carry
 // chain, and associative operations whose operand lists exceed the
 // TR-window capacity are split into chains. Unreachable values are
-// dropped (they feed no store). The pass rewrites p.nodes in place and
-// records the source program's live loads, the plan's inputs, in
-// p.inputs.
+// dropped (they feed no store). The pass rewrites p.nodes and records
+// the source program's live loads and its stores, the plan's inputs
+// and outputs, in p.inputs and p.outputs, carved from one array.
 //
 // From level 1 up the walk also numbers values and folds lane-exact
 // identities, so the plan computes each value once and issues no
@@ -22,31 +22,33 @@ import (
 // and blocksize, so one DivMod request computes both. At level 0 every
 // statement is computed as written: the naive baseline shares only the
 // legalizer's own constants.
-func (p *Program) legalize(trd params.TRD, level int) error {
-	// Only -O1 and up number every value; at -O0 the map holds the
-	// legalizer's own constants, usually none to two.
-	values := 0
-	if level >= 1 {
-		values = len(p.nodes)
+func (lz *legalizer) legalize(p *Program, trd params.TRD, level int) error {
+	if lz.values == nil {
+		// Only -O1 and up number every value; at -O0 the map holds the
+		// legalizer's own constants, usually none to two.
+		values := 0
+		if level >= 1 {
+			values = len(p.nodes)
+		}
+		lz.values = make(map[vkey]*node, values)
 	}
-	lz := &legalizer{
-		nodes:  make([]*node, 0, len(p.nodes)+8),
-		values: make(map[vkey]*node, values),
-		trd:    trd,
-		geo:    p.geo,
-		opt:    level >= 1,
-		pair:   level >= 2,
-	}
-	live := liveSet(p.nodes)
-	nLoads := 0
+	lz.p, lz.nodes = p, reuse(lz.nodes, len(p.nodes)+8)
+	lz.trd, lz.opt, lz.pair = trd, level >= 1, level >= 2
+	lz.synth, lz.folded = 0, false
+	lz.live = liveSet(lz.live, p.nodes)
+	nLoads, nStores := 0, 0
 	for _, n := range p.nodes {
-		if n.kind == nLoad && live[n.id] {
+		switch {
+		case n.kind == nLoad && lz.live[n.id]:
 			nLoads++
+		case n.kind == nStore:
+			nStores++
 		}
 	}
-	p.inputs = make([]Output, 0, nLoads)
+	outs := make([]Output, 0, nLoads+nStores)
+	p.inputs, p.outputs = outs[:0:nLoads], outs[nLoads:nLoads]
 	for _, n := range p.nodes {
-		if n.kind != nStore && !live[n.id] {
+		if n.kind != nStore && !lz.live[n.id] {
 			continue
 		}
 		switch n.kind {
@@ -56,6 +58,7 @@ func (p *Program) legalize(trd params.TRD, level int) error {
 		case nConst:
 			n.repl = lz.number(n)
 		case nStore:
+			p.outputs = append(p.outputs, Output{Name: n.srcName, Addr: n.addr, Blocksize: n.bs})
 			n.args[0] = n.args[0].repl
 			lz.add(n)
 		case nOp:
@@ -71,16 +74,20 @@ func (p *Program) legalize(trd params.TRD, level int) error {
 	if lz.folded {
 		lz.dropDead()
 	}
-	p.nodes = lz.nodes
+	// The legalized list becomes the program's; the parsed one stays
+	// with the legalizer as its next buffer.
+	p.nodes, lz.nodes = lz.nodes, p.nodes
 	return nil
 }
 
 // legalizer is the state of one legalize walk.
 type legalizer struct {
+	p      *Program
 	nodes  []*node        // the legalized program, in emission order
 	values map[vkey]*node // value numbering: the node computing each value
+	live   []bool         // per parsed node id: a store reaches it; dropDead's per legalized id
+	names  []string       // ·1, ·2, ...: legalizer register names, made once
 	trd    params.TRD
-	geo    params.Geometry
 	opt    bool // -O1 and up: number values and fold identities
 	pair   bool // -O2: pair div and mod of the same operands
 	synth  int  // legalizer registers named so far
@@ -103,7 +110,7 @@ type vkey struct {
 func (lz *legalizer) key(n *node) vkey {
 	k := vkey{kind: n.kind, op: n.op, bs: int32(n.bs), imm: int32(n.imm), val: n.val}
 	if n.kind == nLoad {
-		k.val = uint64(n.addr.Linear(lz.geo))
+		k.val = uint64(n.addr.Linear(lz.p.geo))
 	}
 	for i, a := range n.args {
 		k.operands[i] = int32(a.id + 1)
@@ -126,15 +133,27 @@ func (lz *legalizer) add(n *node) *node {
 	return n
 }
 
-// name returns the next legalizer register name: ·1, ·2, ...
+// name returns the next legalizer register name: ·1, ·2, ... The names
+// do not depend on the program, so each is made once per legalizer.
 func (lz *legalizer) name() string {
 	lz.synth++
-	return "·" + strconv.Itoa(lz.synth)
+	if lz.synth > len(lz.names) {
+		lz.names = append(lz.names, "·"+strconv.Itoa(lz.synth))
+	}
+	return lz.names[lz.synth-1]
 }
 
 // fresh makes a legalizer register computing op over args.
 func (lz *legalizer) fresh(op isa.OpCode, bs int, args []*node) *node {
-	return &node{kind: nOp, name: lz.name(), op: op, bs: bs, args: args}
+	return lz.p.newNode(node{kind: nOp, name: lz.name(), op: op, bs: bs, args: args})
+}
+
+// operands returns the references as one operand list, copied into
+// the program's operand array.
+func (lz *legalizer) operands(refs ...*node) []*node {
+	start := len(lz.p.args)
+	lz.p.args = append(lz.p.args, refs...)
+	return lz.p.list(start)
 }
 
 // number returns the value n computes: the node emitted earlier for an
@@ -168,7 +187,7 @@ func (lz *legalizer) konst(val uint64, bs int) *node {
 	if c, ok := lz.values[k]; ok {
 		return c
 	}
-	c := lz.add(&node{kind: nConst, name: lz.name(), val: val, bs: bs})
+	c := lz.add(lz.p.newNode(node{kind: nConst, name: lz.name(), val: val, bs: bs}))
 	lz.values[k] = c
 	return c
 }
@@ -178,7 +197,7 @@ func (lz *legalizer) konst(val uint64, bs int) *node {
 // lane is whole, so a blocksize that does not divide the track width
 // is not folded.
 func (lz *legalizer) op(n *node) *node {
-	if lz.opt && lz.geo.TrackWidth%n.bs == 0 {
+	if lz.opt && lz.p.geo.TrackWidth%n.bs == 0 {
 		if v := lz.simplify(n); v != nil {
 			return v
 		}
@@ -189,10 +208,10 @@ func (lz *legalizer) op(n *node) *node {
 		// a - b = a + ~b + 1 on the carry chain.
 		nb := lz.op(lz.fresh(isa.OpNot, n.bs, n.args[1:2]))
 		if maxAdd >= 3 {
-			return lz.op(lz.fresh(isa.OpAdd, n.bs, []*node{n.args[0], nb, lz.konst(1, n.bs)}))
+			return lz.op(lz.fresh(isa.OpAdd, n.bs, lz.operands(n.args[0], nb, lz.konst(1, n.bs))))
 		}
-		lo := lz.op(lz.fresh(isa.OpAdd, n.bs, []*node{n.args[0], nb}))
-		return lz.op(lz.fresh(isa.OpAdd, n.bs, []*node{lo, lz.konst(1, n.bs)}))
+		lo := lz.op(lz.fresh(isa.OpAdd, n.bs, lz.operands(n.args[0], nb)))
+		return lz.op(lz.fresh(isa.OpAdd, n.bs, lz.operands(lo, lz.konst(1, n.bs))))
 	case isa.OpAdd:
 		if len(n.args) > maxAdd {
 			return lz.chain(n, maxAdd)
@@ -211,7 +230,9 @@ func (lz *legalizer) chain(n *node, max int) *node {
 	args := n.args
 	t := lz.op(lz.fresh(n.op, n.bs, args[:max]))
 	for i := max; i < len(args); i += max - 1 {
-		t = lz.op(lz.fresh(n.op, n.bs, append([]*node{t}, args[i:min(i+max-1, len(args))]...)))
+		start := len(lz.p.args)
+		lz.p.args = append(append(lz.p.args, t), args[i:min(i+max-1, len(args))]...)
+		t = lz.op(lz.fresh(n.op, n.bs, lz.p.list(start)))
 	}
 	return t
 }
@@ -316,7 +337,8 @@ func narrow(n *node, bs int) bool {
 // dropDead removes the values no store reaches any longer, walking
 // back from the stores, and renumbers the survivors densely.
 func (lz *legalizer) dropDead() {
-	live := make([]bool, len(lz.nodes))
+	live := zeroed(lz.live, len(lz.nodes))
+	lz.live = live
 	for i := len(lz.nodes) - 1; i >= 0; i-- {
 		n := lz.nodes[i]
 		if n.kind != nStore && !live[i] {
@@ -337,6 +359,8 @@ func (lz *legalizer) dropDead() {
 			n.partner.partner, n.partner = nil, nil
 		}
 	}
+	// Clear the dropped tail, which the scratch's release no longer sees.
+	clear(lz.nodes[len(kept):])
 	lz.nodes = kept
 }
 
@@ -391,9 +415,10 @@ func opName(op isa.OpCode) string {
 }
 
 // liveSet marks every node reachable backwards from a store, indexed
-// by node id (dense in a parsed program).
-func liveSet(nodes []*node) []bool {
-	live := make([]bool, len(nodes))
+// by node id (dense in a parsed program), in live's array when it is
+// large enough.
+func liveSet(live []bool, nodes []*node) []bool {
+	live = zeroed(live, len(nodes))
 	for _, n := range nodes {
 		if n.kind == nStore {
 			markLive(live, n)

@@ -80,10 +80,17 @@ func (n *node) isRem() bool { return n.op == isa.OpMod && n.partner != nil }
 // Program is a parsed (and, after passes, legalized and placed) pimasm
 // program.
 type Program struct {
-	nodes  []*node
-	byName map[string]*node
-	geo    params.Geometry
-	inputs []Output // legalize: the source program's live loads, in order
+	nodes   []*node
+	byName  map[string]*node
+	geo     params.Geometry
+	inputs  []Output // legalize: the source program's live loads, in order
+	outputs []Output // legalize: the source program's stores, in order
+
+	// Every node comes from slab and every operand list from args. A
+	// full slab is replaced, never grown, so the nodes handed out
+	// already stay where they are.
+	slab []node
+	args []*node
 }
 
 func lineErr(line int, class ErrorClass, format string, args ...any) error {
@@ -101,32 +108,44 @@ func lineErr(line int, class ErrorClass, format string, args ...any) error {
 // statements.
 const MaxStatements = 1024
 
-// parser is the state of one Parse: the program being built, the slab
-// its statement nodes come from, the array its operand lists are
-// carved from, and the current line's fields.
+// parser is the state of one parse: the program being built and the
+// current line's fields.
 type parser struct {
 	*Program
-	slab   []node
-	args   []*node
 	fields []string
 }
 
 // Parse parses pimasm source, enforcing single assignment,
 // define-before-use, geometry-valid addresses and MaxStatements.
-// Errors carry 1-based line numbers as *isa.ParseError.
-//
-// A program costs a handful of allocations, not some per token: lines
-// are scanned in place, every statement's node comes from one slab
-// sized from the line count, and every operand list from one array
-// sized from the % count (each register reference has one).
+// Errors carry 1-based line numbers as *isa.ParseError. The program is
+// built on a scratch of its own; Compile parses on a pooled one.
 func Parse(src string, g params.Geometry) (*Program, error) {
-	lines := min(strings.Count(src, "\n")+1, MaxStatements)
-	ps := parser{
-		Program: &Program{nodes: make([]*node, 0, lines), byName: make(map[string]*node, lines), geo: g},
-		slab:    make([]node, lines),
-		args:    make([]*node, 0, min(strings.Count(src, "%"), maxOperandRefs)),
-		fields:  make([]string, 0, 16),
+	s := new(scratch)
+	if err := s.parse(src, g); err != nil {
+		return nil, err
 	}
+	return &s.Program, nil
+}
+
+// parse parses src into s.Program (see Parse). A program costs no
+// allocation on a warm scratch, and a handful on a cold one, not some
+// per token: lines are scanned in place, the node slab is sized from
+// the line count and the operand array from the % count (each register
+// reference has one).
+func (s *scratch) parse(src string, g params.Geometry) error {
+	lines := min(strings.Count(src, "\n")+1, MaxStatements)
+	p := &s.Program
+	p.geo = g
+	p.nodes = reuse(p.nodes, lines)
+	if p.byName == nil {
+		p.byName = make(map[string]*node, lines)
+	}
+	if cap(p.slab) < lines {
+		p.slab = make([]node, 0, lines)
+	}
+	p.args = reuse(p.args, min(strings.Count(src, "%"), maxOperandRefs))
+	ps := &s.ps
+	ps.Program, ps.fields = p, reuse(ps.fields, 16)
 	stmts := 0
 	rest, more := src, true
 	for ln := 1; more; ln++ {
@@ -136,12 +155,13 @@ func Parse(src string, g params.Geometry) (*Program, error) {
 			text = text[:j]
 		}
 		var comma bool
+		clear(ps.fields) // a shorter line must not leave the longer one's fields behind
 		ps.fields, comma = splitFields(ps.fields[:0], text)
 		if len(ps.fields) == 0 && !comma {
 			continue // blank or comment only
 		}
 		if stmts++; stmts > MaxStatements {
-			return nil, lineErr(ln, ClassTooLarge, "program exceeds %d statements", MaxStatements)
+			return lineErr(ln, ClassTooLarge, "program exceeds %d statements", MaxStatements)
 		}
 		var err error
 		switch fields := ps.fields; {
@@ -155,10 +175,30 @@ func Parse(src string, g params.Geometry) (*Program, error) {
 			err = lineErr(ln, ClassSyntax, "want \"%%reg = ...\" or \"store %%reg, <addr>\", got %q", strings.TrimSpace(text))
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return ps.Program, nil
+	return nil
+}
+
+// reuse returns buf emptied, on its own array when that holds n
+// elements, else on a new one.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
+}
+
+// zeroed returns buf resliced to n zero elements, on its own array when
+// that holds them, else on a new one.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // maxOperandRefs caps the operand array Parse sizes up front, so a
@@ -216,19 +256,27 @@ func (p *Program) add(n *node) *node {
 	return n
 }
 
-// stmt adds a statement's node, taken from the slab, to the program.
-func (ps *parser) stmt(n node) *node {
-	s := &ps.slab[0]
-	ps.slab = ps.slab[1:]
-	*s = n
-	return ps.add(s)
+// newNode returns a copy of n taken from the slab. When the slab is
+// full it starts a new one twice the size, so every node handed out
+// keeps its address.
+func (p *Program) newNode(n node) *node {
+	if len(p.slab) == cap(p.slab) {
+		p.slab = make([]node, 0, max(16, 2*cap(p.slab)))
+	}
+	p.slab = append(p.slab, n)
+	return &p.slab[len(p.slab)-1]
 }
 
-// operands returns the operand references appended to ps.args since
-// start as one list. The list's capacity ends at its length, so an
-// in-place rewrite of one list never reaches the next.
-func (ps *parser) operands(start int) []*node {
-	return ps.args[start:len(ps.args):len(ps.args)]
+// list returns the operand references appended to p.args since start
+// as one list. The list's capacity ends at its length, so an in-place
+// rewrite of one list never reaches the next.
+func (p *Program) list(start int) []*node {
+	return p.args[start:len(p.args):len(p.args)]
+}
+
+// stmt adds a statement's node, taken from the slab, to the program.
+func (ps *parser) stmt(n node) *node {
+	return ps.add(ps.newNode(n))
 }
 
 func (ps *parser) lookup(field string, line int) (*node, error) {
@@ -276,7 +324,7 @@ func (ps *parser) parseStore(fields []string, line int) error {
 	}
 	start := len(ps.args)
 	ps.args = append(ps.args, arg)
-	ps.stmt(node{kind: nStore, srcName: arg.name, line: line, bs: arg.bs, addr: addr, args: ps.operands(start)})
+	ps.stmt(node{kind: nStore, srcName: arg.name, line: line, bs: arg.bs, addr: addr, args: ps.list(start)})
 	return nil
 }
 
@@ -362,7 +410,7 @@ func (ps *parser) parseAssign(fields []string, line int) error {
 	if expr == "sub" {
 		op = opSub
 	}
-	ps.stmt(node{kind: nOp, name: name, line: line, op: op, bs: bs, imm: imm, args: ps.operands(start)})
+	ps.stmt(node{kind: nOp, name: name, line: line, op: op, bs: bs, imm: imm, args: ps.list(start)})
 	return nil
 }
 

@@ -27,7 +27,8 @@ type PlanStats struct {
 
 // layout is the placement result: every value has a home row, every op
 // an executing PIM DBC, all in one bank so the §III-A staging rule
-// holds with the fewest row-buffer crossings.
+// holds with the fewest row-buffer crossings. It also holds the
+// placement pass's buffers, kept for the next compile.
 type layout struct {
 	opt      bool
 	pipeline bool // -O2: staging spread for overlapped batch windows
@@ -55,13 +56,24 @@ type layout struct {
 	// pr tracks the heads in placement order, so choices read the cost
 	// of an access or a kernel as the head would then stand. Placement
 	// leaves every head at rest again for the schedule and the price.
-	pr *memory.Pricer
+	// It prices memories of configuration cfg.
+	pr  *memory.Pricer
+	cfg params.Config
 	// lanes prices the lanes of a window placement or scheduling is
 	// still building; fp holds the footprint being added or peeked.
 	lanes memory.Lanes
 	fp    []isa.Addr
 
 	recycled int // home rows returned to the allocators by liveness
+
+	// Per-pass buffers: the companions' free stacks, bank votes, and
+	// per-node-id row owners, direct stores and last-use levels.
+	stacks    []int
+	votes     []int
+	owned     []rowOwner
+	directFor []*node
+	lastUse   []int
+	operands  []isa.Addr
 }
 
 // execDBC is one executing PIM DBC and its companion: a staging DBC of
@@ -178,44 +190,48 @@ const execDBCs = 4
 // against.
 // recycle false turns off liveness-driven row recycling at level >= 1:
 // the ablation the recycling tests compare against.
-func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, error) {
+func (lay *layout) place(p *Program, cfg params.Config, level int, recycle bool) error {
 	g := cfg.Geometry
 	opt := level >= 1
 	nExec := 1
 	if opt {
 		nExec = min(execDBCs, g.SubarraysPerBank*g.PIMTilesPerSub*g.PIMDBCsPerTile)
 	}
-	lay := &layout{
-		opt:       opt,
-		pipeline:  level >= 2,
-		recycle:   opt && recycle,
-		geo:       g,
-		pool:      make([]execDBC, 0, nExec),
-		free:      make(map[isa.Addr][]int, nExec),
-		reserved:  make(map[isa.Addr]bool),
-		availFrom: make(map[isa.Addr]int),
-		pr:        memory.NewPricer(cfg),
-		lanes:     memory.NewLanes(len(p.nodes)),
-		fp:        make([]isa.Addr, 0, 16),
+	lay.opt, lay.pipeline, lay.recycle, lay.geo = opt, level >= 2, opt && recycle, g
+	lay.pool = reuse(lay.pool, nExec)
+	if lay.free == nil {
+		lay.free = make(map[isa.Addr][]int, nExec)
+		lay.reserved = make(map[isa.Addr]bool)
+		lay.availFrom = make(map[isa.Addr]int)
 	}
+	clear(lay.free)
+	clear(lay.reserved)
+	clear(lay.availFrom)
+	lay.stageRows, lay.stageSeq, lay.recycled = lay.stageRows[:0], 0, 0
+	if lay.pr == nil || lay.cfg != cfg {
+		lay.pr, lay.cfg = memory.NewPricer(cfg), cfg
+	}
+	lay.pr.Reset()
+	lay.lanes.Reserve(len(p.nodes), 2*len(p.nodes)+8)
+	lay.fp = reuse(lay.fp, 16)
 
 	// The program's own rows (and their whole DBCs) are off-limits to
 	// the allocators, so a home can never alias a load or store address,
 	// even a load whose every use folded away. The rows the plan
 	// touches vote for the exec bank.
-	bankVotes := make([]int, g.Banks)
+	lay.votes = zeroed(lay.votes, g.Banks)
 	for _, in := range p.inputs {
 		lay.reserved[dbcBase(in.Addr)] = true
 	}
 	for _, n := range p.nodes {
 		if n.kind == nLoad || n.kind == nStore {
 			lay.reserved[dbcBase(n.addr)] = true
-			bankVotes[n.addr.Bank]++
+			lay.votes[n.addr.Bank]++
 		}
 	}
 	lay.execBank = 0
 	bestVotes := -1
-	for b, v := range bankVotes {
+	for b, v := range lay.votes {
 		if v > bestVotes {
 			lay.execBank, bestVotes = b, v
 		}
@@ -233,11 +249,11 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 		}
 	}
 	if len(lay.pool) == 0 {
-		return nil, fmt.Errorf("pimc: no free PIM-enabled DBC in bank %d", lay.execBank)
+		return fmt.Errorf("pimc: no free PIM-enabled DBC in bank %d", lay.execBank)
 	}
 	// Staging DBCs hand out every row: nearest port first when
 	// optimizing, sequentially from row 0 in the naive layout.
-	lay.stageOrder = make([]int, g.RowsPerDBC)
+	lay.stageOrder = reuse(lay.stageOrder, g.RowsPerDBC)[:g.RowsPerDBC]
 	for r := range lay.stageOrder {
 		lay.stageOrder[r] = r
 	}
@@ -246,14 +262,14 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 		// Each companion's free stack is stageOrder reversed, in an
 		// array of its own.
 		rows := len(lay.stageOrder)
-		stacks := make([]int, len(lay.pool)*rows)
+		lay.stacks = reuse(lay.stacks, len(lay.pool)*rows)[:len(lay.pool)*rows]
 		for i := range lay.pool {
 			x := &lay.pool[i]
 			x.comp = x.base
 			if comp, ok := lay.pickCompanion(x.base.Subarray); ok {
 				x.comp = comp
 				lay.reserved[comp] = true
-				stack := stacks[i*rows : (i+1)*rows : (i+1)*rows]
+				stack := lay.stacks[i*rows : (i+1)*rows : (i+1)*rows]
 				for j, r := range lay.stageOrder {
 					stack[rows-1-j] = r
 				}
@@ -264,7 +280,8 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 
 	// Pass 1: level-0 values (loads, constants). owned, lastUse and
 	// directFor are indexed by node id, which legalize leaves dense.
-	owned := make([]rowOwner, len(p.nodes))
+	lay.owned = zeroed(lay.owned, len(p.nodes))
+	owned := lay.owned
 	for _, n := range p.nodes {
 		switch n.kind {
 		case nLoad:
@@ -274,7 +291,7 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 			}
 			home, err := lay.stageRow()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			n.home = home
 			owned[n.id] = rowOwner{base: dbcBase(home), staged: true, held: true}
@@ -283,7 +300,7 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 		case nConst:
 			home, err := lay.stageRow()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			n.home = home
 			owned[n.id] = rowOwner{base: dbcBase(home), staged: true, held: true}
@@ -292,7 +309,8 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 	}
 
 	// First same-bank store of each op can become the request Dst.
-	directFor := make([]*node, len(p.nodes))
+	lay.directFor = zeroed(lay.directFor, len(p.nodes))
+	directFor := lay.directFor
 	if opt {
 		for _, n := range p.nodes {
 			if n.kind != nStore {
@@ -316,7 +334,8 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 	// from level L+1 on.
 	var lastUse []int
 	if lay.recycle {
-		lastUse = make([]int, len(p.nodes))
+		lay.lastUse = zeroed(lay.lastUse, len(p.nodes))
+		lastUse = lay.lastUse
 		for _, n := range p.nodes {
 			switch n.kind {
 			case nOp:
@@ -329,7 +348,7 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 		}
 	}
 
-	operands := make([]isa.Addr, 0, 8)
+	operands := reuse(lay.operands, 8)
 	for lv := 1; lv <= levels; lv++ {
 		// Recycle the home rows of values consumed for the last time by
 		// the previous level: push each row back on the stack of the
@@ -365,14 +384,14 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 			x, cycles, private := lay.chooseExec(n, directFor)
 			n.exec = x.base
 			if err := lay.homeResult(n, x, directFor[n.id], owned); err != nil {
-				return nil, err
+				return err
 			}
 			// A paired div's request also writes its mod's value.
 			var rem *isa.Addr
 			if r := n.rem(); r != nil {
 				r.exec = x.base
 				if err := lay.homeResult(r, x, directFor[r.id], owned); err != nil {
-					return nil, err
+					return err
 				}
 				rem = &r.home
 			}
@@ -384,10 +403,11 @@ func (p *Program) place(cfg params.Config, level int, recycle bool) (*layout, er
 			lay.lanes.Add(lay.opFootprint(n, x, private, n.home, remHome(n)), cycles)
 		}
 	}
+	lay.operands = operands
 	// The plan runs from rest: scheduling peeks the heads there, and
 	// Compile prices the plan from there.
 	lay.pr.Reset()
-	return lay, nil
+	return nil
 }
 
 // homeResult homes the value op n computes on x: at its store when
@@ -591,7 +611,7 @@ func (lay *layout) stageRow() (isa.Addr, error) {
 			return isa.Addr{}, fmt.Errorf("pimc: staging rows exhausted in bank %d", lay.execBank)
 		}
 		i := len(bases) * len(lay.stageOrder)
-		lay.stageRows = make([]isa.Addr, i)
+		lay.stageRows = reuse(lay.stageRows, i)[:i]
 		for _, r := range lay.stageOrder {
 			for _, base := range bases {
 				base.Row = r

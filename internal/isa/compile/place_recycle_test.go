@@ -49,18 +49,17 @@ func chainProg(n int) string {
 // compileNoRecycle compiles src at -O1 with liveness recycling turned
 // off: Compile's passes, through place's ablation switch.
 func compileNoRecycle(src string, cfg params.Config) (*Plan, error) {
-	prog, err := Parse(src, cfg.Geometry)
-	if err != nil {
+	s := new(scratch)
+	if err := s.parse(src, cfg.Geometry); err != nil {
 		return nil, err
 	}
-	if err := prog.legalize(cfg.TRD, 1); err != nil {
+	if err := s.lz.legalize(&s.Program, cfg.TRD, 1); err != nil {
 		return nil, err
 	}
-	lay, err := prog.place(cfg, 1, false)
-	if err != nil {
+	if err := s.lay.place(&s.Program, cfg, 1, false); err != nil {
 		return nil, err
 	}
-	return buildPlan(prog, lay)
+	return s.sch.build(&s.Program, &s.lay)
 }
 
 // TestRecyclingExtendsCapacity is the ROADMAP capacity claim: a chain

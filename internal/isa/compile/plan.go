@@ -36,12 +36,30 @@ type Plan struct {
 	Steps []Step
 }
 
-// buildPlan schedules the placed program. Every request is carved from
-// one array and every exec request's operand list from another, both
-// sized to the program; there are at most as many windows as requests.
-func buildPlan(p *Program, lay *layout) (*Plan, error) {
+// schedule holds the scheduling pass's buffers, kept for the next
+// compile: the -O2 scheduler's queues and per-level lists, and the lane
+// values of the constant being packed.
+type schedule struct {
+	needHome []bool
+	stored   []isa.Addr
+	queued   []winReq
+	occupied []winBase
+	privs    []privRow
+	freed    []isa.Addr
+	ops      []*node
+	priv     []bool
+	est      []int
+	at       []int
+	consts   []uint64
+}
+
+// build schedules the placed program. Every request is carved from one
+// array and every exec request's operand list from another, both sized
+// to the program; there are at most as many windows as requests. The
+// plan owns both arrays: nothing in it aliases the schedule's buffers.
+func (sch *schedule) build(p *Program, lay *layout) (*Plan, error) {
 	if lay.pipeline {
-		return buildPipelined(p, lay)
+		return sch.buildPipelined(p, lay)
 	}
 	levels := p.levelize()
 	nReqs, nArgs := 0, 0
@@ -70,7 +88,7 @@ func buildPlan(p *Program, lay *layout) (*Plan, error) {
 	for _, n := range p.nodes {
 		switch {
 		case n.kind == nConst:
-			row, err := packConst(n.val, n.bs, width)
+			row, err := sch.packConst(n.val, n.bs, width)
 			if err != nil {
 				return nil, fmt.Errorf("pimc: constant %%%s: %w", n.name, err)
 			}
@@ -136,7 +154,7 @@ func buildPlan(p *Program, lay *layout) (*Plan, error) {
 // window the row's previous reader has not reached — takePrivate
 // enforces it, and same-window reuse is safe because exec requests
 // precede the privatization writes appended to their window.
-func buildPipelined(p *Program, lay *layout) (*Plan, error) {
+func (sch *schedule) buildPipelined(p *Program, lay *layout) (*Plan, error) {
 	width := lay.geo.TrackWidth
 	levels := p.levelize()
 
@@ -144,7 +162,8 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 	// privatization fallbacks, loads whose user row a store clobbers)
 	// still need the generic window-0 staging. needHome is indexed by
 	// node id, which legalize leaves dense.
-	needHome := make([]bool, len(p.nodes))
+	sch.needHome = zeroed(sch.needHome, len(p.nodes))
+	needHome := sch.needHome
 	nStores, nOps, nArgs := 0, 0, 0
 	for _, n := range p.nodes {
 		switch n.kind {
@@ -161,7 +180,8 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 			}
 		}
 	}
-	stored := make([]isa.Addr, 0, nStores)
+	sch.stored = reuse(sch.stored, nStores)
+	stored := sch.stored
 	for _, n := range p.nodes {
 		if n.kind == nStore {
 			stored = append(stored, n.addr)
@@ -176,22 +196,29 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 	// Requests queue with their window, at most one exec per op and one
 	// privatization per operand, and are laid out by window at the end;
 	// every per-level list is sized up front to the same bounds.
+	// The node-holding queues (queued, privs, ops) live in sch, so the
+	// scratch's release clears what they hold.
 	nWins := max(1, 2*levels)
-	queued := make([]winReq, 0, nOps+nArgs)
-	occupied := make([]winBase, 0, 3*(nOps+nArgs)) // DBCs each window's requests lock so far
-	privs := make([]privRow, 0, nArgs)
-	freed := make([]isa.Addr, 0, nArgs)
-	ops := make([]*node, 0, nOps)
-	priv := make([]bool, 0, nArgs) // per operand of the level's ops, in order: privatize it
-	est := make([]int, 0, nOps)    // per op of the level: predicted cycles, every head at rest
+	sch.queued = reuse(sch.queued, nOps+nArgs)
+	sch.occupied = reuse(sch.occupied, 3*(nOps+nArgs)) // DBCs each window's requests lock so far
+	occupied := sch.occupied
+	sch.privs = reuse(sch.privs, nArgs)
+	sch.freed = reuse(sch.freed, nArgs)
+	freed := sch.freed
+	sch.ops = reuse(sch.ops, nOps)
+	sch.priv = reuse(sch.priv, nArgs) // per operand of the level's ops, in order: privatize it
+	sch.est = reuse(sch.est, nOps)    // per op of the level: predicted cycles, every head at rest
+	priv, est := sch.priv, sch.est
 	var basesBuf [2]isa.Addr
 	for lv := 1; lv <= levels; lv++ {
-		ops = ops[:0]
+		clear(sch.ops)
+		sch.ops = sch.ops[:0]
 		for _, n := range p.nodes {
 			if n.kind == nOp && n.level == lv && !n.isRem() {
-				ops = append(ops, n)
+				sch.ops = append(sch.ops, n)
 			}
 		}
+		ops := sch.ops
 		// Privatization is cost-driven: an operand homed outside its
 		// op's DBC pair moves into the companion only when that shortens
 		// the level's predicted window by more than the copy's predicted
@@ -237,7 +264,7 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 					continue
 				}
 				k := privKey{val: a, exec: e, lv: lv}
-				if row, ok := findPriv(privs, k); ok {
+				if row, ok := findPriv(sch.privs, k); ok {
 					backing = append(backing, row)
 					continue
 				}
@@ -246,7 +273,7 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 				case a.kind == nConst:
 					// Constants replicate at the destination: a direct
 					// lane-broadcast write, no shared intermediate.
-					packed, err := packConst(a.val, a.bs, width)
+					packed, err := sch.packConst(a.val, a.bs, width)
 					if err != nil {
 						return nil, fmt.Errorf("pimc: constant %%%s: %w", a.name, err)
 					}
@@ -298,11 +325,11 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 					continue
 				}
 				req.Dst = row
-				queued = append(queued, winReq{win, req})
+				sch.queued = append(sch.queued, winReq{win, req})
 				for _, b := range bases {
 					occupied = append(occupied, winBase{win, b})
 				}
-				privs = append(privs, privRow{k, row})
+				sch.privs = append(sch.privs, privRow{k, row})
 				freed = append(freed, row)
 				backing = append(backing, row)
 			}
@@ -318,7 +345,7 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 				req.Rem = &backing[len(backing)-1]
 				occupied = append(occupied, winBase{w, dbcBase(r.home)})
 			}
-			queued = append(queued, winReq{w, req})
+			sch.queued = append(sch.queued, winReq{w, req})
 			for _, oa := range operands {
 				occupied = append(occupied, winBase{w, dbcBase(oa)})
 			}
@@ -346,7 +373,8 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 		return needHome[n.id] && (n.kind == nConst || n.kind == nLoad && n.home != n.addr)
 	}
 	drain := func(n *node) bool { return n.kind == nStore && !n.direct }
-	at := make([]int, nWins+1)
+	sch.at = zeroed(sch.at, nWins+1)
+	at := sch.at
 	for _, n := range p.nodes {
 		switch {
 		case stage(n):
@@ -355,7 +383,7 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 			at[nWins]++
 		}
 	}
-	for _, q := range queued {
+	for _, q := range sch.queued {
 		at[q.win]++
 	}
 	total := 0
@@ -372,14 +400,14 @@ func buildPipelined(p *Program, lay *layout) (*Plan, error) {
 		case stage(n) && n.kind == nLoad:
 			put(0, memory.Request{Kind: memory.KindCopy, Src: n.addr, Dst: n.home})
 		case stage(n):
-			packed, err := packConst(n.val, n.bs, width)
+			packed, err := sch.packConst(n.val, n.bs, width)
 			if err != nil {
 				return nil, fmt.Errorf("pimc: constant %%%s: %w", n.name, err)
 			}
 			put(0, memory.Request{Kind: memory.KindWrite, Dst: n.home, Row: packed})
 		}
 	}
-	for _, q := range queued {
+	for _, q := range sch.queued {
 		put(q.win, q.req)
 	}
 	for _, n := range p.nodes {
@@ -512,13 +540,14 @@ func containsAddr(list []isa.Addr, a isa.Addr) bool {
 	return false
 }
 
-// packConst broadcasts val into every bs-bit lane of a width-bit row.
-func packConst(val uint64, bs, width int) (dbc.Row, error) {
-	lanes := make([]uint64, width/bs)
-	for l := range lanes {
-		lanes[l] = val
+// packConst broadcasts val into every bs-bit lane of a width-bit row,
+// a row of its own.
+func (sch *schedule) packConst(val uint64, bs, width int) (dbc.Row, error) {
+	sch.consts = reuse(sch.consts, width/bs)[:width/bs]
+	for l := range sch.consts {
+		sch.consts[l] = val
 	}
-	return pim.PackLanes(lanes, bs, width)
+	return pim.PackLanes(sch.consts, bs, width)
 }
 
 // Run executes the plan against the memory. The memory's rows at the

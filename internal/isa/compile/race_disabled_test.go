@@ -1,0 +1,7 @@
+//go:build !race
+
+package compile
+
+// raceEnabled reports whether this binary was built with the race
+// detector; see race_enabled_test.go.
+const raceEnabled = false

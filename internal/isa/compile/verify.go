@@ -142,7 +142,7 @@ func (p *Program) verify(warn bool) []Diag {
 			used[a.id] = true
 		}
 	}
-	live := liveSet(p.nodes)
+	live := liveSet(nil, p.nodes)
 	for _, n := range p.nodes {
 		if n.kind == nStore {
 			continue
@@ -206,7 +206,7 @@ func Vet(src string, cfg params.Config) []Diag {
 		return []Diag{diagOf(err)}
 	}
 	diags := prog.Verify()
-	live := liveSet(prog.nodes)
+	live := liveSet(nil, prog.nodes)
 	for _, n := range prog.nodes {
 		if n.kind == nOp && live[n.id] {
 			if err := checkOp(n, cfg.TRD); err != nil {

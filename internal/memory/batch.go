@@ -63,12 +63,18 @@ type Result struct {
 type batchGroup struct {
 	reqs  []int      // request indices, ascending (program order)
 	bases []isa.Addr // union of the requests' footprints, sorted
+
+	nreqs, nbases int // the lists' lengths, counted before planBatch carves them
 }
 
 // batchScratch holds every planning-time buffer of a batch: the plans,
 // the grouping lanes, and the groups themselves. ExecuteBatch and the
 // Pricer draw one from a pool and return it, so steady-state batches
-// plan without allocating; a BatchPlan owns one.
+// plan without allocating; a BatchPlan owns one. Every plan's footprint
+// and every group's request list and footprint are carved from shared
+// arrays sized from the batch, so a cold scratch (a pool miss, or a
+// BatchPlan's) costs a fixed handful of allocations, not some per
+// request.
 type batchScratch struct {
 	plans    []execPlan
 	runnable []bool
@@ -78,32 +84,50 @@ type batchScratch struct {
 	lanes    Lanes // one member per request
 	groupIdx []int // lane root -> index into groups
 
+	footprints []isa.Addr // every plan's footprint, room for its operands+3 DBCs
+	groupReqs  []int      // every group's request list
+	groupBases []isa.Addr // every group's footprint
+
 	shards []*shard // per-group shard buffer
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(batchScratch) }}
 
-// reset sizes the per-request buffers for n requests, reusing capacity.
-func (s *batchScratch) reset(n int) {
+// reset sizes the scratch for a batch of the requests, reusing
+// capacity. Each plan's footprint gets room for its request's operands,
+// the executing or source DBC, the destination and a remainder, the
+// most planRequest appends.
+func (s *batchScratch) reset(reqs []Request) {
+	n, total := len(reqs), 0
+	for _, r := range reqs {
+		total += len(r.Operands) + 3
+	}
 	if cap(s.plans) < n {
 		s.plans = make([]execPlan, n)
 		s.runnable = make([]bool, n)
 		s.errs = make([]error, n)
-		s.groupIdx = make([]int, n)
+		ints := make([]int, 2*n)
+		s.groupIdx, s.groupReqs = ints[:n:n], ints[n:n]
+		s.groups = make([]batchGroup, 0, n)
 	}
+	if cap(s.footprints) < total {
+		s.footprints = make([]isa.Addr, total)
+		s.groupBases = make([]isa.Addr, 0, total)
+	}
+	s.lanes.Reserve(n, total)
 	s.plans = s.plans[:n]
 	s.runnable = s.runnable[:n]
 	s.errs = s.errs[:n]
 	s.groupIdx = s.groupIdx[:n]
-	for i := 0; i < n; i++ {
-		// Keep each plan's bases backing array: planBatch hands it back
-		// to planRequest, so steady-state planning reuses it.
-		s.plans[i] = execPlan{bases: s.plans[i].bases[:0]}
+	off := 0
+	for i, r := range reqs {
+		end := off + len(r.Operands) + 3
+		s.plans[i] = execPlan{bases: s.footprints[off:off:end]}
+		off = end
 		s.runnable[i] = false
 		s.errs[i] = nil
 		s.groupIdx[i] = -1
 	}
-	s.lanes.Reset()
 	s.groups = s.groups[:0]
 }
 
@@ -123,16 +147,17 @@ type Lanes struct {
 	owner  []int      // the first member that touched each of them
 }
 
-// NewLanes returns an empty window with room for n members, carved
-// from two allocations.
-func NewLanes(n int) Lanes {
-	ints := make([]int, 3*n)
-	return Lanes{
-		parent: ints[0:0:n],
-		cycles: ints[n : n : 2*n],
-		owner:  ints[2*n : 2*n : 3*n],
-		bases:  make([]isa.Addr, 0, 2*n+8),
+// Reserve empties the window and makes room for n members touching at
+// most bases DBCs, so adding them allocates nothing.
+func (l *Lanes) Reserve(n, bases int) {
+	if cap(l.parent) < n {
+		ints := make([]int, 3*n)
+		l.parent, l.cycles, l.owner = ints[0:0:n], ints[n:n:2*n], ints[2*n:2*n:3*n]
 	}
+	if cap(l.bases) < bases {
+		l.bases = make([]isa.Addr, 0, bases)
+	}
+	l.Reset()
 }
 
 // Reset empties the window, keeping its capacity.
@@ -221,7 +246,7 @@ func (l *Lanes) Span() int {
 // request index, and each group's request list preserves program
 // order. All state lands in s.
 func (pl *planner) planBatch(reqs []Request, s *batchScratch) {
-	s.reset(len(reqs))
+	s.reset(reqs)
 	for i, r := range reqs {
 		// Every request is a member, so member and request indices
 		// agree; a rejected one touches nothing and joins no lane.
@@ -235,32 +260,48 @@ func (pl *planner) planBatch(reqs []Request, s *batchScratch) {
 		s.lanes.Add(p.bases, 0)
 	}
 
+	// Number the groups in first-request order and count each one's
+	// requests and DBCs: a lane's DBCs are the distinct ones its
+	// requests touched, each owned by the request that touched it first.
 	for i := range s.plans {
-		if !s.runnable[i] {
-			continue
+		if s.runnable[i] {
+			s.group(i).nreqs++
 		}
-		r := s.lanes.root(i)
-		gi := s.groupIdx[r]
-		if gi < 0 {
-			gi = len(s.groups)
-			s.groupIdx[r] = gi
-			if len(s.groups) < cap(s.groups) {
-				// Re-extend into pooled capacity, reusing the retired
-				// group's inner slices.
-				s.groups = s.groups[:gi+1]
-				s.groups[gi].reqs = s.groups[gi].reqs[:0]
-				s.groups[gi].bases = s.groups[gi].bases[:0]
-			} else {
-				s.groups = append(s.groups, batchGroup{})
-			}
-		}
+	}
+	for _, o := range s.lanes.owner {
+		s.group(o).nbases++
+	}
+	// Carve each group's lists from the shared arrays, then fill them.
+	r0, b0 := 0, 0
+	for gi := range s.groups {
 		g := &s.groups[gi]
-		g.reqs = append(g.reqs, i)
-		g.bases = append(g.bases, s.plans[i].bases...)
+		g.reqs, r0 = s.groupReqs[r0:r0:r0+g.nreqs], r0+g.nreqs
+		g.bases, b0 = s.groupBases[b0:b0:b0+g.nbases], b0+g.nbases
+	}
+	for i := range s.plans {
+		if s.runnable[i] {
+			g := s.group(i)
+			g.reqs = append(g.reqs, i)
+		}
+	}
+	for k, o := range s.lanes.owner {
+		g := s.group(o)
+		g.bases = append(g.bases, s.lanes.bases[k])
 	}
 	for gi := range s.groups {
 		s.groups[gi].bases = pl.sortBases(s.groups[gi].bases)
 	}
+}
+
+// group returns the group of runnable request i's lane, numbering a new
+// group the first time the lane is seen.
+func (s *batchScratch) group(i int) *batchGroup {
+	r := s.lanes.root(i)
+	if s.groupIdx[r] < 0 {
+		s.groupIdx[r] = len(s.groups)
+		s.groups = append(s.groups, batchGroup{})
+	}
+	return &s.groups[s.groupIdx[r]]
 }
 
 // ExecuteBatch runs a batch of requests, exploiting DBC-level

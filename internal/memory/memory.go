@@ -740,12 +740,12 @@ func (m *Memory) Execute(in isa.Instruction, operands []isa.Addr, dst isa.Addr) 
 func (m *Memory) run(r Request) (dbc.Row, error) {
 	s := scratchPool.Get().(*batchScratch)
 	defer scratchPool.Put(s)
-	s.reset(1)
+	one := [1]Request{r}
+	s.reset(one[:])
 	p, err := m.planRequest(r, s.plans[0].bases)
 	if err != nil {
 		return dbc.Row{}, err
 	}
-	s.plans[0].bases = p.bases // reused by the next request's plan
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	shards, err := m.shardsInto(s.shards[:0], p.bases)
