@@ -401,8 +401,11 @@ func TestExecuteNoFaultAllocsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	toggled, err := NewMemory(cfg, WithRecovery(DefaultRecoveryPolicy()))
+	toggled, err := NewMemory(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := toggled.SetRecovery(DefaultRecoveryPolicy()); err != nil {
 		t.Fatal(err)
 	}
 	if err := toggled.SetRecovery(RecoveryPolicy{}); err != nil {

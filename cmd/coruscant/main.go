@@ -21,7 +21,6 @@
 //
 //	coruscant -trace out.json demo   # Chrome trace_event JSON; open in
 //	                                 # https://ui.perfetto.dev
-//	coruscant -jsonl out.jsonl demo  # one JSON event per line
 //	coruscant -metrics demo          # text metrics report on exit
 //	coruscant -debug-addr :8080 all  # /metrics (Prometheus) +
 //	                                 # /debug/pprof server
@@ -81,7 +80,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("coruscant", flag.ContinueOnError)
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON file (open in Perfetto)")
-	jsonlPath := fs.String("jsonl", "", "write telemetry events as JSON lines")
 	metrics := fs.Bool("metrics", false, "print the telemetry metrics report on exit")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile")
 	memProfile := fs.String("memprofile", "", "write a heap profile on exit")
@@ -128,27 +126,19 @@ func run(args []string) error {
 	// Assemble the telemetry recorder when any observability output is
 	// requested; a nil recorder keeps the disabled path free.
 	var sinks []telemetry.Sink
-	var closers []*os.File
+	var traceFile *os.File
 	var chrome *telemetry.ChromeSink
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			return err
 		}
-		closers = append(closers, f)
+		traceFile = f
 		chrome = telemetry.NewChromeSink(f)
 		sinks = append(sinks, chrome)
 	}
-	if *jsonlPath != "" {
-		f, err := os.Create(*jsonlPath)
-		if err != nil {
-			return err
-		}
-		closers = append(closers, f)
-		sinks = append(sinks, telemetry.NewJSONLSink(f))
-	}
 	var rec *telemetry.Recorder
-	if len(sinks) > 0 || *metrics || *debugAddr != "" {
+	if chrome != nil || *metrics || *debugAddr != "" {
 		// Every recorder-backed run also feeds the hardware profiler;
 		// with a Chrome sink attached its per-DBC counters stream into
 		// the trace as Perfetto counter tracks.
@@ -186,8 +176,8 @@ func run(args []string) error {
 	if err := rec.Close(); err != nil && runErr == nil {
 		runErr = err
 	}
-	for _, f := range closers {
-		if err := f.Close(); err != nil && runErr == nil {
+	if traceFile != nil {
+		if err := traceFile.Close(); err != nil && runErr == nil {
 			runErr = err
 		}
 	}

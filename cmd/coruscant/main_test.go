@@ -92,8 +92,7 @@ func TestRunHelpAndEmpty(t *testing.T) {
 func TestRunDemoWithTraceProducesValidChromeJSON(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "out.json")
-	jsonlPath := filepath.Join(dir, "out.jsonl")
-	if err := run([]string{"-trace", tracePath, "-jsonl", jsonlPath, "-metrics", "demo"}); err != nil {
+	if err := run([]string{"-trace", tracePath, "-metrics", "demo"}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(tracePath)
@@ -106,13 +105,6 @@ func TestRunDemoWithTraceProducesValidChromeJSON(t *testing.T) {
 	}
 	if len(records) == 0 {
 		t.Fatal("trace file has no events")
-	}
-	jl, err := os.ReadFile(jsonlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jl) == 0 {
-		t.Fatal("jsonl file is empty")
 	}
 }
 

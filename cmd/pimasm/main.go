@@ -69,7 +69,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("pimasm", flag.ContinueOnError)
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON file for exec (open in Perfetto)")
-	jsonlPath := fs.String("jsonl", "", "write exec telemetry events as JSON lines")
 	metrics := fs.Bool("metrics", false, "print the telemetry metrics report after exec")
 	level := fs.Int("O", 1, "pimc placement level: 0 naive, 1 placement-aware, 2 pipelined windows")
 	dump := fs.Bool("dump", false, "print each pimc compiler pass's output")
@@ -132,20 +131,20 @@ func run(args []string) error {
 		if len(args) < 2 {
 			return fmt.Errorf("compile needs a program file")
 		}
-		return compileProg(cfg, args[1], *level, *dump, *tracePath, *jsonlPath, *metrics, false, *prof)
+		return compileProg(cfg, args[1], *level, *dump, *tracePath, *metrics, false, *prof)
 	case "exec":
 		if len(args) < 2 {
 			return fmt.Errorf("exec needs instruction strings or a program file")
 		}
 		if len(args) == 2 {
 			if _, err := os.Stat(args[1]); err == nil {
-				return compileProg(cfg, args[1], *level, *dump, *tracePath, *jsonlPath, *metrics, true, *prof)
+				return compileProg(cfg, args[1], *level, *dump, *tracePath, *metrics, true, *prof)
 			}
 		}
 		if *prof {
 			return fmt.Errorf("-profile compares the placement model against a profiled run, so it needs a program file")
 		}
-		return exec(cfg, args[1:], *tracePath, *jsonlPath, *metrics)
+		return exec(cfg, args[1:], *tracePath, *metrics)
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
@@ -176,42 +175,49 @@ func vetProgs(cfg params.Config, paths []string) error {
 }
 
 // newRecorder wires the telemetry flags into a recorder (nil when no
-// flag asked for one) plus the files to close afterwards. Extra sinks
-// (the hardware profiler) force recorder creation.
-func newRecorder(cfg params.Config, tracePath, jsonlPath string, metrics bool, extra ...telemetry.Sink) (*telemetry.Recorder, []*os.File, error) {
+// flag asked for one) plus the trace file to close afterwards (nil
+// without -trace). Extra sinks (the hardware profiler) force recorder
+// creation.
+func newRecorder(cfg params.Config, tracePath string, metrics bool, extra ...telemetry.Sink) (*telemetry.Recorder, *os.File, error) {
 	var sinks []telemetry.Sink
-	var files []*os.File
+	var file *os.File
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
 		if err != nil {
 			return nil, nil, err
 		}
-		files = append(files, f)
+		file = f
 		sinks = append(sinks, telemetry.NewChromeSink(f))
-	}
-	if jsonlPath != "" {
-		f, err := os.Create(jsonlPath)
-		if err != nil {
-			for _, f := range files {
-				f.Close()
-			}
-			return nil, nil, err
-		}
-		files = append(files, f)
-		sinks = append(sinks, telemetry.NewJSONLSink(f))
 	}
 	sinks = append(sinks, extra...)
 	var rec *telemetry.Recorder
 	if len(sinks) > 0 || metrics {
 		rec = telemetry.NewRecorder(cfg, sinks...)
 	}
-	return rec, files, nil
+	return rec, file, nil
+}
+
+// finish closes the recorder, then the trace file, and prints the
+// metrics report when asked and nothing failed.
+func finish(rec *telemetry.Recorder, file *os.File, metrics bool, runErr error) error {
+	if err := rec.Close(); err != nil && runErr == nil {
+		runErr = err
+	}
+	if file != nil {
+		if err := file.Close(); err != nil && runErr == nil {
+			runErr = err
+		}
+	}
+	if runErr == nil && metrics && rec != nil {
+		runErr = rec.Metrics().WriteText(os.Stdout)
+	}
+	return runErr
 }
 
 // compileProg compiles a pimasm program file through pimc and, when run
 // is set, executes the plan on a fresh memory with deterministic input
 // rows and prints every stored output.
-func compileProg(cfg params.Config, path string, level int, dump bool, tracePath, jsonlPath string, metrics, run, profiled bool) error {
+func compileProg(cfg params.Config, path string, level int, dump bool, tracePath string, metrics, run, profiled bool) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -222,7 +228,7 @@ func compileProg(cfg params.Config, path string, level int, dump bool, tracePath
 		prof = profile.New(cfg)
 		extra = append(extra, prof)
 	}
-	rec, files, err := newRecorder(cfg, tracePath, jsonlPath, metrics, extra...)
+	rec, file, err := newRecorder(cfg, tracePath, metrics, extra...)
 	if err != nil {
 		return err
 	}
@@ -307,26 +313,15 @@ func compileProg(cfg params.Config, path string, level int, dump bool, tracePath
 		}
 		return nil
 	}()
-	if err := rec.Close(); err != nil && runErr == nil {
-		runErr = err
-	}
-	for _, f := range files {
-		if err := f.Close(); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	if runErr == nil && metrics && rec != nil {
-		runErr = rec.Metrics().WriteText(os.Stdout)
-	}
-	return runErr
+	return finish(rec, file, metrics, runErr)
 }
 
 // exec parses each instruction string and runs the stream in order on
 // one PIM unit, synthesizing deterministic operand rows, so the encoded
 // stream's cost and behaviour can be inspected without writing a
 // program. Instruction i records under telemetry source cpim.<i>.
-func exec(cfg params.Config, instrs []string, tracePath, jsonlPath string, metrics bool) error {
-	rec, files, err := newRecorder(cfg, tracePath, jsonlPath, metrics)
+func exec(cfg params.Config, instrs []string, tracePath string, metrics bool) error {
+	rec, file, err := newRecorder(cfg, tracePath, metrics)
 	if err != nil {
 		return err
 	}
@@ -370,17 +365,7 @@ func exec(cfg params.Config, instrs []string, tracePath, jsonlPath string, metri
 		return nil
 	}()
 
-	if err := rec.Close(); err != nil && runErr == nil {
-		runErr = err
-	}
-	for _, f := range files {
-		if err := f.Close(); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	if runErr == nil && metrics && rec != nil {
-		runErr = rec.Metrics().WriteText(os.Stdout)
-	}
+	runErr = finish(rec, file, metrics, runErr)
 	if tracePath != "" && runErr == nil {
 		fmt.Fprintf(os.Stderr, "pimasm: wrote %s (open in https://ui.perfetto.dev)\n", tracePath)
 	}

@@ -164,13 +164,13 @@ func TestRunExecProgram(t *testing.T) {
 	}
 }
 
-// TestRunExecGolden pins exec's stdout and its JSONL telemetry stream
-// byte for byte against testdata: per-instruction results and costs,
-// the cpim.<i> sources, the cycle stamps and the metrics report.
+// TestRunExecGolden pins exec's stdout and its Chrome trace byte for
+// byte against testdata: per-instruction results and costs, the
+// cpim.<i> sources, the cycle stamps and the metrics report.
 func TestRunExecGolden(t *testing.T) {
-	jsonlPath := filepath.Join(t.TempDir(), "exec.jsonl")
+	tracePath := filepath.Join(t.TempDir(), "exec.trace.json")
 	out := captureStdout(t, func() {
-		if err := run([]string{"-metrics", "-jsonl", jsonlPath, "exec",
+		if err := run([]string{"-metrics", "-trace", tracePath, "exec",
 			"add b2.s10.t0.d15.r0 bs=8 k=3",
 			"mult b2.s10.t0.d15.r0 bs=16 k=2",
 			"xor b2.s10.t0.d15.r0 k=4",
@@ -178,7 +178,7 @@ func TestRunExecGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	jsonl, err := os.ReadFile(jsonlPath)
+	trace, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestRunExecGolden(t *testing.T) {
 		got    []byte
 	}{
 		{"testdata/exec.golden", []byte(out)},
-		{"testdata/exec.jsonl.golden", jsonl},
+		{"testdata/exec.trace.golden", trace},
 	} {
 		want, err := os.ReadFile(c.golden)
 		if err != nil {

@@ -18,10 +18,10 @@
 //   - the experiment generators that regenerate every table and figure
 //     of the paper's evaluation.
 //
-// Constructors take functional options for attachments that used to
-// need post-construction setters: WithTelemetry, WithFaults and
-// WithRecovery (options.go). The setters remain for call sites that
-// attach later.
+// Constructors take only a configuration; telemetry, fault injection
+// and recovery attach through setters (Unit.SetTelemetry,
+// Memory.SetTelemetry, Memory.SetFaultProfile, Memory.SetRecovery and
+// ShardPool.SetRecovery), the one way every caller attaches them.
 //
 // Quickstart:
 //
@@ -31,8 +31,9 @@
 //
 // Recovered execution:
 //
-//	m, err := coruscant.NewMemory(cfg,
-//	    coruscant.WithRecovery(coruscant.DefaultRecoveryPolicy()))
+//	m, err := coruscant.NewMemory(cfg)
+//	...
+//	err = m.SetRecovery(coruscant.DefaultRecoveryPolicy())
 //
 // See the examples directory for runnable programs.
 package coruscant
@@ -129,6 +130,9 @@ type (
 	// Cost is a latency/energy pair.
 	Cost = trace.Cost
 )
+
+// NewUnit builds a PIM unit for the configuration.
+func NewUnit(cfg Config) (*Unit, error) { return pim.NewUnit(cfg) }
 
 // NewRow returns an all-zero row of n wires.
 func NewRow(n int) Row { return dbc.NewRow(n) }
@@ -264,6 +268,25 @@ func NewSystem(cfg Config) *System { return mem.NewSystem(cfg) }
 // simulated time, and host parallelism comes from a ShardPool's shards.
 type Memory = memory.Memory
 
+// NewMemory returns an empty functional memory (clusters materialize
+// lazily, so the full 1 GB geometry is addressable).
+func NewMemory(cfg Config) (*Memory, error) { return memory.New(cfg) }
+
+// ShardPool is a fixed set of independent Memory shards behind one
+// owner — the substrate of the coruscantd service front end. Shards
+// share nothing, so each can run on its own goroutine; bank-level
+// parallelism inside a shard is modelled in simulated time. Routing is
+// the caller's concern (the service routes by explicit shard id or
+// tenant hash). ShardPool.SetRecovery installs a policy on every
+// shard; telemetry and faults attach per shard (Shard(i).SetTelemetry,
+// Shard(i).SetFaultProfile), since one shared recorder would serialize
+// the shards.
+type ShardPool = memory.Pool
+
+// NewShardPool builds n independent memory shards of one
+// configuration.
+func NewShardPool(cfg Config, n int) (*ShardPool, error) { return memory.NewPool(cfg, n) }
+
 // MoveStats counts row-granularity data movement inside a Memory.
 type MoveStats = memory.MoveStats
 
@@ -298,8 +321,6 @@ type (
 	Metrics = telemetry.Metrics
 	// RingSink keeps the last N events in memory.
 	RingSink = telemetry.RingSink
-	// JSONLSink streams events as JSON lines.
-	JSONLSink = telemetry.JSONLSink
 	// ChromeSink exports a Chrome trace_event file loadable in
 	// Perfetto or chrome://tracing.
 	ChromeSink = telemetry.ChromeSink
@@ -313,9 +334,6 @@ func NewRecorder(cfg Config, sinks ...TelemetrySink) *Recorder {
 
 // NewRingSink keeps the most recent capacity events in memory.
 func NewRingSink(capacity int) *RingSink { return telemetry.NewRingSink(capacity) }
-
-// NewJSONLSink streams every event to w as one JSON object per line.
-func NewJSONLSink(w io.Writer) *JSONLSink { return telemetry.NewJSONLSink(w) }
 
 // NewChromeSink streams a Chrome trace_event JSON array to w; open the
 // file in https://ui.perfetto.dev or chrome://tracing (1 µs = 1 device

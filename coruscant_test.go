@@ -225,9 +225,11 @@ func TestFacadeErrCrossDBC(t *testing.T) {
 func TestFacadeShardPool(t *testing.T) {
 	cfg := coruscant.DefaultConfig()
 	cfg.Geometry.TrackWidth = 64
-	pool, err := coruscant.NewShardPool(cfg, 3,
-		coruscant.WithRecovery(coruscant.DefaultRecoveryPolicy()))
+	pool, err := coruscant.NewShardPool(cfg, 3)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.SetRecovery(coruscant.DefaultRecoveryPolicy()); err != nil {
 		t.Fatal(err)
 	}
 	if pool.Shards() != 3 {
@@ -254,13 +256,6 @@ func TestFacadeShardPool(t *testing.T) {
 		}
 	}
 
-	// Inapplicable options fail loudly instead of being dropped.
-	if _, err := coruscant.NewShardPool(cfg, 2, coruscant.WithTelemetry(coruscant.NewRecorder(cfg))); err == nil {
-		t.Error("WithTelemetry accepted by NewShardPool")
-	}
-	if _, err := coruscant.NewShardPool(cfg, 2, coruscant.WithFaults(coruscant.NewFaultInjector(0.1, 0, 1))); err == nil {
-		t.Error("WithFaults accepted by NewShardPool")
-	}
 	if _, err := coruscant.NewShardPool(cfg, 0); err == nil {
 		t.Error("empty pool accepted")
 	}
@@ -333,10 +328,11 @@ store %s, b0.s0.t2.d0.r5
 		t.Fatalf("inputs=%d outputs=%d, want 1/1", len(res.Inputs), len(res.Outputs))
 	}
 
-	m, err := coruscant.NewMemory(cfg, coruscant.WithTelemetry(rec))
+	m, err := coruscant.NewMemory(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SetTelemetry(rec)
 	row, err := coruscant.PackLanes([]uint64{1, 2, 3}, 8, 64)
 	if err != nil {
 		t.Fatal(err)

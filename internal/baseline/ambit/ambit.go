@@ -120,9 +120,6 @@ func (m Model) aapCost(n int) trace.Cost {
 // operand clones, the control row, and the TRA+result copy).
 func (m Model) And2() trace.Cost { return m.aapCost(4) }
 
-// Or2 returns the cost of one row-wide two-operand OR.
-func (m Model) Or2() trace.Cost { return m.aapCost(4) }
-
 // Not1 returns the cost of a row-wide NOT via a DCC row.
 func (m Model) Not1() trace.Cost { return m.aapCost(2) }
 

@@ -56,9 +56,6 @@ func (m Model) opCost(n int) trace.Cost {
 // And2 returns the cost of one row-wide two-operand AND.
 func (m Model) And2() trace.Cost { return m.opCost(1) }
 
-// Or2 returns the cost of one row-wide two-operand OR.
-func (m Model) Or2() trace.Cost { return m.opCost(1) }
-
 // Xor2 returns the cost of a row-wide XOR (two pseudo-precharge ops).
 func (m Model) Xor2() trace.Cost { return m.opCost(2) }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"repro/internal/params"
 )
 
 // Assembly syntax for cpim instructions, used by the pimasm tool:
@@ -18,9 +16,10 @@ import (
 //	shl b2.s10.t0.d15.r0 bs=8 k=1 imm=3
 //	read b0.s0.t1.d4.r7
 
-// ParseError wraps an assembly parse failure with its 1-based source
-// line. Test with errors.As; Unwrap exposes the underlying error (e.g.
-// an *AddrRangeError).
+// ParseError wraps a pimasm source failure with its 1-based line: the
+// pimc front end (internal/isa/compile) returns one for every
+// rejection. Test with errors.As; Unwrap exposes the underlying error
+// (e.g. an *AddrRangeError).
 type ParseError struct {
 	Line int
 	Err  error
@@ -79,43 +78,6 @@ func ParseInstruction(s string) (Instruction, error) {
 		}
 	}
 	return in, nil
-}
-
-// ParseInstructionIn is ParseInstruction validating the parsed address
-// against the configured geometry: out-of-range fields fail here, at
-// parse time, with a typed *AddrRangeError instead of surfacing at
-// execution.
-func ParseInstructionIn(s string, g params.Geometry) (Instruction, error) {
-	in, err := ParseInstruction(s)
-	if err != nil {
-		return Instruction{}, err
-	}
-	if err := in.Src.CheckGeometry(g); err != nil {
-		return Instruction{}, err
-	}
-	return in, nil
-}
-
-// ParseProgram parses one instruction per line, skipping blank lines
-// and ';'/'#' comments, validating every address against the geometry.
-// Errors carry the 1-based line number as a *ParseError.
-func ParseProgram(src string, g params.Geometry) ([]Instruction, error) {
-	var prog []Instruction
-	for i, line := range strings.Split(src, "\n") {
-		if t := strings.TrimSpace(line); t == "" || t[0] == ';' || t[0] == '#' {
-			continue
-		}
-		text := line
-		if j := strings.IndexAny(text, ";#"); j >= 0 {
-			text = text[:j]
-		}
-		in, err := ParseInstructionIn(text, g)
-		if err != nil {
-			return nil, &ParseError{Line: i + 1, Err: err}
-		}
-		prog = append(prog, in)
-	}
-	return prog, nil
 }
 
 // ParseAddr parses the "b<bank>.s<sub>.t<tile>.d<dbc>.r<row>" address

@@ -642,6 +642,11 @@ func TestParseErrors(t *testing.T) {
 		if pe.Line != tc.line || !strings.Contains(pe.Error(), tc.frag) {
 			t.Errorf("%q: error %q on line %d, want %q on line %d", tc.src, pe, pe.Line, tc.frag, tc.line)
 		}
+		// An out-of-range address stays typed through the line wrapper.
+		var re *isa.AddrRangeError
+		if tc.frag == "bank" && (!errors.As(pe, &re) || re.Field != "bank" || re.Value != 99) {
+			t.Errorf("%q: %v does not unwrap to a bank *isa.AddrRangeError", tc.src, pe)
+		}
 	}
 }
 

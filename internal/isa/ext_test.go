@@ -9,8 +9,9 @@ import (
 	"repro/internal/pim"
 )
 
-// TestParseGeometryValidation checks that out-of-range addresses fail
-// at parse time with a typed *AddrRangeError naming the field.
+// TestParseGeometryValidation checks that a parsed instruction's
+// out-of-range address fails Addr.CheckGeometry with a typed
+// *AddrRangeError naming the field.
 func TestParseGeometryValidation(t *testing.T) {
 	g := params.DefaultGeometry()
 	cases := []struct {
@@ -24,8 +25,15 @@ func TestParseGeometryValidation(t *testing.T) {
 		{"add b0.s0.t0.d0.r99 bs=8 k=2", "row"},
 		{"add b-1.s0.t0.d0.r0 bs=8 k=2", "bank"},
 	}
+	parseIn := func(src string) error {
+		in, err := ParseInstruction(src)
+		if err != nil {
+			return err
+		}
+		return in.Src.CheckGeometry(g)
+	}
 	for _, tc := range cases {
-		_, err := ParseInstructionIn(tc.src, g)
+		err := parseIn(tc.src)
 		var re *AddrRangeError
 		if !errors.As(err, &re) {
 			t.Errorf("%q: got %v, want *AddrRangeError", tc.src, err)
@@ -35,36 +43,8 @@ func TestParseGeometryValidation(t *testing.T) {
 			t.Errorf("%q: flagged field %q, want %q", tc.src, re.Field, tc.field)
 		}
 	}
-	if _, err := ParseInstructionIn("add b2.s10.t0.d15.r0 bs=8 k=3", g); err != nil {
+	if err := parseIn("add b2.s10.t0.d15.r0 bs=8 k=3"); err != nil {
 		t.Errorf("in-range address rejected: %v", err)
-	}
-}
-
-// TestParseProgramLineNumbers checks that program parse errors carry
-// 1-based line numbers and unwrap to the underlying cause.
-func TestParseProgramLineNumbers(t *testing.T) {
-	g := params.DefaultGeometry()
-	src := "; header comment\nadd b0.s0.t0.d15.r0 bs=8 k=2\n\nadd b99.s0.t0.d0.r0 bs=8 k=2\n"
-	_, err := ParseProgram(src, g)
-	var pe *ParseError
-	if !errors.As(err, &pe) {
-		t.Fatalf("got %v, want *ParseError", err)
-	}
-	if pe.Line != 4 {
-		t.Errorf("error on line %d, want 4", pe.Line)
-	}
-	var re *AddrRangeError
-	if !errors.As(pe, &re) || re.Field != "bank" {
-		t.Errorf("wrapped error = %v, want bank AddrRangeError", pe.Err)
-	}
-
-	prog, err := ParseProgram("# only comments\n\n  ; and blanks\n", g)
-	if err != nil || len(prog) != 0 {
-		t.Errorf("comment-only program: %v, %v", prog, err)
-	}
-	prog, err = ParseProgram("read b0.s0.t0.d0.r1 ; trailing comment\n", g)
-	if err != nil || len(prog) != 1 || prog[0].Op != OpRead {
-		t.Errorf("trailing comment: %v, %v", prog, err)
 	}
 }
 

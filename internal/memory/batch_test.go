@@ -529,7 +529,7 @@ func TestRecorderSafeDuringBatch(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatal("batch execution wedged while cfg-class mutex was contended; check runBatch's lock order (cfg before shard)")
+		t.Fatal("batch execution wedged while SetTelemetry contended for the memory's lock; check that runBatch takes m.mu once and releases it on every path")
 	}
 	close(stop)
 	wg.Wait()

@@ -185,10 +185,6 @@ func (m *Memory) Recorder() *telemetry.Recorder { return m.rec.Load() }
 // from the recorder's counters), which also resets the counters. It
 // waits for a request or batch in flight, so a batch's steps and its
 // window markers land on one recorder.
-//
-// Deprecated: new code should attach the recorder at construction with
-// the façade's WithTelemetry option; the setter remains for call sites
-// that attach or swap telemetry after construction.
 func (m *Memory) SetTelemetry(rec *telemetry.Recorder) {
 	if rec == nil {
 		rec = telemetry.NewRecorder(m.cfg)

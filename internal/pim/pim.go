@@ -82,8 +82,8 @@ func (u *Unit) TRD() params.TRD { return u.cfg.TRD }
 // Tracer exposes the unit's primitive-op accounting: its DBC's tracer,
 // which also counts the steps the unit charges without running them on
 // the DBC model (the multipliers' read, shifted copies and rotate-ins,
-// the divider's lateral shifts and predicated writes, the signed
-// divider's sign passes, LogicalShift, the vote's logic step, ReLU).
+// the divider's lateral shifts and predicated writes, LogicalShift,
+// the vote's logic step, ReLU).
 // Nil once a memory has detached it.
 func (u *Unit) Tracer() *trace.Tracer { return u.D.Tracer() }
 
@@ -97,9 +97,6 @@ func (u *Unit) SetTelemetry(rec *telemetry.Recorder, src telemetry.Source) {
 
 // Recorder returns the attached telemetry recorder (possibly nil).
 func (u *Unit) Recorder() *telemetry.Recorder { return u.rec }
-
-// TelemetrySource returns the source label the unit's events carry.
-func (u *Unit) TelemetrySource() telemetry.Source { return u.src }
 
 // Span opens a named telemetry span on the unit's track and returns its
 // closer, for the `defer u.Span("cnn-binary")()` idiom of workloads

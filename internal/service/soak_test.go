@@ -9,14 +9,42 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/params"
+	"repro/internal/telemetry"
 )
 
-// burstUntilOverload fires rounds of 32 concurrent heavy read batches
-// at shard 0 until at least one is rejected by the bounded queue,
-// returning the rejection count. Reads in bank 3 touch no soak
+// gateSink is a telemetry sink whose Emit blocks once armed, until
+// open is closed: the shard worker that emits then parks inside
+// ExecuteBatch and drains nothing from its queue.
+type gateSink struct {
+	armed  atomic.Bool
+	once   sync.Once
+	parked chan struct{} // closed by the first Emit while armed
+	open   chan struct{}
+}
+
+func (g *gateSink) Emit(telemetry.Event) {
+	if !g.armed.Load() {
+		return
+	}
+	g.once.Do(func() { close(g.parked) })
+	<-g.open
+}
+
+func (g *gateSink) Close() error { return nil }
+
+// burstOverload parks shard 0's worker inside ExecuteBatch on a gated
+// read batch, fires 32 concurrent heavy read batches at the shard, and
+// opens the gate once each of them was queued or rejected. The parked
+// worker drains nothing, so all but QueueDepth of the burst find the
+// queue full: overload is certain, not left to host scheduling.
+// Returns the overload rejection count. Reads in bank 3 touch no soak
 // client's state, so the bit-identity mirrors stay valid.
-func burstUntilOverload(t *testing.T, base string) uint64 {
+func burstOverload(t *testing.T, srv *Server, base string, device params.Config) uint64 {
 	t.Helper()
+	gate := &gateSink{parked: make(chan struct{}), open: make(chan struct{})}
+	srv.Pool().Shard(0).SetTelemetry(telemetry.NewRecorder(device, gate))
 	api := NewClient(base, nil)
 	ctx := context.Background()
 	shard := 0
@@ -24,26 +52,48 @@ func burstUntilOverload(t *testing.T, base string) uint64 {
 	for i := range reqs {
 		reqs[i] = Request{Op: "read", Src: &Addr{Bank: 3, Tile: 1, Row: i}}
 	}
+	batch := func(tenant string) error {
+		_, err := api.Batch(ctx, BatchRequest{Tenant: tenant, Shard: &shard, Requests: reqs})
+		return err
+	}
+
+	gate.armed.Store(true)
+	parkedErr := make(chan error, 1)
+	go func() { parkedErr <- batch("burst-park") }()
+	<-gate.parked
+
+	const burst = 32
+	before := srv.Counters()
 	var rejected atomic.Uint64
-	for round := 0; round < 50 && rejected.Load() == 0; round++ {
-		var wg sync.WaitGroup
-		for i := 0; i < 32; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				_, err := api.Batch(ctx, BatchRequest{
-					Tenant:   fmt.Sprintf("burst-%d-%d", round, i),
-					Shard:    &shard,
-					Requests: reqs,
-				})
-				if errors.Is(err, ErrOverloaded) {
-					rejected.Add(1)
-				} else if err != nil {
-					t.Errorf("burst request failed oddly: %v", err)
-				}
-			}(i)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			err := batch(fmt.Sprintf("burst-%d", i))
+			if errors.Is(err, ErrOverloaded) {
+				rejected.Add(1)
+			} else if err != nil {
+				t.Errorf("burst request failed oddly: %v", err)
+			}
+		}(i)
+	}
+	// Every burst request is settled once the server has queued or
+	// rejected it; the queued ones wait for the worker until the gate
+	// opens.
+	settled := func() bool {
+		c := srv.Counters()
+		return c.Accepted+c.RejectedOverload+c.RejectedQuota-
+			before.Accepted-before.RejectedOverload-before.RejectedQuota == burst
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for !settled() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.open)
+	wg.Wait()
+	if err := <-parkedErr; err != nil {
+		t.Errorf("parked batch: %v", err)
 	}
 	return rejected.Load()
 }
@@ -116,10 +166,12 @@ func TestSoakMixedTraffic(t *testing.T) {
 	}
 
 	// Backpressure phase: a single-core host serializes the organic
-	// handlers too well to overflow a queue by accident, so flood one
-	// shard with concurrent bursts (distinct tenants, read-only, in a
-	// bank no soak client owns) until the bounded queue pushes back.
-	overload := rep.OverloadRejected + burstUntilOverload(t, ts.URL)
+	// handlers too well to overflow a queue by accident, so hold shard
+	// 0's worker and flood its queue with one concurrent burst
+	// (distinct tenants, read-only, in a bank no soak client owns).
+	burst := burstOverload(t, srv, ts.URL, device)
+	t.Logf("burst: %d overload rejections", burst)
+	overload := rep.OverloadRejected + burst
 	if overload == 0 {
 		t.Fatal("queue backpressure never observed; admission control untested")
 	}

@@ -11,8 +11,8 @@
 // step becomes an Event carrying the op kind, the emitting component
 // (DBC coordinates), the cycle timestamp, the affected wire/bit count
 // and the energy delta. Events fan out to pluggable Sinks — an
-// in-memory ring buffer, a JSONL writer, and a Chrome trace_event
-// exporter loadable in Perfetto/chrome://tracing — and accumulate into
+// in-memory ring buffer and the one file export, a Chrome trace_event
+// stream loadable in Perfetto/chrome://tracing — and accumulate into
 // Metrics (counters and histograms per op kind, per source and per
 // span), reported as a text dump (Metrics.WriteText); the one
 // machine-readable exposition is the profiler's Prometheus text

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/params"
@@ -182,5 +184,31 @@ func TestMarksAggregateByName(t *testing.T) {
 	names := m.MarkNames()
 	if len(names) != 2 || names[0] != "moves-saved" || names[1] != "shifts-saved" {
 		t.Errorf("MarkNames = %v", names)
+	}
+}
+
+func TestMetricsWriteTextIsStable(t *testing.T) {
+	r := NewRecorder(testConfig())
+	r.Step("b", OpShift, 2)
+	r.Step("a", OpWrite, 4)
+	r.Span("a", "op")()
+	var first, second bytes.Buffer
+	if err := r.Metrics().WriteText(&first); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Metrics().WriteText(&second); err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != second.String() {
+		t.Fatal("WriteText output is not deterministic")
+	}
+	for _, want := range []string{"## per op kind", "## per source", "## spans", "shift", "write"} {
+		if !strings.Contains(first.String(), want) {
+			t.Errorf("report missing %q:\n%s", want, first.String())
+		}
+	}
+	// Sources render sorted: "a" before "b".
+	if ai, bi := strings.Index(first.String(), "\na "), strings.Index(first.String(), "\nb "); ai == -1 || bi == -1 || ai > bi {
+		t.Errorf("sources not sorted in report:\n%s", first.String())
 	}
 }

@@ -19,43 +19,51 @@ func compileMemory(t *testing.T) *memory.Memory {
 }
 
 func TestExecuteOnMemoryMatchesReference(t *testing.T) {
-	s := NewStore(1000, 4, 33)
 	queries := []Expr{
 		And(Male(), Week(0), Week(1)),
 		Or(Week(0), Week(1), Week(2), Week(3)),
 		And(Male(), Or(Week(0), Week(1)), Not(Week(2))),
 		Xor(Week(0), Week(1)),
 		Not(Male()),
+		// Eleven statements a chunk: each program's live level-1
+		// results overflow its companion DBCs into staging rows.
+		Or(And(Male(), Week(0)), And(Male(), Week(1)), And(Week(0), Week(1)),
+			Xor(Male(), Week(0)), Xor(Male(), Week(1)), Xor(Week(0), Week(1))),
 	}
-	for i, q := range queries {
-		m := compileMemory(t)
-		got, err := ExecuteOnMemory(m, s, q)
-		if err != nil {
-			t.Fatalf("query %d (%s): %v", i, q, err)
-		}
-		want, err := Count(s, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("query %d (%s): memory count %d, reference %d", i, q, got, want)
-		}
-		if m.Moves().RowWrites == 0 || m.Stats().TRSteps == 0 {
-			t.Errorf("query %d: no memory traffic traced", i)
+	// 25000 users are 391 chunks at width 64: even Not(Male()), three
+	// statements a chunk, needs more than compile.MaxStatements, so
+	// every query on that store runs as several programs.
+	for _, s := range []*Store{NewStore(1000, 4, 33), NewStore(25000, 4, 34)} {
+		for i, q := range queries {
+			m := compileMemory(t)
+			got, err := ExecuteOnMemory(m, s, q)
+			if err != nil {
+				t.Fatalf("%d users, query %d (%s): %v", s.Users, i, q, err)
+			}
+			want, err := Count(s, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%d users, query %d (%s): memory count %d, reference %d", s.Users, i, q, got, want)
+			}
+			if m.Moves().RowWrites == 0 || m.Stats().TRSteps == 0 {
+				t.Errorf("%d users, query %d: no memory traffic traced", s.Users, i)
+			}
 		}
 	}
 }
 
 func TestExecuteOnMemoryWideFold(t *testing.T) {
-	// A 6-ary AND on TRD=7 folds in one pass per chunk; verify it still
-	// counts correctly (and again on TRD=3, which needs three passes).
+	// A 6-ary AND fits one TR window at TRD=7; pimc chains it at TRD=5
+	// and TRD=3.
 	s := NewStore(500, 5, 44)
 	q := And(Male(), Week(0), Week(1), Week(2), Week(3), Week(4))
 	want, err := Count(s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, trd := range []params.TRD{params.TRD3, params.TRD7} {
+	for _, trd := range []params.TRD{params.TRD3, params.TRD5, params.TRD7} {
 		cfg := params.DefaultConfig()
 		cfg.TRD = trd
 		cfg.Geometry.TrackWidth = 64

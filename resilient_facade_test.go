@@ -2,7 +2,6 @@ package coruscant_test
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	coruscant "repro"
@@ -86,8 +85,11 @@ func TestErrorTaxonomyRoundTrips(t *testing.T) {
 		cfg.Geometry.SubarraysPerBank = 1 // one PIM DBC per bank: no spare
 		pol := coruscant.DefaultRecoveryPolicy()
 		pol.QuarantineAfter = 3
-		m, err := coruscant.NewMemory(cfg, coruscant.WithRecovery(pol))
+		m, err := coruscant.NewMemory(cfg)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetRecovery(pol); err != nil {
 			t.Fatal(err)
 		}
 		m.SetFaultProfile(coruscant.FaultProfile{TRProb: 0.05, Seed: 5})
@@ -119,44 +121,40 @@ func TestErrorTaxonomyRoundTrips(t *testing.T) {
 	})
 }
 
-// TestConstructionOptions covers the functional-option constructors,
-// including the loud failure of a misplaced option.
-func TestConstructionOptions(t *testing.T) {
+// TestFacadeSetters covers attachment through the setters, including
+// the rejection of an invalid recovery policy.
+func TestFacadeSetters(t *testing.T) {
 	cfg := coruscant.DefaultConfig()
 	cfg.Geometry.TrackWidth = 32
 
 	rec := coruscant.NewRecorder(cfg, coruscant.NewRingSink(16))
-	inj := coruscant.NewFaultInjector(0.5, 0, 1)
 
-	u, err := coruscant.NewUnit(cfg, coruscant.WithTelemetry(rec), coruscant.WithFaults(inj))
+	u, err := coruscant.NewUnit(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	u.SetTelemetry(rec, "unit")
 	if u.Recorder() != rec {
-		t.Error("WithTelemetry not applied to unit")
-	}
-	if _, err := coruscant.NewUnit(cfg, coruscant.WithRecovery(coruscant.DefaultRecoveryPolicy())); err == nil {
-		t.Error("WithRecovery on NewUnit should fail loudly")
+		t.Error("SetTelemetry not applied to unit")
 	}
 
-	m, err := coruscant.NewMemory(cfg,
-		coruscant.WithTelemetry(rec),
-		coruscant.WithRecovery(coruscant.DefaultRecoveryPolicy()))
+	m, err := coruscant.NewMemory(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetTelemetry(rec)
+	if err := m.SetRecovery(coruscant.DefaultRecoveryPolicy()); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Recovery().Enabled() {
-		t.Error("WithRecovery not applied to memory")
+		t.Error("SetRecovery not applied to memory")
 	}
 	if m.Recorder() != rec {
-		t.Error("WithTelemetry not applied to memory")
+		t.Error("SetTelemetry not applied to memory")
 	}
 	bad := coruscant.RecoveryPolicy{Verify: coruscant.VerifyNMR, NMR: 4}
-	if _, err := coruscant.NewMemory(cfg, coruscant.WithRecovery(bad)); err == nil {
-		t.Error("invalid recovery policy should fail construction")
-	}
-	if _, err := coruscant.NewMemory(cfg, coruscant.WithFaults(inj)); err == nil || !strings.Contains(err.Error(), "SetFaultProfile") {
-		t.Errorf("WithFaults on NewMemory: err = %v, want a rejection naming SetFaultProfile", err)
+	if err := m.SetRecovery(bad); err == nil {
+		t.Error("invalid recovery policy accepted by SetRecovery")
 	}
 
 	// A standalone unit takes its recovery policy from the executor
@@ -175,8 +173,11 @@ func TestConstructionOptions(t *testing.T) {
 func TestRecoveredControllerExecution(t *testing.T) {
 	cfg := coruscant.DefaultConfig()
 	cfg.Geometry.TrackWidth = 32
-	m, err := coruscant.NewMemory(cfg, coruscant.WithRecovery(coruscant.DefaultRecoveryPolicy()))
+	m, err := coruscant.NewMemory(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetRecovery(coruscant.DefaultRecoveryPolicy()); err != nil {
 		t.Fatal(err)
 	}
 	m.SetFaultProfile(coruscant.FaultProfile{TRProb: 0.01, Seed: 42})
