@@ -138,7 +138,8 @@ bench-resilient:
 
 # bench-obs measures the telemetry overhead guard: the hot PIM ops with
 # telemetry disabled (nil recorder — must match the un-instrumented
-# baseline), with a metrics-only recorder, and with a ring sink.
+# baseline), with a recorder that has no sink (the ledger only), and
+# with a ring sink.
 # Reference numbers and the <2% disabled-path budget are recorded in
 # BENCH_obs.json.
 bench-obs:

@@ -1,9 +1,9 @@
 // Telemetry overhead guard benchmarks (recorded in BENCH_obs.json):
 // the same hot operations as BenchmarkAddMulti/BenchmarkBulkBitwise
 // run with telemetry disabled (nil recorder — the default engine
-// state, whose cost is one branch per hook) and with a metrics-only
-// recorder attached. The disabled variants must stay within 2% of the
-// un-instrumented seed numbers.
+// state, whose cost is one branch per hook) and with a recorder that
+// has no sink attached (clock, timeline and ledger only). The disabled
+// variants must stay within 2% of the un-instrumented seed numbers.
 package coruscant
 
 import (
@@ -52,8 +52,9 @@ func BenchmarkTelemetryOffAddMulti(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryOnAddMulti attaches a metrics-only recorder — the
-// cost of full accounting without any sink I/O.
+// BenchmarkTelemetryOnAddMulti attaches a recorder with no sink — the
+// cost of the cycle clock and the cost ledger, which every memory pays,
+// without building any event.
 func BenchmarkTelemetryOnAddMulti(b *testing.B) {
 	u, rows := addMultiFixture()
 	u.SetTelemetry(telemetry.NewRecorder(params.DefaultConfig()), "bench")
@@ -65,8 +66,9 @@ func BenchmarkTelemetryOnAddMulti(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryRingAddMulti adds a ring sink on top of metrics —
-// the cost of keeping the event stream inspectable in memory.
+// BenchmarkTelemetryRingAddMulti adds a ring sink on top of the ledger
+// — the cost of building every event and keeping the stream
+// inspectable in memory.
 func BenchmarkTelemetryRingAddMulti(b *testing.B) {
 	u, rows := addMultiFixture()
 	u.SetTelemetry(telemetry.NewRecorder(params.DefaultConfig(), telemetry.NewRingSink(4096)), "bench")

@@ -138,6 +138,7 @@ func run(args []string) error {
 		sinks = append(sinks, chrome)
 	}
 	var rec *telemetry.Recorder
+	var prof *profile.Profiler
 	if chrome != nil || *metrics || *debugAddr != "" {
 		// Every recorder-backed run also feeds the hardware profiler;
 		// with a Chrome sink attached its per-DBC counters stream into
@@ -146,7 +147,7 @@ func run(args []string) error {
 		if chrome != nil {
 			opts = append(opts, profile.WithChromeCounters(chrome, 64))
 		}
-		prof := profile.New(params.DefaultConfig(), opts...)
+		prof = profile.New(params.DefaultConfig(), opts...)
 		mountMetrics(prof)
 		sinks = append(sinks, prof)
 		rec = telemetry.NewRecorder(params.DefaultConfig(), sinks...)
@@ -181,8 +182,8 @@ func run(args []string) error {
 			runErr = err
 		}
 	}
-	if runErr == nil && *metrics && rec != nil {
-		runErr = rec.Metrics().WriteText(os.Stdout)
+	if runErr == nil && *metrics {
+		runErr = prof.WriteText(os.Stdout)
 	}
 	if runErr == nil && *memProfile != "" {
 		f, err := os.Create(*memProfile)

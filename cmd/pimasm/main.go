@@ -175,31 +175,35 @@ func vetProgs(cfg params.Config, paths []string) error {
 }
 
 // newRecorder wires the telemetry flags into a recorder (nil when no
-// flag asked for one) plus the trace file to close afterwards (nil
-// without -trace). Extra sinks (the hardware profiler) force recorder
-// creation.
-func newRecorder(cfg params.Config, tracePath string, metrics bool, extra ...telemetry.Sink) (*telemetry.Recorder, *os.File, error) {
+// flag asked for one), the trace file to close afterwards (nil without
+// -trace) and the hardware profiler behind -metrics and -profile (nil
+// unless profiled).
+func newRecorder(cfg params.Config, tracePath string, profiled bool) (*telemetry.Recorder, *profile.Profiler, *os.File, error) {
 	var sinks []telemetry.Sink
 	var file *os.File
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		file = f
 		sinks = append(sinks, telemetry.NewChromeSink(f))
 	}
-	sinks = append(sinks, extra...)
+	var prof *profile.Profiler
+	if profiled {
+		prof = profile.New(cfg)
+		sinks = append(sinks, prof)
+	}
 	var rec *telemetry.Recorder
-	if len(sinks) > 0 || metrics {
+	if len(sinks) > 0 {
 		rec = telemetry.NewRecorder(cfg, sinks...)
 	}
-	return rec, file, nil
+	return rec, prof, file, nil
 }
 
 // finish closes the recorder, then the trace file, and prints the
-// metrics report when asked and nothing failed.
-func finish(rec *telemetry.Recorder, file *os.File, metrics bool, runErr error) error {
+// profiler's metrics report when asked and nothing failed.
+func finish(rec *telemetry.Recorder, prof *profile.Profiler, file *os.File, metrics bool, runErr error) error {
 	if err := rec.Close(); err != nil && runErr == nil {
 		runErr = err
 	}
@@ -208,8 +212,8 @@ func finish(rec *telemetry.Recorder, file *os.File, metrics bool, runErr error) 
 			runErr = err
 		}
 	}
-	if runErr == nil && metrics && rec != nil {
-		runErr = rec.Metrics().WriteText(os.Stdout)
+	if runErr == nil && metrics {
+		runErr = prof.WriteText(os.Stdout)
 	}
 	return runErr
 }
@@ -222,13 +226,7 @@ func compileProg(cfg params.Config, path string, level int, dump bool, tracePath
 	if err != nil {
 		return err
 	}
-	var prof *profile.Profiler
-	var extra []telemetry.Sink
-	if profiled && run {
-		prof = profile.New(cfg)
-		extra = append(extra, prof)
-	}
-	rec, file, err := newRecorder(cfg, tracePath, metrics, extra...)
+	rec, prof, file, err := newRecorder(cfg, tracePath, metrics || profiled && run)
 	if err != nil {
 		return err
 	}
@@ -308,12 +306,12 @@ func compileProg(cfg params.Config, path string, level int, dump bool, tracePath
 		moves, stats := m.Moves(), m.Stats()
 		fmt.Printf("measured: %d row copies, %d shift steps, %d cycles, makespan %d\n",
 			moves.RowCopies, stats.ShiftSteps, stats.Cycles(), m.Recorder().Makespan())
-		if prof != nil {
+		if profiled {
 			writeProfileReport(os.Stdout, res.ShiftsByDBC(), prof.ShiftStepsBySource())
 		}
 		return nil
 	}()
-	return finish(rec, file, metrics, runErr)
+	return finish(rec, prof, file, metrics, runErr)
 }
 
 // exec parses each instruction string and runs the stream in order on
@@ -321,7 +319,7 @@ func compileProg(cfg params.Config, path string, level int, dump bool, tracePath
 // stream's cost and behaviour can be inspected without writing a
 // program. Instruction i records under telemetry source cpim.<i>.
 func exec(cfg params.Config, instrs []string, tracePath string, metrics bool) error {
-	rec, file, err := newRecorder(cfg, tracePath, metrics)
+	rec, prof, file, err := newRecorder(cfg, tracePath, metrics)
 	if err != nil {
 		return err
 	}
@@ -365,7 +363,7 @@ func exec(cfg params.Config, instrs []string, tracePath string, metrics bool) er
 		return nil
 	}()
 
-	runErr = finish(rec, file, metrics, runErr)
+	runErr = finish(rec, prof, file, metrics, runErr)
 	if tracePath != "" && runErr == nil {
 		fmt.Fprintf(os.Stderr, "pimasm: wrote %s (open in https://ui.perfetto.dev)\n", tracePath)
 	}

@@ -53,6 +53,7 @@ import (
 	"repro/internal/pim"
 	"repro/internal/service"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/profile"
 	"repro/internal/trace"
 )
 
@@ -305,7 +306,8 @@ type (
 var ErrCrossDBC = memory.ErrCrossDBC
 
 // Telemetry: the engine-wide observability layer (cycle-accurate op
-// tracing, pluggable sinks, runtime metrics).
+// tracing, the recorder's cost ledger, pluggable sinks, and the
+// profiler that aggregates the stream).
 type (
 	// Recorder is the telemetry hub; attach one with Unit.SetTelemetry
 	// or Memory.SetTelemetry. A nil *Recorder disables telemetry at the
@@ -317,13 +319,19 @@ type (
 	TelemetrySink = telemetry.Sink
 	// TelemetrySource labels an event's emitting component.
 	TelemetrySource = telemetry.Source
-	// Metrics aggregates counters and histograms over the stream.
+	// Metrics is a recorder's cost ledger (Recorder.Metrics): the count
+	// and wire total of every event kind. Per-source, per-span and
+	// per-mark aggregates are the Profiler's.
 	Metrics = telemetry.Metrics
 	// RingSink keeps the last N events in memory.
 	RingSink = telemetry.RingSink
 	// ChromeSink exports a Chrome trace_event file loadable in
 	// Perfetto or chrome://tracing.
 	ChromeSink = telemetry.ChromeSink
+	// Profiler is the sink that aggregates the stream: per-DBC wear,
+	// head occupancy and shift distances, per-kind, per-span and
+	// per-mark totals, and the -metrics text report (WriteText).
+	Profiler = profile.Profiler
 )
 
 // NewRecorder builds a telemetry recorder pricing events with cfg's
@@ -331,6 +339,10 @@ type (
 func NewRecorder(cfg Config, sinks ...TelemetrySink) *Recorder {
 	return telemetry.NewRecorder(cfg, sinks...)
 }
+
+// NewProfiler returns an empty profiler for cfg's geometry; attach it to
+// a recorder as a sink.
+func NewProfiler(cfg Config) *Profiler { return profile.New(cfg) }
 
 // NewRingSink keeps the most recent capacity events in memory.
 func NewRingSink(capacity int) *RingSink { return telemetry.NewRingSink(capacity) }

@@ -316,7 +316,8 @@ func TestFacadeCompileProgram(t *testing.T) {
 %s = add %a, %k bs=8
 store %s, b0.s0.t2.d0.r5
 `
-	rec := coruscant.NewRecorder(cfg)
+	prof := coruscant.NewProfiler(cfg)
+	rec := coruscant.NewRecorder(cfg, prof)
 	res, err := coruscant.CompileProgram(src, cfg, coruscant.CompileOptions{
 		Level:    1,
 		Recorder: rec,
@@ -353,7 +354,7 @@ store %s, b0.s0.t2.d0.r5
 	}
 
 	// Compilation records one span per pass.
-	if sp := rec.Metrics().Span("pimc-place"); sp.Count == 0 {
+	if sp := prof.Totals().Spans["pimc-place"]; sp.Count == 0 {
 		t.Error("no pimc-place span recorded")
 	}
 }

@@ -57,21 +57,30 @@ func lastCell(t *testing.T, tb *Table, col int) float64 {
 	return v
 }
 
+// TestFig10PaperShape holds EXPERIMENTS.md's Fig. 10 Measured cells to
+// the averages Fig10 prints, at the printed digits, and keeps the
+// figure's shape: every kernel benefits from PIM, and the DRAM baseline
+// is slower than DWM (§V-C).
 func TestFig10PaperShape(t *testing.T) {
 	tb, err := Fig10()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dwm := lastCell(t, tb, 2)
-	dram := lastCell(t, tb, 3)
-	// Paper: 2.07× / 2.20× average improvement (±15%).
-	if dwm < 1.75 || dwm > 2.4 {
-		t.Errorf("DWM average %.2f, want ≈2.07", dwm)
+	avg := tb.Rows[len(tb.Rows)-1]
+	rows := markdownTable(t, readExperimentsDoc(t), "## Fig. 10 — Polybench latency vs non-PIM")
+	if h := rows[0]; len(h) != 3 || h[2] != "Measured" {
+		t.Fatalf("header %q: want Measured in column 3", h)
 	}
-	if dram < 1.85 || dram > 2.55 {
-		t.Errorf("DRAM average %.2f, want ≈2.20", dram)
+	rows = rows[1:]
+	if len(rows) != 2 || !strings.HasPrefix(rows[0][0], "DWM") || !strings.HasPrefix(rows[1][0], "DRAM") {
+		t.Fatalf("rows %q: want the DWM and DRAM baselines", rows)
 	}
-	if dram <= dwm {
+	for i, col := range []int{2, 3} {
+		if !sameNumbers(rows[i][2], avg[col]) {
+			t.Errorf("%s, Measured: EXPERIMENTS.md says %q, the experiment prints %s", rows[i][0], rows[i][2], avg[col])
+		}
+	}
+	if lastCell(t, tb, 3) <= lastCell(t, tb, 2) {
 		t.Error("DRAM baseline should be slower than DWM (§V-C)")
 	}
 	// Every kernel must benefit from PIM.
@@ -86,15 +95,24 @@ func TestFig10PaperShape(t *testing.T) {
 	}
 }
 
+// TestFig11PaperShape holds EXPERIMENTS.md's Fig. 11 Measured cell to
+// the average Fig11 prints in its note, at the printed digits, and
+// checks every kernel benefits.
 func TestFig11PaperShape(t *testing.T) {
 	tb, err := Fig11()
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg := lastCell(t, tb, 3)
-	// Paper: "more than 25×, on average"; conclusion quotes 25.2×.
-	if avg < 20 || avg > 45 {
-		t.Errorf("energy reduction %.1f, want the >25x band", avg)
+	rows := markdownTable(t, readExperimentsDoc(t), "## Fig. 11 — Polybench energy reduction")
+	if h := rows[0]; len(h) != 3 || h[2] != "Measured" || len(rows) != 2 {
+		t.Fatalf("table %q: want one row with Measured in column 3", rows)
+	}
+	_, printed, ok := strings.Cut(tb.Notes[0], "measured average:")
+	if !ok {
+		t.Fatalf("note %q: want the measured average", tb.Notes[0])
+	}
+	if !sameNumbers(rows[1][2], printed) {
+		t.Errorf("Measured: EXPERIMENTS.md says %q, the experiment prints %s", rows[1][2], printed)
 	}
 	for _, row := range tb.Rows[:len(tb.Rows)-1] {
 		v, err := strconv.ParseFloat(row[3], 64)

@@ -2,6 +2,7 @@ package memory
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -118,18 +119,21 @@ func TestExecuteBatchMatchesSerial(t *testing.T) {
 }
 
 // TestBatchTelemetryTotalsEqualSerial: after a batch, the memory
-// recorder's cycle clock, energy total and per-op metrics equal a
-// serial run's exactly — the window markers are metrics-free.
+// recorder's cycle clock, energy total and ledger, and its profiler's
+// stream-wide totals (per kind, per span and per mark), equal a serial
+// run's exactly — the window markers are ledger-free.
 func TestBatchTelemetryTotalsEqualSerial(t *testing.T) {
 	cfg := params.DefaultConfig()
 	g := cfg.Geometry
 	const nDBC = 8
 
-	run := func(batch bool) *Memory {
+	run := func(batch bool) (*Memory, *profile.Profiler) {
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		prof := profile.New(cfg)
+		m.SetTelemetry(telemetry.NewRecorder(cfg, prof))
 		reqs := make([]Request, 0, nDBC)
 		for s := 0; s < nDBC; s++ {
 			reqs = append(reqs, addRequest(t, m, g, 0, s, s))
@@ -147,11 +151,11 @@ func TestBatchTelemetryTotalsEqualSerial(t *testing.T) {
 				}
 			}
 		}
-		return m
+		return m, prof
 	}
 
-	serial := run(false)
-	bat := run(true)
+	serial, serialProf := run(false)
+	bat, batProf := run(true)
 
 	if gc, wc := bat.Recorder().Cycle(), serial.Recorder().Cycle(); gc != wc {
 		t.Errorf("cycle clock: batch %d, serial %d", gc, wc)
@@ -167,11 +171,12 @@ func TestBatchTelemetryTotalsEqualSerial(t *testing.T) {
 	if gm, wm := bat.Moves(), serial.Moves(); gm != wm {
 		t.Errorf("moves: batch %+v, serial %+v", gm, wm)
 	}
-	for _, name := range serial.Recorder().Metrics().SpanNames() {
-		gs, ws := bat.Recorder().Metrics().Span(name), serial.Recorder().Metrics().Span(name)
-		if gs != ws {
-			t.Errorf("span %q: batch %+v, serial %+v", name, gs, ws)
-		}
+	gt, wt := batProf.Totals(), serialProf.Totals()
+	if len(wt.Spans) == 0 {
+		t.Fatal("serial run profiled no spans")
+	}
+	if !reflect.DeepEqual(gt, wt) {
+		t.Errorf("profiler totals:\nbatch  %+v\nserial %+v", gt, wt)
 	}
 	// The cycle-clock == trace.Stats contract survives the window markers.
 	if got, want := bat.Recorder().Cycle(), bat.Stats().Cycles(); got != uint64(want) {
@@ -196,60 +201,107 @@ func TestRecorderEnergyIsPricedLedger(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := params.DefaultConfig()
 			cfg.Geometry.TrackWidth = 64
-			g := cfg.Geometry
 			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.SetFaultProfile(tc.prof)
-			if err := m.SetRecovery(tc.pol); err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(17))
-			ops := []isa.OpCode{isa.OpAdd, isa.OpMult, isa.OpMax, isa.OpXor}
-			for b := 0; b < 12; b++ {
-				reqs := make([]Request, 0, 16)
-				for bank := 0; bank < 8; bank++ {
-					in := isa.Instruction{Op: ops[rng.Intn(len(ops))], Src: pimAddr(g, bank, b%4, 0), Blocksize: 8, Operands: 2}
-					if in.Op == isa.OpMult {
-						in.Blocksize = 16
-					}
-					operands := []isa.Addr{pimAddr(g, bank, b%4, 0), pimAddr(g, bank, b%4, 1)}
-					for _, a := range operands {
-						vals := make([]uint64, g.TrackWidth/in.Blocksize)
-						for l := range vals {
-							vals[l] = uint64(rng.Intn(100))
-						}
-						if err := m.WriteRow(a, pim.MustPackLanes(vals, in.Blocksize, g.TrackWidth)); err != nil {
-							t.Fatal(err)
-						}
-					}
-					dst := pimAddr(g, bank, b%4, 10)
-					reqs = append(reqs, Request{In: in, Operands: operands, Dst: dst})
-					side := isa.Addr{Bank: bank, Subarray: 1, Tile: 2, Row: b}
-					switch bank % 3 {
-					case 0:
-						row := pim.MustPackLanes([]uint64{uint64(rng.Intn(256))}, 8, g.TrackWidth)
-						reqs = append(reqs, Request{Kind: KindWrite, Dst: side, Row: row})
-					case 1:
-						reqs = append(reqs, Request{Kind: KindCopy, Src: dst, Dst: side})
-					default:
-						reqs = append(reqs, Request{Kind: KindRead, Src: side})
-					}
-				}
-				for i, r := range m.ExecuteBatch(reqs) {
-					if r.Err != nil {
-						t.Fatalf("batch %d request %d: %v", b, i, r.Err)
-					}
-				}
-			}
-			if tc.pol.Enabled() && m.Health().TotalDetected == 0 {
-				t.Fatal("no faults detected: the recovery path went unexercised")
-			}
+			mixedTraffic(t, m, tc.prof, tc.pol)
 			if got, want := m.Recorder().EnergyPJ(), m.Stats().EnergyPJ(cfg.Energy, cfg.TRD); got != want {
 				t.Errorf("recorder energy %.17g != priced Stats %.17g", got, want)
 			}
 		})
+	}
+}
+
+// TestLedgerMatchesProfile: the recorder's ledger and the profiler
+// count one event stream, so after mixed batch traffic, then the same
+// traffic under NMR-3 recovery with injected faults (faults, marks and
+// stalls on top of the plain steps), every event kind's ledger entry is
+// the profiler's per-kind steps and wires, and the profiler's per-kind
+// energies sum to the recorder's priced ledger.
+func TestLedgerMatchesProfile(t *testing.T) {
+	cfg := params.DefaultConfig()
+	cfg.Geometry.TrackWidth = 64
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := profile.New(cfg)
+	rec := telemetry.NewRecorder(cfg, prof)
+	m.SetTelemetry(rec)
+	mixedTraffic(t, m, FaultProfile{}, resilient.Policy{})
+	mixedTraffic(t, m, FaultProfile{TRProb: 5e-3, Seed: 13}, resilient.DefaultPolicy())
+
+	ledger, tot := rec.Metrics(), prof.Totals()
+	for _, op := range []telemetry.Op{telemetry.OpFault, telemetry.OpMark, telemetry.OpStall, telemetry.OpRowCopy} {
+		if ledger.Count(op) == 0 {
+			t.Errorf("traffic recorded no %v event", op)
+		}
+	}
+	var pj float64
+	for op := telemetry.Op(0); op < telemetry.Op(telemetry.NumOps); op++ {
+		o := tot.Ops[op]
+		if got, want := ledger.Op(op), (telemetry.OpMetrics{Steps: o.Steps, WiresTotal: o.WiresTotal}); got != want {
+			t.Errorf("%v: ledger %+v, profiler %+v", op, got, want)
+		}
+		pj += o.EnergyPJ
+	}
+	if want := rec.EnergyPJ(); math.Abs(pj-want) > 1e-9*want {
+		t.Errorf("profiler energy %.17g, recorder energy %.17g", pj, want)
+	}
+}
+
+// mixedTraffic runs twelve batches on m under the given faults and
+// recovery policy: in each, one exec per bank (add, mult, max or xor)
+// beside a write, a copy or a read. Recovery must detect a fault when
+// it is on.
+func mixedTraffic(t *testing.T, m *Memory, faults FaultProfile, pol resilient.Policy) {
+	t.Helper()
+	g := m.Config().Geometry
+	m.SetFaultProfile(faults)
+	if err := m.SetRecovery(pol); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	ops := []isa.OpCode{isa.OpAdd, isa.OpMult, isa.OpMax, isa.OpXor}
+	for b := 0; b < 12; b++ {
+		reqs := make([]Request, 0, 16)
+		for bank := 0; bank < 8; bank++ {
+			in := isa.Instruction{Op: ops[rng.Intn(len(ops))], Src: pimAddr(g, bank, b%4, 0), Blocksize: 8, Operands: 2}
+			if in.Op == isa.OpMult {
+				in.Blocksize = 16
+			}
+			operands := []isa.Addr{pimAddr(g, bank, b%4, 0), pimAddr(g, bank, b%4, 1)}
+			for _, a := range operands {
+				vals := make([]uint64, g.TrackWidth/in.Blocksize)
+				for l := range vals {
+					vals[l] = uint64(rng.Intn(100))
+				}
+				if err := m.WriteRow(a, pim.MustPackLanes(vals, in.Blocksize, g.TrackWidth)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dst := pimAddr(g, bank, b%4, 10)
+			reqs = append(reqs, Request{In: in, Operands: operands, Dst: dst})
+			side := isa.Addr{Bank: bank, Subarray: 1, Tile: 2, Row: b}
+			switch bank % 3 {
+			case 0:
+				row := pim.MustPackLanes([]uint64{uint64(rng.Intn(256))}, 8, g.TrackWidth)
+				reqs = append(reqs, Request{Kind: KindWrite, Dst: side, Row: row})
+			case 1:
+				reqs = append(reqs, Request{Kind: KindCopy, Src: dst, Dst: side})
+			default:
+				reqs = append(reqs, Request{Kind: KindRead, Src: side})
+			}
+		}
+		for i, r := range m.ExecuteBatch(reqs) {
+			if r.Err != nil {
+				t.Fatalf("batch %d request %d: %v", b, i, r.Err)
+			}
+		}
+	}
+	if pol.Enabled() && m.Health().TotalDetected == 0 {
+		t.Fatal("no faults detected: the recovery path went unexercised")
 	}
 }
 

@@ -116,9 +116,9 @@ func (sh *shard) recorder() *telemetry.Recorder { return sh.d.Recorder() }
 type Memory struct {
 	planner // the configuration, and every check that reads only it
 
-	// rec is always non-nil (metrics-only by default). It is stored under
-	// mu but loaded without it, so Stats, Moves and Recorder never wait
-	// for a request or batch.
+	// rec is always non-nil (a recorder with no sink by default). It is
+	// stored under mu but loaded without it, so Stats, Moves and
+	// Recorder never wait for a request or batch.
 	rec atomic.Pointer[telemetry.Recorder]
 
 	// mu guards the shard table, every shard's state, the attachment
@@ -131,7 +131,7 @@ type Memory struct {
 }
 
 // MoveStats counts row-granularity data movement inside the memory. It
-// is derived from the telemetry recorder's unified counters (the
+// is derived from the telemetry recorder's ledger (the
 // OpRowRead/OpRowWrite/OpRowCopy instants).
 type MoveStats struct {
 	RowReads  int
@@ -163,9 +163,9 @@ func (m *Memory) Config() params.Config { return m.cfg }
 // operations — including a batch — are in flight.
 func (m *Memory) Stats() trace.Stats { return m.Recorder().Stats() }
 
-// Moves returns the row-movement counters, derived from the unified
-// telemetry metrics. Events of an in-flight batch appear as its
-// requests run.
+// Moves returns the row-movement counters, read from the recorder's
+// ledger, the one Stats reads. Events of an in-flight batch appear as
+// its requests run.
 func (m *Memory) Moves() MoveStats {
 	met := m.Recorder().Metrics()
 	return MoveStats{
@@ -180,11 +180,12 @@ func (m *Memory) Moves() MoveStats {
 func (m *Memory) Recorder() *telemetry.Recorder { return m.rec.Load() }
 
 // SetTelemetry replaces the memory's telemetry recorder, re-attaching
-// every materialized DBC to it. Passing nil installs a fresh
-// metrics-only recorder (the memory always records: MoveStats derives
-// from the recorder's counters), which also resets the counters. It
-// waits for a request or batch in flight, so a batch's steps and its
-// window markers land on one recorder.
+// every materialized DBC to it. Passing nil installs a fresh recorder
+// with no sink, which keeps only the clock, timeline and ledger (the
+// memory always records: Stats and Moves read the recorder's ledger),
+// and so also resets the counters. It waits for a request or batch in
+// flight, so a batch's steps and its window markers land on one
+// recorder.
 func (m *Memory) SetTelemetry(rec *telemetry.Recorder) {
 	if rec == nil {
 		rec = telemetry.NewRecorder(m.cfg)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/params"
 	"repro/internal/pim"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/profile"
 	"repro/internal/trace"
 )
 
@@ -222,6 +223,8 @@ func TestMemoryMovesDeriveFromTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prof := profile.New(cfg)
+	m.SetTelemetry(telemetry.NewRecorder(cfg, prof))
 	row := dbc.NewRow(64)
 	row.Set(3, 1)
 	a := isa.Addr{Bank: 0, Subarray: 0, Tile: 0, DBC: 0, Row: 1}
@@ -240,9 +243,8 @@ func TestMemoryMovesDeriveFromTelemetry(t *testing.T) {
 	if moves.RowWrites != 2 || moves.RowReads != 2 || moves.RowCopies != 1 {
 		t.Fatalf("moves=%+v, want writes=2 reads=2 copies=1", moves)
 	}
-	srcs := m.Recorder().Metrics().Sources()
-	if _, ok := srcs["b0.s0.t0.d0"]; !ok {
-		t.Errorf("per-DBC source missing, have %v", srcs)
+	if snaps := prof.Snapshot(); len(snaps) == 0 || snaps[0].Src != "b0.s0.t0.d0" {
+		t.Errorf("per-DBC source b0.s0.t0.d0 missing, have %+v", snaps)
 	}
 
 	// Replacing the recorder resets the derived counters and re-attaches

@@ -2,11 +2,10 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
-	"sort"
-	"sync"
+
+	"repro/internal/trace"
 )
 
 // Hist is a log2-bucketed histogram of non-negative integer samples:
@@ -117,247 +116,46 @@ func (h Hist) String() string {
 	return out
 }
 
-// OpMetrics aggregates the primitive steps of one op kind.
+// OpMetrics is the ledger entry of one event kind.
 type OpMetrics struct {
-	Steps         uint64  // control steps recorded (events for instants)
-	WiresTotal    uint64  // total affected nanowires/bits
-	EnergyPJTotal float64 // total energy
-	WiresHist     Hist    // distribution of wires touched per step
+	Steps      uint64 // control steps recorded (events for instants)
+	WiresTotal uint64 // total affected nanowires/bits
 }
 
-// SrcMetrics aggregates the events of one source (typically one DBC).
-type SrcMetrics struct {
-	Steps    [numOps]uint64
-	EnergyPJ float64
-}
-
-// Cycles returns the control-step cycles attributed to the source.
-func (s SrcMetrics) Cycles() uint64 {
-	var n uint64
-	for op := OpShift; op <= OpStall; op++ {
-		n += s.Steps[op]
-	}
-	return n
-}
-
-// SpanMetrics aggregates the completed spans of one name.
-type SpanMetrics struct {
-	Count       uint64
-	TotalCycles uint64
-	TotalPJ     float64
-	CycleHist   Hist // span latency in device cycles
-}
-
-// MarkMetrics aggregates the tagged control events of one mark name.
-type MarkMetrics struct {
-	Count      uint64
-	WiresTotal uint64 // sum of the marks' wires payloads (e.g. rows saved)
-}
-
-// Metrics is the aggregate view of a telemetry stream: counters and
-// histograms per op kind, per source, per span name and per mark name.
-// The zero value is not ready; use NewMetrics. All methods are safe for
-// concurrent use.
+// Metrics is a recorder's cost ledger: the count and wire total of every
+// event kind it recorded — each control step, and each fault, row-move
+// and mark instant. Span and window markers carry no device work and are
+// not counted. Per-source, per-span and per-mark aggregates, energies
+// and histograms are the hardware profiler's (telemetry/profile).
 type Metrics struct {
-	mu     sync.Mutex
-	perOp  [numOps]OpMetrics
-	perSrc map[Source]*SrcMetrics
-	spans  map[string]*SpanMetrics
-	marks  map[string]*MarkMetrics
+	ops [numOps]OpMetrics
 }
 
-// NewMetrics returns an empty metrics aggregate.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		perSrc: make(map[Source]*SrcMetrics),
-		spans:  make(map[string]*SpanMetrics),
-		marks:  make(map[string]*MarkMetrics),
-	}
+func (m *Metrics) add(op Op, wires int) {
+	o := &m.ops[op]
+	o.Steps++
+	o.WiresTotal += uint64(wires)
 }
 
-// record folds one event in. Span begin/end events are handled by
-// recordSpan instead.
-func (m *Metrics) record(e Event) {
-	m.mu.Lock()
-	om := &m.perOp[e.Op]
-	om.Steps++
-	om.WiresTotal += uint64(e.Wires)
-	om.EnergyPJTotal += e.EnergyPJ
-	om.WiresHist.Observe(uint64(e.Wires))
-	sm := m.perSrc[e.Src]
-	if sm == nil {
-		sm = &SrcMetrics{}
-		m.perSrc[e.Src] = sm
-	}
-	sm.Steps[e.Op]++
-	sm.EnergyPJ += e.EnergyPJ
-	if e.Op == OpMark && e.Name != "" {
-		mk := m.marks[e.Name]
-		if mk == nil {
-			mk = &MarkMetrics{}
-			m.marks[e.Name] = mk
-		}
-		mk.Count++
-		mk.WiresTotal += uint64(e.Wires)
-	}
-	m.mu.Unlock()
-}
+// Op returns the ledger entry of one event kind.
+func (m *Metrics) Op(op Op) OpMetrics { return m.ops[op] }
 
-// recordSpan folds one completed span in.
-func (m *Metrics) recordSpan(name string, cycles uint64, pj float64) {
-	m.mu.Lock()
-	sp := m.spans[name]
-	if sp == nil {
-		sp = &SpanMetrics{}
-		m.spans[name] = sp
-	}
-	sp.Count++
-	sp.TotalCycles += cycles
-	sp.TotalPJ += pj
-	sp.CycleHist.Observe(cycles)
-	m.mu.Unlock()
-}
+// Count returns the event count of one event kind.
+func (m *Metrics) Count(op Op) uint64 { return m.ops[op].Steps }
 
-// Op returns a copy of the aggregate for one op kind.
-func (m *Metrics) Op(op Op) OpMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.perOp[op]
-}
-
-// Count returns the event count of one op kind.
-func (m *Metrics) Count(op Op) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.perOp[op].Steps
-}
-
-// Sources returns a copy of the per-source aggregates.
-func (m *Metrics) Sources() map[Source]SrcMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[Source]SrcMetrics, len(m.perSrc))
-	for s, v := range m.perSrc {
-		out[s] = *v
-	}
-	return out
-}
-
-// Mark returns the aggregate for one mark name (zero value when the
-// name was never marked).
-func (m *Metrics) Mark(name string) MarkMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if mk := m.marks[name]; mk != nil {
-		return *mk
-	}
-	return MarkMetrics{}
-}
-
-// MarkNames returns the names of all recorded marks, sorted.
-func (m *Metrics) MarkNames() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.marks))
-	for n := range m.marks {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Span returns a copy of the aggregate for one span name (zero value
-// when the name never completed a span).
-func (m *Metrics) Span(name string) SpanMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if sp := m.spans[name]; sp != nil {
-		return *sp
-	}
-	return SpanMetrics{}
-}
-
-// SpanNames returns the names of all completed spans, sorted.
-func (m *Metrics) SpanNames() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.spans))
-	for n := range m.spans {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// WriteText renders the metrics as a human-readable report: per-op
-// counters, per-source rollups and span latency/energy histograms, in
-// stable (sorted) order.
-func (m *Metrics) WriteText(w io.Writer) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, err := fmt.Fprintf(w, "# telemetry metrics\n\n## per op kind\n"); err != nil {
-		return err
-	}
-	for op := Op(0); op < numOps; op++ {
-		om := m.perOp[op]
-		if om.Steps == 0 {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "%-10s steps=%d wires=%d energy=%.1fpJ wires-p50=%d p95=%d max=%d wires-hist=%s\n",
-			op, om.Steps, om.WiresTotal, om.EnergyPJTotal,
-			om.WiresHist.P50(), om.WiresHist.P95(), om.WiresHist.Max(), om.WiresHist); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "\n## per source\n"); err != nil {
-		return err
-	}
-	srcs := make([]string, 0, len(m.perSrc))
-	for s := range m.perSrc {
-		srcs = append(srcs, string(s))
-	}
-	sort.Strings(srcs)
-	for _, s := range srcs {
-		sm := m.perSrc[Source(s)]
-		if _, err := fmt.Fprintf(w, "%-24s cycles=%d energy=%.1fpJ shifts=%d trs=%d writes=%d reads=%d tws=%d faults=%d moves=%d\n",
-			s, sm.Cycles(), sm.EnergyPJ,
-			sm.Steps[OpShift], sm.Steps[OpTR], sm.Steps[OpWrite], sm.Steps[OpRead], sm.Steps[OpTW],
-			sm.Steps[OpFault],
-			sm.Steps[OpRowRead]+sm.Steps[OpRowWrite]+sm.Steps[OpRowCopy]); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "\n## spans\n"); err != nil {
-		return err
-	}
-	names := make([]string, 0, len(m.spans))
-	for n := range m.spans {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		sp := m.spans[n]
-		if _, err := fmt.Fprintf(w, "%-24s count=%d cycles=%d energy=%.1fpJ cycle-p50=%d p95=%d max=%d cycle-hist=%s\n",
-			n, sp.Count, sp.TotalCycles, sp.TotalPJ,
-			sp.CycleHist.P50(), sp.CycleHist.P95(), sp.CycleHist.Max(), sp.CycleHist); err != nil {
-			return err
-		}
-	}
-	if len(m.marks) > 0 {
-		if _, err := fmt.Fprintf(w, "\n## marks\n"); err != nil {
-			return err
-		}
-		names = names[:0]
-		for n := range m.marks {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			mk := m.marks[n]
-			if _, err := fmt.Fprintf(w, "%-24s count=%d total=%d\n", n, mk.Count, mk.WiresTotal); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// Stats returns the ledger's control steps as a trace.Stats: the step
+// counts of every step kind and the wire counts of those that carry
+// energy.
+func (m *Metrics) Stats() trace.Stats {
+	n := func(op Op) (steps, wires int) { return int(m.ops[op].Steps), int(m.ops[op].WiresTotal) }
+	var s trace.Stats
+	s.ShiftSteps, s.ShiftWires = n(OpShift)
+	s.TRSteps, s.TRWires = n(OpTR)
+	s.WriteSteps, s.WriteBits = n(OpWrite)
+	s.ReadSteps, s.ReadBits = n(OpRead)
+	s.TWSteps, s.TWBits = n(OpTW)
+	s.CopySteps, s.CopyBits = n(OpCopy)
+	s.LogicSteps, _ = n(OpLogic)
+	s.StallSteps, _ = n(OpStall)
+	return s
 }

@@ -1,10 +1,13 @@
-// Package profile is the racetrack hardware profiler: a telemetry.Sink
-// that attributes the event stream spatially, the way the performance
-// of a racetrack memory is actually decided — which DBC shifted how
-// far, which rows absorb the write wear, where the access-port heads
-// spend their cycles, and where the energy goes.
+// Package profile is the racetrack hardware profiler and the one
+// aggregate of the telemetry stream: a telemetry.Sink that attributes
+// events spatially, the way the performance of a racetrack memory is
+// actually decided — which DBC shifted how far, which rows absorb the
+// write wear, where the access-port heads spend their cycles, and where
+// the energy goes — and that also keeps the stream-wide totals a
+// recorder's ledger does not: energy and wire histograms per event kind,
+// and the per-span and per-mark aggregates.
 //
-// Where telemetry.Metrics aggregates by op kind and source, the
+// The recorder keeps only integer counts (telemetry.Metrics); the
 // profiler keeps per-DBC spatial state: per-row access/write counts
 // (the wear heatmap endurance planning needs), head-position occupancy
 // (how the shift excursion is used), shift-distance histograms per
@@ -16,20 +19,22 @@
 // port. Shift distance is derived structurally — a run of consecutive
 // shift steps on one DBC ends at the port access that needed the
 // alignment, so the run length is exactly the align distance the
-// placement cost model predicts.
+// placement cost model predicts. A span's cycles run from its Begin
+// event to its End event, and its energy rides on the End event.
 //
 // Overhead contract: the profiler attaches as an ordinary sink, so the
 // nil-recorder engine path is untouched (one branch per hook), and a
-// recorder without a profiler pays nothing new. ExecuteBatch records
+// recorder without a sink builds no event at all. ExecuteBatch records
 // straight into the memory's recorder and only reorders groups with
 // disjoint footprints, so profiled counters from a batch are
 // bit-identical to a serial run.
 //
-// The aggregate is exposed three ways: Prometheus text exposition
+// The aggregate is exposed four ways: Prometheus text exposition
 // (WritePrometheus / Handler, mounted on -debug-addr next to pprof),
-// Chrome trace counter events (WithChromeCounters, so
-// per-DBC heatlines render in Perfetto), and the `coruscant top` live
-// terminal view (RenderTop).
+// Chrome trace counter events (WithChromeCounters, so per-DBC
+// heatlines render in Perfetto), the `coruscant top` live terminal
+// view (RenderTop), and the text report behind -metrics (WriteText).
+// Snapshot and Totals return it as Go values.
 package profile
 
 import (
@@ -71,13 +76,19 @@ type dbcProf struct {
 	counted   uint64 // events since the last Chrome counter sample
 }
 
-// Profiler aggregates spatially-attributed telemetry events. Attach it
-// to a Recorder as a sink; all methods are safe for concurrent use.
+// Profiler aggregates telemetry events per source (spatially), per
+// event kind, per span name and per mark name. Attach it to a Recorder
+// as a sink; all methods are safe for concurrent use.
 type Profiler struct {
 	mu   sync.Mutex
 	cfg  params.Config
 	gap  int // right-port row minus left-port row (TRD-1)
 	srcs map[telemetry.Source]*dbcProf
+
+	ops   [telemetry.NumOps]OpTotals
+	spans map[string]*SpanTotals
+	marks map[string]*MarkTotals
+	open  map[telemetry.Source][]uint64 // Begin cycles of the open spans, per source
 
 	counters     *telemetry.ChromeSink
 	counterEvery uint64
@@ -123,9 +134,12 @@ func WithLabel(name, value string) Option {
 // (the geometry scales the wear and occupancy axes).
 func New(cfg params.Config, opts ...Option) *Profiler {
 	p := &Profiler{
-		cfg:  cfg,
-		gap:  int(cfg.TRD) - 1,
-		srcs: make(map[telemetry.Source]*dbcProf),
+		cfg:   cfg,
+		gap:   int(cfg.TRD) - 1,
+		srcs:  make(map[telemetry.Source]*dbcProf),
+		spans: make(map[string]*SpanTotals),
+		marks: make(map[string]*MarkTotals),
+		open:  make(map[telemetry.Source][]uint64),
 	}
 	for _, o := range opts {
 		o(p)
@@ -142,7 +156,8 @@ func (p *Profiler) src(s telemetry.Source) *dbcProf {
 	return d
 }
 
-// Emit folds one telemetry event into the spatial aggregate (Sink).
+// Emit folds one telemetry event into the aggregate (Sink). Only steps
+// and instants create a source.
 func (p *Profiler) Emit(e telemetry.Event) {
 	if e.Op == telemetry.OpWindow {
 		// Window markers are scheduling annotations with no source or
@@ -151,13 +166,40 @@ func (p *Profiler) Emit(e telemetry.Event) {
 		return
 	}
 	p.mu.Lock()
+	switch e.Phase {
+	case telemetry.PhaseStep, telemetry.PhaseInstant:
+		p.record(e)
+	case telemetry.PhaseBegin:
+		p.open[e.Src] = append(p.open[e.Src], e.Cycle)
+	case telemetry.PhaseEnd:
+		p.endSpan(e)
+	}
+	p.mu.Unlock()
+}
+
+// record folds one step or instant into the per-kind totals, the named
+// marks and its source.
+func (p *Profiler) record(e telemetry.Event) {
+	o := &p.ops[e.Op]
+	o.Steps++
+	o.WiresTotal += uint64(e.Wires)
+	o.EnergyPJ += e.EnergyPJ
+	o.Wires.Observe(uint64(e.Wires))
+	if e.Op == telemetry.OpMark && e.Name != "" {
+		mk := p.marks[e.Name]
+		if mk == nil {
+			mk = &MarkTotals{}
+			p.marks[e.Name] = mk
+		}
+		mk.Count++
+		mk.WiresTotal += uint64(e.Wires)
+	}
 	d := p.src(e.Src)
 	if e.Cycle > d.lastCycle {
 		d.lastCycle = e.Cycle
 	}
-	switch e.Phase {
-	case telemetry.PhaseStep:
-		d.steps[e.Op]++
+	d.steps[e.Op]++
+	if e.Phase == telemetry.PhaseStep {
 		d.energyPJ[e.Op] += e.EnergyPJ
 		d.totalPJ += e.EnergyPJ
 		if e.Op == telemetry.OpShift {
@@ -168,12 +210,28 @@ func (p *Profiler) Emit(e telemetry.Event) {
 		} else {
 			d.endRun(e, p.gap)
 		}
-		p.sampleCounters(e.Src, d)
-	case telemetry.PhaseInstant:
-		d.steps[e.Op]++
-		p.sampleCounters(e.Src, d)
 	}
-	p.mu.Unlock()
+	p.sampleCounters(e.Src, d)
+}
+
+// endSpan folds in the span an End event closes: the innermost open
+// span of its source.
+func (p *Profiler) endSpan(e telemetry.Event) {
+	stack := p.open[e.Src]
+	if len(stack) == 0 {
+		return
+	}
+	cycles := e.Cycle - stack[len(stack)-1]
+	p.open[e.Src] = stack[:len(stack)-1]
+	sp := p.spans[e.Name]
+	if sp == nil {
+		sp = &SpanTotals{}
+		p.spans[e.Name] = sp
+	}
+	sp.Count++
+	sp.Cycles += cycles
+	sp.EnergyPJ += e.EnergyPJ
+	sp.CycleHist.Observe(cycles)
 }
 
 // endRun closes the current shift run at a non-shift step: the run
@@ -302,6 +360,11 @@ func (s DBCSnapshot) HottestRow() (row int, writes uint64) {
 func (p *Profiler) Snapshot() []DBCSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.snapshot()
+}
+
+// snapshot is Snapshot for a caller holding p.mu.
+func (p *Profiler) snapshot() []DBCSnapshot {
 	out := make([]DBCSnapshot, 0, len(p.srcs))
 	for src, d := range p.srcs {
 		snap := DBCSnapshot{
@@ -325,6 +388,59 @@ func (p *Profiler) Snapshot() []DBCSnapshot {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Src < out[j].Src })
 	return out
+}
+
+// OpTotals aggregates every event of one kind over all sources.
+type OpTotals struct {
+	Steps      uint64         // control steps (events for instants)
+	WiresTotal uint64         // total affected nanowires/bits
+	EnergyPJ   float64        // total energy
+	Wires      telemetry.Hist // wires touched per event
+}
+
+// SpanTotals aggregates the completed spans of one name.
+type SpanTotals struct {
+	Count     uint64
+	Cycles    uint64         // total span cycles
+	EnergyPJ  float64        // total span energy
+	CycleHist telemetry.Hist // span latency in device cycles
+}
+
+// MarkTotals aggregates the named marks of one name.
+type MarkTotals struct {
+	Count      uint64
+	WiresTotal uint64 // sum of the marks' wires payloads (e.g. rows saved)
+}
+
+// Totals is the stream-wide aggregate: per event kind, per span name and
+// per mark name.
+type Totals struct {
+	Ops   [telemetry.NumOps]OpTotals // indexed by telemetry.Op
+	Spans map[string]SpanTotals
+	Marks map[string]MarkTotals
+}
+
+// Totals returns the stream-wide aggregate as an owned copy.
+func (p *Profiler) Totals() Totals {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.totals()
+}
+
+// totals is Totals for a caller holding p.mu.
+func (p *Profiler) totals() Totals {
+	t := Totals{
+		Ops:   p.ops,
+		Spans: make(map[string]SpanTotals, len(p.spans)),
+		Marks: make(map[string]MarkTotals, len(p.marks)),
+	}
+	for n, sp := range p.spans {
+		t.Spans[n] = *sp
+	}
+	for n, mk := range p.marks {
+		t.Marks[n] = *mk
+	}
+	return t
 }
 
 // ShiftStepsBySource returns the measured shift-step count per source,

@@ -1,6 +1,6 @@
 // Package telemetry is the engine-wide observability layer: a
-// cycle-accurate event stream plus aggregate runtime metrics for every
-// device primitive the simulator executes.
+// cycle-accurate event stream over every device primitive the simulator
+// executes, and the cost ledger behind it.
 //
 // Where internal/trace answers "how many primitives did this operation
 // cost in total", telemetry answers "when did each one happen, on which
@@ -10,21 +10,22 @@
 // pim → memory → workloads → the public façade): each traced control
 // step becomes an Event carrying the op kind, the emitting component
 // (DBC coordinates), the cycle timestamp, the affected wire/bit count
-// and the energy delta. Events fan out to pluggable Sinks — an
-// in-memory ring buffer and the one file export, a Chrome trace_event
-// stream loadable in Perfetto/chrome://tracing — and accumulate into
-// Metrics (counters and histograms per op kind, per source and per
-// span), reported as a text dump (Metrics.WriteText); the one
-// machine-readable exposition is the profiler's Prometheus text
-// (internal/telemetry/profile).
+// and the energy delta. Events fan out to pluggable Sinks: an in-memory
+// ring buffer, the one file export (a Chrome trace_event stream loadable
+// in Perfetto/chrome://tracing) and the hardware profiler
+// (internal/telemetry/profile), the one aggregate of the stream, whose
+// views are its Prometheus text, Chrome counters, `coruscant top` and
+// the text report behind -metrics.
 //
-// A Recorder is also a cost ledger: it keeps the integer step and wire
-// totals of everything it records (Stats), its cycle clock follows
-// trace.Stats.Cycles() — one cycle per control step — and its energy is
-// those totals priced once (EnergyPJ). A memory.Memory reads its device
-// cost from its recorder alone; a standalone DBC or PIM unit that also
-// carries a trace.Tracer charges both from one call per step, so the two
-// agree exactly (telemetry tests assert this).
+// A Recorder is also a cost ledger (Metrics): it keeps the integer step
+// and wire totals of every event kind it records (Stats), its cycle
+// clock follows trace.Stats.Cycles() — one cycle per control step — and
+// its energy is those totals priced once (EnergyPJ). A memory.Memory
+// reads its device cost from its recorder alone; a standalone DBC or PIM
+// unit that also carries a trace.Tracer charges both from one call per
+// step, so the two agree exactly (telemetry tests assert this). A
+// recorder with no sink builds no Event at all: it keeps the clock, the
+// timeline and the ledger.
 //
 // Overhead contract: a nil *Recorder is valid, discards everything and
 // costs a single inlineable nil check per hook, so the disabled engine
@@ -84,9 +85,9 @@ var opNames = [numOps]string{
 // markers drive the recorder's makespan timeline (trace.Timeline):
 // begin opens a parallelism window, lane starts a new concurrent lane
 // inside it, end commits the longest lane. They are scheduling
-// annotations, not device activity — Metrics, the Chrome exporter and
-// the hardware profiler all skip them, so aggregate totals stay equal
-// between windowed and serial runs of the same work.
+// annotations, not device activity — the ledger, the Chrome exporter
+// and the hardware profiler all skip them, so aggregate totals stay
+// equal between windowed and serial runs of the same work.
 const (
 	WindowMarkBegin = "begin"
 	WindowMarkLane  = "lane"
@@ -167,23 +168,23 @@ type Sink interface {
 	Close() error
 }
 
-// Recorder is the telemetry hub: it timestamps events on a cycle clock,
-// prices them with the configured energy table, counts them in its
-// ledger, updates Metrics and fans them out to the attached sinks. A
-// nil *Recorder is valid and records nothing — the hooks threaded
-// through the engine cost one branch when telemetry is disabled.
+// Recorder is the telemetry hub: a cycle clock, a makespan timeline,
+// one cost ledger and a fan-out to the attached sinks. It charges every
+// event to its ledger and, when a sink is attached, timestamps and
+// prices the event and hands it to each sink. A nil *Recorder is valid
+// and records nothing — the hooks threaded through the engine cost one
+// branch when telemetry is disabled.
 //
 // A Recorder is safe for concurrent use; a single lock serializes the
 // clock, mirroring the one memory controller in front of the arrays.
 type Recorder struct {
-	mu      sync.Mutex
-	cycle   uint64
-	tl      trace.Timeline // per-window critical-path accounting
-	ledger  trace.Tracer   // integer step and wire totals by kind
-	price   trace.Prices   // per-wire energy of each step kind
-	sinks   []Sink
-	metrics *Metrics
-	spans   map[Source][]spanFrame
+	mu     sync.Mutex
+	cycle  uint64
+	tl     trace.Timeline // per-window critical-path accounting
+	ledger Metrics        // step and wire totals of every event kind
+	price  trace.Prices   // per-wire energy of each step kind
+	sinks  []Sink
+	spans  map[Source][]spanFrame // open spans; kept only while a sink is attached
 }
 
 // spanFrame is an open span: its name and the ledger when it began.
@@ -193,14 +194,10 @@ type spanFrame struct {
 }
 
 // NewRecorder returns a recorder pricing events with cfg's energy table
-// and emitting to the given sinks (none is valid: metrics only).
+// and emitting to the given sinks (none is valid: the recorder then
+// keeps only its clock, timeline and ledger).
 func NewRecorder(cfg params.Config, sinks ...Sink) *Recorder {
-	return &Recorder{
-		price:   trace.PricesFor(cfg.Energy, cfg.TRD),
-		sinks:   sinks,
-		metrics: NewMetrics(),
-		spans:   make(map[Source][]spanFrame),
-	}
+	return &Recorder{price: trace.PricesFor(cfg.Energy, cfg.TRD), sinks: sinks}
 }
 
 // Step records one primitive control step of kind op (a step kind,
@@ -246,24 +243,29 @@ func (r *Recorder) StepPort(src Source, op Op, wires, row, port int) {
 
 func (r *Recorder) step(src Source, op Op, wires, row, pos int) {
 	r.mu.Lock()
-	e := Event{
-		Op:       op,
-		Phase:    PhaseStep,
-		Src:      src,
-		Cycle:    r.cycle,
-		Wires:    wires,
-		EnergyPJ: float64(wires) * r.price[op],
-		Row:      row,
-		Pos:      pos,
+	if len(r.sinks) > 0 {
+		r.emit(Event{
+			Op:       op,
+			Phase:    PhaseStep,
+			Src:      src,
+			Cycle:    r.cycle,
+			Wires:    wires,
+			EnergyPJ: float64(wires) * r.price[op],
+			Row:      row,
+			Pos:      pos,
+		})
 	}
 	r.cycle++
 	r.tl.Step()
-	r.ledger.Charge(trace.Kind(op), wires)
-	r.metrics.record(e)
+	r.ledger.add(op, wires)
+	r.mu.Unlock()
+}
+
+// emit hands e to every sink. The caller holds r.mu.
+func (r *Recorder) emit(e Event) {
 	for _, s := range r.sinks {
 		s.Emit(e)
 	}
-	r.mu.Unlock()
 }
 
 // Fault records an injected fault as a zero-duration tagged event at
@@ -300,49 +302,48 @@ func (r *Recorder) Move(src Source, op Op, wires int) {
 
 func (r *Recorder) instant(src Source, op Op, name string, wires int) {
 	r.mu.Lock()
-	e := Event{Op: op, Phase: PhaseInstant, Src: src, Name: name, Cycle: r.cycle, Wires: wires}
-	r.metrics.record(e)
-	for _, s := range r.sinks {
-		s.Emit(e)
+	r.ledger.add(op, wires)
+	if len(r.sinks) > 0 {
+		r.emit(Event{Op: op, Phase: PhaseInstant, Src: src, Name: name, Cycle: r.cycle, Wires: wires})
 	}
 	r.mu.Unlock()
 }
 
 // Begin opens a named span at src: a higher-level operation (an AddMulti
 // call, a cpim instruction, a CNN layer) that groups the primitive steps
-// recorded until the matching End. Spans nest per source.
+// recorded until the matching End. Spans nest per source. With no sink
+// attached there is nothing to report a span to, and Begin keeps no
+// frame.
 func (r *Recorder) Begin(src Source, name string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.spans[src] = append(r.spans[src], spanFrame{name: name, start: r.ledger.Stats()})
-	e := Event{Op: OpSpan, Phase: PhaseBegin, Src: src, Name: name, Cycle: r.cycle}
-	for _, s := range r.sinks {
-		s.Emit(e)
+	if len(r.sinks) > 0 {
+		if r.spans == nil {
+			r.spans = make(map[Source][]spanFrame)
+		}
+		r.spans[src] = append(r.spans[src], spanFrame{name: name, start: r.ledger.Stats()})
+		r.emit(Event{Op: OpSpan, Phase: PhaseBegin, Src: src, Name: name, Cycle: r.cycle})
 	}
 	r.mu.Unlock()
 }
 
-// End closes the innermost open span at src, recording its cycle
-// duration and energy — the ledger's growth since Begin, priced — into
-// the span metrics. An End without a matching Begin is ignored.
+// End closes the innermost open span at src. Its End event carries the
+// span's energy in EnergyPJ — the ledger's growth since Begin, priced —
+// and its cycles are the End event's cycle minus the Begin event's. An
+// End without a matching Begin is ignored.
 func (r *Recorder) End(src Source) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	stack := r.spans[src]
-	if n := len(stack); n > 0 {
-		f := stack[n-1]
-		r.spans[src] = stack[:n-1]
-		e := Event{Op: OpSpan, Phase: PhaseEnd, Src: src, Name: f.name, Cycle: r.cycle}
+	if stack := r.spans[src]; len(stack) > 0 && len(r.sinks) > 0 {
+		f := stack[len(stack)-1]
+		r.spans[src] = stack[:len(stack)-1]
 		d := r.ledger.Stats()
 		d.Add(f.start.Scale(-1))
-		r.metrics.recordSpan(f.name, uint64(d.Cycles()), r.price.EnergyPJ(d))
-		for _, s := range r.sinks {
-			s.Emit(e)
-		}
+		r.emit(Event{Op: OpSpan, Phase: PhaseEnd, Src: src, Name: f.name, Cycle: r.cycle, EnergyPJ: r.price.EnergyPJ(d)})
 	}
 	r.mu.Unlock()
 }
@@ -393,7 +394,7 @@ func (r *Recorder) WindowEnd() {
 }
 
 // window applies one marker to the timeline and emits it. Markers skip
-// Metrics on purpose: they carry no device work, and aggregate totals
+// the ledger on purpose: they carry no device work, and aggregate totals
 // must stay identical between windowed and serial runs.
 func (r *Recorder) window(mark string) {
 	r.mu.Lock()
@@ -405,9 +406,8 @@ func (r *Recorder) window(mark string) {
 	case WindowMarkEnd:
 		r.tl.WindowEnd()
 	}
-	e := Event{Op: OpWindow, Phase: PhaseInstant, Name: mark, Cycle: r.cycle}
-	for _, s := range r.sinks {
-		s.Emit(e)
+	if len(r.sinks) > 0 {
+		r.emit(Event{Op: OpWindow, Phase: PhaseInstant, Name: mark, Cycle: r.cycle})
 	}
 	r.mu.Unlock()
 }
@@ -437,8 +437,9 @@ func (r *Recorder) Cycle() uint64 {
 	return r.cycle
 }
 
-// Stats returns the ledger: the integer step and wire totals by kind of
-// every control step recorded so far. Stats().Cycles() equals Cycle().
+// Stats returns the ledger's step kinds: the integer step and wire
+// totals by kind of every control step recorded so far.
+// Stats().Cycles() equals Cycle().
 func (r *Recorder) Stats() trace.Stats {
 	if r == nil {
 		return trace.Stats{}
@@ -458,13 +459,16 @@ func (r *Recorder) EnergyPJ() float64 {
 	return r.price.EnergyPJ(r.Stats())
 }
 
-// Metrics returns the recorder's aggregate metrics: never nil for a
-// NewRecorder recorder, nil for a nil one.
+// Metrics returns a copy of the recorder's ledger, taken under its
+// lock: never nil for a NewRecorder recorder, nil for a nil one.
 func (r *Recorder) Metrics() *Metrics {
 	if r == nil {
 		return nil
 	}
-	return r.metrics
+	r.mu.Lock()
+	m := r.ledger
+	r.mu.Unlock()
+	return &m
 }
 
 // Close closes every attached sink, returning the first error.

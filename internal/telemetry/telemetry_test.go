@@ -1,9 +1,8 @@
 package telemetry
 
 import (
-	"bytes"
+	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/params"
@@ -94,33 +93,6 @@ func TestInstantsDoNotAdvanceClock(t *testing.T) {
 	}
 }
 
-func TestSpansNestPerSourceAndAggregate(t *testing.T) {
-	r := NewRecorder(testConfig())
-	r.Begin("u", "outer")
-	r.Step("u", OpWrite, 4)
-	end := r.Span("u", "inner")
-	r.Step("u", OpWrite, 4)
-	end()
-	r.Step("u", OpWrite, 4)
-	r.End("u")
-	r.End("u") // unmatched: ignored
-
-	inner := r.Metrics().Span("inner")
-	outer := r.Metrics().Span("outer")
-	if inner.Count != 1 || inner.TotalCycles != 1 {
-		t.Errorf("inner span: count=%d cycles=%d, want 1/1", inner.Count, inner.TotalCycles)
-	}
-	if outer.Count != 1 || outer.TotalCycles != 3 {
-		t.Errorf("outer span: count=%d cycles=%d, want 1/3", outer.Count, outer.TotalCycles)
-	}
-	if inner.TotalPJ != 4 || outer.TotalPJ != 12 {
-		t.Errorf("span energy: inner=%v outer=%v, want 4/12", inner.TotalPJ, outer.TotalPJ)
-	}
-	if names := r.Metrics().SpanNames(); len(names) != 2 || names[0] != "inner" || names[1] != "outer" {
-		t.Errorf("SpanNames=%v", names)
-	}
-}
-
 func TestRecorderFansOutToAllSinks(t *testing.T) {
 	a, b := NewRingSink(8), NewRingSink(8)
 	r := NewRecorder(testConfig(), a, b)
@@ -138,18 +110,6 @@ func TestRecorderFansOutToAllSinks(t *testing.T) {
 	}
 }
 
-func TestSrcMetricsCyclesCountOnlySteps(t *testing.T) {
-	r := NewRecorder(testConfig())
-	r.Step("u", OpShift, 1)
-	r.Step("u", OpLogic, 0)
-	r.Move("u", OpRowRead, 64)
-	r.Fault("u", "shift-overshoot", 1)
-	sm := r.Metrics().Sources()["u"]
-	if got := sm.Cycles(); got != 2 {
-		t.Fatalf("source cycles=%d, want 2 (instants must not count)", got)
-	}
-}
-
 func TestRingSinkEvictsOldest(t *testing.T) {
 	s := NewRingSink(3)
 	for i := 0; i < 5; i++ {
@@ -164,51 +124,40 @@ func TestRingSinkEvictsOldest(t *testing.T) {
 	}
 }
 
-func TestMarksAggregateByName(t *testing.T) {
+// TestNoSinkRecorderAllocatesNothing: a recorder with no sink keeps
+// only its clock, timeline and ledger. It builds no event, so no hook
+// allocates, on a source never seen before included, and Begin keeps no
+// span frame.
+func TestNoSinkRecorderAllocatesNothing(t *testing.T) {
 	r := NewRecorder(testConfig())
-	r.Mark("pimc", "moves-saved", 5)
-	r.Mark("pimc", "moves-saved", 2)
-	r.Mark("pimc", "shifts-saved", 40)
-	r.Mark("pimc", "", 9) // unnamed marks are not aggregated
-
-	m := r.Metrics()
-	if mk := m.Mark("moves-saved"); mk.Count != 2 || mk.WiresTotal != 7 {
-		t.Errorf("moves-saved = %+v, want count 2 total 7", mk)
+	srcs := make([]Source, 512)
+	for i := range srcs {
+		srcs[i] = Source(fmt.Sprintf("b0.s0.t0.d%d", i))
 	}
-	if mk := m.Mark("shifts-saved"); mk.Count != 1 || mk.WiresTotal != 40 {
-		t.Errorf("shifts-saved = %+v, want count 1 total 40", mk)
+	next := 0
+	fresh := func() Source {
+		next++
+		return srcs[next-1]
 	}
-	if mk := m.Mark("absent"); mk != (MarkMetrics{}) {
-		t.Errorf("absent mark = %+v, want zero", mk)
-	}
-	names := m.MarkNames()
-	if len(names) != 2 || names[0] != "moves-saved" || names[1] != "shifts-saved" {
-		t.Errorf("MarkNames = %v", names)
-	}
-}
-
-func TestMetricsWriteTextIsStable(t *testing.T) {
-	r := NewRecorder(testConfig())
-	r.Step("b", OpShift, 2)
-	r.Step("a", OpWrite, 4)
-	r.Span("a", "op")()
-	var first, second bytes.Buffer
-	if err := r.Metrics().WriteText(&first); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Metrics().WriteText(&second); err != nil {
-		t.Fatal(err)
-	}
-	if first.String() != second.String() {
-		t.Fatal("WriteText output is not deterministic")
-	}
-	for _, want := range []string{"## per op kind", "## per source", "## spans", "shift", "write"} {
-		if !strings.Contains(first.String(), want) {
-			t.Errorf("report missing %q:\n%s", want, first.String())
+	for _, c := range []struct {
+		name string
+		hook func()
+	}{
+		{"step on a fresh source", func() { r.Step(fresh(), OpShift, 64) }},
+		{"fault", func() { r.Fault("u", "tr-level", 1) }},
+		{"move", func() { r.Move("u", OpRowRead, 64) }},
+		{"mark", func() { r.Mark("u", "retry:add", 1) }},
+		{"window markers", func() { r.WindowBegin(); r.WindowLane(); r.WindowEnd() }},
+		{"begin/end on a fresh source", func() { src := fresh(); r.Begin(src, "add"); r.End(src) }},
+	} {
+		if n := testing.AllocsPerRun(100, c.hook); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", c.name, n)
 		}
 	}
-	// Sources render sorted: "a" before "b".
-	if ai, bi := strings.Index(first.String(), "\na "), strings.Index(first.String(), "\nb "); ai == -1 || bi == -1 || ai > bi {
-		t.Errorf("sources not sorted in report:\n%s", first.String())
+	if len(r.spans) != 0 {
+		t.Errorf("recorder with no sink kept span frames for %d sources", len(r.spans))
+	}
+	if got := r.Metrics().Count(OpMark); got != 101 {
+		t.Errorf("ledger counted %d marks, want 101", got)
 	}
 }
