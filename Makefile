@@ -136,19 +136,18 @@ bench-parallel:
 bench-resilient:
 	$(GO) test -run '^$$' -bench 'BenchmarkResilient' -benchmem .
 
-# bench-obs measures the telemetry overhead guard: the hot PIM ops with
-# telemetry disabled (nil recorder — must match the un-instrumented
-# baseline), with a recorder that has no sink (the ledger only), and
-# with a ring sink.
-# Reference numbers and the <2% disabled-path budget are recorded in
-# BENCH_obs.json.
+# bench-obs measures the telemetry overhead: the hot PIM ops on a unit
+# whose recorder has no sink (the ledger only — where every unit and
+# memory starts) and with a ring sink. The disabled path, a nil
+# recorder, runs only on a bare DBC: `make bench` runs its BenchmarkDBC*
+# rows. Reference numbers, and the <2% disabled-path budget, are
+# recorded in BENCH_obs.json.
 bench-obs:
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetry' -benchmem .
 
-# bench-profile measures the hardware-profiler overhead guard: the same
-# hot ops with no recorder (the disabled path must stay within noise of
-# the bench-obs disabled numbers — the profiler is a sink, the hooks
-# did not grow) and with the spatial profiler attached. Reference
+# bench-profile measures the hardware-profiler overhead: the same hot
+# ops with the spatial profiler attached as the recorder's sink, read
+# against bench-obs's no-sink BenchmarkTelemetryOn* rows. Reference
 # numbers are recorded in BENCH_profile.json.
 bench-profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkProfile' -benchmem .

@@ -39,7 +39,7 @@ func allocBudget(t *testing.T, name string, budget float64, f func()) {
 // TestAllocBudget pins the per-call allocation counts of the PIM
 // kernels (the BENCH_plane.json rows), of the batch execution paths
 // (the BENCH_parallel.json rows), of the single-row memory calls, of
-// compiling and running pimc plans, of reading a memory's cost and of
+// materializing a PIM cluster, of compiling and running pimc plans, of reading a memory's cost and of
 // the service codec, handler and client. Budgets are the measured
 // numbers.
 func TestAllocBudget(t *testing.T) {
@@ -295,6 +295,26 @@ store %q, b0.s0.t2.d0.r1
 	allocBudget(t, "MemoryStats", 0, func() {
 		if sm.Stats().WriteSteps != 16 {
 			t.Fatal("Memory.Stats lost the 16 row writes")
+		}
+	})
+
+	// A cold PIM cluster: a fresh memory and its first write to a PIM
+	// DBC, which materializes the shard, its unit and the recorder the
+	// unit starts on before the memory attaches its own. Budget per
+	// memory.
+	dcfg := params.DefaultConfig()
+	pimAddr := isa.Addr{DBC: dcfg.Geometry.DBCsPerTile - 1}
+	if !pimAddr.IsPIMEnabled(dcfg.Geometry) {
+		t.Fatalf("%+v is not a PIM DBC", pimAddr)
+	}
+	coldRow := dbc.NewRow(dcfg.Geometry.TrackWidth)
+	allocBudget(t, "ColdPIMCluster", 17, func() {
+		cold, err := memory.New(dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cold.WriteRow(pimAddr, coldRow); err != nil {
+			t.Fatal(err)
 		}
 	})
 

@@ -1,10 +1,8 @@
-// Hardware-profiler overhead guard benchmarks (recorded in
+// Hardware-profiler overhead benchmarks (recorded in
 // BENCH_profile.json): the same hot operations as bench_obs_test.go
-// run with no profiler (nil recorder — the spatial hooks cost the same
-// single branch as every other telemetry hook) and with the full
-// spatial profiler attached as a sink. The Off variants must stay
-// within noise of the matching BENCH_obs.json disabled numbers — the
-// profiler is a sink, so the disabled path gained no new work.
+// with the full spatial profiler attached as the recorder's sink, read
+// against BenchmarkTelemetryOn*, the same unit with no sink. The
+// profiler is a sink, so a recorder without one does none of its work.
 package coruscant
 
 import (
@@ -16,18 +14,6 @@ import (
 	"repro/internal/telemetry/profile"
 )
 
-// BenchmarkProfileOffAddMulti is the disabled-path guard: nil
-// recorder, spatial attribution hooks never taken.
-func BenchmarkProfileOffAddMulti(b *testing.B) {
-	u, rows := addMultiFixture()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := u.AddMulti(rows, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkProfileOnAddMulti attaches the spatial profiler — per-DBC
 // wear, occupancy and shift-distance aggregation on every event.
 func BenchmarkProfileOnAddMulti(b *testing.B) {
@@ -37,16 +23,6 @@ func BenchmarkProfileOnAddMulti(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := u.AddMulti(rows, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkProfileOffBulkBitwise(b *testing.B) {
-	u, rows := bulkFixture()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := u.BulkBitwise(dbc.OpXOR, rows); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,12 +16,14 @@
 //	coruscant -p 1e-3 -ops 10000 -policy nmr3 campaign
 //	coruscant -policy dup -retries 5 campaign
 //
-// Observability flags (most useful with demo, which drives the PIM
-// unit through a telemetry recorder):
+// Observability flags. -trace and -metrics record what demo and batch
+// run through the shared telemetry recorder, so a command line with
+// them and neither subcommand is an error; experiments and campaign
+// build their own units and memories.
 //
 //	coruscant -trace out.json demo   # Chrome trace_event JSON; open in
 //	                                 # https://ui.perfetto.dev
-//	coruscant -metrics demo          # text metrics report on exit
+//	coruscant -metrics demo batch    # text metrics report on exit
 //	coruscant -debug-addr :8080 all  # /metrics (Prometheus) +
 //	                                 # /debug/pprof server
 //	coruscant -cpuprofile cpu.pb all # runtime profiles
@@ -79,8 +81,8 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("coruscant", flag.ContinueOnError)
-	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON file (open in Perfetto)")
-	metrics := fs.Bool("metrics", false, "print the telemetry metrics report on exit")
+	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON file of demo and batch (open in Perfetto)")
+	metrics := fs.Bool("metrics", false, "print the telemetry metrics report of demo and batch on exit")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile")
 	memProfile := fs.String("memprofile", "", "write a heap profile on exit")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics and /debug/pprof on this address")
@@ -111,6 +113,9 @@ func run(args []string) error {
 		fs.Usage()
 		return nil
 	}
+	if (*tracePath != "" || *metrics) && !feedsRecorder(args) {
+		return fmt.Errorf("-trace and -metrics record only the demo and batch subcommands; add one of them")
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -123,8 +128,9 @@ func run(args []string) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	// Assemble the telemetry recorder when any observability output is
-	// requested; a nil recorder keeps the disabled path free.
+	// Assemble the shared telemetry recorder when any observability
+	// output is requested; with none, demo and batch keep the recorders
+	// their unit and memory start on.
 	var sinks []telemetry.Sink
 	var traceFile *os.File
 	var chrome *telemetry.ChromeSink
@@ -226,6 +232,21 @@ func mountMetrics(p *profile.Profiler) {
 			p.Handler().ServeHTTP(w, r)
 		})
 	})
+}
+
+// feedsRecorder reports whether a positional subcommand charges the
+// shared recorder: only demo and batch do. The argument after top or
+// load is its target, not a subcommand.
+func feedsRecorder(args []string) bool {
+	for i := 0; i < len(args); i++ {
+		switch args[i] {
+		case "top", "load":
+			i++
+		case "demo", "batch":
+			return true
+		}
+	}
+	return false
 }
 
 // dispatch runs the positional subcommands with the (possibly nil)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -74,9 +75,76 @@ func TestRunMultiple(t *testing.T) {
 	}
 }
 
+// TestRunDemo pins the demo's three trace lines, the add, multiply and
+// max counts of its unit, with and without -metrics: the unit counts on
+// a recorder of its own when the flag attaches none.
 func TestRunDemo(t *testing.T) {
-	if err := run([]string{"demo"}); err != nil {
-		t.Fatal(err)
+	want := []string{
+		"trace: cycles=26 shifts=5 trs=8 writes=13 reads=0 tws=0 copies=0 logic=0 stalls=0 (wire events: shift=320 tr=64 w=488 r=0 tw=0 copy=0)",
+		"trace: cycles=61 shifts=12 trs=17 writes=21 reads=1 tws=2 copies=8 logic=0 stalls=0 (wire events: shift=768 tr=128 w=500 r=64 tw=128 copy=512)",
+		"trace: cycles=129 shifts=4 trs=9 writes=4 reads=56 tws=56 copies=0 logic=0 stalls=0 (wire events: shift=256 tr=128 w=256 r=3584 tw=3584 copy=0)",
+	}
+	for _, args := range [][]string{{"demo"}, {"-metrics", "batch", "demo"}} {
+		out := captureStdout(t, func() {
+			if err := run(args); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var got []string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "trace:") {
+				got = append(got, line)
+			}
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%v trace lines:\n%s\nwant:\n%s", args, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
+// TestRunObservabilityNeedsDemoOrBatch checks that -trace and -metrics
+// are refused, before any work, on a command line whose subcommands
+// charge nothing to the shared recorder.
+func TestRunObservabilityNeedsDemoOrBatch(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "out.json")
+	for _, args := range [][]string{
+		{"-metrics", "-ops", "300", "campaign"},
+		{"-metrics", "table1"},
+		{"-trace", tracePath, "all"},
+		{"-metrics", "-top-count", "1", "top", "demo"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "demo and batch") {
+			t.Errorf("%v: err = %v, want one naming demo and batch", args, err)
+		}
+	}
+	if _, err := os.Stat(tracePath); !os.IsNotExist(err) {
+		t.Errorf("refused -trace run created %s (stat err %v)", tracePath, err)
+	}
+}
+
+// TestRunMetricsBatch checks that -metrics reports what batch ran: one
+// source per bank, whose cycles sum to the batch's own total.
+func TestRunMetricsBatch(t *testing.T) {
+	out := captureStdout(t, func() {
+		if err := run([]string{"-metrics", "batch"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var total, sum, sources int
+	for _, line := range strings.Split(out, "\n") {
+		if _, err := fmt.Sscanf(line, "totals: %d cycles", &total); err == nil {
+			continue
+		}
+		var src string
+		var cycles int
+		if _, err := fmt.Sscanf(line, "%s cycles=%d", &src, &cycles); err == nil && strings.HasPrefix(src, "b") {
+			sum += cycles
+			sources++
+		}
+	}
+	if total == 0 || sources != 8 || sum != total {
+		t.Errorf("report has %d sources summing to %d cycles, want 8 summing to the batch total %d:\n%s", sources, sum, total, out)
 	}
 }
 

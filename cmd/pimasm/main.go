@@ -338,10 +338,10 @@ func exec(cfg params.Config, instrs []string, tracePath string, metrics bool) er
 			return err
 		}
 		for i, in := range ins {
-			// Realign the access port to row 0 with telemetry detached, so
-			// an instruction's shift cost never depends on the ones before
-			// it (the realignment models operand staging, which is not part
-			// of the measured instruction).
+			// Realign the access port to row 0 on a fresh recorder, so the
+			// shared one never sees it and an instruction's shift cost never
+			// depends on the ones before it (the realignment models operand
+			// staging, which is not part of the measured instruction).
 			u.SetTelemetry(nil, "")
 			if _, err := u.D.Align(0, device.Left); err != nil {
 				return err

@@ -309,9 +309,10 @@ var ErrCrossDBC = memory.ErrCrossDBC
 // tracing, the recorder's cost ledger, pluggable sinks, and the
 // profiler that aggregates the stream).
 type (
-	// Recorder is the telemetry hub; attach one with Unit.SetTelemetry
-	// or Memory.SetTelemetry. A nil *Recorder disables telemetry at the
-	// cost of one branch per hook.
+	// Recorder is the telemetry hub and the one cost ledger; attach one
+	// with Unit.SetTelemetry or Memory.SetTelemetry. A Unit and a Memory
+	// start on a recorder with no sink, and SetTelemetry(nil) installs a
+	// fresh one.
 	Recorder = telemetry.Recorder
 	// TelemetryEvent is one record of the telemetry stream.
 	TelemetryEvent = telemetry.Event

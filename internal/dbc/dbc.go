@@ -15,10 +15,11 @@
 // against (refdbc_test.go).
 //
 // All state-changing operations are charged: each control step makes one
-// charge to the DBC's ledger — a trace.Tracer (standalone DBCs and PIM
-// units), a telemetry.Recorder (memory.Memory's clusters), or both — from
-// which cycle latency and energy derive. The recorder also timestamps
-// the step as an event (injected faults emit additional tagged events).
+// call, to the DBC's telemetry.Recorder, whose ledger cycle latency and
+// energy derive from. The recorder also timestamps the step as an event
+// when a sink listens (injected faults emit additional tagged events).
+// A pim.Unit and a memory.Memory always attach one; a bare DBC with no
+// recorder charges nothing.
 package dbc
 
 import (
@@ -28,7 +29,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/params"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // DBC is a PIM-enabled domain-block cluster.
@@ -38,11 +38,10 @@ type DBC struct {
 	rows  int // Y: data rows
 	trd   params.TRD
 
-	pa     *device.PlaneArray
-	tracer *trace.Tracer
-	rec    *telemetry.Recorder
-	src    telemetry.Source
-	inj    *device.FaultInjector
+	pa  *device.PlaneArray
+	rec *telemetry.Recorder
+	src telemetry.Source
+	inj *device.FaultInjector
 }
 
 // New returns a DBC of width nanowires × rows data domains with a PIM
@@ -76,15 +75,9 @@ func (d *DBC) Rows() int { return d.rows }
 // TRD returns the PIM window length.
 func (d *DBC) TRD() params.TRD { return d.trd }
 
-// SetTracer directs subsequent operation accounting to t (nil detaches
-// it; an attached recorder keeps counting).
-func (d *DBC) SetTracer(t *trace.Tracer) { d.tracer = t }
-
-// Tracer returns the current tracer (possibly nil).
-func (d *DBC) Tracer() *trace.Tracer { return d.tracer }
-
-// SetTelemetry attaches a telemetry recorder (nil disables); src tags
-// this DBC's events — memory.Memory uses the DBC coordinates.
+// SetTelemetry attaches the telemetry recorder the DBC charges its steps
+// to (nil: it charges nothing); src tags this DBC's events —
+// memory.Memory uses the DBC coordinates.
 func (d *DBC) SetTelemetry(rec *telemetry.Recorder, src telemetry.Source) {
 	d.rec, d.src = rec, src
 }
@@ -99,28 +92,24 @@ func (d *DBC) Source() telemetry.Source { return d.src }
 func (d *DBC) SetFaultInjector(f *device.FaultInjector) { d.inj = f }
 
 // Charge charges one control step of kind op touching wires nanowires
-// (or bits) to whichever of the tracer and the recorder is attached:
-// the one call a step makes. PIM operations that compute their result
+// (or bits) to the recorder. PIM operations that compute their result
 // word-parallel charge through it the steps the hardware would issue.
 func (d *DBC) Charge(op telemetry.Op, wires int) {
-	d.tracer.Charge(trace.Kind(op), wires)
 	d.rec.Step(d.src, op, wires)
 }
 
-// Stall charges n idle cycles (recovery backoff) to the tracer and to
-// the recorder under src, the component that ordered the wait.
+// Stall charges n idle cycles (recovery backoff) to the recorder under
+// src, the component that ordered the wait.
 func (d *DBC) Stall(src telemetry.Source, n int) {
 	for i := 0; i < n; i++ {
-		d.tracer.Charge(trace.Stall, 0)
 		d.rec.Step(src, telemetry.OpStall, 0)
 	}
 }
 
 // chargeShift charges one shift step, attributed with the head offset
-// after it. The explicit nil guard keeps the disabled path at one
-// branch: Offset() is only computed when somebody listens.
+// after it. The explicit nil guard keeps a bare DBC's path at one
+// branch: Offset() is only computed when a recorder is attached.
 func (d *DBC) chargeShift() {
-	d.tracer.Charge(trace.Shift, d.width)
 	if d.rec != nil {
 		d.rec.StepShift(d.src, d.width, d.pa.Offset())
 	}
@@ -129,7 +118,6 @@ func (d *DBC) chargeShift() {
 // chargePort charges one access-port step at port s, attributed with
 // the data row under it.
 func (d *DBC) chargePort(op telemetry.Op, wires int, s device.Side) {
-	d.tracer.Charge(trace.Kind(op), wires)
 	if d.rec != nil {
 		d.rec.StepPort(d.src, op, wires, d.pa.RowAtPort(s), portOf(s))
 	}
@@ -365,7 +353,6 @@ func (d *DBC) TRMaskedInto(lp *LevelPlanes, mask []uint64, wires int) {
 func (d *DBC) WriteScatterPlanes(left, leftMask, right, rightMask []uint64, count int) {
 	d.pa.WritePortMasked(device.Left, left, leftMask)
 	d.pa.WritePortMasked(device.Right, right, rightMask)
-	d.tracer.Charge(trace.Write, count)
 	if d.rec == nil {
 		return
 	}

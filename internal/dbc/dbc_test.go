@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/params"
-	"repro/internal/trace"
+	"repro/internal/telemetry"
 )
 
 func randRow(width int, rng *rand.Rand) Row {
@@ -119,8 +119,8 @@ func TestDBCTRMatchesPopcount(t *testing.T) {
 
 func TestDBCTRMaskedInto(t *testing.T) {
 	d := MustNew(16, 32, params.TRD7)
-	tr := &trace.Tracer{}
-	d.SetTracer(tr)
+	tr := telemetry.NewRecorder(params.DefaultConfig())
+	d.SetTelemetry(tr, "")
 	d.PokeWindowConst(3, 1)
 	lp := NewLevelPlanes(16)
 	d.TRMaskedInto(&lp, []uint64{1<<2 | 1<<5}, 2)
@@ -156,8 +156,8 @@ func TestDBCTWRow(t *testing.T) {
 
 func TestDBCWriteScatter(t *testing.T) {
 	d := MustNew(8, 32, params.TRD7)
-	tr := &trace.Tracer{}
-	d.SetTracer(tr)
+	tr := telemetry.NewRecorder(params.DefaultConfig())
+	d.SetTelemetry(tr, "")
 	d.PokeWindowConst(0, 1) // wire 2's left-port domain must be cleared
 	d.WriteScatterPlanes([]uint64{1 << 0}, []uint64{1<<0 | 1<<2}, []uint64{1 << 1}, []uint64{1 << 1}, 3)
 	if got := d.PeekWindow(0).Get(0); got != 1 {
@@ -180,8 +180,8 @@ func TestDBCWriteScatter(t *testing.T) {
 
 func TestDBCTracing(t *testing.T) {
 	d := MustNew(8, 32, params.TRD7)
-	tr := &trace.Tracer{}
-	d.SetTracer(tr)
+	tr := telemetry.NewRecorder(params.DefaultConfig())
+	d.SetTelemetry(tr, "")
 	if err := d.Shift(3); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/params"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -153,8 +154,8 @@ func runDifferential(t *testing.T, trd params.TRD, seed int64, faulty bool) {
 	t.Helper()
 	const width, rows = 67, 32
 	d := MustNew(width, rows, trd)
-	tr := &trace.Tracer{}
-	d.SetTracer(tr)
+	tr := telemetry.NewRecorder(params.DefaultConfig())
+	d.SetTelemetry(tr, "")
 	ref := newRefDBC(width, rows, trd)
 	if faulty {
 		// Same-seeded injectors: both engines must consume the identical

@@ -257,9 +257,9 @@ func (m *Memory) shardFor(base isa.Addr) (*shard, error) {
 // newCluster builds the physical cluster at phys that backs the logical
 // DBC base — phys is base for a fresh shard and the spare for a remap.
 // The cluster carries the fault profile's injector seeded at phys,
-// charges its steps to the memory's recorder alone (no tracer) under
-// base's telemetry source, and on a PIM-enabled location runs under a
-// recovery executor when a policy is set. m.mu held.
+// charges its steps to the memory's recorder under base's telemetry
+// source, and on a PIM-enabled location runs under a recovery executor
+// when a policy is set. m.mu held.
 func (m *Memory) newCluster(base, phys isa.Addr) (cluster, error) {
 	rec, pol := m.rec.Load(), m.pol
 	inj := m.injectorFor(phys)
@@ -276,7 +276,6 @@ func (m *Memory) newCluster(base, phys isa.Addr) (cluster, error) {
 	if err != nil {
 		return cluster{}, err
 	}
-	u.D.SetTracer(nil)
 	u.D.SetFaultInjector(inj)
 	u.SetTelemetry(rec, srcFor(base))
 	c := cluster{d: u.D, u: u}

@@ -35,10 +35,8 @@ func bulkSpan(op dbc.Op) string {
 // bit-sliced level planes and the polymorphic gate is evaluated 64 wires
 // per word operation (dbc.EvalPlanes).
 func (u *Unit) BulkBitwise(op dbc.Op, operands []dbc.Row) (dbc.Row, error) {
-	if u.rec != nil {
-		u.rec.Begin(u.src, bulkSpan(op))
-		defer u.rec.End(u.src)
-	}
+	u.rec.Begin(u.src, bulkSpan(op))
+	defer u.rec.End(u.src)
 	k := len(operands)
 	if k == 0 {
 		return dbc.Row{}, fmt.Errorf("pim: bulk %v with no operands", op)

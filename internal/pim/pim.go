@@ -8,10 +8,10 @@
 //
 // Every operation runs functionally on the bit-level DBC model — results
 // are exact and are property-tested against integer arithmetic — while
-// each device step is charged once to the DBC's ledger: the unit's own
-// trace.Tracer, and the telemetry.Recorder when one is attached (a
-// memory.Memory strips the tracer and counts on its recorder alone).
-// Cycle latency and energy derive from those counts. Cycle-count
+// each device step is charged once, to the ledger of the unit's
+// telemetry.Recorder: one with no sink of its own by default, or the one
+// SetTelemetry attaches (a memory.Memory attaches its own). Cycle
+// latency and energy derive from those counts. Cycle-count
 // anchors from the paper (§V-B): an 8-bit
 // five-operand add takes 10 cycles of operand placement plus 16 cycles of
 // per-bit TR+write = 26 cycles; one 7→3 reduction takes 4 cycles.
@@ -31,8 +31,11 @@ import (
 type Unit struct {
 	D   *dbc.DBC
 	cfg params.Config
-	rec *telemetry.Recorder
+	rec *telemetry.Recorder // never nil
 	src telemetry.Source
+	// base is the ledger reading Stats counts from; the unit never
+	// clears rec, which a memory or other units may share.
+	base trace.Stats
 
 	// lp is the scratch destination for transverse reads: valid only
 	// until the next TR, so every consumer copies what it keeps.
@@ -48,7 +51,8 @@ type Unit struct {
 	rightEntry bool
 }
 
-// NewUnit builds a PIM unit for the given configuration.
+// NewUnit builds a PIM unit for the given configuration, recording on a
+// recorder of its own with no sink.
 func NewUnit(cfg params.Config) (*Unit, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -57,8 +61,9 @@ func NewUnit(cfg params.Config) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.SetTracer(&trace.Tracer{})
-	return &Unit{D: d, cfg: cfg, lp: dbc.NewLevelPlanes(cfg.Geometry.TrackWidth)}, nil
+	u := &Unit{D: d, cfg: cfg, lp: dbc.NewLevelPlanes(cfg.Geometry.TrackWidth)}
+	u.SetTelemetry(nil, "")
+	return u, nil
 }
 
 // MustNewUnit is NewUnit for configurations known to be valid.
@@ -79,23 +84,22 @@ func (u *Unit) Width() int { return u.D.Width() }
 // TRD returns the unit's transverse-read distance.
 func (u *Unit) TRD() params.TRD { return u.cfg.TRD }
 
-// Tracer exposes the unit's primitive-op accounting: its DBC's tracer,
-// which also counts the steps the unit charges without running them on
-// the DBC model (the multipliers' read, shifted copies and rotate-ins,
-// the divider's lateral shifts and predicated writes, LogicalShift,
-// the vote's logic step, ReLU).
-// Nil once a memory has detached it.
-func (u *Unit) Tracer() *trace.Tracer { return u.D.Tracer() }
-
-// SetTelemetry attaches a telemetry recorder to the unit and its DBC
-// (nil disables); src tags the unit's events and names its track in the
-// Chrome trace export.
+// SetTelemetry attaches a telemetry recorder to the unit and its DBC;
+// nil installs a fresh one with no sink, so the unit always counts. src
+// tags the unit's events and names its track in the Chrome trace
+// export. Stats carries on across the switch.
 func (u *Unit) SetTelemetry(rec *telemetry.Recorder, src telemetry.Source) {
+	if rec == nil {
+		rec = telemetry.NewRecorder(u.cfg)
+	}
+	kept := u.Stats()
 	u.rec, u.src = rec, src
+	u.base = rec.Stats()
+	u.base.Add(kept.Scale(-1))
 	u.D.SetTelemetry(rec, src)
 }
 
-// Recorder returns the attached telemetry recorder (possibly nil).
+// Recorder returns the attached telemetry recorder (never nil).
 func (u *Unit) Recorder() *telemetry.Recorder { return u.rec }
 
 // Span opens a named telemetry span on the unit's track and returns its
@@ -103,15 +107,21 @@ func (u *Unit) Recorder() *telemetry.Recorder { return u.rec }
 // built on the unit. Every public PIM operation wraps itself in a span
 // too, opened with u.rec.Begin and closed by a deferred u.rec.End so
 // the hot path allocates no closer; workload-level spans nest around
-// operation spans, which nest around primitive steps. With no recorder
-// attached the returned closer is a shared no-op.
+// operation spans, which nest around primitive steps.
 func (u *Unit) Span(name string) func() { return u.rec.Span(u.src, name) }
 
-// Stats returns the accumulated primitive counts.
-func (u *Unit) Stats() trace.Stats { return u.Tracer().Stats() }
+// Stats returns the primitive counts since NewUnit or the last
+// ResetStats: the growth of the recorder's ledger since then, which on
+// a shared recorder includes the steps of everything sharing it.
+func (u *Unit) Stats() trace.Stats {
+	s := u.rec.Stats()
+	s.Add(u.base.Scale(-1))
+	return s
+}
 
-// ResetStats clears the accumulated counters.
-func (u *Unit) ResetStats() { u.Tracer().Reset() }
+// ResetStats restarts Stats from zero. The recorder's ledger is left as
+// it is.
+func (u *Unit) ResetStats() { u.base = u.rec.Stats() }
 
 // Cost converts the accumulated trace into a latency/energy cost.
 func (u *Unit) Cost() trace.Cost {

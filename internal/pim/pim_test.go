@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/dbc"
 	"repro/internal/params"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // testConfig returns a narrow unit configuration for fast tests.
@@ -24,6 +26,69 @@ func unitFor(t *testing.T, trd params.TRD, width int) *Unit {
 		t.Fatal(err)
 	}
 	return u
+}
+
+// TestUnitStatsReadItsRecorder checks that a unit's Stats is its
+// recorder's ledger read from the unit's own baseline: after
+// SetTelemetry(nil, src) the unit counts on a fresh recorder and keeps
+// what it counted before, and ResetStats on one of two units sharing a
+// recorder changes neither the shared ledger nor the other unit's Stats.
+func TestUnitStatsReadItsRecorder(t *testing.T) {
+	rows := []dbc.Row{dbc.ConstRow(64, 1), dbc.ConstRow(64, 0), dbc.ConstRow(64, 1)}
+	xor := func(u *Unit) {
+		t.Helper()
+		if _, err := u.BulkBitwise(dbc.OpXOR, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	u := unitFor(t, params.TRD7, 64)
+	xor(u)
+	before, old := u.Stats(), u.Recorder()
+	if before.Cycles() == 0 {
+		t.Fatal("a fresh unit counted nothing")
+	}
+	u.SetTelemetry(nil, "u")
+	if u.Recorder() == nil || u.Recorder() == old {
+		t.Fatal("SetTelemetry(nil) must install a fresh recorder")
+	}
+	xor(u)
+	fresh := u.Recorder().Stats()
+	if fresh.Cycles() == 0 {
+		t.Fatal("the unit stopped counting after SetTelemetry(nil)")
+	}
+	want := before
+	want.Add(fresh)
+	if got := u.Stats(); got != want {
+		t.Errorf("Stats after SetTelemetry(nil) = %v, want %v", got, want)
+	}
+
+	shared := telemetry.NewRecorder(testConfig(params.TRD7, 64))
+	a, b := unitFor(t, params.TRD7, 64), unitFor(t, params.TRD7, 64)
+	a.SetTelemetry(shared, "a")
+	b.SetTelemetry(shared, "b")
+	xor(a)
+	xor(b)
+	ledger, aStats := shared.Stats(), a.Stats()
+	b.ResetStats()
+	if got := shared.Stats(); got != ledger {
+		t.Errorf("ResetStats changed the shared ledger: %v, was %v", got, ledger)
+	}
+	if got := a.Stats(); got != aStats {
+		t.Errorf("b.ResetStats changed a's Stats: %v, was %v", got, aStats)
+	}
+	if got := b.Stats(); got != (trace.Stats{}) {
+		t.Errorf("b's Stats after ResetStats = %v, want zero", got)
+	}
+	xor(b)
+	if got := a.Stats(); got != shared.Stats() {
+		t.Errorf("a's Stats %v, want the whole shared ledger %v", got, shared.Stats())
+	}
+	grown := shared.Stats()
+	grown.Add(ledger.Scale(-1))
+	if got := b.Stats(); got != grown {
+		t.Errorf("b's Stats %v, want the ledger's growth since its reset %v", got, grown)
+	}
 }
 
 func TestPackUnpackLanes(t *testing.T) {

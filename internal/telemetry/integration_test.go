@@ -7,6 +7,7 @@ package telemetry_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/dbc"
@@ -29,10 +30,28 @@ func packed(t *testing.T, u *pim.Unit, vals []uint64, lane int) dbc.Row {
 	return r
 }
 
+// stepTally is a sink totalling the step events it receives by kind.
+type stepTally struct {
+	steps, wires [telemetry.NumOps]uint64
+	energyPJ     float64
+}
+
+func (s *stepTally) Emit(e telemetry.Event) {
+	if e.Phase == telemetry.PhaseStep {
+		s.steps[e.Op]++
+		s.wires[e.Op] += uint64(e.Wires)
+		s.energyPJ += e.EnergyPJ
+	}
+}
+
+func (s *stepTally) Close() error { return nil }
+
 // TestRecorderClockMatchesTraceStats drives every major PIM op and
-// asserts the telemetry cycle clock equals trace.Stats.Cycles() — the
-// one-cycle-per-control-step contract — and that the recorder's ledger
-// and energy equal the tracer's counts and their price exactly.
+// checks the one ledger three ways: the telemetry cycle clock equals
+// its trace.Stats.Cycles() — the one-cycle-per-control-step contract —
+// its energy is its counts priced, and the step events a sink received
+// carry exactly its per-kind counts and, summed, its energy. The unit's
+// Stats reads that ledger.
 func TestRecorderClockMatchesTraceStats(t *testing.T) {
 	cfg := params.DefaultConfig()
 	cfg.Geometry.TrackWidth = 64
@@ -40,7 +59,8 @@ func TestRecorderClockMatchesTraceStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := telemetry.NewRecorder(cfg)
+	tally := &stepTally{}
+	rec := telemetry.NewRecorder(cfg, tally)
 	u.SetTelemetry(rec, "u0")
 
 	vals := []uint64{10, 20, 30, 40, 50, 60, 70, 80}
@@ -89,41 +109,54 @@ func TestRecorderClockMatchesTraceStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats := u.Stats()
+	stats := rec.Stats()
+	if got := u.Stats(); got != stats {
+		t.Errorf("unit stats %v != recorder ledger %v", got, stats)
+	}
 	if got, want := rec.Cycle(), uint64(stats.Cycles()); got != want {
-		t.Errorf("telemetry clock %d != trace cycles %d", got, want)
+		t.Errorf("telemetry clock %d != ledger cycles %d", got, want)
 	}
-	if got := rec.Stats(); got != stats {
-		t.Errorf("recorder ledger %v != trace %v", got, stats)
+	pj := rec.EnergyPJ()
+	if want := stats.EnergyPJ(cfg.Energy, cfg.TRD); pj != want {
+		t.Errorf("telemetry energy %v != priced ledger %v", pj, want)
 	}
-	if got, want := rec.EnergyPJ(), stats.EnergyPJ(cfg.Energy, cfg.TRD); got != want {
-		t.Errorf("telemetry energy %v != trace energy %v", got, want)
+	if math.Abs(tally.energyPJ-pj) > 1e-9*pj {
+		t.Errorf("step events carry %v pJ, ledger %v", tally.energyPJ, pj)
 	}
-	// Per-op step counts mirror the trace step counters one-to-one.
+	// The per-kind ledger, its trace.Stats view and the step events
+	// agree one-to-one.
 	m := rec.Metrics()
 	pairs := []struct {
-		op   telemetry.Op
-		want int
+		op           telemetry.Op
+		steps, wires int
 	}{
-		{telemetry.OpShift, stats.ShiftSteps},
-		{telemetry.OpTR, stats.TRSteps},
-		{telemetry.OpWrite, stats.WriteSteps},
-		{telemetry.OpRead, stats.ReadSteps},
-		{telemetry.OpTW, stats.TWSteps},
-		{telemetry.OpCopy, stats.CopySteps},
-		{telemetry.OpLogic, stats.LogicSteps},
+		{telemetry.OpShift, stats.ShiftSteps, stats.ShiftWires},
+		{telemetry.OpTR, stats.TRSteps, stats.TRWires},
+		{telemetry.OpWrite, stats.WriteSteps, stats.WriteBits},
+		{telemetry.OpRead, stats.ReadSteps, stats.ReadBits},
+		{telemetry.OpTW, stats.TWSteps, stats.TWBits},
+		{telemetry.OpCopy, stats.CopySteps, stats.CopyBits},
+		{telemetry.OpLogic, stats.LogicSteps, 0},
+		{telemetry.OpStall, stats.StallSteps, 0},
 	}
 	for _, p := range pairs {
-		if got := m.Count(p.op); got != uint64(p.want) {
-			t.Errorf("%v steps: telemetry %d != trace %d", p.op, got, p.want)
+		if got := m.Count(p.op); got != uint64(p.steps) {
+			t.Errorf("%v steps: metrics %d != stats %d", p.op, got, p.steps)
+		}
+		if got := tally.steps[p.op]; got != uint64(p.steps) {
+			t.Errorf("%v steps: events %d != ledger %d", p.op, got, p.steps)
+		}
+		if got := tally.wires[p.op]; got != uint64(p.wires) {
+			t.Errorf("%v wires: events %d != ledger %d", p.op, got, p.wires)
 		}
 	}
 }
 
 // TestOneChargeReachesBothLedgers charges each step kind once through
-// the DBC of a unit carrying both a tracer and a recorder: the one call
-// must land in both, so the tracer's counts, the recorder's ledger,
-// clock and energy, and the event's priced energy all agree exactly.
+// the DBC of a unit: the one call must reach both the recorder's ledger
+// and its event stream, so the ledger (and the unit's Stats, which
+// reads it), the clock, the priced energy and the one event all agree
+// exactly.
 func TestOneChargeReachesBothLedgers(t *testing.T) {
 	cfg := params.DefaultConfig()
 	cfg.Geometry.TrackWidth = 64
@@ -151,19 +184,19 @@ func TestOneChargeReachesBothLedgers(t *testing.T) {
 			u.SetTelemetry(rec, "u0")
 			u.D.Charge(c.op, c.wires)
 
-			st := u.Stats()
+			st := rec.Stats()
 			if st != c.want {
-				t.Fatalf("tracer %+v, want %+v", st, c.want)
+				t.Fatalf("recorder ledger %+v, want %+v", st, c.want)
 			}
-			if got := rec.Stats(); got != st {
-				t.Errorf("recorder ledger %+v != tracer %+v", got, st)
+			if got := u.Stats(); got != st {
+				t.Errorf("unit stats %+v != recorder ledger %+v", got, st)
 			}
 			if got := rec.Cycle(); got != 1 {
 				t.Errorf("recorder clock %d, want 1", got)
 			}
 			pj := st.EnergyPJ(cfg.Energy, cfg.TRD)
 			if got := rec.EnergyPJ(); got != pj {
-				t.Errorf("recorder energy %v != priced tracer %v", got, pj)
+				t.Errorf("recorder energy %v != priced ledger %v", got, pj)
 			}
 			ev := ring.Events()
 			if len(ev) != 1 || ev[0].Op != c.op || ev[0].Wires != c.wires || ev[0].EnergyPJ != pj {

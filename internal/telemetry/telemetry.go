@@ -17,20 +17,22 @@
 // views are its Prometheus text, Chrome counters, `coruscant top` and
 // the text report behind -metrics.
 //
-// A Recorder is also a cost ledger (Metrics): it keeps the integer step
-// and wire totals of every event kind it records (Stats), its cycle
+// A Recorder is also the one cost ledger (Metrics): it keeps the integer
+// step and wire totals of every event kind it records (Stats), its cycle
 // clock follows trace.Stats.Cycles() — one cycle per control step — and
-// its energy is those totals priced once (EnergyPJ). A memory.Memory
-// reads its device cost from its recorder alone; a standalone DBC or PIM
-// unit that also carries a trace.Tracer charges both from one call per
-// step, so the two agree exactly (telemetry tests assert this). A
-// recorder with no sink builds no Event at all: it keeps the clock, the
-// timeline and the ledger.
+// its energy is those totals priced once (EnergyPJ). A DBC charges each
+// step to its recorder with one call, and every device cost is read from
+// a recorder's ledger: a memory.Memory's directly, a pim.Unit's as its
+// growth since the unit's last ResetStats. A memory and a unit always
+// carry a recorder, by default one with no sink, which builds no Event
+// at all: it keeps the clock, the timeline and the ledger.
 //
 // Overhead contract: a nil *Recorder is valid, discards everything and
-// costs a single inlineable nil check per hook, so the disabled engine
-// stays within 2% of its un-instrumented speed (see BENCH_obs.json and
-// the BenchmarkTelemetry* overhead guards).
+// costs a single inlineable nil check per hook. A bare dbc.DBC and a
+// pimc compile without Options.Recorder run that way, within 2% of the
+// un-instrumented speed (see BENCH_obs.json and the BenchmarkDBC* rows).
+// A recorder with no sink costs its lock, clock, timeline and ledger on
+// every step (the BenchmarkTelemetryOn* rows).
 package telemetry
 
 import (
@@ -47,7 +49,7 @@ import (
 type Op uint8
 
 // Event kinds. The first eight are the control steps of trace.Kind,
-// value for value, so trace.Kind(op) converts a step kind.
+// value for value, so a step kind indexes trace.Prices.
 const (
 	OpShift = Op(trace.Shift) // DBC-wide domain-wall shift step
 	OpTR    = Op(trace.TR)    // transverse-read step
@@ -318,8 +320,15 @@ func (r *Recorder) Begin(src Source, name string) {
 	if r == nil {
 		return
 	}
+	r.begin(src, name)
+}
+
+// begin opens the span and reports whether it kept a frame, which it
+// does only while a sink is attached.
+func (r *Recorder) begin(src Source, name string) bool {
 	r.mu.Lock()
-	if len(r.sinks) > 0 {
+	framed := len(r.sinks) > 0
+	if framed {
 		if r.spans == nil {
 			r.spans = make(map[Source][]spanFrame)
 		}
@@ -327,6 +336,7 @@ func (r *Recorder) Begin(src Source, name string) {
 		r.emit(Event{Op: OpSpan, Phase: PhaseBegin, Src: src, Name: name, Cycle: r.cycle})
 	}
 	r.mu.Unlock()
+	return framed
 }
 
 // End closes the innermost open span at src. Its End event carries the
@@ -351,13 +361,13 @@ func (r *Recorder) End(src Source) {
 var nopEnd = func() {}
 
 // Span opens a span and returns its closer, for the
-// `defer rec.Span(src, "add")()` idiom. On a nil recorder it returns a
-// shared no-op closure, so disabled call sites do not allocate.
+// `defer rec.Span(src, "add")()` idiom. On a nil recorder, or one with
+// no sink, which keeps no span frame, it returns a shared no-op
+// closure, so those call sites do not allocate.
 func (r *Recorder) Span(src Source, name string) func() {
-	if r == nil {
+	if r == nil || !r.begin(src, name) {
 		return nopEnd
 	}
-	r.Begin(src, name)
 	return func() { r.End(src) }
 }
 

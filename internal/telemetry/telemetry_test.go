@@ -149,6 +149,7 @@ func TestNoSinkRecorderAllocatesNothing(t *testing.T) {
 		{"mark", func() { r.Mark("u", "retry:add", 1) }},
 		{"window markers", func() { r.WindowBegin(); r.WindowLane(); r.WindowEnd() }},
 		{"begin/end on a fresh source", func() { src := fresh(); r.Begin(src, "add"); r.End(src) }},
+		{"span closer", func() { r.Span("u", "cnn-binary")() }},
 	} {
 		if n := testing.AllocsPerRun(100, c.hook); n != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", c.name, n)

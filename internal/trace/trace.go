@@ -2,7 +2,10 @@
 // CORUSCANT simulator. Every device-level primitive executed by the
 // functional model (shifts, port reads/writes, transverse reads,
 // transverse writes) is counted in a Stats value; latency and energy are
-// then pure functions of those counts plus the params constants.
+// then pure functions of those counts plus the params constants. The
+// counting itself is one ledger, a telemetry.Recorder's: a DBC charges
+// each step there, and Stats is that ledger's view, Prices its energy
+// table and Timeline its makespan accounting.
 //
 // This mirrors the paper's methodology: the architecture-level results
 // are derived from per-primitive costs (NVSIM/LLG-derived in the paper,
@@ -146,45 +149,6 @@ func (p Prices) EnergyPJ(s Stats) float64 {
 		float64(s.ReadBits)*p[Read] +
 		float64(s.TWBits)*p[TW] +
 		float64(s.CopyBits)*p[Copy]
-}
-
-// Tracer accumulates Stats. The zero value is ready to use. A nil *Tracer
-// is also valid and discards all events, so hot paths need no nil checks
-// at call sites.
-type Tracer struct {
-	steps, wires [Stall + 1]int // indexed by Kind
-}
-
-// Charge records one control step of kind k touching wires nanowires
-// (or bits); logic and stall steps carry no wire events.
-func (t *Tracer) Charge(k Kind, wires int) {
-	if t == nil {
-		return
-	}
-	t.steps[k]++
-	t.wires[k] += wires
-}
-
-// Stats returns a copy of the accumulated counters.
-func (t *Tracer) Stats() Stats {
-	if t == nil {
-		return Stats{}
-	}
-	return Stats{
-		ShiftSteps: t.steps[Shift], TRSteps: t.steps[TR], WriteSteps: t.steps[Write],
-		ReadSteps: t.steps[Read], TWSteps: t.steps[TW], CopySteps: t.steps[Copy],
-		LogicSteps: t.steps[Logic], StallSteps: t.steps[Stall],
-		ShiftWires: t.wires[Shift], TRWires: t.wires[TR], WriteBits: t.wires[Write],
-		ReadBits: t.wires[Read], TWBits: t.wires[TW], CopyBits: t.wires[Copy],
-	}
-}
-
-// Reset clears the accumulated counters.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	*t = Tracer{}
 }
 
 // Cost is a latency/energy pair used by analytic models (baselines and

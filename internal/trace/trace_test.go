@@ -8,45 +8,6 @@ import (
 	"repro/internal/params"
 )
 
-func TestNilTracerIsSafe(t *testing.T) {
-	var tr *Tracer
-	for k := Shift; k <= Stall; k++ {
-		tr.Charge(k, 8)
-	}
-	tr.Reset()
-	if got := tr.Stats(); got != (Stats{}) {
-		t.Errorf("nil tracer accumulated %+v", got)
-	}
-}
-
-func TestTracerAccumulates(t *testing.T) {
-	tr := &Tracer{}
-	tr.Charge(Shift, 4)
-	tr.Charge(Shift, 4)
-	tr.Charge(TR, 16)
-	tr.Charge(Write, 3)
-	tr.Charge(Read, 2)
-	tr.Charge(TW, 8)
-	tr.Charge(Copy, 8)
-	tr.Charge(Logic, 0)
-	tr.Charge(Stall, 0)
-	s := tr.Stats()
-	want := Stats{
-		ShiftSteps: 2, TRSteps: 1, WriteSteps: 1, ReadSteps: 1, TWSteps: 1, CopySteps: 1, LogicSteps: 1, StallSteps: 1,
-		ShiftWires: 8, TRWires: 16, WriteBits: 3, ReadBits: 2, TWBits: 8, CopyBits: 8,
-	}
-	if s != want {
-		t.Errorf("stats = %+v, want %+v", s, want)
-	}
-	if s.Cycles() != 9 {
-		t.Errorf("cycles = %d, want 9", s.Cycles())
-	}
-	tr.Reset()
-	if tr.Stats() != (Stats{}) {
-		t.Error("reset did not clear")
-	}
-}
-
 func TestStatsAddScale(t *testing.T) {
 	a := Stats{ShiftSteps: 1, TRSteps: 2, WriteBits: 3, CopySteps: 1, CopyBits: 4}
 	b := a
